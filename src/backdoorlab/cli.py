@@ -108,7 +108,7 @@ def _cmd_collect(args) -> int:
     manifest = collect_dataset(args.instances, args.out, cfg, workers=args.workers)
     print(
         f"collected {manifest['kept']} instance record(s), "
-        f"skipped {manifest['skipped']}, dataset at {args.out}"
+        f"skipped {manifest['skipped']}, failed {manifest['failed']}, dataset at {args.out}"
     )
     return 0
 

@@ -155,7 +155,10 @@ def collect_one(path, seed: int, cfg: CollectConfig) -> tuple[dict | None, dict]
 
 def _collect_worker(args):
     index, path, seed, cfg = args
-    return index, collect_one(path, seed, cfg)
+    try:
+        return index, collect_one(path, seed, cfg)
+    except Exception as exc:  # one bad instance is recorded, not fatal to the batch
+        return index, (None, {"file": Path(path).name, "error": f"{type(exc).__name__}: {exc}"})
 
 
 def collect_dataset(
@@ -167,8 +170,9 @@ def collect_dataset(
     """Collect labeled backdoors for every instance in a directory.
 
     Writes a JSONL dataset plus ``<out>.manifest.json``; failures and skips
-    are isolated per instance and recorded, never aborting the batch.  The
-    output is independent of ``workers``.
+    are isolated per instance and recorded, never aborting the batch.  A
+    failed instance's manifest entry holds ``"error": "<Type>: <message>"``.
+    The output is independent of ``workers``.
     """
     cfg = cfg or CollectConfig()
     paths = instance_paths(instance_dir)
@@ -199,7 +203,8 @@ def collect_dataset(
         "config": asdict(cfg),
         "instances": entries,
         "kept": len(records),
-        "skipped": len(entries) - len(records),
+        "skipped": sum(e.get("skip_reason") is not None for e in entries),
+        "failed": sum("error" in e for e in entries),
     }
     with open(str(out_path) + ".manifest.json", "w", encoding="ascii") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)

@@ -9,13 +9,13 @@ bounds changed); phase 2 runs the usual bounded ratio test with bound flips.
 Pivot selection is Dantzig's rule with lowest-index tie-breaks and an
 automatic switch to Bland's rule after a run of degenerate steps, so repeated
 solves of the same problem take the identical pivot path.  The dense kernel
-is JIT-compiled with numba when available (set ``BACKDOORLAB_NO_NUMBA=1`` to
-force the pure-python fallback); both paths execute the same statements.
+is plain numpy: pricing, the ratio test and the infeasibility scan are array
+operations over all columns or rows, and only the order-dependent tie rule
+of the ratio test walks the few rows whose ratios tie with the minimum.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +35,6 @@ _ST_NUMERIC = 4
 _AT_LOWER = 0
 _AT_UPPER = 1
 _BASIC = 2
-_FREE = 3
 
 _PIVOT_EPS = 1e-9
 _TIE_EPS = 1e-12
@@ -73,32 +72,77 @@ class LpSolution:
     basis: np.ndarray | None = None
 
 
-def _kernel_impl(WT, b, lo, up, c, vstat, basis, ftol, dtol, max_iter):
+def _basis_inverse(WT, basis):
+    """Inverse of the basis matrix, whose columns are the rows ``WT[basis]``."""
+    m = basis.size
+    if np.array_equal(basis, np.arange(WT.shape[0] - m, WT.shape[0])):
+        # The slack basis is the identity (LAPACK returns it bit for bit).
+        return np.eye(m)
+    return np.ascontiguousarray(np.linalg.inv(WT[basis].T))
+
+
+def _nonbasic_values(vstat, lo, up):
+    """Each nonbasic variable at its bound; basic entries are 0."""
+    return np.where(vstat == _AT_LOWER, lo, np.where(vstat == _AT_UPPER, up, 0.0))
+
+
+def _leaving_row(theta, pw, col, bland):
+    """Position in ``theta`` of the leaving row and its ratio, or ``(-1, INF)``.
+
+    ``theta`` holds the finite ratios of the eligible rows in row order, ``pw``
+    their pivot magnitudes and ``col`` their basic columns.  The rule is a scan
+    in row order: a ratio below the best by more than ``_TIE_EPS`` takes over,
+    and one within ``_TIE_EPS`` of it wins on the lowest column (Bland) or the
+    largest pivot.  Because the scan depends on visiting order it still runs,
+    but only over the rows whose sorted ratios chain up from the minimum in
+    steps that stay within reach of the tie window.  Past the first wider gap
+    (tested with the scan's own float comparisons) a row can neither win nor
+    change the scan's state: after any chain row the best ratio is at most the
+    chain's top, which such a row cannot tie, and a chain row displaces any
+    such row visited before it outright.
+    """
+    ratios = theta.tolist()
+    v = sorted(ratios)
+    cut = v[-1] if v else INF
+    for lo_v, hi_v in zip(v, v[1:]):
+        if hi_v > lo_v + _TIE_EPS and hi_v - _TIE_EPS > lo_v:
+            cut = lo_v
+            break
+    theta_piv = INF
+    leave = -1
+    leave_pw = 0.0
+    leave_col = -1
+    for k, th in enumerate(ratios):
+        if th > cut:
+            continue
+        p, cb = pw[k], col[k]
+        if th < theta_piv - _TIE_EPS:
+            theta_piv, leave, leave_pw, leave_col = th, k, p, cb
+        elif th <= theta_piv + _TIE_EPS and leave >= 0:
+            # Tie: take the lowest column in Bland mode (anti-cycling),
+            # the largest pivot otherwise (stability).
+            if cb < leave_col if bland else p > leave_pw:
+                if th < theta_piv:
+                    theta_piv = th
+                leave, leave_pw, leave_col = k, p, cb
+    return leave, theta_piv
+
+
+def _kernel(WT, b, lo, up, c, vstat, basis, ftol, dtol, max_iter):
     """Two-phase bounded simplex on the transposed column matrix ``WT``.
 
-    Returns ``(status, iterations, xall, y)`` where ``xall`` holds all
-    structural and slack values and ``y`` the final dual vector.
+    ``vstat`` and ``basis`` are updated in place.  Returns
+    ``(status, iterations, xall, y)`` where ``xall`` holds all structural and
+    slack values (``None`` unless optimal) and ``y`` the final dual vector.
     """
     N, m = WT.shape
-    xall = np.zeros(N)
     y = np.zeros(m)
+    # Fixed variables (including EQ slacks) never enter the basis.
+    movable = ~(up - lo <= 0.0)
 
-    # Basis inverse from scratch.
-    Binv = np.zeros((m, m))
-    if m > 0:
-        M = np.zeros((m, m))
-        for k in range(m):
-            M[:, k] = WT[basis[k]]
-        Binv = np.ascontiguousarray(np.linalg.inv(M))
-
-    # Nonbasic values and basic solution.
-    z = np.zeros(N)
-    for j in range(N):
-        if vstat[j] == _AT_LOWER:
-            z[j] = lo[j]
-        elif vstat[j] == _AT_UPPER:
-            z[j] = up[j]
-    xB = np.dot(Binv, b - np.dot(z, WT)) if m > 0 else np.zeros(0)
+    Binv = _basis_inverse(WT, basis)
+    z = _nonbasic_values(vstat, lo, up)
+    xB = np.dot(Binv, b - np.dot(z, WT))
 
     phase = 1
     iters = 0
@@ -107,178 +151,88 @@ def _kernel_impl(WT, b, lo, up, c, vstat, basis, ftol, dtol, max_iter):
     since_refactor = 0
 
     while iters < max_iter:
-        if since_refactor >= _REFACTOR_EVERY and m > 0:
-            M = np.zeros((m, m))
-            for k in range(m):
-                M[:, k] = WT[basis[k]]
-            Binv = np.ascontiguousarray(np.linalg.inv(M))
-            for j in range(N):
-                if vstat[j] == _AT_LOWER:
-                    z[j] = lo[j]
-                elif vstat[j] == _AT_UPPER:
-                    z[j] = up[j]
-                else:
-                    z[j] = 0.0
+        if since_refactor >= _REFACTOR_EVERY:
+            Binv = _basis_inverse(WT, basis)
+            z = _nonbasic_values(vstat, lo, up)
             xB = np.dot(Binv, b - np.dot(z, WT))
             since_refactor = 0
 
-        worst = 0.0
-        dvec = np.zeros(m)
-        for i in range(m):
-            bi = basis[i]
-            if xB[i] < lo[bi] - ftol:
-                dvec[i] = -1.0
-                gap = lo[bi] - xB[i]
-                if gap > worst:
-                    worst = gap
-            elif xB[i] > up[bi] + ftol:
-                dvec[i] = 1.0
-                gap = xB[i] - up[bi]
-                if gap > worst:
-                    worst = gap
+        loB = lo[basis]
+        upB = up[basis]
+        below = xB < loB - ftol
+        above = ~below & (xB > upB + ftol)
+        worst = max(
+            np.maximum.reduce(loB[below] - xB[below], initial=0.0),
+            np.maximum.reduce(xB[above] - upB[above], initial=0.0),
+        )
         if phase == 1 and worst == 0.0:
             phase = 2
         elif phase == 2 and worst > 10.0 * ftol:
             # Drift pushed a basic variable out of its bounds: repair first.
             phase = 1
 
+        # score[j]: rate at which moving nonbasic column j off its bound
+        # lowers the infeasibility sum (phase 1) or the objective (phase 2).
+        at_lower = vstat == _AT_LOWER
         if phase == 1:
+            dvec = np.zeros(m)
+            dvec[below] = -1.0
+            dvec[above] = 1.0
             y = np.dot(dvec, Binv)
             s = np.dot(WT, y)
-            # d[j] = derivative of the infeasibility sum w.r.t. x_j = -s[j].
-            enter = -1
-            enter_dir = 0
-            best = dtol
-            for j in range(N):
-                st = vstat[j]
-                if st == _BASIC:
-                    continue
-                if up[j] - lo[j] <= 0.0 and st != _FREE:
-                    continue
-                g = -s[j]
-                if (st == _AT_LOWER or st == _FREE) and -g > best:
-                    enter = j
-                    enter_dir = 1
-                    best = -g
-                    if bland:
-                        break
-                if (st == _AT_UPPER or st == _FREE) and g > best:
-                    enter = j
-                    enter_dir = -1
-                    best = g
-                    if bland:
-                        break
-            if enter < 0:
-                return _ST_INFEASIBLE, iters, xall, y
+            # The derivative of the infeasibility sum w.r.t. x_j is -s[j].
+            score = np.where(at_lower, s, -s)
         else:
-            cB = np.zeros(m)
-            for i in range(m):
-                cB[i] = c[basis[i]]
-            y = np.dot(cB, Binv) if m > 0 else y
-            s = np.dot(WT, y) if m > 0 else np.zeros(N)
-            enter = -1
-            enter_dir = 0
-            best = dtol
-            for j in range(N):
-                st = vstat[j]
-                if st == _BASIC:
-                    continue
-                if up[j] - lo[j] <= 0.0 and st != _FREE:
-                    continue
-                d = c[j] - s[j]
-                if (st == _AT_LOWER or st == _FREE) and -d > best:
-                    enter = j
-                    enter_dir = 1
-                    best = -d
-                    if bland:
-                        break
-                if (st == _AT_UPPER or st == _FREE) and d > best:
-                    enter = j
-                    enter_dir = -1
-                    best = d
-                    if bland:
-                        break
-            if enter < 0:
-                for j in range(N):
-                    if vstat[j] == _AT_LOWER:
-                        xall[j] = lo[j]
-                    elif vstat[j] == _AT_UPPER:
-                        xall[j] = up[j]
-                    else:
-                        xall[j] = 0.0
-                for i in range(m):
-                    xall[basis[i]] = xB[i]
-                return _ST_OPTIMAL, iters, xall, y
+            y = np.dot(c[basis], Binv)
+            d = c - np.dot(WT, y)
+            score = np.where(at_lower, -d, d)
+        cand = movable & (vstat != _BASIC) & (score > dtol)
+        if not cand.any():
+            if phase == 1:
+                return _ST_INFEASIBLE, iters, None, y
+            xall = _nonbasic_values(vstat, lo, up)
+            xall[basis] = xB
+            return _ST_OPTIMAL, iters, xall, y
+        if bland:
+            enter = int(np.argmax(cand))
+        else:
+            # argmax keeps the first of equal maxima: lowest-index tie-break.
+            enter = int(np.argmax(np.where(cand, score, -INF)))
+        t = 1.0 if at_lower[enter] else -1.0
+        w = np.dot(Binv, WT[enter])
 
-        t = float(enter_dir)
-        w = np.dot(Binv, WT[enter]) if m > 0 else np.zeros(0)
+        # Ratio test.  In phase 1 an infeasible basic variable may move
+        # toward (and stop at) the bound it violates.
+        delta = -t * w
+        pw = np.abs(w)
+        rising = delta > 0.0
+        if phase == 1:
+            to_upper = above | (rising & ~below)
+            reach = np.where(below, rising, np.where(above, delta < 0.0, True))
+        else:
+            to_upper = rising
+            reach = True
+        target = np.where(to_upper, upB, loB)
+        rows = np.flatnonzero((pw > _PIVOT_EPS) & reach & (np.abs(target) < INF))
+        theta = (target[rows] - xB[rows]) / delta[rows]
+        theta = np.where(theta < 0.0, 0.0, theta)
+        finite = np.isfinite(theta)
+        rows, theta = rows[finite], theta[finite]
+        k, theta_piv = _leaving_row(theta, pw[rows], basis[rows], bland)
+        leave = int(rows[k]) if k >= 0 else -1
 
-        theta_flip = up[enter] - lo[enter] if vstat[enter] != _FREE else INF
-        theta_piv = INF
-        leave = -1
-        leave_to_upper = False
-        leave_pw = 0.0
-        for i in range(m):
-            wi = w[i]
-            if wi <= _PIVOT_EPS and wi >= -_PIVOT_EPS:
-                continue
-            delta = -t * wi
-            bi = basis[i]
-            if phase == 1 and xB[i] < lo[bi] - ftol:
-                if delta <= 0.0:
-                    continue
-                theta_i = (lo[bi] - xB[i]) / delta
-                to_upper = False
-            elif phase == 1 and xB[i] > up[bi] + ftol:
-                if delta >= 0.0:
-                    continue
-                theta_i = (up[bi] - xB[i]) / delta
-                to_upper = True
-            elif delta > 0.0:
-                if up[bi] == INF:
-                    continue
-                theta_i = (up[bi] - xB[i]) / delta
-                to_upper = True
-            else:
-                if lo[bi] == -INF:
-                    continue
-                theta_i = (lo[bi] - xB[i]) / delta
-                to_upper = False
-            if theta_i < 0.0:
-                theta_i = 0.0
-            pw = wi if wi > 0.0 else -wi
-            if theta_i < theta_piv - _TIE_EPS:
-                theta_piv = theta_i
-                leave = i
-                leave_to_upper = to_upper
-                leave_pw = pw
-            elif theta_i <= theta_piv + _TIE_EPS and leave >= 0:
-                # Tie: take the lowest column in Bland mode (anti-cycling),
-                # the largest pivot otherwise (stability).
-                better = basis[i] < basis[leave] if bland else pw > leave_pw
-                if better:
-                    if theta_i < theta_piv:
-                        theta_piv = theta_i
-                    leave = i
-                    leave_to_upper = to_upper
-                    leave_pw = pw
-
+        theta_flip = up[enter] - lo[enter]
         if leave < 0 and theta_flip == INF:
             if phase == 1:
-                return _ST_NUMERIC, iters, xall, y
-            return _ST_UNBOUNDED, iters, xall, y
+                return _ST_NUMERIC, iters, None, y
+            return _ST_UNBOUNDED, iters, None, y
 
         if leave >= 0 and theta_piv <= theta_flip + _TIE_EPS:
             theta = theta_piv
-            if m > 0:
-                xB -= (t * theta) * w
-            enter_val = t * theta
-            if vstat[enter] == _AT_LOWER:
-                enter_val += lo[enter]
-            elif vstat[enter] == _AT_UPPER:
-                enter_val += up[enter]
+            xB -= (t * theta) * w
+            enter_val = t * theta + (lo[enter] if t > 0.0 else up[enter])
             out = basis[leave]
-            vstat[out] = _AT_UPPER if leave_to_upper else _AT_LOWER
+            vstat[out] = _AT_UPPER if to_upper[leave] else _AT_LOWER
             piv = w[leave]
             br = Binv[leave] / piv
             Binv -= w.reshape(m, 1) * br.reshape(1, m)
@@ -289,9 +243,8 @@ def _kernel_impl(WT, b, lo, up, c, vstat, basis, ftol, dtol, max_iter):
             since_refactor += 1
         else:
             theta = theta_flip
-            if m > 0:
-                xB -= (t * theta) * w
-            vstat[enter] = _AT_UPPER if vstat[enter] == _AT_LOWER else _AT_LOWER
+            xB -= (t * theta) * w
+            vstat[enter] = _AT_UPPER if t > 0.0 else _AT_LOWER
 
         if theta <= _TIE_EPS:
             degen_run += 1
@@ -302,18 +255,7 @@ def _kernel_impl(WT, b, lo, up, c, vstat, basis, ftol, dtol, max_iter):
             bland = False
         iters += 1
 
-    return _ST_ITER, iters, xall, y
-
-
-if os.environ.get("BACKDOORLAB_NO_NUMBA"):
-    _kernel = _kernel_impl
-else:
-    try:
-        from numba import njit
-
-        _kernel = njit(cache=True, fastmath=False)(_kernel_impl)
-    except ImportError:  # pragma: no cover
-        _kernel = _kernel_impl
+    return _ST_ITER, iters, None, y
 
 
 class LpWorkspace:
@@ -321,6 +263,8 @@ class LpWorkspace:
 
     Branch-and-bound re-solves the same matrix thousands of times with only
     variable bounds changing, so the extended column matrix is built once.
+    The root LP (the cold solve at the base bounds) is solved once per
+    workspace and handed out again on later calls, with read-only arrays.
     """
 
     def __init__(self, lp: LpProblem):
@@ -354,20 +298,18 @@ class LpWorkspace:
                 raise ValueError(f"unknown sense {sense!r}")
         self.slack_lo = slack_lo
         self.slack_up = slack_up
-        self.base_lower = np.asarray(lp.lower, dtype=float)
+        self.base_lower = _finite_lower(lp.lower)
         self.base_upper = np.asarray(lp.upper, dtype=float)
+        self._root_bounds = (
+            np.concatenate([self.base_lower, slack_lo]).tobytes(),
+            np.concatenate([self.base_upper, slack_up]).tobytes(),
+        )
+        self._root: LpSolution | None = None
 
-    def cold_start(self, lo: np.ndarray, up: np.ndarray):
-        """Slack basis with structurals at their finite bound nearest zero."""
+    def cold_start(self):
+        """Slack basis with every structural at its lower bound."""
         n, m = self.n, self.m
-        vstat = np.empty(n + m, dtype=np.int8)
-        for j in range(n):
-            if lo[j] > -INF:
-                vstat[j] = _AT_LOWER
-            elif up[j] < INF:
-                vstat[j] = _AT_UPPER
-            else:
-                vstat[j] = _FREE
+        vstat = np.full(n + m, _AT_LOWER, dtype=np.int8)
         vstat[n:] = _BASIC
         basis = np.arange(n, n + m, dtype=np.int64)
         return vstat, basis
@@ -382,15 +324,34 @@ class LpWorkspace:
         """Solve with optionally overridden structural bounds and warm basis."""
         n, m = self.n, self.m
         lo = np.concatenate(
-            [self.base_lower if lower is None else lower, self.slack_lo]
+            [self.base_lower if lower is None else _finite_lower(lower), self.slack_lo]
         )
         up = np.concatenate(
             [self.base_upper if upper is None else upper, self.slack_up]
         )
+        default_iter = 2000 + 50 * (n + 2 * m)
         if max_iter is None:
-            max_iter = 2000 + 50 * (n + 2 * m)
+            max_iter = default_iter
+        # The kernel is deterministic, so bit-identical inputs give the root.
+        root = (
+            start is None
+            and max_iter == default_iter
+            and (lo.tobytes(), up.tobytes()) == self._root_bounds
+        )
+        if root and self._root is not None:
+            return self._root
+        sol = self._solve(lo, up, start, max_iter)
+        if root:
+            for arr in (sol.x, sol.reduced_costs, sol.at_lower, sol.at_upper, sol.vstat, sol.basis):
+                if arr is not None:
+                    arr.flags.writeable = False
+            self._root = sol
+        return sol
+
+    def _solve(self, lo, up, start, max_iter) -> LpSolution:
+        n = self.n
         if start is None:
-            vstat, basis = self.cold_start(lo, up)
+            vstat, basis = self.cold_start()
         else:
             vstat, basis = start[0].copy(), start[1].copy()
         try:
@@ -401,7 +362,7 @@ class LpWorkspace:
             status, iters, xall, y = _ST_NUMERIC, 0, None, None
         if status == _ST_NUMERIC and start is not None:
             # Warm basis went bad: retry cold before giving up.
-            vstat, basis = self.cold_start(lo, up)
+            vstat, basis = self.cold_start()
             status, iters, xall, y = _kernel(
                 self.WT, self.b, lo, up, self.c_ext, vstat, basis, 1e-7, 1e-9, max_iter
             )
@@ -437,15 +398,22 @@ class LpWorkspace:
             raise SimplexNumericalError("optimal point violates variable bounds")
         act = self.WT[: self.n].T @ x
         resid = act - self.b
-        for r in range(self.m):
-            sense = LE if self.slack_up[r] == INF else (GE if self.slack_lo[r] == -INF else EQ)
-            bad = (
-                resid[r] > 1e-7
-                if sense == LE
-                else (resid[r] < -1e-7 if sense == GE else abs(resid[r]) > 1e-7)
+        le = self.slack_up == INF
+        ge = self.slack_lo == -INF
+        bad = np.where(
+            le, resid > 1e-7, np.where(ge, resid < -1e-7, np.abs(resid) > 1e-7)
+        )
+        if bad.any():
+            raise SimplexNumericalError(
+                f"optimal point violates row {int(np.argmax(bad))}"
             )
-            if bad:
-                raise SimplexNumericalError(f"optimal point violates row {r}")
+
+
+def _finite_lower(lower) -> np.ndarray:
+    lower = np.asarray(lower, dtype=float)
+    if not np.isfinite(lower).all():
+        raise ValueError("the simplex needs a finite lower bound on every variable")
+    return lower
 
 
 def solve_lp(lp: LpProblem, max_iter: int | None = None) -> LpSolution:

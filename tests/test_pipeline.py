@@ -4,7 +4,7 @@ import pytest
 
 from backdoorlab.generators import gen_gisp
 from backdoorlab.gnn import GatParameters, TrainConfig
-from backdoorlab.milp import write_instance
+from backdoorlab.milp import make_instance, write_instance
 from backdoorlab.pipeline import (
     CollectConfig,
     EvalRecord,
@@ -45,6 +45,32 @@ class TestCollect:
             tmp_path / "w4.jsonl.manifest.json"
         ).read_bytes()
 
+    def test_failed_instance_is_recorded_not_fatal(self, tmp_path):
+        write_gisp_dir(tmp_path / "inst", [0])
+        # Four binaries cannot sum to 5: the root LP is infeasible.
+        infeasible = make_instance(
+            "infeasible", [1.0] * 4, [[(j, 1.0) for j in range(4)]], [5.0], ["GE"],
+            [0.0] * 4, [1.0] * 4, range(4),
+        )
+        write_instance(infeasible, tmp_path / "inst" / "infeasible.bdmilp")
+        manifests = []
+        for workers in (1, 2):
+            out = tmp_path / f"w{workers}.jsonl"
+            manifests.append(
+                collect_dataset(tmp_path / "inst", out, CollectConfig(**SMALL_COLLECT), workers=workers)
+            )
+        assert (tmp_path / "w1.jsonl").read_bytes() == (tmp_path / "w2.jsonl").read_bytes()
+        assert (tmp_path / "w1.jsonl.manifest.json").read_bytes() == (
+            tmp_path / "w2.jsonl.manifest.json"
+        ).read_bytes()
+        manifest = manifests[0]
+        assert manifest["failed"] == 1
+        assert manifest["kept"] + manifest["skipped"] == 1
+        failed = [e for e in manifest["instances"] if "error" in e]
+        assert failed == [
+            {"file": "infeasible.bdmilp", "error": "ValueError: MCTS needs an OPTIMAL root LP"}
+        ]
+
     def test_all_skipped_yields_empty_dataset_with_reasons(self, tmp_path):
         # 6-node instances close at the root: no candidate can strictly win.
         write_gisp_dir(tmp_path / "inst", range(2), nodes=6)
@@ -64,6 +90,7 @@ class TestCollect:
         lines = [json.loads(l) for l in out.read_text().splitlines()]
         assert len(lines) == manifest["kept"]
         assert manifest["kept"] + manifest["skipped"] == 3
+        assert manifest["failed"] == 0
         for rec in lines:
             graph = graph_from_payload(rec["graph"])
             assert graph.var_feats.shape[1] == 15

@@ -3,13 +3,24 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from backdoorlab.milp import INF, lp_relaxation, make_instance
+from backdoorlab.bnb import BnbConfig, solve_bnb
+from backdoorlab.generators import (
+    gen_combinatorial_auction,
+    gen_facility_location,
+    gen_gisp,
+    gen_mis,
+    gen_setcover,
+)
+from backdoorlab.milp import INF, LpProblem, lp_relaxation, make_instance
 from backdoorlab.simplex import (
+    _TIE_EPS,
     INFEASIBLE,
     OPTIMAL,
     UNBOUNDED,
     LpWorkspace,
     SimplexIterationError,
+    SimplexNumericalError,
+    _leaving_row,
     solve_lp,
 )
 
@@ -17,8 +28,6 @@ from backdoorlab.simplex import (
 def lp_of(objective, rows, rhs, senses, lower, upper):
     n = len(objective)
     inst = make_instance("lp", objective, rows, rhs, senses, lower, upper, [])
-    from backdoorlab.milp import LpProblem
-
     return LpProblem(
         name=inst.name, num_vars=n, objective=inst.objective, rows=inst.rows,
         rhs=inst.rhs, senses=inst.senses, lower=inst.lower, upper=inst.upper,
@@ -155,3 +164,139 @@ def test_zero_rows_zero_cost_vacuous():
     sol = solve_lp(lp_of([0.0, 0.0], [], [], [], [0.0, 0.0], [1.0, 1.0]))
     assert sol.status == OPTIMAL
     assert sol.objective == 0.0
+
+
+def test_non_finite_lower_bound_rejected():
+    lp = lp_of([1.0, 1.0], [[(0, 1.0), (1, 1.0)]], [1.0], ["LE"], [0.0, 0.0], [1.0, 1.0])
+    free = LpProblem(
+        name="free", num_vars=2, objective=lp.objective, rows=lp.rows, rhs=lp.rhs,
+        senses=lp.senses, lower=(0.0, -INF), upper=lp.upper,
+    )
+    with pytest.raises(ValueError, match="finite lower bound"):
+        LpWorkspace(free)
+    with pytest.raises(ValueError, match="finite lower bound"):
+        LpWorkspace(lp).solve(lower=np.array([0.0, -INF]))
+
+
+def test_verify_names_the_first_violated_row():
+    ws = LpWorkspace(
+        lp_of(
+            [0.0, 0.0],
+            [[(0, 1.0)], [(0, 1.0), (1, 1.0)], [(1, 1.0)], [(0, 1.0)]],
+            [1.0, 0.5, 0.5, 1.0],
+            ["LE", "EQ", "GE", "LE"],
+            [0.0, 0.0],
+            [1.0, 1.0],
+        )
+    )
+    with pytest.raises(SimplexNumericalError, match="row 2$"):
+        ws._verify(np.array([0.5, 0.0]), np.zeros(2), np.ones(2))
+    with pytest.raises(SimplexNumericalError, match="row 1$"):
+        ws._verify(np.array([1.0, 0.5]), np.zeros(2), np.ones(2))
+    ws._verify(np.array([0.0, 0.5]), np.zeros(2), np.ones(2))
+
+
+# Root LP and capped branch and bound of one small instance per generator,
+# recorded before the kernel was vectorized: any change to the pivot path
+# shows up as a different iteration count, objective bit pattern or node count.
+PIVOT_PATH_CORPUS = [
+    (lambda: gen_gisp(nodes=25, seed=2), 200,
+     (42, "-0x1.3880000000000p+10", 53)),
+    (lambda: gen_setcover(n_elements=40, n_sets=80, density=0.06, seed=0), 200,
+     (49, "0x1.8f0f0f0f0f0f2p+3", 35)),
+    (lambda: gen_combinatorial_auction(items=15, bids=60, seed=2), 200,
+     (31, "-0x1.24f6a5982c0fbp+3", 77)),
+    (lambda: gen_mis(nodes=80, avg_degree=5.0, seed=0), 60,
+     (127, "-0x1.4000000000000p+5", 60)),
+    (lambda: gen_facility_location(facilities=8, customers=12, seed=0), 200,
+     (117, "0x1.019595ed657f8p+7", 19)),
+]
+
+
+@pytest.mark.parametrize("make, cap, expected", PIVOT_PATH_CORPUS)
+def test_pivot_path_is_pinned(make, cap, expected):
+    inst = make()
+    root = LpWorkspace(lp_relaxation(inst)).solve()
+    assert root.status == OPTIMAL
+    res = solve_bnb(inst, BnbConfig(node_limit=cap))
+    assert (root.iterations, root.objective.hex(), res.nodes_processed) == expected
+
+
+def sequential_leaving_row(theta, pw, col, bland):
+    """The ratio test's row scan as it ran before vectorization."""
+    theta_piv = INF
+    leave = -1
+    leave_pw = 0.0
+    for i in range(len(theta)):
+        theta_i = theta[i]
+        pw_i = pw[i]
+        if theta_i < theta_piv - _TIE_EPS:
+            theta_piv = theta_i
+            leave = i
+            leave_pw = pw_i
+        elif theta_i <= theta_piv + _TIE_EPS and leave >= 0:
+            better = col[i] < col[leave] if bland else pw_i > leave_pw
+            if better:
+                if theta_i < theta_piv:
+                    theta_piv = theta_i
+                leave = i
+                leave_pw = pw_i
+    return leave, theta_piv
+
+
+@pytest.mark.parametrize("bland", [False, True])
+def test_leaving_row_matches_sequential_scan(bland):
+    rng = np.random.default_rng(7)
+    offsets = np.array([0.0, 0.4, 0.9, 0.999, 1.0, 1.001, 1.1, 1.9, 2.0, 2.1, 3.0, 5.0]) * _TIE_EPS
+    for trial in range(3000):
+        size = int(rng.integers(1, 14))
+        scale = [0.0, 1e-3, 1.0, 7.5, 1e3, 1e6][trial % 6]
+        anchors = scale * rng.integers(1, 4, size=size)
+        signs = rng.choice([-1.0, 1.0], size=size)
+        theta = anchors + signs * rng.choice(offsets, size=size)
+        theta = np.where(theta < 0.0, 0.0, theta)
+        if trial % 5 == 0:
+            # Chains of ties in steps just inside the tie window.
+            theta = scale + 0.9 * _TIE_EPS * rng.integers(0, size + 1, size=size)
+        pw = rng.choice([0.5, 1.0, 2.0, 3.0], size=size)
+        col = rng.permutation(10 * size)[:size]
+        want = sequential_leaving_row(theta, pw, col, bland)
+        got = _leaving_row(theta, pw, col, bland)
+        assert got[0] == want[0], (theta.tolist(), pw.tolist(), col.tolist())
+        assert got[1] == want[1]
+    assert _leaving_row(np.zeros(0), np.zeros(0), np.zeros(0, dtype=np.int64), bland) == (-1, INF)
+
+
+def test_root_solution_is_memoized_read_only():
+    inst = gen_gisp(nodes=12, seed=1)
+    ws = LpWorkspace(lp_relaxation(inst))
+    root = ws.solve()
+    assert ws.solve() is root
+    assert ws.solve(lower=np.array(inst.lower, dtype=float), upper=np.array(inst.upper, dtype=float)) is root
+    for arr in (root.x, root.reduced_costs, root.at_lower, root.at_upper, root.vstat, root.basis):
+        assert not arr.flags.writeable
+    capped = ws.solve(max_iter=10_000)
+    assert capped is not root and capped.objective == root.objective
+    tight = np.array(inst.upper, dtype=float)
+    tight[0] = 0.0
+    assert ws.solve(upper=tight) is not root
+
+
+def test_shared_workspace_gives_same_bnb_result():
+    inst = gen_gisp(nodes=20, seed=4)
+    shared = LpWorkspace(lp_relaxation(inst))
+    shared.solve()
+    binaries = sorted(inst.binary_set)
+    configs = [
+        BnbConfig(),
+        BnbConfig(node_limit=7),
+        BnbConfig(priorities={binaries[0]: 1, binaries[3]: 1}),
+        BnbConfig(allowed_branch_set=frozenset(binaries[:4]), node_limit=12),
+    ]
+    for cfg in configs:
+        a = solve_bnb(inst, cfg, workspace=shared)
+        b = solve_bnb(inst, cfg)
+        assert (a.status, a.objective, a.nodes_processed, a.leaf_depths, a.tree_weight) == (
+            b.status, b.objective, b.nodes_processed, b.leaf_depths, b.tree_weight
+        )
+        np.testing.assert_array_equal(a.incumbent, b.incumbent)
