@@ -125,7 +125,8 @@ def _cmd_train(args) -> int:
         H=args.H,
         hidden=args.hidden,
     )
-    params, curve = train_from_file(args.dataset, cfg)
+    epoch_log: list[dict] = []
+    params, curve = train_from_file(args.dataset, cfg, epoch_log=epoch_log)
     save_model(params, args.out)
     info = {
         "config": asdict(cfg),
@@ -134,12 +135,15 @@ def _cmd_train(args) -> int:
         "final_loss": curve[-1],
         "first_loss": curve[0],
         "loss_curve": curve,
+        "epoch_seconds": [e["seconds"] for e in epoch_log],
+        "grad_norm": [e["grad_norm"] for e in epoch_log],
         "model": str(args.out),
     }
     with open(str(args.out) + ".manifest.json", "w", encoding="ascii") as fh:
         json.dump(info, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    del info["loss_curve"]
+    for key in ("loss_curve", "epoch_seconds", "grad_norm"):
+        del info[key]
     print(json.dumps(info, sort_keys=True))
     return 0
 
@@ -173,6 +177,7 @@ def _cmd_evaluate(args) -> int:
     with open(Path(args.out) / "manifest.json", "w", encoding="ascii") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    print(f"evaluated {summary['instances']} instance(s), failed {summary['failed']}", file=sys.stderr)
     print(json.dumps(summary, sort_keys=True))
     return 0
 

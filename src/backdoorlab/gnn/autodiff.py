@@ -28,13 +28,20 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 class Tensor:
-    """Array node in the computation graph; leaves have no parents."""
+    """Array node in the computation graph; leaves have no parents.
 
-    __slots__ = ("data", "grad", "_parents", "_bw")
+    A Tensor built directly is a leaf that receives gradients.  A plain array
+    or number handed to an op is wrapped as a constant (``requires_grad``
+    false), and so is every op result that depends on constants only; no
+    gradient is computed for constants.
+    """
+
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_bw")
 
     def __init__(self, data, parents=(), bw=None):
         self.data = _as_array(data)
         self.grad: np.ndarray | None = None
+        self.requires_grad = not parents or any(p.requires_grad for p in parents)
         self._parents = parents
         self._bw = bw
 
@@ -46,9 +53,18 @@ class Tensor:
         return float(self.data)
 
     def backward(self) -> None:
-        """Accumulate d(self)/d(leaf) into every reachable Tensor's ``grad``."""
+        """Set ``grad`` to d(self)/d(node) on every reachable node that needs one.
+
+        Gradients are allocated lazily: a node's first contribution is stored
+        as is and later ones are added out of place, so an array shared by
+        several nodes is never written.  Nodes that receive no gradient keep
+        ``grad`` as ``None`` and are not propagated through.
+        """
         if self.data.size != 1:
             raise ValueError("backward() needs a scalar-valued computation")
+        if not self.requires_grad:  # built from constants only
+            self.grad = np.ones_like(self.data)
+            return
         topo: list[Tensor] = []
         seen: set[int] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
@@ -62,13 +78,13 @@ class Tensor:
             seen.add(id(node))
             stack.append((node, True))
             for p in node._parents:
-                if id(p) not in seen:
+                if p.requires_grad and id(p) not in seen:
                     stack.append((p, False))
         for node in topo:
-            node.grad = np.zeros_like(node.data)
+            node.grad = None
         self.grad = np.ones_like(self.data)
         for node in reversed(topo):
-            if node._bw is not None:
+            if node._bw is not None and node.grad is not None:
                 node._bw(node.grad)
 
     # Operator sugar; every op also exists as a module function.
@@ -101,7 +117,16 @@ class Tensor:
 
 
 def _t(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
+    if isinstance(x, Tensor):
+        return x
+    const = Tensor(x)
+    const.requires_grad = False
+    return const
+
+
+def _acc(t: Tensor, g: np.ndarray) -> None:
+    """Add one gradient contribution to ``t`` without writing into any array."""
+    t.grad = g if t.grad is None else t.grad + g
 
 
 def add(a, b) -> Tensor:
@@ -109,8 +134,10 @@ def add(a, b) -> Tensor:
     out = Tensor(a.data + b.data, (a, b))
 
     def bw(g):
-        a.grad += _unbroadcast(g, a.data.shape)
-        b.grad += _unbroadcast(g, b.data.shape)
+        if a.requires_grad:
+            _acc(a, _unbroadcast(g, a.data.shape))
+        if b.requires_grad:
+            _acc(b, _unbroadcast(g, b.data.shape))
 
     out._bw = bw
     return out
@@ -121,8 +148,10 @@ def sub(a, b) -> Tensor:
     out = Tensor(a.data - b.data, (a, b))
 
     def bw(g):
-        a.grad += _unbroadcast(g, a.data.shape)
-        b.grad -= _unbroadcast(g, b.data.shape)
+        if a.requires_grad:
+            _acc(a, _unbroadcast(g, a.data.shape))
+        if b.requires_grad:
+            _acc(b, -_unbroadcast(g, b.data.shape))
 
     out._bw = bw
     return out
@@ -133,8 +162,10 @@ def mul(a, b) -> Tensor:
     out = Tensor(a.data * b.data, (a, b))
 
     def bw(g):
-        a.grad += _unbroadcast(g * b.data, a.data.shape)
-        b.grad += _unbroadcast(g * a.data, b.data.shape)
+        if a.requires_grad:
+            _acc(a, _unbroadcast(g * b.data, a.data.shape))
+        if b.requires_grad:
+            _acc(b, _unbroadcast(g * a.data, b.data.shape))
 
     out._bw = bw
     return out
@@ -145,8 +176,10 @@ def div(a, b) -> Tensor:
     out = Tensor(a.data / b.data, (a, b))
 
     def bw(g):
-        a.grad += _unbroadcast(g / b.data, a.data.shape)
-        b.grad += _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape)
+        if a.requires_grad:
+            _acc(a, _unbroadcast(g / b.data, a.data.shape))
+        if b.requires_grad:
+            _acc(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
 
     out._bw = bw
     return out
@@ -158,8 +191,10 @@ def matmul(a, b) -> Tensor:
     out = Tensor(np.matmul(a.data, b.data), (a, b))
 
     def bw(g):
-        a.grad += _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.data.shape)
-        b.grad += _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.data.shape)
+        if a.requires_grad:
+            _acc(a, _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.data.shape))
+        if b.requires_grad:
+            _acc(b, _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.data.shape))
 
     out._bw = bw
     return out
@@ -171,19 +206,22 @@ def relu(a) -> Tensor:
     out = Tensor(np.where(mask, a.data, 0.0), (a,))
 
     def bw(g):
-        a.grad += g * mask
+        _acc(a, g * mask)
 
     out._bw = bw
     return out
 
 
 def leaky_relu(a, slope: float = 0.2) -> Tensor:
+    """``max(x, slope * x)``, which is ``x`` above 0 and ``slope * x`` below."""
+    if not 0.0 <= slope <= 1.0:
+        raise ValueError(f"leaky_relu slope must lie in [0, 1], got {slope}")
     a = _t(a)
     mask = a.data > 0.0
-    out = Tensor(np.where(mask, a.data, slope * a.data), (a,))
+    out = Tensor(np.maximum(a.data, slope * a.data), (a,))
 
     def bw(g):
-        a.grad += g * np.where(mask, 1.0, slope)
+        _acc(a, g * np.where(mask, 1.0, slope))
 
     out._bw = bw
     return out
@@ -196,7 +234,7 @@ def sigmoid(a) -> Tensor:
     out = Tensor(s, (a,))
 
     def bw(g):
-        a.grad += g * s * (1.0 - s)
+        _acc(a, g * s * (1.0 - s))
 
     out._bw = bw
     return out
@@ -208,7 +246,7 @@ def exp(a) -> Tensor:
     out = Tensor(e, (a,))
 
     def bw(g):
-        a.grad += g * e
+        _acc(a, g * e)
 
     out._bw = bw
     return out
@@ -219,7 +257,7 @@ def log(a) -> Tensor:
     out = Tensor(np.log(a.data), (a,))
 
     def bw(g):
-        a.grad += g / a.data
+        _acc(a, g / a.data)
 
     out._bw = bw
     return out
@@ -230,11 +268,8 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     out = Tensor(a.data.sum(axis=axis, keepdims=keepdims), (a,))
 
     def bw(g):
-        if axis is None:
-            a.grad += np.broadcast_to(g, a.data.shape)
-        else:
-            gg = g if keepdims else np.expand_dims(g, axis)
-            a.grad += np.broadcast_to(gg, a.data.shape)
+        gg = g if axis is None or keepdims else np.expand_dims(g, axis)
+        _acc(a, np.broadcast_to(gg, a.data.shape))
 
     out._bw = bw
     return out
@@ -251,39 +286,97 @@ def reshape(a, shape) -> Tensor:
     out = Tensor(a.data.reshape(shape), (a,))
 
     def bw(g):
-        a.grad += g.reshape(a.data.shape)
+        _acc(a, g.reshape(a.data.shape))
 
     out._bw = bw
     return out
 
 
-def gather(a, index: np.ndarray, axis: int = 0) -> Tensor:
-    """Take rows (or axis slices) by integer index; backward scatter-adds."""
+class SegmentIndex:
+    """An integer index map into ``size`` segments, stably sorted once.
+
+    :func:`gather` reads through it and :func:`segment_sum` adds through it.
+    Both scatter-adds run as ``np.add.reduceat`` over the sorted order, one
+    reduction per non-empty segment, so the entries of a segment are added
+    in index order.  Build one per index map and reuse it.
+    """
+
+    __slots__ = ("index", "size", "order", "starts", "present")
+
+    def __init__(self, index, size: int):
+        self.index = np.asarray(index, dtype=np.int64).reshape(-1)
+        self.size = int(size)
+        self.order = np.argsort(self.index, kind="stable")
+        ranked = self.index[self.order]
+        if ranked.size and (ranked[0] < 0 or ranked[-1] >= self.size):
+            raise IndexError(f"segment index out of range [0, {self.size})")
+        first = np.ones(ranked.size, dtype=bool)  # first entry of each segment
+        first[1:] = ranked[1:] != ranked[:-1]
+        self.starts = np.flatnonzero(first)
+        self.present = ranked[self.starts]
+
+    def _reduce(self, ufunc, x: np.ndarray, axis: int) -> np.ndarray:
+        return ufunc.reduceat(np.take(x, self.order, axis=axis), self.starts, axis=axis)
+
+    def sum(self, x: np.ndarray, axis: int = 0) -> np.ndarray:
+        """Slices of ``x`` along ``axis`` added per segment; empty segments are 0."""
+        shape = list(x.shape)
+        shape[axis] = self.size
+        out = np.zeros(shape)
+        if self.index.size:
+            out[(slice(None),) * axis + (self.present,)] = self._reduce(np.add, x, axis)
+        return out
+
+    def maximum(self, floor: np.ndarray, x: np.ndarray, axis: int = 0) -> np.ndarray:
+        """Per-segment maximum of ``x`` and ``floor`` (which has the segment shape).
+
+        Empty segments keep ``floor``; this equals ``np.maximum.at`` into a
+        copy of ``floor``.
+        """
+        out = np.array(floor, dtype=np.float64)
+        if self.index.size:
+            sel = (slice(None),) * axis + (self.present,)
+            out[sel] = np.maximum(out[sel], self._reduce(np.maximum, x, axis))
+        return out
+
+
+def _segments(index, size: int) -> SegmentIndex:
+    if isinstance(index, SegmentIndex):
+        if index.size != size:
+            raise ValueError(f"segment index covers {index.size} segments, expected {size}")
+        return index
+    return SegmentIndex(index, size)
+
+
+def gather(a, index, axis: int = 0) -> Tensor:
+    """Take slices along ``axis`` by integer index; backward scatter-adds.
+
+    ``index`` is an integer array or a :class:`SegmentIndex` over
+    ``a.shape[axis]``.
+    """
     a = _t(a)
-    idx = np.asarray(index, dtype=np.int64)
-    out = Tensor(np.take(a.data, idx, axis=axis), (a,))
-    sel = (slice(None),) * axis + (idx,)
+    seg = _segments(index, a.data.shape[axis])
+    out = Tensor(np.take(a.data, seg.index, axis=axis), (a,))
 
     def bw(g):
-        np.add.at(a.grad, sel, g)
+        _acc(a, seg.sum(g, axis))
 
     out._bw = bw
     return out
 
 
-def segment_sum(a, segments: np.ndarray, num_segments: int, axis: int = 0) -> Tensor:
-    """Sum entries sharing a segment id along ``axis``; adjoint of gather."""
+def segment_sum(a, segments, num_segments: int, axis: int = 0) -> Tensor:
+    """Sum entries sharing a segment id along ``axis``; adjoint of gather.
+
+    ``segments`` is an integer array or a :class:`SegmentIndex` over
+    ``num_segments``.
+    """
     a = _t(a)
-    seg = np.asarray(segments, dtype=np.int64)
-    shape = list(a.data.shape)
-    shape[axis] = num_segments
-    data = np.zeros(shape)
-    sel = (slice(None),) * axis + (seg,)
-    np.add.at(data, sel, a.data)
-    out = Tensor(data, (a,))
+    seg = _segments(segments, num_segments)
+    out = Tensor(seg.sum(a.data, axis), (a,))
 
     def bw(g):
-        a.grad += np.take(g, seg, axis=axis)
+        _acc(a, np.take(g, seg.index, axis=axis))
 
     out._bw = bw
     return out
@@ -292,6 +385,7 @@ def segment_sum(a, segments: np.ndarray, num_segments: int, axis: int = 0) -> Te
 def grad(output: Tensor, wrt: list[Tensor]) -> list[np.ndarray]:
     """Exact reverse-mode gradients of a scalar output for each listed tensor.
 
+    Each returned array is a fresh writable copy owned by the caller.
     Tensors not reachable from ``output`` get zero gradients.
     """
     output = _t(output)
@@ -299,5 +393,6 @@ def grad(output: Tensor, wrt: list[Tensor]) -> list[np.ndarray]:
         p.grad = None
     output.backward()
     return [
-        p.grad if p.grad is not None else np.zeros_like(p.data) for p in wrt
+        np.array(p.grad, dtype=np.float64) if p.grad is not None else np.zeros_like(p.data)
+        for p in wrt
     ]

@@ -48,8 +48,8 @@ def infonce_loss(scores, positives: Sequence[Iterable[int]], negatives: Sequence
     col = ad.reshape(s, (n, 1))
     Mp = membership_matrix(positives, n)
     Mn = membership_matrix(negatives, n)
-    dp = ad.mul(ad.matmul(Tensor(Mp), col), 1.0 / tau)  # (p, 1)
-    dn = ad.mul(ad.matmul(Tensor(Mn), col), 1.0 / tau)  # (q, 1)
+    dp = ad.mul(ad.matmul(Mp, col), 1.0 / tau)  # (p, 1)
+    dn = ad.mul(ad.matmul(Mn, col), 1.0 / tau)  # (q, 1)
     shift = float(max(dp.data.max(), dn.data.max()))  # detached
     neg_mass = ad.tsum(ad.exp(ad.sub(dn, shift)))  # scalar
     lse = ad.log(ad.add(ad.exp(ad.sub(dp, shift)), neg_mass))  # (p, 1)

@@ -103,43 +103,50 @@ def _mlp(x, w1, b1, w2, b2) -> Tensor:
 
 def _attention_round(
     recv_emb, send_emb, edge_emb, theta_recv, theta_send, theta_edge, w,
-    edge_recv: np.ndarray, edge_send: np.ndarray, num_recv: int, H: int, L: int,
+    recv: ad.SegmentIndex, send: ad.SegmentIndex, H: int, L: int,
 ):
-    """One message-passing round; returns (new receiver embeddings, record)."""
+    """One message-passing round; returns (new receiver embeddings, record).
+
+    ``recv`` and ``send`` map each edge to its receiver and sender.
+    """
     Tr = ad.matmul(recv_emb, theta_recv)  # (H, R, L)
     Ts = ad.matmul(send_emb, theta_send)  # (H, S, L)
     Te = ad.matmul(edge_emb, theta_edge)  # (H, E, L)
-    wa = ad.reshape(ad.gather(w, np.arange(0, L), axis=1), (H, 1, L))
-    wb = ad.reshape(ad.gather(w, np.arange(L, 2 * L), axis=1), (H, 1, L))
-    wc = ad.reshape(ad.gather(w, np.arange(2 * L, 3 * L), axis=1), (H, 1, L))
-    t_recv = ad.tsum(ad.mul(ad.leaky_relu(Tr, LEAKY_SLOPE), wa), axis=2)  # (H, R)
-    t_send = ad.tsum(ad.mul(ad.leaky_relu(Ts, LEAKY_SLOPE), wb), axis=2)  # (H, S)
-    t_edge = ad.tsum(ad.mul(ad.leaky_relu(Te, LEAKY_SLOPE), wc), axis=2)  # (H, E)
-    t_self = ad.tsum(ad.mul(ad.leaky_relu(Tr, LEAKY_SLOPE), wb), axis=2)  # (H, R)
+    wa, wb, wc = (
+        ad.reshape(ad.gather(w, np.arange(k * L, (k + 1) * L), axis=1), (H, L, 1))
+        for k in range(3)
+    )
+    leaky_recv = ad.leaky_relu(Tr, LEAKY_SLOPE)
+
+    def logit(x, w_part):  # w_part . x per head and row: (H, rows)
+        return ad.reshape(ad.matmul(x, w_part), (H, -1))
+
+    t_recv = logit(leaky_recv, wa)
+    t_send = logit(ad.leaky_relu(Ts, LEAKY_SLOPE), wb)
+    t_edge = logit(ad.leaky_relu(Te, LEAKY_SLOPE), wc)
+    t_self = logit(leaky_recv, wb)
 
     edge_logit = ad.add(
-        ad.add(ad.gather(t_recv, edge_recv, axis=1), ad.gather(t_send, edge_send, axis=1)),
+        ad.add(ad.gather(t_recv, recv, axis=1), ad.gather(t_send, send, axis=1)),
         t_edge,
     )  # (H, E)
     self_logit = ad.add(t_recv, t_self)  # (H, R)
 
     # Detached per-neighborhood max keeps the softmax finite; the softmax is
     # shift invariant so this constant carries no gradient.
-    mx = self_logit.data.copy()
-    if edge_recv.size:
-        np.maximum.at(mx, (slice(None), edge_recv), edge_logit.data)
+    mx = recv.maximum(self_logit.data, edge_logit.data, axis=1)
     exp_self = ad.exp(ad.sub(self_logit, mx))
-    exp_edge = ad.exp(ad.sub(edge_logit, mx[:, edge_recv] if edge_recv.size else mx[:, :0]))
-    denom = ad.add(exp_self, ad.segment_sum(exp_edge, edge_recv, num_recv, axis=1))
+    exp_edge = ad.exp(ad.sub(edge_logit, np.take(mx, recv.index, axis=1)))
+    denom = ad.add(exp_self, ad.segment_sum(exp_edge, recv, recv.size, axis=1))
     alpha_self = ad.div(exp_self, denom)  # (H, R)
-    alpha_edge = ad.div(exp_edge, ad.gather(denom, edge_recv, axis=1))  # (H, E)
+    alpha_edge = ad.div(exp_edge, ad.gather(denom, recv, axis=1))  # (H, E)
 
-    messages = ad.mul(ad.gather(Ts, edge_send, axis=1), ad.reshape(alpha_edge, (H, -1, 1)))
-    agg = ad.segment_sum(messages, edge_recv, num_recv, axis=1)  # (H, R, L)
+    messages = ad.mul(ad.gather(Ts, send, axis=1), ad.reshape(alpha_edge, (H, -1, 1)))
+    agg = ad.segment_sum(messages, recv, recv.size, axis=1)  # (H, R, L)
     self_msg = ad.mul(Tr, ad.reshape(alpha_self, (H, -1, 1)))
     new_emb = ad.tmean(ad.add(self_msg, agg), axis=0)  # (R, L)
     record = AttentionRecord(
-        alpha_self=alpha_self.data, alpha_edge=alpha_edge.data, receiver_of_edge=edge_recv
+        alpha_self=alpha_self.data, alpha_edge=alpha_edge.data, receiver_of_edge=recv.index
     )
     return new_emb, record
 
@@ -147,27 +154,31 @@ def _attention_round(
 def score_graph(
     params_t: dict[str, Tensor], graph: BipartiteGraph, collect_attention: bool = False
 ):
-    """Differentiable forward pass; returns (scores Tensor (n, 1), records)."""
+    """Differentiable forward pass; returns (scores Tensor (n, 1), records).
+
+    The graph's features enter as constants, so only parameters get gradients.
+    """
     a = params_t
     H = a["att1_theta_c"].shape[0]
     L = a["att1_theta_c"].shape[1]
     n, m = graph.num_vars, graph.num_cons
-    e_cons = graph.edges[:, 0].astype(np.int64) if graph.edges.size else np.zeros(0, dtype=np.int64)
-    e_vars = graph.edges[:, 1].astype(np.int64) if graph.edges.size else np.zeros(0, dtype=np.int64)
+    edges = graph.edges.astype(np.int64).reshape(-1, 2)
+    cons = ad.SegmentIndex(edges[:, 0], m)  # each edge's constraint
+    vars_ = ad.SegmentIndex(edges[:, 1], n)  # each edge's variable
 
-    V1 = _mlp(Tensor(graph.var_feats), a["emb_var_w1"], a["emb_var_b1"], a["emb_var_w2"], a["emb_var_b2"])
-    C1 = _mlp(Tensor(graph.cons_feats), a["emb_cons_w1"], a["emb_cons_b1"], a["emb_cons_w2"], a["emb_cons_b2"])
-    E1 = _mlp(Tensor(graph.edge_feats), a["emb_edge_w1"], a["emb_edge_b1"], a["emb_edge_w2"], a["emb_edge_b2"])
+    V1 = _mlp(graph.var_feats, a["emb_var_w1"], a["emb_var_b1"], a["emb_var_w2"], a["emb_var_b2"])
+    C1 = _mlp(graph.cons_feats, a["emb_cons_w1"], a["emb_cons_b1"], a["emb_cons_w2"], a["emb_cons_b2"])
+    E1 = _mlp(graph.edge_feats, a["emb_edge_w1"], a["emb_edge_b1"], a["emb_edge_w2"], a["emb_edge_b2"])
 
     C2, rec1 = _attention_round(
         C1, V1, E1,
         a["att1_theta_c"], a["att1_theta_v"], a["att1_theta_e"], a["att1_w"],
-        edge_recv=e_cons, edge_send=e_vars, num_recv=m, H=H, L=L,
+        recv=cons, send=vars_, H=H, L=L,
     )
     V2, rec2 = _attention_round(
         V1, C2, E1,
         a["att2_theta_v"], a["att2_theta_c"], a["att2_theta_e"], a["att2_w"],
-        edge_recv=e_vars, edge_send=e_cons, num_recv=n, H=H, L=L,
+        recv=vars_, send=cons, H=H, L=L,
     )
     logits = _mlp(V2, a["out_w1"], a["out_b1"], a["out_w2"], a["out_b2"])  # (n, 1)
     scores = ad.sigmoid(logits)

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..features import BipartiteGraph
 from . import autodiff as ad
+from .autodiff import Tensor
 from .loss import infonce_loss
 from .model import GatParameters, score_graph
 from .optim import AdamState, adam_step
@@ -43,14 +46,45 @@ class TrainSample:
     negatives: tuple[tuple[int, ...], ...]
 
 
+def batch_gradient(
+    tensors: dict[str, Tensor], batch: list[TrainSample], tau: float
+) -> tuple[float, dict[str, np.ndarray]]:
+    """Mean contrastive loss over ``batch`` and its gradient per parameter.
+
+    Each sample's ``loss / len(batch)`` is back-propagated on its own and the
+    parameter gradients are summed, so only one sample's graph is alive at a
+    time.  Equal to the gradient of the batch mean up to float order.
+    """
+    names = sorted(tensors)
+    wrt = [tensors[k] for k in names]
+    scale = 1.0 / len(batch)
+    loss = 0.0
+    total: list[np.ndarray] = []
+    for sample in batch:
+        scores, _ = score_graph(tensors, sample.graph)
+        term = ad.mul(infonce_loss(scores, sample.positives, sample.negatives, tau), scale)
+        gs = ad.grad(term, wrt)
+        if total:
+            for acc, g in zip(total, gs):
+                acc += g
+        else:
+            total = gs
+        loss += float(term.data)
+        del scores, term  # free this sample's graph before the next forward pass
+    return loss, dict(zip(names, total))
+
+
 def train(
-    dataset: list[TrainSample], cfg: TrainConfig
+    dataset: list[TrainSample], cfg: TrainConfig, epoch_log: list | None = None
 ) -> tuple[GatParameters, list[float]]:
     """Train from scratch; returns the final parameters and per-epoch losses.
 
     Each epoch shuffles with the seeded generator, averages the contrastive
     loss over each mini-batch, and applies one Adam step per batch.  Fully
-    deterministic under a fixed config.
+    deterministic under a fixed config.  If ``epoch_log`` is given, one
+    ``{"seconds", "grad_norm"}`` dict is appended to it per epoch: the
+    epoch's wall-clock seconds and the mean over its batches of the
+    gradient's L2 norm.
     """
     if not dataset:
         raise ValueError("empty training dataset")
@@ -65,31 +99,26 @@ def train(
     curve: list[float] = []
     n = len(dataset)
     for _epoch in range(cfg.epochs):
+        t0 = time.perf_counter()
         order = shuffle_rng.permutation(n)
         epoch_loss = 0.0
+        norms = []
         for lo in range(0, n, cfg.batch_size):
             batch = [dataset[i] for i in order[lo : lo + cfg.batch_size]]
-            tensors = params.tensors()
-            losses = []
-            for sample in batch:
-                scores, _ = score_graph(tensors, sample.graph)
-                losses.append(
-                    infonce_loss(scores, sample.positives, sample.negatives, cfg.tau)
-                )
-            total = losses[0]
-            for term in losses[1:]:
-                total = ad.add(total, term)
-            batch_loss = ad.mul(total, 1.0 / len(losses))
-            names = sorted(tensors)
-            gs = ad.grad(batch_loss, [tensors[k] for k in names])
+            batch_loss, grads = batch_gradient(params.tensors(), batch, cfg.tau)
             new_arrays, state = adam_step(
                 params.arrays,
-                dict(zip(names, gs)),
+                grads,
                 state,
                 lr=cfg.learning_rate,
                 wd=cfg.weight_decay,
             )
             params = GatParameters(L=cfg.L, H=cfg.H, hidden=cfg.hidden, arrays=new_arrays)
-            epoch_loss += float(batch_loss.data) * len(batch)
+            epoch_loss += batch_loss * len(batch)
+            norms.append(math.sqrt(sum(float(np.vdot(g, g)) for g in grads.values())))
         curve.append(epoch_loss / n)
+        if epoch_log is not None:
+            epoch_log.append(
+                {"seconds": time.perf_counter() - t0, "grad_norm": sum(norms) / len(norms)}
+            )
     return params, curve

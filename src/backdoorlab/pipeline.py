@@ -232,19 +232,51 @@ def load_dataset(path) -> list[TrainSample]:
     return samples
 
 
-def train_from_file(dataset_path, cfg: TrainConfig):
+def train_from_file(dataset_path, cfg: TrainConfig, epoch_log: list | None = None):
+    """Load a collection JSONL and :func:`train` on it; ``epoch_log`` as there."""
     dataset = load_dataset(dataset_path)
     if not dataset:
         raise ValueError(f"dataset {dataset_path} holds no training records")
-    return train(dataset, cfg)
+    return train(dataset, cfg, epoch_log=epoch_log)
 
 
-def predict_backdoor(params: GatParameters, inst: MilpInstance, K: int) -> Backdoor:
-    """Score the instance and greedily take the K best binary variables."""
-    ws = LpWorkspace(lp_relaxation(inst))
+def predict_backdoor(
+    params: GatParameters, inst: MilpInstance, K: int, workspace: LpWorkspace | None = None
+) -> Backdoor:
+    """Score the instance and greedily take the K best binary variables.
+
+    The features come from ``workspace``'s root LP (a fresh workspace if
+    none is given).
+    """
+    ws = workspace if workspace is not None else LpWorkspace(lp_relaxation(inst))
     graph = featurize(inst, ws.solve())
     scores = gat_forward(params, graph)
     return greedy_select(scores, graph.binary_mask, K)
+
+
+def _evaluate_one(params, path, K: int, node_cap: int | None, wallclock: bool) -> EvalRecord:
+    inst = read_instance(path)
+    ws = LpWorkspace(lp_relaxation(inst))
+    t0 = time.perf_counter()
+    backdoor = predict_backdoor(params, inst, K, workspace=ws)
+    overhead = time.perf_counter() - t0
+    base = solve_bnb(inst, BnbConfig(node_limit=node_cap), workspace=ws)
+    method = solve_bnb(
+        inst,
+        BnbConfig(priorities=backdoor_priorities(backdoor.vars), node_limit=node_cap),
+        workspace=ws,
+    )
+    be, me = base.nodes_processed, method.nodes_processed
+    return EvalRecord(
+        instance=inst.name,
+        baseline_effort=be,
+        method_effort=me,
+        improvement_pct=100.0 * (be - me) / be if be else 0.0,
+        outcome=WIN if me < be else (TIE if me == be else LOSS),
+        baseline_censored=base.status == NODE_LIMIT,
+        method_censored=method.status == NODE_LIMIT,
+        overhead_seconds=overhead if wallclock else None,
+    )
 
 
 def evaluate(
@@ -258,38 +290,21 @@ def evaluate(
 
     Node-cap hits are censored at the cap and flagged.  ``wallclock``
     additionally records the model+selection overhead in seconds (reported
-    separately, never part of the effort comparison).
+    separately, never part of the effort comparison).  An instance that
+    raises is skipped: the summary's ``failed`` counts them and ``errors``
+    lists ``{"instance": <file name>, "error": "<Type>: <message>"}``.
+    Summarizing raises if no instance succeeds.
     """
-    records = []
+    records, errors = [], []
     for path in instance_paths(instance_dir):
-        inst = read_instance(path)
-        ws = LpWorkspace(lp_relaxation(inst))
-        t0 = time.perf_counter()
-        graph = featurize(inst, ws.solve())
-        scores = gat_forward(params, graph)
-        backdoor = greedy_select(scores, graph.binary_mask, K)
-        overhead = time.perf_counter() - t0
-        base = solve_bnb(inst, BnbConfig(node_limit=node_cap), workspace=ws)
-        method = solve_bnb(
-            inst,
-            BnbConfig(priorities=backdoor_priorities(backdoor.vars), node_limit=node_cap),
-            workspace=ws,
-        )
-        be, me = base.nodes_processed, method.nodes_processed
-        outcome = WIN if me < be else (TIE if me == be else LOSS)
-        records.append(
-            EvalRecord(
-                instance=inst.name,
-                baseline_effort=be,
-                method_effort=me,
-                improvement_pct=100.0 * (be - me) / be if be else 0.0,
-                outcome=outcome,
-                baseline_censored=base.status == NODE_LIMIT,
-                method_censored=method.status == NODE_LIMIT,
-                overhead_seconds=overhead if wallclock else None,
-            )
-        )
-    return records, summarize(records)
+        try:
+            records.append(_evaluate_one(params, path, K, node_cap, wallclock))
+        except Exception as exc:  # one bad instance is recorded, not fatal to the run
+            errors.append({"instance": path.name, "error": f"{type(exc).__name__}: {exc}"})
+    summary = summarize(records)
+    summary["failed"] = len(errors)
+    summary["errors"] = errors
+    return records, summary
 
 
 def _stats(values: np.ndarray) -> dict:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bnb import BnbConfig, backdoor_priorities, solve_bnb
+from .generators import _rng
 from .milp import MilpInstance, lp_relaxation
 from .simplex import OPTIMAL as LP_OPTIMAL
 from .simplex import LpSolution, LpWorkspace
@@ -74,10 +75,6 @@ class LabelResult:
     @property
     def skipped(self) -> bool:
         return self.skip_reason is not None
-
-
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
 
 
 def fractionality(x: np.ndarray) -> np.ndarray:

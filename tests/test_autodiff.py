@@ -118,3 +118,102 @@ def test_repeated_backward_does_not_leak_state():
     (g1,) = grad(ad.mul(x, x), [x])
     (g2,) = grad(ad.mul(x, x), [x])
     assert g1 == g2 == pytest.approx(8.0)
+
+
+# (index, number of segments): unsorted with repeats and empty segments 2 and
+# 4, a single entry, and no entries at all (an edgeless graph).
+SEGMENT_CASES = [
+    (np.array([3, 0, 3, 1, 0, 3, 1]), 5),
+    (np.array([2]), 4),
+    (np.zeros(0, dtype=np.int64), 3),
+]
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+@pytest.mark.parametrize("index,size", SEGMENT_CASES)
+def test_sorted_segment_ops_match_scatter_reference(index, size, axis):
+    rng = np.random.default_rng(4)
+    shape = [2, 3, 4]
+    shape[axis] = index.size
+    x = rng.normal(size=shape)
+    out_shape = list(shape)
+    out_shape[axis] = size
+    sel = (slice(None),) * axis + (index,)
+    ref_sum = np.zeros(out_shape)
+    np.add.at(ref_sum, sel, x)
+    floor = rng.normal(size=out_shape)
+    ref_max = floor.copy()
+    np.maximum.at(ref_max, sel, x)
+
+    seg = ad.SegmentIndex(index, size)
+    np.testing.assert_allclose(seg.sum(x, axis), ref_sum, rtol=1e-14, atol=0)
+    np.testing.assert_array_equal(seg.maximum(floor, x, axis), ref_max)
+    for segments in (index, seg):
+        out = ad.segment_sum(Tensor(x), segments, size, axis=axis)
+        np.testing.assert_allclose(out.data, ref_sum, rtol=1e-14, atol=0)
+
+    # gather's backward is the same scatter-add of the upstream gradient.
+    a0 = rng.normal(size=out_shape)
+    for segments in (index, seg):
+        a = Tensor(a0)
+        picked = ad.gather(a, segments, axis=axis)
+        np.testing.assert_array_equal(picked.data, np.take(a0, index, axis=axis))
+        (g,) = grad(ad.tsum(ad.mul(picked, x)), [a])
+        np.testing.assert_allclose(g, ref_sum, rtol=1e-14, atol=0)
+
+
+def test_segment_index_rejects_bad_indices():
+    with pytest.raises(IndexError):
+        ad.SegmentIndex(np.array([0, 3]), 3)
+    with pytest.raises(IndexError):
+        ad.SegmentIndex(np.array([-1, 0]), 3)
+    with pytest.raises(ValueError):
+        ad.gather(Tensor(np.ones(4)), ad.SegmentIndex(np.array([0, 1]), 3))
+
+
+def _row_sum_feeds_two_consumers(x):
+    s = ad.tsum(x, axis=1, keepdims=True)
+    return ad.tsum(ad.add(ad.mul(s, 2.0), ad.mul(s, s)))
+
+
+def test_lazy_gradients_with_shared_subexpressions():
+    x0 = np.array([[1.0, -2.0, 0.5], [3.0, 0.25, -1.0]])
+    row_sums = x0.sum(axis=1, keepdims=True)
+    cases = [
+        (lambda x: ad.tsum(ad.add(x, x)), np.full_like(x0, 2.0)),
+        (lambda x: ad.tsum(ad.add(ad.mul(x, x), x)), 2.0 * x0 + 1.0),
+        # tsum's read-only broadcast gradient meets a second consumer of x.
+        (lambda x: ad.add(ad.tsum(x), ad.tsum(ad.mul(x, 3.0))), np.full_like(x0, 4.0)),
+        (_row_sum_feeds_two_consumers, np.broadcast_to(2.0 + 2.0 * row_sums, x0.shape)),
+    ]
+    x = Tensor(x0.copy())
+    for build, expected in cases:
+        (g1,) = grad(build(x), [x])
+        np.testing.assert_allclose(g1, expected, rtol=1e-15)
+        assert g1.flags.writeable
+        kept = g1.copy()
+        (g2,) = grad(build(x), [x])
+        g2 += 1.0
+        np.testing.assert_array_equal(g1, kept)  # later calls leave it alone
+        np.testing.assert_array_equal(x.data, x0)
+
+
+def test_returned_gradients_are_not_shared():
+    """add() hands one upstream array to both parents; grad() copies it."""
+    x, y = Tensor(np.ones(3)), Tensor(np.full(3, 2.0))
+    gx, gy = grad(ad.tsum(ad.add(x, y)), [x, y])
+    gx[0] = 7.0
+    np.testing.assert_array_equal(gy, np.ones(3))
+
+
+def test_constants_receive_no_gradient():
+    """Arrays passed to ops are constants: no gradient flows into them."""
+    w = Tensor(np.array([[1.0], [2.0]]))
+    feats = np.array([[1.0, 2.0], [3.0, 4.0]])
+    hidden = ad.matmul(feats, w)
+    out = ad.tsum(ad.mul(hidden, 0.5))
+    (gw,) = grad(out, [w])
+    np.testing.assert_allclose(gw, 0.5 * feats.sum(axis=0, keepdims=True).T)
+    const = hidden._parents[0]
+    assert not const.requires_grad and const.grad is None
+    assert not ad.tsum(ad.exp(feats)).requires_grad

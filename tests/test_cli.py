@@ -80,6 +80,7 @@ def test_full_workflow(tmp_path, capsys):
     assert info["epochs"] == 3 and model.exists()
     side = json.loads((tmp_path / "model.ckpt.manifest.json").read_text())
     assert side["config"]["epochs"] == 3 and len(side["loss_curve"]) == 3
+    assert len(side["epoch_seconds"]) == 3 and len(side["grad_norm"]) == 3
 
     inst_file = next(test_dir.glob("*.bdmilp"))
     code, out = run(capsys, "predict", "--model", str(model), "--instance", str(inst_file), "--K", "3")
@@ -93,7 +94,7 @@ def test_full_workflow(tmp_path, capsys):
     )
     assert code == 0
     summary = json.loads(out)
-    assert summary["instances"] == 2
+    assert summary["instances"] == 2 and summary["failed"] == 0
     assert (evaldir / "results.csv").exists()
     assert (evaldir / "summary.txt").exists()
     assert (evaldir / "scatter.csv").exists()

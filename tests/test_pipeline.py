@@ -27,6 +27,15 @@ def write_gisp_dir(path, seeds, nodes=22):
         write_instance(inst, path / f"{inst.name}.bdmilp")
 
 
+def write_infeasible(path):
+    """Four binaries cannot sum to 5: the root LP is infeasible."""
+    inst = make_instance(
+        "infeasible", [1.0] * 4, [[(j, 1.0) for j in range(4)]], [5.0], ["GE"],
+        [0.0] * 4, [1.0] * 4, range(4),
+    )
+    write_instance(inst, path / "infeasible.bdmilp")
+
+
 SMALL_COLLECT = dict(
     K=3, top_k=8, p=3, q=3, mcts_budget=20, probe_node_limit=10,
     label_node_limit=2000, seed=0,
@@ -47,12 +56,7 @@ class TestCollect:
 
     def test_failed_instance_is_recorded_not_fatal(self, tmp_path):
         write_gisp_dir(tmp_path / "inst", [0])
-        # Four binaries cannot sum to 5: the root LP is infeasible.
-        infeasible = make_instance(
-            "infeasible", [1.0] * 4, [[(j, 1.0) for j in range(4)]], [5.0], ["GE"],
-            [0.0] * 4, [1.0] * 4, range(4),
-        )
-        write_instance(infeasible, tmp_path / "inst" / "infeasible.bdmilp")
+        write_infeasible(tmp_path / "inst")
         manifests = []
         for workers in (1, 2):
             out = tmp_path / f"w{workers}.jsonl"
@@ -147,6 +151,33 @@ class TestEvaluate:
         for r in records:
             assert r.outcome in ("WIN", "TIE", "LOSS")
             assert r.baseline_effort >= 1 and r.method_effort >= 1
+
+
+    def test_failed_instance_is_recorded_not_fatal(self, tmp_path):
+        write_gisp_dir(tmp_path / "inst", [0], nodes=12)
+        write_gisp_dir(tmp_path / "good", [0], nodes=12)
+        write_infeasible(tmp_path / "inst")
+        params = GatParameters.init(seed=0, L=8, H=2, hidden=6)
+        records, summary = evaluate(params, tmp_path / "inst", K=3, node_cap=500)
+        assert len(records) == 1 and summary["instances"] == 1
+        assert summary["failed"] == 1
+        assert summary["errors"] == [{
+            "instance": "infeasible.bdmilp",
+            "error": "ValueError: featurize needs an OPTIMAL root-LP solution",
+        }]
+        # The good instance's report is what it is without the bad one.
+        alone, alone_summary = evaluate(params, tmp_path / "good", K=3, node_cap=500)
+        assert alone_summary["failed"] == 0 and alone_summary["errors"] == []
+        report(records, tmp_path / "mixed")
+        report(alone, tmp_path / "alone")
+        for name in ("results.csv", "summary.txt"):
+            assert (tmp_path / "mixed" / name).read_bytes() == (tmp_path / "alone" / name).read_bytes()
+
+    def test_all_instances_failing_raises(self, tmp_path):
+        (tmp_path / "inst").mkdir()
+        write_infeasible(tmp_path / "inst")
+        with pytest.raises(ValueError):
+            evaluate(GatParameters.init(seed=0, L=8, H=2, hidden=6), tmp_path / "inst", K=3)
 
 
 class TestReport:

@@ -2,7 +2,19 @@ import numpy as np
 import pytest
 
 from backdoorlab.features import featurize
-from backdoorlab.gnn import TrainConfig, TrainSample, gat_forward, greedy_select, train
+from backdoorlab.generators import gen_gisp
+from backdoorlab.gnn import (
+    GatParameters,
+    TrainConfig,
+    TrainSample,
+    gat_forward,
+    greedy_select,
+    infonce_loss,
+    score_graph,
+    train,
+)
+from backdoorlab.gnn import autodiff as ad
+from backdoorlab.gnn.training import batch_gradient
 from backdoorlab.milp import lp_relaxation, make_instance
 from backdoorlab.simplex import solve_lp
 
@@ -90,3 +102,56 @@ def test_config_validation():
         TrainConfig(tau=-1.0)
     with pytest.raises(ValueError):
         TrainConfig(epochs=0)
+
+
+def gisp_samples(count, nodes=25):
+    """GISP graphs with 5 + 5 seeded size-4 subsets of their binaries."""
+    out = []
+    for seed in range(count):
+        inst = gen_gisp(nodes=nodes, seed=seed)
+        graph = featurize(inst, solve_lp(lp_relaxation(inst)))
+        rng = np.random.default_rng(seed)
+        binaries = np.flatnonzero(graph.binary_mask)
+        sets = [tuple(sorted(rng.choice(binaries, 4, replace=False).tolist())) for _ in range(10)]
+        out.append(TrainSample(graph, tuple(sets[:5]), tuple(sets[5:])))
+    return out
+
+
+def test_per_sample_backward_matches_whole_batch_mean():
+    batch = gisp_samples(3)
+    params = GatParameters.init(seed=3)
+    loss, grads = batch_gradient(params.tensors(), batch, 0.07)
+
+    # The whole batch as one graph: mean of the per-sample losses.
+    tensors = params.tensors()
+    total = None
+    for s in batch:
+        scores, _ = score_graph(tensors, s.graph)
+        term = infonce_loss(scores, s.positives, s.negatives, 0.07)
+        total = term if total is None else ad.add(total, term)
+    mean = ad.mul(total, 1.0 / len(batch))
+    names = sorted(tensors)
+    ref = dict(zip(names, ad.grad(mean, [tensors[k] for k in names])))
+
+    assert loss == pytest.approx(float(mean.data), rel=1e-12)
+    assert sorted(grads) == names
+    for k in names:
+        scale = np.abs(ref[k]).max()
+        assert scale > 0.0
+        np.testing.assert_allclose(grads[k], ref[k], rtol=1e-12, atol=1e-12 * scale, err_msg=k)
+
+
+def test_epoch_log_records_time_and_gradient_norm():
+    ds = planted_dataset(count=6)
+    cfg = TrainConfig(epochs=3, seed=2, batch_size=4, **SMALL)
+    log = []
+    p1, c1 = train(ds, cfg, epoch_log=log)
+    p2, c2 = train(ds, cfg)
+    assert c1 == c2
+    for k in p1.arrays:
+        np.testing.assert_array_equal(p1.arrays[k], p2.arrays[k])
+    assert len(log) == 3
+    for entry in log:
+        assert set(entry) == {"seconds", "grad_norm"}
+        assert entry["seconds"] > 0.0
+        assert np.isfinite(entry["grad_norm"]) and entry["grad_norm"] > 0.0
