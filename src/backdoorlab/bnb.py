@@ -206,9 +206,7 @@ def solve_bnb(
         seq += 1
         heapq.heappush(heap, (sol.objective, seq, depth + 1, lo_hi, up, warm))
 
-    weight = (
-        float(sum(math.ldexp(1.0, -d) for d in leaf_depths)) if leaf_depths else 0.0
-    )
+    weight = tree_weight(leaf_depths) if leaf_depths else 0.0
     if hit_limit:
         status = NODE_LIMIT
     elif incumbent is not None:

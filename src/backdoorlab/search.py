@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bnb import BnbConfig, backdoor_priorities, solve_bnb
+from .bnb import BnbConfig, backdoor_priorities, restricted_probe, solve_bnb
 from .generators import _rng
 from .milp import MilpInstance, lp_relaxation
 from .simplex import OPTIMAL as LP_OPTIMAL
@@ -165,12 +165,8 @@ def mcts_search(
 
     def probe(subset: tuple[int, ...]) -> float:
         if subset not in evaluated:
-            res = solve_bnb(
-                inst,
-                BnbConfig(allowed_branch_set=frozenset(subset), node_limit=probe_node_limit),
-                workspace=ws,
-            )
-            evaluated[subset] = (res.tree_weight, res.nodes_processed)
+            weight, nodes, _ = restricted_probe(inst, subset, probe_node_limit, workspace=ws)
+            evaluated[subset] = (weight, nodes)
         return evaluated[subset][0]
 
     def rollout(state: tuple[int, ...]) -> tuple[int, ...]:

@@ -12,10 +12,16 @@ solves of the same problem take the identical pivot path.  The dense kernel
 is plain numpy: pricing, the ratio test and the infeasibility scan are array
 operations over all columns or rows, and only the order-dependent tie rule
 of the ratio test walks the few rows whose ratios tie with the minimum.
+
+Because the kernel is deterministic, :class:`LpWorkspace` memoizes: a solve
+whose bounds, start basis and iteration limit repeat an earlier one returns
+that solve's result, and the inverse of the last warm start basis is kept
+for the next solve that starts from the same basis (branching siblings).
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +45,8 @@ _BASIC = 2
 _PIVOT_EPS = 1e-9
 _TIE_EPS = 1e-12
 _REFACTOR_EVERY = 128
+# Solves remembered per workspace (least recently used evicted first).
+_SOLVE_MEMO_CAP = 384
 
 # Dense workspace memory guard: (n+m) * m floats.
 _MAX_DENSE_CELLS = 40_000_000
@@ -128,10 +136,11 @@ def _leaving_row(theta, pw, col, bland):
     return leave, theta_piv
 
 
-def _kernel(WT, b, lo, up, c, vstat, basis, ftol, dtol, max_iter):
+def _kernel(WT, b, lo, up, c, vstat, basis, ftol, dtol, max_iter, Binv=None):
     """Two-phase bounded simplex on the transposed column matrix ``WT``.
 
-    ``vstat`` and ``basis`` are updated in place.  Returns
+    ``vstat`` and ``basis`` are updated in place, and so is ``Binv``, the
+    start basis's inverse (computed here when not given).  Returns
     ``(status, iterations, xall, y)`` where ``xall`` holds all structural and
     slack values (``None`` unless optimal) and ``y`` the final dual vector.
     """
@@ -140,7 +149,8 @@ def _kernel(WT, b, lo, up, c, vstat, basis, ftol, dtol, max_iter):
     # Fixed variables (including EQ slacks) never enter the basis.
     movable = ~(up - lo <= 0.0)
 
-    Binv = _basis_inverse(WT, basis)
+    if Binv is None:
+        Binv = _basis_inverse(WT, basis)
     z = _nonbasic_values(vstat, lo, up)
     xB = np.dot(Binv, b - np.dot(z, WT))
 
@@ -264,7 +274,12 @@ class LpWorkspace:
     Branch-and-bound re-solves the same matrix thousands of times with only
     variable bounds changing, so the extended column matrix is built once.
     The root LP (the cold solve at the base bounds) is solved once per
-    workspace and handed out again on later calls, with read-only arrays.
+    workspace and handed out again on later calls.  Other solves go through
+    a memo of the last ``_SOLVE_MEMO_CAP`` results, keyed exactly by the
+    bounds, the start basis and ``max_iter``; a hit returns the earlier
+    result.  Memoized results have read-only arrays.  ``memo_hits`` counts
+    the solves answered from either memo and ``cold_retries`` the warm
+    starts that failed numerically and were retried from the slack basis.
     """
 
     def __init__(self, lp: LpProblem):
@@ -305,6 +320,11 @@ class LpWorkspace:
             np.concatenate([self.base_upper, slack_up]).tobytes(),
         )
         self._root: LpSolution | None = None
+        self._memo: OrderedDict[tuple, LpSolution] = OrderedDict()
+        # One-slot memo: (basis bytes, inverse) of the last warm start basis.
+        self._inv_slot: tuple[bytes, np.ndarray] | None = None
+        self.memo_hits = 0
+        self.cold_retries = 0
 
     def cold_start(self):
         """Slack basis with every structural at its lower bound."""
@@ -338,30 +358,51 @@ class LpWorkspace:
             and max_iter == default_iter
             and (lo.tobytes(), up.tobytes()) == self._root_bounds
         )
-        if root and self._root is not None:
-            return self._root
-        sol = self._solve(lo, up, start, max_iter)
         if root:
-            for arr in (sol.x, sol.reduced_costs, sol.at_lower, sol.at_upper, sol.vstat, sol.basis):
-                if arr is not None:
-                    arr.flags.writeable = False
-            self._root = sol
+            if self._root is None:
+                self._root = _read_only(self._solve(lo, up, start, max_iter))
+            else:
+                self.memo_hits += 1
+            return self._root
+        # The slack bounds never change, so the structural ones identify the bounds.
+        key = (lo[:n].tobytes(), up[:n].tobytes(), max_iter)
+        if start is not None:
+            key += (start[0].tobytes(), start[1].tobytes())
+        sol = self._memo.get(key)
+        if sol is not None:
+            self._memo.move_to_end(key)
+            self.memo_hits += 1
+            return sol
+        sol = self._memo[key] = _read_only(self._solve(lo, up, start, max_iter))
+        if len(self._memo) > _SOLVE_MEMO_CAP:
+            self._memo.popitem(last=False)
         return sol
+
+    def _start_inverse(self, basis: np.ndarray) -> np.ndarray:
+        """A fresh copy of ``basis``'s inverse, kept in the one-slot memo."""
+        key = basis.tobytes()
+        if self._inv_slot is None or self._inv_slot[0] != key:
+            self._inv_slot = None
+            self._inv_slot = (key, _basis_inverse(self.WT, basis))
+        return self._inv_slot[1].copy()
 
     def _solve(self, lo, up, start, max_iter) -> LpSolution:
         n = self.n
-        if start is None:
-            vstat, basis = self.cold_start()
-        else:
-            vstat, basis = start[0].copy(), start[1].copy()
         try:
+            if start is None:
+                vstat, basis = self.cold_start()
+                Binv = None
+            else:
+                vstat, basis = start[0].copy(), start[1].copy()
+                Binv = self._start_inverse(basis)
             status, iters, xall, y = _kernel(
-                self.WT, self.b, lo, up, self.c_ext, vstat, basis, 1e-7, 1e-9, max_iter
+                self.WT, self.b, lo, up, self.c_ext, vstat, basis, 1e-7, 1e-9, max_iter, Binv
             )
         except np.linalg.LinAlgError:
             status, iters, xall, y = _ST_NUMERIC, 0, None, None
         if status == _ST_NUMERIC and start is not None:
             # Warm basis went bad: retry cold before giving up.
+            self.cold_retries += 1
             vstat, basis = self.cold_start()
             status, iters, xall, y = _kernel(
                 self.WT, self.b, lo, up, self.c_ext, vstat, basis, 1e-7, 1e-9, max_iter
@@ -407,6 +448,13 @@ class LpWorkspace:
             raise SimplexNumericalError(
                 f"optimal point violates row {int(np.argmax(bad))}"
             )
+
+
+def _read_only(sol: LpSolution) -> LpSolution:
+    for arr in (sol.x, sol.reduced_costs, sol.at_lower, sol.at_upper, sol.vstat, sol.basis):
+        if arr is not None:
+            arr.flags.writeable = False
+    return sol
 
 
 def _finite_lower(lower) -> np.ndarray:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -9,6 +10,7 @@ from backdoorlab.pipeline import (
     CollectConfig,
     EvalRecord,
     collect_dataset,
+    collect_one,
     evaluate,
     graph_from_payload,
     load_dataset,
@@ -42,7 +44,28 @@ SMALL_COLLECT = dict(
 )
 
 
+# The pipeline-gisp25 benchmark's collection settings.
+BENCH_COLLECT = dict(
+    K=4, top_k=12, p=5, q=5, mcts_budget=30, probe_node_limit=12,
+    label_node_limit=3000, seed=0,
+)
+
+
 class TestCollect:
+    @pytest.mark.parametrize("seed, kept, digest", [
+        (2, True, "6cdebfd8e7f0899a7b9d75f080a50807429b5ba7198343b53e0f5a65a20f6173"),
+        (3, True, "5ba8323cf9957e4a9a1e7d79641f4345e3b92d41217c0d9b5a2ca90cdfa54523"),
+    ])
+    def test_collect_one_output_is_pinned(self, tmp_path, seed, kept, digest):
+        """Record and manifest entry as collected before LP solves were memoized."""
+        write_gisp_dir(tmp_path, [seed], nodes=25)
+        record, entry = collect_one(
+            tmp_path / f"gisp_n25_s{seed}.bdmilp", seed, CollectConfig(**BENCH_COLLECT)
+        )
+        assert (record is not None) == kept
+        blob = json.dumps([record, entry], sort_keys=True).encode()
+        assert hashlib.sha256(blob).hexdigest() == digest
+
     def test_worker_count_does_not_change_bytes(self, tmp_path):
         write_gisp_dir(tmp_path / "inst", range(4))
         d1 = tmp_path / "w1.jsonl"

@@ -3,6 +3,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from backdoorlab import simplex
 from backdoorlab.bnb import BnbConfig, solve_bnb
 from backdoorlab.generators import (
     gen_combinatorial_auction,
@@ -12,6 +13,7 @@ from backdoorlab.generators import (
     gen_setcover,
 )
 from backdoorlab.milp import INF, LpProblem, lp_relaxation, make_instance
+from backdoorlab.search import label_samples, mcts_search
 from backdoorlab.simplex import (
     _TIE_EPS,
     INFEASIBLE,
@@ -300,3 +302,116 @@ def test_shared_workspace_gives_same_bnb_result():
             b.status, b.objective, b.nodes_processed, b.leaf_depths, b.tree_weight
         )
         np.testing.assert_array_equal(a.incumbent, b.incumbent)
+
+
+def recording(ws):
+    """Log each ``ws.solve`` call's inputs and result."""
+    calls = []
+    solve = ws.solve
+
+    def logged(lower=None, upper=None, start=None, max_iter=None):
+        sol = solve(lower=lower, upper=upper, start=start, max_iter=max_iter)
+        calls.append((lower, upper, start, max_iter, sol))
+        return sol
+
+    ws.solve = logged
+    return calls
+
+
+def test_memoized_solves_match_fresh_workspace_bit_for_bit():
+    inst = gen_gisp(nodes=25, seed=2)
+    lp = lp_relaxation(inst)
+    ws = LpWorkspace(lp)
+    calls = recording(ws)
+    ranked = mcts_search(inst, K=4, iteration_budget=30, probe_node_limit=12, seed=0, top_k=12, workspace=ws)
+    label_samples(inst, [bd for bd, _ in ranked], p=5, q=5, node_limit=3000, workspace=ws)
+    assert ws.memo_hits > 0 and ws.cold_retries == 0
+    for lower, upper, start, max_iter, got in calls:
+        want = LpWorkspace(lp).solve(lower=lower, upper=upper, start=start, max_iter=max_iter)
+        assert (got.status, got.iterations) == (want.status, want.iterations)
+        if want.status == OPTIMAL:
+            assert got.objective.hex() == want.objective.hex()
+            for a, b in ((got.x, want.x), (got.vstat, want.vstat), (got.basis, want.basis)):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def fixed_child(inst, root):
+    """Bounds moving the first binary away from its root value."""
+    lo = np.array(inst.lower, dtype=float)
+    up = np.array(inst.upper, dtype=float)
+    j = min(inst.binary_set)
+    lo[j] = up[j] = 1.0 - round(root.x[j])
+    return lo, up
+
+
+def test_same_bounds_from_other_start_is_a_separate_entry():
+    inst = gen_gisp(nodes=12, seed=1)
+    ws = LpWorkspace(lp_relaxation(inst))
+    root = ws.solve()
+    lo, up = fixed_child(inst, root)
+    from_root = ws.solve(lower=lo, upper=up, start=(root.vstat, root.basis))
+    other = ws.solve(lower=lo, upper=up, start=ws.cold_start())
+    assert other is not from_root and len(ws._memo) == 2
+    assert ws.memo_hits == 0
+    assert ws.solve(lower=lo.copy(), upper=up.copy(), start=(root.vstat, root.basis)) is from_root
+    assert ws.solve(lower=lo, upper=up, start=ws.cold_start()) is other
+    assert ws.memo_hits == 2
+    # An equal basis under another dtype is another input, not a hit.
+    ws.solve(lower=lo, upper=up, start=(root.vstat, root.basis.astype(np.int32)))
+    assert len(ws._memo) == 3 and ws.memo_hits == 2
+
+
+def test_memo_never_exceeds_its_cap(monkeypatch):
+    monkeypatch.setattr(simplex, "_SOLVE_MEMO_CAP", 4)
+    inst = gen_gisp(nodes=12, seed=1)
+    ws = LpWorkspace(lp_relaxation(inst))
+    root = ws.solve()
+    start = (root.vstat, root.basis)
+    sols = []
+    for j in sorted(inst.binary_set)[:7]:
+        up = np.array(inst.upper, dtype=float)
+        up[j] = 0.0
+        sols.append((up, ws.solve(upper=up, start=start)))
+        assert len(ws._memo) <= 4
+    assert len(ws._memo) == 4
+    # Least recently used first out: the last four stay, the first is gone.
+    for up, sol in sols[3:]:
+        assert ws.solve(upper=up, start=start) is sol
+    assert ws.solve(upper=sols[0][0], start=start) is not sols[0][1]
+    assert len(ws._memo) == 4
+
+
+def test_memo_hit_arrays_are_read_only():
+    inst = gen_gisp(nodes=12, seed=1)
+    ws = LpWorkspace(lp_relaxation(inst))
+    root = ws.solve()
+    lo, up = fixed_child(inst, root)
+    first = ws.solve(lower=lo, upper=up, start=(root.vstat, root.basis))
+    hit = ws.solve(lower=lo, upper=up, start=(root.vstat, root.basis))
+    assert hit is first and ws.memo_hits == 1
+    for arr in (hit.x, hit.reduced_costs, hit.at_lower, hit.at_upper, hit.vstat, hit.basis):
+        assert not arr.flags.writeable
+
+
+def test_singular_warm_start_retried_cold_leaves_inverse_slot_empty():
+    inst = gen_gisp(nodes=12, seed=1)
+    lp = lp_relaxation(inst)
+    ws = LpWorkspace(lp)
+    root = ws.solve()
+    lo, up = fixed_child(inst, root)
+    good = ws.solve(lower=lo, upper=up, start=(root.vstat, root.basis))
+    assert ws._inv_slot[0] == root.basis.tobytes()
+    basis = root.basis.copy()
+    basis[1] = basis[0]
+    sol = ws.solve(lower=lo, upper=up, start=(root.vstat, basis))
+    assert ws.cold_retries == 1
+    assert ws._inv_slot is None
+    cold = LpWorkspace(lp).solve(lower=lo, upper=up)
+    assert sol.status == cold.status == OPTIMAL
+    assert (sol.iterations, sol.objective.hex()) == (cold.iterations, cold.objective.hex())
+    assert sol.objective.hex() == good.objective.hex()
+    # The next warm start recomputes its inverse and gives the same answer.
+    ws._memo.clear()
+    again = ws.solve(lower=lo, upper=up, start=(root.vstat, root.basis))
+    assert ws._inv_slot[0] == root.basis.tobytes()
+    assert (again.iterations, again.x.tobytes()) == (good.iterations, good.x.tobytes())
