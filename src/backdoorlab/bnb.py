@@ -67,18 +67,17 @@ def tree_weight(leaf_depths: Iterable[int]) -> float:
     return float(sum(math.ldexp(1.0, -int(d)) for d in depths))
 
 
-def select_branch_var(fractional: Mapping[int, float], cfg: BnbConfig) -> int:
-    """Pick the branching variable from ``{index: fractionality}``.
+def select_branch_var(candidates, fractionality, priorities) -> int:
+    """Pick the branching variable among ``candidates`` (variable indices).
 
+    ``fractionality[i]`` and ``priorities[i]`` belong to ``candidates[i]``.
     Highest priority wins, then highest fractionality, then lowest index.
     """
-    if not fractional:
+    candidates = np.asarray(candidates, dtype=np.int64)
+    if candidates.size == 0:
         raise ValueError("no fractional variable to branch on")
-    prio = cfg.priorities or {}
-    return min(
-        fractional,
-        key=lambda j: (-int(prio.get(j, 0)), -fractional[j], j),
-    )
+    order = np.lexsort((candidates, -np.asarray(fractionality), -np.asarray(priorities)))
+    return int(candidates[order[0]])
 
 
 def _priority_array(inst: MilpInstance, cfg: BnbConfig) -> np.ndarray:
@@ -119,6 +118,11 @@ def solve_bnb(
         allowed_mask[np.fromiter(cfg.allowed_branch_set, dtype=np.int64)] = True
     gap = cfg.objective_gap_tol
 
+    # Rows whose activity may not exceed, or fall below, the right-hand side.
+    senses = np.asarray(inst.senses, dtype=object)
+    capped = (senses == LE) | (senses == EQ)
+    floored = (senses == GE) | (senses == EQ)
+    rhs = np.asarray(inst.rhs, dtype=float)
     lo0 = np.asarray(inst.lower, dtype=float)
     up0 = np.asarray(inst.upper, dtype=float)
 
@@ -139,15 +143,9 @@ def solve_bnb(
         obj = float(ws.c_ext[:n] @ xr)
         if obj >= inc_obj - gap:
             return
-        act = xr @ ws.WT[:n]
-        for r, sense in enumerate(inst.senses):
-            resid = act[r] - inst.rhs[r]
-            if sense == LE and resid > _INT_TOL:
-                return
-            if sense == GE and resid < -_INT_TOL:
-                return
-            if sense == EQ and abs(resid) > _INT_TOL:
-                return
+        resid = xr @ ws.WT[:n] - rhs
+        if (resid[capped] > _INT_TOL).any() or (resid[floored] < -_INT_TOL).any():
+            return
         incumbent, inc_obj = xr, obj
 
     while heap:
@@ -191,11 +189,7 @@ def solve_bnb(
                 continue
             frac_vars = frac_vars[keep]
             frac_pos = frac_pos[keep]
-        cand_prio = prio[frac_vars]
-        best_prio = cand_prio.max()
-        sel = frac_vars[cand_prio == best_prio]
-        sel_fr = fr[frac_pos[cand_prio == best_prio]]
-        j = int(sel[np.lexsort((sel, -sel_fr))[0]])
+        j = select_branch_var(frac_vars, fr[frac_pos], prio[frac_vars])
         warm = (sol.vstat, sol.basis)
         lo_hi = lo.copy()
         lo_hi[j] = 1.0

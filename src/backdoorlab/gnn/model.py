@@ -8,6 +8,11 @@ neighbors, with logits ``w . leaky_relu([theta_recv r, theta_send s,
 theta_edge e])`` (the self logit reuses the receiver transform in the sender
 slot and a zero edge slot).  A final MLP plus sigmoid yields one score in
 (0, 1) per variable.
+
+The edge terms depend on an edge's feature row only, so the edge MLP and
+each round's edge logit run once per distinct (bit-equal) edge-feature row
+and are gathered back to the edges; MILP graphs tend to repeat a few
+coefficient values over many edges.
 """
 
 from __future__ import annotations
@@ -103,15 +108,18 @@ def _mlp(x, w1, b1, w2, b2) -> Tensor:
 
 def _attention_round(
     recv_emb, send_emb, edge_emb, theta_recv, theta_send, theta_edge, w,
-    recv: ad.SegmentIndex, send: ad.SegmentIndex, H: int, L: int,
+    recv: ad.SegmentIndex, send: ad.SegmentIndex, edge_row: ad.SegmentIndex,
+    H: int, L: int,
 ):
     """One message-passing round; returns (new receiver embeddings, record).
 
-    ``recv`` and ``send`` map each edge to its receiver and sender.
+    ``recv`` and ``send`` map each edge to its receiver and sender, and
+    ``edge_row`` maps it to its row of ``edge_emb``, which holds one
+    embedding per distinct edge-feature row.
     """
     Tr = ad.matmul(recv_emb, theta_recv)  # (H, R, L)
     Ts = ad.matmul(send_emb, theta_send)  # (H, S, L)
-    Te = ad.matmul(edge_emb, theta_edge)  # (H, E, L)
+    Te = ad.matmul(edge_emb, theta_edge)  # (H, U, L), U distinct edge rows
     wa, wb, wc = (
         ad.reshape(ad.gather(w, np.arange(k * L, (k + 1) * L), axis=1), (H, L, 1))
         for k in range(3)
@@ -123,7 +131,7 @@ def _attention_round(
 
     t_recv = logit(leaky_recv, wa)
     t_send = logit(ad.leaky_relu(Ts, LEAKY_SLOPE), wb)
-    t_edge = logit(ad.leaky_relu(Te, LEAKY_SLOPE), wc)
+    t_edge = ad.gather(logit(ad.leaky_relu(Te, LEAKY_SLOPE), wc), edge_row, axis=1)  # (H, E)
     t_self = logit(leaky_recv, wb)
 
     edge_logit = ad.add(
@@ -165,20 +173,24 @@ def score_graph(
     edges = graph.edges.astype(np.int64).reshape(-1, 2)
     cons = ad.SegmentIndex(edges[:, 0], m)  # each edge's constraint
     vars_ = ad.SegmentIndex(edges[:, 1], n)  # each edge's variable
+    feats = np.ascontiguousarray(graph.edge_feats, dtype=np.float64).reshape(-1, NUM_EDGE_FEATURES)
+    keys = feats.view(np.dtype((np.void, feats.itemsize * feats.shape[1]))).reshape(-1)
+    _, first, row = np.unique(keys, return_index=True, return_inverse=True)
+    edge_row = ad.SegmentIndex(row, first.size)  # each edge's distinct row
 
     V1 = _mlp(graph.var_feats, a["emb_var_w1"], a["emb_var_b1"], a["emb_var_w2"], a["emb_var_b2"])
     C1 = _mlp(graph.cons_feats, a["emb_cons_w1"], a["emb_cons_b1"], a["emb_cons_w2"], a["emb_cons_b2"])
-    E1 = _mlp(graph.edge_feats, a["emb_edge_w1"], a["emb_edge_b1"], a["emb_edge_w2"], a["emb_edge_b2"])
+    E1 = _mlp(feats[first], a["emb_edge_w1"], a["emb_edge_b1"], a["emb_edge_w2"], a["emb_edge_b2"])
 
     C2, rec1 = _attention_round(
         C1, V1, E1,
         a["att1_theta_c"], a["att1_theta_v"], a["att1_theta_e"], a["att1_w"],
-        recv=cons, send=vars_, H=H, L=L,
+        recv=cons, send=vars_, edge_row=edge_row, H=H, L=L,
     )
     V2, rec2 = _attention_round(
         V1, C2, E1,
         a["att2_theta_v"], a["att2_theta_c"], a["att2_theta_e"], a["att2_w"],
-        recv=vars_, send=cons, H=H, L=L,
+        recv=vars_, send=cons, edge_row=edge_row, H=H, L=L,
     )
     logits = _mlp(V2, a["out_w1"], a["out_b1"], a["out_w2"], a["out_b2"])  # (n, 1)
     scores = ad.sigmoid(logits)

@@ -116,6 +116,9 @@ def validate_instance(inst: MilpInstance) -> ValidationReport:
         )
     if len(inst.lower) != n or len(inst.upper) != n:
         bad.append("bounds length != num_vars")
+    for j, c in enumerate(inst.objective):
+        if not np.isfinite(c):
+            bad.append(f"column {j}: non-finite objective coefficient")
     for r, row in enumerate(inst.rows):
         seen = set()
         for j, a in row:
@@ -136,6 +139,8 @@ def validate_instance(inst: MilpInstance) -> ValidationReport:
         lo, up = inst.lower[j], inst.upper[j]
         if not np.isfinite(lo):
             bad.append(f"column {j}: lower bound must be finite")
+        if np.isnan(up):
+            bad.append(f"column {j}: upper bound is NaN")
         if lo > up:
             bad.append(f"column {j}: lower bound {lo} above upper bound {up}")
     if not inst.binary_set:

@@ -102,18 +102,29 @@ def test_bound_trace_is_monotone():
 
 class TestSelectBranchVar:
     def test_priority_wins(self):
-        cfg = BnbConfig(priorities={5: 1})
-        assert select_branch_var({2: 0.5, 5: 0.1}, cfg) == 5
+        assert select_branch_var([2, 5], [0.5, 0.1], [0, 1]) == 5
 
     def test_fractionality_breaks_equal_priority(self):
-        assert select_branch_var({1: 0.3, 4: 0.5}, BnbConfig()) == 4
+        assert select_branch_var([1, 4], [0.3, 0.5], [0, 0]) == 4
 
     def test_lowest_index_breaks_full_tie(self):
-        assert select_branch_var({7: 0.4, 3: 0.4}, BnbConfig()) == 3
+        assert select_branch_var([7, 3], [0.4, 0.4], [0, 0]) == 3
 
     def test_empty_set_raises(self):
         with pytest.raises(ValueError):
-            select_branch_var({}, BnbConfig())
+            select_branch_var(np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0, dtype=np.int64))
+
+
+@pytest.mark.parametrize(
+    "objective, upper",
+    [([float("nan"), -1.0], [1.0, 1.0]), ([-1.0, -1.0], [1.0, float("nan")])],
+)
+def test_nan_data_raises_instead_of_optimal(objective, upper):
+    inst = make_instance(
+        "t", objective, [[(0, 1.0), (1, 1.0)]], [1.0], ["LE"], [0.0, 0.0], upper, [0]
+    )
+    with pytest.raises(ValueError, match="invalid instance"):
+        solve_bnb(inst)
 
 
 class TestTreeWeight:

@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from backdoorlab.features import featurize
-from backdoorlab.generators import gen_mis
+from backdoorlab.generators import gen_facility_location, gen_gisp, gen_mis
 from backdoorlab.gnn import (
     GatParameters,
     ModelFormatError,
@@ -10,7 +12,10 @@ from backdoorlab.gnn import (
     greedy_select,
     load_model,
     save_model,
+    score_graph,
 )
+from backdoorlab.gnn import autodiff as ad
+from backdoorlab.gnn.model import LEAKY_SLOPE
 from backdoorlab.milp import lp_relaxation, make_instance
 from backdoorlab.simplex import solve_lp
 
@@ -87,6 +92,117 @@ def test_forward_handles_edgeless_graph():
     scores = gat_forward(small_params(), g)
     assert scores.shape == (2,)
     assert np.all((scores > 0) & (scores < 1))
+
+
+def per_edge_scores(a, graph):
+    """The attention model with every edge term computed per edge.
+
+    Built from public autodiff ops only; returns (scores (n, 1), records as
+    ``(alpha_self, alpha_edge, receiver_of_edge)`` per round).
+    """
+    H, L = a["att1_theta_c"].shape[:2]
+    edges = graph.edges.astype(np.int64).reshape(-1, 2)
+    cons, var = edges[:, 0], edges[:, 1]
+
+    def mlp(x, tag):
+        hidden = ad.relu(ad.add(ad.matmul(x, a[f"{tag}_w1"]), a[f"{tag}_b1"]))
+        return ad.add(ad.matmul(hidden, a[f"{tag}_w2"]), a[f"{tag}_b2"])
+
+    def attention(recv_emb, send_emb, edge_emb, rnd, r, s, recv, send):
+        Tr = ad.matmul(recv_emb, a[f"att{rnd}_theta_{r}"])
+        Ts = ad.matmul(send_emb, a[f"att{rnd}_theta_{s}"])
+        Te = ad.matmul(edge_emb, a[f"att{rnd}_theta_e"])  # (H, E, L)
+
+        def logit(x, k):
+            wk = ad.gather(a[f"att{rnd}_w"], np.arange(k * L, (k + 1) * L), axis=1)
+            return ad.reshape(ad.matmul(ad.leaky_relu(x, LEAKY_SLOPE), ad.reshape(wk, (H, L, 1))), (H, -1))
+
+        R = recv_emb.shape[0]
+        self_logit = ad.add(logit(Tr, 0), logit(Tr, 1))
+        edge_logit = ad.add(
+            ad.add(ad.gather(logit(Tr, 0), recv, axis=1), ad.gather(logit(Ts, 1), send, axis=1)),
+            logit(Te, 2),
+        )
+        mx = self_logit.data.copy()
+        np.maximum.at(mx, (slice(None), recv), edge_logit.data)
+        exp_self = ad.exp(ad.sub(self_logit, mx))
+        exp_edge = ad.exp(ad.sub(edge_logit, mx[:, recv]))
+        denom = ad.add(exp_self, ad.segment_sum(exp_edge, recv, R, axis=1))
+        alpha_self = ad.div(exp_self, denom)
+        alpha_edge = ad.div(exp_edge, ad.gather(denom, recv, axis=1))
+        agg = ad.segment_sum(
+            ad.mul(ad.gather(Ts, send, axis=1), ad.reshape(alpha_edge, (H, -1, 1))), recv, R, axis=1
+        )
+        new = ad.tmean(ad.add(ad.mul(Tr, ad.reshape(alpha_self, (H, -1, 1))), agg), axis=0)
+        return new, (alpha_self.data, alpha_edge.data, recv)
+
+    V1 = mlp(graph.var_feats, "emb_var")
+    C1 = mlp(graph.cons_feats, "emb_cons")
+    E1 = mlp(graph.edge_feats, "emb_edge")  # one row per edge
+    C2, rec1 = attention(C1, V1, E1, 1, "c", "v", cons, var)
+    V2, rec2 = attention(V1, C2, E1, 2, "v", "c", var, cons)
+    return ad.sigmoid(mlp(V2, "out")), [rec1, rec2]
+
+
+def graph_of(inst):
+    return featurize(inst, solve_lp(lp_relaxation(inst)))
+
+
+def all_distinct_graph():
+    mis = graph_of(gen_mis(nodes=12, avg_degree=3.0, seed=2))
+    feats = np.random.default_rng(5).normal(size=mis.edge_feats.shape)
+    return dataclasses.replace(mis, edge_feats=feats)
+
+
+# name: (graph builder, distinct edge-feature rows)
+EDGE_CASES = {
+    "gisp25": (lambda: graph_of(gen_gisp(nodes=25, seed=0)), 2),
+    "facility": (lambda: graph_of(gen_facility_location(facilities=10, customers=20, seed=0)), 32),
+    "all_distinct": (all_distinct_graph, 28),  # one row per edge
+    "one_edge": (
+        lambda: graph_of(make_instance("one", [-1.0], [[(0, 2.0)]], [1.0], ["LE"], [0.0], [1.0], [0])),
+        1,
+    ),
+    "edgeless": (
+        lambda: graph_of(make_instance("free", [-1.0, 1.0], [], [], [], [0, 0], [1, 1], [0, 1])),
+        0,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_CASES))
+def test_distinct_edge_rows_match_per_edge_reference(name):
+    build, distinct = EDGE_CASES[name]
+    graph = build()
+    assert np.unique(graph.edge_feats).size == distinct
+    params = GatParameters.init(seed=6, L=16, H=4, hidden=12)
+    names = sorted(params.arrays)
+    weights = np.random.default_rng(1).normal(size=(graph.num_vars, 1))
+
+    results = []
+    for forward in (score_graph, per_edge_scores):
+        tensors = params.tensors()
+        if forward is score_graph:
+            scores, records = score_graph(tensors, graph, collect_attention=True)
+            records = [(r.alpha_self, r.alpha_edge, r.receiver_of_edge) for r in records]
+        else:
+            scores, records = per_edge_scores(tensors, graph)
+        grads = ad.grad(ad.tsum(ad.mul(scores, weights)), [tensors[k] for k in names])
+        results.append((scores.data, records, dict(zip(names, grads))))
+    (s_new, rec_new, g_new), (s_ref, rec_ref, g_ref) = results
+
+    np.testing.assert_allclose(s_new, s_ref, rtol=1e-12, atol=0.0)
+    for (self_new, edge_new, recv_new), (self_ref, edge_ref, recv_ref) in zip(rec_new, rec_ref):
+        np.testing.assert_allclose(self_new, self_ref, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(edge_new, edge_ref, rtol=1e-12, atol=0.0)
+        np.testing.assert_array_equal(recv_new, recv_ref)
+    for k in names:
+        scale = np.abs(g_ref[k]).max()
+        np.testing.assert_allclose(g_new[k], g_ref[k], rtol=1e-12, atol=1e-12 * scale, err_msg=k)
+    if distinct == 0:
+        assert not g_new["att1_theta_e"].any() and not g_new["emb_edge_w1"].any()
+    else:
+        assert np.abs(g_new["att1_theta_e"]).max() > 0.0
 
 
 class TestGreedySelect:

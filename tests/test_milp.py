@@ -71,6 +71,21 @@ class TestValidate:
         )
         assert not validate_instance(inst).ok
 
+    @pytest.mark.parametrize("coef", [float("nan"), INF, -INF])
+    def test_non_finite_objective_flagged(self, coef):
+        rep = validate_instance(simple(objective=[coef]))
+        assert not rep.ok
+        assert any("column 0: non-finite objective" in v for v in rep.violations)
+
+    def test_nan_upper_bound_flagged(self):
+        inst = simple(objective=[-1.0, 1.0], lower=[0.0, 0.0], upper=[1.0, float("nan")])
+        rep = validate_instance(inst)
+        assert rep.violations == ("column 1: upper bound is NaN",)
+
+    def test_infinite_upper_bound_is_legal(self):
+        inst = simple(objective=[-1.0, 1.0], lower=[0.0, 0.0], upper=[1.0, INF])
+        assert validate_instance(inst).ok
+
     def test_accepts_every_generator_output(self):
         insts = [
             generators.gen_gisp(nodes=20, seed=1),
@@ -115,6 +130,24 @@ class TestRelaxation:
             "bad", [1.0], [[(3, 1.0)]], [1.0], ["LE"], [0.0], [1.0], [0]
         )
         with pytest.raises(ValueError):
+            lp_relaxation(inst)
+
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            dict(objective=[float("nan"), -1.0]),
+            dict(objective=[-1.0, INF]),
+            dict(upper=[1.0, float("nan")]),
+        ],
+    )
+    def test_rejects_nan_or_infinite_data(self, kw):
+        base = dict(objective=[-1.0, -1.0], upper=[1.0, 1.0])
+        base.update(kw)
+        inst = make_instance(
+            "t", base["objective"], [[(0, 1.0), (1, 1.0)]], [1.0], ["LE"],
+            [0.0, 0.0], base["upper"], [0],
+        )
+        with pytest.raises(ValueError, match="invalid instance"):
             lp_relaxation(inst)
 
     def test_relaxation_bounds_milp_optimum(self):
