@@ -115,7 +115,10 @@ def train(
             )
             params = GatParameters(L=cfg.L, H=cfg.H, hidden=cfg.hidden, arrays=new_arrays)
             epoch_loss += batch_loss * len(batch)
-            norms.append(math.sqrt(sum(float(np.vdot(g, g)) for g in grads.values())))
+            if epoch_log is not None:
+                # Not a BLAS dot: at this size a threaded BLAS leaves spinning
+                # threads behind that slow down the next batch.
+                norms.append(math.sqrt(sum(float(np.square(g).sum()) for g in grads.values())))
         curve.append(epoch_loss / n)
         if epoch_log is not None:
             epoch_log.append(

@@ -1,26 +1,46 @@
-"""Bounded-variable primal simplex for LP relaxations.
+"""Bounded-variable simplex for LP relaxations: primal when cold, dual when warm.
 
 The solver works on the computational form ``A x + s = b`` where each row's
 slack carries the sense (``LE``: s >= 0, ``GE``: s <= 0, ``EQ``: s = 0).
-Phase 1 minimizes the total bound violation of the basic variables starting
-from any basis (the slack basis cold, or a caller-supplied warm basis whose
-bounds changed); phase 2 runs the usual bounded ratio test with bound flips.
 
-Pivot selection is Dantzig's rule with lowest-index tie-breaks and an
-automatic switch to Bland's rule after a run of degenerate steps, so repeated
-solves of the same problem take the identical pivot path.  The dense kernel
-is plain numpy: pricing, the ratio test and the infeasibility scan are array
-operations over all columns or rows, and only the order-dependent tie rule
-of the ratio test walks the few rows whose ratios tie with the minimum.
+A cold solve starts from the slack basis and runs the primal method.  Phase 1
+minimizes the total bound violation of the basic variables; phase 2 runs the
+usual bounded ratio test with bound flips.  Pivot selection is Dantzig's rule
+with lowest-index tie-breaks and an automatic switch to Bland's rule after a
+run of degenerate steps, so repeated solves take the identical pivot path.
 
-Because the kernel is deterministic, :class:`LpWorkspace` memoizes: a solve
-whose bounds, start basis and iteration limit repeat an earlier one returns
-that solve's result, and the inverse of the last warm start basis is kept
-for the next solve that starts from the same basis (branching siblings).
+A warm solve starts from a caller-supplied basis, normally the optimal basis
+of a branch-and-bound parent whose child changed one bound.  That basis stays
+dual feasible, so the bounded dual method runs from it: the most infeasible
+basic variable leaves, and the bound-flipping ratio test picks the entering
+column and moves the boxed columns it passes to their other bound.  These
+choices compare values rounded to float32 or against fixed tolerances, so the
+last-bit differences between two inverses of one basis do not change the path
+(short of a value on a rounding boundary), and the optimal point is recomputed
+by an LU solve on the final basis: a warm result depends on its inputs, not on
+which inverse of the start basis the workspace held.  An infeasible verdict stands only when the pivot
+row proves it (a Farkas certificate recomputed from that row).  A start basis
+that is not dual feasible, an unproven verdict or a numerical failure falls
+back to a cold primal solve, counted in ``cold_retries``.
+
+Both kernels are plain numpy over a dense explicit inverse: pricing, the ratio
+tests and the infeasibility scans are array operations over all columns or
+rows, and only the ratio tests' tie rules walk the few candidates left after
+them.  An inversion sends only the basic structural columns to LAPACK: the
+slack columns are unit vectors.
+
+:class:`LpWorkspace` memoizes: a solve whose bounds, start basis and iteration
+limit repeat an earlier one returns that solve's result.  It also keeps the
+last ``_INVERSES_KEPT`` basis inverses: the final inverse of every kernel run
+that ends optimal, so its children skip the inversion, and every inverse
+computed for a start basis, so the second sibling does too.  Each kept inverse
+carries its count of rank-one updates, and a kernel rebuilds it once the count
+reaches ``_REFACTOR_EVERY``.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -42,11 +62,16 @@ _AT_LOWER = 0
 _AT_UPPER = 1
 _BASIC = 2
 
+# Primal (bound) and dual (reduced cost) feasibility tolerances.
+_FTOL = 1e-7
+_DTOL = 1e-9
 _PIVOT_EPS = 1e-9
 _TIE_EPS = 1e-12
 _REFACTOR_EVERY = 128
 # Solves remembered per workspace (least recently used evicted first).
 _SOLVE_MEMO_CAP = 384
+# Basis inverses kept per workspace (least recently used evicted first).
+_INVERSES_KEPT = 2
 
 # Dense workspace memory guard: (n+m) * m floats.
 _MAX_DENSE_CELLS = 40_000_000
@@ -80,18 +105,31 @@ class LpSolution:
     basis: np.ndarray | None = None
 
 
-def _basis_inverse(WT, basis):
-    """Inverse of the basis matrix, whose columns are the rows ``WT[basis]``."""
-    m = basis.size
-    if np.array_equal(basis, np.arange(WT.shape[0] - m, WT.shape[0])):
-        # The slack basis is the identity (LAPACK returns it bit for bit).
-        return np.eye(m)
-    return np.ascontiguousarray(np.linalg.inv(WT[basis].T))
-
-
 def _nonbasic_values(vstat, lo, up):
     """Each nonbasic variable at its bound; basic entries are 0."""
     return np.where(vstat == _AT_LOWER, lo, np.where(vstat == _AT_UPPER, up, 0.0))
+
+
+def _snap(values: list[float]) -> list[float]:
+    """``values`` rounded to float32, so values that differ only in their last
+    float64 bits compare equal unless a float32 rounding boundary lies between."""
+    return array("f", values).tolist()
+
+
+def _replace_column(Binv: np.ndarray, w: np.ndarray, r: int) -> None:
+    """Rank-one update of ``Binv`` in place when the column ``a`` with
+    ``w = Binv a`` replaces basis position ``r``.
+
+    The rows where ``w`` is 0 keep their values, so a sparse ``w`` updates
+    only its nonzero rows; the arithmetic per entry is the same either way.
+    """
+    br = Binv[r] / w[r]
+    rows = w.nonzero()[0]
+    if 2 * rows.size < w.size:
+        Binv[rows] -= w[rows, None] * br
+    else:
+        Binv -= w[:, None] * br
+    Binv[r] = br
 
 
 def _leaving_row(theta, pw, col, bland):
@@ -136,138 +174,6 @@ def _leaving_row(theta, pw, col, bland):
     return leave, theta_piv
 
 
-def _kernel(WT, b, lo, up, c, vstat, basis, ftol, dtol, max_iter, Binv=None):
-    """Two-phase bounded simplex on the transposed column matrix ``WT``.
-
-    ``vstat`` and ``basis`` are updated in place, and so is ``Binv``, the
-    start basis's inverse (computed here when not given).  Returns
-    ``(status, iterations, xall, y)`` where ``xall`` holds all structural and
-    slack values (``None`` unless optimal) and ``y`` the final dual vector.
-    """
-    N, m = WT.shape
-    y = np.zeros(m)
-    # Fixed variables (including EQ slacks) never enter the basis.
-    movable = ~(up - lo <= 0.0)
-
-    if Binv is None:
-        Binv = _basis_inverse(WT, basis)
-    z = _nonbasic_values(vstat, lo, up)
-    xB = np.dot(Binv, b - np.dot(z, WT))
-
-    phase = 1
-    iters = 0
-    degen_run = 0
-    bland = False
-    since_refactor = 0
-
-    while iters < max_iter:
-        if since_refactor >= _REFACTOR_EVERY:
-            Binv = _basis_inverse(WT, basis)
-            z = _nonbasic_values(vstat, lo, up)
-            xB = np.dot(Binv, b - np.dot(z, WT))
-            since_refactor = 0
-
-        loB = lo[basis]
-        upB = up[basis]
-        below = xB < loB - ftol
-        above = ~below & (xB > upB + ftol)
-        worst = max(
-            np.maximum.reduce(loB[below] - xB[below], initial=0.0),
-            np.maximum.reduce(xB[above] - upB[above], initial=0.0),
-        )
-        if phase == 1 and worst == 0.0:
-            phase = 2
-        elif phase == 2 and worst > 10.0 * ftol:
-            # Drift pushed a basic variable out of its bounds: repair first.
-            phase = 1
-
-        # score[j]: rate at which moving nonbasic column j off its bound
-        # lowers the infeasibility sum (phase 1) or the objective (phase 2).
-        at_lower = vstat == _AT_LOWER
-        if phase == 1:
-            dvec = np.zeros(m)
-            dvec[below] = -1.0
-            dvec[above] = 1.0
-            y = np.dot(dvec, Binv)
-            s = np.dot(WT, y)
-            # The derivative of the infeasibility sum w.r.t. x_j is -s[j].
-            score = np.where(at_lower, s, -s)
-        else:
-            y = np.dot(c[basis], Binv)
-            d = c - np.dot(WT, y)
-            score = np.where(at_lower, -d, d)
-        cand = movable & (vstat != _BASIC) & (score > dtol)
-        if not cand.any():
-            if phase == 1:
-                return _ST_INFEASIBLE, iters, None, y
-            xall = _nonbasic_values(vstat, lo, up)
-            xall[basis] = xB
-            return _ST_OPTIMAL, iters, xall, y
-        if bland:
-            enter = int(np.argmax(cand))
-        else:
-            # argmax keeps the first of equal maxima: lowest-index tie-break.
-            enter = int(np.argmax(np.where(cand, score, -INF)))
-        t = 1.0 if at_lower[enter] else -1.0
-        w = np.dot(Binv, WT[enter])
-
-        # Ratio test.  In phase 1 an infeasible basic variable may move
-        # toward (and stop at) the bound it violates.
-        delta = -t * w
-        pw = np.abs(w)
-        rising = delta > 0.0
-        if phase == 1:
-            to_upper = above | (rising & ~below)
-            reach = np.where(below, rising, np.where(above, delta < 0.0, True))
-        else:
-            to_upper = rising
-            reach = True
-        target = np.where(to_upper, upB, loB)
-        rows = np.flatnonzero((pw > _PIVOT_EPS) & reach & (np.abs(target) < INF))
-        theta = (target[rows] - xB[rows]) / delta[rows]
-        theta = np.where(theta < 0.0, 0.0, theta)
-        finite = np.isfinite(theta)
-        rows, theta = rows[finite], theta[finite]
-        k, theta_piv = _leaving_row(theta, pw[rows], basis[rows], bland)
-        leave = int(rows[k]) if k >= 0 else -1
-
-        theta_flip = up[enter] - lo[enter]
-        if leave < 0 and theta_flip == INF:
-            if phase == 1:
-                return _ST_NUMERIC, iters, None, y
-            return _ST_UNBOUNDED, iters, None, y
-
-        if leave >= 0 and theta_piv <= theta_flip + _TIE_EPS:
-            theta = theta_piv
-            xB -= (t * theta) * w
-            enter_val = t * theta + (lo[enter] if t > 0.0 else up[enter])
-            out = basis[leave]
-            vstat[out] = _AT_UPPER if to_upper[leave] else _AT_LOWER
-            piv = w[leave]
-            br = Binv[leave] / piv
-            Binv -= w.reshape(m, 1) * br.reshape(1, m)
-            Binv[leave] = br
-            xB[leave] = enter_val
-            basis[leave] = enter
-            vstat[enter] = _BASIC
-            since_refactor += 1
-        else:
-            theta = theta_flip
-            xB -= (t * theta) * w
-            vstat[enter] = _AT_UPPER if t > 0.0 else _AT_LOWER
-
-        if theta <= _TIE_EPS:
-            degen_run += 1
-            if degen_run > 100 + 2 * m:
-                bland = True
-        else:
-            degen_run = 0
-            bland = False
-        iters += 1
-
-    return _ST_ITER, iters, None, y
-
-
 class LpWorkspace:
     """Reusable dense workspace for repeated solves of one LP skeleton.
 
@@ -277,10 +183,21 @@ class LpWorkspace:
     workspace and handed out again on later calls.  Other solves go through
     a memo of the last ``_SOLVE_MEMO_CAP`` results, keyed exactly by the
     bounds, the start basis and ``max_iter``; a hit returns the earlier
-    result.  Memoized results have read-only arrays.  ``memo_hits`` counts
-    the solves answered from either memo and ``cold_retries`` the warm
-    starts that failed numerically and were retried from the slack basis.
+    result.  Memoized results have read-only arrays.
+
+    The workspace counts exactly what its solves did (see :meth:`counters`):
+    ``memo_hits`` solves answered from either memo, ``cold_retries`` warm
+    starts that fell back to a cold primal solve, ``kernel_runs`` and
+    ``dual_runs`` kernel runs in all and of the dual kernel, ``pivots``,
+    ``phase1_pivots`` and ``dual_pivots`` their iterations in all, in primal
+    phase 1 and in the dual kernel, ``inversions`` the ``np.linalg.inv``
+    calls, and ``inverse_hits`` the warm starts whose inverse was kept.
     """
+
+    COUNTERS = (
+        "memo_hits", "cold_retries", "kernel_runs", "dual_runs", "pivots",
+        "phase1_pivots", "dual_pivots", "inversions", "inverse_hits",
+    )
 
     def __init__(self, lp: LpProblem):
         n, m = lp.num_vars, lp.num_cons
@@ -321,10 +238,14 @@ class LpWorkspace:
         )
         self._root: LpSolution | None = None
         self._memo: OrderedDict[tuple, LpSolution] = OrderedDict()
-        # One-slot memo: (basis bytes, inverse) of the last warm start basis.
-        self._inv_slot: tuple[bytes, np.ndarray] | None = None
-        self.memo_hits = 0
-        self.cold_retries = 0
+        # Kept basis inverses: basis bytes -> (inverse, rank-one updates in it).
+        self._inverses: OrderedDict[bytes, tuple[np.ndarray, int]] = OrderedDict()
+        for name in self.COUNTERS:
+            setattr(self, name, 0)
+
+    def counters(self) -> dict[str, int]:
+        """The solve counters by name."""
+        return {name: getattr(self, name) for name in self.COUNTERS}
 
     def cold_start(self):
         """Slack basis with every structural at its lower bound."""
@@ -378,34 +299,22 @@ class LpWorkspace:
             self._memo.popitem(last=False)
         return sol
 
-    def _start_inverse(self, basis: np.ndarray) -> np.ndarray:
-        """A fresh copy of ``basis``'s inverse, kept in the one-slot memo."""
-        key = basis.tobytes()
-        if self._inv_slot is None or self._inv_slot[0] != key:
-            self._inv_slot = None
-            self._inv_slot = (key, _basis_inverse(self.WT, basis))
-        return self._inv_slot[1].copy()
-
     def _solve(self, lo, up, start, max_iter) -> LpSolution:
         n = self.n
-        try:
-            if start is None:
-                vstat, basis = self.cold_start()
-                Binv = None
-            else:
-                vstat, basis = start[0].copy(), start[1].copy()
-                Binv = self._start_inverse(basis)
-            status, iters, xall, y = _kernel(
-                self.WT, self.b, lo, up, self.c_ext, vstat, basis, 1e-7, 1e-9, max_iter, Binv
+        status = _ST_NUMERIC
+        if start is not None:
+            vstat, basis = start[0].copy(), start[1].copy()
+            self.dual_runs += 1
+            status, iters, xall, y, Binv, updates = self._run(
+                self._dual, lo, up, vstat, basis, max_iter
             )
-        except np.linalg.LinAlgError:
-            status, iters, xall, y = _ST_NUMERIC, 0, None, None
-        if status == _ST_NUMERIC and start is not None:
-            # Warm basis went bad: retry cold before giving up.
-            self.cold_retries += 1
+            self.dual_pivots += iters
+            if status == _ST_NUMERIC:
+                self.cold_retries += 1
+        if status == _ST_NUMERIC:
             vstat, basis = self.cold_start()
-            status, iters, xall, y = _kernel(
-                self.WT, self.b, lo, up, self.c_ext, vstat, basis, 1e-7, 1e-9, max_iter
+            status, iters, xall, y, Binv, updates = self._run(
+                self._primal, lo, up, vstat, basis, max_iter
             )
         if status == _ST_ITER:
             raise SimplexIterationError(
@@ -420,6 +329,7 @@ class LpWorkspace:
         x = np.clip(xall[:n], lo[:n] - 1e-7, up[:n] + 1e-7)
         x = np.clip(x, lo[:n], up[:n])
         self._verify(x, lo[:n], up[:n])
+        self._keep_inverse(basis, Binv, updates)
         reduced = self.c_ext[:n] - self.WT[:n] @ y
         return LpSolution(
             status=OPTIMAL,
@@ -432,6 +342,394 @@ class LpWorkspace:
             vstat=vstat,
             basis=basis,
         )
+
+    def _run(self, kernel, lo, up, vstat, basis, max_iter):
+        """One kernel run, counted; a singular basis reads as a numerical failure."""
+        self.kernel_runs += 1
+        try:
+            out = kernel(lo, up, vstat, basis, max_iter)
+        except np.linalg.LinAlgError:
+            return _ST_NUMERIC, 0, None, None, None, 0
+        self.pivots += out[1]
+        return out
+
+    def _split(self, basis: np.ndarray):
+        """The basis's structural columns and the slack-free block they fill.
+
+        Returns the positions of the structural and of the slack columns in
+        ``basis``, the rows of the basic slacks, the other rows, and the rows
+        of ``WT`` for the structural columns.  A slack column is a unit
+        vector, so the basis matrix is square and nonsingular exactly when the
+        structural columns restricted to the other rows are.
+        """
+        struct = basis < self.n
+        T = struct.nonzero()[0]
+        S = (~struct).nonzero()[0]
+        rs = basis[S] - self.n
+        free = np.ones(self.m, dtype=bool)
+        free[rs] = False
+        return T, S, rs, free.nonzero()[0], self.WT[basis[T]]
+
+    def _invert(self, basis: np.ndarray) -> np.ndarray:
+        """A fresh inverse of the basis matrix, whose columns are ``WT[basis]``.
+
+        Only the structural block goes to LAPACK: a basic slack's row of the
+        inverse is its unit row minus its row's structural part.
+        """
+        self.inversions += 1
+        T, S, rs, rf, At = self._split(basis)
+        Minv = np.linalg.inv(At[:, rf].T)
+        Binv = np.zeros((self.m, self.m))
+        Binv[T[:, None], rf] = Minv
+        Binv[S[:, None], rf] = -np.dot(At[:, rs].T, Minv)
+        Binv[S, rs] = 1.0
+        return Binv
+
+    def _basic_values(self, basis: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """The basic variables' values for ``B xB = rhs``, by an LU solve."""
+        T, S, rs, rf, At = self._split(basis)
+        xB = np.empty(self.m)
+        xB[T] = xT = np.linalg.solve(At[:, rf].T, rhs[rf])
+        xB[S] = rhs[rs] - np.dot(xT, At[:, rs])
+        return xB
+
+    def _start_inverse(self, basis: np.ndarray) -> tuple[np.ndarray, int]:
+        """A private copy of ``basis``'s inverse and its update count.
+
+        An inverse computed here is kept too: the sibling of a branch-and-bound
+        child starts from the same basis.
+        """
+        kept = self._inverses.get(basis.tobytes())
+        if kept is None:
+            kept = (self._invert(basis), 0)
+            self._keep_inverse(basis, *kept)
+        else:
+            self._inverses.move_to_end(basis.tobytes())
+            self.inverse_hits += 1
+        return kept[0].copy(), kept[1]
+
+    def _keep_inverse(self, basis: np.ndarray, Binv: np.ndarray, updates: int) -> None:
+        key = basis.tobytes()
+        self._inverses[key] = (Binv, updates)
+        self._inverses.move_to_end(key)
+        if len(self._inverses) > _INVERSES_KEPT:
+            self._inverses.popitem(last=False)
+
+    def _primal(self, lo, up, vstat, basis, max_iter):
+        """Two-phase bounded primal simplex from the slack basis ``(vstat, basis)``.
+
+        ``vstat`` and ``basis`` are updated in place.  Returns ``(status,
+        iterations, xall, y, Binv, updates)`` where ``xall`` holds all
+        structural and slack values (``None`` unless optimal), ``y`` the final
+        dual vector and ``Binv`` the final inverse after ``updates`` rank-one
+        updates.
+        """
+        WT, b, c = self.WT, self.b, self.c_ext
+        m = self.m
+        ftol, dtol = _FTOL, _DTOL
+        y = np.zeros(m)
+        # Fixed variables (including EQ slacks) never enter the basis.
+        movable = ~(up - lo <= 0.0)
+
+        Binv = np.eye(m)
+        z = _nonbasic_values(vstat, lo, up)
+        xB = np.dot(Binv, b - np.dot(z, WT))
+
+        phase = 1
+        iters = 0
+        degen_run = 0
+        bland = False
+        since_refactor = 0
+
+        while iters < max_iter:
+            if since_refactor >= _REFACTOR_EVERY:
+                Binv = self._invert(basis)
+                z = _nonbasic_values(vstat, lo, up)
+                xB = np.dot(Binv, b - np.dot(z, WT))
+                since_refactor = 0
+
+            loB = lo[basis]
+            upB = up[basis]
+            below = xB < loB - ftol
+            above = ~below & (xB > upB + ftol)
+            worst = max(
+                np.maximum.reduce(loB[below] - xB[below], initial=0.0),
+                np.maximum.reduce(xB[above] - upB[above], initial=0.0),
+            )
+            if phase == 1 and worst == 0.0:
+                phase = 2
+            elif phase == 2 and worst > 10.0 * ftol:
+                # Drift pushed a basic variable out of its bounds: repair first.
+                phase = 1
+
+            # score[j]: rate at which moving nonbasic column j off its bound
+            # lowers the infeasibility sum (phase 1) or the objective (phase 2).
+            at_lower = vstat == _AT_LOWER
+            if phase == 1:
+                dvec = np.zeros(m)
+                dvec[below] = -1.0
+                dvec[above] = 1.0
+                y = np.dot(dvec, Binv)
+                s = np.dot(WT, y)
+                # The derivative of the infeasibility sum w.r.t. x_j is -s[j].
+                score = np.where(at_lower, s, -s)
+            else:
+                y = np.dot(c[basis], Binv)
+                d = c - np.dot(WT, y)
+                score = np.where(at_lower, -d, d)
+            cand = movable & (vstat != _BASIC) & (score > dtol)
+            if not cand.any():
+                if phase == 1:
+                    return _ST_INFEASIBLE, iters, None, y, Binv, since_refactor
+                xall = _nonbasic_values(vstat, lo, up)
+                xall[basis] = xB
+                return _ST_OPTIMAL, iters, xall, y, Binv, since_refactor
+            if bland:
+                enter = int(np.argmax(cand))
+            else:
+                # argmax keeps the first of equal maxima: lowest-index tie-break.
+                enter = int(np.argmax(np.where(cand, score, -INF)))
+            t = 1.0 if at_lower[enter] else -1.0
+            w = np.dot(Binv, WT[enter])
+
+            # Ratio test.  In phase 1 an infeasible basic variable may move
+            # toward (and stop at) the bound it violates.
+            delta = -t * w
+            pw = np.abs(w)
+            rising = delta > 0.0
+            if phase == 1:
+                to_upper = above | (rising & ~below)
+                reach = np.where(below, rising, np.where(above, delta < 0.0, True))
+            else:
+                to_upper = rising
+                reach = True
+            target = np.where(to_upper, upB, loB)
+            rows = np.flatnonzero((pw > _PIVOT_EPS) & reach & (np.abs(target) < INF))
+            theta = (target[rows] - xB[rows]) / delta[rows]
+            theta = np.where(theta < 0.0, 0.0, theta)
+            finite = np.isfinite(theta)
+            rows, theta = rows[finite], theta[finite]
+            k, theta_piv = _leaving_row(theta, pw[rows], basis[rows], bland)
+            leave = int(rows[k]) if k >= 0 else -1
+
+            theta_flip = up[enter] - lo[enter]
+            if leave < 0 and theta_flip == INF:
+                if phase == 1:
+                    return _ST_NUMERIC, iters, None, y, Binv, since_refactor
+                return _ST_UNBOUNDED, iters, None, y, Binv, since_refactor
+
+            if leave >= 0 and theta_piv <= theta_flip + _TIE_EPS:
+                theta = theta_piv
+                xB -= (t * theta) * w
+                enter_val = t * theta + (lo[enter] if t > 0.0 else up[enter])
+                out = basis[leave]
+                vstat[out] = _AT_UPPER if to_upper[leave] else _AT_LOWER
+                _replace_column(Binv, w, leave)
+                xB[leave] = enter_val
+                basis[leave] = enter
+                vstat[enter] = _BASIC
+                since_refactor += 1
+            else:
+                theta = theta_flip
+                xB -= (t * theta) * w
+                vstat[enter] = _AT_UPPER if t > 0.0 else _AT_LOWER
+
+            if theta <= _TIE_EPS:
+                degen_run += 1
+                if degen_run > 100 + 2 * m:
+                    bland = True
+            else:
+                degen_run = 0
+                bland = False
+            if phase == 1:
+                self.phase1_pivots += 1
+            iters += 1
+
+        return _ST_ITER, iters, None, y, Binv, since_refactor
+
+    def _dual(self, lo, up, vstat, basis, max_iter):
+        """Bounded dual simplex from the warm basis ``(vstat, basis)``.
+
+        Same contract as :meth:`_primal`.  ``_ST_NUMERIC`` also stands for a
+        start basis that is not dual feasible and for an infeasible verdict
+        that the pivot row does not prove; the caller then solves cold.
+        """
+        WT, b, c = self.WT, self.b, self.c_ext
+        m = self.m
+        ftol, dtol = _FTOL, _DTOL
+        width = up - lo
+        movable = ~(width <= 0.0)
+        z = _nonbasic_values(vstat, lo, up)
+        if not np.isfinite(z).all():
+            return _ST_NUMERIC, 0, None, None, None, 0
+        Binv, updates = self._start_inverse(basis)
+        d = c - np.dot(WT, np.dot(c[basis], Binv))
+        # side: -1 for a movable column at its lower bound, +1 at its upper
+        # bound, 0 for basic and fixed ones.  A column is dual feasible while
+        # side * d <= 0.
+        side = np.where(vstat == _AT_LOWER, -1.0, np.where(vstat == _AT_UPPER, 1.0, 0.0))
+        side[~movable] = 0.0
+        # A boxed column with the wrong reduced cost sign moves to its other
+        # bound; an unboxed one leaves the start dual infeasible.
+        wrong = np.flatnonzero(side * d > dtol)
+        if wrong.size:
+            if not np.isfinite(width[wrong]).all():
+                return _ST_NUMERIC, 0, None, None, Binv, updates
+            rise = side[wrong] < 0.0
+            side[wrong] = -side[wrong]
+            vstat[wrong] = np.where(rise, _AT_UPPER, _AT_LOWER)
+            z[wrong] = np.where(rise, up[wrong], lo[wrong])
+        xB = np.dot(Binv, b - np.dot(z, WT))
+        loB = lo[basis]
+        upB = up[basis]
+
+        iters = 0
+        degen_run = 0
+        bland = False
+        while iters < max_iter:
+            if updates >= _REFACTOR_EVERY:
+                Binv = self._invert(basis)
+                updates = 0
+                xB = np.dot(Binv, b - np.dot(z, WT))
+                d = c - np.dot(WT, np.dot(c[basis], Binv))
+
+            viol = np.maximum(loB - xB, xB - upB)
+            rows = (viol > ftol).nonzero()[0]
+            if not rows.size:
+                if (side * d > 100.0 * dtol).any():
+                    return _ST_NUMERIC, iters, None, None, Binv, updates
+                # The point comes from the final basis alone, not from the
+                # updates that led there.
+                xB = self._basic_values(basis, b - np.dot(z, WT))
+                if (np.maximum(loB - xB, xB - upB) > ftol).any():
+                    if updates == 0:
+                        return _ST_NUMERIC, iters, None, None, Binv, updates
+                    updates = _REFACTOR_EVERY
+                    continue
+                xall = z.copy()
+                xall[basis] = xB
+                return _ST_OPTIMAL, iters, xall, np.dot(c[basis], Binv), Binv, updates
+
+            # Leaving row: the largest violation, ties to the lowest column.
+            r = int(rows[0])
+            if rows.size > 1:
+                if not bland:
+                    v = viol[rows].astype(np.float32)
+                    rows = rows[v == v.max()]
+                r = int(rows[np.argmin(basis[rows])])
+            to_lower = bool(xB[r] < loB[r])
+            viol_r = float(viol[r])
+            rho = Binv[r]
+            alpha = np.dot(WT, rho)
+
+            # Bound-flipping ratio test.  As the dual step grows, each
+            # candidate's reduced cost falls to 0 at its breakpoint; past it the
+            # column flips to its other bound, which cuts the row's violation
+            # by |alpha| * width.  The entering column is the one whose flip
+            # would use up what is left of the violation.
+            key = side * alpha
+            if not to_lower:
+                key = -key
+            q = (key > _PIVOT_EPS).nonzero()[0]
+            aq = key[q].tolist()
+            # A candidate's breakpoint is -side * d / |alpha| (side * d <= 0
+            # while it is dual feasible).
+            sd = (side[q] * d[q]).tolist()
+            t = [-v / a if -v > dtol else 0.0 for a, v in zip(aq, sd)]
+            # In breakpoint order, ties to the lowest column.
+            cand = sorted(zip(_snap(t), q.tolist(), aq, _snap(aq), width[q].tolist()))
+            # A violation used up to within tol counts as used up.
+            tol = 1e-9 * max(1.0, viol_r)
+            left = viol_r
+            k = -1
+            for i, (_, _, a, _, wd) in enumerate(cand):
+                if left - a * wd <= tol:
+                    k = i
+                    break
+                left -= a * wd
+            if k < 0:
+                # Every flip together leaves the row infeasible (then the row
+                # must prove it) or feasible within ftol (the last one enters).
+                if not cand or left > ftol:
+                    if self._proves_infeasible(rho, alpha, lo, up):
+                        return _ST_INFEASIBLE, iters, None, None, Binv, updates
+                    return _ST_NUMERIC, iters, None, None, Binv, updates
+                k = len(cand) - 1
+                left += cand[k][2] * cand[k][4]
+            pick = k
+            if not bland:
+                # Among the ties at this breakpoint that can take what is left
+                # of the violation, the largest pivot; then the lowest column.
+                t_k, best = cand[k][0], cand[k][3]
+                for i in range(k + 1, len(cand)):
+                    t_i, _, a, a32, wd = cand[i]
+                    if t_i != t_k:
+                        break
+                    if a32 > best and a * wd - left >= -tol:
+                        pick, best = i, a32
+            t_snap, enter = cand[pick][0], cand[pick][1]
+            # The exact dual step: the entering column's breakpoint.
+            d_enter = float(-side[enter] * d[enter])
+            t_step = d_enter / cand[pick][2] if d_enter > dtol else 0.0
+
+            w = np.dot(Binv, WT[enter])
+            piv = float(w[r])
+            if abs(piv - float(alpha[enter])) > 1e-7 * (1.0 + abs(piv)):
+                # The pivot row and column disagree: the inverse has drifted.
+                if updates == 0:
+                    return _ST_NUMERIC, iters, None, None, Binv, updates
+                updates = _REFACTOR_EVERY
+                continue
+
+            if k:
+                flip = np.array([cand[i][1] for i in range(k)])
+                rise = side[flip] < 0.0
+                side[flip] = np.where(rise, 1.0, -1.0)
+                vstat[flip] = np.where(rise, _AT_UPPER, _AT_LOWER)
+                z[flip] = np.where(rise, up[flip], lo[flip])
+                step = np.where(rise, width[flip], -width[flip])
+                xB -= np.dot(Binv, np.dot(step, WT[flip]))
+
+            bound = float(loB[r] if to_lower else upB[r])
+            theta = (xB[r] - bound) / piv
+            xB -= theta * w
+            xB[r] = z[enter] + theta
+            out = basis[r]
+            vstat[out] = _AT_LOWER if to_lower else _AT_UPPER
+            side[out] = (-1.0 if to_lower else 1.0) if movable[out] else 0.0
+            z[out] = bound
+            z[enter] = 0.0
+            side[enter] = 0.0
+            loB[r] = lo[enter]
+            upB[r] = up[enter]
+            _replace_column(Binv, w, r)
+            basis[r] = enter
+            vstat[enter] = _BASIC
+            updates += 1
+            # The dual step moves the reduced costs along the pivot row.
+            d += (t_step if to_lower else -t_step) * alpha
+            d[enter] = 0.0
+
+            if t_snap == 0.0:
+                degen_run += 1
+                if degen_run > 100 + 2 * m:
+                    bland = True
+            else:
+                degen_run = 0
+                bland = False
+            iters += 1
+
+        return _ST_ITER, iters, None, None, Binv, updates
+
+    def _proves_infeasible(self, rho, alpha, lo, up) -> bool:
+        """Farkas check: every solution of ``W x = b`` has ``alpha . x = rho . b``
+        with ``alpha = rho W``; true if no x within the bounds reaches it."""
+        j = np.flatnonzero(np.abs(alpha) > _PIVOT_EPS)
+        g = alpha[j]
+        low = np.where(g > 0.0, g * lo[j], g * up[j]).sum()
+        high = np.where(g > 0.0, g * up[j], g * lo[j]).sum()
+        target = float(np.dot(rho, self.b))
+        return target < low - _FTOL or target > high + _FTOL
 
     def _verify(self, x: np.ndarray, lo: np.ndarray, up: np.ndarray) -> None:
         """Never report a wrong OPTIMAL: bounds within 1e-9, rows within 1e-7."""

@@ -53,11 +53,16 @@ BENCH_COLLECT = dict(
 
 class TestCollect:
     @pytest.mark.parametrize("seed, kept, digest", [
-        (2, True, "6cdebfd8e7f0899a7b9d75f080a50807429b5ba7198343b53e0f5a65a20f6173"),
-        (3, True, "5ba8323cf9957e4a9a1e7d79641f4345e3b92d41217c0d9b5a2ca90cdfa54523"),
+        pytest.param(
+            2, True, "34066f08fc8f9257568439079fa2f1a942ec31b67211d64b709d411cca85f19e", id="2-True"
+        ),
+        pytest.param(
+            3, True, "9a4250a7622d14e716d2d4e40912c093538bb12f3f2c9cea882fe46715144555", id="3-True"
+        ),
     ])
     def test_collect_one_output_is_pinned(self, tmp_path, seed, kept, digest):
-        """Record and manifest entry as collected before LP solves were memoized."""
+        """Record and manifest entry as collected when warm LP solves moved to
+        the dual kernel."""
         write_gisp_dir(tmp_path, [seed], nodes=25)
         record, entry = collect_one(
             tmp_path / f"gisp_n25_s{seed}.bdmilp", seed, CollectConfig(**BENCH_COLLECT)

@@ -198,16 +198,18 @@ def test_verify_names_the_first_violated_row():
     ws._verify(np.array([0.0, 0.5]), np.zeros(2), np.ones(2))
 
 
-# Root LP and capped branch and bound of one small instance per generator,
-# recorded before the kernel was vectorized: any change to the pivot path
-# shows up as a different iteration count, objective bit pattern or node count.
+# Root LP and capped branch and bound of one small instance per generator.
+# The root entries were recorded before the kernel was vectorized and the node
+# counts when warm solves moved to the dual kernel: any change to the pivot
+# path shows up as a different iteration count, objective bit pattern or node
+# count.
 PIVOT_PATH_CORPUS = [
     (lambda: gen_gisp(nodes=25, seed=2), 200,
-     (42, "-0x1.3880000000000p+10", 53)),
+     (42, "-0x1.3880000000000p+10", 51)),
     (lambda: gen_setcover(n_elements=40, n_sets=80, density=0.06, seed=0), 200,
-     (49, "0x1.8f0f0f0f0f0f2p+3", 35)),
+     (49, "0x1.8f0f0f0f0f0f2p+3", 25)),
     (lambda: gen_combinatorial_auction(items=15, bids=60, seed=2), 200,
-     (31, "-0x1.24f6a5982c0fbp+3", 77)),
+     (31, "-0x1.24f6a5982c0fbp+3", 59)),
     (lambda: gen_mis(nodes=80, avg_degree=5.0, seed=0), 60,
      (127, "-0x1.4000000000000p+5", 60)),
     (lambda: gen_facility_location(facilities=8, customers=12, seed=0), 200,
@@ -394,24 +396,148 @@ def test_memo_hit_arrays_are_read_only():
 
 
 def test_singular_warm_start_retried_cold_leaves_inverse_slot_empty():
+    """A singular start basis is retried cold and leaves no inverse behind."""
     inst = gen_gisp(nodes=12, seed=1)
     lp = lp_relaxation(inst)
     ws = LpWorkspace(lp)
     root = ws.solve()
     lo, up = fixed_child(inst, root)
     good = ws.solve(lower=lo, upper=up, start=(root.vstat, root.basis))
-    assert ws._inv_slot[0] == root.basis.tobytes()
+    assert ws.inverse_hits == 1 and ws.inversions == 0
     basis = root.basis.copy()
     basis[1] = basis[0]
     sol = ws.solve(lower=lo, upper=up, start=(root.vstat, basis))
     assert ws.cold_retries == 1
-    assert ws._inv_slot is None
+    assert basis.tobytes() not in ws._inverses
     cold = LpWorkspace(lp).solve(lower=lo, upper=up)
     assert sol.status == cold.status == OPTIMAL
     assert (sol.iterations, sol.objective.hex()) == (cold.iterations, cold.objective.hex())
     assert sol.objective.hex() == good.objective.hex()
-    # The next warm start recomputes its inverse and gives the same answer.
+    # Without kept inverses the next warm start inverts afresh and gives the same answer.
     ws._memo.clear()
+    ws._inverses.clear()
     again = ws.solve(lower=lo, upper=up, start=(root.vstat, root.basis))
-    assert ws._inv_slot[0] == root.basis.tobytes()
+    assert ws.inversions == 2 and root.basis.tobytes() in ws._inverses
     assert (again.iterations, again.x.tobytes()) == (good.iterations, good.x.tobytes())
+
+
+WARM_CORPUS = [
+    (lambda: gen_gisp(nodes=25, seed=3), 60),
+    (lambda: gen_setcover(n_elements=40, n_sets=80, density=0.06, seed=2), 60),
+    (lambda: gen_combinatorial_auction(items=15, bids=60, seed=2), 60),
+    (lambda: gen_mis(nodes=60, avg_degree=5.0, seed=1), 60),
+    (lambda: gen_facility_location(facilities=8, customers=12, seed=0), 60),
+]
+
+
+@pytest.mark.parametrize("make, cap", WARM_CORPUS)
+def test_warm_dual_solve_matches_cold_solve_on_every_node(make, cap):
+    inst = make()
+    lp = lp_relaxation(inst)
+    ws = LpWorkspace(lp)
+    calls = recording(ws)
+    solve_bnb(inst, BnbConfig(node_limit=cap), workspace=ws)
+    warm = [c for c in calls if c[2] is not None]
+    assert len(warm) > 10 and ws.dual_runs == len(warm) - ws.memo_hits
+    assert ws.cold_retries == 0
+    for lower, upper, _, _, got in warm:
+        want = LpWorkspace(lp).solve(lower=lower, upper=upper)
+        assert got.status == want.status
+        if want.status == OPTIMAL:
+            assert got.objective == pytest.approx(want.objective, abs=1e-9)
+
+
+def infeasible_child():
+    """Root LP x0 = x1 = 0.75; fixing x0 to 0 leaves x1 >= 1.5, out of reach."""
+    inst = make_instance(
+        "inf", [1.0, 1.0], [[(0, 1.0), (1, 1.0)]], [1.5], ["GE"],
+        [0.0, 0.0], [1.0, 1.0], [0, 1],
+    )
+    ws = LpWorkspace(lp_relaxation(inst))
+    root = ws.solve()
+    lo = np.zeros(2)
+    up = np.ones(2)
+    up[int(np.argmax(root.x))] = 0.0
+    return ws, root, lo, up
+
+
+def test_dual_infeasible_verdict_is_proven_by_the_pivot_row():
+    ws, root, lo, up = infeasible_child()
+    proofs = []
+    check = ws._proves_infeasible
+
+    def recorded(*args):
+        proofs.append(check(*args))
+        return proofs[-1]
+
+    ws._proves_infeasible = recorded
+    sol = ws.solve(lower=lo, upper=up, start=(root.vstat, root.basis))
+    assert sol.status == INFEASIBLE
+    assert proofs == [True] and ws.cold_retries == 0 and ws.dual_runs == 1
+
+
+def test_unproven_infeasible_verdict_is_rechecked_cold():
+    ws, root, lo, up = infeasible_child()
+    ws._proves_infeasible = lambda *args: False
+    sol = ws.solve(lower=lo, upper=up, start=(root.vstat, root.basis))
+    assert sol.status == INFEASIBLE
+    assert ws.cold_retries == 1 and ws.kernel_runs == 3
+
+
+def test_forced_dual_failure_is_retried_cold_and_counted(monkeypatch):
+    inst = gen_gisp(nodes=12, seed=1)
+    lp = lp_relaxation(inst)
+    ws = LpWorkspace(lp)
+    root = ws.solve()
+    lo, up = fixed_child(inst, root)
+    monkeypatch.setattr(
+        LpWorkspace, "_dual", lambda self, *args: (simplex._ST_NUMERIC, 0, None, None, None, 0)
+    )
+    sol = ws.solve(lower=lo, upper=up, start=(root.vstat, root.basis))
+    cold = LpWorkspace(lp).solve(lower=lo, upper=up)
+    assert (ws.cold_retries, ws.dual_runs, ws.kernel_runs) == (1, 1, 3)
+    assert (sol.status, sol.iterations, sol.x.tobytes()) == (cold.status, cold.iterations, cold.x.tobytes())
+
+
+def test_carried_inverse_is_refactorized(monkeypatch):
+    inst = gen_gisp(nodes=12, seed=1)
+    lp = lp_relaxation(inst)
+    ws = LpWorkspace(lp)
+    root = ws.solve()
+    _, carried = ws._inverses[root.basis.tobytes()]
+    assert carried == root.iterations > 0 and ws.inversions == 0
+    monkeypatch.setattr(simplex, "_REFACTOR_EVERY", carried)
+    lo, up = fixed_child(inst, root)
+    child = ws.solve(lower=lo, upper=up, start=(root.vstat, root.basis))
+    # The kept inverse was used, then rebuilt before its first pivot.
+    assert ws.inverse_hits == 1 and ws.inversions == 1
+    assert ws._inverses[child.basis.tobytes()][1] == child.iterations < carried
+    want = LpWorkspace(lp).solve(lower=lo, upper=up, start=(root.vstat, root.basis))
+    assert (child.iterations, child.x.tobytes()) == (want.iterations, want.x.tobytes())
+
+
+def test_workspace_keeps_two_inverses():
+    inst = gen_gisp(nodes=20, seed=4)
+    ws = LpWorkspace(lp_relaxation(inst))
+    solve_bnb(inst, BnbConfig(node_limit=30), workspace=ws)
+    assert len(ws._inverses) == simplex._INVERSES_KEPT == 2
+    for key, (Binv, _) in ws._inverses.items():
+        basis = np.frombuffer(key, dtype=np.int64)
+        np.testing.assert_allclose(Binv @ ws.WT[basis].T, np.eye(ws.m), atol=1e-9)
+
+
+def test_solve_counters_are_pinned():
+    inst = gen_setcover(n_elements=20, n_sets=40, density=0.1, seed=0)
+    ws = LpWorkspace(lp_relaxation(inst))
+    res = solve_bnb(inst, workspace=ws)
+    assert (res.status, res.nodes_processed) == ("OPTIMAL", 6)
+    # The cold root takes 28 primal pivots (21 in phase 1); the five warm
+    # children take 15 dual pivots and one inversion between them.
+    assert ws.counters() == {
+        "memo_hits": 0, "cold_retries": 0, "kernel_runs": 6, "dual_runs": 5,
+        "pivots": 43, "phase1_pivots": 21, "dual_pivots": 15, "inversions": 1,
+        "inverse_hits": 4,
+    }
+    again = solve_bnb(inst, BnbConfig(node_limit=5), workspace=ws)
+    assert again.nodes_processed == 5
+    assert ws.memo_hits == 5 and ws.kernel_runs == 6
