@@ -19,11 +19,18 @@ from .autodiff import Tensor
 
 
 def membership_matrix(samples: Sequence[Iterable[int]], num_vars: int) -> np.ndarray:
-    """Stack 0/1 indicator rows, one per sample."""
+    """Stack 0/1 indicator rows, one per sample.
+
+    Raises ``ValueError`` for an index outside ``[0, num_vars)``; a negative
+    one would otherwise wrap around to the end of the row.
+    """
     M = np.zeros((len(samples), num_vars))
     for r, sample in enumerate(samples):
         for j in sample:
-            M[r, int(j)] = 1.0
+            j = int(j)
+            if not 0 <= j < num_vars:
+                raise ValueError(f"sample {r}: variable index {j} outside [0, {num_vars})")
+            M[r, j] = 1.0
     return M
 
 

@@ -13,6 +13,14 @@ The edge terms depend on an edge's feature row only, so the edge MLP and
 each round's edge logit run once per distinct (bit-equal) edge-feature row
 and are gathered back to the edges; MILP graphs tend to repeat a few
 coefficient values over many edges.
+
+Messages are aggregated densely: each round scatters its edge weights into
+an (H, receivers, senders) block and multiplies it by the sender
+transforms, so the backward pass is two matmuls and one ``take``.  The
+block holds ``H * R * S`` floats per round (0.3 MB on GISP-25 at H=8).  This
+beats per-edge gathers and segment sums while enough of the block is
+filled: per training sample it measured faster on every generator family
+up to GISP-60 (1.2% of cells hold an edge) and slower on GISP-90 (0.6%).
 """
 
 from __future__ import annotations
@@ -116,6 +124,13 @@ def _attention_round(
     ``recv`` and ``send`` map each edge to its receiver and sender, and
     ``edge_row`` maps it to its row of ``edge_emb``, which holds one
     embedding per distinct edge-feature row.
+
+    The neighbor messages are ``block @ Ts``, where ``block`` is the dense
+    ``(H, R, S)`` attention matrix with each edge's weight summed into its
+    (receiver, sender) cell, so a repeated pair adds up as separate edges
+    would.  It costs ``H * R * S`` floats, forward and backward; its cells are
+    mostly zero on large sparse graphs, which is where the dense form stops
+    paying (GISP-90).
     """
     Tr = ad.matmul(recv_emb, theta_recv)  # (H, R, L)
     Ts = ad.matmul(send_emb, theta_send)  # (H, S, L)
@@ -149,8 +164,10 @@ def _attention_round(
     alpha_self = ad.div(exp_self, denom)  # (H, R)
     alpha_edge = ad.div(exp_edge, ad.gather(denom, recv, axis=1))  # (H, E)
 
-    messages = ad.mul(ad.gather(Ts, send, axis=1), ad.reshape(alpha_edge, (H, -1, 1)))
-    agg = ad.segment_sum(messages, recv, recv.size, axis=1)  # (H, R, L)
+    R, S = recv.size, send.size
+    pair = ad.SegmentIndex(recv.index * S + send.index, R * S)  # each edge's (recv, send) cell
+    block = ad.reshape(ad.segment_sum(alpha_edge, pair, R * S, axis=1), (H, R, S))
+    agg = ad.matmul(block, Ts)  # (H, R, L)
     self_msg = ad.mul(Tr, ad.reshape(alpha_self, (H, -1, 1)))
     new_emb = ad.tmean(ad.add(self_msg, agg), axis=0)  # (R, L)
     record = AttentionRecord(
@@ -214,6 +231,8 @@ def greedy_select(scores: np.ndarray, binary_mask: np.ndarray, K: int) -> Backdo
     """The K highest-scoring binary variables; ties go to the lowest index."""
     scores = np.asarray(scores, dtype=float).reshape(-1)
     binary = np.flatnonzero(np.asarray(binary_mask, dtype=bool))
+    if K < 1:
+        raise ValueError(f"K={K} must be at least 1")
     if K > binary.size:
         raise ValueError(f"K={K} exceeds the {binary.size} binary variables")
     order = sorted(binary.tolist(), key=lambda j: (-scores[j], j))

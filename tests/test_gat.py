@@ -154,6 +154,16 @@ def all_distinct_graph():
     return dataclasses.replace(mis, edge_feats=feats)
 
 
+def repeated_pair_graph():
+    """MIS graph plus a second (constraint, variable) edge on its first pair, with its own feature."""
+    mis = graph_of(gen_mis(nodes=12, avg_degree=3.0, seed=2))
+    return dataclasses.replace(
+        mis,
+        edges=np.vstack([mis.edges, mis.edges[:1]]),
+        edge_feats=np.vstack([mis.edge_feats, [[0.5]]]),
+    )
+
+
 # name: (graph builder, distinct edge-feature rows)
 EDGE_CASES = {
     "gisp25": (lambda: graph_of(gen_gisp(nodes=25, seed=0)), 2),
@@ -162,6 +172,14 @@ EDGE_CASES = {
     "one_edge": (
         lambda: graph_of(make_instance("one", [-1.0], [[(0, 2.0)]], [1.0], ["LE"], [0.0], [1.0], [0])),
         1,
+    ),
+    "repeated_pair": (repeated_pair_graph, 2),
+    "isolated_nodes": (  # variable 1 and constraint 1 have no edges
+        lambda: graph_of(make_instance(
+            "iso", [-1.0, 1.0, -2.0], [[(0, 1.0), (2, 3.0)], []], [1.0, 0.0], ["LE", "LE"],
+            [0, 0, 0], [1, 1, 1], [0, 1, 2],
+        )),
+        2,
     ),
     "edgeless": (
         lambda: graph_of(make_instance("free", [-1.0, 1.0], [], [], [], [0, 0], [1, 1], [0, 1])),
@@ -226,6 +244,11 @@ class TestGreedySelect:
     def test_k_too_large(self):
         with pytest.raises(ValueError):
             greedy_select(np.ones(3), np.ones(3, dtype=bool), 4)
+
+    @pytest.mark.parametrize("K", [0, -1])
+    def test_k_below_one(self, K):
+        with pytest.raises(ValueError, match="at least 1"):
+            greedy_select(np.ones(4), np.ones(4, dtype=bool), K)
 
 
 class TestCheckpoint:

@@ -12,6 +12,14 @@ def test_membership_matrix():
     np.testing.assert_array_equal(M, [[1, 0, 1, 0], [0, 1, 0, 0]])
 
 
+@pytest.mark.parametrize("bad", [-1, 4])
+def test_membership_matrix_rejects_out_of_range_index(bad):
+    with pytest.raises(ValueError, match=f"index {bad} outside"):
+        membership_matrix([(0, bad)], 4)
+    with pytest.raises(ValueError, match=f"index {bad} outside"):
+        infonce_loss(np.zeros(4), [(0, bad)], [(1,)])
+
+
 def test_empty_negatives_is_exactly_zero():
     scores = np.array([0.9, 0.2, 0.7])
     assert infonce_loss(scores, [(0,), (1, 2)], []) == 0.0
