@@ -32,6 +32,7 @@ stay finite.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -61,6 +62,16 @@ class BipartiteGraph:
     @property
     def num_cons(self) -> int:
         return self.cons_feats.shape[0]
+
+    @cached_property
+    def node_classes(self):
+        """The attention model's node classes (``gnn.model.NodeClasses``), built once per graph.
+
+        The arrays above must not be changed in place after this is first read.
+        """
+        from .gnn.model import NodeClasses  # the gnn package imports this module
+
+        return NodeClasses.of(self)
 
 
 def _guard(norm: float) -> float:

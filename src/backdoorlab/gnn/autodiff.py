@@ -185,6 +185,12 @@ def div(a, b) -> Tensor:
     return out
 
 
+def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``x @ y``; with a contracted size of 1 it is an outer product, done as a
+    broadcast multiply (the same values) rather than a stacked gemm."""
+    return x * y if x.shape[-1] == 1 else np.matmul(x, y)
+
+
 def matmul(a, b) -> Tensor:
     """np.matmul semantics for 2-D and leading-axis-stacked operands."""
     a, b = _t(a), _t(b)
@@ -192,9 +198,9 @@ def matmul(a, b) -> Tensor:
 
     def bw(g):
         if a.requires_grad:
-            _acc(a, _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.data.shape))
+            _acc(a, _unbroadcast(_product(g, np.swapaxes(b.data, -1, -2)), a.data.shape))
         if b.requires_grad:
-            _acc(b, _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.data.shape))
+            _acc(b, _unbroadcast(_product(np.swapaxes(a.data, -1, -2), g), b.data.shape))
 
     out._bw = bw
     return out
@@ -221,7 +227,7 @@ def leaky_relu(a, slope: float = 0.2) -> Tensor:
     out = Tensor(np.maximum(a.data, slope * a.data), (a,))
 
     def bw(g):
-        _acc(a, g * np.where(mask, 1.0, slope))
+        _acc(a, g * (mask * (1.0 - slope) + slope))  # 1 or slope, without np.where
 
     out._bw = bw
     return out

@@ -9,18 +9,24 @@ theta_edge e])`` (the self logit reuses the receiver transform in the sender
 slot and a zero edge slot).  A final MLP plus sigmoid yields one score in
 (0, 1) per variable.
 
-The edge terms depend on an edge's feature row only, so the edge MLP and
-each round's edge logit run once per distinct (bit-equal) edge-feature row
-and are gathered back to the edges; MILP graphs tend to repeat a few
-coefficient values over many edges.
+The model runs once per class of nodes it cannot tell apart, not once per
+node (``NodeClasses``, built once per graph).  The embedding MLPs run on the
+distinct (bit-equal) feature rows.  Round 1 runs for one representative
+constraint per class, where a class is a constraint row plus the multiset
+of (variable row, edge row) over its edges; round 2 runs for one
+representative variable per class, where a class is a variable row plus the
+multiset of (round-1 class, edge row).  A message-passing network gives
+every member of such a class the same output (two steps of colour
+refinement), so the scores are gathered back to all variables and the cost
+per sample scales with classes rather than nodes.  MILP graphs are highly
+symmetric: over 60 GISP-25 graphs, 1.1% of the constraint rows and 22% of
+the variable rows are distinct, and round 1 runs for 47% of the
+constraints, round 2 for 85% of the variables.
 
 Messages are aggregated densely: each round scatters its edge weights into
-an (H, receivers, senders) block and multiplies it by the sender
-transforms, so the backward pass is two matmuls and one ``take``.  The
-block holds ``H * R * S`` floats per round (0.3 MB on GISP-25 at H=8).  This
-beats per-edge gathers and segment sums while enough of the block is
-filled: per training sample it measured faster on every generator family
-up to GISP-60 (1.2% of cells hold an edge) and slower on GISP-90 (0.6%).
+an (H, receiver classes, sender classes) block and multiplies it by the
+sender transforms, so the backward pass is two matmuls and one ``take``.
+On GISP-25 at H=8 the two blocks hold about 20,000 floats together.
 """
 
 from __future__ import annotations
@@ -60,6 +66,22 @@ def _glorot(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
     return rng.uniform(-limit, limit, size=shape)
 
 
+def _layout(L: int, H: int, hidden: int) -> dict[str, tuple[int, ...]]:
+    """Every parameter's name and shape, in initialization order."""
+    shapes: dict[str, tuple[int, ...]] = {}
+    for tag, width in (("var", NUM_VAR_FEATURES), ("cons", NUM_CONS_FEATURES), ("edge", NUM_EDGE_FEATURES)):
+        shapes[f"emb_{tag}_w1"] = (width, hidden)
+        shapes[f"emb_{tag}_b1"] = (hidden,)
+        shapes[f"emb_{tag}_w2"] = (hidden, L)
+        shapes[f"emb_{tag}_b2"] = (L,)
+    for rnd in (1, 2):
+        for part in ("c", "v", "e"):
+            shapes[f"att{rnd}_theta_{part}"] = (H, L, L)
+        shapes[f"att{rnd}_w"] = (H, 3 * L)
+    shapes.update(out_w1=(L, hidden), out_b1=(hidden,), out_w2=(hidden, 1), out_b2=(1,))
+    return shapes
+
+
 @dataclass
 class GatParameters:
     """All learnable arrays, keyed by name in a fixed order."""
@@ -74,21 +96,14 @@ class GatParameters:
         """Seeded glorot-uniform weights, zero biases; draw order = key order."""
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
         p = cls(L=L, H=H, hidden=hidden)
-        a = p.arrays
-        for tag, width in (("var", NUM_VAR_FEATURES), ("cons", NUM_CONS_FEATURES), ("edge", NUM_EDGE_FEATURES)):
-            a[f"emb_{tag}_w1"] = _glorot(rng, (width, hidden))
-            a[f"emb_{tag}_b1"] = np.zeros(hidden)
-            a[f"emb_{tag}_w2"] = _glorot(rng, (hidden, L))
-            a[f"emb_{tag}_b2"] = np.zeros(L)
         w_limit = np.sqrt(6.0 / (3 * L + 1))
-        for rnd in (1, 2):
-            for part in ("c", "v", "e"):
-                a[f"att{rnd}_theta_{part}"] = _glorot(rng, (H, L, L))
-            a[f"att{rnd}_w"] = rng.uniform(-w_limit, w_limit, size=(H, 3 * L))
-        a["out_w1"] = _glorot(rng, (L, hidden))
-        a["out_b1"] = np.zeros(hidden)
-        a["out_w2"] = _glorot(rng, (hidden, 1))
-        a["out_b2"] = np.zeros(1)
+        for name, shape in _layout(L, H, hidden).items():
+            if len(shape) == 1:  # biases
+                p.arrays[name] = np.zeros(shape)
+            elif name in ("att1_w", "att2_w"):
+                p.arrays[name] = rng.uniform(-w_limit, w_limit, size=shape)
+            else:
+                p.arrays[name] = _glorot(rng, shape)
         return p
 
     def tensors(self) -> dict[str, Tensor]:
@@ -114,25 +129,134 @@ def _mlp(x, w1, b1, w2, b2) -> Tensor:
     return ad.add(ad.matmul(ad.relu(ad.add(ad.matmul(x, w1), b1)), w2), b2)
 
 
-def _attention_round(
-    recv_emb, send_emb, edge_emb, theta_recv, theta_send, theta_edge, w,
-    recv: ad.SegmentIndex, send: ad.SegmentIndex, edge_row: ad.SegmentIndex,
-    H: int, L: int,
-):
-    """One message-passing round; returns (new receiver embeddings, record).
+def _row_classes(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's class among the bit-equal rows of ``x``, and each class's first row.
 
-    ``recv`` and ``send`` map each edge to its receiver and sender, and
-    ``edge_row`` maps it to its row of ``edge_emb``, which holds one
-    embedding per distinct edge-feature row.
+    Rows are compared exactly, as bytes.  Classes are numbered in the order
+    of their first rows, so all-distinct rows get classes ``0 .. len(x) - 1``.
+    """
+    x = np.ascontiguousarray(x)
+    keys = x.view(np.dtype((np.void, x.itemsize * x.shape[1]))).reshape(-1)
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return rank[inverse.reshape(-1)], first[order]
+
+
+@dataclass(frozen=True)
+class _Round:
+    """One round's receivers grouped into classes; each class runs through one representative.
+
+    The round's edges are the representatives' edges, class by class, each
+    representative's sorted by (sender, edge row).
+    """
+
+    own: ad.SegmentIndex | None  # class -> its receivers' own row; None when that is the identity
+    recv: ad.SegmentIndex  # round edge -> receiver class
+    send: ad.SegmentIndex  # round edge -> sender
+    edge_row: ad.SegmentIndex  # round edge -> distinct edge-feature row
+    pair: ad.SegmentIndex  # round edge -> its (receiver, sender) cell of the dense block
+    node_class: np.ndarray  # each receiver node's class
+    edge_slot: np.ndarray  # each graph edge's round edge: the same position in its representative
+
+
+def _refine(own, num_own, recv, send, num_send, edge_row, num_rows) -> _Round:
+    """Group receivers by their own row and the sorted multiset of their edges' (sender, edge row).
+
+    ``own`` holds each receiver's own-row class; ``recv``, ``send`` and
+    ``edge_row`` hold each graph edge's receiver, sender class and edge-row
+    class.  The sorted multisets are padded with -1 into one integer row per
+    receiver and compared exactly.
+    """
+    N, E = own.size, recv.size
+    code = send * num_rows + edge_row  # orders edges by (sender, edge row)
+    order = np.lexsort((code, recv))
+    ranked = recv[order]
+    deg = np.bincount(recv, minlength=N)
+    start = np.cumsum(deg) - deg
+    pos = np.arange(E) - start[ranked]  # each sorted edge's position among its receiver's
+    sig = np.full((N, 1 + deg.max(initial=0)), -1, dtype=np.int64)
+    sig[:, 0] = own
+    sig[ranked, 1 + pos] = code[order]
+    node_class, reps = _row_classes(sig)
+    K = reps.size
+    counts = deg[reps]
+    offset = np.cumsum(counts) - counts
+    rep_recv = np.repeat(np.arange(K), counts)
+    picked = order[start[reps][rep_recv] + np.arange(rep_recv.size) - offset[rep_recv]]
+    edge_slot = np.empty(E, dtype=np.int64)
+    edge_slot[order] = offset[node_class[ranked]] + pos
+    return _Round(
+        own=None if K == num_own else ad.SegmentIndex(own[reps], num_own),
+        recv=ad.SegmentIndex(rep_recv, K),
+        send=ad.SegmentIndex(send[picked], num_send),
+        edge_row=ad.SegmentIndex(edge_row[picked], num_rows),
+        pair=ad.SegmentIndex(rep_recv * num_send + send[picked], K * num_send),
+        node_class=node_class,
+        edge_slot=edge_slot,
+    )
+
+
+@dataclass(frozen=True)
+class NodeClasses:
+    """The graph's nodes grouped into classes that the attention model cannot tell apart.
+
+    Inputs are the distinct (bit-equal) feature rows.  A round-1 class is a
+    constraint row plus the multiset of (variable row, edge row) over the
+    constraint's edges; a round-2 class is a variable row plus the multiset
+    of (round-1 class, edge row).  This is two steps of colour refinement,
+    and the model gives every member of a class the same output.  Built
+    once per graph, as ``BipartiteGraph.node_classes``.
+    """
+
+    var_rows: np.ndarray  # distinct variable-feature rows
+    cons_rows: np.ndarray  # distinct constraint-feature rows
+    edge_rows: np.ndarray  # distinct edge-feature rows
+    round1: _Round  # constraints, with the variable rows as senders
+    round2: _Round  # variables, with the round-1 classes as senders
+    var_class: ad.SegmentIndex | None  # variable -> round-2 class; None when that is the identity
+
+    @classmethod
+    def of(cls, graph: BipartiteGraph) -> "NodeClasses":
+        edges = graph.edges.astype(np.int64).reshape(-1, 2)
+        var_feats = np.asarray(graph.var_feats, dtype=np.float64)
+        cons_feats = np.asarray(graph.cons_feats, dtype=np.float64)
+        edge_feats = np.asarray(graph.edge_feats, dtype=np.float64).reshape(-1, NUM_EDGE_FEATURES)
+        var_row, var_first = _row_classes(var_feats)
+        cons_row, cons_first = _row_classes(cons_feats)
+        edge_row, edge_first = _row_classes(edge_feats)
+        Uv, Ue = var_first.size, edge_first.size
+        round1 = _refine(cons_row, cons_first.size, edges[:, 0], var_row[edges[:, 1]], Uv, edge_row, Ue)
+        K1 = round1.recv.size
+        round2 = _refine(var_row, Uv, edges[:, 1], round1.node_class[edges[:, 0]], K1, edge_row, Ue)
+        K2 = round2.recv.size
+        return cls(
+            var_rows=var_feats[var_first],
+            cons_rows=cons_feats[cons_first],
+            edge_rows=edge_feats[edge_first],
+            round1=round1,
+            round2=round2,
+            var_class=None if K2 == graph.num_vars else ad.SegmentIndex(round2.node_class, K2),
+        )
+
+
+def _attention_round(
+    recv_emb, send_emb, edge_emb, theta_recv, theta_send, theta_edge, w, rnd: _Round, H: int, L: int
+):
+    """One message-passing round over receiver classes; returns (new class embeddings, weights).
+
+    ``recv_emb`` holds one embedding per distinct own row of the receivers,
+    ``send_emb`` one per sender and ``edge_emb`` one per distinct edge row;
+    ``rnd`` maps them to the round's classes and edges.  The weights are the
+    ``(H, classes)`` self and ``(H, round edges)`` edge softmax weights.
 
     The neighbor messages are ``block @ Ts``, where ``block`` is the dense
-    ``(H, R, S)`` attention matrix with each edge's weight summed into its
-    (receiver, sender) cell, so a repeated pair adds up as separate edges
-    would.  It costs ``H * R * S`` floats, forward and backward; its cells are
-    mostly zero on large sparse graphs, which is where the dense form stops
-    paying (GISP-90).
+    ``(H, K, S)`` attention matrix with each edge's weight summed into its
+    (receiver class, sender) cell, so a repeated pair adds up as separate
+    edges would.  It costs ``H * K * S`` floats, forward and backward.
     """
-    Tr = ad.matmul(recv_emb, theta_recv)  # (H, R, L)
+    Tr = ad.matmul(recv_emb, theta_recv)  # (H, own rows, L)
     Ts = ad.matmul(send_emb, theta_send)  # (H, S, L)
     Te = ad.matmul(edge_emb, theta_edge)  # (H, U, L), U distinct edge rows
     wa, wb, wc = (
@@ -145,15 +269,16 @@ def _attention_round(
         return ad.reshape(ad.matmul(x, w_part), (H, -1))
 
     t_recv = logit(leaky_recv, wa)
+    self_logit = ad.add(t_recv, logit(leaky_recv, wb))
+    if rnd.own is not None:  # from own rows to receiver classes
+        Tr, t_recv, self_logit = (ad.gather(x, rnd.own, axis=1) for x in (Tr, t_recv, self_logit))
     t_send = logit(ad.leaky_relu(Ts, LEAKY_SLOPE), wb)
-    t_edge = ad.gather(logit(ad.leaky_relu(Te, LEAKY_SLOPE), wc), edge_row, axis=1)  # (H, E)
-    t_self = logit(leaky_recv, wb)
-
+    t_edge = ad.gather(logit(ad.leaky_relu(Te, LEAKY_SLOPE), wc), rnd.edge_row, axis=1)
+    recv = rnd.recv
     edge_logit = ad.add(
-        ad.add(ad.gather(t_recv, recv, axis=1), ad.gather(t_send, send, axis=1)),
+        ad.add(ad.gather(t_recv, recv, axis=1), ad.gather(t_send, rnd.send, axis=1)),
         t_edge,
     )  # (H, E)
-    self_logit = ad.add(t_recv, t_self)  # (H, R)
 
     # Detached per-neighborhood max keeps the softmax finite; the softmax is
     # shift invariant so this constant carries no gradient.
@@ -161,19 +286,25 @@ def _attention_round(
     exp_self = ad.exp(ad.sub(self_logit, mx))
     exp_edge = ad.exp(ad.sub(edge_logit, np.take(mx, recv.index, axis=1)))
     denom = ad.add(exp_self, ad.segment_sum(exp_edge, recv, recv.size, axis=1))
-    alpha_self = ad.div(exp_self, denom)  # (H, R)
+    alpha_self = ad.div(exp_self, denom)  # (H, K)
     alpha_edge = ad.div(exp_edge, ad.gather(denom, recv, axis=1))  # (H, E)
 
-    R, S = recv.size, send.size
-    pair = ad.SegmentIndex(recv.index * S + send.index, R * S)  # each edge's (recv, send) cell
-    block = ad.reshape(ad.segment_sum(alpha_edge, pair, R * S, axis=1), (H, R, S))
-    agg = ad.matmul(block, Ts)  # (H, R, L)
+    K, S = recv.size, rnd.send.size
+    block = ad.reshape(ad.segment_sum(alpha_edge, rnd.pair, K * S, axis=1), (H, K, S))
+    agg = ad.matmul(block, Ts)  # (H, K, L)
     self_msg = ad.mul(Tr, ad.reshape(alpha_self, (H, -1, 1)))
-    new_emb = ad.tmean(ad.add(self_msg, agg), axis=0)  # (R, L)
-    record = AttentionRecord(
-        alpha_self=alpha_self.data, alpha_edge=alpha_edge.data, receiver_of_edge=recv.index
+    new_emb = ad.tmean(ad.add(self_msg, agg), axis=0)  # (K, L)
+    return new_emb, (alpha_self.data, alpha_edge.data)
+
+
+def _record(weights, rnd: _Round, receiver_of_edge: np.ndarray) -> AttentionRecord:
+    """Per-class weights expanded to every receiver and every graph edge."""
+    alpha_self, alpha_edge = weights
+    return AttentionRecord(
+        alpha_self=alpha_self[:, rnd.node_class],
+        alpha_edge=alpha_edge[:, rnd.edge_slot],
+        receiver_of_edge=receiver_of_edge,
     )
-    return new_emb, record
 
 
 def score_graph(
@@ -182,36 +313,39 @@ def score_graph(
     """Differentiable forward pass; returns (scores Tensor (n, 1), records).
 
     The graph's features enter as constants, so only parameters get gradients.
+    Each round runs once per node class (``graph.node_classes``) and the
+    scores are gathered back to every variable.
     """
     a = params_t
     H = a["att1_theta_c"].shape[0]
     L = a["att1_theta_c"].shape[1]
-    n, m = graph.num_vars, graph.num_cons
-    edges = graph.edges.astype(np.int64).reshape(-1, 2)
-    cons = ad.SegmentIndex(edges[:, 0], m)  # each edge's constraint
-    vars_ = ad.SegmentIndex(edges[:, 1], n)  # each edge's variable
-    feats = np.ascontiguousarray(graph.edge_feats, dtype=np.float64).reshape(-1, NUM_EDGE_FEATURES)
-    keys = feats.view(np.dtype((np.void, feats.itemsize * feats.shape[1]))).reshape(-1)
-    _, first, row = np.unique(keys, return_index=True, return_inverse=True)
-    edge_row = ad.SegmentIndex(row, first.size)  # each edge's distinct row
+    nc = graph.node_classes
 
-    V1 = _mlp(graph.var_feats, a["emb_var_w1"], a["emb_var_b1"], a["emb_var_w2"], a["emb_var_b2"])
-    C1 = _mlp(graph.cons_feats, a["emb_cons_w1"], a["emb_cons_b1"], a["emb_cons_w2"], a["emb_cons_b2"])
-    E1 = _mlp(feats[first], a["emb_edge_w1"], a["emb_edge_b1"], a["emb_edge_w2"], a["emb_edge_b2"])
+    V1 = _mlp(nc.var_rows, a["emb_var_w1"], a["emb_var_b1"], a["emb_var_w2"], a["emb_var_b2"])
+    C1 = _mlp(nc.cons_rows, a["emb_cons_w1"], a["emb_cons_b1"], a["emb_cons_w2"], a["emb_cons_b2"])
+    E1 = _mlp(nc.edge_rows, a["emb_edge_w1"], a["emb_edge_b1"], a["emb_edge_w2"], a["emb_edge_b2"])
 
-    C2, rec1 = _attention_round(
+    C2, weights1 = _attention_round(
         C1, V1, E1,
         a["att1_theta_c"], a["att1_theta_v"], a["att1_theta_e"], a["att1_w"],
-        recv=cons, send=vars_, edge_row=edge_row, H=H, L=L,
-    )
-    V2, rec2 = _attention_round(
+        nc.round1, H=H, L=L,
+    )  # one row per round-1 class
+    V2, weights2 = _attention_round(
         V1, C2, E1,
         a["att2_theta_v"], a["att2_theta_c"], a["att2_theta_e"], a["att2_w"],
-        recv=vars_, send=cons, edge_row=edge_row, H=H, L=L,
-    )
-    logits = _mlp(V2, a["out_w1"], a["out_b1"], a["out_w2"], a["out_b2"])  # (n, 1)
+        nc.round2, H=H, L=L,
+    )  # one row per round-2 class
+    logits = _mlp(V2, a["out_w1"], a["out_b1"], a["out_w2"], a["out_b2"])
     scores = ad.sigmoid(logits)
-    records = [rec1, rec2] if collect_attention else None
+    if nc.var_class is not None:
+        scores = ad.gather(scores, nc.var_class, axis=0)  # (n, 1)
+    records = None
+    if collect_attention:
+        edges = graph.edges.astype(np.int64).reshape(-1, 2)
+        records = [
+            _record(weights1, nc.round1, edges[:, 0]),
+            _record(weights2, nc.round2, edges[:, 1]),
+        ]
     return scores, records
 
 
@@ -275,11 +409,30 @@ def load_model(path) -> GatParameters:
         header = json.loads(raw[hstart : hstart + hlen].decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ModelFormatError(f"corrupted checkpoint header: {exc}") from None
-    params = GatParameters(L=header["L"], H=header["H"], hidden=header["hidden"])
+    try:
+        L, H, hidden = (int(header[k]) for k in ("L", "H", "hidden"))
+        listed = {name: tuple(shape) for name, shape in header["arrays"]}
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ModelFormatError(f"corrupted checkpoint header: {exc!r}") from None
+    if len(listed) != len(header["arrays"]):
+        raise ModelFormatError("checkpoint lists an array twice")
+    if min(L, H, hidden) < 1:
+        raise ModelFormatError(f"checkpoint sizes L={L}, H={H}, hidden={hidden} must be positive")
+    expected = _layout(L, H, hidden)
+    for name in sorted(expected.keys() | listed.keys()):
+        if name not in listed:
+            raise ModelFormatError(f"checkpoint lacks array {name!r}")
+        if name not in expected:
+            raise ModelFormatError(f"checkpoint has unknown array {name!r}")
+        if listed[name] != expected[name]:
+            raise ModelFormatError(
+                f"checkpoint array {name!r} has shape {listed[name]}, expected {expected[name]}"
+            )
+    params = GatParameters(L=L, H=H, hidden=hidden)
     pos = hstart + hlen
-    for name, shape in header["arrays"]:
-        count = int(np.prod(shape)) if shape else 1
-        nbytes = 8 * count
+    for name in listed:  # the header's order is the data's order
+        shape = expected[name]
+        nbytes = 8 * int(np.prod(shape))
         if pos + nbytes > len(raw):
             raise ModelFormatError(f"truncated checkpoint: array {name!r} incomplete")
         arr = np.frombuffer(raw[pos : pos + nbytes], dtype="<f8").reshape(shape)

@@ -52,8 +52,9 @@ def batch_gradient(
     """Mean contrastive loss over ``batch`` and its gradient per parameter.
 
     Each sample's ``loss / len(batch)`` is back-propagated on its own and the
-    parameter gradients are summed, so only one sample's graph is alive at a
-    time.  Equal to the gradient of the batch mean up to float order.
+    parameter gradients are added into the totals in place, so only one
+    sample's graph is alive at a time.  Equal to the gradient of the batch
+    mean up to float order.
     """
     names = sorted(tensors)
     wrt = [tensors[k] for k in names]
@@ -63,12 +64,15 @@ def batch_gradient(
     for sample in batch:
         scores, _ = score_graph(tensors, sample.graph)
         term = ad.mul(infonce_loss(scores, sample.positives, sample.negatives, tau), scale)
-        gs = ad.grad(term, wrt)
+        for p in wrt:
+            p.grad = None
+        term.backward()
         if total:
-            for acc, g in zip(total, gs):
-                acc += g
-        else:
-            total = gs
+            for acc, p in zip(total, wrt):
+                if p.grad is not None:
+                    acc += p.grad
+        else:  # a gradient may be a view of another array: copy it once per batch
+            total = [np.array(p.grad if p.grad is not None else np.zeros_like(p.data)) for p in wrt]
         loss += float(term.data)
         del scores, term  # free this sample's graph before the next forward pass
     return loss, dict(zip(names, total))

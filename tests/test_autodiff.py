@@ -68,6 +68,21 @@ def test_matmul_stacked_broadcast():
     fd_check(f, B0.copy())
 
 
+def test_outer_product_and_leaky_relu_gradients_are_exact():
+    # A contracted size of 1 (the attention logits' input gradient) runs as a
+    # broadcast multiply; it must give the gemm's values bit for bit.
+    rng = np.random.default_rng(4)
+    x = Tensor(rng.normal(size=(3, 5, 4)))
+    w = Tensor(rng.normal(size=(3, 4, 1)))
+    g = rng.normal(size=(3, 5, 1))
+    gx, gw = grad(ad.tsum(ad.mul(ad.matmul(x, w), g)), [x, w])
+    np.testing.assert_array_equal(gx, np.matmul(g, np.swapaxes(w.data, -1, -2)))
+    np.testing.assert_array_equal(gw, np.matmul(np.swapaxes(x.data, -1, -2), g))
+
+    (gl,) = grad(ad.tsum(ad.mul(ad.leaky_relu(x, 0.3), g[..., :1])), [x])
+    np.testing.assert_array_equal(gl, g[..., :1] * np.where(x.data > 0.0, 1.0, 0.3))
+
+
 def test_broadcast_add_bias():
     rng = np.random.default_rng(2)
     x = rng.normal(size=(4, 3))

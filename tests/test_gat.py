@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from backdoorlab.features import featurize
+from backdoorlab.features import BipartiteGraph, featurize
 from backdoorlab.generators import gen_facility_location, gen_gisp, gen_mis
 from backdoorlab.gnn import (
     GatParameters,
@@ -164,6 +164,34 @@ def repeated_pair_graph():
     )
 
 
+def hand_graph(var_feats, cons_feats, edges, coefs):
+    """A graph built straight from feature rows and (constraint, variable) edges with coefficients."""
+    return BipartiteGraph(
+        var_feats=np.asarray(var_feats, dtype=float),
+        cons_feats=np.asarray(cons_feats, dtype=float),
+        edges=np.asarray(edges, dtype=np.int64).reshape(-1, 2),
+        edge_feats=np.asarray(coefs, dtype=float).reshape(-1, 1),
+        binary_mask=np.ones(len(var_feats), dtype=bool),
+    )
+
+
+def apart_graph():
+    """Variables 0 and 1 have equal rows and one unit edge each, to constraints
+    with equal rows; only constraint 0's second edge, to variable 2, tells
+    them apart, two hops away."""
+    f, g = np.random.default_rng(3).normal(size=(2, 15))
+    return hand_graph([f, f, g], [[1.0, 1, 0, 0]] * 2, [(0, 0), (1, 1), (0, 2)], [1.0, 1.0, 1.0])
+
+
+def reordered_graph():
+    """Constraint 0 lists (row a, coefficient 1), (row b, 2); constraint 1
+    lists the same pairs the other way round, through variables 3 and 2."""
+    a, b = np.random.default_rng(4).normal(size=(2, 15))
+    return hand_graph(
+        [a, b, a, b], [[1.0, 1, 0, 0]] * 2, [(0, 0), (0, 1), (1, 3), (1, 2)], [1.0, 2.0, 2.0, 1.0]
+    )
+
+
 # name: (graph builder, distinct edge-feature rows)
 EDGE_CASES = {
     "gisp25": (lambda: graph_of(gen_gisp(nodes=25, seed=0)), 2),
@@ -174,6 +202,8 @@ EDGE_CASES = {
         1,
     ),
     "repeated_pair": (repeated_pair_graph, 2),
+    "apart": (apart_graph, 1),
+    "reordered": (reordered_graph, 2),
     "isolated_nodes": (  # variable 1 and constraint 1 have no edges
         lambda: graph_of(make_instance(
             "iso", [-1.0, 1.0, -2.0], [[(0, 1.0), (2, 3.0)], []], [1.0, 0.0], ["LE", "LE"],
@@ -190,6 +220,8 @@ EDGE_CASES = {
 
 @pytest.mark.parametrize("name", sorted(EDGE_CASES))
 def test_distinct_edge_rows_match_per_edge_reference(name):
+    """Scores, expanded attention records and gradients of the class path
+    match the per-node, per-edge reference."""
     build, distinct = EDGE_CASES[name]
     graph = build()
     assert np.unique(graph.edge_feats).size == distinct
@@ -221,6 +253,54 @@ def test_distinct_edge_rows_match_per_edge_reference(name):
         assert not g_new["att1_theta_e"].any() and not g_new["emb_edge_w1"].any()
     else:
         assert np.abs(g_new["att1_theta_e"]).max() > 0.0
+
+
+def test_equal_variables_with_different_neighborhoods_stay_apart():
+    graph = apart_graph()
+    classes = graph.node_classes
+    assert classes.round1.node_class.tolist() == [0, 1]
+    assert classes.round2.node_class.tolist() == [0, 1, 2]
+    scores = gat_forward(GatParameters.init(seed=6, L=16, H=4, hidden=12), graph)
+    assert scores[0] != scores[1]
+
+
+def test_constraints_with_one_edge_multiset_in_another_order_merge():
+    graph = reordered_graph()
+    classes = graph.node_classes
+    assert classes.round1.node_class.tolist() == [0, 0]
+    assert classes.round1.recv.size == 1 and classes.round1.recv.index.size == 2
+    assert classes.round2.node_class.tolist() == [0, 1, 0, 1]
+    scores = gat_forward(GatParameters.init(seed=6, L=16, H=4, hidden=12), graph)
+    assert scores[0] == scores[2] and scores[1] == scores[3]
+
+
+def test_gisp25_class_counts_and_identical_member_scores():
+    graph = graph_of(gen_gisp(nodes=25, seed=0))
+    classes = graph.node_classes
+    counts = {
+        "vars": graph.num_vars, "var_rows": classes.var_rows.shape[0], "round2": classes.round2.recv.size,
+        "cons": graph.num_cons, "cons_rows": classes.cons_rows.shape[0], "round1": classes.round1.recv.size,
+        "edges": graph.edges.shape[0],
+        "round1_edges": classes.round1.recv.index.size, "round2_edges": classes.round2.recv.index.size,
+    }
+    assert counts == {
+        "vars": 47, "var_rows": 12, "round2": 40,
+        "cons": 80, "cons_rows": 1, "round1": 42,
+        "edges": 182, "round1_edges": 99, "round2_edges": 175,
+    }
+    assert graph.node_classes is classes  # built once per graph
+    scores = gat_forward(GatParameters.init(seed=2, L=16, H=4, hidden=12), graph)
+    var_class = classes.round2.node_class
+    for k in range(classes.round2.recv.size):
+        members = scores[var_class == k]
+        assert np.all(members == members[0])
+    assert np.unique(scores).size == classes.round2.recv.size
+
+
+def test_all_singleton_classes_skip_identity_gathers():
+    classes = EDGE_CASES["facility"][0]().node_classes
+    assert classes.var_class is None and classes.round2.own is None
+    assert classes.round1.recv.size == classes.round1.node_class.size  # every constraint its own class
 
 
 class TestGreedySelect:
@@ -278,6 +358,22 @@ class TestCheckpoint:
         raw[6] = 99
         path.write_bytes(bytes(raw))
         with pytest.raises(ModelFormatError, match="version"):
+            load_model(path)
+
+    @pytest.mark.parametrize("damage", ["missing", "transposed", "both", "unknown", "sizes"])
+    def test_array_names_and_shapes_checked(self, tmp_path, damage):
+        params = small_params()
+        if damage in ("missing", "both"):
+            del params.arrays["out_b2"]
+        if damage in ("transposed", "both"):
+            params.arrays["att1_w"] = params.arrays["att1_w"].T.copy()
+        if damage == "unknown":
+            params.arrays["extra"] = np.zeros(3)
+        if damage == "sizes":
+            params.L = 9  # the arrays keep L=8
+        path = tmp_path / "d.ckpt"
+        save_model(params, path)
+        with pytest.raises(ModelFormatError, match="out_b2|att1_w|extra|shape"):
             load_model(path)
 
     def test_truncated_file(self, tmp_path):

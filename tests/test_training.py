@@ -141,6 +141,22 @@ def test_per_sample_backward_matches_whole_batch_mean():
         np.testing.assert_allclose(grads[k], ref[k], rtol=1e-12, atol=1e-12 * scale, err_msg=k)
 
 
+def test_batch_gradient_equals_summed_per_sample_gradients_bitwise():
+    batch = gisp_samples(3)
+    params = GatParameters.init(seed=5)
+    _, grads = batch_gradient(params.tensors(), batch, 0.07)
+    names = sorted(params.arrays)
+    total = None
+    for s in batch:
+        tensors = params.tensors()
+        scores, _ = score_graph(tensors, s.graph)
+        term = ad.mul(infonce_loss(scores, s.positives, s.negatives, 0.07), 1.0 / len(batch))
+        gs = ad.grad(term, [tensors[k] for k in names])
+        total = gs if total is None else [a + b for a, b in zip(total, gs)]
+    for k, ref in zip(names, total):
+        np.testing.assert_array_equal(grads[k], ref, err_msg=k)
+
+
 def test_epoch_log_records_time_and_gradient_norm():
     ds = planted_dataset(count=6)
     cfg = TrainConfig(epochs=3, seed=2, batch_size=4, **SMALL)
