@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 import numpy as np
 
-from .milp import EQ, GE, LE, MilpInstance, lp_relaxation
+from .milp import MilpInstance, lp_relaxation
 from .simplex import INFEASIBLE as LP_INFEASIBLE
 from .simplex import OPTIMAL as LP_OPTIMAL
 from .simplex import UNBOUNDED as LP_UNBOUNDED
@@ -46,6 +46,10 @@ class BnbConfig:
     rounding: bool = True
 
 
+# Why a node became a leaf; ``SolveResult.fathomed`` counts each.
+FATHOM_REASONS = ("infeasible", "bound", "integral", "restricted")
+
+
 @dataclass
 class SolveResult:
     status: str
@@ -57,6 +61,11 @@ class SolveResult:
     # Best-bound estimate at each node expansion, in processing order
     # (only populated when solve_bnb is asked to trace).
     bound_trace: tuple[float, ...] = ()
+    # Leaves by fathom reason (``FATHOM_REASONS``): an infeasible LP, a bound
+    # no better than the incumbent (when popped or after the LP solve), an
+    # LP point integral on the binaries, or fractional binaries all outside
+    # ``allowed_branch_set``.  The counts add up to ``len(leaf_depths)``.
+    fathomed: dict[str, int] = field(default_factory=dict)
 
 
 def tree_weight(leaf_depths: Iterable[int]) -> float:
@@ -118,17 +127,18 @@ def solve_bnb(
         allowed_mask[np.fromiter(cfg.allowed_branch_set, dtype=np.int64)] = True
     gap = cfg.objective_gap_tol
 
-    # Rows whose activity may not exceed, or fall below, the right-hand side.
-    senses = np.asarray(inst.senses, dtype=object)
-    capped = (senses == LE) | (senses == EQ)
-    floored = (senses == GE) | (senses == EQ)
-    rhs = np.asarray(inst.rhs, dtype=float)
+    # Rows whose activity may not exceed (LE, EQ: the slack's lower bound
+    # is 0), or fall below (GE, EQ: its upper bound is 0), the right-hand side.
+    capped = ws.slack_lo == 0.0
+    floored = ws.slack_up == 0.0
+    rhs = ws.b
     lo0 = np.asarray(inst.lower, dtype=float)
     up0 = np.asarray(inst.upper, dtype=float)
 
     incumbent: np.ndarray | None = None
     inc_obj = math.inf
     leaf_depths: list[int] = []
+    fathomed = dict.fromkeys(FATHOM_REASONS, 0)
     nodes_processed = 0
     hit_limit = False
     seq = 0
@@ -152,6 +162,7 @@ def solve_bnb(
         bound_est, _, depth, lo, up, start = heapq.heappop(heap)
         if bound_est >= inc_obj - gap:
             leaf_depths.append(depth)
+            fathomed["bound"] += 1
             continue
         if cfg.node_limit is not None and nodes_processed >= cfg.node_limit:
             hit_limit = True
@@ -163,12 +174,14 @@ def solve_bnb(
         nodes_processed += 1
         if sol.status == LP_INFEASIBLE:
             leaf_depths.append(depth)
+            fathomed["infeasible"] += 1
             continue
         if sol.status == LP_UNBOUNDED:
             raise ValueError("LP relaxation is unbounded; not a solvable MILP here")
         assert sol.status == LP_OPTIMAL
         if sol.objective >= inc_obj - gap:
             leaf_depths.append(depth)
+            fathomed["bound"] += 1
             continue
         x = sol.x
         xb = x[bin_idx]
@@ -178,6 +191,7 @@ def solve_bnb(
             # Integral on the binaries: the LP point is MILP-feasible.
             incumbent, inc_obj = x.copy(), sol.objective
             leaf_depths.append(depth)
+            fathomed["integral"] += 1
             continue
         if cfg.rounding:
             try_round(x)
@@ -186,6 +200,7 @@ def solve_bnb(
             keep = allowed_mask[frac_vars]
             if not keep.any():
                 leaf_depths.append(depth)
+                fathomed["restricted"] += 1
                 continue
             frac_vars = frac_vars[keep]
             frac_pos = frac_pos[keep]
@@ -215,6 +230,7 @@ def solve_bnb(
         leaf_depths=tuple(sorted(leaf_depths)),
         tree_weight=weight,
         bound_trace=tuple(bound_trace),
+        fathomed=fathomed,
     )
 
 

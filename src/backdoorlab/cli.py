@@ -83,6 +83,7 @@ def _cmd_solve(args) -> int:
     print(
         json.dumps(
             {
+                "fathomed": res.fathomed,
                 "instance": inst.name,
                 "lp": ws.counters(),
                 "nodes": res.nodes_processed,

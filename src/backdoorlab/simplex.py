@@ -30,12 +30,13 @@ them.  An inversion sends only the basic structural columns to LAPACK: the
 slack columns are unit vectors.
 
 :class:`LpWorkspace` memoizes: a solve whose bounds, start basis and iteration
-limit repeat an earlier one returns that solve's result.  It also keeps the
-last ``_INVERSES_KEPT`` basis inverses: the final inverse of every kernel run
-that ends optimal, so its children skip the inversion, and every inverse
-computed for a start basis, so the second sibling does too.  Each kept inverse
-carries its count of rank-one updates, and a kernel rebuilds it once the count
-reaches ``_REFACTOR_EVERY``.
+limit repeat an earlier one returns that solve's result.  It also keeps basis
+inverses, as many as fit in ``_INVERSE_BUDGET`` floats (at least two; 17 at
+m = 87, two from m = 210 on), least recently used evicted first: the final
+inverse of every kernel run that ends optimal, so its children skip the
+inversion, and every inverse computed for a start basis, so the second
+sibling does too.  Each kept inverse carries its count of rank-one updates,
+and a kernel rebuilds it once the count reaches ``_REFACTOR_EVERY``.
 """
 
 from __future__ import annotations
@@ -61,17 +62,23 @@ _ST_NUMERIC = 4
 _AT_LOWER = 0
 _AT_UPPER = 1
 _BASIC = 2
+# The dual's ``side`` of a column by its ``vstat``: -1 at its lower bound, +1
+# at its upper bound, 0 when basic.
+_SIDE = np.array([-1.0, 1.0, 0.0])
 
 # Primal (bound) and dual (reduced cost) feasibility tolerances.
 _FTOL = 1e-7
 _DTOL = 1e-9
+_FTOL32 = np.float32(_FTOL)
 _PIVOT_EPS = 1e-9
 _TIE_EPS = 1e-12
 _REFACTOR_EVERY = 128
+# Basis size from which a rank-one update may skip the rows it leaves alone.
+_SPARSE_UPDATE_ROWS = 128
 # Solves remembered per workspace (least recently used evicted first).
 _SOLVE_MEMO_CAP = 384
-# Basis inverses kept per workspace (least recently used evicted first).
-_INVERSES_KEPT = 2
+# Floats of kept basis inverses per workspace (1 MB); at least two are kept.
+_INVERSE_BUDGET = 1 << 17
 
 # Dense workspace memory guard: (n+m) * m floats.
 _MAX_DENSE_CELLS = 40_000_000
@@ -105,11 +112,6 @@ class LpSolution:
     basis: np.ndarray | None = None
 
 
-def _nonbasic_values(vstat, lo, up):
-    """Each nonbasic variable at its bound; basic entries are 0."""
-    return np.where(vstat == _AT_LOWER, lo, np.where(vstat == _AT_UPPER, up, 0.0))
-
-
 def _snap(values: list[float]) -> list[float]:
     """``values`` rounded to float32, so values that differ only in their last
     float64 bits compare equal unless a float32 rounding boundary lies between."""
@@ -120,16 +122,44 @@ def _replace_column(Binv: np.ndarray, w: np.ndarray, r: int) -> None:
     """Rank-one update of ``Binv`` in place when the column ``a`` with
     ``w = Binv a`` replaces basis position ``r``.
 
-    The rows where ``w`` is 0 keep their values, so a sparse ``w`` updates
-    only its nonzero rows; the arithmetic per entry is the same either way.
+    The products ``w[i] * Binv[r, j] / w[r]`` come from one BLAS outer
+    product: a nonzero one is rounded as an elementwise multiply rounds it,
+    and a zero one is +0, so the rows where ``w`` is 0 keep their values bit
+    for bit.  From
+    ``_SPARSE_UPDATE_ROWS`` rows on, a ``w`` with fewer than half its entries
+    nonzero updates only those rows; below it the gather and scatter cost
+    more than the rows they skip.
     """
     br = Binv[r] / w[r]
-    rows = w.nonzero()[0]
-    if 2 * rows.size < w.size:
-        Binv[rows] -= w[rows, None] * br
+    rows = w.nonzero()[0] if w.size >= _SPARSE_UPDATE_ROWS else None
+    if rows is not None and 2 * rows.size < w.size:
+        Binv[rows] -= np.dot(w.take(rows)[:, None], br[None, :])
     else:
-        Binv -= w[:, None] * br
+        Binv -= np.dot(w[:, None], br[None, :])
     Binv[r] = br
+
+
+def _dual_leaving_row(viol, basis, bland) -> int:
+    """The dual's leaving row, or -1 when no violation exceeds ``_FTOL``.
+
+    The row with the largest violation rounded to float32 leaves (any of the
+    violated rows in Bland mode), ties to the lowest basic column.
+    """
+    if not bland and viol.size:
+        v32 = viol.astype(np.float32)
+        top = v32[v32.argmax()]
+        # Rounding to float32 is monotone, so above the rounded tolerance
+        # every row at ``top`` is violated and ``top`` is their maximum.
+        if top > _FTOL32:
+            rows = (v32 == top).nonzero()[0]
+            return int(rows[0] if rows.size == 1 else rows[basis[rows].argmin()])
+    rows = (viol > _FTOL).nonzero()[0]
+    if not rows.size:
+        return -1
+    if rows.size > 1 and not bland:
+        v = viol[rows].astype(np.float32)
+        rows = rows[v == v.max()]
+    return int(rows[basis[rows].argmin()])
 
 
 def _leaving_row(theta, pw, col, bland):
@@ -191,12 +221,16 @@ class LpWorkspace:
     ``dual_runs`` kernel runs in all and of the dual kernel, ``pivots``,
     ``phase1_pivots`` and ``dual_pivots`` their iterations in all, in primal
     phase 1 and in the dual kernel, ``inversions`` the ``np.linalg.inv``
-    calls, and ``inverse_hits`` the warm starts whose inverse was kept.
+    calls, ``refactorizations`` those of them that rebuilt an inverse a
+    kernel was carrying (after ``_REFACTOR_EVERY`` updates, a pivot row and
+    column that disagree, or a final point that fails its re-check), and
+    ``inverse_hits`` the warm starts whose inverse was kept.
     """
 
     COUNTERS = (
         "memo_hits", "cold_retries", "kernel_runs", "dual_runs", "pivots",
-        "phase1_pivots", "dual_pivots", "inversions", "inverse_hits",
+        "phase1_pivots", "dual_pivots", "inversions", "refactorizations",
+        "inverse_hits",
     )
 
     def __init__(self, lp: LpProblem):
@@ -230,16 +264,25 @@ class LpWorkspace:
                 raise ValueError(f"unknown sense {sense!r}")
         self.slack_lo = slack_lo
         self.slack_up = slack_up
-        self.base_lower = _finite_lower(lp.lower)
-        self.base_upper = np.asarray(lp.upper, dtype=float)
-        self._root_bounds = (
-            np.concatenate([self.base_lower, slack_lo]).tobytes(),
-            np.concatenate([self.base_upper, slack_up]).tobytes(),
-        )
+        # A row's residual ``A x - b`` may not exceed ``_resid_hi`` (1e-7 on
+        # LE and EQ rows) or fall below ``_resid_lo`` (-1e-7 on GE and EQ rows).
+        self._resid_hi = np.where(slack_lo == -INF, INF, 1e-7)
+        self._resid_lo = np.where(slack_up == INF, -INF, -1e-7)
+        # A solve's bounds table: rows lower, upper and 0, so that row
+        # ``vstat[j]`` of column j is where a nonbasic column j sits (0 when
+        # basic).  The slack columns' entries never change.
+        self._bounds = np.zeros((3, N))
+        self._bounds[0, n:] = slack_lo
+        self._bounds[1, n:] = slack_up
+        self._columns = np.arange(N)
+        self.base_lower = _lower_bounds(lp.lower, n)
+        self.base_upper = _upper_bounds(lp.upper, n)
+        self._root_bounds = (self.base_lower.tobytes(), self.base_upper.tobytes())
         self._root: LpSolution | None = None
         self._memo: OrderedDict[tuple, LpSolution] = OrderedDict()
         # Kept basis inverses: basis bytes -> (inverse, rank-one updates in it).
         self._inverses: OrderedDict[bytes, tuple[np.ndarray, int]] = OrderedDict()
+        self._inverses_cap = max(2, _INVERSE_BUDGET // max(m * m, 1))
         for name in self.COUNTERS:
             setattr(self, name, 0)
 
@@ -262,31 +305,27 @@ class LpWorkspace:
         start: tuple[np.ndarray, np.ndarray] | None = None,
         max_iter: int | None = None,
     ) -> LpSolution:
-        """Solve with optionally overridden structural bounds and warm basis."""
+        """Solve with optionally overridden structural bounds and warm basis.
+
+        Bounds that cross (a lower above its upper) are INFEASIBLE at once.
+        """
         n, m = self.n, self.m
-        lo = np.concatenate(
-            [self.base_lower if lower is None else _finite_lower(lower), self.slack_lo]
-        )
-        up = np.concatenate(
-            [self.base_upper if upper is None else upper, self.slack_up]
-        )
+        lower = self.base_lower if lower is None else _lower_bounds(lower, n)
+        upper = self.base_upper if upper is None else _upper_bounds(upper, n)
+        if not _all(lower <= upper):
+            return _read_only(LpSolution(INFEASIBLE, None, None, None, None, None, 0))
         default_iter = 2000 + 50 * (n + 2 * m)
         if max_iter is None:
             max_iter = default_iter
+        # The slack bounds never change, so the structural ones identify the bounds.
+        key = (lower.tobytes(), upper.tobytes(), max_iter)
         # The kernel is deterministic, so bit-identical inputs give the root.
-        root = (
-            start is None
-            and max_iter == default_iter
-            and (lo.tobytes(), up.tobytes()) == self._root_bounds
-        )
-        if root:
+        if start is None and max_iter == default_iter and key[:2] == self._root_bounds:
             if self._root is None:
-                self._root = _read_only(self._solve(lo, up, start, max_iter))
+                self._root = _read_only(self._solve(lower, upper, start, max_iter))
             else:
                 self.memo_hits += 1
             return self._root
-        # The slack bounds never change, so the structural ones identify the bounds.
-        key = (lo[:n].tobytes(), up[:n].tobytes(), max_iter)
         if start is not None:
             key += (start[0].tobytes(), start[1].tobytes())
         sol = self._memo.get(key)
@@ -294,19 +333,22 @@ class LpWorkspace:
             self._memo.move_to_end(key)
             self.memo_hits += 1
             return sol
-        sol = self._memo[key] = _read_only(self._solve(lo, up, start, max_iter))
+        sol = self._memo[key] = _read_only(self._solve(lower, upper, start, max_iter))
         if len(self._memo) > _SOLVE_MEMO_CAP:
             self._memo.popitem(last=False)
         return sol
 
-    def _solve(self, lo, up, start, max_iter) -> LpSolution:
+    def _solve(self, lower, upper, start, max_iter) -> LpSolution:
         n = self.n
+        bounds = self._bounds.copy()
+        bounds[0, :n] = lower
+        bounds[1, :n] = upper
         status = _ST_NUMERIC
         if start is not None:
             vstat, basis = start[0].copy(), start[1].copy()
             self.dual_runs += 1
             status, iters, xall, y, Binv, updates = self._run(
-                self._dual, lo, up, vstat, basis, max_iter
+                self._dual, bounds, vstat, basis, max_iter
             )
             self.dual_pivots += iters
             if status == _ST_NUMERIC:
@@ -314,7 +356,7 @@ class LpWorkspace:
         if status == _ST_NUMERIC:
             vstat, basis = self.cold_start()
             status, iters, xall, y, Binv, updates = self._run(
-                self._primal, lo, up, vstat, basis, max_iter
+                self._primal, bounds, vstat, basis, max_iter
             )
         if status == _ST_ITER:
             raise SimplexIterationError(
@@ -326,9 +368,8 @@ class LpWorkspace:
             return LpSolution(INFEASIBLE, None, None, None, None, None, iters)
         if status == _ST_UNBOUNDED:
             return LpSolution(UNBOUNDED, None, None, None, None, None, iters)
-        x = np.clip(xall[:n], lo[:n] - 1e-7, up[:n] + 1e-7)
-        x = np.clip(x, lo[:n], up[:n])
-        self._verify(x, lo[:n], up[:n])
+        x = xall[:n].clip(lower, upper)
+        self._verify(x, lower, upper)
         self._keep_inverse(basis, Binv, updates)
         reduced = self.c_ext[:n] - self.WT[:n] @ y
         return LpSolution(
@@ -343,11 +384,11 @@ class LpWorkspace:
             basis=basis,
         )
 
-    def _run(self, kernel, lo, up, vstat, basis, max_iter):
+    def _run(self, kernel, bounds, vstat, basis, max_iter):
         """One kernel run, counted; a singular basis reads as a numerical failure."""
         self.kernel_runs += 1
         try:
-            out = kernel(lo, up, vstat, basis, max_iter)
+            out = kernel(bounds, vstat, basis, max_iter)
         except np.linalg.LinAlgError:
             return _ST_NUMERIC, 0, None, None, None, 0
         self.pivots += out[1]
@@ -399,12 +440,13 @@ class LpWorkspace:
         An inverse computed here is kept too: the sibling of a branch-and-bound
         child starts from the same basis.
         """
-        kept = self._inverses.get(basis.tobytes())
+        key = basis.tobytes()
+        kept = self._inverses.get(key)
         if kept is None:
             kept = (self._invert(basis), 0)
             self._keep_inverse(basis, *kept)
         else:
-            self._inverses.move_to_end(basis.tobytes())
+            self._inverses.move_to_end(key)
             self.inverse_hits += 1
         return kept[0].copy(), kept[1]
 
@@ -412,12 +454,17 @@ class LpWorkspace:
         key = basis.tobytes()
         self._inverses[key] = (Binv, updates)
         self._inverses.move_to_end(key)
-        if len(self._inverses) > _INVERSES_KEPT:
+        if len(self._inverses) > self._inverses_cap:
             self._inverses.popitem(last=False)
 
-    def _primal(self, lo, up, vstat, basis, max_iter):
+    def _nonbasic_values(self, bounds, vstat):
+        """Each nonbasic variable at its bound; basic entries are 0."""
+        return bounds[vstat, self._columns]
+
+    def _primal(self, bounds, vstat, basis, max_iter):
         """Two-phase bounded primal simplex from the slack basis ``(vstat, basis)``.
 
+        ``bounds`` is the solve's bounds table (see ``__init__``).
         ``vstat`` and ``basis`` are updated in place.  Returns ``(status,
         iterations, xall, y, Binv, updates)`` where ``xall`` holds all
         structural and slack values (``None`` unless optimal), ``y`` the final
@@ -427,12 +474,13 @@ class LpWorkspace:
         WT, b, c = self.WT, self.b, self.c_ext
         m = self.m
         ftol, dtol = _FTOL, _DTOL
+        lo, up = bounds[0], bounds[1]
         y = np.zeros(m)
         # Fixed variables (including EQ slacks) never enter the basis.
         movable = ~(up - lo <= 0.0)
 
         Binv = np.eye(m)
-        z = _nonbasic_values(vstat, lo, up)
+        z = self._nonbasic_values(bounds, vstat)
         xB = np.dot(Binv, b - np.dot(z, WT))
 
         phase = 1
@@ -443,8 +491,9 @@ class LpWorkspace:
 
         while iters < max_iter:
             if since_refactor >= _REFACTOR_EVERY:
+                self.refactorizations += 1
                 Binv = self._invert(basis)
-                z = _nonbasic_values(vstat, lo, up)
+                z = self._nonbasic_values(bounds, vstat)
                 xB = np.dot(Binv, b - np.dot(z, WT))
                 since_refactor = 0
 
@@ -481,7 +530,7 @@ class LpWorkspace:
             if not cand.any():
                 if phase == 1:
                     return _ST_INFEASIBLE, iters, None, y, Binv, since_refactor
-                xall = _nonbasic_values(vstat, lo, up)
+                xall = self._nonbasic_values(bounds, vstat)
                 xall[basis] = xB
                 return _ST_OPTIMAL, iters, xall, y, Binv, since_refactor
             if bland:
@@ -547,7 +596,7 @@ class LpWorkspace:
 
         return _ST_ITER, iters, None, y, Binv, since_refactor
 
-    def _dual(self, lo, up, vstat, basis, max_iter):
+    def _dual(self, bounds, vstat, basis, max_iter):
         """Bounded dual simplex from the warm basis ``(vstat, basis)``.
 
         Same contract as :meth:`_primal`.  ``_ST_NUMERIC`` also stands for a
@@ -556,22 +605,26 @@ class LpWorkspace:
         """
         WT, b, c = self.WT, self.b, self.c_ext
         m = self.m
-        ftol, dtol = _FTOL, _DTOL
-        width = up - lo
-        movable = ~(width <= 0.0)
-        z = _nonbasic_values(vstat, lo, up)
-        if not np.isfinite(z).all():
+        dtol = _DTOL
+        lo, up = bounds[0], bounds[1]
+        z = self._nonbasic_values(bounds, vstat)
+        if not _all(np.isfinite(z)):
             return _ST_NUMERIC, 0, None, None, None, 0
         Binv, updates = self._start_inverse(basis)
-        d = c - np.dot(WT, np.dot(c[basis], Binv))
-        # side: -1 for a movable column at its lower bound, +1 at its upper
-        # bound, 0 for basic and fixed ones.  A column is dual feasible while
-        # side * d <= 0.
-        side = np.where(vstat == _AT_LOWER, -1.0, np.where(vstat == _AT_UPPER, 1.0, 0.0))
-        side[~movable] = 0.0
+        # Per column: its side, reduced cost, bound width and pivot row
+        # entry, in one array so that the ratio test gathers its candidates'
+        # values in one step.  A column is dual feasible while side * d <= 0;
+        # fixed columns have side 0.
+        cols = np.empty((4, len(lo)))
+        side, d, width, alpha = cols[0], cols[1], cols[2], cols[3]
+        side[:] = _SIDE.take(vstat)
+        np.subtract(up, lo, out=width)
+        fixed = width <= 0.0
+        side[fixed] = 0.0
+        np.subtract(c, np.dot(WT, np.dot(c[basis], Binv)), out=d)
         # A boxed column with the wrong reduced cost sign moves to its other
         # bound; an unboxed one leaves the start dual infeasible.
-        wrong = np.flatnonzero(side * d > dtol)
+        wrong = (side * d > dtol).nonzero()[0]
         if wrong.size:
             if not np.isfinite(width[wrong]).all():
                 return _ST_NUMERIC, 0, None, None, Binv, updates
@@ -588,39 +641,33 @@ class LpWorkspace:
         bland = False
         while iters < max_iter:
             if updates >= _REFACTOR_EVERY:
+                self.refactorizations += 1
                 Binv = self._invert(basis)
                 updates = 0
                 xB = np.dot(Binv, b - np.dot(z, WT))
-                d = c - np.dot(WT, np.dot(c[basis], Binv))
+                np.subtract(c, np.dot(WT, np.dot(c[basis], Binv)), out=d)
 
             viol = np.maximum(loB - xB, xB - upB)
-            rows = (viol > ftol).nonzero()[0]
-            if not rows.size:
-                if (side * d > 100.0 * dtol).any():
+            r = _dual_leaving_row(viol, basis, bland)
+            if r < 0:
+                if _any(side * d > 100.0 * dtol):
                     return _ST_NUMERIC, iters, None, None, Binv, updates
                 # The point comes from the final basis alone, not from the
                 # updates that led there.
                 xB = self._basic_values(basis, b - np.dot(z, WT))
-                if (np.maximum(loB - xB, xB - upB) > ftol).any():
+                if _any(np.maximum(loB - xB, xB - upB) > _FTOL):
                     if updates == 0:
                         return _ST_NUMERIC, iters, None, None, Binv, updates
                     updates = _REFACTOR_EVERY
                     continue
-                xall = z.copy()
-                xall[basis] = xB
-                return _ST_OPTIMAL, iters, xall, np.dot(c[basis], Binv), Binv, updates
+                z[basis] = xB
+                return _ST_OPTIMAL, iters, z, np.dot(c[basis], Binv), Binv, updates
 
-            # Leaving row: the largest violation, ties to the lowest column.
-            r = int(rows[0])
-            if rows.size > 1:
-                if not bland:
-                    v = viol[rows].astype(np.float32)
-                    rows = rows[v == v.max()]
-                r = int(rows[np.argmin(basis[rows])])
-            to_lower = bool(xB[r] < loB[r])
+            x_r = float(xB[r])
+            to_lower = x_r < loB[r]
             viol_r = float(viol[r])
             rho = Binv[r]
-            alpha = np.dot(WT, rho)
+            np.dot(WT, rho, out=alpha)
 
             # Bound-flipping ratio test.  As the dual step grows, each
             # candidate's reduced cost falls to 0 at its breakpoint; past it the
@@ -628,21 +675,20 @@ class LpWorkspace:
             # by |alpha| * width.  The entering column is the one whose flip
             # would use up what is left of the violation.
             key = side * alpha
-            if not to_lower:
-                key = -key
-            q = (key > _PIVOT_EPS).nonzero()[0]
-            aq = key[q].tolist()
-            # A candidate's breakpoint is -side * d / |alpha| (side * d <= 0
-            # while it is dual feasible).
-            sd = (side[q] * d[q]).tolist()
-            t = [-v / a if -v > dtol else 0.0 for a, v in zip(aq, sd)]
+            q = ((key > _PIVOT_EPS) if to_lower else (key < -_PIVOT_EPS)).nonzero()[0]
+            sq, dq, wq, alq = cols.take(q, axis=1).tolist()
+            # The candidates' |alpha| and breakpoints -side * d / |alpha|
+            # (side * d <= 0 while a column is dual feasible).
+            aq = [s * a if to_lower else -(s * a) for s, a in zip(sq, alq)]
+            t = [-(s * v) / a if -(s * v) > dtol else 0.0 for s, v, a in zip(sq, dq, aq)]
+            snapped = _snap(t + aq)
             # In breakpoint order, ties to the lowest column.
-            cand = sorted(zip(_snap(t), q.tolist(), aq, _snap(aq), width[q].tolist()))
+            cand = sorted(zip(snapped, q.tolist(), aq, snapped[len(t):], wq, t))
             # A violation used up to within tol counts as used up.
             tol = 1e-9 * max(1.0, viol_r)
             left = viol_r
             k = -1
-            for i, (_, _, a, _, wd) in enumerate(cand):
+            for i, (_, _, a, _, wd, _) in enumerate(cand):
                 if left - a * wd <= tol:
                     k = i
                     break
@@ -650,7 +696,7 @@ class LpWorkspace:
             if k < 0:
                 # Every flip together leaves the row infeasible (then the row
                 # must prove it) or feasible within ftol (the last one enters).
-                if not cand or left > ftol:
+                if not cand or left > _FTOL:
                     if self._proves_infeasible(rho, alpha, lo, up):
                         return _ST_INFEASIBLE, iters, None, None, Binv, updates
                     return _ST_NUMERIC, iters, None, None, Binv, updates
@@ -662,15 +708,13 @@ class LpWorkspace:
                 # of the violation, the largest pivot; then the lowest column.
                 t_k, best = cand[k][0], cand[k][3]
                 for i in range(k + 1, len(cand)):
-                    t_i, _, a, a32, wd = cand[i]
+                    t_i, _, a, a32, wd, _ = cand[i]
                     if t_i != t_k:
                         break
                     if a32 > best and a * wd - left >= -tol:
                         pick, best = i, a32
-            t_snap, enter = cand[pick][0], cand[pick][1]
-            # The exact dual step: the entering column's breakpoint.
-            d_enter = float(-side[enter] * d[enter])
-            t_step = d_enter / cand[pick][2] if d_enter > dtol else 0.0
+            # The exact dual step is the entering column's breakpoint.
+            t_snap, enter, _, _, _, t_step = cand[pick]
 
             w = np.dot(Binv, WT[enter])
             piv = float(w[r])
@@ -689,14 +733,15 @@ class LpWorkspace:
                 z[flip] = np.where(rise, up[flip], lo[flip])
                 step = np.where(rise, width[flip], -width[flip])
                 xB -= np.dot(Binv, np.dot(step, WT[flip]))
+                x_r = float(xB[r])
 
             bound = float(loB[r] if to_lower else upB[r])
-            theta = (xB[r] - bound) / piv
+            theta = (x_r - bound) / piv
             xB -= theta * w
             xB[r] = z[enter] + theta
             out = basis[r]
             vstat[out] = _AT_LOWER if to_lower else _AT_UPPER
-            side[out] = (-1.0 if to_lower else 1.0) if movable[out] else 0.0
+            side[out] = 0.0 if fixed[out] else (-1.0 if to_lower else 1.0)
             z[out] = bound
             z[enter] = 0.0
             side[enter] = 0.0
@@ -732,34 +777,56 @@ class LpWorkspace:
         return target < low - _FTOL or target > high + _FTOL
 
     def _verify(self, x: np.ndarray, lo: np.ndarray, up: np.ndarray) -> None:
-        """Never report a wrong OPTIMAL: bounds within 1e-9, rows within 1e-7."""
-        if np.any(x < lo - 1e-9) or np.any(x > up + 1e-9):
+        """Never report a wrong OPTIMAL: a finite point, bounds within 1e-9,
+        rows within 1e-7."""
+        if not _all(np.isfinite(x)):
+            raise SimplexNumericalError("optimal point is not finite")
+        if _any(x < lo - 1e-9) or _any(x > up + 1e-9):
             raise SimplexNumericalError("optimal point violates variable bounds")
-        act = self.WT[: self.n].T @ x
-        resid = act - self.b
-        le = self.slack_up == INF
-        ge = self.slack_lo == -INF
-        bad = np.where(
-            le, resid > 1e-7, np.where(ge, resid < -1e-7, np.abs(resid) > 1e-7)
-        )
-        if bad.any():
+        resid = self.WT[: self.n].T @ x - self.b
+        bad = (resid > self._resid_hi) | (resid < self._resid_lo)
+        if _any(bad):
             raise SimplexNumericalError(
                 f"optimal point violates row {int(np.argmax(bad))}"
             )
 
 
+def _any(mask: np.ndarray) -> bool:
+    """``mask.any()``, without the Python layer of the ndarray reduction."""
+    return np.count_nonzero(mask) > 0
+
+
+def _all(mask: np.ndarray) -> bool:
+    """``mask.all()``, without the Python layer of the ndarray reduction."""
+    return np.count_nonzero(mask) == mask.size
+
+
 def _read_only(sol: LpSolution) -> LpSolution:
     for arr in (sol.x, sol.reduced_costs, sol.at_lower, sol.at_upper, sol.vstat, sol.basis):
         if arr is not None:
-            arr.flags.writeable = False
+            arr.setflags(write=False)
     return sol
 
 
-def _finite_lower(lower) -> np.ndarray:
-    lower = np.asarray(lower, dtype=float)
-    if not np.isfinite(lower).all():
+def _bound_array(values, n: int, name: str) -> np.ndarray:
+    bounds = np.asarray(values, dtype=float)
+    if bounds.shape != (n,):
+        raise ValueError(f"{name} bounds have shape {bounds.shape}, expected ({n},)")
+    return bounds
+
+
+def _lower_bounds(values, n: int) -> np.ndarray:
+    lower = _bound_array(values, n, "lower")
+    if not _all(np.isfinite(lower)):
         raise ValueError("the simplex needs a finite lower bound on every variable")
     return lower
+
+
+def _upper_bounds(values, n: int) -> np.ndarray:
+    upper = _bound_array(values, n, "upper")
+    if _any(np.isnan(upper)):
+        raise ValueError("an upper bound is NaN")
+    return upper
 
 
 def solve_lp(lp: LpProblem, max_iter: int | None = None) -> LpSolution:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from backdoorlab.bnb import (
+    FATHOM_REASONS,
     INFEASIBLE,
     NODE_LIMIT,
     OPTIMAL,
@@ -12,6 +13,7 @@ from backdoorlab.bnb import (
     solve_bnb,
     tree_weight,
 )
+from backdoorlab.generators import gen_facility_location, gen_gisp
 from backdoorlab.milp import make_instance
 
 from conftest import brute_force_solve, random_binary_instance
@@ -194,3 +196,29 @@ def test_deterministic_repeat():
     assert a.leaf_depths == b.leaf_depths
     if a.status == OPTIMAL:
         assert a.objective == b.objective
+
+
+@pytest.mark.parametrize(
+    "make, restrict, expected",
+    [
+        (lambda: gen_facility_location(facilities=8, customers=12, seed=0), False,
+         (19, {"infeasible": 1, "bound": 14, "integral": 1, "restricted": 0})),
+        (lambda: gen_gisp(nodes=25, seed=2), True,
+         (21, {"infeasible": 0, "bound": 3, "integral": 2, "restricted": 6})),
+    ],
+)
+def test_fathom_reasons_are_pinned(make, restrict, expected):
+    inst = make()
+    allowed = frozenset(sorted(inst.binary_set)[:4]) if restrict else None
+    res = solve_bnb(inst, BnbConfig(allowed_branch_set=allowed, node_limit=200))
+    assert (res.nodes_processed, res.fathomed) == expected
+    assert sum(res.fathomed.values()) == len(res.leaf_depths)
+
+
+def test_fathom_reasons_add_up_to_the_leaves():
+    for seed in range(40):
+        inst = random_binary_instance(seed, continuous=seed % 3)
+        for cfg in (BnbConfig(), BnbConfig(node_limit=4), BnbConfig(allowed_branch_set=frozenset(sorted(inst.binary_set)[:2]))):
+            res = solve_bnb(inst, cfg)
+            assert tuple(res.fathomed) == FATHOM_REASONS
+            assert sum(res.fathomed.values()) == len(res.leaf_depths)

@@ -38,12 +38,14 @@ def test_solve_prints_json(tmp_path, capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["status"] == "OPTIMAL"
-    assert set(payload) == {"instance", "lp", "nodes", "objective", "status", "tree_weight"}
+    assert set(payload) == {"fathomed", "instance", "lp", "nodes", "objective", "status", "tree_weight"}
+    assert set(payload["fathomed"]) == {"infeasible", "bound", "integral", "restricted"}
     lp = payload["lp"]
     assert set(lp) == {
         "memo_hits", "cold_retries", "kernel_runs", "dual_runs", "pivots",
-        "phase1_pivots", "dual_pivots", "inversions", "inverse_hits",
+        "phase1_pivots", "dual_pivots", "inversions", "refactorizations", "inverse_hits",
     }
+    assert lp["refactorizations"] <= lp["inversions"]
     # One kernel run per processed node (the root cold, the rest warm).
     assert lp["kernel_runs"] == payload["nodes"] == lp["dual_runs"] + 1
     assert lp["pivots"] >= lp["dual_pivots"] + lp["phase1_pivots"]

@@ -168,6 +168,13 @@ def test_zero_rows_zero_cost_vacuous():
     assert sol.objective == 0.0
 
 
+def test_warm_solve_without_rows():
+    ws = LpWorkspace(lp_of([-1.0, 1.0], [], [], [], [0.0, 0.0], [1.0, 1.0]))
+    root = ws.solve()
+    sol = ws.solve(upper=np.array([0.0, 1.0]), start=(root.vstat, root.basis))
+    assert (sol.status, sol.objective, ws.dual_runs, ws.cold_retries) == (OPTIMAL, 0.0, 1, 0)
+
+
 def test_non_finite_lower_bound_rejected():
     lp = lp_of([1.0, 1.0], [[(0, 1.0), (1, 1.0)]], [1.0], ["LE"], [0.0, 0.0], [1.0, 1.0])
     free = LpProblem(
@@ -178,6 +185,50 @@ def test_non_finite_lower_bound_rejected():
         LpWorkspace(free)
     with pytest.raises(ValueError, match="finite lower bound"):
         LpWorkspace(lp).solve(lower=np.array([0.0, -INF]))
+
+
+def test_nan_upper_bound_rejected_cold_and_warm():
+    inst = gen_gisp(nodes=12, seed=1)
+    ws = LpWorkspace(lp_relaxation(inst))
+    root = ws.solve()
+    upper = np.array(inst.upper, dtype=float)
+    upper[3] = np.nan
+    with pytest.raises(ValueError, match="upper bound is NaN"):
+        ws.solve(upper=upper)
+    with pytest.raises(ValueError, match="upper bound is NaN"):
+        ws.solve(upper=upper, start=(root.vstat, root.basis))
+    assert ws.kernel_runs == 1
+
+
+def test_bounds_of_the_wrong_length_rejected():
+    inst = gen_gisp(nodes=12, seed=1)
+    ws = LpWorkspace(lp_relaxation(inst))
+    n = inst.num_vars
+    with pytest.raises(ValueError, match=rf"lower bounds have shape \({n - 1},\), expected \({n},\)"):
+        ws.solve(lower=np.zeros(n - 1))
+    with pytest.raises(ValueError, match=rf"upper bounds have shape \({n + 1},\), expected \({n},\)"):
+        ws.solve(upper=np.ones(n + 1))
+    assert ws.kernel_runs == 0
+
+
+def test_crossed_bounds_are_infeasible_without_a_kernel_run():
+    inst = gen_gisp(nodes=12, seed=1)
+    ws = LpWorkspace(lp_relaxation(inst))
+    root = ws.solve()
+    lower = np.array(inst.lower, dtype=float)
+    upper = np.array(inst.upper, dtype=float)
+    lower[2], upper[2] = 1.0, 0.0
+    for start in (None, (root.vstat, root.basis)):
+        sol = ws.solve(lower=lower, upper=upper, start=start)
+        assert (sol.status, sol.x, sol.objective, sol.iterations) == (INFEASIBLE, None, None, 0)
+    assert ws.kernel_runs == 1
+
+
+def test_verify_rejects_a_point_that_is_not_finite():
+    ws = LpWorkspace(lp_of([1.0, 1.0], [[(0, 1.0), (1, 1.0)]], [1.0], ["LE"], [0.0, 0.0], [1.0, 1.0]))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(SimplexNumericalError, match="not finite"):
+            ws._verify(np.array([0.0, bad]), np.zeros(2), np.array([1.0, np.inf]))
 
 
 def test_verify_names_the_first_violated_row():
@@ -269,6 +320,42 @@ def test_leaving_row_matches_sequential_scan(bland):
         assert got[0] == want[0], (theta.tolist(), pw.tolist(), col.tolist())
         assert got[1] == want[1]
     assert _leaving_row(np.zeros(0), np.zeros(0), np.zeros(0, dtype=np.int64), bland) == (-1, INF)
+
+
+def reference_dual_leaving_row(viol, basis, bland):
+    """The dual's leaving-row rule as a scan: the largest float32-rounded
+    violation above the tolerance (any in Bland mode), ties to the lowest
+    basic column."""
+    best = -1
+    for i, v in enumerate(viol):
+        if not v > simplex._FTOL:
+            continue
+        if best < 0:
+            best = i
+            continue
+        v32, b32 = np.float32(v), np.float32(viol[best])
+        if bland or v32 == b32:
+            if basis[i] < basis[best]:
+                best = i
+        elif v32 > b32:
+            best = i
+    return best
+
+
+@pytest.mark.parametrize("bland", [False, True])
+def test_dual_leaving_row_matches_the_reference_rule(bland):
+    rng = np.random.default_rng(11)
+    ftol = simplex._FTOL
+    # Values on both sides of the tolerance and of its float32 rounding.
+    near = np.array([ftol, np.nextafter(ftol, 1.0), float(np.float32(ftol)),
+                     float(np.nextafter(np.float32(ftol), np.float32(1.0))), 2 * ftol])
+    for trial in range(2000):
+        m = int(rng.integers(0, 12))
+        pool = np.concatenate([near, [0.0, -1.0, 0.5, 0.5 + 1e-12, 0.25, np.nan]])
+        viol = rng.choice(pool, size=m) if trial % 2 else rng.choice([0.0, 0.5, 1.0, 1e-8], size=m)
+        basis = rng.permutation(3 * m)[:m].astype(np.int64)
+        assert simplex._dual_leaving_row(viol, basis, bland) == reference_dual_leaving_row(viol, basis, bland), (
+            viol.tolist(), basis.tolist())
 
 
 def test_root_solution_is_memoized_read_only():
@@ -510,20 +597,48 @@ def test_carried_inverse_is_refactorized(monkeypatch):
     lo, up = fixed_child(inst, root)
     child = ws.solve(lower=lo, upper=up, start=(root.vstat, root.basis))
     # The kept inverse was used, then rebuilt before its first pivot.
-    assert ws.inverse_hits == 1 and ws.inversions == 1
+    assert ws.inverse_hits == 1 and ws.inversions == ws.refactorizations == 1
     assert ws._inverses[child.basis.tobytes()][1] == child.iterations < carried
     want = LpWorkspace(lp).solve(lower=lo, upper=up, start=(root.vstat, root.basis))
     assert (child.iterations, child.x.tobytes()) == (want.iterations, want.x.tobytes())
 
 
-def test_workspace_keeps_two_inverses():
-    inst = gen_gisp(nodes=20, seed=4)
-    ws = LpWorkspace(lp_relaxation(inst))
-    solve_bnb(inst, BnbConfig(node_limit=30), workspace=ws)
-    assert len(ws._inverses) == simplex._INVERSES_KEPT == 2
+def assert_kept_inverses_invert(ws):
     for key, (Binv, _) in ws._inverses.items():
         basis = np.frombuffer(key, dtype=np.int64)
         np.testing.assert_allclose(Binv @ ws.WT[basis].T, np.eye(ws.m), atol=1e-9)
+
+
+def test_kept_inverses_fill_the_byte_budget():
+    inst = gen_gisp(nodes=25, seed=4)
+    ws = LpWorkspace(lp_relaxation(inst))
+    solve_bnb(inst, BnbConfig(node_limit=80), workspace=ws)
+    assert ws.m == 86 and simplex._INVERSE_BUDGET == 1 << 17
+    assert len(ws._inverses) == ws._inverses_cap == (1 << 17) // 86**2 == 17
+    assert_kept_inverses_invert(ws)
+
+
+def test_kept_inverses_floor_is_two_at_large_m():
+    inst = gen_gisp(nodes=60, seed=1)
+    ws = LpWorkspace(lp_relaxation(inst))
+    solve_bnb(inst, BnbConfig(node_limit=8), workspace=ws)
+    assert ws.m == 521 and 521**2 > simplex._INVERSE_BUDGET
+    assert len(ws._inverses) == ws._inverses_cap == 2
+    assert_kept_inverses_invert(ws)
+
+
+@pytest.mark.parametrize("m, nonzero", [(87, 0.3), (87, 0.9), (521, 0.1), (521, 0.8)])
+def test_replace_column_matches_the_literal_update_bit_for_bit(m, nonzero):
+    rng = np.random.default_rng(m)
+    for trial in range(5):
+        Binv = rng.standard_normal((m, m))
+        w = rng.standard_normal(m)
+        w[rng.random(m) > nonzero] = 0.0
+        r = int(np.flatnonzero(w)[trial])
+        want = np.array([Binv[i] - w[i] * (Binv[r] / w[r]) for i in range(m)])
+        want[r] = Binv[r] / w[r]
+        simplex._replace_column(Binv, w, r)
+        assert Binv.tobytes() == want.tobytes()
 
 
 def test_solve_counters_are_pinned():
@@ -532,11 +647,11 @@ def test_solve_counters_are_pinned():
     res = solve_bnb(inst, workspace=ws)
     assert (res.status, res.nodes_processed) == ("OPTIMAL", 6)
     # The cold root takes 28 primal pivots (21 in phase 1); the five warm
-    # children take 15 dual pivots and one inversion between them.
+    # children take 15 dual pivots, each from a kept inverse.
     assert ws.counters() == {
         "memo_hits": 0, "cold_retries": 0, "kernel_runs": 6, "dual_runs": 5,
-        "pivots": 43, "phase1_pivots": 21, "dual_pivots": 15, "inversions": 1,
-        "inverse_hits": 4,
+        "pivots": 43, "phase1_pivots": 21, "dual_pivots": 15, "inversions": 0,
+        "refactorizations": 0, "inverse_hits": 5,
     }
     again = solve_bnb(inst, BnbConfig(node_limit=5), workspace=ws)
     assert again.nodes_processed == 5
