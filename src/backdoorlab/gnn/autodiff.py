@@ -4,8 +4,9 @@ A :class:`Tensor` wraps an ndarray and remembers how it was produced; calling
 :func:`grad` on a scalar output walks the graph once in reverse topological
 order and accumulates exact gradients.  The op set is exactly what the
 attention network and its contrastive loss need: broadcast arithmetic,
-(stacked) matmul, the pointwise nonlinearities, axis reductions, and the
-gather / segment-sum pair that moves messages along graph edges.
+(stacked) matmul, the pointwise nonlinearities, axis reductions, the
+gather / segment-sum pair that moves messages along graph edges, and
+:func:`custom` for a node whose backward pass is written by hand.
 """
 
 from __future__ import annotations
@@ -129,6 +130,20 @@ def _acc(t: Tensor, g: np.ndarray) -> None:
     t.grad = g if t.grad is None else t.grad + g
 
 
+def custom(data, parents: tuple[Tensor, ...], backward) -> Tensor:
+    """A node with a hand-written backward pass.
+
+    ``backward(g)`` gets the output's gradient and returns one gradient per
+    parent, in order; each is added to its parent if that parent needs one.
+    """
+    def bw(g):
+        for p, gp in zip(parents, backward(g)):
+            if p.requires_grad:
+                _acc(p, gp)
+
+    return Tensor(data, parents, bw)
+
+
 def add(a, b) -> Tensor:
     a, b = _t(a), _t(b)
     out = Tensor(a.data + b.data, (a, b))
@@ -218,16 +233,32 @@ def relu(a) -> Tensor:
     return out
 
 
+def leaky_relu_values(x: np.ndarray, slope: float) -> np.ndarray:
+    """``max(x, slope * x)`` on a plain array, for ``0 <= slope <= 1``."""
+    return np.maximum(x, slope * x)
+
+
+def leaky_relu_slopes(x: np.ndarray, slope: float) -> np.ndarray:
+    """The leaky relu's derivative at ``x``: 1 above 0 and ``slope`` elsewhere.
+
+    Built by arithmetic on the comparison, not by ``np.where``, whose
+    branches are slow on mixed signs.
+    """
+    factor = np.greater(x, 0.0, out=np.empty(x.shape))
+    factor *= 1.0 - slope
+    factor += slope
+    return factor
+
+
 def leaky_relu(a, slope: float = 0.2) -> Tensor:
     """``max(x, slope * x)``, which is ``x`` above 0 and ``slope * x`` below."""
     if not 0.0 <= slope <= 1.0:
         raise ValueError(f"leaky_relu slope must lie in [0, 1], got {slope}")
     a = _t(a)
-    mask = a.data > 0.0
-    out = Tensor(np.maximum(a.data, slope * a.data), (a,))
+    out = Tensor(leaky_relu_values(a.data, slope), (a,))
 
     def bw(g):
-        _acc(a, g * (mask * (1.0 - slope) + slope))  # 1 or slope, without np.where
+        _acc(a, g * leaky_relu_slopes(a.data, slope))
 
     out._bw = bw
     return out

@@ -23,10 +23,17 @@ symmetric: over 60 GISP-25 graphs, 1.1% of the constraint rows and 22% of
 the variable rows are distinct, and round 1 runs for 47% of the
 constraints, round 2 for 85% of the variables.
 
-Messages are aggregated densely: each round scatters its edge weights into
-an (H, receiver classes, sender classes) block and multiplies it by the
-sender transforms, so the backward pass is two matmuls and one ``take``.
-On GISP-25 at H=8 the two blocks hold about 20,000 floats together.
+Each attention round is one autodiff node with a hand-written backward
+pass (``autodiff.custom``) in place of about 47 small ones, so the backward
+pass of a GISP-25 training sample runs 40 node backward functions rather
+than 130.  The round works in plain numpy: the three head transforms, the
+leaky logits, the softmax over each neighborhood, and the messages,
+aggregated densely by scattering the edge weights into an (H, sender
+classes, receiver classes) block and multiplying it by the sender
+transforms per head.  Its backward is the softmax Jacobian per
+neighborhood, the block's two products, segment sums back to own rows,
+senders and edge rows, and the transforms' gradients.  On GISP-25 at H=8
+the two rounds' edge blocks hold about 17,000 floats together.
 """
 
 from __future__ import annotations
@@ -156,7 +163,7 @@ class _Round:
     recv: ad.SegmentIndex  # round edge -> receiver class
     send: ad.SegmentIndex  # round edge -> sender
     edge_row: ad.SegmentIndex  # round edge -> distinct edge-feature row
-    pair: ad.SegmentIndex  # round edge -> its (receiver, sender) cell of the dense block
+    pair: ad.SegmentIndex  # round edge -> its (sender, receiver class) cell of the dense block
     node_class: np.ndarray  # each receiver node's class
     edge_slot: np.ndarray  # each graph edge's round edge: the same position in its representative
 
@@ -192,7 +199,7 @@ def _refine(own, num_own, recv, send, num_send, edge_row, num_rows) -> _Round:
         recv=ad.SegmentIndex(rep_recv, K),
         send=ad.SegmentIndex(send[picked], num_send),
         edge_row=ad.SegmentIndex(edge_row[picked], num_rows),
-        pair=ad.SegmentIndex(rep_recv * num_send + send[picked], K * num_send),
+        pair=ad.SegmentIndex(send[picked] * K + rep_recv, num_send * K),
         node_class=node_class,
         edge_slot=edge_slot,
     )
@@ -251,50 +258,95 @@ def _attention_round(
     ``rnd`` maps them to the round's classes and edges.  The weights are the
     ``(H, classes)`` self and ``(H, round edges)`` edge softmax weights.
 
-    The neighbor messages are ``block @ Ts``, where ``block`` is the dense
-    ``(H, K, S)`` attention matrix with each edge's weight summed into its
-    (receiver class, sender) cell, so a repeated pair adds up as separate
-    edges would.  It costs ``H * K * S`` floats, forward and backward.
+    The round is one autodiff node whose parents are the seven inputs; its
+    forward and backward passes are plain numpy.  The neighbor messages are
+    ``block.T @ Ts`` per head, where ``block`` is the dense ``(H, S, K)``
+    attention matrix with each edge's weight summed into its (sender,
+    receiver class) cell, so a repeated pair adds up as separate edges would.
+    It costs ``H * K * S`` floats, forward and backward.  The self messages
+    weight each class's own-row transform elementwise.  The products stay
+    stacked per head: at GISP-25 sizes one gemm over all heads passes
+    OpenBLAS's threading threshold, and its second thread doubles the CPU
+    time for no gain.
     """
-    Tr = ad.matmul(recv_emb, theta_recv)  # (H, own rows, L)
-    Ts = ad.matmul(send_emb, theta_send)  # (H, S, L)
-    Te = ad.matmul(edge_emb, theta_edge)  # (H, U, L), U distinct edge rows
-    wa, wb, wc = (
-        ad.reshape(ad.gather(w, np.arange(k * L, (k + 1) * L), axis=1), (H, L, 1))
-        for k in range(3)
-    )
-    leaky_recv = ad.leaky_relu(Tr, LEAKY_SLOPE)
+    Xr, Xs, Xe = recv_emb.data, send_emb.data, edge_emb.data
+    theta_r, theta_s, theta_e = theta_recv.data, theta_send.data, theta_edge.data
+    w3 = w.data.reshape(H, 3, L)  # rows: parts a, b, c
+    wt = np.swapaxes(w3, 1, 2)
+    own, recv, send, edge_row, pair = rnd.own, rnd.recv, rnd.send, rnd.edge_row, rnd.pair
+    K, S = recv.size, send.size
 
-    def logit(x, w_part):  # w_part . x per head and row: (H, rows)
-        return ad.reshape(ad.matmul(x, w_part), (H, -1))
-
-    t_recv = logit(leaky_recv, wa)
-    self_logit = ad.add(t_recv, logit(leaky_recv, wb))
-    if rnd.own is not None:  # from own rows to receiver classes
-        Tr, t_recv, self_logit = (ad.gather(x, rnd.own, axis=1) for x in (Tr, t_recv, self_logit))
-    t_send = logit(ad.leaky_relu(Ts, LEAKY_SLOPE), wb)
-    t_edge = ad.gather(logit(ad.leaky_relu(Te, LEAKY_SLOPE), wc), rnd.edge_row, axis=1)
-    recv = rnd.recv
-    edge_logit = ad.add(
-        ad.add(ad.gather(t_recv, recv, axis=1), ad.gather(t_send, rnd.send, axis=1)),
-        t_edge,
+    Tr = np.matmul(Xr, theta_r)  # (H, own rows, L)
+    Ts = np.matmul(Xs, theta_s)  # (H, S, L)
+    Te = np.matmul(Xe, theta_e)  # (H, U, L), U distinct edge rows
+    lr, ls, le = (ad.leaky_relu_values(T, LEAKY_SLOPE) for T in (Tr, Ts, Te))
+    # Logits ``w . leaky([recv, send, edge])``: an own row takes part a as
+    # the receiver and part b as its own sender.
+    t_ab = np.matmul(lr, wt[:, :, :2])  # (H, own rows, 2)
+    t_send = np.matmul(ls, wt[:, :, 1:2])[..., 0]  # (H, S)
+    t_edge = np.matmul(le, wt[:, :, 2:])[..., 0]  # (H, U)
+    if own is not None:  # from own rows to receiver classes
+        t_ab = np.take(t_ab, own.index, axis=1)
+    t_recv = t_ab[..., 0]
+    self_logit = t_recv + t_ab[..., 1]  # (H, K)
+    edge_logit = (
+        np.take(t_recv, recv.index, axis=1)
+        + np.take(t_send, send.index, axis=1)
+        + np.take(t_edge, edge_row.index, axis=1)
     )  # (H, E)
 
-    # Detached per-neighborhood max keeps the softmax finite; the softmax is
-    # shift invariant so this constant carries no gradient.
-    mx = recv.maximum(self_logit.data, edge_logit.data, axis=1)
-    exp_self = ad.exp(ad.sub(self_logit, mx))
-    exp_edge = ad.exp(ad.sub(edge_logit, np.take(mx, recv.index, axis=1)))
-    denom = ad.add(exp_self, ad.segment_sum(exp_edge, recv, recv.size, axis=1))
-    alpha_self = ad.div(exp_self, denom)  # (H, K)
-    alpha_edge = ad.div(exp_edge, ad.gather(denom, recv, axis=1))  # (H, E)
+    # The per-neighborhood max keeps the softmax finite; the softmax is
+    # shift invariant, so it carries no gradient.
+    mx = recv.maximum(self_logit, edge_logit, axis=1)
+    exp_self = np.exp(self_logit - mx)
+    exp_edge = np.exp(edge_logit - np.take(mx, recv.index, axis=1))
+    denom = exp_self + recv.sum(exp_edge, axis=1)
+    alpha_self = exp_self / denom  # (H, K)
+    alpha_edge = exp_edge / np.take(denom, recv.index, axis=1)  # (H, E)
 
-    K, S = recv.size, rnd.send.size
-    block = ad.reshape(ad.segment_sum(alpha_edge, rnd.pair, K * S, axis=1), (H, K, S))
-    agg = ad.matmul(block, Ts)  # (H, K, L)
-    self_msg = ad.mul(Tr, ad.reshape(alpha_self, (H, -1, 1)))
-    new_emb = ad.tmean(ad.add(self_msg, agg), axis=0)  # (K, L)
-    return new_emb, (alpha_self.data, alpha_edge.data)
+    block = pair.sum(alpha_edge, axis=1).reshape(H, S, K)
+    Tk = Tr if own is None else np.take(Tr, own.index, axis=1)  # (H, K, L)
+    out = np.matmul(np.swapaxes(block, 1, 2), Ts).sum(axis=0)
+    out += np.einsum("hk,hkl->kl", alpha_self, Tk)
+    out *= 1.0 / H  # (K, L), the mean over heads
+
+    def backward(g):
+        g = g * (1.0 / H)  # each head's share of the mean
+        # The messages and their weights.
+        dTs = np.matmul(block, g)  # (H, S, L)
+        d_edge = np.take(np.matmul(Ts, g.T).reshape(H, S * K), pair.index, axis=1)  # d alpha_edge
+        d_self = np.einsum("hkl,kl->hk", Tk, g)  # d alpha_self
+        dTr = alpha_self[..., None] * g  # (H, K, L)
+        if own is not None:  # summed to own rows by the (own rows, K) membership matrix
+            member = np.equal.outer(np.arange(own.size), own.index).astype(np.float64)
+            dTr = np.matmul(member, dTr)  # (H, own rows, L)
+        # Softmax over each neighborhood {self, its edges}.
+        dot = d_self * alpha_self + recv.sum(d_edge * alpha_edge, axis=1)
+        dl_self = alpha_self * (d_self - dot)  # d self_logit, (H, K)
+        dl_edge = alpha_edge * (d_edge - np.take(dot, recv.index, axis=1))  # d edge_logit, (H, E)
+        dt_ab = np.stack((dl_self + recv.sum(dl_edge, axis=1), dl_self), axis=1)  # (H, 2, K)
+        if own is not None:
+            dt_ab = own.sum(dt_ab, axis=2)
+        dt_send = send.sum(dl_edge, axis=1)[:, None, :]  # (H, 1, S)
+        dt_edge = edge_row.sum(dl_edge, axis=1)[:, None, :]  # (H, 1, U)
+        # Logits: t = leaky(T) @ w per head.
+        kr, ks, ke = (ad.leaky_relu_slopes(T, LEAKY_SLOPE) for T in (Tr, Ts, Te))
+        dTr += np.matmul(np.swapaxes(dt_ab, 1, 2), w3[:, :2]) * kr
+        dTs += np.swapaxes(dt_send, 1, 2) * w3[:, None, 1] * ks
+        dTe = np.swapaxes(dt_edge, 1, 2) * w3[:, None, 2] * ke
+        dw = np.empty((H, 3, L))
+        np.matmul(dt_ab, lr, out=dw[:, :2])
+        dw[:, 1:2] += np.matmul(dt_send, ls)
+        np.matmul(dt_edge, le, out=dw[:, 2:])
+        # The head transforms x @ theta, x shared by every head.
+        inputs = ((Xr, theta_r, dTr), (Xs, theta_s, dTs), (Xe, theta_e, dTe))
+        grads = [np.matmul(dT, np.swapaxes(theta, 1, 2)).sum(axis=0) for _, theta, dT in inputs]
+        grads += [np.matmul(x.T, dT) for x, _, dT in inputs]
+        grads.append(dw.reshape(H, 3 * L))
+        return grads
+
+    parents = (recv_emb, send_emb, edge_emb, theta_recv, theta_send, theta_edge, w)
+    return ad.custom(out, parents, backward), (alpha_self, alpha_edge)
 
 
 def _record(weights, rnd: _Round, receiver_of_edge: np.ndarray) -> AttentionRecord:
@@ -362,9 +414,14 @@ def gat_forward(
 
 
 def greedy_select(scores: np.ndarray, binary_mask: np.ndarray, K: int) -> Backdoor:
-    """The K highest-scoring binary variables; ties go to the lowest index."""
+    """The K highest-scoring binary variables; ties go to the lowest index.
+
+    Raises ``ValueError`` on a NaN or infinite score, which no ranking orders.
+    """
     scores = np.asarray(scores, dtype=float).reshape(-1)
     binary = np.flatnonzero(np.asarray(binary_mask, dtype=bool))
+    if not np.isfinite(scores).all():
+        raise ValueError(f"scores must be finite, got {scores[~np.isfinite(scores)][:3].tolist()}")
     if K < 1:
         raise ValueError(f"K={K} must be at least 1")
     if K > binary.size:

@@ -474,10 +474,17 @@ class LpWorkspace:
         WT, b, c = self.WT, self.b, self.c_ext
         m = self.m
         ftol, dtol = _FTOL, _DTOL
+        drift_tol = 10.0 * ftol
         lo, up = bounds[0], bounds[1]
         y = np.zeros(m)
-        # Fixed variables (including EQ slacks) never enter the basis.
+        # Kept up to date on each pivot: the basic columns' bounds and
+        # costs, the nonbasic movable columns (fixed ones, EQ slacks
+        # included, never enter), and each column's direction sign, +1 at
+        # its lower bound and -1 otherwise.
+        loB, upB, cB = lo[basis], up[basis], c[basis]
         movable = ~(up - lo <= 0.0)
+        eligible = movable & (vstat != _BASIC)
+        sign = np.where(vstat == _AT_LOWER, 1.0, -1.0)
 
         Binv = np.eye(m)
         z = self._nonbasic_values(bounds, vstat)
@@ -497,37 +504,36 @@ class LpWorkspace:
                 xB = np.dot(Binv, b - np.dot(z, WT))
                 since_refactor = 0
 
-            loB = lo[basis]
-            upB = up[basis]
-            below = xB < loB - ftol
-            above = ~below & (xB > upB + ftol)
-            worst = max(
-                np.maximum.reduce(loB[below] - xB[below], initial=0.0),
-                np.maximum.reduce(xB[above] - upB[above], initial=0.0),
-            )
-            if phase == 1 and worst == 0.0:
-                phase = 2
-            elif phase == 2 and worst > 10.0 * ftol:
-                # Drift pushed a basic variable out of its bounds: repair first.
-                phase = 1
+            # Phase 2 only checks that no basic variable drifted more than
+            # drift_tol out of its bounds; fmax skips NaN as the masks do.
+            if phase == 1 or np.fmax.reduce(np.maximum(loB - xB, xB - upB), initial=0.0) > drift_tol:
+                below = xB < loB - ftol
+                above = ~below & (xB > upB + ftol)
+                worst = max(
+                    np.maximum.reduce(loB[below] - xB[below], initial=0.0),
+                    np.maximum.reduce(xB[above] - upB[above], initial=0.0),
+                )
+                if phase == 1 and worst == 0.0:
+                    phase = 2
+                elif phase == 2 and worst > drift_tol:
+                    # Drift pushed a basic variable out of its bounds: repair first.
+                    phase = 1
 
             # score[j]: rate at which moving nonbasic column j off its bound
             # lowers the infeasibility sum (phase 1) or the objective (phase 2).
-            at_lower = vstat == _AT_LOWER
             if phase == 1:
                 dvec = np.zeros(m)
                 dvec[below] = -1.0
                 dvec[above] = 1.0
                 y = np.dot(dvec, Binv)
-                s = np.dot(WT, y)
                 # The derivative of the infeasibility sum w.r.t. x_j is -s[j].
-                score = np.where(at_lower, s, -s)
+                score = sign * np.dot(WT, y)
             else:
-                y = np.dot(c[basis], Binv)
-                d = c - np.dot(WT, y)
-                score = np.where(at_lower, -d, d)
-            cand = movable & (vstat != _BASIC) & (score > dtol)
-            if not cand.any():
+                y = np.dot(cB, Binv)
+                # WT y - c is the negated reduced cost, bit for bit.
+                score = sign * (np.dot(WT, y) - c)
+            cand = eligible & (score > dtol)
+            if not _any(cand):
                 if phase == 1:
                     return _ST_INFEASIBLE, iters, None, y, Binv, since_refactor
                 xall = self._nonbasic_values(bounds, vstat)
@@ -538,7 +544,7 @@ class LpWorkspace:
             else:
                 # argmax keeps the first of equal maxima: lowest-index tie-break.
                 enter = int(np.argmax(np.where(cand, score, -INF)))
-            t = 1.0 if at_lower[enter] else -1.0
+            t = float(sign[enter])
             w = np.dot(Binv, WT[enter])
 
             # Ratio test.  In phase 1 an infeasible basic variable may move
@@ -572,16 +578,25 @@ class LpWorkspace:
                 xB -= (t * theta) * w
                 enter_val = t * theta + (lo[enter] if t > 0.0 else up[enter])
                 out = basis[leave]
-                vstat[out] = _AT_UPPER if to_upper[leave] else _AT_LOWER
+                if to_upper[leave]:
+                    vstat[out] = _AT_UPPER
+                    sign[out] = -1.0
+                else:
+                    vstat[out] = _AT_LOWER
+                    sign[out] = 1.0
+                eligible[out] = movable[out]
                 _replace_column(Binv, w, leave)
                 xB[leave] = enter_val
                 basis[leave] = enter
+                loB[leave], upB[leave], cB[leave] = lo[enter], up[enter], c[enter]
                 vstat[enter] = _BASIC
+                eligible[enter] = False
                 since_refactor += 1
             else:
                 theta = theta_flip
                 xB -= (t * theta) * w
                 vstat[enter] = _AT_UPPER if t > 0.0 else _AT_LOWER
+                sign[enter] = -t
 
             if theta <= _TIE_EPS:
                 degen_run += 1

@@ -92,6 +92,34 @@ def test_criterion_2_priority_invariance():
     _verdict(2, ok == 100, f"objective agreement {ok}/100 priority pairs")
 
 
+def _pre_activations(params: GatParameters, graph, pos, neg) -> list[np.ndarray]:
+    """Every array a relu or leaky relu sees in one forward pass and loss.
+
+    The embedding and output MLPs run ``autodiff.relu``; each attention
+    round runs ``autodiff.leaky_relu_values`` on its three head transforms.
+    """
+    from backdoorlab.gnn import autodiff as ad_mod
+
+    seen: list[np.ndarray] = []
+    orig_leaky, orig_relu = ad_mod.leaky_relu_values, ad_mod.relu
+
+    def rec_leaky(x, slope):
+        seen.append(x)
+        return orig_leaky(x, slope)
+
+    def rec_relu(a):
+        seen.append(a.data)
+        return orig_relu(a)
+
+    ad_mod.leaky_relu_values, ad_mod.relu = rec_leaky, rec_relu
+    try:
+        scores, _ = score_graph(params.tensors(), graph)
+        infonce_loss(scores, pos, neg, 0.07)
+    finally:
+        ad_mod.leaky_relu_values, ad_mod.relu = orig_leaky, orig_relu
+    return seen
+
+
 def _kink_margin(params: GatParameters, graph, pos, neg) -> float:
     """Smallest |pre-activation| any relu/leaky-relu sees in the forward pass.
 
@@ -99,28 +127,24 @@ def _kink_margin(params: GatParameters, graph, pos, neg) -> float:
     the gradient check below skips configurations whose margin is inside the
     differencing step's reach.
     """
-    from backdoorlab.gnn import autodiff as ad_mod
+    return min(float(np.abs(x).min()) for x in _pre_activations(params, graph, pos, neg) if x.size)
 
-    vals: list[float] = []
-    orig_leaky, orig_relu = ad_mod.leaky_relu, ad_mod.relu
 
-    def rec_leaky(a, slope=0.2):
-        if a.data.size:
-            vals.append(float(np.min(np.abs(a.data))))
-        return orig_leaky(a, slope)
-
-    def rec_relu(a):
-        if a.data.size:
-            vals.append(float(np.min(np.abs(a.data))))
-        return orig_relu(a)
-
-    ad_mod.leaky_relu, ad_mod.relu = rec_leaky, rec_relu
-    try:
-        scores, _ = score_graph(params.tensors(), graph)
-        infonce_loss(scores, pos, neg, 0.07)
-    finally:
-        ad_mod.leaky_relu, ad_mod.relu = orig_leaky, orig_relu
-    return min(vals)
+def test_criterion_3_kink_filter_sees_every_pre_activation():
+    """The filter gets all ten arrays: four MLP hidden layers and the three
+    head transforms of each attention round."""
+    inst = gen_mis(nodes=5, avg_degree=3.0, seed=0)
+    graph = featurize(inst, solve_lp(lp_relaxation(inst)))
+    params = GatParameters.init(seed=0, L=6, H=2, hidden=5)
+    seen = _pre_activations(params, graph, [(0, 1)], [(2, graph.num_vars - 1), (1, 2)])
+    nc = graph.node_classes
+    var_rows, cons_rows, edge_rows = (x.shape[0] for x in (nc.var_rows, nc.cons_rows, nc.edge_rows))
+    assert [x.shape for x in seen] == [
+        (var_rows, 5), (cons_rows, 5), (edge_rows, 5),  # embedding MLPs
+        (2, cons_rows, 6), (2, var_rows, 6), (2, edge_rows, 6),  # round 1: receivers, senders, edges
+        (2, var_rows, 6), (2, nc.round1.recv.size, 6), (2, edge_rows, 6),  # round 2
+        (nc.round2.recv.size, 5),  # output MLP
+    ]
 
 
 def test_criterion_3_gradient_fidelity():

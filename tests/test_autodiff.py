@@ -232,3 +232,17 @@ def test_constants_receive_no_gradient():
     const = hidden._parents[0]
     assert not const.requires_grad and const.grad is None
     assert not ad.tsum(ad.exp(feats)).requires_grad
+
+
+def test_custom_node_adds_its_gradients_to_the_parents_that_need_them():
+    """A hand-written ``x * y`` node matches the composed op, and a constant parent gets nothing."""
+    x = Tensor(np.array([1.0, -2.0, 3.0]))
+    y = ad._t(np.array([0.5, 4.0, -1.0]))  # a constant
+    prod = ad.custom(x.data * y.data, (x, y), lambda g: (g * y.data, g * x.data))
+    shared = ad.add(prod, x)  # x also gets a gradient from a second path
+    (gx,) = grad(ad.tsum(ad.mul(shared, shared)), [x])
+    ref = Tensor(x.data)
+    (gr,) = grad(ad.tsum(ad.mul(ad.add(ad.mul(ref, y.data), ref), ad.add(ad.mul(ref, y.data), ref))), [ref])
+    np.testing.assert_array_equal(gx, gr)
+    assert prod.requires_grad and y.grad is None
+    assert not ad.custom(y.data, (y,), lambda g: (g,)).requires_grad

@@ -325,6 +325,11 @@ class TestGreedySelect:
         with pytest.raises(ValueError):
             greedy_select(np.ones(3), np.ones(3, dtype=bool), 4)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_score_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            greedy_select(np.array([0.5, bad, 0.9, 0.1]), np.ones(4, dtype=bool), 2)
+
     @pytest.mark.parametrize("K", [0, -1])
     def test_k_below_one(self, K):
         with pytest.raises(ValueError, match="at least 1"):
