@@ -1,4 +1,5 @@
-"""Attention-based variable scorer: autodiff core, model, loss, optimizer."""
+"""Attention-based variable scorer: model, loss, optimizer, training, and the
+autodiff tape that the tests use as the gradient reference."""
 
 from .autodiff import Tensor, grad
 from .loss import infonce_loss, membership_matrix

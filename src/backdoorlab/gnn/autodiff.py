@@ -4,14 +4,17 @@ A :class:`Tensor` wraps an ndarray and remembers how it was produced; calling
 :func:`grad` on a scalar output walks the graph once in reverse topological
 order and accumulates exact gradients.  The op set is exactly what the
 attention network and its contrastive loss need: broadcast arithmetic,
-(stacked) matmul, the pointwise nonlinearities, axis reductions, the
-gather / segment-sum pair that moves messages along graph edges, and
-:func:`custom` for a node whose backward pass is written by hand.
+(stacked) matmul, the pointwise nonlinearities, axis reductions, and the
+gather / segment-sum pair that moves messages along graph edges.  The model
+and its training run without the tape, in plain numpy; the tests check
+their hand-written backward passes against it.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .model import SegmentIndex, _product, leaky_relu_slopes, leaky_relu_values
 
 
 def _as_array(x) -> np.ndarray:
@@ -130,20 +133,6 @@ def _acc(t: Tensor, g: np.ndarray) -> None:
     t.grad = g if t.grad is None else t.grad + g
 
 
-def custom(data, parents: tuple[Tensor, ...], backward) -> Tensor:
-    """A node with a hand-written backward pass.
-
-    ``backward(g)`` gets the output's gradient and returns one gradient per
-    parent, in order; each is added to its parent if that parent needs one.
-    """
-    def bw(g):
-        for p, gp in zip(parents, backward(g)):
-            if p.requires_grad:
-                _acc(p, gp)
-
-    return Tensor(data, parents, bw)
-
-
 def add(a, b) -> Tensor:
     a, b = _t(a), _t(b)
     out = Tensor(a.data + b.data, (a, b))
@@ -200,12 +189,6 @@ def div(a, b) -> Tensor:
     return out
 
 
-def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``x @ y``; with a contracted size of 1 it is an outer product, done as a
-    broadcast multiply (the same values) rather than a stacked gemm."""
-    return x * y if x.shape[-1] == 1 else np.matmul(x, y)
-
-
 def matmul(a, b) -> Tensor:
     """np.matmul semantics for 2-D and leading-axis-stacked operands."""
     a, b = _t(a), _t(b)
@@ -231,23 +214,6 @@ def relu(a) -> Tensor:
 
     out._bw = bw
     return out
-
-
-def leaky_relu_values(x: np.ndarray, slope: float) -> np.ndarray:
-    """``max(x, slope * x)`` on a plain array, for ``0 <= slope <= 1``."""
-    return np.maximum(x, slope * x)
-
-
-def leaky_relu_slopes(x: np.ndarray, slope: float) -> np.ndarray:
-    """The leaky relu's derivative at ``x``: 1 above 0 and ``slope`` elsewhere.
-
-    Built by arithmetic on the comparison, not by ``np.where``, whose
-    branches are slow on mixed signs.
-    """
-    factor = np.greater(x, 0.0, out=np.empty(x.shape))
-    factor *= 1.0 - slope
-    factor += slope
-    return factor
 
 
 def leaky_relu(a, slope: float = 0.2) -> Tensor:
@@ -327,54 +293,6 @@ def reshape(a, shape) -> Tensor:
 
     out._bw = bw
     return out
-
-
-class SegmentIndex:
-    """An integer index map into ``size`` segments, stably sorted once.
-
-    :func:`gather` reads through it and :func:`segment_sum` adds through it.
-    Both scatter-adds run as ``np.add.reduceat`` over the sorted order, one
-    reduction per non-empty segment, so the entries of a segment are added
-    in index order.  Build one per index map and reuse it.
-    """
-
-    __slots__ = ("index", "size", "order", "starts", "present")
-
-    def __init__(self, index, size: int):
-        self.index = np.asarray(index, dtype=np.int64).reshape(-1)
-        self.size = int(size)
-        self.order = np.argsort(self.index, kind="stable")
-        ranked = self.index[self.order]
-        if ranked.size and (ranked[0] < 0 or ranked[-1] >= self.size):
-            raise IndexError(f"segment index out of range [0, {self.size})")
-        first = np.ones(ranked.size, dtype=bool)  # first entry of each segment
-        first[1:] = ranked[1:] != ranked[:-1]
-        self.starts = np.flatnonzero(first)
-        self.present = ranked[self.starts]
-
-    def _reduce(self, ufunc, x: np.ndarray, axis: int) -> np.ndarray:
-        return ufunc.reduceat(np.take(x, self.order, axis=axis), self.starts, axis=axis)
-
-    def sum(self, x: np.ndarray, axis: int = 0) -> np.ndarray:
-        """Slices of ``x`` along ``axis`` added per segment; empty segments are 0."""
-        shape = list(x.shape)
-        shape[axis] = self.size
-        out = np.zeros(shape)
-        if self.index.size:
-            out[(slice(None),) * axis + (self.present,)] = self._reduce(np.add, x, axis)
-        return out
-
-    def maximum(self, floor: np.ndarray, x: np.ndarray, axis: int = 0) -> np.ndarray:
-        """Per-segment maximum of ``x`` and ``floor`` (which has the segment shape).
-
-        Empty segments keep ``floor``; this equals ``np.maximum.at`` into a
-        copy of ``floor``.
-        """
-        out = np.array(floor, dtype=np.float64)
-        if self.index.size:
-            sel = (slice(None),) * axis + (self.present,)
-            out[sel] = np.maximum(out[sel], self._reduce(np.maximum, x, axis))
-        return out
 
 
 def _segments(index, size: int) -> SegmentIndex:

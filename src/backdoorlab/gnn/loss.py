@@ -5,7 +5,8 @@ dot product with the score vector adds up the scores of its members.  Each
 positive is contrasted against all negatives: the loss is the mean over
 positives of ``-log softmax`` where the softmax runs over that positive plus
 every negative at temperature tau.  Computed with max subtraction, and
-invariant to shifting every dot product by a constant.
+invariant to shifting every dot product by a constant.  The gradient with
+respect to the scores comes from the same pass, in closed form.
 """
 
 from __future__ import annotations
@@ -13,9 +14,6 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 import numpy as np
-
-from . import autodiff as ad
-from .autodiff import Tensor
 
 
 def membership_matrix(samples: Sequence[Iterable[int]], num_vars: int) -> np.ndarray:
@@ -34,31 +32,42 @@ def membership_matrix(samples: Sequence[Iterable[int]], num_vars: int) -> np.nda
     return M
 
 
-def infonce_loss(scores, positives: Sequence[Iterable[int]], negatives: Sequence[Iterable[int]], tau: float = 0.07):
-    """InfoNCE over variable-membership encodings.
+def infonce_loss_and_grad(
+    scores, positives: Sequence[Iterable[int]], negatives: Sequence[Iterable[int]], tau: float = 0.07
+) -> tuple[float, np.ndarray]:
+    """InfoNCE over variable-membership encodings, and its gradient with
+    respect to ``scores``.
 
-    ``scores`` may be a plain array (returns a float) or an autodiff Tensor
-    (returns a scalar Tensor for training).  ``positives`` and ``negatives``
-    are collections of variable-index collections.  An empty negative set
-    yields exactly 0; an empty positive set is an error.
+    ``positives`` and ``negatives`` are collections of variable-index
+    collections.  An empty negative set yields exactly 0 with a zero
+    gradient; an empty positive set is an error.
     """
     if tau <= 0.0:
         raise ValueError("temperature must be positive")
     if len(positives) == 0:
         raise ValueError("at least one positive sample is required")
-    tensor_in = isinstance(scores, Tensor)
-    s = scores if tensor_in else Tensor(np.asarray(scores, dtype=float))
+    s = np.asarray(scores, dtype=float).reshape(-1)
     if len(negatives) == 0:
-        out = Tensor(0.0)
-        return out if tensor_in else 0.0
-    n = int(np.prod(s.data.shape))
-    col = ad.reshape(s, (n, 1))
-    Mp = membership_matrix(positives, n)
-    Mn = membership_matrix(negatives, n)
-    dp = ad.mul(ad.matmul(Mp, col), 1.0 / tau)  # (p, 1)
-    dn = ad.mul(ad.matmul(Mn, col), 1.0 / tau)  # (q, 1)
-    shift = float(max(dp.data.max(), dn.data.max()))  # detached
-    neg_mass = ad.tsum(ad.exp(ad.sub(dn, shift)))  # scalar
-    lse = ad.log(ad.add(ad.exp(ad.sub(dp, shift)), neg_mass))  # (p, 1)
-    out = ad.tmean(ad.sub(lse, ad.sub(dp, shift)))
-    return out if tensor_in else float(out.data)
+        return 0.0, np.zeros_like(s)
+    Mp = membership_matrix(positives, s.size)
+    Mn = membership_matrix(negatives, s.size)
+    dp = np.matmul(Mp, s) * (1.0 / tau)
+    dn = np.matmul(Mn, s) * (1.0 / tau)
+    shift = max(dp.max(), dn.max())
+    exp_pos = np.exp(dp - shift)
+    exp_neg = np.exp(dn - shift)
+    total = exp_pos + exp_neg.sum()  # each positive's softmax denominator
+    loss = float(np.mean(np.log(total) - (dp - shift)))
+    # d loss / d dp_i = (p_i - 1) / P and d loss / d dn_j = sum_i q_ij / P,
+    # with p_i, q_ij the softmax weights of positive i and of negative j in it.
+    inv = 1.0 / (len(positives) * total)
+    d_dp = exp_pos * inv - 1.0 / len(positives)
+    d_dn = exp_neg * inv.sum()
+    return loss, (np.matmul(d_dp, Mp) + np.matmul(d_dn, Mn)) * (1.0 / tau)
+
+
+def infonce_loss(
+    scores, positives: Sequence[Iterable[int]], negatives: Sequence[Iterable[int]], tau: float = 0.07
+) -> float:
+    """The InfoNCE value of :func:`infonce_loss_and_grad`, as a float."""
+    return infonce_loss_and_grad(scores, positives, negatives, tau)[0]

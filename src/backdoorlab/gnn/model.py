@@ -23,15 +23,17 @@ symmetric: over 60 GISP-25 graphs, 1.1% of the constraint rows and 22% of
 the variable rows are distinct, and round 1 runs for 47% of the
 constraints, round 2 for 85% of the variables.
 
-Each attention round is one autodiff node with a hand-written backward
-pass (``autodiff.custom``) in place of about 47 small ones, so the backward
-pass of a GISP-25 training sample runs 40 node backward functions rather
-than 130.  The round works in plain numpy: the three head transforms, the
-leaky logits, the softmax over each neighborhood, and the messages,
-aggregated densely by scattering the edge weights into an (H, sender
-classes, receiver classes) block and multiplying it by the sender
-transforms per head.  Its backward is the softmax Jacobian per
-neighborhood, the block's two products, segment sums back to own rows,
+The forward pass and its backward pass are plain numpy, with no autodiff
+tape.  ``score_graph`` runs the embedding MLPs, the two rounds, the output
+MLP, the sigmoid and the gather to all variables, keeps what its backward
+pass needs, and returns that pass as a function which adds every
+parameter's gradient into a named view of one flat buffer
+(``GatParameters.views``), one addition per array.  A round computes the
+three head transforms, the leaky logits, the softmax over each
+neighborhood, and the messages, aggregated densely by scattering the edge
+weights into an (H, sender classes, receiver classes) block and multiplying
+it by the sender transforms per head.  Its backward is the softmax Jacobian
+per neighborhood, the block's two products, segment sums back to own rows,
 senders and edge rows, and the transforms' gradients.  On GISP-25 at H=8
 the two rounds' edge blocks hold about 17,000 floats together.
 """
@@ -51,8 +53,6 @@ from ..features import (
     BipartiteGraph,
 )
 from ..search import Backdoor
-from . import autodiff as ad
-from .autodiff import Tensor
 
 LEAKY_SLOPE = 0.2
 
@@ -91,12 +91,33 @@ def _layout(L: int, H: int, hidden: int) -> dict[str, tuple[int, ...]]:
 
 @dataclass
 class GatParameters:
-    """All learnable arrays, keyed by name in a fixed order."""
+    """All learnable arrays: one contiguous float64 vector and named views into it.
+
+    ``vector`` holds the arrays in initialization order; ``arrays`` maps each
+    name to its view, so a write through either is a write to both.  A
+    missing ``vector`` starts as zeros.
+    """
 
     L: int = 64
     H: int = 8
     hidden: int = 64
-    arrays: dict[str, np.ndarray] = field(default_factory=dict)
+    vector: np.ndarray | None = None
+    arrays: dict[str, np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        if self.vector is None:
+            sizes = (int(np.prod(shape)) for shape in _layout(self.L, self.H, self.hidden).values())
+            self.vector = np.zeros(sum(sizes))
+        self.arrays = self.views(self.vector)
+
+    def views(self, vector: np.ndarray) -> dict[str, np.ndarray]:
+        """Named views into a vector with this layout, such as a flat gradient."""
+        views, pos = {}, 0
+        for name, shape in _layout(self.L, self.H, self.hidden).items():
+            size = int(np.prod(shape))
+            views[name] = vector[pos : pos + size].reshape(shape)
+            pos += size
+        return views
 
     @classmethod
     def init(cls, seed: int = 0, L: int = 64, H: int = 8, hidden: int = 64) -> "GatParameters":
@@ -104,23 +125,14 @@ class GatParameters:
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
         p = cls(L=L, H=H, hidden=hidden)
         w_limit = np.sqrt(6.0 / (3 * L + 1))
-        for name, shape in _layout(L, H, hidden).items():
-            if len(shape) == 1:  # biases
-                p.arrays[name] = np.zeros(shape)
-            elif name in ("att1_w", "att2_w"):
-                p.arrays[name] = rng.uniform(-w_limit, w_limit, size=shape)
+        for name, view in p.arrays.items():
+            if view.ndim == 1:  # biases stay zero
+                continue
+            if name in ("att1_w", "att2_w"):
+                view[...] = rng.uniform(-w_limit, w_limit, size=view.shape)
             else:
-                p.arrays[name] = _glorot(rng, shape)
+                view[...] = _glorot(rng, view.shape)
         return p
-
-    def tensors(self) -> dict[str, Tensor]:
-        return {k: Tensor(v) for k, v in self.arrays.items()}
-
-    def copy(self) -> "GatParameters":
-        return GatParameters(
-            L=self.L, H=self.H, hidden=self.hidden,
-            arrays={k: v.copy() for k, v in self.arrays.items()},
-        )
 
 
 @dataclass
@@ -132,8 +144,110 @@ class AttentionRecord:
     receiver_of_edge: np.ndarray  # (edges,)
 
 
-def _mlp(x, w1, b1, w2, b2) -> Tensor:
-    return ad.add(ad.matmul(ad.relu(ad.add(ad.matmul(x, w1), b1)), w2), b2)
+def leaky_relu_values(x: np.ndarray, slope: float) -> np.ndarray:
+    """``max(x, slope * x)``, for ``0 <= slope <= 1``; slope 0 is the relu."""
+    return np.maximum(x, slope * x)
+
+
+def leaky_relu_slopes(x: np.ndarray, slope: float) -> np.ndarray:
+    """The leaky relu's derivative at ``x``: 1 above 0 and ``slope`` elsewhere.
+
+    Built by arithmetic on the comparison, not by ``np.where``, whose
+    branches are slow on mixed signs.
+    """
+    factor = np.greater(x, 0.0, out=np.empty(x.shape))
+    factor *= 1.0 - slope
+    factor += slope
+    return factor
+
+
+def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``x @ y``; with a contracted size of 1 it is an outer product, done as a
+    broadcast multiply (the same values) rather than a stacked gemm."""
+    return x * y if x.shape[-1] == 1 else np.matmul(x, y)
+
+
+class SegmentIndex:
+    """An integer index map into ``size`` segments, stably sorted once.
+
+    Gathers read through ``index``; :meth:`sum`, the gather's adjoint, adds
+    through it as ``np.add.reduceat`` over the sorted order, one reduction
+    per non-empty segment, so the entries of a segment are added in index
+    order.  Build one per index map and reuse it.
+    """
+
+    __slots__ = ("index", "size", "order", "in_order", "single", "full", "starts", "present")
+
+    def __init__(self, index, size: int):
+        self.index = np.asarray(index, dtype=np.int64).reshape(-1)
+        self.size = int(size)
+        self.order = np.argsort(self.index, kind="stable")
+        ranked = self.index[self.order]
+        if ranked.size and (ranked[0] < 0 or ranked[-1] >= self.size):
+            raise IndexError(f"segment index out of range [0, {self.size})")
+        first = np.ones(ranked.size, dtype=bool)  # first entry of each segment
+        first[1:] = ranked[1:] != ranked[:-1]
+        self.starts = np.flatnonzero(first)
+        self.present = ranked[self.starts]
+        # Shortcuts with the same sums: no reordering when the index is
+        # already sorted, no reduction when no segment has two entries, and
+        # no scatter when no segment is empty.
+        self.in_order = bool(np.all(self.order == np.arange(ranked.size)))
+        self.single = self.starts.size == ranked.size
+        self.full = self.present.size == self.size
+
+    def _reduce(self, ufunc, x: np.ndarray, axis: int) -> np.ndarray:
+        """``ufunc`` over each non-empty segment's entries, as a new array."""
+        if self.single or not self.in_order:
+            x = x.take(self.order, axis=axis)
+        return x if self.single else ufunc.reduceat(x, self.starts, axis=axis)
+
+    def sum(self, x: np.ndarray, axis: int = 0) -> np.ndarray:
+        """Slices of ``x`` along ``axis`` added per segment; empty segments are 0."""
+        if self.full and self.index.size:
+            return self._reduce(np.add, x, axis)
+        shape = list(x.shape)
+        shape[axis] = self.size
+        out = np.zeros(shape)
+        if self.index.size:
+            out[(slice(None),) * axis + (self.present,)] = self._reduce(np.add, x, axis)
+        return out
+
+    def maximum(self, floor: np.ndarray, x: np.ndarray, axis: int = 0) -> np.ndarray:
+        """Per-segment maximum of ``x`` and ``floor`` (which has the segment shape).
+
+        Empty segments keep ``floor``; this equals ``np.maximum.at`` into a
+        copy of ``floor``.
+        """
+        if self.full and self.index.size:
+            return np.maximum(floor, self._reduce(np.maximum, x, axis))
+        out = np.array(floor, dtype=np.float64)
+        if self.index.size:
+            sel = (slice(None),) * axis + (self.present,)
+            out[sel] = np.maximum(out[sel], self._reduce(np.maximum, x, axis))
+        return out
+
+
+def _mlp(x: np.ndarray, a: dict[str, np.ndarray], tag: str):
+    """The 2-layer relu MLP ``tag``; returns its output and its backward pass.
+
+    ``backward(g, grads)`` adds the gradients of the four ``tag`` arrays
+    into ``grads`` and returns the gradient of ``x``.
+    """
+    w1, b1, w2, b2 = (a[f"{tag}_{part}"] for part in ("w1", "b1", "w2", "b2"))
+    pre = np.matmul(x, w1) + b1
+    h = leaky_relu_values(pre, 0.0)
+    out = np.matmul(h, w2) + b2
+
+    def backward(g: np.ndarray, grads: dict[str, np.ndarray]) -> np.ndarray:
+        grads[f"{tag}_w2"] += _product(h.T, g)
+        grads[f"{tag}_b2"] += g.sum(axis=0)
+        d_pre = _product(g, w2.T) * leaky_relu_slopes(pre, 0.0)
+        grads[f"{tag}_w1"] += _product(x.T, d_pre)
+        grads[f"{tag}_b1"] += d_pre.sum(axis=0)
+        return _product(d_pre, w1.T)
+
+    return out, backward
 
 
 def _row_classes(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -159,11 +273,12 @@ class _Round:
     representative's sorted by (sender, edge row).
     """
 
-    own: ad.SegmentIndex | None  # class -> its receivers' own row; None when that is the identity
-    recv: ad.SegmentIndex  # round edge -> receiver class
-    send: ad.SegmentIndex  # round edge -> sender
-    edge_row: ad.SegmentIndex  # round edge -> distinct edge-feature row
-    pair: ad.SegmentIndex  # round edge -> its (sender, receiver class) cell of the dense block
+    own: SegmentIndex | None  # class -> its receivers' own row; None when that is the identity
+    member: np.ndarray | None  # (own rows, classes), 1 where the class has that own row; None with own
+    recv: SegmentIndex  # round edge -> receiver class
+    send: SegmentIndex  # round edge -> sender
+    edge_row: SegmentIndex  # round edge -> distinct edge-feature row
+    pair: SegmentIndex  # round edge -> its (sender, receiver class) cell of the dense block
     node_class: np.ndarray  # each receiver node's class
     edge_slot: np.ndarray  # each graph edge's round edge: the same position in its representative
 
@@ -194,12 +309,14 @@ def _refine(own, num_own, recv, send, num_send, edge_row, num_rows) -> _Round:
     picked = order[start[reps][rep_recv] + np.arange(rep_recv.size) - offset[rep_recv]]
     edge_slot = np.empty(E, dtype=np.int64)
     edge_slot[order] = offset[node_class[ranked]] + pos
+    identity = K == num_own
     return _Round(
-        own=None if K == num_own else ad.SegmentIndex(own[reps], num_own),
-        recv=ad.SegmentIndex(rep_recv, K),
-        send=ad.SegmentIndex(send[picked], num_send),
-        edge_row=ad.SegmentIndex(edge_row[picked], num_rows),
-        pair=ad.SegmentIndex(send[picked] * K + rep_recv, num_send * K),
+        own=None if identity else SegmentIndex(own[reps], num_own),
+        member=None if identity else np.equal.outer(np.arange(num_own), own[reps]).astype(np.float64),
+        recv=SegmentIndex(rep_recv, K),
+        send=SegmentIndex(send[picked], num_send),
+        edge_row=SegmentIndex(edge_row[picked], num_rows),
+        pair=SegmentIndex(send[picked] * K + rep_recv, num_send * K),
         node_class=node_class,
         edge_slot=edge_slot,
     )
@@ -222,7 +339,7 @@ class NodeClasses:
     edge_rows: np.ndarray  # distinct edge-feature rows
     round1: _Round  # constraints, with the variable rows as senders
     round2: _Round  # variables, with the round-1 classes as senders
-    var_class: ad.SegmentIndex | None  # variable -> round-2 class; None when that is the identity
+    var_class: SegmentIndex | None  # variable -> round-2 class; None when that is the identity
 
     @classmethod
     def of(cls, graph: BipartiteGraph) -> "NodeClasses":
@@ -244,34 +361,32 @@ class NodeClasses:
             edge_rows=edge_feats[edge_first],
             round1=round1,
             round2=round2,
-            var_class=None if K2 == graph.num_vars else ad.SegmentIndex(round2.node_class, K2),
+            var_class=None if K2 == graph.num_vars else SegmentIndex(round2.node_class, K2),
         )
 
 
-def _attention_round(
-    recv_emb, send_emb, edge_emb, theta_recv, theta_send, theta_edge, w, rnd: _Round, H: int, L: int
-):
-    """One message-passing round over receiver classes; returns (new class embeddings, weights).
+def _attention_round(Xr, Xs, Xe, theta_r, theta_s, theta_e, w, rnd: _Round):
+    """One message-passing round over receiver classes; returns (new class
+    embeddings, weights, backward).
 
-    ``recv_emb`` holds one embedding per distinct own row of the receivers,
-    ``send_emb`` one per sender and ``edge_emb`` one per distinct edge row;
-    ``rnd`` maps them to the round's classes and edges.  The weights are the
-    ``(H, classes)`` self and ``(H, round edges)`` edge softmax weights.
+    ``Xr`` holds one embedding per distinct own row of the receivers, ``Xs``
+    one per sender and ``Xe`` one per distinct edge row; ``rnd`` maps them to
+    the round's classes and edges.  The weights are the ``(H, classes)`` self
+    and ``(H, round edges)`` edge softmax weights.  ``backward(g)`` takes the
+    gradient of the new embeddings and returns those of the seven inputs, in
+    order.
 
-    The round is one autodiff node whose parents are the seven inputs; its
-    forward and backward passes are plain numpy.  The neighbor messages are
-    ``block.T @ Ts`` per head, where ``block`` is the dense ``(H, S, K)``
-    attention matrix with each edge's weight summed into its (sender,
-    receiver class) cell, so a repeated pair adds up as separate edges would.
-    It costs ``H * K * S`` floats, forward and backward.  The self messages
-    weight each class's own-row transform elementwise.  The products stay
-    stacked per head: at GISP-25 sizes one gemm over all heads passes
-    OpenBLAS's threading threshold, and its second thread doubles the CPU
-    time for no gain.
+    The neighbor messages are ``block.T @ Ts`` per head, where ``block`` is
+    the dense ``(H, S, K)`` attention matrix with each edge's weight summed
+    into its (sender, receiver class) cell, so a repeated pair adds up as
+    separate edges would.  It costs ``H * K * S`` floats, forward and
+    backward.  The self messages weight each class's own-row transform
+    elementwise.  The products stay stacked per head: at GISP-25 sizes one
+    gemm over all heads passes OpenBLAS's threading threshold, and its second
+    thread doubles the CPU time for no gain.
     """
-    Xr, Xs, Xe = recv_emb.data, send_emb.data, edge_emb.data
-    theta_r, theta_s, theta_e = theta_recv.data, theta_send.data, theta_edge.data
-    w3 = w.data.reshape(H, 3, L)  # rows: parts a, b, c
+    H, L = theta_r.shape[:2]
+    w3 = w.reshape(H, 3, L)  # rows: parts a, b, c
     wt = np.swapaxes(w3, 1, 2)
     own, recv, send, edge_row, pair = rnd.own, rnd.recv, rnd.send, rnd.edge_row, rnd.pair
     K, S = recv.size, send.size
@@ -279,33 +394,33 @@ def _attention_round(
     Tr = np.matmul(Xr, theta_r)  # (H, own rows, L)
     Ts = np.matmul(Xs, theta_s)  # (H, S, L)
     Te = np.matmul(Xe, theta_e)  # (H, U, L), U distinct edge rows
-    lr, ls, le = (ad.leaky_relu_values(T, LEAKY_SLOPE) for T in (Tr, Ts, Te))
+    lr, ls, le = (leaky_relu_values(T, LEAKY_SLOPE) for T in (Tr, Ts, Te))
     # Logits ``w . leaky([recv, send, edge])``: an own row takes part a as
     # the receiver and part b as its own sender.
     t_ab = np.matmul(lr, wt[:, :, :2])  # (H, own rows, 2)
     t_send = np.matmul(ls, wt[:, :, 1:2])[..., 0]  # (H, S)
     t_edge = np.matmul(le, wt[:, :, 2:])[..., 0]  # (H, U)
     if own is not None:  # from own rows to receiver classes
-        t_ab = np.take(t_ab, own.index, axis=1)
+        t_ab = t_ab.take(own.index, axis=1)
     t_recv = t_ab[..., 0]
     self_logit = t_recv + t_ab[..., 1]  # (H, K)
     edge_logit = (
-        np.take(t_recv, recv.index, axis=1)
-        + np.take(t_send, send.index, axis=1)
-        + np.take(t_edge, edge_row.index, axis=1)
+        t_recv.take(recv.index, axis=1)
+        + t_send.take(send.index, axis=1)
+        + t_edge.take(edge_row.index, axis=1)
     )  # (H, E)
 
     # The per-neighborhood max keeps the softmax finite; the softmax is
     # shift invariant, so it carries no gradient.
     mx = recv.maximum(self_logit, edge_logit, axis=1)
     exp_self = np.exp(self_logit - mx)
-    exp_edge = np.exp(edge_logit - np.take(mx, recv.index, axis=1))
+    exp_edge = np.exp(edge_logit - mx.take(recv.index, axis=1))
     denom = exp_self + recv.sum(exp_edge, axis=1)
     alpha_self = exp_self / denom  # (H, K)
-    alpha_edge = exp_edge / np.take(denom, recv.index, axis=1)  # (H, E)
+    alpha_edge = exp_edge / denom.take(recv.index, axis=1)  # (H, E)
 
     block = pair.sum(alpha_edge, axis=1).reshape(H, S, K)
-    Tk = Tr if own is None else np.take(Tr, own.index, axis=1)  # (H, K, L)
+    Tk = Tr if own is None else Tr.take(own.index, axis=1)  # (H, K, L)
     out = np.matmul(np.swapaxes(block, 1, 2), Ts).sum(axis=0)
     out += np.einsum("hk,hkl->kl", alpha_self, Tk)
     out *= 1.0 / H  # (K, L), the mean over heads
@@ -314,23 +429,23 @@ def _attention_round(
         g = g * (1.0 / H)  # each head's share of the mean
         # The messages and their weights.
         dTs = np.matmul(block, g)  # (H, S, L)
-        d_edge = np.take(np.matmul(Ts, g.T).reshape(H, S * K), pair.index, axis=1)  # d alpha_edge
+        d_edge = np.matmul(Ts, g.T).reshape(H, S * K).take(pair.index, axis=1)  # d alpha_edge
         d_self = np.einsum("hkl,kl->hk", Tk, g)  # d alpha_self
-        dTr = alpha_self[..., None] * g  # (H, K, L)
-        if own is not None:  # summed to own rows by the (own rows, K) membership matrix
-            member = np.equal.outer(np.arange(own.size), own.index).astype(np.float64)
-            dTr = np.matmul(member, dTr)  # (H, own rows, L)
+        if own is None:
+            dTr = alpha_self[..., None] * g  # (H, K, L)
+        else:  # summed to own rows
+            dTr = np.matmul(rnd.member * alpha_self[:, None, :], g)  # (H, own rows, L)
         # Softmax over each neighborhood {self, its edges}.
         dot = d_self * alpha_self + recv.sum(d_edge * alpha_edge, axis=1)
         dl_self = alpha_self * (d_self - dot)  # d self_logit, (H, K)
-        dl_edge = alpha_edge * (d_edge - np.take(dot, recv.index, axis=1))  # d edge_logit, (H, E)
+        dl_edge = alpha_edge * (d_edge - dot.take(recv.index, axis=1))  # d edge_logit, (H, E)
         dt_ab = np.stack((dl_self + recv.sum(dl_edge, axis=1), dl_self), axis=1)  # (H, 2, K)
         if own is not None:
             dt_ab = own.sum(dt_ab, axis=2)
         dt_send = send.sum(dl_edge, axis=1)[:, None, :]  # (H, 1, S)
         dt_edge = edge_row.sum(dl_edge, axis=1)[:, None, :]  # (H, 1, U)
         # Logits: t = leaky(T) @ w per head.
-        kr, ks, ke = (ad.leaky_relu_slopes(T, LEAKY_SLOPE) for T in (Tr, Ts, Te))
+        kr, ks, ke = (leaky_relu_slopes(T, LEAKY_SLOPE) for T in (Tr, Ts, Te))
         dTr += np.matmul(np.swapaxes(dt_ab, 1, 2), w3[:, :2]) * kr
         dTs += np.swapaxes(dt_send, 1, 2) * w3[:, None, 1] * ks
         dTe = np.swapaxes(dt_edge, 1, 2) * w3[:, None, 2] * ke
@@ -341,12 +456,11 @@ def _attention_round(
         # The head transforms x @ theta, x shared by every head.
         inputs = ((Xr, theta_r, dTr), (Xs, theta_s, dTs), (Xe, theta_e, dTe))
         grads = [np.matmul(dT, np.swapaxes(theta, 1, 2)).sum(axis=0) for _, theta, dT in inputs]
-        grads += [np.matmul(x.T, dT) for x, _, dT in inputs]
+        grads += [_product(x.T, dT) for x, _, dT in inputs]
         grads.append(dw.reshape(H, 3 * L))
         return grads
 
-    parents = (recv_emb, send_emb, edge_emb, theta_recv, theta_send, theta_edge, w)
-    return ad.custom(out, parents, backward), (alpha_self, alpha_edge)
+    return out, (alpha_self, alpha_edge), backward
 
 
 def _record(weights, rnd: _Round, receiver_of_edge: np.ndarray) -> AttentionRecord:
@@ -359,38 +473,45 @@ def _record(weights, rnd: _Round, receiver_of_edge: np.ndarray) -> AttentionReco
     )
 
 
-def score_graph(
-    params_t: dict[str, Tensor], graph: BipartiteGraph, collect_attention: bool = False
-):
-    """Differentiable forward pass; returns (scores Tensor (n, 1), records).
+def score_graph(arrays: dict[str, np.ndarray], graph: BipartiteGraph, collect_attention: bool = False):
+    """Forward pass; returns (scores (n,), records, backward).
 
-    The graph's features enter as constants, so only parameters get gradients.
-    Each round runs once per node class (``graph.node_classes``) and the
-    scores are gathered back to every variable.
+    ``arrays`` holds the parameters by name (``GatParameters.arrays``).  Each
+    round runs once per node class (``graph.node_classes``) and the scores
+    are gathered back to every variable.  ``backward(d_scores, grads)`` adds
+    the gradient of ``d_scores . scores`` with respect to every parameter
+    into the array of the same name in ``grads``, one addition per array.
+    The graph's features are constants.
     """
-    a = params_t
-    H = a["att1_theta_c"].shape[0]
-    L = a["att1_theta_c"].shape[1]
+    a = arrays
     nc = graph.node_classes
+    V1, var_bw = _mlp(nc.var_rows, a, "emb_var")
+    C1, cons_bw = _mlp(nc.cons_rows, a, "emb_cons")
+    E1, edge_bw = _mlp(nc.edge_rows, a, "emb_edge")
+    rounds = (
+        ("att1_theta_c", "att1_theta_v", "att1_theta_e", "att1_w"),  # receivers, senders, edges
+        ("att2_theta_v", "att2_theta_c", "att2_theta_e", "att2_w"),
+    )
+    C2, weights1, round1_bw = _attention_round(C1, V1, E1, *(a[k] for k in rounds[0]), nc.round1)
+    V2, weights2, round2_bw = _attention_round(V1, C2, E1, *(a[k] for k in rounds[1]), nc.round2)
+    logits, out_bw = _mlp(V2, a, "out")  # one row per round-2 class
+    x = logits[:, 0]
+    e = np.exp(-np.abs(x))
+    s = np.where(x >= 0.0, 1.0, e) / (1.0 + e)  # the sigmoid, without overflow
+    scores = s if nc.var_class is None else s.take(nc.var_class.index)
 
-    V1 = _mlp(nc.var_rows, a["emb_var_w1"], a["emb_var_b1"], a["emb_var_w2"], a["emb_var_b2"])
-    C1 = _mlp(nc.cons_rows, a["emb_cons_w1"], a["emb_cons_b1"], a["emb_cons_w2"], a["emb_cons_b2"])
-    E1 = _mlp(nc.edge_rows, a["emb_edge_w1"], a["emb_edge_b1"], a["emb_edge_w2"], a["emb_edge_b2"])
+    def backward(d_scores: np.ndarray, grads: dict[str, np.ndarray]) -> None:
+        d = d_scores if nc.var_class is None else nc.var_class.sum(d_scores)
+        dV2 = out_bw((d * s * (1.0 - s))[:, None], grads)
+        dV1, dC2, dE1, *d2 = round2_bw(dV2)
+        dC1, dV1_send, dE1_send, *d1 = round1_bw(dC2)
+        for names, ds in zip(rounds, (d1, d2)):
+            for name, dp in zip(names, ds):
+                grads[name] += dp
+        var_bw(dV1 + dV1_send, grads)
+        cons_bw(dC1, grads)
+        edge_bw(dE1 + dE1_send, grads)
 
-    C2, weights1 = _attention_round(
-        C1, V1, E1,
-        a["att1_theta_c"], a["att1_theta_v"], a["att1_theta_e"], a["att1_w"],
-        nc.round1, H=H, L=L,
-    )  # one row per round-1 class
-    V2, weights2 = _attention_round(
-        V1, C2, E1,
-        a["att2_theta_v"], a["att2_theta_c"], a["att2_theta_e"], a["att2_w"],
-        nc.round2, H=H, L=L,
-    )  # one row per round-2 class
-    logits = _mlp(V2, a["out_w1"], a["out_b1"], a["out_w2"], a["out_b2"])
-    scores = ad.sigmoid(logits)
-    if nc.var_class is not None:
-        scores = ad.gather(scores, nc.var_class, axis=0)  # (n, 1)
     records = None
     if collect_attention:
         edges = graph.edges.astype(np.int64).reshape(-1, 2)
@@ -398,7 +519,7 @@ def score_graph(
             _record(weights1, nc.round1, edges[:, 0]),
             _record(weights2, nc.round2, edges[:, 1]),
         ]
-    return scores, records
+    return scores, records, backward
 
 
 def gat_forward(
@@ -408,9 +529,8 @@ def gat_forward(
 
     With ``collect_attention`` the per-round softmax weights come back too.
     """
-    scores, records = score_graph(params.tensors(), graph, collect_attention)
-    out = scores.data.reshape(-1)
-    return (out, records) if collect_attention else out
+    scores, records, _ = score_graph(params.arrays, graph, collect_attention)
+    return (scores, records) if collect_attention else scores
 
 
 def greedy_select(scores: np.ndarray, binary_mask: np.ndarray, K: int) -> Backdoor:
@@ -492,8 +612,7 @@ def load_model(path) -> GatParameters:
         nbytes = 8 * int(np.prod(shape))
         if pos + nbytes > len(raw):
             raise ModelFormatError(f"truncated checkpoint: array {name!r} incomplete")
-        arr = np.frombuffer(raw[pos : pos + nbytes], dtype="<f8").reshape(shape)
-        params.arrays[name] = arr.astype(np.float64)
+        params.arrays[name][...] = np.frombuffer(raw[pos : pos + nbytes], dtype="<f8").reshape(shape)
         pos += nbytes
     if pos != len(raw):
         raise ModelFormatError("trailing bytes after checkpoint arrays")

@@ -6,6 +6,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+_BLOCK = 1 << 15  # floats per block of an update: 256 KB, which stays in cache
+
 
 @dataclass
 class AdamState:
@@ -36,7 +38,8 @@ def adam_step(
 ) -> tuple[dict[str, np.ndarray], AdamState]:
     """One update: decay weights by ``lr * wd`` first, then bias-corrected Adam.
 
-    Returns fresh arrays; the inputs are left untouched.
+    Returns fresh arrays; ``params`` and ``grads`` are left untouched, and
+    ``state`` is updated in place.
     """
     state.t += 1
     t = state.t
@@ -47,10 +50,17 @@ def adam_step(
         g = grads[k]
         if g.shape != theta.shape:
             raise ValueError(f"gradient shape mismatch for {k!r}: {g.shape} vs {theta.shape}")
-        state.m[k] = beta1 * state.m[k] + (1.0 - beta1) * g
-        state.v[k] = beta2 * state.v[k] + (1.0 - beta2) * g * g
-        m_hat = state.m[k] / c1
-        v_hat = state.v[k] / c2
-        new = theta * (1.0 - lr * wd)
-        out[k] = new - lr * m_hat / (np.sqrt(v_hat) + eps)
+        # Block by block, so that a long vector's temporaries stay in cache;
+        # the moments are updated in place, through flat views.
+        state.m[k], state.v[k] = (np.ascontiguousarray(a, dtype=np.float64) for a in (state.m[k], state.v[k]))
+        new = np.empty(theta.shape)
+        m, v, new_f, theta_f, g_f = (a.reshape(-1) for a in (state.m[k], state.v[k], new, theta, g))
+        for lo in range(0, theta.size, _BLOCK):
+            b = slice(lo, lo + _BLOCK)
+            m[b] = beta1 * m[b] + (1.0 - beta1) * g_f[b]
+            v[b] = beta2 * v[b] + (1.0 - beta2) * g_f[b] * g_f[b]
+            m_hat = m[b] / c1
+            v_hat = v[b] / c2
+            new_f[b] = theta_f[b] * (1.0 - lr * wd) - lr * m_hat / (np.sqrt(v_hat) + eps)
+        out[k] = new
     return out, state

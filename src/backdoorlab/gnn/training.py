@@ -1,4 +1,10 @@
-"""Mini-batch training loop for the attention scorer."""
+"""Mini-batch training loop for the attention scorer.
+
+Each sample runs one plain-numpy forward pass (``score_graph``) and one
+backward pass, which adds its share of the batch gradient straight into one
+flat buffer laid out like ``GatParameters.vector``; AdamW then updates that
+vector in one step.
+"""
 
 from __future__ import annotations
 
@@ -9,9 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..features import BipartiteGraph
-from . import autodiff as ad
-from .autodiff import Tensor
-from .loss import infonce_loss
+# ``infonce_loss`` stays bound here because perfbench/layertrace.py wraps it by name.
+from .loss import infonce_loss, infonce_loss_and_grad  # noqa: F401
 from .model import GatParameters, score_graph
 from .optim import AdamState, adam_step
 
@@ -47,35 +52,25 @@ class TrainSample:
 
 
 def batch_gradient(
-    tensors: dict[str, Tensor], batch: list[TrainSample], tau: float
-) -> tuple[float, dict[str, np.ndarray]]:
-    """Mean contrastive loss over ``batch`` and its gradient per parameter.
+    params: GatParameters, batch: list[TrainSample], tau: float
+) -> tuple[float, np.ndarray]:
+    """Mean contrastive loss over ``batch`` and its gradient as one flat vector.
 
-    Each sample's ``loss / len(batch)`` is back-propagated on its own and the
-    parameter gradients are added into the totals in place, so only one
-    sample's graph is alive at a time.  Equal to the gradient of the batch
-    mean up to float order.
+    The vector has the layout of ``params.vector``.  It starts at zero, and
+    each sample's backward pass adds ``1 / len(batch)`` of that sample's
+    gradient into its named views, so only one sample's activations are
+    alive at a time and the sum over the batch needs no pass of its own.
     """
-    names = sorted(tensors)
-    wrt = [tensors[k] for k in names]
+    flat = np.zeros_like(params.vector)
+    grads = params.views(flat)
     scale = 1.0 / len(batch)
     loss = 0.0
-    total: list[np.ndarray] = []
     for sample in batch:
-        scores, _ = score_graph(tensors, sample.graph)
-        term = ad.mul(infonce_loss(scores, sample.positives, sample.negatives, tau), scale)
-        for p in wrt:
-            p.grad = None
-        term.backward()
-        if total:
-            for acc, p in zip(total, wrt):
-                if p.grad is not None:
-                    acc += p.grad
-        else:  # a gradient may be a view of another array: copy it once per batch
-            total = [np.array(p.grad if p.grad is not None else np.zeros_like(p.data)) for p in wrt]
-        loss += float(term.data)
-        del scores, term  # free this sample's graph before the next forward pass
-    return loss, dict(zip(names, total))
+        scores, _, backward = score_graph(params.arrays, sample.graph)
+        value, d_scores = infonce_loss_and_grad(scores, sample.positives, sample.negatives, tau)
+        backward(d_scores * scale, grads)
+        loss += value * scale
+    return loss, flat
 
 
 def train(
@@ -96,7 +91,7 @@ def train(
         if not s.positives or not s.negatives:
             raise ValueError("every training sample needs positives and negatives")
     params = GatParameters.init(seed=cfg.seed, L=cfg.L, H=cfg.H, hidden=cfg.hidden)
-    state = AdamState.init(params.arrays)
+    state = AdamState.init({"vector": params.vector})
     shuffle_rng = np.random.Generator(
         np.random.Philox(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(1,)))
     )
@@ -109,20 +104,20 @@ def train(
         norms = []
         for lo in range(0, n, cfg.batch_size):
             batch = [dataset[i] for i in order[lo : lo + cfg.batch_size]]
-            batch_loss, grads = batch_gradient(params.tensors(), batch, cfg.tau)
-            new_arrays, state = adam_step(
-                params.arrays,
-                grads,
+            batch_loss, grad = batch_gradient(params, batch, cfg.tau)
+            new, state = adam_step(
+                {"vector": params.vector},
+                {"vector": grad},
                 state,
                 lr=cfg.learning_rate,
                 wd=cfg.weight_decay,
             )
-            params = GatParameters(L=cfg.L, H=cfg.H, hidden=cfg.hidden, arrays=new_arrays)
+            params = GatParameters(L=cfg.L, H=cfg.H, hidden=cfg.hidden, vector=new["vector"])
             epoch_loss += batch_loss * len(batch)
             if epoch_log is not None:
                 # Not a BLAS dot: at this size a threaded BLAS leaves spinning
                 # threads behind that slow down the next batch.
-                norms.append(math.sqrt(sum(float(np.square(g).sum()) for g in grads.values())))
+                norms.append(math.sqrt(float(np.square(grad).sum())))
         curve.append(epoch_loss / n)
         if epoch_log is not None:
             epoch_log.append(

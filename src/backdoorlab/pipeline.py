@@ -101,8 +101,14 @@ def graph_from_payload(payload: dict) -> BipartiteGraph:
     )
 
 
-def collect_one(path, seed: int, cfg: CollectConfig) -> tuple[dict | None, dict]:
-    """Process one instance; returns (record or None, manifest entry)."""
+def collect_one(
+    path, seed: int, cfg: CollectConfig, counters: dict | None = None
+) -> tuple[dict | None, dict]:
+    """Process one instance; returns (record or None, manifest entry).
+
+    A given ``counters`` dict receives the instance workspace's LP counters
+    (``LpWorkspace.counters``) once the instance is done.
+    """
     inst = read_instance(path)
     ws = LpWorkspace(lp_relaxation(inst))
     root = ws.solve()
@@ -133,6 +139,8 @@ def collect_one(path, seed: int, cfg: CollectConfig) -> tuple[dict | None, dict]
         "candidates": len(labels.efforts),
         "skip_reason": labels.skip_reason,
     }
+    if counters is not None:  # the instance's LP work is done
+        counters.update(ws.counters())
     if labels.skipped:
         return None, entry
     samples = [
@@ -154,11 +162,20 @@ def collect_one(path, seed: int, cfg: CollectConfig) -> tuple[dict | None, dict]
 
 
 def _collect_worker(args):
+    """One instance's index, (record, manifest entry) and timing line."""
     index, path, seed, cfg = args
+    name = Path(path).name
+    counters: dict = {}
+    t0 = time.perf_counter()
     try:
-        return index, collect_one(path, seed, cfg)
+        res = collect_one(path, seed, cfg, counters)
+        timing = {"file": name, "counters": counters}
     except Exception as exc:  # one bad instance is recorded, not fatal to the batch
-        return index, (None, {"file": Path(path).name, "error": f"{type(exc).__name__}: {exc}"})
+        error = f"{type(exc).__name__}: {exc}"
+        res = (None, {"file": name, "error": error})
+        timing = {"file": name, "error": error}
+    timing["seconds"] = time.perf_counter() - t0
+    return index, res, timing
 
 
 def collect_dataset(
@@ -172,26 +189,30 @@ def collect_dataset(
     Writes a JSONL dataset plus ``<out>.manifest.json``; failures and skips
     are isolated per instance and recorded, never aborting the batch.  A
     failed instance's manifest entry holds ``"error": "<Type>: <message>"``.
-    The output is independent of ``workers``.
+    The output is independent of ``workers``.  Wall-clock cost goes to the
+    sidecar ``<out>.timing.jsonl`` instead, one line per instance in
+    instance order: the file, the wall seconds of ``collect_one``, and the
+    workspace's LP counters, or for a failed instance its error.
     """
     cfg = cfg or CollectConfig()
     paths = instance_paths(instance_dir)
     jobs = [
         (i, str(p), _instance_seed(cfg.seed, i), cfg) for i, p in enumerate(paths)
     ]
-    results: dict[int, tuple[dict | None, dict]] = {}
+    results: dict[int, tuple[tuple[dict | None, dict], dict]] = {}
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            for index, res in pool.map(_collect_worker, jobs):
-                results[index] = res
+            for index, res, timing in pool.map(_collect_worker, jobs):
+                results[index] = res, timing
     else:
         for job in jobs:
-            index, res = _collect_worker(job)
-            results[index] = res
-    records, entries = [], []
+            index, res, timing = _collect_worker(job)
+            results[index] = res, timing
+    records, entries, timings = [], [], []
     for i in range(len(paths)):
-        record, entry = results[i]
+        (record, entry), timing = results[i]
         entries.append(entry)
+        timings.append(timing)
         if record is not None:
             records.append(record)
     out_path = Path(out_path)
@@ -199,6 +220,9 @@ def collect_dataset(
     with open(out_path, "w", encoding="ascii") as fh:
         for record in records:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
+    with open(str(out_path) + ".timing.jsonl", "w", encoding="ascii") as fh:
+        for timing in timings:
+            fh.write(json.dumps(timing, sort_keys=True) + "\n")
     manifest = {
         "config": asdict(cfg),
         "instances": entries,

@@ -21,8 +21,8 @@ from backdoorlab.generators import (
 )
 from backdoorlab.gnn import (
     TrainConfig,
+    TrainSample,
     gat_forward,
-    grad,
     greedy_select,
     infonce_loss,
     load_model,
@@ -30,6 +30,7 @@ from backdoorlab.gnn import (
     train,
 )
 from backdoorlab.gnn.model import GatParameters, score_graph
+from backdoorlab.gnn.training import batch_gradient
 from backdoorlab.milp import lp_relaxation, write_instance
 from backdoorlab.pipeline import (
     CollectConfig,
@@ -95,28 +96,25 @@ def test_criterion_2_priority_invariance():
 def _pre_activations(params: GatParameters, graph, pos, neg) -> list[np.ndarray]:
     """Every array a relu or leaky relu sees in one forward pass and loss.
 
-    The embedding and output MLPs run ``autodiff.relu``; each attention
-    round runs ``autodiff.leaky_relu_values`` on its three head transforms.
+    The embedding and output MLPs and the three head transforms of each
+    attention round all go through ``model.leaky_relu_values`` (a relu is
+    its slope-0 case).
     """
-    from backdoorlab.gnn import autodiff as ad_mod
+    from backdoorlab.gnn import model as model_mod
 
     seen: list[np.ndarray] = []
-    orig_leaky, orig_relu = ad_mod.leaky_relu_values, ad_mod.relu
+    orig_leaky = model_mod.leaky_relu_values
 
     def rec_leaky(x, slope):
         seen.append(x)
         return orig_leaky(x, slope)
 
-    def rec_relu(a):
-        seen.append(a.data)
-        return orig_relu(a)
-
-    ad_mod.leaky_relu_values, ad_mod.relu = rec_leaky, rec_relu
+    model_mod.leaky_relu_values = rec_leaky
     try:
-        scores, _ = score_graph(params.tensors(), graph)
+        scores, _, _ = score_graph(params.arrays, graph)
         infonce_loss(scores, pos, neg, 0.07)
     finally:
-        ad_mod.leaky_relu_values, ad_mod.relu = orig_leaky, orig_relu
+        model_mod.leaky_relu_values = orig_leaky
     return seen
 
 
@@ -148,7 +146,7 @@ def test_criterion_3_kink_filter_sees_every_pre_activation():
 
 
 def test_criterion_3_gradient_fidelity():
-    """Composed attention+loss gradients vs central differences, 10 graphs.
+    """Training's attention+loss gradients vs central differences, 10 graphs.
 
     Candidate seeds whose activations sit within the differencing step's
     reach of a relu kink are excluded (the usual gradcheck validity
@@ -171,15 +169,12 @@ def test_criterion_3_gradient_fidelity():
         checked += 1
 
         def loss_of(p: GatParameters) -> float:
-            scores, _ = score_graph(p.tensors(), graph)
-            return float(infonce_loss(scores, pos, neg, 0.07).data)
+            scores, _, _ = score_graph(p.arrays, graph)
+            return infonce_loss(scores, pos, neg, 0.07)
 
-        tensors = params.tensors()
-        scores, _ = score_graph(tensors, graph)
-        loss = infonce_loss(scores, pos, neg, 0.07)
-        names = sorted(tensors)
-        gs = grad(loss, [tensors[k] for k in names])
-        for name, g in zip(names, gs):
+        # The gradient that training computes, for a batch of this one sample.
+        _, flat = batch_gradient(params, [TrainSample(graph, tuple(pos), tuple(neg))], 0.07)
+        for name, g in params.views(flat).items():
             arr = params.arrays[name]
             for idx in np.ndindex(arr.shape):
                 orig = arr[idx]

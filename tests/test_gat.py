@@ -94,6 +94,11 @@ def test_forward_handles_edgeless_graph():
     assert np.all((scores > 0) & (scores < 1))
 
 
+def tape_tensors(params: GatParameters) -> dict[str, ad.Tensor]:
+    """The parameters as autodiff leaves, for the tape references."""
+    return {k: ad.Tensor(v) for k, v in params.arrays.items()}
+
+
 def per_edge_scores(a, graph):
     """The attention model with every edge term computed per edge.
 
@@ -229,17 +234,15 @@ def test_distinct_edge_rows_match_per_edge_reference(name):
     names = sorted(params.arrays)
     weights = np.random.default_rng(1).normal(size=(graph.num_vars, 1))
 
-    results = []
-    for forward in (score_graph, per_edge_scores):
-        tensors = params.tensors()
-        if forward is score_graph:
-            scores, records = score_graph(tensors, graph, collect_attention=True)
-            records = [(r.alpha_self, r.alpha_edge, r.receiver_of_edge) for r in records]
-        else:
-            scores, records = per_edge_scores(tensors, graph)
-        grads = ad.grad(ad.tsum(ad.mul(scores, weights)), [tensors[k] for k in names])
-        results.append((scores.data, records, dict(zip(names, grads))))
-    (s_new, rec_new, g_new), (s_ref, rec_ref, g_ref) = results
+    s_new, records, backward = score_graph(params.arrays, graph, collect_attention=True)
+    rec_new = [(r.alpha_self, r.alpha_edge, r.receiver_of_edge) for r in records]
+    g_new = params.views(np.zeros_like(params.vector))
+    backward(weights[:, 0], g_new)
+
+    tensors = tape_tensors(params)
+    scores, rec_ref = per_edge_scores(tensors, graph)
+    grads = ad.grad(ad.tsum(ad.mul(scores, weights)), [tensors[k] for k in names])
+    s_ref, g_ref = scores.data[:, 0], dict(zip(names, grads))
 
     np.testing.assert_allclose(s_new, s_ref, rtol=1e-12, atol=0.0)
     for (self_new, edge_new, recv_new), (self_ref, edge_ref, recv_ref) in zip(rec_new, rec_ref):
@@ -346,6 +349,8 @@ class TestCheckpoint:
         assert set(loaded.arrays) == set(params.arrays)
         for k in params.arrays:
             np.testing.assert_array_equal(loaded.arrays[k], params.arrays[k])
+            assert loaded.arrays[k].base is loaded.vector
+        np.testing.assert_array_equal(loaded.vector, params.vector)
         save_model(loaded, tmp_path / "m2.ckpt")
         assert (tmp_path / "m.ckpt").read_bytes() == (tmp_path / "m2.ckpt").read_bytes()
 
@@ -389,6 +394,41 @@ class TestCheckpoint:
         path.write_bytes(raw[: len(raw) - 64])
         with pytest.raises(ModelFormatError, match="truncated|incomplete"):
             load_model(path)
+
+
+def test_arrays_are_views_of_one_vector():
+    params = small_params(3)
+    sizes = [a.size for a in params.arrays.values()]
+    assert params.vector.shape == (sum(sizes),) and params.vector.flags.c_contiguous
+    for view in params.arrays.values():
+        assert view.base is params.vector
+    params.arrays["att2_w"][0, 1] = 7.5
+    pos = np.cumsum([0] + sizes)[list(params.arrays).index("att2_w")]
+    assert params.vector[pos + 1] == 7.5
+    flat = np.arange(params.vector.size, dtype=float)
+    for name, view in params.views(flat).items():
+        assert view.base is flat and view.shape == params.arrays[name].shape
+
+
+def test_init_matches_the_per_array_draw():
+    """The vector's arrays equal a literal copy of the per-array draw loop."""
+    from backdoorlab.gnn.model import _glorot, _layout
+
+    seed, L, H, hidden = 7, 8, 2, 6
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    old = {}
+    w_limit = np.sqrt(6.0 / (3 * L + 1))
+    for name, shape in _layout(L, H, hidden).items():
+        if len(shape) == 1:  # biases
+            old[name] = np.zeros(shape)
+        elif name in ("att1_w", "att2_w"):
+            old[name] = rng.uniform(-w_limit, w_limit, size=shape)
+        else:
+            old[name] = _glorot(rng, shape)
+    params = GatParameters.init(seed=seed, L=L, H=H, hidden=hidden)
+    assert list(params.arrays) == list(old)
+    for k in old:
+        np.testing.assert_array_equal(params.arrays[k], old[k], err_msg=k)
 
 
 def test_init_is_seed_deterministic():

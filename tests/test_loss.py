@@ -4,7 +4,20 @@ import numpy as np
 import pytest
 
 from backdoorlab.gnn import Tensor, grad, infonce_loss
-from backdoorlab.gnn.loss import membership_matrix
+from backdoorlab.gnn import autodiff as ad
+from backdoorlab.gnn.loss import infonce_loss_and_grad, membership_matrix
+
+
+def tape_infonce(scores: Tensor, positives, negatives, tau: float) -> Tensor:
+    """InfoNCE of a score Tensor on the autodiff tape, the gradient reference."""
+    n = int(np.prod(scores.shape))
+    col = ad.reshape(scores, (n, 1))
+    dp = ad.mul(ad.matmul(membership_matrix(positives, n), col), 1.0 / tau)  # (p, 1)
+    dn = ad.mul(ad.matmul(membership_matrix(negatives, n), col), 1.0 / tau)  # (q, 1)
+    shift = float(max(dp.data.max(), dn.data.max()))  # detached
+    neg_mass = ad.tsum(ad.exp(ad.sub(dn, shift)))
+    lse = ad.log(ad.add(ad.exp(ad.sub(dp, shift)), neg_mass))  # (p, 1)
+    return ad.tmean(ad.sub(lse, ad.sub(dp, shift)))
 
 
 def test_membership_matrix():
@@ -74,18 +87,30 @@ def test_nonpositive_temperature_rejected():
         infonce_loss(np.ones(3), [(0,)], [(1,)], tau=0.0)
 
 
-def test_tensor_input_is_differentiable():
-    scores = Tensor(np.array([0.6, 0.3, 0.2, 0.9]))
-    loss = infonce_loss(scores, [(0,)], [(1,), (2,)], tau=0.5)
-    (g,) = grad(loss, [scores])
+def test_score_gradient_matches_central_differences_and_the_tape():
+    scores = np.array([0.6, 0.3, 0.2, 0.9])
+    pos, neg = [(0,), (1, 3)], [(1,), (2,), (0, 2)]
+    loss, g = infonce_loss_and_grad(scores, pos, neg, tau=0.5)
+    assert loss == infonce_loss(scores, pos, neg, tau=0.5)
+    leaf = Tensor(scores)
+    ref = tape_infonce(leaf, pos, neg, 0.5)
+    (g_ref,) = grad(ref, [leaf])
+    assert loss == pytest.approx(float(ref.data), rel=1e-14)
+    np.testing.assert_allclose(g, g_ref, rtol=1e-12, atol=1e-15)
     h = 1e-7
     for i in range(4):
-        x = scores.data.copy()
+        x = scores.copy()
         x[i] += h
-        fp = infonce_loss(x, [(0,)], [(1,), (2,)], tau=0.5)
+        fp = infonce_loss(x, pos, neg, tau=0.5)
         x[i] -= 2 * h
-        fm = infonce_loss(x, [(0,)], [(1,), (2,)], tau=0.5)
+        fm = infonce_loss(x, pos, neg, tau=0.5)
         assert g[i] == pytest.approx((fp - fm) / (2 * h), abs=1e-6)
+
+
+def test_empty_negatives_give_a_zero_gradient():
+    loss, g = infonce_loss_and_grad(np.array([0.9, 0.2, 0.7]), [(0,), (1, 2)], [])
+    assert loss == 0.0
+    np.testing.assert_array_equal(g, np.zeros(3))
 
 
 def test_large_dots_stay_finite():

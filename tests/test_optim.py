@@ -76,3 +76,23 @@ def test_step_counter_shared_across_params():
     assert state.t == 1
     _, state = adam_step(params, {"a": np.ones(1), "b": np.ones(1)}, state)
     assert state.t == 2
+
+
+def test_long_vector_matches_whole_array_formulas_bitwise():
+    """The update runs block by block; across block edges it equals the
+    whole-array formulas exactly."""
+    lr, wd, b1, b2, eps = 5e-4, 0.01, 0.9, 0.999, 1e-8
+    rng = np.random.default_rng(3)
+    theta = rng.normal(size=(3, 40_000))
+    params = {"w": theta.copy()}
+    state = AdamState.init(params)
+    m = v = np.zeros_like(theta)
+    for t in range(1, 4):
+        g = rng.normal(size=theta.shape)
+        params, state = adam_step(params, {"w": g}, state, lr=lr, wd=wd, beta1=b1, beta2=b2, eps=eps)
+        m = b1 * m + (1.0 - b1) * g
+        v = b2 * v + (1.0 - b2) * g * g
+        theta = theta * (1.0 - lr * wd) - lr * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + eps)
+        np.testing.assert_array_equal(params["w"], theta)
+        np.testing.assert_array_equal(state.m["w"], m)
+        np.testing.assert_array_equal(state.v["w"], v)

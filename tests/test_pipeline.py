@@ -38,6 +38,12 @@ def write_infeasible(path):
     write_instance(inst, path / "infeasible.bdmilp")
 
 
+def timing_lines(dataset_path):
+    """The parsed lines of a dataset's ``.timing.jsonl`` sidecar."""
+    with open(str(dataset_path) + ".timing.jsonl", encoding="ascii") as fh:
+        return [json.loads(line) for line in fh]
+
+
 SMALL_COLLECT = dict(
     K=3, top_k=8, p=3, q=3, mcts_budget=20, probe_node_limit=10,
     label_node_limit=2000, seed=0,
@@ -81,6 +87,14 @@ class TestCollect:
         assert (tmp_path / "w1.jsonl.manifest.json").read_bytes() == (
             tmp_path / "w4.jsonl.manifest.json"
         ).read_bytes()
+        # The wall-clock sidecar: one line per instance, in instance order,
+        # with LP counters that are exact and so equal for any worker count.
+        sidecars = [timing_lines(tmp_path / f"{name}.jsonl") for name in ("w1", "w4")]
+        for lines in sidecars:
+            assert [t["file"] for t in lines] == [f"gisp_n22_s{i}.bdmilp" for i in range(4)]
+            assert all(set(t) == {"file", "seconds", "counters"} and t["seconds"] > 0.0 for t in lines)
+            assert all(t["counters"]["kernel_runs"] > 0 for t in lines)
+        assert [t["counters"] for t in sidecars[0]] == [t["counters"] for t in sidecars[1]]
 
     def test_failed_instance_is_recorded_not_fatal(self, tmp_path):
         write_gisp_dir(tmp_path / "inst", [0])
@@ -102,6 +116,9 @@ class TestCollect:
         assert failed == [
             {"file": "infeasible.bdmilp", "error": "ValueError: MCTS needs an OPTIMAL root LP"}
         ]
+        lines = timing_lines(tmp_path / "w1.jsonl")
+        assert [t["file"] for t in lines] == ["gisp_n22_s0.bdmilp", "infeasible.bdmilp"]
+        assert lines[1]["error"] == failed[0]["error"] and "counters" not in lines[1]
 
     def test_all_skipped_yields_empty_dataset_with_reasons(self, tmp_path):
         # 6-node instances close at the root: no candidate can strictly win.

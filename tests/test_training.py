@@ -9,14 +9,17 @@ from backdoorlab.gnn import (
     TrainSample,
     gat_forward,
     greedy_select,
-    infonce_loss,
     score_graph,
     train,
 )
 from backdoorlab.gnn import autodiff as ad
+from backdoorlab.gnn.loss import infonce_loss_and_grad
 from backdoorlab.gnn.training import batch_gradient
 from backdoorlab.milp import lp_relaxation, make_instance
 from backdoorlab.simplex import solve_lp
+
+from test_gat import per_edge_scores, tape_tensors
+from test_loss import tape_infonce
 
 
 def planted_instance(seed, n=8, m=5):
@@ -120,14 +123,15 @@ def gisp_samples(count, nodes=25):
 def test_per_sample_backward_matches_whole_batch_mean():
     batch = gisp_samples(3)
     params = GatParameters.init(seed=3)
-    loss, grads = batch_gradient(params.tensors(), batch, 0.07)
+    loss, flat = batch_gradient(params, batch, 0.07)
+    grads = params.views(flat)
 
-    # The whole batch as one graph: mean of the per-sample losses.
-    tensors = params.tensors()
+    # The whole batch on the autodiff tape: mean of the per-sample losses.
+    tensors = tape_tensors(params)
     total = None
     for s in batch:
-        scores, _ = score_graph(tensors, s.graph)
-        term = infonce_loss(scores, s.positives, s.negatives, 0.07)
+        scores, _ = per_edge_scores(tensors, s.graph)
+        term = tape_infonce(scores, s.positives, s.negatives, 0.07)
         total = term if total is None else ad.add(total, term)
     mean = ad.mul(total, 1.0 / len(batch))
     names = sorted(tensors)
@@ -144,17 +148,15 @@ def test_per_sample_backward_matches_whole_batch_mean():
 def test_batch_gradient_equals_summed_per_sample_gradients_bitwise():
     batch = gisp_samples(3)
     params = GatParameters.init(seed=5)
-    _, grads = batch_gradient(params.tensors(), batch, 0.07)
-    names = sorted(params.arrays)
+    _, flat = batch_gradient(params, batch, 0.07)
     total = None
     for s in batch:
-        tensors = params.tensors()
-        scores, _ = score_graph(tensors, s.graph)
-        term = ad.mul(infonce_loss(scores, s.positives, s.negatives, 0.07), 1.0 / len(batch))
-        gs = ad.grad(term, [tensors[k] for k in names])
-        total = gs if total is None else [a + b for a, b in zip(total, gs)]
-    for k, ref in zip(names, total):
-        np.testing.assert_array_equal(grads[k], ref, err_msg=k)
+        scores, _, backward = score_graph(params.arrays, s.graph)
+        _, d_scores = infonce_loss_and_grad(scores, s.positives, s.negatives, 0.07)
+        own = np.zeros_like(params.vector)
+        backward(d_scores * (1.0 / len(batch)), params.views(own))
+        total = own if total is None else total + own
+    np.testing.assert_array_equal(flat, total)
 
 
 def test_epoch_log_records_time_and_gradient_norm():
@@ -171,3 +173,19 @@ def test_epoch_log_records_time_and_gradient_norm():
         assert set(entry) == {"seconds", "grad_norm"}
         assert entry["seconds"] > 0.0
         assert np.isfinite(entry["grad_norm"]) and entry["grad_norm"] > 0.0
+
+
+def test_training_and_inference_build_no_tensor(monkeypatch):
+    """The training and inference paths run without the autodiff tape."""
+    built = []
+    original = ad.Tensor.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(ad.Tensor, "__init__", counting_init)
+    ds = planted_dataset(count=4)
+    params, _ = train(ds, TrainConfig(epochs=2, seed=0, batch_size=2, **SMALL))
+    gat_forward(params, ds[0].graph, collect_attention=True)
+    assert built == []
