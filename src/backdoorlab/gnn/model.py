@@ -94,8 +94,10 @@ class GatParameters:
     """All learnable arrays: one contiguous float64 vector and named views into it.
 
     ``vector`` holds the arrays in initialization order; ``arrays`` maps each
-    name to its view, so a write through either is a write to both.  A
-    missing ``vector`` starts as zeros.
+    name to its view, so an element write through either (``vector[i] = ...``
+    or ``arrays[k][...] = ...``) is a write to both.  Write entries of
+    ``arrays`` in place: assigning a new array to a key replaces the view,
+    and ``vector`` no longer sees it.  A missing ``vector`` starts as zeros.
     """
 
     L: int = 64
@@ -176,7 +178,7 @@ class SegmentIndex:
     order.  Build one per index map and reuse it.
     """
 
-    __slots__ = ("index", "size", "order", "in_order", "single", "full", "starts", "present")
+    __slots__ = ("index", "size", "order", "starts", "present")
 
     def __init__(self, index, size: int):
         self.index = np.asarray(index, dtype=np.int64).reshape(-1)
@@ -189,23 +191,12 @@ class SegmentIndex:
         first[1:] = ranked[1:] != ranked[:-1]
         self.starts = np.flatnonzero(first)
         self.present = ranked[self.starts]
-        # Shortcuts with the same sums: no reordering when the index is
-        # already sorted, no reduction when no segment has two entries, and
-        # no scatter when no segment is empty.
-        self.in_order = bool(np.all(self.order == np.arange(ranked.size)))
-        self.single = self.starts.size == ranked.size
-        self.full = self.present.size == self.size
 
     def _reduce(self, ufunc, x: np.ndarray, axis: int) -> np.ndarray:
-        """``ufunc`` over each non-empty segment's entries, as a new array."""
-        if self.single or not self.in_order:
-            x = x.take(self.order, axis=axis)
-        return x if self.single else ufunc.reduceat(x, self.starts, axis=axis)
+        return ufunc.reduceat(np.take(x, self.order, axis=axis), self.starts, axis=axis)
 
     def sum(self, x: np.ndarray, axis: int = 0) -> np.ndarray:
         """Slices of ``x`` along ``axis`` added per segment; empty segments are 0."""
-        if self.full and self.index.size:
-            return self._reduce(np.add, x, axis)
         shape = list(x.shape)
         shape[axis] = self.size
         out = np.zeros(shape)
@@ -219,8 +210,6 @@ class SegmentIndex:
         Empty segments keep ``floor``; this equals ``np.maximum.at`` into a
         copy of ``floor``.
         """
-        if self.full and self.index.size:
-            return np.maximum(floor, self._reduce(np.maximum, x, axis))
         out = np.array(floor, dtype=np.float64)
         if self.index.size:
             sel = (slice(None),) * axis + (self.present,)

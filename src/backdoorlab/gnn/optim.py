@@ -6,8 +6,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-_BLOCK = 1 << 15  # floats per block of an update: 256 KB, which stays in cache
-
 
 @dataclass
 class AdamState:
@@ -50,17 +48,24 @@ def adam_step(
         g = grads[k]
         if g.shape != theta.shape:
             raise ValueError(f"gradient shape mismatch for {k!r}: {g.shape} vs {theta.shape}")
-        # Block by block, so that a long vector's temporaries stay in cache;
-        # the moments are updated in place, through flat views.
-        state.m[k], state.v[k] = (np.ascontiguousarray(a, dtype=np.float64) for a in (state.m[k], state.v[k]))
-        new = np.empty(theta.shape)
-        m, v, new_f, theta_f, g_f = (a.reshape(-1) for a in (state.m[k], state.v[k], new, theta, g))
-        for lo in range(0, theta.size, _BLOCK):
-            b = slice(lo, lo + _BLOCK)
-            m[b] = beta1 * m[b] + (1.0 - beta1) * g_f[b]
-            v[b] = beta2 * v[b] + (1.0 - beta2) * g_f[b] * g_f[b]
-            m_hat = m[b] / c1
-            v_hat = v[b] / c2
-            new_f[b] = theta_f[b] * (1.0 - lr * wd) - lr * m_hat / (np.sqrt(v_hat) + eps)
+        # The moments are updated in place, and one scratch array holds each
+        # intermediate in turn, so a long vector makes no other temporaries.
+        m, v = (np.asarray(a, dtype=np.float64) for a in (state.m[k], state.v[k]))
+        state.m[k], state.v[k] = m, v
+        tmp = np.multiply(g, 1.0 - beta1)
+        m *= beta1
+        m += tmp
+        np.multiply(g, 1.0 - beta2, out=tmp)
+        tmp *= g
+        v *= beta2
+        v += tmp
+        np.divide(v, c2, out=tmp)  # v_hat
+        np.sqrt(tmp, out=tmp)
+        tmp += eps
+        new = np.divide(m, c1)  # m_hat
+        new *= lr
+        new /= tmp
+        np.multiply(theta, 1.0 - lr * wd, out=tmp)
+        np.subtract(tmp, new, out=new)
         out[k] = new
     return out, state

@@ -67,8 +67,8 @@ def test_single_neighbor_gives_two_point_distribution():
 def test_zero_weights_give_uniform_scores():
     g = small_graph(4)
     params = small_params()
-    for k in params.arrays:
-        params.arrays[k] = np.zeros_like(params.arrays[k])
+    for view in params.arrays.values():
+        view[...] = 0.0
     scores = gat_forward(params, g)
     np.testing.assert_allclose(scores, scores[0])
     assert scores[0] == pytest.approx(0.5)  # sigmoid of zero output bias
