@@ -102,17 +102,22 @@ def graph_from_payload(payload: dict) -> BipartiteGraph:
 
 
 def collect_one(
-    path, seed: int, cfg: CollectConfig, counters: dict | None = None
+    path, seed: int, cfg: CollectConfig, cost: dict | None = None
 ) -> tuple[dict | None, dict]:
     """Process one instance; returns (record or None, manifest entry).
 
-    A given ``counters`` dict receives the instance workspace's LP counters
-    (``LpWorkspace.counters``) once the instance is done.
+    A given ``cost`` dict receives the instance's exact collection cost once
+    the instance is done: ``counters``, the workspace's LP counters
+    (``LpWorkspace.counters``); ``probes``, ``distinct_subsets`` and
+    ``probe_nodes`` of the MCTS search (0 when sampling); and
+    ``label_solves`` and ``label_nodes``, the labeling's branch-and-bound
+    solves (the baseline included) and their nodes.
     """
     inst = read_instance(path)
     ws = LpWorkspace(lp_relaxation(inst))
     root = ws.solve()
     weights: dict[tuple[int, ...], float] = {}
+    search_cost = {"probes": 0, "distinct_subsets": 0, "probe_nodes": 0}
     if cfg.method == MCTS:
         ranked = mcts_search(
             inst,
@@ -123,6 +128,7 @@ def collect_one(
             top_k=cfg.top_k,
             root_lp=root,
             workspace=ws,
+            stats=search_cost,
         )
         candidates = [bd for bd, _ in ranked]
         weights = {bd.vars: w for bd, w in ranked}
@@ -139,8 +145,13 @@ def collect_one(
         "candidates": len(labels.efforts),
         "skip_reason": labels.skip_reason,
     }
-    if counters is not None:  # the instance's LP work is done
-        counters.update(ws.counters())
+    if cost is not None:  # the instance's LP work is done
+        cost.update(
+            search_cost,
+            counters=ws.counters(),
+            label_solves=1 + len(labels.efforts),
+            label_nodes=labels.baseline_effort + sum(labels.efforts),
+        )
     if labels.skipped:
         return None, entry
     samples = [
@@ -165,11 +176,10 @@ def _collect_worker(args):
     """One instance's index, (record, manifest entry) and timing line."""
     index, path, seed, cfg = args
     name = Path(path).name
-    counters: dict = {}
+    timing: dict = {"file": name}
     t0 = time.perf_counter()
     try:
-        res = collect_one(path, seed, cfg, counters)
-        timing = {"file": name, "counters": counters}
+        res = collect_one(path, seed, cfg, timing)
     except Exception as exc:  # one bad instance is recorded, not fatal to the batch
         error = f"{type(exc).__name__}: {exc}"
         res = (None, {"file": name, "error": error})
@@ -191,8 +201,8 @@ def collect_dataset(
     failed instance's manifest entry holds ``"error": "<Type>: <message>"``.
     The output is independent of ``workers``.  Wall-clock cost goes to the
     sidecar ``<out>.timing.jsonl`` instead, one line per instance in
-    instance order: the file, the wall seconds of ``collect_one``, and the
-    workspace's LP counters, or for a failed instance its error.
+    instance order: the file, the wall seconds of ``collect_one`` and its
+    exact cost (see :func:`collect_one`), or for a failed instance its error.
     """
     cfg = cfg or CollectConfig()
     paths = instance_paths(instance_dir)

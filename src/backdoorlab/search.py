@@ -136,6 +136,7 @@ def mcts_search(
     top_k: int = 50,
     root_lp: LpSolution | None = None,
     workspace: LpWorkspace | None = None,
+    stats: dict | None = None,
 ) -> list[tuple[Backdoor, float]]:
     """UCT search over growing variable subsets; terminal reward = probe weight.
 
@@ -144,7 +145,9 @@ def mcts_search(
     completes a partial subset with fractionality-biased sampling, and every
     evaluated size-K subset is recorded.  The returned list holds distinct
     subsets ranked by reward (ties: fewer probe nodes, then lexicographic),
-    truncated to ``top_k``.
+    truncated to ``top_k``.  A given ``stats`` dict receives the search's
+    cost: ``probes`` (one per iteration), ``distinct_subsets`` (the probes
+    that ran a branch and bound) and ``probe_nodes`` (their nodes).
     """
     pool = sorted(inst.binary_set)
     if K > len(pool):
@@ -210,6 +213,12 @@ def mcts_search(
             tree[key].total += reward
     if not evaluated:
         raise RuntimeError("budget exhausted before any terminal evaluation")
+    if stats is not None:
+        stats.update(
+            probes=iteration_budget,
+            distinct_subsets=len(evaluated),
+            probe_nodes=sum(nodes for _, nodes in evaluated.values()),
+        )
 
     ranked = sorted(
         evaluated.items(), key=lambda kv: (-kv[1][0], kv[1][1], kv[0])

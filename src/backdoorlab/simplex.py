@@ -1,31 +1,40 @@
-"""Bounded-variable simplex for LP relaxations: primal when cold, dual when warm.
+"""Bounded-variable dual simplex for LP relaxations, cold and warm.
 
 The solver works on the computational form ``A x + s = b`` where each row's
 slack carries the sense (``LE``: s >= 0, ``GE``: s <= 0, ``EQ``: s = 0).
 
-A cold solve starts from the slack basis and runs the primal method.  Phase 1
-minimizes the total bound violation of the basic variables; phase 2 runs the
-usual bounded ratio test with bound flips.  Pivot selection is Dantzig's rule
-with lowest-index tie-breaks and an automatic switch to Bland's rule after a
-run of degenerate steps, so repeated solves take the identical pivot path.
+Every solve runs one kernel, the bounded dual method.  A warm solve starts
+from a caller-supplied basis, normally the optimal basis of a branch-and-bound
+parent whose child changed one bound.  A cold solve starts from the slack
+basis, whose inverse is the identity because the slack columns are unit
+vectors.  Either start is made dual feasible by moving every column whose
+reduced cost has the wrong sign to its other bound.  A column with no finite
+bound on that side gets an artificial one (the dual phase 1 by artificial
+bounds of Koberstein, "The dual simplex method, techniques for a fast and
+stable implementation", PhD thesis, Paderborn 2005).  No optimum is reported
+while a column sits at an artificial bound: when that column improves the
+objective along a ray that meets no finite bound the LP is UNBOUNDED,
+otherwise the artificial bounds move out and the run goes on from its basis,
+for at most ``_ARTIFICIAL_ROUNDS`` rounds.
 
-A warm solve starts from a caller-supplied basis, normally the optimal basis
-of a branch-and-bound parent whose child changed one bound.  That basis stays
-dual feasible, so the bounded dual method runs from it: the most infeasible
-basic variable leaves, and the bound-flipping ratio test picks the entering
-column and moves the boxed columns it passes to their other bound.  These
-choices compare values rounded to float32 or against fixed tolerances, so the
-last-bit differences between two inverses of one basis do not change the path
-(short of a value on a rounding boundary), and the optimal point is recomputed
-by an LU solve on the final basis: a warm result depends on its inputs, not on
-which inverse of the start basis the workspace held.  An infeasible verdict stands only when the pivot
-row proves it (a Farkas certificate recomputed from that row).  A start basis
-that is not dual feasible, an unproven verdict or a numerical failure falls
-back to a cold primal solve, counted in ``cold_retries``.
+In each pivot the most infeasible basic variable leaves, and the
+bound-flipping ratio test picks the entering column and moves the boxed
+columns it passes to their other bound.  After a run of degenerate steps the
+choices switch to Bland's rule, lowest column first.  These choices compare
+values rounded to float32 or against fixed tolerances, so the last-bit
+differences between two inverses of one basis do not change the path (short
+of a value on a rounding boundary), and the optimal point is recomputed by an
+LU solve on the final basis: a result depends on its inputs, not on which
+inverse of the start basis the workspace held.  An infeasible verdict stands
+only when the pivot row proves it (a Farkas certificate recomputed from that
+row against the real bounds).  A warm start whose nonbasic columns do not sit
+at finite bounds, an unproven verdict or a numerical failure is retried from
+the slack basis, counted in ``cold_retries``; the same failure of a cold run
+raises :class:`SimplexNumericalError`.
 
-Both kernels are plain numpy over a dense explicit inverse: pricing, the ratio
-tests and the infeasibility scans are array operations over all columns or
-rows, and only the ratio tests' tie rules walk the few candidates left after
+The kernel is plain numpy over a dense explicit inverse: pricing, the ratio
+test and the infeasibility scan are array operations over all columns or
+rows, and only the ratio test's tie rules walk the few candidates left after
 them.  An inversion sends only the basic structural columns to LAPACK: the
 slack columns are unit vectors.
 
@@ -71,7 +80,6 @@ _FTOL = 1e-7
 _DTOL = 1e-9
 _FTOL32 = np.float32(_FTOL)
 _PIVOT_EPS = 1e-9
-_TIE_EPS = 1e-12
 _REFACTOR_EVERY = 128
 # Basis size from which a rank-one update may skip the rows it leaves alone.
 _SPARSE_UPDATE_ROWS = 128
@@ -79,6 +87,12 @@ _SPARSE_UPDATE_ROWS = 128
 _SOLVE_MEMO_CAP = 384
 # Floats of kept basis inverses per workspace (1 MB); at least two are kept.
 _INVERSE_BUDGET = 1 << 17
+# An artificial bound starts this far from the column's finite bound, and
+# each round that ends on one moves every artificial bound _ARTIFICIAL_GROWTH
+# times further out.
+_ARTIFICIAL_WIDTH = 1e6
+_ARTIFICIAL_GROWTH = 100.0
+_ARTIFICIAL_ROUNDS = 3
 
 # Dense workspace memory guard: (n+m) * m floats.
 _MAX_DENSE_CELLS = 40_000_000
@@ -162,48 +176,6 @@ def _dual_leaving_row(viol, basis, bland) -> int:
     return int(rows[basis[rows].argmin()])
 
 
-def _leaving_row(theta, pw, col, bland):
-    """Position in ``theta`` of the leaving row and its ratio, or ``(-1, INF)``.
-
-    ``theta`` holds the finite ratios of the eligible rows in row order, ``pw``
-    their pivot magnitudes and ``col`` their basic columns.  The rule is a scan
-    in row order: a ratio below the best by more than ``_TIE_EPS`` takes over,
-    and one within ``_TIE_EPS`` of it wins on the lowest column (Bland) or the
-    largest pivot.  Because the scan depends on visiting order it still runs,
-    but only over the rows whose sorted ratios chain up from the minimum in
-    steps that stay within reach of the tie window.  Past the first wider gap
-    (tested with the scan's own float comparisons) a row can neither win nor
-    change the scan's state: after any chain row the best ratio is at most the
-    chain's top, which such a row cannot tie, and a chain row displaces any
-    such row visited before it outright.
-    """
-    ratios = theta.tolist()
-    v = sorted(ratios)
-    cut = v[-1] if v else INF
-    for lo_v, hi_v in zip(v, v[1:]):
-        if hi_v > lo_v + _TIE_EPS and hi_v - _TIE_EPS > lo_v:
-            cut = lo_v
-            break
-    theta_piv = INF
-    leave = -1
-    leave_pw = 0.0
-    leave_col = -1
-    for k, th in enumerate(ratios):
-        if th > cut:
-            continue
-        p, cb = pw[k], col[k]
-        if th < theta_piv - _TIE_EPS:
-            theta_piv, leave, leave_pw, leave_col = th, k, p, cb
-        elif th <= theta_piv + _TIE_EPS and leave >= 0:
-            # Tie: take the lowest column in Bland mode (anti-cycling),
-            # the largest pivot otherwise (stability).
-            if cb < leave_col if bland else p > leave_pw:
-                if th < theta_piv:
-                    theta_piv = th
-                leave, leave_pw, leave_col = k, p, cb
-    return leave, theta_piv
-
-
 class LpWorkspace:
     """Reusable dense workspace for repeated solves of one LP skeleton.
 
@@ -217,20 +189,18 @@ class LpWorkspace:
 
     The workspace counts exactly what its solves did (see :meth:`counters`):
     ``memo_hits`` solves answered from either memo, ``cold_retries`` warm
-    starts that fell back to a cold primal solve, ``kernel_runs`` and
-    ``dual_runs`` kernel runs in all and of the dual kernel, ``pivots``,
-    ``phase1_pivots`` and ``dual_pivots`` their iterations in all, in primal
-    phase 1 and in the dual kernel, ``inversions`` the ``np.linalg.inv``
-    calls, ``refactorizations`` those of them that rebuilt an inverse a
-    kernel was carrying (after ``_REFACTOR_EVERY`` updates, a pivot row and
-    column that disagree, or a final point that fails its re-check), and
+    starts that were retried from the slack basis, ``kernel_runs`` the runs
+    of the dual kernel, ``pivots`` their iterations, ``inversions`` the
+    ``np.linalg.inv`` calls (the slack basis's identity is not one),
+    ``refactorizations`` those of them that rebuilt an inverse a kernel was
+    carrying (after ``_REFACTOR_EVERY`` updates, a pivot row and column that
+    disagree, or a final point that fails its re-check), and
     ``inverse_hits`` the warm starts whose inverse was kept.
     """
 
     COUNTERS = (
-        "memo_hits", "cold_retries", "kernel_runs", "dual_runs", "pivots",
-        "phase1_pivots", "dual_pivots", "inversions", "refactorizations",
-        "inverse_hits",
+        "memo_hits", "cold_retries", "kernel_runs", "pivots", "inversions",
+        "refactorizations", "inverse_hits",
     )
 
     def __init__(self, lp: LpProblem):
@@ -241,6 +211,7 @@ class LpWorkspace:
             )
         self.n = n
         self.m = m
+        self._slack_key = np.arange(n, n + m, dtype=np.int64).tobytes()
         N = n + m
         WT = np.zeros((N, m))
         for r, row in enumerate(lp.rows):
@@ -346,24 +317,18 @@ class LpWorkspace:
         status = _ST_NUMERIC
         if start is not None:
             vstat, basis = start[0].copy(), start[1].copy()
-            self.dual_runs += 1
-            status, iters, xall, y, Binv, updates = self._run(
-                self._dual, bounds, vstat, basis, max_iter
-            )
-            self.dual_pivots += iters
+            status, iters, xall, y, Binv, updates = self._run(bounds, vstat, basis, max_iter)
             if status == _ST_NUMERIC:
                 self.cold_retries += 1
         if status == _ST_NUMERIC:
             vstat, basis = self.cold_start()
-            status, iters, xall, y, Binv, updates = self._run(
-                self._primal, bounds, vstat, basis, max_iter
-            )
+            status, iters, xall, y, Binv, updates = self._run(bounds, vstat, basis, max_iter)
         if status == _ST_ITER:
             raise SimplexIterationError(
                 f"simplex hit the iteration limit ({max_iter}) without a verdict"
             )
         if status == _ST_NUMERIC:
-            raise SimplexNumericalError("simplex basis became singular")
+            raise SimplexNumericalError("simplex failed numerically from the slack basis")
         if status == _ST_INFEASIBLE:
             return LpSolution(INFEASIBLE, None, None, None, None, None, iters)
         if status == _ST_UNBOUNDED:
@@ -384,11 +349,11 @@ class LpWorkspace:
             basis=basis,
         )
 
-    def _run(self, kernel, bounds, vstat, basis, max_iter):
+    def _run(self, bounds, vstat, basis, max_iter):
         """One kernel run, counted; a singular basis reads as a numerical failure."""
         self.kernel_runs += 1
         try:
-            out = kernel(bounds, vstat, basis, max_iter)
+            out = self._dual(bounds, vstat, basis, max_iter)
         except np.linalg.LinAlgError:
             return _ST_NUMERIC, 0, None, None, None, 0
         self.pivots += out[1]
@@ -438,9 +403,12 @@ class LpWorkspace:
         """A private copy of ``basis``'s inverse and its update count.
 
         An inverse computed here is kept too: the sibling of a branch-and-bound
-        child starts from the same basis.
+        child starts from the same basis.  The slack basis's inverse is the
+        identity, since the slack columns of ``WT`` are unit vectors.
         """
         key = basis.tobytes()
+        if key == self._slack_key:
+            return np.eye(self.m), 0
         kept = self._inverses.get(key)
         if kept is None:
             kept = (self._invert(basis), 0)
@@ -457,172 +425,25 @@ class LpWorkspace:
         if len(self._inverses) > self._inverses_cap:
             self._inverses.popitem(last=False)
 
-    def _nonbasic_values(self, bounds, vstat):
-        """Each nonbasic variable at its bound; basic entries are 0."""
-        return bounds[vstat, self._columns]
-
-    def _primal(self, bounds, vstat, basis, max_iter):
-        """Two-phase bounded primal simplex from the slack basis ``(vstat, basis)``.
-
-        ``bounds`` is the solve's bounds table (see ``__init__``).
-        ``vstat`` and ``basis`` are updated in place.  Returns ``(status,
-        iterations, xall, y, Binv, updates)`` where ``xall`` holds all
-        structural and slack values (``None`` unless optimal), ``y`` the final
-        dual vector and ``Binv`` the final inverse after ``updates`` rank-one
-        updates.
-        """
-        WT, b, c = self.WT, self.b, self.c_ext
-        m = self.m
-        ftol, dtol = _FTOL, _DTOL
-        drift_tol = 10.0 * ftol
-        lo, up = bounds[0], bounds[1]
-        y = np.zeros(m)
-        # Kept up to date on each pivot: the basic columns' bounds and
-        # costs, the nonbasic movable columns (fixed ones, EQ slacks
-        # included, never enter), and each column's direction sign, +1 at
-        # its lower bound and -1 otherwise.
-        loB, upB, cB = lo[basis], up[basis], c[basis]
-        movable = ~(up - lo <= 0.0)
-        eligible = movable & (vstat != _BASIC)
-        sign = np.where(vstat == _AT_LOWER, 1.0, -1.0)
-
-        Binv = np.eye(m)
-        z = self._nonbasic_values(bounds, vstat)
-        xB = np.dot(Binv, b - np.dot(z, WT))
-
-        phase = 1
-        iters = 0
-        degen_run = 0
-        bland = False
-        since_refactor = 0
-
-        while iters < max_iter:
-            if since_refactor >= _REFACTOR_EVERY:
-                self.refactorizations += 1
-                Binv = self._invert(basis)
-                z = self._nonbasic_values(bounds, vstat)
-                xB = np.dot(Binv, b - np.dot(z, WT))
-                since_refactor = 0
-
-            # Phase 2 only checks that no basic variable drifted more than
-            # drift_tol out of its bounds; fmax skips NaN as the masks do.
-            if phase == 1 or np.fmax.reduce(np.maximum(loB - xB, xB - upB), initial=0.0) > drift_tol:
-                below = xB < loB - ftol
-                above = ~below & (xB > upB + ftol)
-                worst = max(
-                    np.maximum.reduce(loB[below] - xB[below], initial=0.0),
-                    np.maximum.reduce(xB[above] - upB[above], initial=0.0),
-                )
-                if phase == 1 and worst == 0.0:
-                    phase = 2
-                elif phase == 2 and worst > drift_tol:
-                    # Drift pushed a basic variable out of its bounds: repair first.
-                    phase = 1
-
-            # score[j]: rate at which moving nonbasic column j off its bound
-            # lowers the infeasibility sum (phase 1) or the objective (phase 2).
-            if phase == 1:
-                dvec = np.zeros(m)
-                dvec[below] = -1.0
-                dvec[above] = 1.0
-                y = np.dot(dvec, Binv)
-                # The derivative of the infeasibility sum w.r.t. x_j is -s[j].
-                score = sign * np.dot(WT, y)
-            else:
-                y = np.dot(cB, Binv)
-                # WT y - c is the negated reduced cost, bit for bit.
-                score = sign * (np.dot(WT, y) - c)
-            cand = eligible & (score > dtol)
-            if not _any(cand):
-                if phase == 1:
-                    return _ST_INFEASIBLE, iters, None, y, Binv, since_refactor
-                xall = self._nonbasic_values(bounds, vstat)
-                xall[basis] = xB
-                return _ST_OPTIMAL, iters, xall, y, Binv, since_refactor
-            if bland:
-                enter = int(np.argmax(cand))
-            else:
-                # argmax keeps the first of equal maxima: lowest-index tie-break.
-                enter = int(np.argmax(np.where(cand, score, -INF)))
-            t = float(sign[enter])
-            w = np.dot(Binv, WT[enter])
-
-            # Ratio test.  In phase 1 an infeasible basic variable may move
-            # toward (and stop at) the bound it violates.
-            delta = -t * w
-            pw = np.abs(w)
-            rising = delta > 0.0
-            if phase == 1:
-                to_upper = above | (rising & ~below)
-                reach = np.where(below, rising, np.where(above, delta < 0.0, True))
-            else:
-                to_upper = rising
-                reach = True
-            target = np.where(to_upper, upB, loB)
-            rows = np.flatnonzero((pw > _PIVOT_EPS) & reach & (np.abs(target) < INF))
-            theta = (target[rows] - xB[rows]) / delta[rows]
-            theta = np.where(theta < 0.0, 0.0, theta)
-            finite = np.isfinite(theta)
-            rows, theta = rows[finite], theta[finite]
-            k, theta_piv = _leaving_row(theta, pw[rows], basis[rows], bland)
-            leave = int(rows[k]) if k >= 0 else -1
-
-            theta_flip = up[enter] - lo[enter]
-            if leave < 0 and theta_flip == INF:
-                if phase == 1:
-                    return _ST_NUMERIC, iters, None, y, Binv, since_refactor
-                return _ST_UNBOUNDED, iters, None, y, Binv, since_refactor
-
-            if leave >= 0 and theta_piv <= theta_flip + _TIE_EPS:
-                theta = theta_piv
-                xB -= (t * theta) * w
-                enter_val = t * theta + (lo[enter] if t > 0.0 else up[enter])
-                out = basis[leave]
-                if to_upper[leave]:
-                    vstat[out] = _AT_UPPER
-                    sign[out] = -1.0
-                else:
-                    vstat[out] = _AT_LOWER
-                    sign[out] = 1.0
-                eligible[out] = movable[out]
-                _replace_column(Binv, w, leave)
-                xB[leave] = enter_val
-                basis[leave] = enter
-                loB[leave], upB[leave], cB[leave] = lo[enter], up[enter], c[enter]
-                vstat[enter] = _BASIC
-                eligible[enter] = False
-                since_refactor += 1
-            else:
-                theta = theta_flip
-                xB -= (t * theta) * w
-                vstat[enter] = _AT_UPPER if t > 0.0 else _AT_LOWER
-                sign[enter] = -t
-
-            if theta <= _TIE_EPS:
-                degen_run += 1
-                if degen_run > 100 + 2 * m:
-                    bland = True
-            else:
-                degen_run = 0
-                bland = False
-            if phase == 1:
-                self.phase1_pivots += 1
-            iters += 1
-
-        return _ST_ITER, iters, None, y, Binv, since_refactor
-
     def _dual(self, bounds, vstat, basis, max_iter):
-        """Bounded dual simplex from the warm basis ``(vstat, basis)``.
+        """Bounded dual simplex from the basis ``(vstat, basis)``.
 
-        Same contract as :meth:`_primal`.  ``_ST_NUMERIC`` also stands for a
-        start basis that is not dual feasible and for an infeasible verdict
-        that the pivot row does not prove; the caller then solves cold.
+        ``bounds`` is the solve's bounds table (see ``__init__``); ``vstat``
+        and ``basis`` are updated in place.  Returns ``(status, iterations,
+        xall, y, Binv, updates)`` where ``xall`` holds all structural and
+        slack values and ``y`` the final dual vector (both ``None`` unless
+        optimal), and ``Binv`` the final inverse after ``updates`` rank-one
+        updates.  ``_ST_NUMERIC`` also stands for a nonbasic column at an
+        infinite bound, an infeasible verdict that the pivot row does not
+        prove, and an artificial bound still held after
+        ``_ARTIFICIAL_ROUNDS`` rounds.
         """
         WT, b, c = self.WT, self.b, self.c_ext
         m = self.m
         dtol = _DTOL
         lo, up = bounds[0], bounds[1]
-        z = self._nonbasic_values(bounds, vstat)
+        # Each nonbasic column at its bound; basic entries are 0.
+        z = bounds[vstat, self._columns]
         if not _all(np.isfinite(z)):
             return _ST_NUMERIC, 0, None, None, None, 0
         Binv, updates = self._start_inverse(basis)
@@ -637,19 +458,37 @@ class LpWorkspace:
         fixed = width <= 0.0
         side[fixed] = 0.0
         np.subtract(c, np.dot(WT, np.dot(c[basis], Binv)), out=d)
-        # A boxed column with the wrong reduced cost sign moves to its other
-        # bound; an unboxed one leaves the start dual infeasible.
+        # A column with the wrong reduced cost sign moves to its other bound.
+        # Where that bound is infinite, the column gets an artificial one on
+        # the side ``art_side`` (+1 upper, -1 lower) of working bound copies.
         wrong = (side * d > dtol).nonzero()[0]
+        art = wrong[np.isinf(width[wrong])]
+        art_side = -side[art]
+        span = _ARTIFICIAL_WIDTH
+        rounds = 0
+
+        def box():
+            """Artificial bounds ``span`` from the finite ones; the columns at
+            them move with them."""
+            rise = art_side > 0.0
+            up[art] = np.where(rise, bounds[0, art] + span, bounds[1, art])
+            lo[art] = np.where(rise, bounds[0, art], bounds[1, art] - span)
+            width[art] = span
+            held = art[side[art] == art_side]
+            z[held] = np.where(side[held] > 0.0, up[held], lo[held])
+
+        def values():
+            return np.dot(Binv, b - np.dot(z, WT)), lo[basis], up[basis]
+
+        if art.size:
+            lo, up = lo.copy(), up.copy()
+            box()
         if wrong.size:
-            if not np.isfinite(width[wrong]).all():
-                return _ST_NUMERIC, 0, None, None, Binv, updates
             rise = side[wrong] < 0.0
             side[wrong] = -side[wrong]
             vstat[wrong] = np.where(rise, _AT_UPPER, _AT_LOWER)
             z[wrong] = np.where(rise, up[wrong], lo[wrong])
-        xB = np.dot(Binv, b - np.dot(z, WT))
-        loB = lo[basis]
-        upB = up[basis]
+        xB, loB, upB = values()
 
         iters = 0
         degen_run = 0
@@ -659,7 +498,7 @@ class LpWorkspace:
                 self.refactorizations += 1
                 Binv = self._invert(basis)
                 updates = 0
-                xB = np.dot(Binv, b - np.dot(z, WT))
+                xB, loB, upB = values()
                 np.subtract(c, np.dot(WT, np.dot(c[basis], Binv)), out=d)
 
             viol = np.maximum(loB - xB, xB - upB)
@@ -667,6 +506,27 @@ class LpWorkspace:
             if r < 0:
                 if _any(side * d > 100.0 * dtol):
                     return _ST_NUMERIC, iters, None, None, Binv, updates
+                held = art[side[art] == art_side]
+                if held.size:
+                    # An optimum on an artificial bound: a column that still
+                    # gains either proves a free ray or needs the bounds
+                    # further out; the others go back to their finite bound.
+                    gain = side[held] * d[held] < -dtol
+                    for j in held[gain].tolist():
+                        if self._free_ray(Binv, basis, j, side[j], bounds):
+                            return _ST_UNBOUNDED, iters, None, None, Binv, updates
+                    if rounds == _ARTIFICIAL_ROUNDS:
+                        return _ST_NUMERIC, iters, None, None, Binv, updates
+                    rounds += 1
+                    back = held[~gain]
+                    side[back] = -side[back]
+                    vstat[back] = np.where(side[back] > 0.0, _AT_UPPER, _AT_LOWER)
+                    z[back] = np.where(side[back] > 0.0, up[back], lo[back])
+                    if gain.any():
+                        span *= _ARTIFICIAL_GROWTH
+                        box()
+                    xB, loB, upB = values()
+                    continue
                 # The point comes from the final basis alone, not from the
                 # updates that led there.
                 xB = self._basic_values(basis, b - np.dot(z, WT))
@@ -712,9 +572,16 @@ class LpWorkspace:
                 # Every flip together leaves the row infeasible (then the row
                 # must prove it) or feasible within ftol (the last one enters).
                 if not cand or left > _FTOL:
-                    if self._proves_infeasible(rho, alpha, lo, up):
+                    if self._proves_infeasible(rho, alpha, bounds[0], bounds[1]):
                         return _ST_INFEASIBLE, iters, None, None, Binv, updates
-                    return _ST_NUMERIC, iters, None, None, Binv, updates
+                    # Unproven: an artificial bound may be what cuts the row off.
+                    if not art.size or rounds == _ARTIFICIAL_ROUNDS:
+                        return _ST_NUMERIC, iters, None, None, Binv, updates
+                    rounds += 1
+                    span *= _ARTIFICIAL_GROWTH
+                    box()
+                    xB, loB, upB = values()
+                    continue
                 k = len(cand) - 1
                 left += cand[k][2] * cand[k][4]
             pick = k
@@ -780,6 +647,15 @@ class LpWorkspace:
             iters += 1
 
         return _ST_ITER, iters, None, None, Binv, updates
+
+    def _free_ray(self, Binv, basis, j, t, bounds) -> bool:
+        """Whether column ``j`` can move by ``t`` per unit, the basic variables
+        by ``-t B^-1 a_j``, without ever meeting a finite bound."""
+        delta = -t * np.dot(Binv, self.WT[j])
+        return not (
+            _any((delta > _PIVOT_EPS) & (bounds[1, basis] < INF))
+            or _any((delta < -_PIVOT_EPS) & (bounds[0, basis] > -INF))
+        )
 
     def _proves_infeasible(self, rho, alpha, lo, up) -> bool:
         """Farkas check: every solution of ``W x = b`` has ``alpha . x = rho . b``

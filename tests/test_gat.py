@@ -287,9 +287,9 @@ def test_gisp25_class_counts_and_identical_member_scores():
         "round1_edges": classes.round1.recv.index.size, "round2_edges": classes.round2.recv.index.size,
     }
     assert counts == {
-        "vars": 47, "var_rows": 12, "round2": 40,
-        "cons": 80, "cons_rows": 1, "round1": 42,
-        "edges": 182, "round1_edges": 99, "round2_edges": 175,
+        "vars": 47, "var_rows": 11, "round2": 41,
+        "cons": 80, "cons_rows": 1, "round1": 43,
+        "edges": 182, "round1_edges": 102, "round2_edges": 176,
     }
     assert graph.node_classes is classes  # built once per graph
     scores = gat_forward(GatParameters.init(seed=2, L=16, H=4, hidden=12), graph)

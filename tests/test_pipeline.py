@@ -60,14 +60,14 @@ BENCH_COLLECT = dict(
 class TestCollect:
     @pytest.mark.parametrize("seed, kept, digest", [
         pytest.param(
-            2, True, "34066f08fc8f9257568439079fa2f1a942ec31b67211d64b709d411cca85f19e", id="2-True"
+            2, True, "62e56f30b32192f44b4fc48d2e364e5503667b67f7464f85ab19b2bf7890648d", id="2-True"
         ),
         pytest.param(
-            3, True, "9a4250a7622d14e716d2d4e40912c093538bb12f3f2c9cea882fe46715144555", id="3-True"
+            3, True, "c9168e5c2411e30187ac0566353380cd6e92c1668a8538c139bc3ecbb4edbb1a", id="3-True"
         ),
     ])
     def test_collect_one_output_is_pinned(self, tmp_path, seed, kept, digest):
-        """Record and manifest entry as collected when warm LP solves moved to
+        """Record and manifest entry as collected when cold LP solves moved to
         the dual kernel."""
         write_gisp_dir(tmp_path, [seed], nodes=25)
         record, entry = collect_one(
@@ -88,13 +88,18 @@ class TestCollect:
             tmp_path / "w4.jsonl.manifest.json"
         ).read_bytes()
         # The wall-clock sidecar: one line per instance, in instance order,
-        # with LP counters that are exact and so equal for any worker count.
+        # with LP counters and search and labeling costs that are exact and
+        # so equal for any worker count.
         sidecars = [timing_lines(tmp_path / f"{name}.jsonl") for name in ("w1", "w4")]
+        exact = ("counters", "probes", "distinct_subsets", "probe_nodes", "label_solves", "label_nodes")
         for lines in sidecars:
             assert [t["file"] for t in lines] == [f"gisp_n22_s{i}.bdmilp" for i in range(4)]
-            assert all(set(t) == {"file", "seconds", "counters"} and t["seconds"] > 0.0 for t in lines)
+            assert all(set(t) == {"file", "seconds", *exact} and t["seconds"] > 0.0 for t in lines)
             assert all(t["counters"]["kernel_runs"] > 0 for t in lines)
-        assert [t["counters"] for t in sidecars[0]] == [t["counters"] for t in sidecars[1]]
+            assert all(t["probes"] == SMALL_COLLECT["mcts_budget"] for t in lines)
+            assert all(0 < t["distinct_subsets"] <= min(t["probes"], t["probe_nodes"]) for t in lines)
+            assert all(t["label_solves"] >= 2 and t["label_nodes"] >= t["label_solves"] for t in lines)
+        assert [[t[k] for k in exact] for t in sidecars[0]] == [[t[k] for k in exact] for t in sidecars[1]]
 
     def test_failed_instance_is_recorded_not_fatal(self, tmp_path):
         write_gisp_dir(tmp_path / "inst", [0])

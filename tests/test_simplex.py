@@ -15,14 +15,12 @@ from backdoorlab.generators import (
 from backdoorlab.milp import INF, LpProblem, lp_relaxation, make_instance
 from backdoorlab.search import label_samples, mcts_search
 from backdoorlab.simplex import (
-    _TIE_EPS,
     INFEASIBLE,
     OPTIMAL,
     UNBOUNDED,
     LpWorkspace,
     SimplexIterationError,
     SimplexNumericalError,
-    _leaving_row,
     solve_lp,
 )
 
@@ -66,6 +64,109 @@ def test_equality_and_ge_rows():
     )
     assert sol.status == OPTIMAL
     np.testing.assert_allclose(sol.x, [0.625, 0.375], atol=1e-9)
+
+
+def test_unboxed_column_with_a_free_ray_is_unbounded():
+    # x0 improves without end; the basic x1 follows it upward.
+    ws = LpWorkspace(lp_of([-1.0, 0.0], [[(0, 1.0), (1, -1.0)]], [1.0], ["LE"], [0.0, 0.0], [INF, INF]))
+    assert ws.solve().status == UNBOUNDED
+    # The first artificial bound on x0 leaves the row unmet; the bound moves
+    # out before the ray is found.
+    big = 2.0 * simplex._ARTIFICIAL_WIDTH
+    assert solve_lp(lp_of([-1.0], [[(0, 1.0)]], [big], ["GE"], [0.0], [INF])).status == UNBOUNDED
+    # With x1 boxed the same direction is cut off by x1's upper bound.
+    sol = solve_lp(lp_of([-1.0, 0.0], [[(0, 1.0), (1, -1.0)]], [1.0], ["LE"], [0.0, 0.0], [INF, 2.0]))
+    assert (sol.status, sol.x.tolist(), sol.objective) == (OPTIMAL, [3.0, 2.0], -3.0)
+
+
+def test_optimum_beyond_the_first_artificial_bound():
+    far = 3.0 * simplex._ARTIFICIAL_WIDTH
+    ws = LpWorkspace(lp_of([-1.0, -1.0], [[(0, 1.0), (1, 2.0)]], [far], ["LE"], [0.0, 0.0], [INF, INF]))
+    sol = ws.solve()
+    assert (sol.status, sol.x.tolist(), sol.objective) == (OPTIMAL, [far, 0.0], -far)
+    # Nothing is left at an artificial bound: the basis warm starts a re-solve.
+    assert not sol.at_upper.any() and ws.cold_retries == 0
+    child = ws.solve(upper=np.array([far / 2, INF]), start=(sol.vstat, sol.basis))
+    assert (child.status, child.objective, ws.cold_retries) == (OPTIMAL, -0.75 * far, 0)
+    # Here the first artificial bound looks infeasible: the row x0 >= far
+    # has no proof against the real bounds, so the bound moves out.
+    sol = solve_lp(lp_of([-1.0], [[(0, 1.0)], [(0, 1.0)]], [far, 2 * far], ["GE", "LE"], [0.0], [INF]))
+    assert (sol.status, sol.x.tolist()) == (OPTIMAL, [2 * far])
+
+
+def test_optimum_past_the_last_artificial_bound_raises_not_lies():
+    last = simplex._ARTIFICIAL_WIDTH * simplex._ARTIFICIAL_GROWTH**simplex._ARTIFICIAL_ROUNDS
+    lp = lp_of([-1.0], [[(0, 1.0)]], [10.0 * last], ["LE"], [0.0], [INF])
+    with pytest.raises(SimplexNumericalError):
+        solve_lp(lp)
+
+
+@pytest.mark.parametrize("upper", [[1.0, 1.0], [0.5, INF]])
+def test_cold_infeasible_verdict_is_proven_by_its_farkas_row(upper):
+    # x0 - x1 >= 1 is out of reach; x1 improves the objective, so an unboxed
+    # x1 starts on an artificial bound, and the proof uses the real bounds.
+    ws = LpWorkspace(lp_of([0.0, -1.0], [[(0, 1.0), (1, -1.0)]], [1.0 + upper[0]], ["GE"], [0.0, 0.0], upper))
+    proofs = []
+    check = ws._proves_infeasible
+
+    def recorded(*args):
+        proofs.append(check(*args))
+        return proofs[-1]
+
+    ws._proves_infeasible = recorded
+    assert ws.solve().status == INFEASIBLE
+    assert proofs[-1] and ws.kernel_runs == 1
+
+
+def random_sense_lp(seed, n=5, m=3):
+    """Random LE, GE and EQ rows around an interior point; two columns are
+    unboxed with negative costs, held back only by a last LE row."""
+    r = np.random.default_rng(seed)
+    c = r.normal(size=n).round(3)
+    c[:2] = -np.abs(c[:2]) - 0.1
+    A = r.normal(size=(m, n)).round(3)
+    x0 = r.uniform(0.2, 0.8, size=n)
+    senses = list(r.choice(["LE", "GE", "EQ"], size=m))
+    b = A @ x0 + np.select([np.array(senses) == "LE", np.array(senses) == "GE"],
+                           [r.uniform(0.0, 1.0, size=m), -r.uniform(0.0, 1.0, size=m)], 0.0)
+    A = np.vstack([A, [r.uniform(0.5, 2.0), r.uniform(0.5, 2.0)] + [0.0] * (n - 2)])
+    b = np.append(b, 4.0)
+    senses.append("LE")
+    rows = [[(j, float(A[i, j])) for j in range(n) if A[i, j]] for i in range(m + 1)]
+    upper = [INF, INF] + [1.0] * (n - 2)
+    return lp_of(c, rows, b, senses, [0.0] * n, upper), A, b, senses, c, np.array(upper)
+
+
+def sense_vertex_optimum(A, b, senses, c, upper):
+    """Best vertex of the rows by sense and the finite bounds, by enumeration."""
+    n = len(c)
+    sign = {"LE": [1.0], "GE": [-1.0], "EQ": [1.0, -1.0]}
+    rows = [(s * A[i], s * b[i]) for i, sense in enumerate(senses) for s in sign[sense]]
+    rows += [(-np.eye(n)[j], 0.0) for j in range(n)]
+    rows += [(np.eye(n)[j], upper[j]) for j in range(n) if upper[j] < INF]
+    G = np.array([g for g, _ in rows])
+    h = np.array([v for _, v in rows])
+    best = np.inf
+    for idx in combinations(range(len(h)), n):
+        try:
+            x = np.linalg.solve(G[list(idx)], h[list(idx)])
+        except np.linalg.LinAlgError:
+            continue
+        if np.all(G @ x <= h + 1e-9):
+            best = min(best, float(c @ x))
+    return best
+
+
+def test_eq_and_ge_rows_match_vertex_enumeration_oracle():
+    solved = 0
+    for seed in range(20):
+        lp, A, b, senses, c, upper = random_sense_lp(seed)
+        oracle = sense_vertex_optimum(A, b, senses, c, upper)
+        sol = solve_lp(lp)
+        assert sol.status == OPTIMAL, seed
+        assert sol.objective == pytest.approx(oracle, abs=1e-7), seed
+        solved += "EQ" in senses
+    assert solved >= 5
 
 
 def random_box_lp(seed, n=6, m=4):
@@ -172,7 +273,7 @@ def test_warm_solve_without_rows():
     ws = LpWorkspace(lp_of([-1.0, 1.0], [], [], [], [0.0, 0.0], [1.0, 1.0]))
     root = ws.solve()
     sol = ws.solve(upper=np.array([0.0, 1.0]), start=(root.vstat, root.basis))
-    assert (sol.status, sol.objective, ws.dual_runs, ws.cold_retries) == (OPTIMAL, 0.0, 1, 0)
+    assert (sol.status, sol.objective, ws.kernel_runs, ws.cold_retries) == (OPTIMAL, 0.0, 2, 0)
 
 
 def test_non_finite_lower_bound_rejected():
@@ -249,22 +350,21 @@ def test_verify_names_the_first_violated_row():
     ws._verify(np.array([0.0, 0.5]), np.zeros(2), np.ones(2))
 
 
-# Root LP and capped branch and bound of one small instance per generator.
-# The root entries were recorded before the kernel was vectorized and the node
-# counts when warm solves moved to the dual kernel: any change to the pivot
+# Root LP and capped branch and bound of one small instance per generator,
+# recorded when cold solves moved to the dual kernel: any change to the pivot
 # path shows up as a different iteration count, objective bit pattern or node
 # count.
 PIVOT_PATH_CORPUS = [
     (lambda: gen_gisp(nodes=25, seed=2), 200,
-     (42, "-0x1.3880000000000p+10", 51)),
+     (29, "-0x1.3880000000000p+10", 51)),
     (lambda: gen_setcover(n_elements=40, n_sets=80, density=0.06, seed=0), 200,
-     (49, "0x1.8f0f0f0f0f0f2p+3", 25)),
+     (69, "0x1.8f0f0f0f0f0f1p+3", 37)),
     (lambda: gen_combinatorial_auction(items=15, bids=60, seed=2), 200,
-     (31, "-0x1.24f6a5982c0fbp+3", 59)),
+     (38, "-0x1.24f6a5982c0fbp+3", 57)),
     (lambda: gen_mis(nodes=80, avg_degree=5.0, seed=0), 60,
-     (127, "-0x1.4000000000000p+5", 60)),
+     (110, "-0x1.4000000000000p+5", 60)),
     (lambda: gen_facility_location(facilities=8, customers=12, seed=0), 200,
-     (117, "0x1.019595ed657f8p+7", 19)),
+     (57, "0x1.019595ed6558cp+7", 19)),
 ]
 
 
@@ -275,51 +375,6 @@ def test_pivot_path_is_pinned(make, cap, expected):
     assert root.status == OPTIMAL
     res = solve_bnb(inst, BnbConfig(node_limit=cap))
     assert (root.iterations, root.objective.hex(), res.nodes_processed) == expected
-
-
-def sequential_leaving_row(theta, pw, col, bland):
-    """The ratio test's row scan as it ran before vectorization."""
-    theta_piv = INF
-    leave = -1
-    leave_pw = 0.0
-    for i in range(len(theta)):
-        theta_i = theta[i]
-        pw_i = pw[i]
-        if theta_i < theta_piv - _TIE_EPS:
-            theta_piv = theta_i
-            leave = i
-            leave_pw = pw_i
-        elif theta_i <= theta_piv + _TIE_EPS and leave >= 0:
-            better = col[i] < col[leave] if bland else pw_i > leave_pw
-            if better:
-                if theta_i < theta_piv:
-                    theta_piv = theta_i
-                leave = i
-                leave_pw = pw_i
-    return leave, theta_piv
-
-
-@pytest.mark.parametrize("bland", [False, True])
-def test_leaving_row_matches_sequential_scan(bland):
-    rng = np.random.default_rng(7)
-    offsets = np.array([0.0, 0.4, 0.9, 0.999, 1.0, 1.001, 1.1, 1.9, 2.0, 2.1, 3.0, 5.0]) * _TIE_EPS
-    for trial in range(3000):
-        size = int(rng.integers(1, 14))
-        scale = [0.0, 1e-3, 1.0, 7.5, 1e3, 1e6][trial % 6]
-        anchors = scale * rng.integers(1, 4, size=size)
-        signs = rng.choice([-1.0, 1.0], size=size)
-        theta = anchors + signs * rng.choice(offsets, size=size)
-        theta = np.where(theta < 0.0, 0.0, theta)
-        if trial % 5 == 0:
-            # Chains of ties in steps just inside the tie window.
-            theta = scale + 0.9 * _TIE_EPS * rng.integers(0, size + 1, size=size)
-        pw = rng.choice([0.5, 1.0, 2.0, 3.0], size=size)
-        col = rng.permutation(10 * size)[:size]
-        want = sequential_leaving_row(theta, pw, col, bland)
-        got = _leaving_row(theta, pw, col, bland)
-        assert got[0] == want[0], (theta.tolist(), pw.tolist(), col.tolist())
-        assert got[1] == want[1]
-    assert _leaving_row(np.zeros(0), np.zeros(0), np.zeros(0, dtype=np.int64), bland) == (-1, INF)
 
 
 def reference_dual_leaving_row(viol, basis, bland):
@@ -510,7 +565,7 @@ def test_singular_warm_start_retried_cold_leaves_inverse_slot_empty():
 
 WARM_CORPUS = [
     (lambda: gen_gisp(nodes=25, seed=3), 60),
-    (lambda: gen_setcover(n_elements=40, n_sets=80, density=0.06, seed=2), 60),
+    (lambda: gen_setcover(n_elements=40, n_sets=80, density=0.06, seed=3), 60),
     (lambda: gen_combinatorial_auction(items=15, bids=60, seed=2), 60),
     (lambda: gen_mis(nodes=60, avg_degree=5.0, seed=1), 60),
     (lambda: gen_facility_location(facilities=8, customers=12, seed=0), 60),
@@ -525,7 +580,7 @@ def test_warm_dual_solve_matches_cold_solve_on_every_node(make, cap):
     calls = recording(ws)
     solve_bnb(inst, BnbConfig(node_limit=cap), workspace=ws)
     warm = [c for c in calls if c[2] is not None]
-    assert len(warm) > 10 and ws.dual_runs == len(warm) - ws.memo_hits
+    assert len(warm) > 10 and ws.kernel_runs == 1 + len(warm) - ws.memo_hits
     assert ws.cold_retries == 0
     for lower, upper, _, _, got in warm:
         want = LpWorkspace(lp).solve(lower=lower, upper=upper)
@@ -560,14 +615,29 @@ def test_dual_infeasible_verdict_is_proven_by_the_pivot_row():
     ws._proves_infeasible = recorded
     sol = ws.solve(lower=lo, upper=up, start=(root.vstat, root.basis))
     assert sol.status == INFEASIBLE
-    assert proofs == [True] and ws.cold_retries == 0 and ws.dual_runs == 1
+    assert proofs == [True] and ws.cold_retries == 0 and ws.kernel_runs == 2
 
 
 def test_unproven_infeasible_verdict_is_rechecked_cold():
     ws, root, lo, up = infeasible_child()
-    ws._proves_infeasible = lambda *args: False
+    check = ws._proves_infeasible
+    proofs = []
+
+    def fails_warm(*args):
+        proofs.append(bool(proofs) and check(*args))
+        return proofs[-1]
+
+    ws._proves_infeasible = fails_warm
     sol = ws.solve(lower=lo, upper=up, start=(root.vstat, root.basis))
-    assert sol.status == INFEASIBLE
+    assert sol.status == INFEASIBLE and proofs == [False, True]
+    assert ws.cold_retries == 1 and ws.kernel_runs == 3
+
+
+def test_unproven_cold_infeasible_verdict_raises():
+    ws, root, lo, up = infeasible_child()
+    ws._proves_infeasible = lambda *args: False
+    with pytest.raises(SimplexNumericalError):
+        ws.solve(lower=lo, upper=up, start=(root.vstat, root.basis))
     assert ws.cold_retries == 1 and ws.kernel_runs == 3
 
 
@@ -577,12 +647,21 @@ def test_forced_dual_failure_is_retried_cold_and_counted(monkeypatch):
     ws = LpWorkspace(lp)
     root = ws.solve()
     lo, up = fixed_child(inst, root)
-    monkeypatch.setattr(
-        LpWorkspace, "_dual", lambda self, *args: (simplex._ST_NUMERIC, 0, None, None, None, 0)
-    )
+    dual = LpWorkspace._dual
+    starts = []
+
+    def fails_warm(self, bounds, vstat, basis, max_iter):
+        starts.append(basis.tobytes() == self._slack_key)
+        if not starts[-1]:
+            return simplex._ST_NUMERIC, 0, None, None, None, 0
+        return dual(self, bounds, vstat, basis, max_iter)
+
+    monkeypatch.setattr(LpWorkspace, "_dual", fails_warm)
     sol = ws.solve(lower=lo, upper=up, start=(root.vstat, root.basis))
+    monkeypatch.undo()
     cold = LpWorkspace(lp).solve(lower=lo, upper=up)
-    assert (ws.cold_retries, ws.dual_runs, ws.kernel_runs) == (1, 1, 3)
+    assert starts == [False, True]
+    assert (ws.cold_retries, ws.kernel_runs) == (1, 3)
     assert (sol.status, sol.iterations, sol.x.tobytes()) == (cold.status, cold.iterations, cold.x.tobytes())
 
 
@@ -645,14 +724,13 @@ def test_solve_counters_are_pinned():
     inst = gen_setcover(n_elements=20, n_sets=40, density=0.1, seed=0)
     ws = LpWorkspace(lp_relaxation(inst))
     res = solve_bnb(inst, workspace=ws)
-    assert (res.status, res.nodes_processed) == ("OPTIMAL", 6)
-    # The cold root takes 28 primal pivots (21 in phase 1); the five warm
-    # children take 15 dual pivots, each from a kept inverse.
+    assert (res.status, res.nodes_processed) == ("OPTIMAL", 4)
+    # The cold root starts from the identity and the three warm children
+    # from kept inverses: 22 pivots in all, no inversion.
     assert ws.counters() == {
-        "memo_hits": 0, "cold_retries": 0, "kernel_runs": 6, "dual_runs": 5,
-        "pivots": 43, "phase1_pivots": 21, "dual_pivots": 15, "inversions": 0,
-        "refactorizations": 0, "inverse_hits": 5,
+        "memo_hits": 0, "cold_retries": 0, "kernel_runs": 4, "pivots": 22,
+        "inversions": 0, "refactorizations": 0, "inverse_hits": 3,
     }
-    again = solve_bnb(inst, BnbConfig(node_limit=5), workspace=ws)
-    assert again.nodes_processed == 5
-    assert ws.memo_hits == 5 and ws.kernel_runs == 6
+    again = solve_bnb(inst, BnbConfig(node_limit=3), workspace=ws)
+    assert again.nodes_processed == 3
+    assert ws.memo_hits == 3 and ws.kernel_runs == 4

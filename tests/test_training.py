@@ -139,9 +139,11 @@ def test_per_sample_backward_matches_whole_batch_mean():
 
     assert loss == pytest.approx(float(mean.data), rel=1e-12)
     assert sorted(grads) == names
+    # The absolute bound scales with the largest entry of the whole gradient:
+    # the output bias gradient is a nearly cancelling sum, small against it.
+    scale = max(np.abs(ref[k]).max() for k in names)
     for k in names:
-        scale = np.abs(ref[k]).max()
-        assert scale > 0.0
+        assert np.abs(ref[k]).max() > 0.0
         np.testing.assert_allclose(grads[k], ref[k], rtol=1e-12, atol=1e-12 * scale, err_msg=k)
 
 
