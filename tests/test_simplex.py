@@ -115,7 +115,47 @@ def test_cold_infeasible_verdict_is_proven_by_its_farkas_row(upper):
 
     ws._proves_infeasible = recorded
     assert ws.solve().status == INFEASIBLE
-    assert proofs[-1] and ws.kernel_runs == 1
+    assert proofs == [True] and ws.kernel_runs == 1
+
+
+def random_box_lp(seed, n=6, m=4):
+    r = np.random.default_rng(seed)
+    c = r.normal(size=n).round(3)
+    A = r.normal(size=(m, n)).round(3)
+    x0 = r.uniform(0.2, 0.8, size=n)
+    b = A @ x0 + r.uniform(0.0, 1.0, size=m)
+    rows = [[(j, float(A[i, j])) for j in range(n)] for i in range(m)]
+    return lp_of(c, rows, b, ["LE"] * m, [0.0] * n, [1.0] * n), A, np.asarray(b), c
+
+
+def vertex_enumeration_optimum(A, b, c, senses, upper):
+    """Check every intersection of n active constraints: the rows by sense,
+    the zero lower bounds and the finite upper bounds."""
+    n = len(c)
+    sign = {"LE": [1.0], "GE": [-1.0], "EQ": [1.0, -1.0]}
+    rows = [(s * A[i], s * b[i]) for i, sense in enumerate(senses) for s in sign[sense]]
+    rows += [(-np.eye(n)[j], 0.0) for j in range(n)]
+    rows += [(np.eye(n)[j], upper[j]) for j in range(n) if upper[j] < INF]
+    G = np.array([g for g, _ in rows])
+    h = np.array([v for _, v in rows])
+    best = np.inf
+    for idx in combinations(range(len(h)), n):
+        try:
+            x = np.linalg.solve(G[list(idx)], h[list(idx)])
+        except np.linalg.LinAlgError:
+            continue
+        if np.all(G @ x <= h + 1e-9):
+            best = min(best, float(c @ x))
+    return best
+
+
+def test_matches_vertex_enumeration_oracle():
+    for seed in range(25):
+        lp, A, b, c = random_box_lp(seed)
+        sol = solve_lp(lp)
+        assert sol.status == OPTIMAL
+        oracle = vertex_enumeration_optimum(A, b, c, ["LE"] * len(b), np.ones(6))
+        assert sol.objective == pytest.approx(oracle, abs=1e-7)
 
 
 def random_sense_lp(seed, n=5, m=3):
@@ -137,71 +177,16 @@ def random_sense_lp(seed, n=5, m=3):
     return lp_of(c, rows, b, senses, [0.0] * n, upper), A, b, senses, c, np.array(upper)
 
 
-def sense_vertex_optimum(A, b, senses, c, upper):
-    """Best vertex of the rows by sense and the finite bounds, by enumeration."""
-    n = len(c)
-    sign = {"LE": [1.0], "GE": [-1.0], "EQ": [1.0, -1.0]}
-    rows = [(s * A[i], s * b[i]) for i, sense in enumerate(senses) for s in sign[sense]]
-    rows += [(-np.eye(n)[j], 0.0) for j in range(n)]
-    rows += [(np.eye(n)[j], upper[j]) for j in range(n) if upper[j] < INF]
-    G = np.array([g for g, _ in rows])
-    h = np.array([v for _, v in rows])
-    best = np.inf
-    for idx in combinations(range(len(h)), n):
-        try:
-            x = np.linalg.solve(G[list(idx)], h[list(idx)])
-        except np.linalg.LinAlgError:
-            continue
-        if np.all(G @ x <= h + 1e-9):
-            best = min(best, float(c @ x))
-    return best
-
-
 def test_eq_and_ge_rows_match_vertex_enumeration_oracle():
     solved = 0
     for seed in range(20):
         lp, A, b, senses, c, upper = random_sense_lp(seed)
-        oracle = sense_vertex_optimum(A, b, senses, c, upper)
+        oracle = vertex_enumeration_optimum(A, b, c, senses, upper)
         sol = solve_lp(lp)
         assert sol.status == OPTIMAL, seed
         assert sol.objective == pytest.approx(oracle, abs=1e-7), seed
         solved += "EQ" in senses
     assert solved >= 5
-
-
-def random_box_lp(seed, n=6, m=4):
-    r = np.random.default_rng(seed)
-    c = r.normal(size=n).round(3)
-    A = r.normal(size=(m, n)).round(3)
-    x0 = r.uniform(0.2, 0.8, size=n)
-    b = A @ x0 + r.uniform(0.0, 1.0, size=m)
-    rows = [[(j, float(A[i, j])) for j in range(n)] for i in range(m)]
-    return lp_of(c, rows, b, ["LE"] * m, [0.0] * n, [1.0] * n), A, np.asarray(b), c
-
-
-def vertex_enumeration_optimum(A, b, c, n):
-    """Check every intersection of n active constraints (rows or bounds)."""
-    G = np.vstack([A, -np.eye(n), np.eye(n)])
-    h = np.concatenate([b, np.zeros(n), np.ones(n)])
-    best = np.inf
-    for idx in combinations(range(len(h)), n):
-        M = G[list(idx)]
-        try:
-            x = np.linalg.solve(M, h[list(idx)])
-        except np.linalg.LinAlgError:
-            continue
-        if np.all(G @ x <= h + 1e-9):
-            best = min(best, float(c @ x))
-    return best
-
-
-def test_matches_vertex_enumeration_oracle():
-    for seed in range(25):
-        lp, A, b, c = random_box_lp(seed)
-        sol = solve_lp(lp)
-        assert sol.status == OPTIMAL
-        oracle = vertex_enumeration_optimum(A, b, c, 6)
-        assert sol.objective == pytest.approx(oracle, abs=1e-7)
 
 
 def test_weak_duality_against_random_roundings():
