@@ -12,10 +12,10 @@ reduced cost has the wrong sign to its other bound.  A column with no finite
 bound on that side gets an artificial one (the dual phase 1 by artificial
 bounds of Koberstein, "The dual simplex method, techniques for a fast and
 stable implementation", PhD thesis, Paderborn 2005).  No optimum is reported
-while a column sits at an artificial bound: when that column improves the
-objective along a ray that meets no finite bound the LP is UNBOUNDED,
-otherwise the artificial bounds move out and the run goes on from its basis,
-for at most ``_ARTIFICIAL_ROUNDS`` rounds.
+while a column sits at an artificial bound: when the columns held there still
+improve the objective along a ray that meets no finite bound the LP is
+UNBOUNDED, otherwise the artificial bounds move out and the run goes on from
+its basis, for at most ``_ARTIFICIAL_ROUNDS`` rounds.
 
 In each pivot the most infeasible basic variable leaves, and the
 bound-flipping ratio test picks the entering column and moves the boxed
@@ -508,13 +508,15 @@ class LpWorkspace:
                     return _ST_NUMERIC, iters, None, None, Binv, updates
                 held = art[side[art] == art_side]
                 if held.size:
-                    # An optimum on an artificial bound: a column that still
-                    # gains either proves a free ray or needs the bounds
-                    # further out; the others go back to their finite bound.
+                    # An optimum on an artificial bound.  While the held
+                    # columns gain together, they either prove a free ray (the
+                    # way the optimum moves as the bounds move out) or need
+                    # the bounds further out; the columns that no longer gain
+                    # go back to their finite bound.
                     gain = side[held] * d[held] < -dtol
-                    for j in held[gain].tolist():
-                        if self._free_ray(Binv, basis, j, side[j], bounds):
-                            return _ST_UNBOUNDED, iters, None, None, Binv, updates
+                    rate = np.dot(side[held], d[held])
+                    if rate < -dtol and self._free_ray(Binv, basis, held, side[held], bounds):
+                        return _ST_UNBOUNDED, iters, None, None, Binv, updates
                     if rounds == _ARTIFICIAL_ROUNDS:
                         return _ST_NUMERIC, iters, None, None, Binv, updates
                     rounds += 1
@@ -648,10 +650,11 @@ class LpWorkspace:
 
         return _ST_ITER, iters, None, None, Binv, updates
 
-    def _free_ray(self, Binv, basis, j, t, bounds) -> bool:
-        """Whether column ``j`` can move by ``t`` per unit, the basic variables
-        by ``-t B^-1 a_j``, without ever meeting a finite bound."""
-        delta = -t * np.dot(Binv, self.WT[j])
+    def _free_ray(self, Binv, basis, cols, t, bounds) -> bool:
+        """Whether columns ``cols`` can move together by ``t`` per unit, the
+        basic variables by ``-B^-1 (t . a_cols)``, without ever meeting a
+        finite bound."""
+        delta = -np.dot(Binv, np.dot(t, self.WT[cols]))
         return not (
             _any((delta > _PIVOT_EPS) & (bounds[1, basis] < INF))
             or _any((delta < -_PIVOT_EPS) & (bounds[0, basis] > -INF))

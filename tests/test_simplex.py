@@ -74,6 +74,10 @@ def test_unboxed_column_with_a_free_ray_is_unbounded():
     # out before the ray is found.
     big = 2.0 * simplex._ARTIFICIAL_WIDTH
     assert solve_lp(lp_of([-1.0], [[(0, 1.0)]], [big], ["GE"], [0.0], [INF])).status == UNBOUNDED
+    # Each of x0 and x1 alone runs into a row; together they move freely.
+    pair = lp_of([-1.0, -1.0], [[(0, 1.0), (1, -1.0)], [(0, -1.0), (1, 1.0)]], [1.0, 1.0], ["LE", "LE"],
+                 [0.0, 0.0], [INF, INF])
+    assert solve_lp(pair).status == UNBOUNDED
     # With x1 boxed the same direction is cut off by x1's upper bound.
     sol = solve_lp(lp_of([-1.0, 0.0], [[(0, 1.0), (1, -1.0)]], [1.0], ["LE"], [0.0, 0.0], [INF, 2.0]))
     assert (sol.status, sol.x.tolist(), sol.objective) == (OPTIMAL, [3.0, 2.0], -3.0)
