@@ -8,18 +8,17 @@ share of the tree it closed.
 
 import numpy as np
 
-from backdoorlab import BnbConfig, gen_gisp, lp_relaxation, restricted_probe, solve_bnb
+from backdoorlab import BnbConfig, gen_gisp, restricted_probe, solve_bnb
 from backdoorlab.bnb import backdoor_priorities
-from backdoorlab.simplex import LpWorkspace
 
 inst = gen_gisp(nodes=25, seed=2)
-ws = LpWorkspace(lp_relaxation(inst))
 print(f"instance {inst.name}: {inst.num_vars} vars, {inst.num_cons} rows")
 
-root = ws.solve()
+# ``inst.lp`` is the instance's LP workspace: every solve below reuses it.
+root = inst.lp.solve()
 print(f"root LP objective {root.objective:.1f}")
 
-res = solve_bnb(inst, workspace=ws)
+res = solve_bnb(inst)
 print(
     f"default solve: status={res.status} objective={res.objective:.1f} "
     f"nodes={res.nodes_processed} tree_weight={res.tree_weight}"
@@ -30,9 +29,7 @@ rng = np.random.default_rng(0)
 print("\nrandom 4-variable priority sets:")
 for trial in range(5):
     chosen = rng.choice(sorted(inst.binary_set), size=4, replace=False)
-    guided = solve_bnb(
-        inst, BnbConfig(priorities=backdoor_priorities(chosen)), workspace=ws
-    )
+    guided = solve_bnb(inst, BnbConfig(priorities=backdoor_priorities(chosen)))
     assert abs(guided.objective - res.objective) < 1e-6
     print(
         f"  vars {np.sort(chosen).tolist()}: {guided.nodes_processed:3d} nodes "
@@ -44,9 +41,7 @@ for trial in range(5):
 print("\nnode-limited probes of the same subsets:")
 for trial in range(3):
     chosen = rng.choice(sorted(inst.binary_set), size=4, replace=False)
-    weight, nodes, completed = restricted_probe(
-        inst, chosen, node_limit=12, workspace=ws
-    )
+    weight, nodes, completed = restricted_probe(inst, chosen, node_limit=12)
     print(
         f"  vars {np.sort(chosen).tolist()}: weight={weight:.3f} "
         f"nodes={nodes} completed={completed}"

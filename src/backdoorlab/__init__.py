@@ -30,7 +30,6 @@ from .gnn import (
     train,
 )
 from .milp import (
-    LpProblem,
     MilpInstance,
     lp_relaxation,
     make_instance,

@@ -22,17 +22,18 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .milp import MilpInstance, lp_relaxation
+from .milp import MilpInstance
 from .simplex import INFEASIBLE as LP_INFEASIBLE
 from .simplex import OPTIMAL as LP_OPTIMAL
 from .simplex import UNBOUNDED as LP_UNBOUNDED
-from .simplex import LpWorkspace
 
 OPTIMAL = "OPTIMAL"
 INFEASIBLE = "INFEASIBLE"
 NODE_LIMIT = "NODE_LIMIT"
 
 _INT_TOL = 1e-6
+# A node is fathomed by bound when it cannot beat the incumbent by this much.
+_GAP_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -42,8 +43,6 @@ class BnbConfig:
     priorities: Mapping[int, int] | None = None
     allowed_branch_set: frozenset[int] | None = None
     node_limit: int | None = None
-    objective_gap_tol: float = 1e-6
-    rounding: bool = True
 
 
 # Why a node became a leaf; ``SolveResult.fathomed`` counts each.
@@ -102,22 +101,23 @@ def _priority_array(inst: MilpInstance, cfg: BnbConfig) -> np.ndarray:
 def solve_bnb(
     inst: MilpInstance,
     cfg: BnbConfig | None = None,
-    workspace: LpWorkspace | None = None,
     trace_bounds: bool = False,
 ) -> SolveResult:
     """Best-bound branch and bound over the binary variables of ``inst``.
 
-    Each popped node re-solves its LP warm-started from the parent basis;
-    children fix the chosen variable to 0 and to 1.  Nodes are fathomed by
-    infeasibility, integrality, bound (incumbent minus ``objective_gap_tol``),
-    or by the ``allowed_branch_set`` restriction.  Fully deterministic.
+    Each popped node re-solves its LP in ``inst.lp``, warm-started from the
+    parent basis; children fix the chosen variable to 0 and to 1.  Every
+    fractional LP point is also rounded on the binaries and kept as the
+    incumbent when feasible and better.  Nodes are fathomed by
+    infeasibility, integrality, bound (incumbent minus ``_GAP_TOL``), or by
+    the ``allowed_branch_set`` restriction.  Fully deterministic.
     """
     cfg = cfg or BnbConfig()
     if cfg.allowed_branch_set is not None:
         extra = set(cfg.allowed_branch_set) - set(inst.binary_set)
         if extra:
             raise ValueError(f"allowed_branch_set outside binary set: {sorted(extra)}")
-    ws = workspace if workspace is not None else LpWorkspace(lp_relaxation(inst))
+    ws = inst.lp
     n = inst.num_vars
     bin_idx = np.fromiter(sorted(inst.binary_set), dtype=np.int64)
     prio = _priority_array(inst, cfg)
@@ -125,7 +125,6 @@ def solve_bnb(
     if cfg.allowed_branch_set is not None:
         allowed_mask = np.zeros(n, dtype=bool)
         allowed_mask[np.fromiter(cfg.allowed_branch_set, dtype=np.int64)] = True
-    gap = cfg.objective_gap_tol
 
     # Rows whose activity may not exceed (LE, EQ: the slack's lower bound
     # is 0), or fall below (GE, EQ: its upper bound is 0), the right-hand side.
@@ -151,7 +150,7 @@ def solve_bnb(
         xr = x.copy()
         xr[bin_idx] = np.round(xr[bin_idx])
         obj = float(ws.c_ext[:n] @ xr)
-        if obj >= inc_obj - gap:
+        if obj >= inc_obj - _GAP_TOL:
             return
         resid = xr @ ws.WT[:n] - rhs
         if (resid[capped] > _INT_TOL).any() or (resid[floored] < -_INT_TOL).any():
@@ -160,7 +159,7 @@ def solve_bnb(
 
     while heap:
         bound_est, _, depth, lo, up, start = heapq.heappop(heap)
-        if bound_est >= inc_obj - gap:
+        if bound_est >= inc_obj - _GAP_TOL:
             leaf_depths.append(depth)
             fathomed["bound"] += 1
             continue
@@ -179,7 +178,7 @@ def solve_bnb(
         if sol.status == LP_UNBOUNDED:
             raise ValueError("LP relaxation is unbounded; not a solvable MILP here")
         assert sol.status == LP_OPTIMAL
-        if sol.objective >= inc_obj - gap:
+        if sol.objective >= inc_obj - _GAP_TOL:
             leaf_depths.append(depth)
             fathomed["bound"] += 1
             continue
@@ -193,8 +192,7 @@ def solve_bnb(
             leaf_depths.append(depth)
             fathomed["integral"] += 1
             continue
-        if cfg.rounding:
-            try_round(x)
+        try_round(x)
         frac_vars = bin_idx[frac_pos]
         if allowed_mask is not None:
             keep = allowed_mask[frac_vars]
@@ -243,7 +241,6 @@ def restricted_probe(
     inst: MilpInstance,
     subset: Iterable[int],
     node_limit: int | None = None,
-    workspace: LpWorkspace | None = None,
 ) -> tuple[float, int, bool]:
     """Score a candidate backdoor: branch only inside ``subset``.
 
@@ -254,9 +251,5 @@ def restricted_probe(
     sub = frozenset(int(j) for j in subset)
     if not sub:
         raise ValueError("cannot probe an empty variable subset")
-    res = solve_bnb(
-        inst,
-        BnbConfig(allowed_branch_set=sub, node_limit=node_limit),
-        workspace=workspace,
-    )
+    res = solve_bnb(inst, BnbConfig(allowed_branch_set=sub, node_limit=node_limit))
     return res.tree_weight, res.nodes_processed, res.status != NODE_LIMIT

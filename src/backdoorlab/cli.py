@@ -17,7 +17,7 @@ from pathlib import Path
 from . import generators
 from .bnb import BnbConfig, solve_bnb
 from .gnn import TrainConfig, load_model, save_model
-from .milp import FILE_EXTENSION, lp_relaxation, read_instance, write_instance
+from .milp import FILE_EXTENSION, read_instance, write_instance
 from .pipeline import (
     CollectConfig,
     collect_dataset,
@@ -27,7 +27,6 @@ from .pipeline import (
     report,
     train_from_file,
 )
-from .simplex import LpWorkspace
 
 _FAMILY_PARAMS = {
     "gisp": ("nodes", "edge_prob", "removable_frac", "node_reward", "edge_cost"),
@@ -76,16 +75,13 @@ def _cmd_solve(args) -> int:
         with open(args.priorities, "r", encoding="ascii") as fh:
             raw = json.load(fh)
         priorities = {int(k): int(v) for k, v in raw.items()}
-    ws = LpWorkspace(lp_relaxation(inst))
-    res = solve_bnb(
-        inst, BnbConfig(priorities=priorities, node_limit=args.node_limit), workspace=ws
-    )
+    res = solve_bnb(inst, BnbConfig(priorities=priorities, node_limit=args.node_limit))
     print(
         json.dumps(
             {
                 "fathomed": res.fathomed,
                 "instance": inst.name,
-                "lp": ws.counters(),
+                "lp": inst.lp.counters(),
                 "nodes": res.nodes_processed,
                 "objective": res.objective,
                 "status": res.status,

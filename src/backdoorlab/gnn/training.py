@@ -3,7 +3,7 @@
 Each sample runs one plain-numpy forward pass (``score_graph``) and one
 backward pass, which adds its share of the batch gradient straight into one
 flat buffer laid out like ``GatParameters.vector``; AdamW then updates that
-vector in one step.
+vector in place in one step.
 """
 
 from __future__ import annotations
@@ -40,6 +40,8 @@ class TrainConfig:
             raise ValueError("temperature must be positive")
         if self.batch_size < 1 or self.epochs < 1:
             raise ValueError("batch size and epochs must be positive")
+        if self.L < 1 or self.H < 1 or self.hidden < 1:
+            raise ValueError("model sizes L, H and hidden must be positive")
 
 
 @dataclass(frozen=True)
@@ -91,7 +93,7 @@ def train(
         if not s.positives or not s.negatives:
             raise ValueError("every training sample needs positives and negatives")
     params = GatParameters.init(seed=cfg.seed, L=cfg.L, H=cfg.H, hidden=cfg.hidden)
-    state = AdamState.init({"vector": params.vector})
+    state = AdamState.init(params.vector)
     shuffle_rng = np.random.Generator(
         np.random.Philox(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(1,)))
     )
@@ -105,14 +107,7 @@ def train(
         for lo in range(0, n, cfg.batch_size):
             batch = [dataset[i] for i in order[lo : lo + cfg.batch_size]]
             batch_loss, grad = batch_gradient(params, batch, cfg.tau)
-            new, state = adam_step(
-                {"vector": params.vector},
-                {"vector": grad},
-                state,
-                lr=cfg.learning_rate,
-                wd=cfg.weight_decay,
-            )
-            params = GatParameters(L=cfg.L, H=cfg.H, hidden=cfg.hidden, vector=new["vector"])
+            adam_step(params.vector, grad, state, lr=cfg.learning_rate, wd=cfg.weight_decay)
             epoch_loss += batch_loss * len(batch)
             if epoch_log is not None:
                 # Not a BLAS dot: at this size a threaded BLAS leaves spinning

@@ -2,13 +2,15 @@
 
 Every other module consumes :class:`MilpInstance` values.  The canonical
 objective sense is minimization; generators that model maximization problems
-negate their objective at build time.  Instances are immutable after
-construction and safe to share across workers.
+negate their objective at build time.  An instance's fields are immutable.
+Its :attr:`MilpInstance.lp` is per-process solver state, built on first use,
+so parallel jobs pass instance paths, not instances.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -60,23 +62,16 @@ class MilpInstance:
     def objective_value(self, x) -> float:
         return float(np.dot(np.asarray(self.objective), np.asarray(x, dtype=float)))
 
+    @cached_property
+    def lp(self):
+        """The workspace of this instance's LP relaxation, built on first use.
 
-@dataclass(frozen=True)
-class LpProblem:
-    """A MILP with integrality dropped: same coefficients and bounds, no binary set."""
+        Every solve of one instance object shares its memo, kept inverses and
+        counters; a copy (``dataclasses.replace``) gets a workspace of its own.
+        """
+        from .simplex import LpWorkspace
 
-    name: str
-    num_vars: int
-    objective: tuple[float, ...]
-    rows: tuple[tuple[tuple[int, float], ...], ...]
-    rhs: tuple[float, ...]
-    senses: tuple[str, ...]
-    lower: tuple[float, ...]
-    upper: tuple[float, ...]
-
-    @property
-    def num_cons(self) -> int:
-        return len(self.rows)
+        return LpWorkspace(lp_relaxation(self))
 
 
 @dataclass(frozen=True)
@@ -153,8 +148,8 @@ def validate_instance(inst: MilpInstance) -> ValidationReport:
     return ValidationReport(ok=not bad, violations=tuple(bad))
 
 
-def lp_relaxation(inst: MilpInstance) -> LpProblem:
-    """Drop integrality: identical coefficients, binary variables keep bounds [0, 1].
+def lp_relaxation(inst: MilpInstance) -> MilpInstance:
+    """Drop integrality: ``inst`` itself, since the LP layer ignores ``binary_set``.
 
     Raises ``ValueError`` on structural invalidity (bad column indices or
     mismatched lengths); an empty binary set is accepted so that
@@ -167,16 +162,7 @@ def lp_relaxation(inst: MilpInstance) -> LpProblem:
     ]
     if structural:
         raise ValueError("invalid instance: " + "; ".join(structural))
-    return LpProblem(
-        name=inst.name,
-        num_vars=inst.num_vars,
-        objective=inst.objective,
-        rows=inst.rows,
-        rhs=inst.rhs,
-        senses=inst.senses,
-        lower=inst.lower,
-        upper=inst.upper,
-    )
+    return inst
 
 
 def write_instance(inst: MilpInstance, path) -> None:

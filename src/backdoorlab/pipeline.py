@@ -25,9 +25,8 @@ import numpy as np
 from .bnb import NODE_LIMIT, BnbConfig, backdoor_priorities, solve_bnb
 from .features import BipartiteGraph, featurize
 from .gnn import GatParameters, TrainConfig, TrainSample, gat_forward, greedy_select, train
-from .milp import FILE_EXTENSION, MilpInstance, lp_relaxation, read_instance
+from .milp import FILE_EXTENSION, MilpInstance, read_instance
 from .search import Backdoor, biased_sample, label_samples, mcts_search
-from .simplex import LpWorkspace
 
 WIN = "WIN"
 TIE = "TIE"
@@ -107,15 +106,14 @@ def collect_one(
     """Process one instance; returns (record or None, manifest entry).
 
     A given ``cost`` dict receives the instance's exact collection cost once
-    the instance is done: ``counters``, the workspace's LP counters
+    the instance is done: ``counters``, the LP counters of ``inst.lp``
     (``LpWorkspace.counters``); ``probes``, ``distinct_subsets`` and
     ``probe_nodes`` of the MCTS search (0 when sampling); and
     ``label_solves`` and ``label_nodes``, the labeling's branch-and-bound
     solves (the baseline included) and their nodes.
     """
     inst = read_instance(path)
-    ws = LpWorkspace(lp_relaxation(inst))
-    root = ws.solve()
+    root = inst.lp.solve()
     weights: dict[tuple[int, ...], float] = {}
     search_cost = {"probes": 0, "distinct_subsets": 0, "probe_nodes": 0}
     if cfg.method == MCTS:
@@ -126,18 +124,13 @@ def collect_one(
             probe_node_limit=cfg.probe_node_limit,
             seed=seed,
             top_k=cfg.top_k,
-            root_lp=root,
-            workspace=ws,
             stats=search_cost,
         )
         candidates = [bd for bd, _ in ranked]
         weights = {bd.vars: w for bd, w in ranked}
     else:
-        candidates = biased_sample(inst, root, K=cfg.K, count=cfg.top_k, seed=seed)
-    labels = label_samples(
-        inst, candidates, p=cfg.p, q=cfg.q,
-        node_limit=cfg.label_node_limit, workspace=ws,
-    )
+        candidates = biased_sample(inst, K=cfg.K, count=cfg.top_k, seed=seed)
+    labels = label_samples(inst, candidates, p=cfg.p, q=cfg.q, node_limit=cfg.label_node_limit)
     entry = {
         "instance": inst.name,
         "file": Path(path).name,
@@ -148,7 +141,7 @@ def collect_one(
     if cost is not None:  # the instance's LP work is done
         cost.update(
             search_cost,
-            counters=ws.counters(),
+            counters=inst.lp.counters(),
             label_solves=1 + len(labels.efforts),
             label_nodes=labels.baseline_effort + sum(labels.efforts),
         )
@@ -274,31 +267,24 @@ def train_from_file(dataset_path, cfg: TrainConfig, epoch_log: list | None = Non
     return train(dataset, cfg, epoch_log=epoch_log)
 
 
-def predict_backdoor(
-    params: GatParameters, inst: MilpInstance, K: int, workspace: LpWorkspace | None = None
-) -> Backdoor:
+def predict_backdoor(params: GatParameters, inst: MilpInstance, K: int) -> Backdoor:
     """Score the instance and greedily take the K best binary variables.
 
-    The features come from ``workspace``'s root LP (a fresh workspace if
-    none is given).
+    The features come from the root LP of ``inst.lp``.
     """
-    ws = workspace if workspace is not None else LpWorkspace(lp_relaxation(inst))
-    graph = featurize(inst, ws.solve())
+    graph = featurize(inst, inst.lp.solve())
     scores = gat_forward(params, graph)
     return greedy_select(scores, graph.binary_mask, K)
 
 
 def _evaluate_one(params, path, K: int, node_cap: int | None, wallclock: bool) -> EvalRecord:
     inst = read_instance(path)
-    ws = LpWorkspace(lp_relaxation(inst))
     t0 = time.perf_counter()
-    backdoor = predict_backdoor(params, inst, K, workspace=ws)
+    backdoor = predict_backdoor(params, inst, K)
     overhead = time.perf_counter() - t0
-    base = solve_bnb(inst, BnbConfig(node_limit=node_cap), workspace=ws)
+    base = solve_bnb(inst, BnbConfig(node_limit=node_cap))
     method = solve_bnb(
-        inst,
-        BnbConfig(priorities=backdoor_priorities(backdoor.vars), node_limit=node_cap),
-        workspace=ws,
+        inst, BnbConfig(priorities=backdoor_priorities(backdoor.vars), node_limit=node_cap)
     )
     be, me = base.nodes_processed, method.nodes_processed
     return EvalRecord(

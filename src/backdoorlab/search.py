@@ -18,9 +18,8 @@ import numpy as np
 
 from .bnb import BnbConfig, backdoor_priorities, restricted_probe, solve_bnb
 from .generators import _rng
-from .milp import MilpInstance, lp_relaxation
+from .milp import MilpInstance
 from .simplex import OPTIMAL as LP_OPTIMAL
-from .simplex import LpSolution, LpWorkspace
 
 POSITIVE = "POSITIVE"
 NEGATIVE = "NEGATIVE"
@@ -83,19 +82,18 @@ def fractionality(x: np.ndarray) -> np.ndarray:
     return np.minimum(x - np.floor(x), np.ceil(x) - x)
 
 
-def _sample_weights(inst: MilpInstance, root_lp: LpSolution) -> tuple[np.ndarray, np.ndarray]:
+def _sample_weights(inst: MilpInstance, why: str) -> tuple[np.ndarray, np.ndarray]:
+    """The binary variables and their sampling weights from ``inst``'s root LP;
+    ``why`` names the caller in the error raised when that LP is not OPTIMAL."""
+    root_lp = inst.lp.solve()
+    if root_lp.status != LP_OPTIMAL:
+        raise ValueError(f"{why} needs an OPTIMAL root LP")
     pool = np.fromiter(sorted(inst.binary_set), dtype=np.int64)
     weights = fractionality(root_lp.x[pool]) + _FRACTIONALITY_FLOOR
     return pool, weights
 
 
-def biased_sample(
-    inst: MilpInstance,
-    root_lp: LpSolution,
-    K: int,
-    count: int,
-    seed: int,
-) -> list[Backdoor]:
+def biased_sample(inst: MilpInstance, K: int, count: int, seed: int) -> list[Backdoor]:
     """Draw ``count`` size-K subsets weighted by root-LP fractionality.
 
     Each candidate is drawn without replacement with weight
@@ -103,9 +101,7 @@ def biased_sample(
     sampling and fractional variables dominate whenever they exist.
     Duplicates across candidates are allowed.
     """
-    if root_lp.status != LP_OPTIMAL:
-        raise ValueError("biased sampling needs an OPTIMAL root LP")
-    pool, weights = _sample_weights(inst, root_lp)
+    pool, weights = _sample_weights(inst, "biased sampling")
     if K > pool.size:
         raise ValueError(f"K={K} exceeds the {pool.size} binary variables")
     rng = _rng(seed)
@@ -134,8 +130,6 @@ def mcts_search(
     probe_node_limit: int | None = 500,
     seed: int = 0,
     top_k: int = 50,
-    root_lp: LpSolution | None = None,
-    workspace: LpWorkspace | None = None,
     stats: dict | None = None,
 ) -> list[tuple[Backdoor, float]]:
     """UCT search over growing variable subsets; terminal reward = probe weight.
@@ -154,12 +148,7 @@ def mcts_search(
         raise ValueError(f"K={K} exceeds the {len(pool)} binary variables")
     if iteration_budget < 1:
         raise ValueError("iteration budget exhausted before any terminal evaluation")
-    ws = workspace if workspace is not None else LpWorkspace(lp_relaxation(inst))
-    if root_lp is None:
-        root_lp = ws.solve()
-    if root_lp.status != LP_OPTIMAL:
-        raise ValueError("MCTS needs an OPTIMAL root LP")
-    bias_pool, bias_weights = _sample_weights(inst, root_lp)
+    bias_pool, bias_weights = _sample_weights(inst, "MCTS")
     weight_of = {int(v): float(w) for v, w in zip(bias_pool, bias_weights)}
     rng = _rng(seed)
 
@@ -168,7 +157,7 @@ def mcts_search(
 
     def probe(subset: tuple[int, ...]) -> float:
         if subset not in evaluated:
-            weight, nodes, _ = restricted_probe(inst, subset, probe_node_limit, workspace=ws)
+            weight, nodes, _ = restricted_probe(inst, subset, probe_node_limit)
             evaluated[subset] = (weight, nodes)
         return evaluated[subset][0]
 
@@ -232,7 +221,6 @@ def label_samples(
     p: int = 5,
     q: int = 5,
     node_limit: int | None = None,
-    workspace: LpWorkspace | None = None,
 ) -> LabelResult:
     """Measure candidate efforts and split into positive/negative samples.
 
@@ -246,21 +234,18 @@ def label_samples(
         raise ValueError("no candidates to label")
     if p < 1 or q < 1:
         raise ValueError("p and q must be at least 1")
-    ws = workspace if workspace is not None else LpWorkspace(lp_relaxation(inst))
     seen = set()
     distinct: list[Backdoor] = []
     for cand in candidates:
         if cand.vars not in seen:
             seen.add(cand.vars)
             distinct.append(cand)
-    baseline = solve_bnb(inst, BnbConfig(node_limit=node_limit), workspace=ws)
+    baseline = solve_bnb(inst, BnbConfig(node_limit=node_limit))
     base_effort = baseline.nodes_processed
     efforts = []
     for cand in distinct:
         res = solve_bnb(
-            inst,
-            BnbConfig(priorities=backdoor_priorities(cand.vars), node_limit=node_limit),
-            workspace=ws,
+            inst, BnbConfig(priorities=backdoor_priorities(cand.vars), node_limit=node_limit)
         )
         efforts.append(res.nodes_processed)
     order = range(len(distinct))

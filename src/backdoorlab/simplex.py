@@ -56,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .milp import EQ, GE, INF, LE, LpProblem
+from .milp import EQ, GE, INF, LE, MilpInstance
 
 OPTIMAL = "OPTIMAL"
 INFEASIBLE = "INFEASIBLE"
@@ -83,8 +83,9 @@ _PIVOT_EPS = 1e-9
 _REFACTOR_EVERY = 128
 # Basis size from which a rank-one update may skip the rows it leaves alone.
 _SPARSE_UPDATE_ROWS = 128
-# Solves remembered per workspace (least recently used evicted first).
-_SOLVE_MEMO_CAP = 384
+# Solves remembered per workspace (least recently used evicted first): 384
+# and the root, which every branch and bound looks up first.
+_SOLVE_MEMO_CAP = 385
 # Floats of kept basis inverses per workspace (1 MB); at least two are kept.
 _INVERSE_BUDGET = 1 << 17
 # An artificial bound starts this far from the column's finite bound, and
@@ -177,18 +178,21 @@ def _dual_leaving_row(viol, basis, bland) -> int:
 
 
 class LpWorkspace:
-    """Reusable dense workspace for repeated solves of one LP skeleton.
+    """Reusable dense workspace for repeated solves of one instance's LP relaxation.
 
     Branch-and-bound re-solves the same matrix thousands of times with only
     variable bounds changing, so the extended column matrix is built once.
-    The root LP (the cold solve at the base bounds) is solved once per
-    workspace and handed out again on later calls.  Other solves go through
-    a memo of the last ``_SOLVE_MEMO_CAP`` results, keyed exactly by the
-    bounds, the start basis and ``max_iter``; a hit returns the earlier
-    result.  Memoized results have read-only arrays.
+    The instance's ``binary_set`` is ignored, and it is not validated here:
+    ``MilpInstance.lp`` validates it once through ``lp_relaxation`` and
+    builds the one workspace that all of that instance's solves share.  Solves go through a memo of the last
+    ``_SOLVE_MEMO_CAP`` results, keyed exactly by the bounds, the start basis
+    and ``max_iter``; a hit returns the earlier result.  The root LP (the
+    cold solve at the base bounds) is one of them, and every branch and bound
+    looks it up first, so it stays recently used.  Memoized results have
+    read-only arrays.
 
     The workspace counts exactly what its solves did (see :meth:`counters`):
-    ``memo_hits`` solves answered from either memo, ``cold_retries`` warm
+    ``memo_hits`` solves answered from the memo, ``cold_retries`` warm
     starts that were retried from the slack basis, ``kernel_runs`` the runs
     of the dual kernel, ``pivots`` their iterations, ``inversions`` the
     ``np.linalg.inv`` calls (the slack basis's identity is not one),
@@ -203,7 +207,7 @@ class LpWorkspace:
         "refactorizations", "inverse_hits",
     )
 
-    def __init__(self, lp: LpProblem):
+    def __init__(self, lp: MilpInstance):
         n, m = lp.num_vars, lp.num_cons
         if (n + m) * max(m, 1) > _MAX_DENSE_CELLS:
             raise ValueError(
@@ -248,8 +252,6 @@ class LpWorkspace:
         self._columns = np.arange(N)
         self.base_lower = _lower_bounds(lp.lower, n)
         self.base_upper = _upper_bounds(lp.upper, n)
-        self._root_bounds = (self.base_lower.tobytes(), self.base_upper.tobytes())
-        self._root: LpSolution | None = None
         self._memo: OrderedDict[tuple, LpSolution] = OrderedDict()
         # Kept basis inverses: basis bytes -> (inverse, rank-one updates in it).
         self._inverses: OrderedDict[bytes, tuple[np.ndarray, int]] = OrderedDict()
@@ -285,18 +287,12 @@ class LpWorkspace:
         upper = self.base_upper if upper is None else _upper_bounds(upper, n)
         if not _all(lower <= upper):
             return _read_only(LpSolution(INFEASIBLE, None, None, None, None, None, 0))
-        default_iter = 2000 + 50 * (n + 2 * m)
         if max_iter is None:
-            max_iter = default_iter
-        # The slack bounds never change, so the structural ones identify the bounds.
+            max_iter = 2000 + 50 * (n + 2 * m)
+        # The slack bounds never change, so the structural ones identify the
+        # bounds; the kernel is deterministic, so bit-identical inputs give the
+        # earlier result.
         key = (lower.tobytes(), upper.tobytes(), max_iter)
-        # The kernel is deterministic, so bit-identical inputs give the root.
-        if start is None and max_iter == default_iter and key[:2] == self._root_bounds:
-            if self._root is None:
-                self._root = _read_only(self._solve(lower, upper, start, max_iter))
-            else:
-                self.memo_hits += 1
-            return self._root
         if start is not None:
             key += (start[0].tobytes(), start[1].tobytes())
         sol = self._memo.get(key)
@@ -723,6 +719,7 @@ def _upper_bounds(values, n: int) -> np.ndarray:
     return upper
 
 
-def solve_lp(lp: LpProblem, max_iter: int | None = None) -> LpSolution:
-    """Solve one LP from a cold start; see :class:`LpWorkspace` for re-solves."""
+def solve_lp(lp: MilpInstance, max_iter: int | None = None) -> LpSolution:
+    """Solve one LP from a cold start in a fresh workspace; see
+    ``MilpInstance.lp`` for re-solves."""
     return LpWorkspace(lp).solve(max_iter=max_iter)

@@ -238,20 +238,19 @@ def test_criterion_6_mcts_oracle():
     full_hits = quarter_hits = 0
     for seed in range(10):
         inst = gen_mis(nodes=8, avg_degree=6.0, seed=seed)
-        ws = LpWorkspace(lp_relaxation(inst))
         subsets = list(itertools.combinations(sorted(inst.binary_set), K))
         best = max(
-            restricted_probe(inst, s, node_limit=limit, workspace=ws)[0]
+            restricted_probe(inst, s, node_limit=limit)[0]
             for s in subsets
         )
         ranked = mcts_search(
             inst, K=K, iteration_budget=5 * len(subsets), probe_node_limit=limit,
-            seed=seed, workspace=ws,
+            seed=seed,
         )
         full_hits += abs(ranked[0][1] - best) < 1e-12
         quarter = mcts_search(
             inst, K=K, iteration_budget=len(subsets) // 4, probe_node_limit=limit,
-            seed=seed, workspace=ws,
+            seed=seed,
         )
         quarter_hits += quarter[0][1] >= 0.9 * best
     _verdict(

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -222,3 +224,21 @@ def test_fathom_reasons_add_up_to_the_leaves():
             res = solve_bnb(inst, cfg)
             assert tuple(res.fathomed) == FATHOM_REASONS
             assert sum(res.fathomed.values()) == len(res.leaf_depths)
+
+
+def test_repeat_solve_is_answered_from_the_instance_memo():
+    inst = gen_gisp(nodes=15, seed=5)
+    first = solve_bnb(inst)
+    runs = inst.lp.kernel_runs
+    hits = inst.lp.memo_hits
+    again = solve_bnb(inst)
+    assert (again.status, again.objective, again.nodes_processed, again.leaf_depths) == (
+        first.status, first.objective, first.nodes_processed, first.leaf_depths
+    )
+    np.testing.assert_array_equal(again.incumbent, first.incumbent)
+    assert inst.lp.kernel_runs == runs
+    assert inst.lp.memo_hits == hits + again.nodes_processed
+    copy = dataclasses.replace(inst)
+    assert copy == inst and copy.lp is not inst.lp and copy.lp.kernel_runs == 0
+    assert solve_bnb(copy).nodes_processed == first.nodes_processed
+    assert copy.lp.kernel_runs == runs

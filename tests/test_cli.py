@@ -137,3 +137,14 @@ def test_malformed_instance_reports_line(tmp_path, capsys):
     code = main(["solve", "--instance", str(bad)])
     assert code == 2
     assert "header" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--H", "--L", "--hidden"])
+def test_train_with_a_zero_model_size_is_an_error_not_a_traceback(tmp_path, capsys, flag):
+    code = main([
+        "train", "--dataset", str(tmp_path / "ds.jsonl"), "--out", str(tmp_path / "m.npz"),
+        flag, "0",
+    ])
+    assert code == 2
+    assert "must be positive" in capsys.readouterr().err
+    assert not (tmp_path / "m.npz").exists()

@@ -5,7 +5,6 @@ from backdoorlab import generators
 from backdoorlab.milp import (
     INF,
     BdmilpFormatError,
-    LpProblem,
     MilpInstance,
     lp_relaxation,
     make_instance,
@@ -100,8 +99,9 @@ class TestValidate:
 
 class TestRelaxation:
     def test_binary_becomes_unit_interval(self):
-        lp = lp_relaxation(simple())
-        assert isinstance(lp, LpProblem)
+        inst = simple()
+        lp = lp_relaxation(inst)
+        assert lp is inst
         assert lp.lower == (0.0,) and lp.upper == (1.0,)
 
     def test_all_continuous_copy_identical(self):
@@ -123,7 +123,7 @@ class TestRelaxation:
             rows=lp.rows, rhs=lp.rhs, senses=lp.senses,
             lower=lp.lower, upper=lp.upper, binary_set=frozenset(),
         )
-        assert lp_relaxation(rewrapped) == lp
+        assert lp_relaxation(rewrapped) is rewrapped
 
     def test_rejects_structurally_broken_instance(self):
         inst = make_instance(

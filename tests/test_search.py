@@ -13,7 +13,7 @@ from backdoorlab.search import (
     label_samples,
     mcts_search,
 )
-from backdoorlab.simplex import LpWorkspace, solve_lp
+from backdoorlab.simplex import solve_lp
 
 from conftest import random_binary_instance
 
@@ -53,7 +53,7 @@ class TestBiasedSample:
         )
         root = solve_lp(lp_relaxation(inst))
         assert np.all(fractionality(root.x) == 0.0)
-        draws = biased_sample(inst, root, K=1, count=6000, seed=1)
+        draws = biased_sample(inst, K=1, count=6000, seed=1)
         counts = np.bincount([b.vars[0] for b in draws], minlength=6)
         assert np.all(np.abs(counts / 6000 - 1 / 6) < 0.03)
 
@@ -61,14 +61,14 @@ class TestBiasedSample:
         inst, root = fractional_fixture()
         fr = fractionality(root.x)
         k_frac = int(np.sum(fr > 0))
-        draws = biased_sample(inst, root, K=k_frac, count=1000, seed=2)
+        draws = biased_sample(inst, K=k_frac, count=1000, seed=2)
         frac_set = set(np.flatnonzero(fr > 0).tolist())
         hits = sum(1 for b in draws if set(b.vars) == frac_set)
         assert hits == 1000
 
     def test_pick_frequencies_match_weights(self):
         inst, root = fractional_fixture()
-        draws = biased_sample(inst, root, K=1, count=10000, seed=3)
+        draws = biased_sample(inst, K=1, count=10000, seed=3)
         counts = np.bincount([b.vars[0] for b in draws], minlength=5)
         freq = counts / 10000
         fr = fractionality(root.x)
@@ -78,23 +78,22 @@ class TestBiasedSample:
     def test_k_too_large(self):
         inst, root = fractional_fixture()
         with pytest.raises(ValueError):
-            biased_sample(inst, root, K=6, count=1, seed=0)
+            biased_sample(inst, K=6, count=1, seed=0)
 
 
 class TestMcts:
     def test_five_vars_pairs_enumerated(self):
         """|I|=5, K=2 with budget past full enumeration ties the best pair."""
         inst = gen_mis(nodes=5, avg_degree=3.0, seed=1)
-        ws = LpWorkspace(lp_relaxation(inst))
         limit = 4
         pairs = list(itertools.combinations(range(5), 2))
         best = max(
-            restricted_probe(inst, s, node_limit=limit, workspace=ws)[0]
+            restricted_probe(inst, s, node_limit=limit)[0]
             for s in pairs
         )
         ranked = mcts_search(
             inst, K=2, iteration_budget=5 * len(pairs), probe_node_limit=limit,
-            seed=0, workspace=ws,
+            seed=0,
         )
         assert ranked[0][1] == pytest.approx(best, abs=1e-12)
         assert len(ranked) == len(pairs)  # everything evaluated
@@ -102,16 +101,15 @@ class TestMcts:
     def test_exhaustive_budget_finds_best(self):
         for seed in range(4):
             inst = gen_mis(nodes=7, avg_degree=4.0, seed=seed)
-            ws = LpWorkspace(lp_relaxation(inst))
             K, limit = 2, 6
             subs = list(itertools.combinations(range(7), K))
             best = max(
-                restricted_probe(inst, s, node_limit=limit, workspace=ws)[0]
+                restricted_probe(inst, s, node_limit=limit)[0]
                 for s in subs
             )
             ranked = mcts_search(
                 inst, K=K, iteration_budget=6 * len(subs),
-                probe_node_limit=limit, seed=seed, workspace=ws,
+                probe_node_limit=limit, seed=seed,
             )
             assert ranked[0][1] == pytest.approx(best, abs=1e-12)
 
@@ -142,16 +140,14 @@ class TestMcts:
     def test_dominates_biased_sampling_with_full_budget(self):
         for seed in range(3):
             inst = gen_mis(nodes=8, avg_degree=5.0, seed=seed + 10)
-            ws = LpWorkspace(lp_relaxation(inst))
-            root = ws.solve()
             limit = 6
             ranked = mcts_search(
                 inst, K=2, iteration_budget=200, probe_node_limit=limit,
-                seed=seed, root_lp=root, workspace=ws,
+                seed=seed,
             )
-            sampled = biased_sample(inst, root, K=2, count=20, seed=seed)
+            sampled = biased_sample(inst, K=2, count=20, seed=seed)
             best_sampled = max(
-                restricted_probe(inst, b.vars, node_limit=limit, workspace=ws)[0]
+                restricted_probe(inst, b.vars, node_limit=limit)[0]
                 for b in sampled
             )
             assert ranked[0][1] >= best_sampled - 1e-12
@@ -174,7 +170,7 @@ class TestLabelSamples:
             def __init__(self, nodes):
                 self.nodes_processed = nodes
 
-        def fake_solve(inst_, cfg=None, workspace=None):
+        def fake_solve(inst_, cfg=None):
             if cfg is not None and cfg.priorities:
                 key = tuple(sorted(cfg.priorities))
                 return R(efforts[key])
@@ -231,10 +227,8 @@ class TestLabelSamples:
     def test_disjoint_and_bounded(self):
         for seed in (2, 3, 5):
             inst = gen_mis(nodes=10, avg_degree=4.0, seed=seed)
-            ws = LpWorkspace(lp_relaxation(inst))
-            root = ws.solve()
-            cands = biased_sample(inst, root, K=3, count=12, seed=seed)
-            res = label_samples(inst, cands, p=3, q=3, workspace=ws)
+            cands = biased_sample(inst, K=3, count=12, seed=seed)
+            res = label_samples(inst, cands, p=3, q=3)
             if res.skipped:
                 continue
             pos = {s.backdoor.vars for s in res.positives}

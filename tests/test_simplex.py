@@ -1,3 +1,4 @@
+import dataclasses
 from itertools import combinations
 
 import numpy as np
@@ -12,7 +13,7 @@ from backdoorlab.generators import (
     gen_mis,
     gen_setcover,
 )
-from backdoorlab.milp import INF, LpProblem, lp_relaxation, make_instance
+from backdoorlab.milp import INF, lp_relaxation, make_instance
 from backdoorlab.search import label_samples, mcts_search
 from backdoorlab.simplex import (
     INFEASIBLE,
@@ -26,12 +27,7 @@ from backdoorlab.simplex import (
 
 
 def lp_of(objective, rows, rhs, senses, lower, upper):
-    n = len(objective)
-    inst = make_instance("lp", objective, rows, rhs, senses, lower, upper, [])
-    return LpProblem(
-        name=inst.name, num_vars=n, objective=inst.objective, rows=inst.rows,
-        rhs=inst.rhs, senses=inst.senses, lower=inst.lower, upper=inst.upper,
-    )
+    return make_instance("lp", objective, rows, rhs, senses, lower, upper, [])
 
 
 def test_box_maximum():
@@ -267,10 +263,7 @@ def test_warm_solve_without_rows():
 
 def test_non_finite_lower_bound_rejected():
     lp = lp_of([1.0, 1.0], [[(0, 1.0), (1, 1.0)]], [1.0], ["LE"], [0.0, 0.0], [1.0, 1.0])
-    free = LpProblem(
-        name="free", num_vars=2, objective=lp.objective, rows=lp.rows, rhs=lp.rhs,
-        senses=lp.senses, lower=(0.0, -INF), upper=lp.upper,
-    )
+    free = dataclasses.replace(lp, lower=(0.0, -INF))
     with pytest.raises(ValueError, match="finite lower bound"):
         LpWorkspace(free)
     with pytest.raises(ValueError, match="finite lower bound"):
@@ -419,8 +412,7 @@ def test_root_solution_is_memoized_read_only():
 
 def test_shared_workspace_gives_same_bnb_result():
     inst = gen_gisp(nodes=20, seed=4)
-    shared = LpWorkspace(lp_relaxation(inst))
-    shared.solve()
+    inst.lp.solve()
     binaries = sorted(inst.binary_set)
     configs = [
         BnbConfig(),
@@ -429,8 +421,8 @@ def test_shared_workspace_gives_same_bnb_result():
         BnbConfig(allowed_branch_set=frozenset(binaries[:4]), node_limit=12),
     ]
     for cfg in configs:
-        a = solve_bnb(inst, cfg, workspace=shared)
-        b = solve_bnb(inst, cfg)
+        a = solve_bnb(inst, cfg)
+        b = solve_bnb(dataclasses.replace(inst), cfg)
         assert (a.status, a.objective, a.nodes_processed, a.leaf_depths, a.tree_weight) == (
             b.status, b.objective, b.nodes_processed, b.leaf_depths, b.tree_weight
         )
@@ -453,14 +445,13 @@ def recording(ws):
 
 def test_memoized_solves_match_fresh_workspace_bit_for_bit():
     inst = gen_gisp(nodes=25, seed=2)
-    lp = lp_relaxation(inst)
-    ws = LpWorkspace(lp)
+    ws = inst.lp
     calls = recording(ws)
-    ranked = mcts_search(inst, K=4, iteration_budget=30, probe_node_limit=12, seed=0, top_k=12, workspace=ws)
-    label_samples(inst, [bd for bd, _ in ranked], p=5, q=5, node_limit=3000, workspace=ws)
+    ranked = mcts_search(inst, K=4, iteration_budget=30, probe_node_limit=12, seed=0, top_k=12)
+    label_samples(inst, [bd for bd, _ in ranked], p=5, q=5, node_limit=3000)
     assert ws.memo_hits > 0 and ws.cold_retries == 0
     for lower, upper, start, max_iter, got in calls:
-        want = LpWorkspace(lp).solve(lower=lower, upper=upper, start=start, max_iter=max_iter)
+        want = LpWorkspace(inst).solve(lower=lower, upper=upper, start=start, max_iter=max_iter)
         assert (got.status, got.iterations) == (want.status, want.iterations)
         if want.status == OPTIMAL:
             assert got.objective.hex() == want.objective.hex()
@@ -484,14 +475,15 @@ def test_same_bounds_from_other_start_is_a_separate_entry():
     lo, up = fixed_child(inst, root)
     from_root = ws.solve(lower=lo, upper=up, start=(root.vstat, root.basis))
     other = ws.solve(lower=lo, upper=up, start=ws.cold_start())
-    assert other is not from_root and len(ws._memo) == 2
+    # The root is in the memo too.
+    assert other is not from_root and len(ws._memo) == 3
     assert ws.memo_hits == 0
     assert ws.solve(lower=lo.copy(), upper=up.copy(), start=(root.vstat, root.basis)) is from_root
     assert ws.solve(lower=lo, upper=up, start=ws.cold_start()) is other
     assert ws.memo_hits == 2
     # An equal basis under another dtype is another input, not a hit.
     ws.solve(lower=lo, upper=up, start=(root.vstat, root.basis.astype(np.int32)))
-    assert len(ws._memo) == 3 and ws.memo_hits == 2
+    assert len(ws._memo) == 4 and ws.memo_hits == 2
 
 
 def test_memo_never_exceeds_its_cap(monkeypatch):
@@ -565,9 +557,9 @@ WARM_CORPUS = [
 def test_warm_dual_solve_matches_cold_solve_on_every_node(make, cap):
     inst = make()
     lp = lp_relaxation(inst)
-    ws = LpWorkspace(lp)
+    ws = inst.lp
     calls = recording(ws)
-    solve_bnb(inst, BnbConfig(node_limit=cap), workspace=ws)
+    solve_bnb(inst, BnbConfig(node_limit=cap))
     warm = [c for c in calls if c[2] is not None]
     assert len(warm) > 10 and ws.kernel_runs == 1 + len(warm) - ws.memo_hits
     assert ws.cold_retries == 0
@@ -679,8 +671,8 @@ def assert_kept_inverses_invert(ws):
 
 def test_kept_inverses_fill_the_byte_budget():
     inst = gen_gisp(nodes=25, seed=4)
-    ws = LpWorkspace(lp_relaxation(inst))
-    solve_bnb(inst, BnbConfig(node_limit=80), workspace=ws)
+    solve_bnb(inst, BnbConfig(node_limit=80))
+    ws = inst.lp
     assert ws.m == 86 and simplex._INVERSE_BUDGET == 1 << 17
     assert len(ws._inverses) == ws._inverses_cap == (1 << 17) // 86**2 == 17
     assert_kept_inverses_invert(ws)
@@ -688,8 +680,8 @@ def test_kept_inverses_fill_the_byte_budget():
 
 def test_kept_inverses_floor_is_two_at_large_m():
     inst = gen_gisp(nodes=60, seed=1)
-    ws = LpWorkspace(lp_relaxation(inst))
-    solve_bnb(inst, BnbConfig(node_limit=8), workspace=ws)
+    solve_bnb(inst, BnbConfig(node_limit=8))
+    ws = inst.lp
     assert ws.m == 521 and 521**2 > simplex._INVERSE_BUDGET
     assert len(ws._inverses) == ws._inverses_cap == 2
     assert_kept_inverses_invert(ws)
@@ -711,8 +703,8 @@ def test_replace_column_matches_the_literal_update_bit_for_bit(m, nonzero):
 
 def test_solve_counters_are_pinned():
     inst = gen_setcover(n_elements=20, n_sets=40, density=0.1, seed=0)
-    ws = LpWorkspace(lp_relaxation(inst))
-    res = solve_bnb(inst, workspace=ws)
+    res = solve_bnb(inst)
+    ws = inst.lp
     assert (res.status, res.nodes_processed) == ("OPTIMAL", 4)
     # The cold root starts from the identity and the three warm children
     # from kept inverses: 22 pivots in all, no inversion.
@@ -720,6 +712,6 @@ def test_solve_counters_are_pinned():
         "memo_hits": 0, "cold_retries": 0, "kernel_runs": 4, "pivots": 22,
         "inversions": 0, "refactorizations": 0, "inverse_hits": 3,
     }
-    again = solve_bnb(inst, BnbConfig(node_limit=3), workspace=ws)
+    again = solve_bnb(inst, BnbConfig(node_limit=3))
     assert again.nodes_processed == 3
     assert ws.memo_hits == 3 and ws.kernel_runs == 4

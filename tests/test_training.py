@@ -107,6 +107,12 @@ def test_config_validation():
         TrainConfig(epochs=0)
 
 
+@pytest.mark.parametrize("field", ["L", "H", "hidden"])
+def test_model_sizes_below_one_rejected(field):
+    with pytest.raises(ValueError, match="must be positive"):
+        TrainConfig(**{field: 0})
+
+
 def gisp_samples(count, nodes=25):
     """GISP graphs with 5 + 5 seeded size-4 subsets of their binaries."""
     out = []
