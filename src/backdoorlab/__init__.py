@@ -22,7 +22,6 @@ from .gnn import (
     TrainSample,
     adam_step,
     gat_forward,
-    grad,
     greedy_select,
     infonce_loss,
     load_model,
@@ -39,6 +38,6 @@ from .milp import (
 )
 from .pipeline import CollectConfig, EvalRecord, collect_dataset, evaluate, predict_backdoor, report
 from .search import Backdoor, LabeledSample, biased_sample, label_samples, mcts_search
-from .simplex import LpSolution, LpWorkspace, solve_lp
+from .simplex import LpSolution, LpWorkspace
 
 __version__ = "0.1.0"

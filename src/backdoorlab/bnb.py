@@ -22,7 +22,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .milp import MilpInstance
+from .milp import MilpInstance, fractionality
 from .simplex import INFEASIBLE as LP_INFEASIBLE
 from .simplex import OPTIMAL as LP_OPTIMAL
 from .simplex import UNBOUNDED as LP_UNBOUNDED
@@ -126,11 +126,6 @@ def solve_bnb(
         allowed_mask = np.zeros(n, dtype=bool)
         allowed_mask[np.fromiter(cfg.allowed_branch_set, dtype=np.int64)] = True
 
-    # Rows whose activity may not exceed (LE, EQ: the slack's lower bound
-    # is 0), or fall below (GE, EQ: its upper bound is 0), the right-hand side.
-    capped = ws.slack_lo == 0.0
-    floored = ws.slack_up == 0.0
-    rhs = ws.b
     lo0 = np.asarray(inst.lower, dtype=float)
     up0 = np.asarray(inst.upper, dtype=float)
 
@@ -149,11 +144,10 @@ def solve_bnb(
         nonlocal incumbent, inc_obj
         xr = x.copy()
         xr[bin_idx] = np.round(xr[bin_idx])
-        obj = float(ws.c_ext[:n] @ xr)
+        obj = inst.objective_value(xr)
         if obj >= inc_obj - _GAP_TOL:
             return
-        resid = xr @ ws.WT[:n] - rhs
-        if (resid[capped] > _INT_TOL).any() or (resid[floored] < -_INT_TOL).any():
+        if (ws.row_violation(xr) > _INT_TOL).any():
             return
         incumbent, inc_obj = xr, obj
 
@@ -183,8 +177,7 @@ def solve_bnb(
             fathomed["bound"] += 1
             continue
         x = sol.x
-        xb = x[bin_idx]
-        fr = np.minimum(xb - np.floor(xb), np.ceil(xb) - xb)
+        fr = fractionality(x[bin_idx])
         frac_pos = np.flatnonzero(fr > _INT_TOL)
         if frac_pos.size == 0:
             # Integral on the binaries: the LP point is MILP-feasible.

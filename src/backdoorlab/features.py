@@ -36,7 +36,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .milp import EQ, GE, INF, LE, MilpInstance
+from .milp import EQ, GE, INF, LE, MilpInstance, fractionality
 from .simplex import OPTIMAL as LP_OPTIMAL
 from .simplex import LpSolution
 
@@ -124,7 +124,7 @@ def featurize(inst: MilpInstance, root_lp: LpSolution) -> BipartiteGraph:
     V[:, 5] = np.clip(np.where(np.isfinite(lo), lo, -INF) / bound_norm, -1.0, 1.0)
     V[:, 6] = np.clip(np.where(np.isfinite(up), up, INF) / bound_norm, -1.0, 1.0)
     V[:, 7] = x
-    V[:, 8] = np.minimum(x - np.floor(x), np.ceil(x) - x)
+    V[:, 8] = fractionality(x)
     V[:, 9] = root_lp.at_lower
     V[:, 10] = root_lp.at_upper
     V[:, 11] = np.clip(root_lp.reduced_costs / c_norm, -1.0, 1.0)

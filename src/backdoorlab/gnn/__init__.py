@@ -1,7 +1,7 @@
-"""Attention-based variable scorer: model, loss, optimizer, training, and the
-autodiff tape that the tests use as the gradient reference."""
+"""Attention-based variable scorer: model, loss, optimizer and training.
+The autodiff tape in ``gnn.autodiff``, the tests' gradient reference, is not
+exported."""
 
-from .autodiff import Tensor, grad
 from .loss import infonce_loss, membership_matrix
 from .model import (
     AttentionRecord,
@@ -21,12 +21,10 @@ __all__ = [
     "AttentionRecord",
     "GatParameters",
     "ModelFormatError",
-    "Tensor",
     "TrainConfig",
     "TrainSample",
     "adam_step",
     "gat_forward",
-    "grad",
     "greedy_select",
     "infonce_loss",
     "load_model",

@@ -35,6 +35,12 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def fractionality(x) -> np.ndarray:
+    """min(x - floor(x), ceil(x) - x); zero at integers, 0.5 at worst."""
+    x = np.asarray(x, dtype=float)
+    return np.minimum(x - np.floor(x), np.ceil(x) - x)
+
+
 @dataclass(frozen=True)
 class MilpInstance:
     """One mixed-binary minimization problem.

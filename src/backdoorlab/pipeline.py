@@ -35,6 +35,12 @@ LOSS = "LOSS"
 MCTS = "mcts"
 SAMPLING = "sampling"
 
+# The columns of results.csv; ``overhead_seconds`` follows them when recorded.
+_RESULT_COLUMNS = (
+    "instance", "baseline", "method", "improvement_pct", "outcome",
+    "baseline_censored", "method_censored",
+)
+
 
 @dataclass(frozen=True)
 class CollectConfig:
@@ -166,8 +172,9 @@ def collect_one(
 
 
 def _collect_worker(args):
-    """One instance's index, (record, manifest entry) and timing line."""
-    index, path, seed, cfg = args
+    """One instance's (record, manifest entry) and timing line; ``args`` is
+    ``(index, path, seed, cfg)``, where the index only names the job."""
+    _, path, seed, cfg = args
     name = Path(path).name
     timing: dict = {"file": name}
     t0 = time.perf_counter()
@@ -178,7 +185,7 @@ def _collect_worker(args):
         res = (None, {"file": name, "error": error})
         timing = {"file": name, "error": error}
     timing["seconds"] = time.perf_counter() - t0
-    return index, res, timing
+    return res, timing
 
 
 def collect_dataset(
@@ -202,18 +209,13 @@ def collect_dataset(
     jobs = [
         (i, str(p), _instance_seed(cfg.seed, i), cfg) for i, p in enumerate(paths)
     ]
-    results: dict[int, tuple[tuple[dict | None, dict], dict]] = {}
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            for index, res, timing in pool.map(_collect_worker, jobs):
-                results[index] = res, timing
+            results = list(pool.map(_collect_worker, jobs))
     else:
-        for job in jobs:
-            index, res, timing = _collect_worker(job)
-            results[index] = res, timing
+        results = list(map(_collect_worker, jobs))
     records, entries, timings = [], [], []
-    for i in range(len(paths)):
-        (record, entry), timing = results[i]
+    for (record, entry), timing in results:  # in job order, as both maps yield
         entries.append(entry)
         timings.append(timing)
         if record is not None:
@@ -374,10 +376,7 @@ def report(records: list[EvalRecord], out_dir) -> dict:
     summary = summarize(records)
 
     with open(out / "results.csv", "w", encoding="ascii") as fh:
-        cols = [
-            "instance", "baseline", "method", "improvement_pct", "outcome",
-            "baseline_censored", "method_censored",
-        ]
+        cols = list(_RESULT_COLUMNS)
         extra = any(r.overhead_seconds is not None for r in records)
         if extra:
             cols.append("overhead_seconds")
@@ -433,33 +432,42 @@ def report(records: list[EvalRecord], out_dir) -> dict:
 
 
 def read_results_csv(path) -> list[EvalRecord]:
-    """Parse a results.csv written by :func:`report` back into records."""
+    """Parse a results.csv written by :func:`report` back into records.
+
+    A missing column, a row whose field count is not the header's, a value
+    that does not parse or an unknown outcome raises ``ValueError`` naming
+    the line.
+    """
     records = []
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().strip().split(",")
-        idx = {name: i for i, name in enumerate(header)}
-        for line in fh:
-            parts = line.strip().split(",")
-            if not line.strip():
-                continue
-            records.append(
-                EvalRecord(
-                    instance=parts[idx["instance"]],
-                    baseline_effort=int(parts[idx["baseline"]]),
-                    method_effort=int(parts[idx["method"]]),
-                    improvement_pct=float(parts[idx["improvement_pct"]]),
-                    outcome=parts[idx["outcome"]],
-                    baseline_censored=bool(int(parts[idx["baseline_censored"]]))
-                    if "baseline_censored" in idx
-                    else False,
-                    method_censored=bool(int(parts[idx["method_censored"]]))
-                    if "method_censored" in idx
-                    else False,
-                    overhead_seconds=(
-                        float(parts[idx["overhead_seconds"]])
-                        if "overhead_seconds" in idx
-                        else None
-                    ),
-                )
-            )
+        missing = [name for name in _RESULT_COLUMNS if name not in header]
+        if missing:
+            raise ValueError(f"{path}: line 1: missing column(s) {', '.join(missing)}")
+        for lineno, line in enumerate(fh, start=2):
+            if line.strip():
+                try:
+                    records.append(_result_record(header, line.strip().split(",")))
+                except ValueError as exc:
+                    raise ValueError(f"{path}: line {lineno}: {exc}") from None
     return records
+
+
+def _result_record(header: list[str], parts: list[str]) -> EvalRecord:
+    if len(parts) != len(header):
+        raise ValueError(f"{len(parts)} fields, expected {len(header)}")
+    row = dict(zip(header, parts))
+    if row["outcome"] not in (WIN, TIE, LOSS):
+        raise ValueError(f"unknown outcome {row['outcome']!r}")
+    return EvalRecord(
+        instance=row["instance"],
+        baseline_effort=int(row["baseline"]),
+        method_effort=int(row["method"]),
+        improvement_pct=float(row["improvement_pct"]),
+        outcome=row["outcome"],
+        baseline_censored=bool(int(row["baseline_censored"])),
+        method_censored=bool(int(row["method_censored"])),
+        overhead_seconds=(
+            float(row["overhead_seconds"]) if "overhead_seconds" in row else None
+        ),
+    )

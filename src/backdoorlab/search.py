@@ -18,7 +18,7 @@ import numpy as np
 
 from .bnb import BnbConfig, backdoor_priorities, restricted_probe, solve_bnb
 from .generators import _rng
-from .milp import MilpInstance
+from .milp import MilpInstance, fractionality
 from .simplex import OPTIMAL as LP_OPTIMAL
 
 POSITIVE = "POSITIVE"
@@ -76,12 +76,6 @@ class LabelResult:
         return self.skip_reason is not None
 
 
-def fractionality(x: np.ndarray) -> np.ndarray:
-    """min(x - floor(x), ceil(x) - x); zero at integers, 0.5 at worst."""
-    x = np.asarray(x, dtype=float)
-    return np.minimum(x - np.floor(x), np.ceil(x) - x)
-
-
 def _sample_weights(inst: MilpInstance, why: str) -> tuple[np.ndarray, np.ndarray]:
     """The binary variables and their sampling weights from ``inst``'s root LP;
     ``why`` names the caller in the error raised when that LP is not OPTIMAL."""
@@ -120,7 +114,7 @@ class _MctsNode:
         self.visits = 0
         self.total = 0.0
         self.untried = untried  # unexpanded actions, ascending variable index
-        self.children: list[tuple[int, tuple[int, ...]]] = []
+        self.children: list[tuple[int, ...]] = []  # child states, in expansion order
 
 
 def mcts_search(
@@ -176,7 +170,7 @@ def mcts_search(
             log_n = math.log(node.visits)
             best_child = None
             best_score = -math.inf
-            for var, child_key in node.children:
+            for child_key in node.children:
                 child = tree[child_key]
                 score = child.total / child.visits + UCT_EXPLORATION * math.sqrt(
                     log_n / child.visits
@@ -192,7 +186,7 @@ def mcts_search(
             child_key = tuple(sorted(state + (var,)))
             if child_key not in tree:
                 tree[child_key] = _MctsNode([v for v in pool if v not in child_key])
-            node.children.append((var, child_key))
+            node.children.append(child_key)
             state = child_key
             path.append(state)
         terminal = state if len(state) == K else rollout(state)

@@ -38,8 +38,8 @@ rows, and only the ratio test's tie rules walk the few candidates left after
 them.  An inversion sends only the basic structural columns to LAPACK: the
 slack columns are unit vectors.
 
-:class:`LpWorkspace` memoizes: a solve whose bounds, start basis and iteration
-limit repeat an earlier one returns that solve's result.  It also keeps basis
+:class:`LpWorkspace` memoizes: a solve whose bounds and start basis repeat an
+earlier one returns that solve's result.  It also keeps basis
 inverses, as many as fit in ``_INVERSE_BUDGET`` floats (at least two; 17 at
 m = 87, two from m = 210 on), least recently used evicted first: the final
 inverse of every kernel run that ends optimal, so its children skip the
@@ -184,12 +184,12 @@ class LpWorkspace:
     variable bounds changing, so the extended column matrix is built once.
     The instance's ``binary_set`` is ignored, and it is not validated here:
     ``MilpInstance.lp`` validates it once through ``lp_relaxation`` and
-    builds the one workspace that all of that instance's solves share.  Solves go through a memo of the last
-    ``_SOLVE_MEMO_CAP`` results, keyed exactly by the bounds, the start basis
-    and ``max_iter``; a hit returns the earlier result.  The root LP (the
-    cold solve at the base bounds) is one of them, and every branch and bound
-    looks it up first, so it stays recently used.  Memoized results have
-    read-only arrays.
+    builds the one workspace that all of that instance's solves share.  Solves
+    go through a memo of the last ``_SOLVE_MEMO_CAP`` results, keyed exactly
+    by the bounds and the start basis; a hit returns the earlier result.  The
+    root LP (the cold solve at the base bounds) is one of them, and every
+    branch and bound looks it up first, so it stays recently used.  Memoized
+    results have read-only arrays.
 
     The workspace counts exactly what its solves did (see :meth:`counters`):
     ``memo_hits`` solves answered from the memo, ``cold_retries`` warm
@@ -239,10 +239,6 @@ class LpWorkspace:
                 raise ValueError(f"unknown sense {sense!r}")
         self.slack_lo = slack_lo
         self.slack_up = slack_up
-        # A row's residual ``A x - b`` may not exceed ``_resid_hi`` (1e-7 on
-        # LE and EQ rows) or fall below ``_resid_lo`` (-1e-7 on GE and EQ rows).
-        self._resid_hi = np.where(slack_lo == -INF, INF, 1e-7)
-        self._resid_lo = np.where(slack_up == INF, -INF, -1e-7)
         # A solve's bounds table: rows lower, upper and 0, so that row
         # ``vstat[j]`` of column j is where a nonbasic column j sits (0 when
         # basic).  The slack columns' entries never change.
@@ -256,6 +252,7 @@ class LpWorkspace:
         # Kept basis inverses: basis bytes -> (inverse, rank-one updates in it).
         self._inverses: OrderedDict[bytes, tuple[np.ndarray, int]] = OrderedDict()
         self._inverses_cap = max(2, _INVERSE_BUDGET // max(m * m, 1))
+        self._iter_limit = 2000 + 50 * (n + 2 * m)
         for name in self.COUNTERS:
             setattr(self, name, 0)
 
@@ -276,23 +273,20 @@ class LpWorkspace:
         lower: np.ndarray | None = None,
         upper: np.ndarray | None = None,
         start: tuple[np.ndarray, np.ndarray] | None = None,
-        max_iter: int | None = None,
     ) -> LpSolution:
         """Solve with optionally overridden structural bounds and warm basis.
 
         Bounds that cross (a lower above its upper) are INFEASIBLE at once.
         """
-        n, m = self.n, self.m
+        n = self.n
         lower = self.base_lower if lower is None else _lower_bounds(lower, n)
         upper = self.base_upper if upper is None else _upper_bounds(upper, n)
         if not _all(lower <= upper):
             return _read_only(LpSolution(INFEASIBLE, None, None, None, None, None, 0))
-        if max_iter is None:
-            max_iter = 2000 + 50 * (n + 2 * m)
         # The slack bounds never change, so the structural ones identify the
         # bounds; the kernel is deterministic, so bit-identical inputs give the
         # earlier result.
-        key = (lower.tobytes(), upper.tobytes(), max_iter)
+        key = (lower.tobytes(), upper.tobytes())
         if start is not None:
             key += (start[0].tobytes(), start[1].tobytes())
         sol = self._memo.get(key)
@@ -300,12 +294,12 @@ class LpWorkspace:
             self._memo.move_to_end(key)
             self.memo_hits += 1
             return sol
-        sol = self._memo[key] = _read_only(self._solve(lower, upper, start, max_iter))
+        sol = self._memo[key] = _read_only(self._solve(lower, upper, start))
         if len(self._memo) > _SOLVE_MEMO_CAP:
             self._memo.popitem(last=False)
         return sol
 
-    def _solve(self, lower, upper, start, max_iter) -> LpSolution:
+    def _solve(self, lower, upper, start) -> LpSolution:
         n = self.n
         bounds = self._bounds.copy()
         bounds[0, :n] = lower
@@ -313,15 +307,15 @@ class LpWorkspace:
         status = _ST_NUMERIC
         if start is not None:
             vstat, basis = start[0].copy(), start[1].copy()
-            status, iters, xall, y, Binv, updates = self._run(bounds, vstat, basis, max_iter)
+            status, iters, xall, y, Binv, updates = self._run(bounds, vstat, basis)
             if status == _ST_NUMERIC:
                 self.cold_retries += 1
         if status == _ST_NUMERIC:
             vstat, basis = self.cold_start()
-            status, iters, xall, y, Binv, updates = self._run(bounds, vstat, basis, max_iter)
+            status, iters, xall, y, Binv, updates = self._run(bounds, vstat, basis)
         if status == _ST_ITER:
             raise SimplexIterationError(
-                f"simplex hit the iteration limit ({max_iter}) without a verdict"
+                f"simplex hit the iteration limit ({self._iter_limit}) without a verdict"
             )
         if status == _ST_NUMERIC:
             raise SimplexNumericalError("simplex failed numerically from the slack basis")
@@ -345,11 +339,11 @@ class LpWorkspace:
             basis=basis,
         )
 
-    def _run(self, bounds, vstat, basis, max_iter):
+    def _run(self, bounds, vstat, basis):
         """One kernel run, counted; a singular basis reads as a numerical failure."""
         self.kernel_runs += 1
         try:
-            out = self._dual(bounds, vstat, basis, max_iter)
+            out = self._dual(bounds, vstat, basis)
         except np.linalg.LinAlgError:
             return _ST_NUMERIC, 0, None, None, None, 0
         self.pivots += out[1]
@@ -421,7 +415,7 @@ class LpWorkspace:
         if len(self._inverses) > self._inverses_cap:
             self._inverses.popitem(last=False)
 
-    def _dual(self, bounds, vstat, basis, max_iter):
+    def _dual(self, bounds, vstat, basis):
         """Bounded dual simplex from the basis ``(vstat, basis)``.
 
         ``bounds`` is the solve's bounds table (see ``__init__``); ``vstat``
@@ -489,7 +483,7 @@ class LpWorkspace:
         iters = 0
         degen_run = 0
         bland = False
-        while iters < max_iter:
+        while iters < self._iter_limit:
             if updates >= _REFACTOR_EVERY:
                 self.refactorizations += 1
                 Binv = self._invert(basis)
@@ -666,6 +660,12 @@ class LpWorkspace:
         target = float(np.dot(rho, self.b))
         return target < low - _FTOL or target > high + _FTOL
 
+    def row_violation(self, x: np.ndarray) -> np.ndarray:
+        """Each row's violation at ``x``: how far ``A x`` lies above ``b`` on an
+        LE or EQ row, or below it on a GE or EQ row (0 or less where it holds)."""
+        s = self.b - x @ self.WT[: self.n]
+        return np.maximum(self.slack_lo - s, s - self.slack_up)
+
     def _verify(self, x: np.ndarray, lo: np.ndarray, up: np.ndarray) -> None:
         """Never report a wrong OPTIMAL: a finite point, bounds within 1e-9,
         rows within 1e-7."""
@@ -673,8 +673,7 @@ class LpWorkspace:
             raise SimplexNumericalError("optimal point is not finite")
         if _any(x < lo - 1e-9) or _any(x > up + 1e-9):
             raise SimplexNumericalError("optimal point violates variable bounds")
-        resid = self.WT[: self.n].T @ x - self.b
-        bad = (resid > self._resid_hi) | (resid < self._resid_lo)
+        bad = self.row_violation(x) > 1e-7
         if _any(bad):
             raise SimplexNumericalError(
                 f"optimal point violates row {int(np.argmax(bad))}"
@@ -717,9 +716,3 @@ def _upper_bounds(values, n: int) -> np.ndarray:
     if _any(np.isnan(upper)):
         raise ValueError("an upper bound is NaN")
     return upper
-
-
-def solve_lp(lp: MilpInstance, max_iter: int | None = None) -> LpSolution:
-    """Solve one LP from a cold start in a fresh workspace; see
-    ``MilpInstance.lp`` for re-solves."""
-    return LpWorkspace(lp).solve(max_iter=max_iter)

@@ -31,7 +31,7 @@ from backdoorlab.gnn import (
 )
 from backdoorlab.gnn.model import GatParameters, score_graph
 from backdoorlab.gnn.training import batch_gradient
-from backdoorlab.milp import lp_relaxation, write_instance
+from backdoorlab.milp import write_instance
 from backdoorlab.pipeline import (
     CollectConfig,
     collect_dataset,
@@ -40,7 +40,6 @@ from backdoorlab.pipeline import (
     train_from_file,
 )
 from backdoorlab.search import mcts_search
-from backdoorlab.simplex import LpWorkspace, solve_lp
 
 from conftest import brute_force_solve, random_binary_instance
 from test_training import planted_dataset
@@ -132,7 +131,7 @@ def test_criterion_3_kink_filter_sees_every_pre_activation():
     """The filter gets all ten arrays: four MLP hidden layers and the three
     head transforms of each attention round."""
     inst = gen_mis(nodes=5, avg_degree=3.0, seed=0)
-    graph = featurize(inst, solve_lp(lp_relaxation(inst)))
+    graph = featurize(inst, inst.lp.solve())
     params = GatParameters.init(seed=0, L=6, H=2, hidden=5)
     seen = _pre_activations(params, graph, [(0, 1)], [(2, graph.num_vars - 1), (1, 2)])
     nc = graph.node_classes
@@ -159,7 +158,7 @@ def test_criterion_3_gradient_fidelity():
         if checked == 10:
             break
         inst = gen_mis(nodes=5 + seed % 3, avg_degree=3.0, seed=seed)
-        graph = featurize(inst, solve_lp(lp_relaxation(inst)))
+        graph = featurize(inst, inst.lp.solve())
         params = GatParameters.init(seed=seed, L=6, H=2, hidden=5)
         n = graph.num_vars
         pos = [(0, 1)]
@@ -203,7 +202,7 @@ def test_criterion_4_attention_normalization():
     seed = 0
     while neighborhoods < 1000:
         inst = gen_mis(nodes=10 + seed % 7, avg_degree=4.0, seed=seed)
-        graph = featurize(inst, solve_lp(lp_relaxation(inst)))
+        graph = featurize(inst, inst.lp.solve())
         params = GatParameters.init(seed=seed, L=8, H=4, hidden=6)
         _, recs = gat_forward(params, graph, collect_attention=True)
         for rec in recs:

@@ -41,16 +41,32 @@ def test_integral_root_is_single_node():
     assert res.tree_weight == 1.0
 
 
+def with_binary_equalities(inst, seed):
+    """``inst`` plus the rows ``2 x_a + x_b + x_c = 2`` and ``x_d + 2 x_e = 2``
+    over random binaries, so that a rounded LP point can miss an equality
+    from below or from above."""
+    r = np.random.default_rng(seed)
+    rows = []
+    for coefs in ((2.0, 1.0, 1.0), (1.0, 2.0)):
+        picked = r.choice(sorted(inst.binary_set), size=len(coefs), replace=False)
+        rows.append(tuple(zip(picked.tolist(), coefs)))
+    return make_instance(
+        inst.name + "eq", inst.objective, inst.rows + tuple(rows), inst.rhs + (2.0, 2.0),
+        inst.senses + ("EQ", "EQ"), inst.lower, inst.upper, inst.binary_set,
+    )
+
+
 def test_matches_brute_force_on_random_instances():
     for seed in range(30):
-        inst = random_binary_instance(seed, max_bin=9, max_rows=6)
-        res = solve_bnb(inst)
-        oracle = brute_force_solve(inst)
-        if oracle is None:
-            assert res.status == INFEASIBLE, inst.name
-        else:
-            assert res.status == OPTIMAL
-            assert res.objective == pytest.approx(oracle, abs=1e-6), inst.name
+        base = random_binary_instance(seed, max_bin=9, max_rows=6)
+        for inst in (base, with_binary_equalities(base, seed)):
+            res = solve_bnb(inst)
+            oracle = brute_force_solve(inst)
+            if oracle is None:
+                assert res.status == INFEASIBLE, inst.name
+            else:
+                assert res.status == OPTIMAL
+                assert res.objective == pytest.approx(oracle, abs=1e-6), inst.name
 
 
 def test_continuous_part_resolved():

@@ -148,3 +148,28 @@ def test_train_with_a_zero_model_size_is_an_error_not_a_traceback(tmp_path, caps
     assert code == 2
     assert "must be positive" in capsys.readouterr().err
     assert not (tmp_path / "m.npz").exists()
+
+
+RESULTS_HEADER = "instance,baseline,method,improvement_pct,outcome,baseline_censored,method_censored\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            "instance,baseline,improvement_pct,outcome,baseline_censored,method_censored\n"
+            "g1,10,0.0,TIE,0,0\n",
+            "line 1: missing column(s) method",
+        ),
+        (RESULTS_HEADER + "g1,10,5,50.0,WIN,0,0\ng2,10,5\n", "line 3: 3 fields, expected 7"),
+        (RESULTS_HEADER + "g1,10,5,50.0,BOGUS,0,0\n", "line 2: unknown outcome 'BOGUS'"),
+    ],
+    ids=["missing-column", "short-row", "unknown-outcome"],
+)
+def test_malformed_results_csv_is_an_error_naming_the_line(tmp_path, capsys, text, message):
+    results = tmp_path / "results.csv"
+    results.write_text(text)
+    code = main(["report", "--results", str(results), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -3,14 +3,14 @@ import pytest
 
 from backdoorlab.features import NUM_CONS_FEATURES, NUM_VAR_FEATURES, featurize
 from backdoorlab.generators import gen_facility_location, gen_gisp
-from backdoorlab.milp import lp_relaxation, make_instance
-from backdoorlab.simplex import LpSolution, solve_lp
+from backdoorlab.milp import make_instance
+from backdoorlab.simplex import LpSolution
 
 from conftest import random_binary_instance
 
 
 def graph_of(inst):
-    return featurize(inst, solve_lp(lp_relaxation(inst)))
+    return featurize(inst, inst.lp.solve())
 
 
 def test_shapes_match_nonzero_pattern():
@@ -73,7 +73,7 @@ def test_variable_permutation_equivariance():
     rng = np.random.default_rng(0)
     perm = rng.permutation(inst.num_vars)
     pinst = permute_instance(inst, perm)
-    root = solve_lp(lp_relaxation(inst))
+    root = inst.lp.solve()
     g = featurize(inst, root)
     pg = featurize(pinst, permute_solution(root, perm))
     np.testing.assert_allclose(pg.var_feats[perm], g.var_feats, atol=1e-12)
@@ -112,7 +112,7 @@ def test_feature_ranges():
 
 def test_pure_function_bit_identical():
     inst = random_binary_instance(8)
-    root = solve_lp(lp_relaxation(inst))
+    root = inst.lp.solve()
     a = featurize(inst, root)
     b = featurize(inst, root)
     np.testing.assert_array_equal(a.var_feats, b.var_feats)

@@ -16,15 +16,14 @@ from backdoorlab.gnn import (
 )
 from backdoorlab.gnn import autodiff as ad
 from backdoorlab.gnn.model import LEAKY_SLOPE
-from backdoorlab.milp import lp_relaxation, make_instance
-from backdoorlab.simplex import solve_lp
+from backdoorlab.milp import make_instance
 
 from test_features import permute_instance, permute_solution
 
 
 def small_graph(seed=0, nodes=7):
     inst = gen_mis(nodes=nodes, avg_degree=3.0, seed=seed)
-    return featurize(inst, solve_lp(lp_relaxation(inst)))
+    return featurize(inst, inst.lp.solve())
 
 
 def small_params(seed=0):
@@ -53,7 +52,7 @@ def test_single_neighbor_gives_two_point_distribution():
     inst = make_instance(
         "one", [-1.0], [[(0, 2.0)]], [1.0], ["LE"], [0.0], [1.0], [0]
     )
-    g = featurize(inst, solve_lp(lp_relaxation(inst)))
+    g = featurize(inst, inst.lp.solve())
     _, recs = gat_forward(small_params(2), g, collect_attention=True)
     var_round = recs[1]
     assert var_round.alpha_self.shape == (2, 1)
@@ -76,7 +75,7 @@ def test_zero_weights_give_uniform_scores():
 
 def test_forward_permutation_equivariance():
     inst = gen_mis(nodes=9, avg_degree=3.0, seed=5)
-    root = solve_lp(lp_relaxation(inst))
+    root = inst.lp.solve()
     rng = np.random.default_rng(8)
     perm = rng.permutation(inst.num_vars)
     pinst = permute_instance(inst, perm)
@@ -88,7 +87,7 @@ def test_forward_permutation_equivariance():
 
 def test_forward_handles_edgeless_graph():
     inst = make_instance("free", [-1.0, 1.0], [], [], [], [0, 0], [1, 1], [0, 1])
-    g = featurize(inst, solve_lp(lp_relaxation(inst)))
+    g = featurize(inst, inst.lp.solve())
     scores = gat_forward(small_params(), g)
     assert scores.shape == (2,)
     assert np.all((scores > 0) & (scores < 1))
@@ -150,7 +149,7 @@ def per_edge_scores(a, graph):
 
 
 def graph_of(inst):
-    return featurize(inst, solve_lp(lp_relaxation(inst)))
+    return featurize(inst, inst.lp.solve())
 
 
 def all_distinct_graph():

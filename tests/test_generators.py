@@ -3,7 +3,7 @@ import pytest
 
 from backdoorlab import generators as g
 from backdoorlab.milp import lp_relaxation, read_instance, validate_instance, write_instance
-from backdoorlab.simplex import OPTIMAL, solve_lp
+from backdoorlab.simplex import OPTIMAL, LpWorkspace
 
 
 def test_gisp_same_seed_identical():
@@ -93,7 +93,7 @@ def test_facility_location_structure():
 def test_facility_location_relaxation_feasible_across_seeds():
     for seed in range(6):
         inst = g.gen_facility_location(facilities=3, customers=6, seed=seed)
-        sol = solve_lp(lp_relaxation(inst))
+        sol = LpWorkspace(lp_relaxation(inst)).solve()
         assert sol.status == OPTIMAL, f"seed {seed}"
 
 

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from backdoorlab.gnn import Tensor, grad, infonce_loss
+from backdoorlab.gnn import infonce_loss
 from backdoorlab.gnn import autodiff as ad
+from backdoorlab.gnn.autodiff import Tensor, grad
 from backdoorlab.gnn.loss import infonce_loss_and_grad, membership_matrix
 
 

@@ -152,14 +152,14 @@ class TestRelaxation:
 
     def test_relaxation_bounds_milp_optimum(self):
         """LP optimum never exceeds the brute-forced MILP optimum."""
-        from backdoorlab.simplex import solve_lp
+        from backdoorlab.simplex import LpWorkspace
 
         for seed in range(8):
             inst = random_binary_instance(seed, max_bin=8, max_rows=5)
             milp_opt = brute_force_solve(inst)
             if milp_opt is None:
                 continue
-            sol = solve_lp(lp_relaxation(inst))
+            sol = LpWorkspace(lp_relaxation(inst)).solve()
             assert sol.status == "OPTIMAL"
             assert sol.objective <= milp_opt + 1e-7
 

@@ -5,15 +5,13 @@ import pytest
 
 from backdoorlab.bnb import restricted_probe
 from backdoorlab.generators import gen_mis
-from backdoorlab.milp import lp_relaxation, make_instance
+from backdoorlab.milp import fractionality, make_instance
 from backdoorlab.search import (
     Backdoor,
     biased_sample,
-    fractionality,
     label_samples,
     mcts_search,
 )
-from backdoorlab.simplex import solve_lp
 
 from conftest import random_binary_instance
 
@@ -31,7 +29,7 @@ def fractional_fixture():
         [1] * 5,
         range(5),
     )
-    return inst, solve_lp(lp_relaxation(inst))
+    return inst, inst.lp.solve()
 
 
 class TestBackdoorType:
@@ -51,7 +49,7 @@ class TestBiasedSample:
         inst = make_instance(
             "unif", [1.0] * 6, [], [], [], [0] * 6, [1] * 6, range(6)
         )
-        root = solve_lp(lp_relaxation(inst))
+        root = inst.lp.solve()
         assert np.all(fractionality(root.x) == 0.0)
         draws = biased_sample(inst, K=1, count=6000, seed=1)
         counts = np.bincount([b.vars[0] for b in draws], minlength=6)

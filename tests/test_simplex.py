@@ -22,7 +22,6 @@ from backdoorlab.simplex import (
     LpWorkspace,
     SimplexIterationError,
     SimplexNumericalError,
-    solve_lp,
 )
 
 
@@ -31,24 +30,24 @@ def lp_of(objective, rows, rhs, senses, lower, upper):
 
 
 def test_box_maximum():
-    sol = solve_lp(lp_of([-1.0], [], [], [], [0.0], [1.0]))
+    sol = LpWorkspace(lp_of([-1.0], [], [], [], [0.0], [1.0])).solve()
     assert sol.status == OPTIMAL
     assert sol.x[0] == pytest.approx(1.0)
     assert sol.objective == pytest.approx(-1.0)
 
 
 def test_infeasible_rows():
-    sol = solve_lp(lp_of([0.0], [[(0, 1.0)]], [-1.0], ["LE"], [0.0], [1.0]))
+    sol = LpWorkspace(lp_of([0.0], [[(0, 1.0)]], [-1.0], ["LE"], [0.0], [1.0])).solve()
     assert sol.status == INFEASIBLE
 
 
 def test_unbounded_ray():
-    sol = solve_lp(lp_of([-1.0], [], [], [], [0.0], [INF]))
+    sol = LpWorkspace(lp_of([-1.0], [], [], [], [0.0], [INF])).solve()
     assert sol.status == UNBOUNDED
 
 
 def test_equality_and_ge_rows():
-    sol = solve_lp(
+    sol = LpWorkspace(
         lp_of(
             [1.0, 1.0],
             [[(0, 1.0), (1, 1.0)], [(0, 1.0), (1, -1.0)]],
@@ -57,7 +56,7 @@ def test_equality_and_ge_rows():
             [0.0, 0.0],
             [1.0, 1.0],
         )
-    )
+    ).solve()
     assert sol.status == OPTIMAL
     np.testing.assert_allclose(sol.x, [0.625, 0.375], atol=1e-9)
 
@@ -69,13 +68,13 @@ def test_unboxed_column_with_a_free_ray_is_unbounded():
     # The first artificial bound on x0 leaves the row unmet; the bound moves
     # out before the ray is found.
     big = 2.0 * simplex._ARTIFICIAL_WIDTH
-    assert solve_lp(lp_of([-1.0], [[(0, 1.0)]], [big], ["GE"], [0.0], [INF])).status == UNBOUNDED
+    assert LpWorkspace(lp_of([-1.0], [[(0, 1.0)]], [big], ["GE"], [0.0], [INF])).solve().status == UNBOUNDED
     # Each of x0 and x1 alone runs into a row; together they move freely.
     pair = lp_of([-1.0, -1.0], [[(0, 1.0), (1, -1.0)], [(0, -1.0), (1, 1.0)]], [1.0, 1.0], ["LE", "LE"],
                  [0.0, 0.0], [INF, INF])
-    assert solve_lp(pair).status == UNBOUNDED
+    assert LpWorkspace(pair).solve().status == UNBOUNDED
     # With x1 boxed the same direction is cut off by x1's upper bound.
-    sol = solve_lp(lp_of([-1.0, 0.0], [[(0, 1.0), (1, -1.0)]], [1.0], ["LE"], [0.0, 0.0], [INF, 2.0]))
+    sol = LpWorkspace(lp_of([-1.0, 0.0], [[(0, 1.0), (1, -1.0)]], [1.0], ["LE"], [0.0, 0.0], [INF, 2.0])).solve()
     assert (sol.status, sol.x.tolist(), sol.objective) == (OPTIMAL, [3.0, 2.0], -3.0)
 
 
@@ -90,7 +89,7 @@ def test_optimum_beyond_the_first_artificial_bound():
     assert (child.status, child.objective, ws.cold_retries) == (OPTIMAL, -0.75 * far, 0)
     # Here the first artificial bound looks infeasible: the row x0 >= far
     # has no proof against the real bounds, so the bound moves out.
-    sol = solve_lp(lp_of([-1.0], [[(0, 1.0)], [(0, 1.0)]], [far, 2 * far], ["GE", "LE"], [0.0], [INF]))
+    sol = LpWorkspace(lp_of([-1.0], [[(0, 1.0)], [(0, 1.0)]], [far, 2 * far], ["GE", "LE"], [0.0], [INF])).solve()
     assert (sol.status, sol.x.tolist()) == (OPTIMAL, [2 * far])
 
 
@@ -98,7 +97,7 @@ def test_optimum_past_the_last_artificial_bound_raises_not_lies():
     last = simplex._ARTIFICIAL_WIDTH * simplex._ARTIFICIAL_GROWTH**simplex._ARTIFICIAL_ROUNDS
     lp = lp_of([-1.0], [[(0, 1.0)]], [10.0 * last], ["LE"], [0.0], [INF])
     with pytest.raises(SimplexNumericalError):
-        solve_lp(lp)
+        LpWorkspace(lp).solve()
 
 
 @pytest.mark.parametrize("upper", [[1.0, 1.0], [0.5, INF]])
@@ -152,7 +151,7 @@ def vertex_enumeration_optimum(A, b, c, senses, upper):
 def test_matches_vertex_enumeration_oracle():
     for seed in range(25):
         lp, A, b, c = random_box_lp(seed)
-        sol = solve_lp(lp)
+        sol = LpWorkspace(lp).solve()
         assert sol.status == OPTIMAL
         oracle = vertex_enumeration_optimum(A, b, c, ["LE"] * len(b), np.ones(6))
         assert sol.objective == pytest.approx(oracle, abs=1e-7)
@@ -182,7 +181,7 @@ def test_eq_and_ge_rows_match_vertex_enumeration_oracle():
     for seed in range(20):
         lp, A, b, senses, c, upper = random_sense_lp(seed)
         oracle = vertex_enumeration_optimum(A, b, c, senses, upper)
-        sol = solve_lp(lp)
+        sol = LpWorkspace(lp).solve()
         assert sol.status == OPTIMAL, seed
         assert sol.objective == pytest.approx(oracle, abs=1e-7), seed
         solved += "EQ" in senses
@@ -193,7 +192,7 @@ def test_weak_duality_against_random_roundings():
     rng = np.random.default_rng(42)
     for seed in range(10):
         lp, A, b, c = random_box_lp(seed)
-        sol = solve_lp(lp)
+        sol = LpWorkspace(lp).solve()
         for _ in range(50):
             x = rng.random(6)
             if np.all(A @ x <= b + 1e-12):
@@ -202,8 +201,8 @@ def test_weak_duality_against_random_roundings():
 
 def test_resolve_is_deterministic():
     lp, *_ = random_box_lp(3)
-    a = solve_lp(lp)
-    b = solve_lp(lp)
+    a = LpWorkspace(lp).solve()
+    b = LpWorkspace(lp).solve()
     assert a.status == b.status == OPTIMAL
     assert a.objective == b.objective
     np.testing.assert_array_equal(a.x, b.x)
@@ -214,15 +213,17 @@ def test_resolve_is_deterministic():
 def test_optimal_point_respects_tolerances():
     for seed in range(10):
         lp, A, b, _ = random_box_lp(seed)
-        sol = solve_lp(lp)
+        sol = LpWorkspace(lp).solve()
         assert np.all(sol.x >= -1e-9) and np.all(sol.x <= 1 + 1e-9)
         assert np.all(A @ sol.x <= b + 1e-7)
 
 
 def test_iteration_limit_raises_not_lies():
     lp, *_ = random_box_lp(0)
-    with pytest.raises(SimplexIterationError):
-        solve_lp(lp, max_iter=1)
+    ws = LpWorkspace(lp)
+    ws._iter_limit = 1
+    with pytest.raises(SimplexIterationError, match=r"iteration limit \(1\)"):
+        ws.solve()
 
 
 def test_warm_start_matches_cold_solve():
@@ -249,7 +250,7 @@ def test_warm_start_matches_cold_solve():
 
 
 def test_zero_rows_zero_cost_vacuous():
-    sol = solve_lp(lp_of([0.0, 0.0], [], [], [], [0.0, 0.0], [1.0, 1.0]))
+    sol = LpWorkspace(lp_of([0.0, 0.0], [], [], [], [0.0, 0.0], [1.0, 1.0])).solve()
     assert sol.status == OPTIMAL
     assert sol.objective == 0.0
 
@@ -403,8 +404,6 @@ def test_root_solution_is_memoized_read_only():
     assert ws.solve(lower=np.array(inst.lower, dtype=float), upper=np.array(inst.upper, dtype=float)) is root
     for arr in (root.x, root.reduced_costs, root.at_lower, root.at_upper, root.vstat, root.basis):
         assert not arr.flags.writeable
-    capped = ws.solve(max_iter=10_000)
-    assert capped is not root and capped.objective == root.objective
     tight = np.array(inst.upper, dtype=float)
     tight[0] = 0.0
     assert ws.solve(upper=tight) is not root
@@ -434,9 +433,9 @@ def recording(ws):
     calls = []
     solve = ws.solve
 
-    def logged(lower=None, upper=None, start=None, max_iter=None):
-        sol = solve(lower=lower, upper=upper, start=start, max_iter=max_iter)
-        calls.append((lower, upper, start, max_iter, sol))
+    def logged(lower=None, upper=None, start=None):
+        sol = solve(lower=lower, upper=upper, start=start)
+        calls.append((lower, upper, start, sol))
         return sol
 
     ws.solve = logged
@@ -450,8 +449,8 @@ def test_memoized_solves_match_fresh_workspace_bit_for_bit():
     ranked = mcts_search(inst, K=4, iteration_budget=30, probe_node_limit=12, seed=0, top_k=12)
     label_samples(inst, [bd for bd, _ in ranked], p=5, q=5, node_limit=3000)
     assert ws.memo_hits > 0 and ws.cold_retries == 0
-    for lower, upper, start, max_iter, got in calls:
-        want = LpWorkspace(inst).solve(lower=lower, upper=upper, start=start, max_iter=max_iter)
+    for lower, upper, start, got in calls:
+        want = LpWorkspace(inst).solve(lower=lower, upper=upper, start=start)
         assert (got.status, got.iterations) == (want.status, want.iterations)
         if want.status == OPTIMAL:
             assert got.objective.hex() == want.objective.hex()
@@ -563,7 +562,7 @@ def test_warm_dual_solve_matches_cold_solve_on_every_node(make, cap):
     warm = [c for c in calls if c[2] is not None]
     assert len(warm) > 10 and ws.kernel_runs == 1 + len(warm) - ws.memo_hits
     assert ws.cold_retries == 0
-    for lower, upper, _, _, got in warm:
+    for lower, upper, _, got in warm:
         want = LpWorkspace(lp).solve(lower=lower, upper=upper)
         assert got.status == want.status
         if want.status == OPTIMAL:
@@ -631,11 +630,11 @@ def test_forced_dual_failure_is_retried_cold_and_counted(monkeypatch):
     dual = LpWorkspace._dual
     starts = []
 
-    def fails_warm(self, bounds, vstat, basis, max_iter):
+    def fails_warm(self, bounds, vstat, basis):
         starts.append(basis.tobytes() == self._slack_key)
         if not starts[-1]:
             return simplex._ST_NUMERIC, 0, None, None, None, 0
-        return dual(self, bounds, vstat, basis, max_iter)
+        return dual(self, bounds, vstat, basis)
 
     monkeypatch.setattr(LpWorkspace, "_dual", fails_warm)
     sol = ws.solve(lower=lo, upper=up, start=(root.vstat, root.basis))

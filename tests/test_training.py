@@ -15,8 +15,7 @@ from backdoorlab.gnn import (
 from backdoorlab.gnn import autodiff as ad
 from backdoorlab.gnn.loss import infonce_loss_and_grad
 from backdoorlab.gnn.training import batch_gradient
-from backdoorlab.milp import lp_relaxation, make_instance
-from backdoorlab.simplex import solve_lp
+from backdoorlab.milp import make_instance
 
 from test_gat import per_edge_scores, tape_tensors
 from test_loss import tape_infonce
@@ -45,7 +44,7 @@ def planted_dataset(count=50, base_seed=0, n=8):
     rng = np.random.default_rng(base_seed + 999)
     for i in range(count):
         inst = planted_instance(base_seed + i, n=n)
-        graph = featurize(inst, solve_lp(lp_relaxation(inst)))
+        graph = featurize(inst, inst.lp.solve())
         pos = tuple(
             tuple(sorted((0, 1, 2, int(rng.integers(3, n))))) for _ in range(3)
         )
@@ -118,7 +117,7 @@ def gisp_samples(count, nodes=25):
     out = []
     for seed in range(count):
         inst = gen_gisp(nodes=nodes, seed=seed)
-        graph = featurize(inst, solve_lp(lp_relaxation(inst)))
+        graph = featurize(inst, inst.lp.solve())
         rng = np.random.default_rng(seed)
         binaries = np.flatnonzero(graph.binary_mask)
         sets = [tuple(sorted(rng.choice(binaries, 4, replace=False).tolist())) for _ in range(10)]
