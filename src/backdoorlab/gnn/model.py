@@ -163,10 +163,11 @@ def leaky_relu_slopes(x: np.ndarray, slope: float) -> np.ndarray:
     return factor
 
 
-def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``x @ y``; with a contracted size of 1 it is an outer product, done as a
-    broadcast multiply (the same values) rather than a stacked gemm."""
-    return x * y if x.shape[-1] == 1 else np.matmul(x, y)
+def _product(x: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``x @ y``, into ``out`` if given; with a contracted size of 1 it is an
+    outer product, done as a broadcast multiply (the same values) rather than
+    a stacked gemm."""
+    return np.multiply(x, y, out=out) if x.shape[-1] == 1 else np.matmul(x, y, out=out)
 
 
 class SegmentIndex:
@@ -174,29 +175,39 @@ class SegmentIndex:
 
     Gathers read through ``index``; :meth:`sum`, the gather's adjoint, adds
     through it as ``np.add.reduceat`` over the sorted order, one reduction
-    per non-empty segment, so the entries of a segment are added in index
-    order.  Build one per index map and reuse it.
+    per non-empty segment, so a segment's entries reach its reduction in
+    index order.  An index that is already sorted is reduced as it stands,
+    and when every segment has an entry the reduction is the result itself.
+    Build one per index map and reuse it.
     """
 
-    __slots__ = ("index", "size", "order", "starts", "present")
+    __slots__ = ("index", "size", "order", "starts", "present", "full")
 
     def __init__(self, index, size: int):
         self.index = np.asarray(index, dtype=np.int64).reshape(-1)
         self.size = int(size)
-        self.order = np.argsort(self.index, kind="stable")
-        ranked = self.index[self.order]
+        if np.all(self.index[1:] >= self.index[:-1]):
+            self.order, ranked = None, self.index  # the stable sort is the identity
+        else:
+            self.order = np.argsort(self.index, kind="stable")
+            ranked = self.index[self.order]
         if ranked.size and (ranked[0] < 0 or ranked[-1] >= self.size):
             raise IndexError(f"segment index out of range [0, {self.size})")
         first = np.ones(ranked.size, dtype=bool)  # first entry of each segment
         first[1:] = ranked[1:] != ranked[:-1]
         self.starts = np.flatnonzero(first)
         self.present = ranked[self.starts]
+        self.full = 0 < self.present.size == self.size  # no segment is empty
 
     def _reduce(self, ufunc, x: np.ndarray, axis: int) -> np.ndarray:
-        return ufunc.reduceat(np.take(x, self.order, axis=axis), self.starts, axis=axis)
+        if self.order is not None:
+            x = np.take(x, self.order, axis=axis)
+        return ufunc.reduceat(x, self.starts, axis=axis, dtype=np.float64)
 
     def sum(self, x: np.ndarray, axis: int = 0) -> np.ndarray:
         """Slices of ``x`` along ``axis`` added per segment; empty segments are 0."""
+        if self.full:
+            return self._reduce(np.add, x, axis)
         shape = list(x.shape)
         shape[axis] = self.size
         out = np.zeros(shape)
@@ -210,6 +221,9 @@ class SegmentIndex:
         Empty segments keep ``floor``; this equals ``np.maximum.at`` into a
         copy of ``floor``.
         """
+        if self.full:
+            top = self._reduce(np.maximum, x, axis)
+            return np.maximum(floor, top, out=top)
         out = np.array(floor, dtype=np.float64)
         if self.index.size:
             sel = (slice(None),) * axis + (self.present,)
@@ -361,9 +375,12 @@ def _attention_round(Xr, Xs, Xe, theta_r, theta_s, theta_e, w, rnd: _Round):
     ``Xr`` holds one embedding per distinct own row of the receivers, ``Xs``
     one per sender and ``Xe`` one per distinct edge row; ``rnd`` maps them to
     the round's classes and edges.  The weights are the ``(H, classes)`` self
-    and ``(H, round edges)`` edge softmax weights.  ``backward(g)`` takes the
-    gradient of the new embeddings and returns those of the seven inputs, in
-    order.
+    and ``(H, round edges)`` edge softmax weights.  ``backward(g, d_params,
+    buf)`` takes the gradient of the new embeddings, adds those of the four
+    parameters into ``d_params`` (arrays shaped like ``theta_r``,
+    ``theta_s``, ``theta_e`` and ``w``, in order) and returns those of the
+    three embedding inputs.  The theta gradients are formed one at a time in
+    ``buf``, an ``(H, L, L)`` scratch array.
 
     The neighbor messages are ``block.T @ Ts`` per head, where ``block`` is
     the dense ``(H, S, K)`` attention matrix with each edge's weight summed
@@ -414,7 +431,7 @@ def _attention_round(Xr, Xs, Xe, theta_r, theta_s, theta_e, w, rnd: _Round):
     out += np.einsum("hk,hkl->kl", alpha_self, Tk)
     out *= 1.0 / H  # (K, L), the mean over heads
 
-    def backward(g):
+    def backward(g, d_params, buf):
         g = g * (1.0 / H)  # each head's share of the mean
         # The messages and their weights.
         dTs = np.matmul(block, g)  # (H, S, L)
@@ -444,10 +461,10 @@ def _attention_round(Xr, Xs, Xe, theta_r, theta_s, theta_e, w, rnd: _Round):
         np.matmul(dt_edge, le, out=dw[:, 2:])
         # The head transforms x @ theta, x shared by every head.
         inputs = ((Xr, theta_r, dTr), (Xs, theta_s, dTs), (Xe, theta_e, dTe))
-        grads = [np.matmul(dT, np.swapaxes(theta, 1, 2)).sum(axis=0) for _, theta, dT in inputs]
-        grads += [_product(x.T, dT) for x, _, dT in inputs]
-        grads.append(dw.reshape(H, 3 * L))
-        return grads
+        for (x, _, dT), d_theta in zip(inputs, d_params):
+            d_theta += _product(x.T, dT, out=buf)
+        d_params[3] += dw.reshape(H, 3 * L)
+        return [np.matmul(dT, np.swapaxes(theta, 1, 2)).sum(axis=0) for _, theta, dT in inputs]
 
     return out, (alpha_self, alpha_edge), backward
 
@@ -492,11 +509,9 @@ def score_graph(arrays: dict[str, np.ndarray], graph: BipartiteGraph, collect_at
     def backward(d_scores: np.ndarray, grads: dict[str, np.ndarray]) -> None:
         d = d_scores if nc.var_class is None else nc.var_class.sum(d_scores)
         dV2 = out_bw((d * s * (1.0 - s))[:, None], grads)
-        dV1, dC2, dE1, *d2 = round2_bw(dV2)
-        dC1, dV1_send, dE1_send, *d1 = round1_bw(dC2)
-        for names, ds in zip(rounds, (d1, d2)):
-            for name, dp in zip(names, ds):
-                grads[name] += dp
+        buf = np.empty(a["att1_theta_c"].shape)  # both rounds' theta gradients, in turn
+        dV1, dC2, dE1 = round2_bw(dV2, [grads[k] for k in rounds[1]], buf)
+        dC1, dV1_send, dE1_send = round1_bw(dC2, [grads[k] for k in rounds[0]], buf)
         var_bw(dV1 + dV1_send, grads)
         cons_bw(dC1, grads)
         edge_bw(dE1 + dE1_send, grads)

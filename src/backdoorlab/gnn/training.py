@@ -3,7 +3,8 @@
 Each sample runs one plain-numpy forward pass (``score_graph``) and one
 backward pass, which adds its share of the batch gradient straight into one
 flat buffer laid out like ``GatParameters.vector``; AdamW then updates that
-vector in place in one step.
+vector in place in one step.  ``train`` allocates that buffer once per run
+and zeroes it before each batch.
 """
 
 from __future__ import annotations
@@ -58,13 +59,22 @@ def batch_gradient(
 ) -> tuple[float, np.ndarray]:
     """Mean contrastive loss over ``batch`` and its gradient as one flat vector.
 
-    The vector has the layout of ``params.vector``.  It starts at zero, and
-    each sample's backward pass adds ``1 / len(batch)`` of that sample's
-    gradient into its named views, so only one sample's activations are
-    alive at a time and the sum over the batch needs no pass of its own.
+    The vector has the layout of ``params.vector``.
     """
     flat = np.zeros_like(params.vector)
-    grads = params.views(flat)
+    return _add_batch_gradient(params, batch, tau, params.views(flat)), flat
+
+
+def _add_batch_gradient(
+    params: GatParameters, batch: list[TrainSample], tau: float, grads: dict[str, np.ndarray]
+) -> float:
+    """Add the batch's mean gradient into ``grads`` (named views of a flat
+    buffer, zero on entry) and return the mean contrastive loss.
+
+    Each sample's backward pass adds ``1 / len(batch)`` of that sample's
+    gradient into the views, so only one sample's activations are alive at
+    a time and the sum over the batch needs no pass of its own.
+    """
     scale = 1.0 / len(batch)
     loss = 0.0
     for sample in batch:
@@ -72,7 +82,7 @@ def batch_gradient(
         value, d_scores = infonce_loss_and_grad(scores, sample.positives, sample.negatives, tau)
         backward(d_scores * scale, grads)
         loss += value * scale
-    return loss, flat
+    return loss
 
 
 def train(
@@ -97,6 +107,8 @@ def train(
     shuffle_rng = np.random.Generator(
         np.random.Philox(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(1,)))
     )
+    grad = np.empty_like(params.vector)
+    grads = params.views(grad)
     curve: list[float] = []
     n = len(dataset)
     for _epoch in range(cfg.epochs):
@@ -106,7 +118,8 @@ def train(
         norms = []
         for lo in range(0, n, cfg.batch_size):
             batch = [dataset[i] for i in order[lo : lo + cfg.batch_size]]
-            batch_loss, grad = batch_gradient(params, batch, cfg.tau)
+            grad.fill(0.0)
+            batch_loss = _add_batch_gradient(params, batch, cfg.tau, grads)
             adam_step(params.vector, grad, state, lr=cfg.learning_rate, wd=cfg.weight_decay)
             epoch_loss += batch_loss * len(batch)
             if epoch_log is not None:

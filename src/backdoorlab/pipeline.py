@@ -15,6 +15,7 @@ representation, so a run with 4 workers is byte-identical to a run with 1.
 from __future__ import annotations
 
 import concurrent.futures
+import csv
 import json
 import time
 from dataclasses import asdict, dataclass
@@ -375,12 +376,14 @@ def report(records: list[EvalRecord], out_dir) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     summary = summarize(records)
 
-    with open(out / "results.csv", "w", encoding="ascii") as fh:
+    # A field holding a comma, a quote or a line break is quoted; no other field is.
+    with open(out / "results.csv", "w", encoding="ascii", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
         cols = list(_RESULT_COLUMNS)
         extra = any(r.overhead_seconds is not None for r in records)
         if extra:
             cols.append("overhead_seconds")
-        fh.write(",".join(cols) + "\n")
+        writer.writerow(cols)
         for r in records:
             row = [
                 r.instance,
@@ -393,7 +396,7 @@ def report(records: list[EvalRecord], out_dir) -> dict:
             ]
             if extra:
                 row.append(_fmt_float(r.overhead_seconds or 0.0))
-            fh.write(",".join(row) + "\n")
+            writer.writerow(row)
 
     with open(out / "summary.txt", "w", encoding="ascii") as fh:
         b, m = summary["baseline"], summary["method"]
@@ -434,22 +437,24 @@ def report(records: list[EvalRecord], out_dir) -> dict:
 def read_results_csv(path) -> list[EvalRecord]:
     """Parse a results.csv written by :func:`report` back into records.
 
-    A missing column, a row whose field count is not the header's, a value
-    that does not parse or an unknown outcome raises ``ValueError`` naming
-    the line.
+    Fields are read with the ``csv`` module's quoting, so an instance name
+    may hold a comma.  A missing column, a row whose field count is not the
+    header's, a value that does not parse or an unknown outcome raises
+    ``ValueError`` naming the line.  Blank lines are skipped.
     """
     records = []
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().strip().split(",")
+    with open(path, "r", encoding="ascii", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
         missing = [name for name in _RESULT_COLUMNS if name not in header]
         if missing:
             raise ValueError(f"{path}: line 1: missing column(s) {', '.join(missing)}")
-        for lineno, line in enumerate(fh, start=2):
-            if line.strip():
+        for row in reader:
+            if len(row) > 1 or (row and row[0].strip()):
                 try:
-                    records.append(_result_record(header, line.strip().split(",")))
+                    records.append(_result_record(header, row))
                 except ValueError as exc:
-                    raise ValueError(f"{path}: line {lineno}: {exc}") from None
+                    raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     return records
 
 

@@ -133,24 +133,27 @@ def _snap(values: list[float]) -> list[float]:
     return array("f", values).tolist()
 
 
-def _replace_column(Binv: np.ndarray, w: np.ndarray, r: int) -> None:
+def _replace_column(Binv: np.ndarray, w: np.ndarray, r: int, outer: np.ndarray | None = None) -> None:
     """Rank-one update of ``Binv`` in place when the column ``a`` with
     ``w = Binv a`` replaces basis position ``r``.
 
     The products ``w[i] * Binv[r, j] / w[r]`` come from one BLAS outer
-    product: a nonzero one is rounded as an elementwise multiply rounds it,
-    and a zero one is +0, so the rows where ``w`` is 0 keep their values bit
-    for bit.  From
+    product, written into the leading rows of ``outer``, a scratch array
+    shaped like ``Binv`` (made here if not given).  A nonzero product is
+    rounded as an elementwise multiply rounds it, and a zero one is +0, so
+    the rows where ``w`` is 0 keep their values bit for bit.  From
     ``_SPARSE_UPDATE_ROWS`` rows on, a ``w`` with fewer than half its entries
     nonzero updates only those rows; below it the gather and scatter cost
     more than the rows they skip.
     """
+    if outer is None:
+        outer = np.empty_like(Binv)
     br = Binv[r] / w[r]
     rows = w.nonzero()[0] if w.size >= _SPARSE_UPDATE_ROWS else None
     if rows is not None and 2 * rows.size < w.size:
-        Binv[rows] -= np.dot(w.take(rows)[:, None], br[None, :])
+        Binv[rows] -= np.dot(w.take(rows)[:, None], br[None, :], out=outer[: rows.size])
     else:
-        Binv -= np.dot(w[:, None], br[None, :])
+        Binv -= np.dot(w[:, None], br[None, :], out=outer)
     Binv[r] = br
 
 
@@ -252,6 +255,7 @@ class LpWorkspace:
         # Kept basis inverses: basis bytes -> (inverse, rank-one updates in it).
         self._inverses: OrderedDict[bytes, tuple[np.ndarray, int]] = OrderedDict()
         self._inverses_cap = max(2, _INVERSE_BUDGET // max(m * m, 1))
+        self._outer = np.empty((m, m))  # the rank-one updates' scratch; untouched until a pivot
         self._iter_limit = 2000 + 50 * (n + 2 * m)
         for name in self.COUNTERS:
             setattr(self, name, 0)
@@ -621,7 +625,7 @@ class LpWorkspace:
             side[enter] = 0.0
             loB[r] = lo[enter]
             upB[r] = up[enter]
-            _replace_column(Binv, w, r)
+            _replace_column(Binv, w, r, self._outer)
             basis[r] = enter
             vstat[enter] = _BASIC
             updates += 1

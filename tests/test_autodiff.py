@@ -136,11 +136,17 @@ def test_repeated_backward_does_not_leak_state():
 
 
 # (index, number of segments): unsorted with repeats and empty segments 2 and
-# 4, a single entry, and no entries at all (an edgeless graph).
+# 4, a single entry, no entries at all (an edgeless graph), every segment
+# present in unsorted and in sorted order, and sorted with empty segments 1
+# and 4.  The last three have at most two entries per segment, where the
+# pairwise sums of ``reduceat`` and the sequential ``np.add.at`` round alike.
 SEGMENT_CASES = [
     (np.array([3, 0, 3, 1, 0, 3, 1]), 5),
     (np.array([2]), 4),
     (np.zeros(0, dtype=np.int64), 3),
+    (np.array([2, 0, 1, 2, 0, 1]), 3),
+    (np.array([0, 0, 1, 2, 2, 3]), 4),
+    (np.array([0, 0, 2, 3, 3]), 5),
 ]
 
 
@@ -161,8 +167,19 @@ def test_sorted_segment_ops_match_scatter_reference(index, size, axis):
     np.maximum.at(ref_max, sel, x)
 
     seg = ad.SegmentIndex(index, size)
+    assert seg.full == (index.size > 0 and np.unique(index).size == size)
+    assert (seg.order is None) == bool(np.all(np.diff(index) >= 0))
     np.testing.assert_allclose(seg.sum(x, axis), ref_sum, rtol=1e-14, atol=0)
-    np.testing.assert_array_equal(seg.maximum(floor, x, axis), ref_max)
+    top = seg.maximum(floor, x, axis)
+    assert top.dtype == np.float64 and top.tobytes() == ref_max.tobytes()
+    # Small integers sum exactly in any order, so with them every segment's
+    # sum must match ``np.add.at`` bit for bit, and come back as float64.
+    ints = rng.integers(-50, 50, size=shape)
+    ref_int = np.zeros(out_shape)
+    np.add.at(ref_int, sel, ints)
+    for values in (ints, ints.astype(np.float64)):
+        out = seg.sum(values, axis)
+        assert out.dtype == np.float64 and out.tobytes() == ref_int.tobytes()
     for segments in (index, seg):
         out = ad.segment_sum(Tensor(x), segments, size, axis=axis)
         np.testing.assert_allclose(out.data, ref_sum, rtol=1e-14, atol=0)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from backdoorlab.gnn import AdamState, adam_step
+from backdoorlab.gnn.optim import _BLOCK
 
 
 def test_zero_gradient_without_decay_is_identity():
@@ -76,3 +77,23 @@ def test_long_vector_matches_whole_array_formulas_bitwise():
         np.testing.assert_array_equal(w, theta)
         np.testing.assert_array_equal(state.m, m)
         np.testing.assert_array_equal(state.v, v)
+
+
+def test_blocked_update_matches_whole_array_formulas_bitwise():
+    """Three full blocks plus a remainder: every block boundary and the short
+    last block give the same bits as one whole-array update."""
+    lr, wd, b1, b2, eps = 1e-3, 0.05, 0.8, 0.99, 1e-6
+    rng = np.random.default_rng(5)
+    theta = rng.normal(size=3 * _BLOCK + 1_000)
+    w = theta.copy()
+    state = AdamState.init(w)
+    m = v = np.zeros_like(theta)
+    for t in range(1, 4):
+        g = rng.normal(size=theta.shape) * 10.0 ** rng.uniform(-6, 2, size=theta.shape)
+        adam_step(w, g, state, lr=lr, wd=wd, beta1=b1, beta2=b2, eps=eps)
+        m = b1 * m + (1.0 - b1) * g
+        v = b2 * v + (1.0 - b2) * g * g
+        theta = theta * (1.0 - lr * wd) - lr * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + eps)
+        assert w.tobytes() == theta.tobytes()
+        assert state.m.tobytes() == m.tobytes()
+        assert state.v.tobytes() == v.tobytes()

@@ -265,9 +265,12 @@ class TestReport:
         assert len((tmp_path / "results.csv").read_text().splitlines()) == 2
 
     def test_summary_matches_recomputation_from_csv(self, tmp_path):
-        report(self._records(), tmp_path)
-        back = read_results_csv(tmp_path / "results.csv")
-        assert summarize(back) == summarize(self._records())
+        # The second input's instance name holds a comma and a quote.
+        for records in (self._records(), self._records() + [EvalRecord('d,"1"', 40, 30, 25.0, "WIN")]):
+            report(records, tmp_path)
+            back = read_results_csv(tmp_path / "results.csv")
+            assert back == records
+            assert summarize(back) == summarize(records)
 
     def test_finish_rate_is_monotone_cdf(self, tmp_path):
         report(self._records(), tmp_path)
