@@ -9,7 +9,7 @@ selected backdoors by priority-guided solving.
 from .bnb import BnbConfig, SolveResult, restricted_probe, select_branch_var, solve_bnb, tree_weight
 from .features import BipartiteGraph, featurize
 from .generators import (
-    GenConfig,
+    GENERATORS,
     gen_combinatorial_auction,
     gen_facility_location,
     gen_gisp,

@@ -9,9 +9,10 @@ solver, and ``report`` to rebuild summary files from a results CSV.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import generators
@@ -19,6 +20,8 @@ from .bnb import BnbConfig, solve_bnb
 from .gnn import TrainConfig, load_model, save_model
 from .milp import FILE_EXTENSION, read_instance, write_instance
 from .pipeline import (
+    MCTS,
+    SAMPLING,
     CollectConfig,
     collect_dataset,
     evaluate,
@@ -28,27 +31,33 @@ from .pipeline import (
     train_from_file,
 )
 
-_FAMILY_PARAMS = {
-    "gisp": ("nodes", "edge_prob", "removable_frac", "node_reward", "edge_cost"),
-    "setcover": ("n_elements", "n_sets", "density"),
-    "combinatorial_auction": ("items", "bids"),
-    "mis": ("nodes", "avg_degree"),
-    "facility_location": ("facilities", "customers"),
-}
+
+def _size_options() -> dict[str, type]:
+    """``generate``'s size options: each generator keyword but ``seed``, with its default's type."""
+    return {
+        name: type(param.default)
+        for gen in generators.GENERATORS.values()
+        for name, param in inspect.signature(gen).parameters.items()
+        if name != "seed"
+    }
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
 def _cmd_generate(args) -> int:
+    gen = generators.GENERATORS[args.family]
+    params = {name: getattr(args, name) for name in _size_options() if getattr(args, name) is not None}
+    stray = [name for name in params if name not in inspect.signature(gen).parameters]
+    if stray:
+        raise ValueError(f"family {args.family} takes no {', '.join(map(_flag, stray))}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    params = {}
-    for name in _FAMILY_PARAMS[args.family]:
-        value = getattr(args, name, None)
-        if value is not None:
-            params[name] = value
     entries = []
     for i in range(args.count):
         seed = args.seed + i
-        inst = generators.GenConfig(family=args.family, seed=seed, params=params).build()
+        inst = gen(seed=seed, **params)
         path = out / f"{inst.name}{FILE_EXTENSION}"
         write_instance(inst, path)
         entries.append(
@@ -93,18 +102,13 @@ def _cmd_solve(args) -> int:
     return 0
 
 
+def _config(cls, args):
+    """A ``cls`` config from the parsed options whose dests are its field names."""
+    return cls(**{f.name: getattr(args, f.name) for f in fields(cls)})
+
+
 def _cmd_collect(args) -> int:
-    cfg = CollectConfig(
-        K=args.K,
-        method=args.method,
-        top_k=args.k,
-        p=args.p,
-        q=args.q,
-        mcts_budget=args.budget,
-        probe_node_limit=args.probe_limit,
-        label_node_limit=args.label_limit,
-        seed=args.seed,
-    )
+    cfg = _config(CollectConfig, args)
     manifest = collect_dataset(args.instances, args.out, cfg, workers=args.workers)
     print(
         f"collected {manifest['kept']} instance record(s), "
@@ -114,17 +118,7 @@ def _cmd_collect(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    cfg = TrainConfig(
-        tau=args.tau,
-        learning_rate=args.lr,
-        weight_decay=args.weight_decay,
-        batch_size=args.batch_size,
-        epochs=args.epochs,
-        seed=args.seed,
-        L=args.L,
-        H=args.H,
-        hidden=args.hidden,
-    )
+    cfg = _config(TrainConfig, args)
     epoch_log: list[dict] = []
     params, curve = train_from_file(args.dataset, cfg, epoch_log=epoch_log)
     save_model(params, args.out)
@@ -194,23 +188,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="write benchmark instances")
-    g.add_argument("--family", required=True, choices=sorted(_FAMILY_PARAMS))
+    g.add_argument("--family", required=True, choices=sorted(generators.GENERATORS))
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--count", type=int, default=1)
     g.add_argument("--out", required=True)
-    g.add_argument("--nodes", type=int)
-    g.add_argument("--edge-prob", dest="edge_prob", type=float)
-    g.add_argument("--removable-frac", dest="removable_frac", type=float)
-    g.add_argument("--node-reward", dest="node_reward", type=float)
-    g.add_argument("--edge-cost", dest="edge_cost", type=float)
-    g.add_argument("--n-elements", dest="n_elements", type=int)
-    g.add_argument("--n-sets", dest="n_sets", type=int)
-    g.add_argument("--density", type=float)
-    g.add_argument("--items", type=int)
-    g.add_argument("--bids", type=int)
-    g.add_argument("--avg-degree", dest="avg_degree", type=float)
-    g.add_argument("--facilities", type=int)
-    g.add_argument("--customers", type=int)
+    for name, kind in _size_options().items():
+        g.add_argument(_flag(name), dest=name, type=kind)
     g.set_defaults(func=_cmd_generate)
 
     s = sub.add_parser("solve", help="solve one instance and print JSON stats")
@@ -222,30 +205,34 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("collect", help="collect a labeled backdoor dataset")
     c.add_argument("--instances", required=True)
     c.add_argument("--out", required=True)
-    c.add_argument("--K", type=int, default=8)
-    c.add_argument("--k", type=int, default=50, help="candidates kept per instance")
-    c.add_argument("--p", type=int, default=5)
-    c.add_argument("--q", type=int, default=5)
-    c.add_argument("--budget", type=int, default=200, help="UCT iterations")
-    c.add_argument("--probe-limit", dest="probe_limit", type=int, default=500)
-    c.add_argument("--label-limit", dest="label_limit", type=int, default=None)
-    c.add_argument("--method", choices=("mcts", "sampling"), default="mcts")
+    c.add_argument("--K", type=int, default=CollectConfig.K)
+    c.add_argument(
+        "--k", dest="top_k", type=int, default=CollectConfig.top_k, help="candidates kept per instance"
+    )
+    c.add_argument("--p", type=int, default=CollectConfig.p)
+    c.add_argument("--q", type=int, default=CollectConfig.q)
+    c.add_argument(
+        "--budget", dest="mcts_budget", type=int, default=CollectConfig.mcts_budget, help="UCT iterations"
+    )
+    c.add_argument("--probe-limit", dest="probe_node_limit", type=int, default=CollectConfig.probe_node_limit)
+    c.add_argument("--label-limit", dest="label_node_limit", type=int, default=CollectConfig.label_node_limit)
+    c.add_argument("--method", choices=(MCTS, SAMPLING), default=CollectConfig.method)
     c.add_argument("--workers", type=int, default=1)
-    c.add_argument("--seed", type=int, default=0)
+    c.add_argument("--seed", type=int, default=CollectConfig.seed)
     c.set_defaults(func=_cmd_collect)
 
     t = sub.add_parser("train", help="train the scorer on a collected dataset")
     t.add_argument("--dataset", required=True)
     t.add_argument("--out", required=True)
-    t.add_argument("--seed", type=int, default=0)
-    t.add_argument("--epochs", type=int, default=100)
-    t.add_argument("--batch-size", dest="batch_size", type=int, default=32)
-    t.add_argument("--lr", type=float, default=5e-4)
-    t.add_argument("--weight-decay", dest="weight_decay", type=float, default=0.01)
-    t.add_argument("--tau", type=float, default=0.07)
-    t.add_argument("--L", type=int, default=64)
-    t.add_argument("--H", type=int, default=8)
-    t.add_argument("--hidden", type=int, default=64)
+    t.add_argument("--seed", type=int, default=TrainConfig.seed)
+    t.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    t.add_argument("--batch-size", dest="batch_size", type=int, default=TrainConfig.batch_size)
+    t.add_argument("--lr", dest="learning_rate", type=float, default=TrainConfig.learning_rate)
+    t.add_argument("--weight-decay", dest="weight_decay", type=float, default=TrainConfig.weight_decay)
+    t.add_argument("--tau", type=float, default=TrainConfig.tau)
+    t.add_argument("--L", type=int, default=TrainConfig.L)
+    t.add_argument("--H", type=int, default=TrainConfig.H)
+    t.add_argument("--hidden", type=int, default=TrainConfig.hidden)
     t.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("predict", help="print the predicted backdoor for an instance")

@@ -19,8 +19,6 @@ Families and their default sizes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .milp import MilpInstance, make_instance
@@ -31,29 +29,6 @@ GISP_EDGE_PROB = 0.291
 GISP_REMOVABLE_FRAC = 0.257
 GISP_NODE_REWARD = 100.0
 GISP_EDGE_COST = 1.0
-
-FAMILIES = ("gisp", "setcover", "combinatorial_auction", "mis", "facility_location")
-
-
-@dataclass(frozen=True)
-class GenConfig:
-    """Family tag plus its size parameters; ``params`` feed the generator."""
-
-    family: str
-    seed: int
-    params: dict = field(default_factory=dict)
-
-    def build(self) -> MilpInstance:
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
-        fn = {
-            "gisp": gen_gisp,
-            "setcover": gen_setcover,
-            "combinatorial_auction": gen_combinatorial_auction,
-            "mis": gen_mis,
-            "facility_location": gen_facility_location,
-        }[self.family]
-        return fn(seed=self.seed, **self.params)
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -267,3 +242,14 @@ def gen_facility_location(
         upper=[1.0] * n,
         binary_set=range(facilities),
     )
+
+
+# Each family's generator; its keyword arguments other than ``seed`` are the
+# family's size parameters.
+GENERATORS = {
+    "gisp": gen_gisp,
+    "setcover": gen_setcover,
+    "combinatorial_auction": gen_combinatorial_auction,
+    "mis": gen_mis,
+    "facility_location": gen_facility_location,
+}

@@ -65,11 +65,9 @@ class ModelFormatError(ValueError):
 
 
 def _glorot(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
-    fan_in = int(np.prod(shape[:-1])) if len(shape) > 1 else shape[0]
-    fan_out = shape[-1] if len(shape) > 1 else 1
-    if len(shape) == 3:  # per-head square transforms: fans are the two L dims
-        fan_in, fan_out = shape[1], shape[2]
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
+    """Uniform within the glorot limit of the last two dimensions, so that each
+    head of an (H, L, L) transform is drawn like an (L, L) matrix."""
+    limit = np.sqrt(6.0 / (shape[-2] + shape[-1]))
     return rng.uniform(-limit, limit, size=shape)
 
 

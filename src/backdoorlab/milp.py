@@ -104,7 +104,21 @@ def make_instance(name, objective, rows, rhs, senses, lower, upper, binary_set) 
 
 
 def validate_instance(inst: MilpInstance) -> ValidationReport:
-    """Check every structural invariant; violations name the offending row/column."""
+    """Check every invariant, the structural ones and then the binary set's;
+    violations name the offending row/column."""
+    bad = _structural_violations(inst)
+    if not inst.binary_set:
+        bad.append("binary set is empty")
+    for j in sorted(inst.binary_set):
+        if not 0 <= j < inst.num_vars:
+            bad.append(f"binary index {j} out of range")
+        elif inst.lower[j] != 0.0 or inst.upper[j] != 1.0:
+            bad.append(f"binary bound: column {j} has bounds [{inst.lower[j]}, {inst.upper[j]}]")
+    return ValidationReport(ok=not bad, violations=tuple(bad))
+
+
+def _structural_violations(inst: MilpInstance) -> list[str]:
+    """Everything but the binary set: sizes, indices, finiteness, senses, bounds."""
     bad: list[str] = []
     n = inst.num_vars
     if n < 1:
@@ -144,14 +158,7 @@ def validate_instance(inst: MilpInstance) -> ValidationReport:
             bad.append(f"column {j}: upper bound is NaN")
         if lo > up:
             bad.append(f"column {j}: lower bound {lo} above upper bound {up}")
-    if not inst.binary_set:
-        bad.append("binary set is empty")
-    for j in sorted(inst.binary_set):
-        if not 0 <= j < n:
-            bad.append(f"binary index {j} out of range")
-        elif inst.lower[j] != 0.0 or inst.upper[j] != 1.0:
-            bad.append(f"binary bound: column {j} has bounds [{inst.lower[j]}, {inst.upper[j]}]")
-    return ValidationReport(ok=not bad, violations=tuple(bad))
+    return bad
 
 
 def lp_relaxation(inst: MilpInstance) -> MilpInstance:
@@ -161,11 +168,7 @@ def lp_relaxation(inst: MilpInstance) -> MilpInstance:
     mismatched lengths); an empty binary set is accepted so that
     all-continuous copies relax to themselves.
     """
-    structural = [
-        v
-        for v in validate_instance(inst).violations
-        if "binary" not in v and "empty" not in v
-    ]
+    structural = _structural_violations(inst)
     if structural:
         raise ValueError("invalid instance: " + "; ".join(structural))
     return inst

@@ -114,15 +114,15 @@ def collect_one(
 
     A given ``cost`` dict receives the instance's exact collection cost once
     the instance is done: ``counters``, the LP counters of ``inst.lp``
-    (``LpWorkspace.counters``); ``probes``, ``distinct_subsets`` and
-    ``probe_nodes`` of the MCTS search (0 when sampling); and
-    ``label_solves`` and ``label_nodes``, the labeling's branch-and-bound
-    solves (the baseline included) and their nodes.
+    (``LpWorkspace.counters``); ``probes``, ``distinct_subsets``,
+    ``probe_nodes``, ``selections`` and ``max_depth`` of the MCTS search (0
+    when sampling); and ``label_solves`` and ``label_nodes``, the labeling's
+    branch-and-bound solves (the baseline included) and their nodes.
     """
     inst = read_instance(path)
     root = inst.lp.solve()
     weights: dict[tuple[int, ...], float] = {}
-    search_cost = {"probes": 0, "distinct_subsets": 0, "probe_nodes": 0}
+    search_cost = dict.fromkeys(("probes", "distinct_subsets", "probe_nodes", "selections", "max_depth"), 0)
     if cfg.method == MCTS:
         ranked = mcts_search(
             inst,

@@ -87,6 +87,16 @@ def _sample_weights(inst: MilpInstance, why: str) -> tuple[np.ndarray, np.ndarra
     return pool, weights
 
 
+def _weighted_draw(rng: np.random.Generator, pool, weights, need: int, taken=()) -> tuple[int, ...]:
+    """``need`` variables of ``pool`` outside ``taken``, drawn without
+    replacement with probability proportional to their ``weights``."""
+    if taken:
+        free = ~np.isin(pool, taken)
+        pool, weights = pool[free], weights[free]
+    chosen = rng.choice(pool, size=need, replace=False, p=weights / weights.sum())
+    return tuple(int(j) for j in chosen)
+
+
 def biased_sample(inst: MilpInstance, K: int, count: int, seed: int) -> list[Backdoor]:
     """Draw ``count`` size-K subsets weighted by root-LP fractionality.
 
@@ -99,12 +109,7 @@ def biased_sample(inst: MilpInstance, K: int, count: int, seed: int) -> list[Bac
     if K > pool.size:
         raise ValueError(f"K={K} exceeds the {pool.size} binary variables")
     rng = _rng(seed)
-    probs = weights / weights.sum()
-    out = []
-    for _ in range(count):
-        chosen = rng.choice(pool, size=K, replace=False, p=probs)
-        out.append(Backdoor(tuple(int(j) for j in chosen)))
-    return out
+    return [Backdoor(_weighted_draw(rng, pool, weights, K)) for _ in range(count)]
 
 
 class _MctsNode:
@@ -135,7 +140,9 @@ def mcts_search(
     subsets ranked by reward (ties: fewer probe nodes, then lexicographic),
     truncated to ``top_k``.  A given ``stats`` dict receives the search's
     cost: ``probes`` (one per iteration), ``distinct_subsets`` (the probes
-    that ran a branch and bound) and ``probe_nodes`` (their nodes).
+    that ran a branch and bound), ``probe_nodes`` (their nodes),
+    ``selections`` (the iterations that ran the UCT selection step) and
+    ``max_depth`` (the size of the deepest state expanded).
     """
     pool = sorted(inst.binary_set)
     if K > len(pool):
@@ -143,8 +150,8 @@ def mcts_search(
     if iteration_budget < 1:
         raise ValueError("iteration budget exhausted before any terminal evaluation")
     bias_pool, bias_weights = _sample_weights(inst, "MCTS")
-    weight_of = {int(v): float(w) for v, w in zip(bias_pool, bias_weights)}
     rng = _rng(seed)
+    selections = max_depth = 0
 
     tree: dict[tuple[int, ...], _MctsNode] = {(): _MctsNode(list(pool))}
     evaluated: dict[tuple[int, ...], tuple[float, int]] = {}
@@ -156,17 +163,16 @@ def mcts_search(
         return evaluated[subset][0]
 
     def rollout(state: tuple[int, ...]) -> tuple[int, ...]:
-        free = [v for v in pool if v not in state]
-        need = K - len(state)
-        w = np.array([weight_of[v] for v in free])
-        chosen = rng.choice(np.array(free), size=need, replace=False, p=w / w.sum())
-        return tuple(sorted(state + tuple(int(v) for v in chosen)))
+        drawn = _weighted_draw(rng, bias_pool, bias_weights, K - len(state), state)
+        return tuple(sorted(state + drawn))
 
     for _ in range(iteration_budget):
         state: tuple[int, ...] = ()
         path = [state]
         node = tree[state]
         while len(state) < K and not node.untried:
+            if len(path) == 1:  # the iteration's first selection step
+                selections += 1
             log_n = math.log(node.visits)
             best_child = None
             best_score = -math.inf
@@ -188,6 +194,7 @@ def mcts_search(
                 tree[child_key] = _MctsNode([v for v in pool if v not in child_key])
             node.children.append(child_key)
             state = child_key
+            max_depth = max(max_depth, len(state))
             path.append(state)
         terminal = state if len(state) == K else rollout(state)
         reward = probe(terminal)
@@ -201,6 +208,8 @@ def mcts_search(
             probes=iteration_budget,
             distinct_subsets=len(evaluated),
             probe_nodes=sum(nodes for _, nodes in evaluated.values()),
+            selections=selections,
+            max_depth=max_depth,
         )
 
     ranked = sorted(

@@ -125,6 +125,18 @@ def test_unknown_family_rejected(capsys):
         main(["generate", "--family", "bogus", "--out", "/tmp/x"])
 
 
+@pytest.mark.parametrize("family, option", [
+    ("gisp", "--density"),
+    ("setcover", "--nodes"),
+])
+def test_size_option_of_another_family_rejected(tmp_path, capsys, family, option):
+    out = tmp_path / "inst"
+    code = main(["generate", "--family", family, option, "3", "--out", str(out)])
+    assert code == 2
+    assert option in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_instance_file_is_an_error_not_a_traceback(tmp_path, capsys):
     code = main(["solve", "--instance", str(tmp_path / "nope.bdmilp")])
     assert code == 2

@@ -139,10 +139,3 @@ def test_config_validation():
         g.gen_setcover(density=0.0)
     with pytest.raises(ValueError):
         g.gen_mis(nodes=10, avg_degree=10)
-    with pytest.raises(ValueError):
-        g.GenConfig(family="nope", seed=0).build()
-
-
-def test_genconfig_dispatch():
-    inst = g.GenConfig(family="mis", seed=2, params={"nodes": 10, "avg_degree": 3}).build()
-    assert inst.num_vars == 10

@@ -91,7 +91,10 @@ class TestCollect:
         # with LP counters and search and labeling costs that are exact and
         # so equal for any worker count.
         sidecars = [timing_lines(tmp_path / f"{name}.jsonl") for name in ("w1", "w4")]
-        exact = ("counters", "probes", "distinct_subsets", "probe_nodes", "label_solves", "label_nodes")
+        exact = (
+            "counters", "probes", "distinct_subsets", "probe_nodes", "selections", "max_depth",
+            "label_solves", "label_nodes",
+        )
         for lines in sidecars:
             assert [t["file"] for t in lines] == [f"gisp_n22_s{i}.bdmilp" for i in range(4)]
             assert all(set(t) == {"file", "seconds", *exact} and t["seconds"] > 0.0 for t in lines)

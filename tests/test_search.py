@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from backdoorlab.bnb import restricted_probe
-from backdoorlab.generators import gen_mis
+from backdoorlab.generators import gen_gisp, gen_mis
 from backdoorlab.milp import fractionality, make_instance
 from backdoorlab.search import (
     Backdoor,
@@ -149,6 +149,19 @@ class TestMcts:
                 for b in sampled
             )
             assert ranked[0][1] >= best_sampled - 1e-12
+
+    @pytest.mark.parametrize("budget", [30, 200])
+    def test_stats_count_selections_and_depth(self, budget):
+        """The root holds one untried action per binary, so the first
+        ``n`` iterations each expand a root child and select nothing; every
+        later iteration selects a root child and expands below it."""
+        for seed in range(4):
+            inst = gen_gisp(nodes=25, seed=seed)
+            n = len(inst.binary_set)
+            stats = {}
+            mcts_search(inst, K=4, iteration_budget=budget, probe_node_limit=12, seed=seed, stats=stats)
+            assert stats["selections"] == max(0, budget - n)
+            assert stats["max_depth"] == (1 if budget <= n else 2)
 
     def test_zero_budget_signaled(self):
         inst = gen_mis(nodes=6, avg_degree=3.0, seed=0)
