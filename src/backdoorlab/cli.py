@@ -48,10 +48,13 @@ def _flag(name: str) -> str:
 
 def _cmd_generate(args) -> int:
     gen = generators.GENERATORS[args.family]
-    params = {name: getattr(args, name) for name in _size_options() if getattr(args, name) is not None}
-    stray = [name for name in params if name not in inspect.signature(gen).parameters]
+    given = {name: getattr(args, name) for name in _size_options() if getattr(args, name) is not None}
+    sizes = inspect.signature(gen).parameters
+    stray = [name for name in given if name not in sizes]
     if stray:
         raise ValueError(f"family {args.family} takes no {', '.join(map(_flag, stray))}")
+    # Every size the generator runs with, defaults included, so the manifest says it.
+    params = {name: p.default for name, p in sizes.items() if name != "seed"} | given
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     entries = []

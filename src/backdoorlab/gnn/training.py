@@ -19,7 +19,7 @@ from ..features import BipartiteGraph
 # ``infonce_loss`` stays bound here because perfbench/layertrace.py wraps it by name.
 from .loss import infonce_loss, infonce_loss_and_grad  # noqa: F401
 from .model import GatParameters, score_graph
-from .optim import AdamState, adam_step
+from .optim import _BLOCK, AdamState, adam_step
 
 
 @dataclass(frozen=True)
@@ -85,6 +85,23 @@ def _add_batch_gradient(
     return loss
 
 
+def _norm(vector: np.ndarray, scratch: np.ndarray) -> float:
+    """The L2 norm of a flat ``vector``, squared and summed over slices of
+    ``_BLOCK`` entries through ``scratch`` (at least that long, or as long
+    as ``vector``), so no temporary is as large as ``vector``.
+
+    Not a BLAS dot: at this size a threaded BLAS leaves spinning threads
+    behind that slow down the next batch.
+    """
+    total = 0.0
+    for lo in range(0, len(vector), _BLOCK):
+        part = vector[lo : lo + _BLOCK]
+        sq = scratch[: len(part)]
+        np.square(part, out=sq)
+        total += float(sq.sum())
+    return math.sqrt(total)
+
+
 def train(
     dataset: list[TrainSample], cfg: TrainConfig, epoch_log: list | None = None
 ) -> tuple[GatParameters, list[float]]:
@@ -109,6 +126,7 @@ def train(
     )
     grad = np.empty_like(params.vector)
     grads = params.views(grad)
+    scratch = np.empty(min(len(grad), _BLOCK)) if epoch_log is not None else None
     curve: list[float] = []
     n = len(dataset)
     for _epoch in range(cfg.epochs):
@@ -123,9 +141,7 @@ def train(
             adam_step(params.vector, grad, state, lr=cfg.learning_rate, wd=cfg.weight_decay)
             epoch_loss += batch_loss * len(batch)
             if epoch_log is not None:
-                # Not a BLAS dot: at this size a threaded BLAS leaves spinning
-                # threads behind that slow down the next batch.
-                norms.append(math.sqrt(float(np.square(grad).sum())))
+                norms.append(_norm(grad, scratch))
         curve.append(epoch_loss / n)
         if epoch_log is not None:
             epoch_log.append(

@@ -109,10 +109,11 @@ def validate_instance(inst: MilpInstance) -> ValidationReport:
     bad = _structural_violations(inst)
     if not inst.binary_set:
         bad.append("binary set is empty")
+    bounded = min(len(inst.lower), len(inst.upper))  # short bounds are reported above
     for j in sorted(inst.binary_set):
         if not 0 <= j < inst.num_vars:
             bad.append(f"binary index {j} out of range")
-        elif inst.lower[j] != 0.0 or inst.upper[j] != 1.0:
+        elif j < bounded and (inst.lower[j] != 0.0 or inst.upper[j] != 1.0):
             bad.append(f"binary bound: column {j} has bounds [{inst.lower[j]}, {inst.upper[j]}]")
     return ValidationReport(ok=not bad, violations=tuple(bad))
 

@@ -15,6 +15,7 @@ representation, so a run with 4 workers is byte-identical to a run with 1.
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import csv
 import json
 import time
@@ -173,20 +174,26 @@ def collect_one(
 
 
 def _collect_worker(args):
-    """One instance's (record, manifest entry) and timing line; ``args`` is
-    ``(index, path, seed, cfg)``, where the index only names the job."""
+    """One instance's dataset line, manifest entry and timing line.
+
+    ``args`` is ``(index, path, seed, cfg)``, where the index only names the
+    job.  The dataset line is the kept record as ``json.dumps(record,
+    sort_keys=True)``, or None for a skipped or failed instance; encoding it
+    here keeps that work in the pool and sends the parent one string.
+    """
     _, path, seed, cfg = args
     name = Path(path).name
     timing: dict = {"file": name}
     t0 = time.perf_counter()
     try:
-        res = collect_one(path, seed, cfg, timing)
+        record, entry = collect_one(path, seed, cfg, timing)
     except Exception as exc:  # one bad instance is recorded, not fatal to the batch
         error = f"{type(exc).__name__}: {exc}"
-        res = (None, {"file": name, "error": error})
+        record, entry = None, {"file": name, "error": error}
         timing = {"file": name, "error": error}
     timing["seconds"] = time.perf_counter() - t0
-    return res, timing
+    line = None if record is None else json.dumps(record, sort_keys=True)
+    return line, entry, json.dumps(timing, sort_keys=True)
 
 
 def collect_dataset(
@@ -204,35 +211,49 @@ def collect_dataset(
     sidecar ``<out>.timing.jsonl`` instead, one line per instance in
     instance order: the file, the wall seconds of ``collect_one`` and its
     exact cost (see :func:`collect_one`), or for a failed instance its error.
+
+    The dataset and the sidecar are streamed: each instance's lines are
+    written as soon as the instances before it are done, into ``.tmp`` files
+    beside the targets, which are renamed into place after the last instance
+    and before the manifest is written.  The calling process thus holds no
+    record once written, and a batch that dies (a pool worker killed, say)
+    leaves no output behind.
     """
     cfg = cfg or CollectConfig()
     paths = instance_paths(instance_dir)
     jobs = [
         (i, str(p), _instance_seed(cfg.seed, i), cfg) for i, p in enumerate(paths)
     ]
-    if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_collect_worker, jobs))
-    else:
-        results = list(map(_collect_worker, jobs))
-    records, entries, timings = [], [], []
-    for (record, entry), timing in results:  # in job order, as both maps yield
-        entries.append(entry)
-        timings.append(timing)
-        if record is not None:
-            records.append(record)
     out_path = Path(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(out_path, "w", encoding="ascii") as fh:
-        for record in records:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
-    with open(str(out_path) + ".timing.jsonl", "w", encoding="ascii") as fh:
-        for timing in timings:
-            fh.write(json.dumps(timing, sort_keys=True) + "\n")
+    targets = (out_path, out_path.with_name(out_path.name + ".timing.jsonl"))
+    temps = [t.with_name(t.name + ".tmp") for t in targets]
+    entries = []
+    kept = 0
+    try:
+        with contextlib.ExitStack() as stack:
+            data, sidecar = [stack.enter_context(open(t, "w", encoding="ascii")) for t in temps]
+            if workers > 1:
+                pool = stack.enter_context(concurrent.futures.ProcessPoolExecutor(max_workers=workers))
+                results = pool.map(_collect_worker, jobs)
+            else:
+                results = map(_collect_worker, jobs)
+            for line, entry, timing_line in results:  # in job order, as both maps yield
+                entries.append(entry)
+                if line is not None:
+                    data.write(line + "\n")
+                    kept += 1
+                sidecar.write(timing_line + "\n")
+    except BaseException:
+        for t in temps:
+            t.unlink(missing_ok=True)
+        raise
+    for t, target in zip(temps, targets):
+        t.replace(target)
     manifest = {
         "config": asdict(cfg),
         "instances": entries,
-        "kept": len(records),
+        "kept": kept,
         "skipped": sum(e.get("skip_reason") is not None for e in entries),
         "failed": sum("error" in e for e in entries),
     }

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from backdoorlab import generators
 from backdoorlab.cli import main
 from backdoorlab.milp import read_instance
 
@@ -26,6 +27,24 @@ def test_generate_writes_files_and_manifest(tmp_path, capsys):
     inst = read_instance(tmp_path / "inst" / entry["file"])
     assert inst.num_vars == entry["n"] == 12
     assert inst.num_cons == entry["m"]
+
+
+@pytest.mark.parametrize("options, nodes", [((), 150), (("--nodes", "12"), 12)])
+def test_generate_manifest_records_every_size(tmp_path, capsys, options, nodes):
+    code, _ = run(
+        capsys, "generate", "--family", "gisp", "--seed", "3", *options,
+        "--out", str(tmp_path / "inst"),
+    )
+    assert code == 0
+    (entry,) = json.loads((tmp_path / "inst" / "manifest.json").read_text())["instances"]
+    assert entry["params"] == {
+        "nodes": nodes,
+        "edge_prob": generators.GISP_EDGE_PROB,
+        "removable_frac": generators.GISP_REMOVABLE_FRAC,
+        "node_reward": generators.GISP_NODE_REWARD,
+        "edge_cost": generators.GISP_EDGE_COST,
+    }
+    assert read_instance(tmp_path / "inst" / entry["file"]).num_vars >= nodes
 
 
 def test_solve_prints_json(tmp_path, capsys):

@@ -70,6 +70,14 @@ class TestValidate:
         )
         assert not validate_instance(inst).ok
 
+    def test_short_bounds_are_reported_not_raised(self):
+        inst = MilpInstance(
+            name="sb", num_vars=3, objective=(1.0, 1.0, 1.0), rows=(), rhs=(), senses=(),
+            lower=(0.0, 0.0), upper=(1.0, 1.0), binary_set=frozenset([2]),
+        )
+        rep = validate_instance(inst)
+        assert rep.violations == ("bounds length != num_vars",)
+
     @pytest.mark.parametrize("coef", [float("nan"), INF, -INF])
     def test_non_finite_objective_flagged(self, coef):
         rep = validate_instance(simple(objective=[coef]))

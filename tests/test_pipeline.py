@@ -1,8 +1,12 @@
 import hashlib
 import json
+import multiprocessing
+import os
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+from backdoorlab import pipeline
 from backdoorlab.generators import gen_gisp
 from backdoorlab.gnn import GatParameters, TrainConfig
 from backdoorlab.milp import make_instance, write_instance
@@ -103,6 +107,48 @@ class TestCollect:
             assert all(0 < t["distinct_subsets"] <= min(t["probes"], t["probe_nodes"]) for t in lines)
             assert all(t["label_solves"] >= 2 and t["label_nodes"] >= t["label_solves"] for t in lines)
         assert [[t[k] for k in exact] for t in sidecars[0]] == [[t[k] for k in exact] for t in sidecars[1]]
+
+    def test_worker_returns_the_encoded_record(self, tmp_path):
+        """A kept instance comes back as its dataset line, a skipped one as None."""
+        write_gisp_dir(tmp_path, [0])
+        write_gisp_dir(tmp_path, [1], nodes=6)  # closes at the root: skipped
+        cfg = CollectConfig(**SMALL_COLLECT)
+        kept = []
+        for i, path in enumerate(sorted(tmp_path.glob("*.bdmilp"))):
+            record, entry = collect_one(path, 7, cfg)
+            line, worker_entry, timing = pipeline._collect_worker((i, str(path), 7, cfg))
+            assert line == (None if record is None else json.dumps(record, sort_keys=True))
+            assert worker_entry == entry
+            assert json.loads(timing)["file"] == path.name
+            kept.append(record is not None)
+        assert kept == [True, False]  # gisp_n22_s0, then gisp_n6_s1
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the patched collect_one reaches pool workers only when they fork",
+    )
+    def test_dead_worker_leaves_no_output(self, tmp_path, monkeypatch):
+        """A pool worker that ends its process (standing in for an OOM kill)
+        fails the batch, and the batch leaves no file behind."""
+        write_gisp_dir(tmp_path / "inst", range(4), nodes=6)
+        pids = tmp_path / "pids"
+        original = pipeline.collect_one
+
+        def dying_collect_one(path, *args):
+            with open(pids, "a", encoding="ascii") as fh:
+                fh.write(f"{os.getpid()}\n")
+            if path.endswith("_s2.bdmilp"):
+                os._exit(1)
+            return original(path, *args)
+
+        monkeypatch.setattr(pipeline, "collect_one", dying_collect_one)
+        cfg = CollectConfig(K=2, top_k=4, p=1, q=1, mcts_budget=6, probe_node_limit=4, seed=0)
+        with pytest.raises(BrokenProcessPool):
+            collect_dataset(tmp_path / "inst", tmp_path / "ds.jsonl", cfg, workers=2)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["inst", "pids"]
+        started = set(pids.read_text().split())
+        assert 1 <= len(started) <= 2 and str(os.getpid()) not in started
+        assert not multiprocessing.active_children()
 
     def test_failed_instance_is_recorded_not_fatal(self, tmp_path):
         write_gisp_dir(tmp_path / "inst", [0])

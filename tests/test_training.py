@@ -14,7 +14,8 @@ from backdoorlab.gnn import (
 )
 from backdoorlab.gnn import autodiff as ad
 from backdoorlab.gnn.loss import infonce_loss_and_grad
-from backdoorlab.gnn.training import batch_gradient
+from backdoorlab.gnn.optim import _BLOCK
+from backdoorlab.gnn.training import _norm, batch_gradient
 from backdoorlab.milp import make_instance
 
 from test_gat import per_edge_scores, tape_tensors
@@ -201,6 +202,13 @@ def test_epoch_log_records_time_and_gradient_norm():
         assert set(entry) == {"seconds", "grad_norm"}
         assert entry["seconds"] > 0.0
         assert np.isfinite(entry["grad_norm"]) and entry["grad_norm"] > 0.0
+
+
+@pytest.mark.parametrize("size", [5, _BLOCK, 3 * _BLOCK + 123])
+def test_blocked_gradient_norm_matches_numpy(size):
+    vector = np.random.default_rng(size).normal(size=size) * 1e3
+    scratch = np.empty(min(size, _BLOCK))
+    np.testing.assert_allclose(_norm(vector, scratch), np.linalg.norm(vector), rtol=1e-12)
 
 
 def test_training_and_inference_build_no_tensor(monkeypatch):
