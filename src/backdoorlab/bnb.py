@@ -44,6 +44,10 @@ class BnbConfig:
     allowed_branch_set: frozenset[int] | None = None
     node_limit: int | None = None
 
+    def __post_init__(self):
+        if self.node_limit is not None and self.node_limit < 1:
+            raise ValueError(f"node_limit must be None or at least 1, got {self.node_limit}")
+
 
 # Why a node became a leaf; ``SolveResult.fathomed`` counts each.
 FATHOM_REASONS = ("infeasible", "bound", "integral", "restricted")

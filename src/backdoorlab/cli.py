@@ -155,21 +155,19 @@ def _cmd_predict(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     params = load_model(args.model)
-    records, summary = evaluate(
-        params,
-        args.instances,
-        K=args.K,
-        node_cap=args.node_cap,
-        wallclock=args.wallclock,
-    )
+    records, summary = evaluate(params, args.instances, K=args.K, node_cap=args.node_cap)
     report(records, args.out)
+    # Wall-clock cost stays out of results.csv: one line per row, in row order.
+    with open(Path(args.out) / "timing.jsonl", "w", encoding="ascii") as fh:
+        for r in records:
+            timing = {"instance": r.instance, "overhead_seconds": r.overhead_seconds}
+            fh.write(json.dumps(timing, sort_keys=True) + "\n")
     manifest = {
         "K": args.K,
         "instances": str(args.instances),
         "model": str(args.model),
         "node_cap": args.node_cap,
         "summary": summary,
-        "wallclock": args.wallclock,
     }
     with open(Path(args.out) / "manifest.json", "w", encoding="ascii") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -241,16 +239,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("predict", help="print the predicted backdoor for an instance")
     p.add_argument("--model", required=True)
     p.add_argument("--instance", required=True)
-    p.add_argument("--K", type=int, default=8)
+    p.add_argument("--K", type=int, default=CollectConfig.K)
     p.set_defaults(func=_cmd_predict)
 
     e = sub.add_parser("evaluate", help="compare model-guided vs default solving")
     e.add_argument("--model", required=True)
     e.add_argument("--instances", required=True)
-    e.add_argument("--K", type=int, default=8)
+    e.add_argument("--K", type=int, default=CollectConfig.K)
     e.add_argument("--node-cap", dest="node_cap", type=int, default=None)
     e.add_argument("--out", required=True)
-    e.add_argument("--wallclock", action="store_true")
     e.set_defaults(func=_cmd_evaluate)
 
     r = sub.add_parser("report", help="rebuild summary files from results.csv")

@@ -19,7 +19,7 @@ import contextlib
 import csv
 import json
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +37,7 @@ LOSS = "LOSS"
 MCTS = "mcts"
 SAMPLING = "sampling"
 
-# The columns of results.csv; ``overhead_seconds`` follows them when recorded.
+# The columns of results.csv.
 _RESULT_COLUMNS = (
     "instance", "baseline", "method", "improvement_pct", "outcome",
     "baseline_censored", "method_censored",
@@ -61,6 +61,12 @@ class CollectConfig:
     def __post_init__(self):
         if self.method not in (MCTS, SAMPLING):
             raise ValueError(f"unknown collection method {self.method!r}")
+        for name in ("K", "top_k", "p", "q", "mcts_budget"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        # Both node limits obey BnbConfig's rule, checked before any worker starts.
+        BnbConfig(node_limit=self.probe_node_limit)
+        BnbConfig(node_limit=self.label_node_limit)
 
 
 @dataclass
@@ -72,7 +78,8 @@ class EvalRecord:
     outcome: str
     baseline_censored: bool = False
     method_censored: bool = False
-    overhead_seconds: float | None = None
+    # Seconds of featurize, model and selection; None when read from a CSV.
+    overhead_seconds: float | None = field(default=None, compare=False)
 
 
 def instance_paths(instance_dir) -> list[Path]:
@@ -301,15 +308,13 @@ def predict_backdoor(params: GatParameters, inst: MilpInstance, K: int) -> Backd
     return greedy_select(scores, graph.binary_mask, K)
 
 
-def _evaluate_one(params, path, K: int, node_cap: int | None, wallclock: bool) -> EvalRecord:
+def _evaluate_one(params, path, K: int, base_cfg: BnbConfig) -> EvalRecord:
     inst = read_instance(path)
     t0 = time.perf_counter()
     backdoor = predict_backdoor(params, inst, K)
     overhead = time.perf_counter() - t0
-    base = solve_bnb(inst, BnbConfig(node_limit=node_cap))
-    method = solve_bnb(
-        inst, BnbConfig(priorities=backdoor_priorities(backdoor.vars), node_limit=node_cap)
-    )
+    base = solve_bnb(inst, base_cfg)
+    method = solve_bnb(inst, replace(base_cfg, priorities=backdoor_priorities(backdoor.vars)))
     be, me = base.nodes_processed, method.nodes_processed
     return EvalRecord(
         instance=inst.name,
@@ -319,30 +324,31 @@ def _evaluate_one(params, path, K: int, node_cap: int | None, wallclock: bool) -
         outcome=WIN if me < be else (TIE if me == be else LOSS),
         baseline_censored=base.status == NODE_LIMIT,
         method_censored=method.status == NODE_LIMIT,
-        overhead_seconds=overhead if wallclock else None,
+        overhead_seconds=overhead,
     )
 
 
 def evaluate(
     params: GatParameters,
     instance_dir,
-    K: int = 8,
+    K: int = CollectConfig.K,
     node_cap: int | None = None,
-    wallclock: bool = False,
 ) -> tuple[list[EvalRecord], dict]:
     """Baseline solve vs. predicted-backdoor solve for every instance.
 
-    Node-cap hits are censored at the cap and flagged.  ``wallclock``
-    additionally records the model+selection overhead in seconds (reported
-    separately, never part of the effort comparison).  An instance that
-    raises is skipped: the summary's ``failed`` counts them and ``errors``
-    lists ``{"instance": <file name>, "error": "<Type>: <message>"}``.
+    Node-cap hits are censored at the cap and flagged; a cap below 1 raises
+    before any instance runs.  Each record carries the featurize, model and
+    selection wall seconds as ``overhead_seconds``, which records do not
+    compare on and ``report`` does not write.  An instance that raises is
+    skipped: the summary's ``failed`` counts them and ``errors`` lists
+    ``{"instance": <file name>, "error": "<Type>: <message>"}``.
     Summarizing raises if no instance succeeds.
     """
+    base_cfg = BnbConfig(node_limit=node_cap)
     records, errors = [], []
     for path in instance_paths(instance_dir):
         try:
-            records.append(_evaluate_one(params, path, K, node_cap, wallclock))
+            records.append(_evaluate_one(params, path, K, base_cfg))
         except Exception as exc:  # one bad instance is recorded, not fatal to the run
             errors.append({"instance": path.name, "error": f"{type(exc).__name__}: {exc}"})
     summary = summarize(records)
@@ -400,13 +406,9 @@ def report(records: list[EvalRecord], out_dir) -> dict:
     # A field holding a comma, a quote or a line break is quoted; no other field is.
     with open(out / "results.csv", "w", encoding="ascii", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        cols = list(_RESULT_COLUMNS)
-        extra = any(r.overhead_seconds is not None for r in records)
-        if extra:
-            cols.append("overhead_seconds")
-        writer.writerow(cols)
+        writer.writerow(_RESULT_COLUMNS)
         for r in records:
-            row = [
+            writer.writerow([
                 r.instance,
                 str(r.baseline_effort),
                 str(r.method_effort),
@@ -414,10 +416,7 @@ def report(records: list[EvalRecord], out_dir) -> dict:
                 r.outcome,
                 str(int(r.baseline_censored)),
                 str(int(r.method_censored)),
-            ]
-            if extra:
-                row.append(_fmt_float(r.overhead_seconds or 0.0))
-            writer.writerow(row)
+            ])
 
     with open(out / "summary.txt", "w", encoding="ascii") as fh:
         b, m = summary["baseline"], summary["method"]
@@ -460,8 +459,9 @@ def read_results_csv(path) -> list[EvalRecord]:
 
     Fields are read with the ``csv`` module's quoting, so an instance name
     may hold a comma.  A missing column, a row whose field count is not the
-    header's, a value that does not parse or an unknown outcome raises
-    ``ValueError`` naming the line.  Blank lines are skipped.
+    header's, a value that does not parse, an unknown outcome or a censored
+    flag other than 0 or 1 raises ``ValueError`` naming the line.  Blank
+    lines and columns beyond ``_RESULT_COLUMNS`` are skipped.
     """
     records = []
     with open(path, "r", encoding="ascii", newline="") as fh:
@@ -485,15 +485,15 @@ def _result_record(header: list[str], parts: list[str]) -> EvalRecord:
     row = dict(zip(header, parts))
     if row["outcome"] not in (WIN, TIE, LOSS):
         raise ValueError(f"unknown outcome {row['outcome']!r}")
+    for flag in (row["baseline_censored"], row["method_censored"]):
+        if flag not in ("0", "1"):
+            raise ValueError(f"censored flag {flag!r}, expected 0 or 1")
     return EvalRecord(
         instance=row["instance"],
         baseline_effort=int(row["baseline"]),
         method_effort=int(row["method"]),
         improvement_pct=float(row["improvement_pct"]),
         outcome=row["outcome"],
-        baseline_censored=bool(int(row["baseline_censored"])),
-        method_censored=bool(int(row["method_censored"])),
-        overhead_seconds=(
-            float(row["overhead_seconds"]) if "overhead_seconds" in row else None
-        ),
+        baseline_censored=row["baseline_censored"] == "1",
+        method_censored=row["method_censored"] == "1",
     )

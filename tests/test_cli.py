@@ -1,10 +1,15 @@
+import csv
+import inspect
 import json
+import math
 
 import pytest
 
 from backdoorlab import generators
-from backdoorlab.cli import main
-from backdoorlab.milp import read_instance
+from backdoorlab.cli import build_parser, main
+from backdoorlab.gnn import GatParameters, save_model
+from backdoorlab.milp import read_instance, write_instance
+from backdoorlab.pipeline import _RESULT_COLUMNS, CollectConfig, evaluate
 
 
 def run(capsys, *argv):
@@ -129,6 +134,14 @@ def test_full_workflow(tmp_path, capsys):
     assert (evaldir / "finishrate.csv").exists()
     run_manifest = json.loads((evaldir / "manifest.json").read_text())
     assert run_manifest["K"] == 3 and run_manifest["summary"]["instances"] == 2
+    with open(evaldir / "results.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert tuple(header) == _RESULT_COLUMNS
+    timing = [json.loads(line) for line in (evaldir / "timing.jsonl").read_text().splitlines()]
+    assert [t["instance"] for t in timing] == [row[0] for row in rows]
+    for t in timing:
+        assert set(t) == {"instance", "overhead_seconds"}
+        assert math.isfinite(t["overhead_seconds"]) and t["overhead_seconds"] >= 0
 
     report_dir = tmp_path / "rebuilt"
     code, out = run(
@@ -194,8 +207,9 @@ RESULTS_HEADER = "instance,baseline,method,improvement_pct,outcome,baseline_cens
         ),
         (RESULTS_HEADER + "g1,10,5,50.0,WIN,0,0\ng2,10,5\n", "line 3: 3 fields, expected 7"),
         (RESULTS_HEADER + "g1,10,5,50.0,BOGUS,0,0\n", "line 2: unknown outcome 'BOGUS'"),
+        (RESULTS_HEADER + "g1,10,5,50.0,WIN,2,-1\n", "line 2: censored flag '2', expected 0 or 1"),
     ],
-    ids=["missing-column", "short-row", "unknown-outcome"],
+    ids=["missing-column", "short-row", "unknown-outcome", "censored-flag"],
 )
 def test_malformed_results_csv_is_an_error_naming_the_line(tmp_path, capsys, text, message):
     results = tmp_path / "results.csv"
@@ -204,3 +218,67 @@ def test_malformed_results_csv_is_an_error_naming_the_line(tmp_path, capsys, tex
     assert code == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_report_rewrites_a_results_csv_with_an_overhead_column_in_the_one_layout(tmp_path, capsys):
+    results = tmp_path / "results.csv"
+    results.write_text(RESULTS_HEADER[:-1] + ",overhead_seconds\ng1,10,5,50.0,WIN,0,1,0.25\n")
+    code = main(["report", "--results", str(results), "--out", str(tmp_path / "out")])
+    assert code == 0
+    assert (tmp_path / "out" / "results.csv").read_text() == RESULTS_HEADER + "g1,10,5,50.0,WIN,0,1\n"
+
+
+def test_K_defaults_to_the_collect_default():
+    parser = build_parser()
+    for argv in (
+        ["predict", "--model", "m", "--instance", "i"],
+        ["evaluate", "--model", "m", "--instances", "d", "--out", "o"],
+    ):
+        assert parser.parse_args(argv).K == CollectConfig.K
+    assert inspect.signature(evaluate).parameters["K"].default == CollectConfig.K
+
+
+@pytest.fixture
+def one_instance(tmp_path):
+    inst_dir = tmp_path / "inst"
+    inst_dir.mkdir()
+    inst = generators.gen_gisp(nodes=12, seed=0)
+    write_instance(inst, inst_dir / f"{inst.name}.bdmilp")
+    return inst_dir
+
+
+@pytest.mark.parametrize("flag, message", [
+    ("--K", "K must be at least 1"),
+    ("--k", "top_k must be at least 1"),
+    ("--p", "p must be at least 1"),
+    ("--q", "q must be at least 1"),
+    ("--budget", "mcts_budget must be at least 1"),
+    ("--probe-limit", "node_limit must be None or at least 1"),
+    ("--label-limit", "node_limit must be None or at least 1"),
+])
+def test_collect_rejects_a_value_below_one_before_it_starts(tmp_path, capsys, one_instance, flag, message):
+    out = tmp_path / "ds.jsonl"
+    code = main(["collect", "--instances", str(one_instance), "--out", str(out), "--workers", "2", flag, "0"])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [one_instance]
+
+
+def test_evaluate_rejects_a_node_cap_below_one(tmp_path, capsys, one_instance):
+    model = tmp_path / "model.ckpt"
+    save_model(GatParameters.init(seed=0, L=8, H=2, hidden=6), model)
+    out = tmp_path / "eval"
+    code = main([
+        "evaluate", "--model", str(model), "--instances", str(one_instance), "--K", "3",
+        "--node-cap", "0", "--out", str(out),
+    ])
+    assert code == 2
+    assert "node_limit must be None or at least 1, got 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_solve_rejects_a_node_limit_below_one(capsys, one_instance):
+    (inst_file,) = one_instance.glob("*.bdmilp")
+    code = main(["solve", "--instance", str(inst_file), "--node-limit", "0"])
+    assert code == 2
+    assert "node_limit must be None or at least 1, got 0" in capsys.readouterr().err

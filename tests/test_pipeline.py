@@ -261,6 +261,10 @@ class TestEvaluate:
         for r in records:
             assert r.outcome in ("WIN", "TIE", "LOSS")
             assert r.baseline_effort >= 1 and r.method_effort >= 1
+            assert r.overhead_seconds >= 0
+        # The CSV holds no overhead, and records compare on their efforts alone.
+        report(records, tmp_path / "out")
+        assert read_results_csv(tmp_path / "out" / "results.csv") == records
 
 
     def test_failed_instance_is_recorded_not_fatal(self, tmp_path):
