@@ -61,9 +61,6 @@ class SolveResult:
     nodes_processed: int
     leaf_depths: tuple[int, ...]
     tree_weight: float
-    # Best-bound estimate at each node expansion, in processing order
-    # (only populated when solve_bnb is asked to trace).
-    bound_trace: tuple[float, ...] = ()
     # Leaves by fathom reason (``FATHOM_REASONS``): an infeasible LP, a bound
     # no better than the incumbent (when popped or after the LP solve), an
     # LP point integral on the binaries, or fractional binaries all outside
@@ -102,11 +99,7 @@ def _priority_array(inst: MilpInstance, cfg: BnbConfig) -> np.ndarray:
     return prio
 
 
-def solve_bnb(
-    inst: MilpInstance,
-    cfg: BnbConfig | None = None,
-    trace_bounds: bool = False,
-) -> SolveResult:
+def solve_bnb(inst: MilpInstance, cfg: BnbConfig | None = None) -> SolveResult:
     """Best-bound branch and bound over the binary variables of ``inst``.
 
     Each popped node re-solves its LP in ``inst.lp``, warm-started from the
@@ -140,7 +133,6 @@ def solve_bnb(
     nodes_processed = 0
     hit_limit = False
     seq = 0
-    bound_trace: list[float] = []
     # Heap entries: (bound estimate, insertion order, depth, lo, up, warm basis).
     heap: list = [(-math.inf, seq, 0, lo0, up0, None)]
 
@@ -164,9 +156,6 @@ def solve_bnb(
         if cfg.node_limit is not None and nodes_processed >= cfg.node_limit:
             hit_limit = True
             break
-        if trace_bounds:
-            # The heap minimum is the global best bound at this expansion.
-            bound_trace.append(bound_est)
         sol = ws.solve(lower=lo, upper=up, start=start)
         nodes_processed += 1
         if sol.status == LP_INFEASIBLE:
@@ -224,7 +213,6 @@ def solve_bnb(
         nodes_processed=nodes_processed,
         leaf_depths=tuple(sorted(leaf_depths)),
         tree_weight=weight,
-        bound_trace=tuple(bound_trace),
         fathomed=fathomed,
     )
 

@@ -47,6 +47,8 @@ def _flag(name: str) -> str:
 
 
 def _cmd_generate(args) -> int:
+    if args.count < 1:
+        raise ValueError(f"count must be at least 1, got {args.count}")
     gen = generators.GENERATORS[args.family]
     given = {name: getattr(args, name) for name in _size_options() if getattr(args, name) is not None}
     sizes = inspect.signature(gen).parameters

@@ -71,15 +71,25 @@ class CollectConfig:
 
 @dataclass
 class EvalRecord:
+    """One instance's measured efforts; the outcome and improvement follow from them."""
+
     instance: str
     baseline_effort: int
     method_effort: int
-    improvement_pct: float
-    outcome: str
     baseline_censored: bool = False
     method_censored: bool = False
     # Seconds of featurize, model and selection; None when read from a CSV.
     overhead_seconds: float | None = field(default=None, compare=False)
+
+    @property
+    def improvement_pct(self) -> float:
+        b, m = self.baseline_effort, self.method_effort
+        return 100.0 * (b - m) / b if b else 0.0
+
+    @property
+    def outcome(self) -> str:
+        b, m = self.baseline_effort, self.method_effort
+        return WIN if m < b else (TIE if m == b else LOSS)
 
 
 def instance_paths(instance_dir) -> list[Path]:
@@ -214,10 +224,11 @@ def collect_dataset(
     Writes a JSONL dataset plus ``<out>.manifest.json``; failures and skips
     are isolated per instance and recorded, never aborting the batch.  A
     failed instance's manifest entry holds ``"error": "<Type>: <message>"``.
-    The output is independent of ``workers``.  Wall-clock cost goes to the
-    sidecar ``<out>.timing.jsonl`` instead, one line per instance in
-    instance order: the file, the wall seconds of ``collect_one`` and its
-    exact cost (see :func:`collect_one`), or for a failed instance its error.
+    The output is independent of ``workers``, and fewer than 1 raises before
+    any output is opened.  Wall-clock cost goes to the sidecar
+    ``<out>.timing.jsonl`` instead, one line per instance in instance order:
+    the file, the wall seconds of ``collect_one`` and its exact cost (see
+    :func:`collect_one`), or for a failed instance its error.
 
     The dataset and the sidecar are streamed: each instance's lines are
     written as soon as the instances before it are done, into ``.tmp`` files
@@ -227,6 +238,8 @@ def collect_dataset(
     leaves no output behind.
     """
     cfg = cfg or CollectConfig()
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     paths = instance_paths(instance_dir)
     jobs = [
         (i, str(p), _instance_seed(cfg.seed, i), cfg) for i, p in enumerate(paths)
@@ -315,13 +328,10 @@ def _evaluate_one(params, path, K: int, base_cfg: BnbConfig) -> EvalRecord:
     overhead = time.perf_counter() - t0
     base = solve_bnb(inst, base_cfg)
     method = solve_bnb(inst, replace(base_cfg, priorities=backdoor_priorities(backdoor.vars)))
-    be, me = base.nodes_processed, method.nodes_processed
     return EvalRecord(
         instance=inst.name,
-        baseline_effort=be,
-        method_effort=me,
-        improvement_pct=100.0 * (be - me) / be if be else 0.0,
-        outcome=WIN if me < be else (TIE if me == be else LOSS),
+        baseline_effort=base.nodes_processed,
+        method_effort=method.nodes_processed,
         baseline_censored=base.status == NODE_LIMIT,
         method_censored=method.status == NODE_LIMIT,
         overhead_seconds=overhead,
@@ -336,21 +346,27 @@ def evaluate(
 ) -> tuple[list[EvalRecord], dict]:
     """Baseline solve vs. predicted-backdoor solve for every instance.
 
-    Node-cap hits are censored at the cap and flagged; a cap below 1 raises
-    before any instance runs.  Each record carries the featurize, model and
-    selection wall seconds as ``overhead_seconds``, which records do not
-    compare on and ``report`` does not write.  An instance that raises is
-    skipped: the summary's ``failed`` counts them and ``errors`` lists
-    ``{"instance": <file name>, "error": "<Type>: <message>"}``.
-    Summarizing raises if no instance succeeds.
+    Node-cap hits are censored at the cap and flagged; a cap or a ``K``
+    below 1 raises before any instance runs.  Each record carries the
+    featurize, model and selection wall seconds as ``overhead_seconds``,
+    which records do not compare on and ``report`` does not write.  An
+    instance that raises is skipped: the summary's ``failed`` counts them and
+    ``errors`` lists ``{"instance": <file name>, "error": "<Type>:
+    <message>"}``.  If no instance succeeds, ``ValueError`` names the first
+    failing file and its error.
     """
     base_cfg = BnbConfig(node_limit=node_cap)
+    if K < 1:
+        raise ValueError(f"K must be at least 1, got {K}")
     records, errors = [], []
     for path in instance_paths(instance_dir):
         try:
             records.append(_evaluate_one(params, path, K, base_cfg))
         except Exception as exc:  # one bad instance is recorded, not fatal to the run
             errors.append({"instance": path.name, "error": f"{type(exc).__name__}: {exc}"})
+    if not records:
+        first = errors[0]
+        raise ValueError(f"no instance evaluated; the first, {first['instance']}, failed with {first['error']}")
     summary = summarize(records)
     summary["failed"] = len(errors)
     summary["errors"] = errors
@@ -459,9 +475,10 @@ def read_results_csv(path) -> list[EvalRecord]:
 
     Fields are read with the ``csv`` module's quoting, so an instance name
     may hold a comma.  A missing column, a row whose field count is not the
-    header's, a value that does not parse, an unknown outcome or a censored
-    flag other than 0 or 1 raises ``ValueError`` naming the line.  Blank
-    lines and columns beyond ``_RESULT_COLUMNS`` are skipped.
+    header's, a value that does not parse, an unknown outcome, an outcome or
+    improvement other than the efforts give, or a censored flag other than 0
+    or 1 raises ``ValueError`` naming the line.  Blank lines and columns
+    beyond ``_RESULT_COLUMNS`` are skipped.
     """
     records = []
     with open(path, "r", encoding="ascii", newline="") as fh:
@@ -488,12 +505,17 @@ def _result_record(header: list[str], parts: list[str]) -> EvalRecord:
     for flag in (row["baseline_censored"], row["method_censored"]):
         if flag not in ("0", "1"):
             raise ValueError(f"censored flag {flag!r}, expected 0 or 1")
-    return EvalRecord(
+    record = EvalRecord(
         instance=row["instance"],
         baseline_effort=int(row["baseline"]),
         method_effort=int(row["method"]),
-        improvement_pct=float(row["improvement_pct"]),
-        outcome=row["outcome"],
         baseline_censored=row["baseline_censored"] == "1",
         method_censored=row["method_censored"] == "1",
     )
+    if (row["outcome"], float(row["improvement_pct"])) != (record.outcome, record.improvement_pct):
+        raise ValueError(
+            f"outcome {row['outcome']} and improvement_pct {row['improvement_pct']} contradict efforts "
+            f"{record.baseline_effort}/{record.method_effort}, which give "
+            f"{record.outcome} and {_fmt_float(record.improvement_pct)}"
+        )
+    return record

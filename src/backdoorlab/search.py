@@ -49,11 +49,9 @@ class Backdoor:
 
 @dataclass(frozen=True)
 class LabeledSample:
-    instance: str
     backdoor: Backdoor
     effort: int
     label: str
-    baseline_effort: int
 
 
 @dataclass
@@ -262,18 +260,9 @@ def label_samples(
         reason = "no candidate beat the baseline" if not faster else "no candidate lost to the baseline"
         return LabelResult([], [], base_effort, efforts, skip_reason=reason)
 
-    def mk(i: int, label: str) -> LabeledSample:
-        return LabeledSample(
-            instance=inst.name,
-            backdoor=distinct[i],
-            effort=efforts[i],
-            label=label,
-            baseline_effort=base_effort,
-        )
-
     return LabelResult(
-        positives=[mk(i, POSITIVE) for i in faster[:p]],
-        negatives=[mk(i, NEGATIVE) for i in slower[:q]],
+        positives=[LabeledSample(distinct[i], efforts[i], POSITIVE) for i in faster[:p]],
+        negatives=[LabeledSample(distinct[i], efforts[i], NEGATIVE) for i in slower[:q]],
         baseline_effort=base_effort,
         efforts=efforts,
     )

@@ -1,8 +1,11 @@
 import dataclasses
+import heapq
+import types
 
 import numpy as np
 import pytest
 
+from backdoorlab import bnb
 from backdoorlab.bnb import (
     FATHOM_REASONS,
     INFEASIBLE,
@@ -112,12 +115,22 @@ def test_priority_invariance_of_objective():
             assert res.objective == pytest.approx(base.objective, abs=1e-6)
 
 
-def test_bound_trace_is_monotone():
+def test_bound_trace_is_monotone(monkeypatch):
+    """Best-bound order: the bounds of the nodes the solver pops never decrease."""
+    popped = []
+
+    def recording_pop(heap):
+        entry = heapq.heappop(heap)
+        popped.append(entry[0])
+        return entry
+
+    monkeypatch.setattr(bnb, "heapq", types.SimpleNamespace(heappush=heapq.heappush, heappop=recording_pop))
     for seed in range(6):
+        popped.clear()
         inst = random_binary_instance(seed + 90, max_bin=9, max_rows=6)
-        res = solve_bnb(inst, trace_bounds=True)
-        trace = np.array(res.bound_trace)
-        assert np.all(np.diff(trace) >= -1e-9)
+        res = solve_bnb(inst)
+        assert len(popped) >= res.nodes_processed
+        assert np.all(np.diff(popped) >= -1e-9)
 
 
 class TestSelectBranchVar:

@@ -208,8 +208,13 @@ RESULTS_HEADER = "instance,baseline,method,improvement_pct,outcome,baseline_cens
         (RESULTS_HEADER + "g1,10,5,50.0,WIN,0,0\ng2,10,5\n", "line 3: 3 fields, expected 7"),
         (RESULTS_HEADER + "g1,10,5,50.0,BOGUS,0,0\n", "line 2: unknown outcome 'BOGUS'"),
         (RESULTS_HEADER + "g1,10,5,50.0,WIN,2,-1\n", "line 2: censored flag '2', expected 0 or 1"),
+        (RESULTS_HEADER + "g1,10,5,-70.0,LOSS,0,0\n", "line 2: outcome LOSS and improvement_pct -70.0 contradict"),
+        (RESULTS_HEADER + "g1,10,5,99.0,WIN,0,0\n", "line 2: outcome WIN and improvement_pct 99.0 contradict"),
     ],
-    ids=["missing-column", "short-row", "unknown-outcome", "censored-flag"],
+    ids=[
+        "missing-column", "short-row", "unknown-outcome", "censored-flag", "contradicting-outcome",
+        "contradicting-improvement",
+    ],
 )
 def test_malformed_results_csv_is_an_error_naming_the_line(tmp_path, capsys, text, message):
     results = tmp_path / "results.csv"
@@ -255,6 +260,7 @@ def one_instance(tmp_path):
     ("--budget", "mcts_budget must be at least 1"),
     ("--probe-limit", "node_limit must be None or at least 1"),
     ("--label-limit", "node_limit must be None or at least 1"),
+    ("--workers", "workers must be at least 1, got 0"),
 ])
 def test_collect_rejects_a_value_below_one_before_it_starts(tmp_path, capsys, one_instance, flag, message):
     out = tmp_path / "ds.jsonl"
@@ -264,16 +270,47 @@ def test_collect_rejects_a_value_below_one_before_it_starts(tmp_path, capsys, on
     assert list(tmp_path.iterdir()) == [one_instance]
 
 
-def test_evaluate_rejects_a_node_cap_below_one(tmp_path, capsys, one_instance):
+@pytest.fixture
+def small_model(tmp_path):
     model = tmp_path / "model.ckpt"
     save_model(GatParameters.init(seed=0, L=8, H=2, hidden=6), model)
+    return model
+
+
+def test_evaluate_rejects_a_node_cap_below_one(tmp_path, capsys, one_instance, small_model):
+    out = tmp_path / "eval"
+    for flag, message in (
+        ("--node-cap", "node_limit must be None or at least 1, got 0"),
+        ("--K", "K must be at least 1, got 0"),
+    ):
+        code = main([
+            "evaluate", "--model", str(small_model), "--instances", str(one_instance), "--K", "3",
+            "--node-cap", "500", flag, "0", "--out", str(out),
+        ])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_evaluate_with_every_instance_failing_names_the_first_error(tmp_path, capsys, one_instance, small_model):
+    second = generators.gen_gisp(nodes=12, seed=1)
+    write_instance(second, one_instance / f"{second.name}.bdmilp")
     out = tmp_path / "eval"
     code = main([
-        "evaluate", "--model", str(model), "--instances", str(one_instance), "--K", "3",
-        "--node-cap", "0", "--out", str(out),
+        "evaluate", "--model", str(small_model), "--instances", str(one_instance), "--K", "99",
+        "--out", str(out),
     ])
     assert code == 2
-    assert "node_limit must be None or at least 1, got 0" in capsys.readouterr().err
+    first = sorted(one_instance.glob("*.bdmilp"))[0].name
+    assert f"the first, {first}, failed with ValueError: K=99 exceeds the" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_generate_rejects_a_count_below_one(tmp_path, capsys):
+    out = tmp_path / "inst"
+    code = main(["generate", "--family", "gisp", "--count", "0", "--out", str(out)])
+    assert code == 2
+    assert "count must be at least 1, got 0" in capsys.readouterr().err
     assert not out.exists()
 
 

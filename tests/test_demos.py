@@ -15,7 +15,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 def test_demo_runs(script, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), TMPDIR=str(tmp_path))
     proc = subprocess.run(
-        [sys.executable, str(script)], cwd=tmp_path, env=env,
+        [sys.executable, "-W", "error::RuntimeWarning", str(script)], cwd=tmp_path, env=env,
         capture_output=True, text=True, timeout=600,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]

@@ -227,15 +227,12 @@ class TestEvaluate:
         assert summary["failed"] == 0
 
     def test_improvement_percentage_convention(self):
-        rec = EvalRecord(
-            instance="x", baseline_effort=633, method_effort=533,
-            improvement_pct=100.0 * (633 - 533) / 633, outcome="WIN",
-        )
+        rec = EvalRecord(instance="x", baseline_effort=633, method_effort=533)
         assert rec.improvement_pct == pytest.approx(15.8, abs=0.01)
 
     def test_summary_statistics_convention(self):
         records = [
-            EvalRecord(f"i{k}", baseline_effort=e, method_effort=e, improvement_pct=0.0, outcome="TIE")
+            EvalRecord(f"i{k}", baseline_effort=e, method_effort=e)
             for k, e in enumerate([1, 2, 3, 4])
         ]
         s = summarize(records)
@@ -246,7 +243,7 @@ class TestEvaluate:
 
     def test_all_better_is_all_wins(self):
         records = [
-            EvalRecord(f"i{k}", baseline_effort=10, method_effort=5, improvement_pct=50.0, outcome="WIN")
+            EvalRecord(f"i{k}", baseline_effort=10, method_effort=5)
             for k in range(3)
         ]
         s = summarize(records)
@@ -297,9 +294,9 @@ class TestEvaluate:
 class TestReport:
     def _records(self):
         return [
-            EvalRecord("a", 50, 34, 32.0, "WIN"),
-            EvalRecord("b", 25, 25, 0.0, "TIE"),
-            EvalRecord("c", 20, 30, -50.0, "LOSS"),
+            EvalRecord("a", 50, 34),
+            EvalRecord("b", 25, 25),
+            EvalRecord("c", 20, 30),
         ]
 
     def test_csv_row_count_and_recompute(self, tmp_path):
@@ -319,7 +316,7 @@ class TestReport:
 
     def test_summary_matches_recomputation_from_csv(self, tmp_path):
         # The second input's instance name holds a comma and a quote.
-        for records in (self._records(), self._records() + [EvalRecord('d,"1"', 40, 30, 25.0, "WIN")]):
+        for records in (self._records(), self._records() + [EvalRecord('d,"1"', 40, 30)]):
             report(records, tmp_path)
             back = read_results_csv(tmp_path / "results.csv")
             assert back == records

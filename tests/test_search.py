@@ -202,7 +202,7 @@ class TestLabelSamples:
         assert [s.effort for s in res.negatives] == [40, 22]
         assert all(s.label == "POSITIVE" for s in res.positives)
         assert all(s.label == "NEGATIVE" for s in res.negatives)
-        assert all(s.baseline_effort == 15 for s in res.positives + res.negatives)
+        assert res.baseline_effort == 15
 
     def test_single_sided_example(self, monkeypatch):
         """Efforts [10, 20, 30] around baseline 15 with p=q=1."""
@@ -247,9 +247,9 @@ class TestLabelSamples:
             assert not pos & neg
             assert len(pos) <= 3 and len(neg) <= 3
             for s in res.positives:
-                assert s.effort < s.baseline_effort
+                assert s.effort < res.baseline_effort
             for s in res.negatives:
-                assert s.effort > s.baseline_effort
+                assert s.effort > res.baseline_effort
 
     def test_empty_candidates_rejected(self):
         inst = random_binary_instance(202)
