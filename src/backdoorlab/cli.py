@@ -82,13 +82,21 @@ def _cmd_generate(args) -> int:
     return 0
 
 
+def _read_priorities(path) -> dict[int, int]:
+    """A JSON object mapping variable indices to integer priorities."""
+    with open(path, "r", encoding="ascii") as fh:
+        raw = json.load(fh)
+    try:
+        if isinstance(raw, dict) and all(type(v) is int for v in raw.values()):
+            return {int(k): v for k, v in raw.items()}
+    except ValueError:
+        pass
+    raise ValueError(f"{path}: expected a JSON object mapping integer variable indices to integer priorities")
+
+
 def _cmd_solve(args) -> int:
     inst = read_instance(args.instance)
-    priorities = None
-    if args.priorities:
-        with open(args.priorities, "r", encoding="ascii") as fh:
-            raw = json.load(fh)
-        priorities = {int(k): int(v) for k, v in raw.items()}
+    priorities = _read_priorities(args.priorities) if args.priorities else None
     res = solve_bnb(inst, BnbConfig(priorities=priorities, node_limit=args.node_limit))
     print(
         json.dumps(

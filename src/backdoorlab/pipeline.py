@@ -83,13 +83,17 @@ class EvalRecord:
 
     @property
     def improvement_pct(self) -> float:
-        b, m = self.baseline_effort, self.method_effort
-        return 100.0 * (b - m) / b if b else 0.0
+        return _improvement_pct(self.baseline_effort, self.method_effort)
 
     @property
     def outcome(self) -> str:
         b, m = self.baseline_effort, self.method_effort
         return WIN if m < b else (TIE if m == b else LOSS)
+
+
+def _improvement_pct(baseline, method) -> float:
+    """``100 * (baseline - method) / baseline``, 0 when the baseline is 0."""
+    return 100.0 * (baseline - method) / baseline if baseline else 0.0
 
 
 def instance_paths(instance_dir) -> list[Path]:
@@ -284,22 +288,30 @@ def collect_dataset(
 
 
 def load_dataset(path) -> list[TrainSample]:
-    """Read a collection JSONL back into training samples."""
+    """Read a collection JSONL back into training samples.
+
+    A line that is not a collection record raises ``ValueError`` naming it.
+    """
     samples = []
     with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             if not line.strip():
                 continue
-            rec = json.loads(line)
-            pos = tuple(
-                tuple(s["backdoor"]) for s in rec["samples"] if s["label"] == "POSITIVE"
-            )
-            neg = tuple(
-                tuple(s["backdoor"]) for s in rec["samples"] if s["label"] == "NEGATIVE"
-            )
-            samples.append(
-                TrainSample(graph=graph_from_payload(rec["graph"]), positives=pos, negatives=neg)
-            )
+            try:
+                rec = json.loads(line)
+                pos = tuple(
+                    tuple(s["backdoor"]) for s in rec["samples"] if s["label"] == "POSITIVE"
+                )
+                neg = tuple(
+                    tuple(s["backdoor"]) for s in rec["samples"] if s["label"] == "NEGATIVE"
+                )
+                samples.append(
+                    TrainSample(graph=graph_from_payload(rec["graph"]), positives=pos, negatives=neg)
+                )
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValueError(
+                    f"{path}: line {lineno}: not a collection record ({type(exc).__name__}: {exc})"
+                ) from None
     return samples
 
 
@@ -398,7 +410,7 @@ def summarize(records: list[EvalRecord]) -> dict:
         "instances": len(records),
         "baseline": _stats(base),
         "method": _stats(meth),
-        "mean_improvement_pct": float(100.0 * (base.mean() - meth.mean()) / base.mean()),
+        "mean_improvement_pct": float(_improvement_pct(base.mean(), meth.mean())),
         "median_improvement_pct": float(np.percentile(imp, 50)),
         "wins": sum(r.outcome == WIN for r in records),
         "ties": sum(r.outcome == TIE for r in records),
@@ -475,10 +487,10 @@ def read_results_csv(path) -> list[EvalRecord]:
 
     Fields are read with the ``csv`` module's quoting, so an instance name
     may hold a comma.  A missing column, a row whose field count is not the
-    header's, a value that does not parse, an unknown outcome, an outcome or
-    improvement other than the efforts give, or a censored flag other than 0
-    or 1 raises ``ValueError`` naming the line.  Blank lines and columns
-    beyond ``_RESULT_COLUMNS`` are skipped.
+    header's, a value that does not parse, a negative effort, an unknown
+    outcome, an outcome or improvement other than the efforts give, or a
+    censored flag other than 0 or 1 raises ``ValueError`` naming the line.
+    Blank lines and columns beyond ``_RESULT_COLUMNS`` are skipped.
     """
     records = []
     with open(path, "r", encoding="ascii", newline="") as fh:
@@ -512,6 +524,8 @@ def _result_record(header: list[str], parts: list[str]) -> EvalRecord:
         baseline_censored=row["baseline_censored"] == "1",
         method_censored=row["method_censored"] == "1",
     )
+    if min(record.baseline_effort, record.method_effort) < 0:
+        raise ValueError(f"negative effort {record.baseline_effort}/{record.method_effort}")
     if (row["outcome"], float(row["improvement_pct"])) != (record.outcome, record.improvement_pct):
         raise ValueError(
             f"outcome {row['outcome']} and improvement_pct {row['improvement_pct']} contradict efforts "

@@ -62,12 +62,6 @@ OPTIMAL = "OPTIMAL"
 INFEASIBLE = "INFEASIBLE"
 UNBOUNDED = "UNBOUNDED"
 
-_ST_OPTIMAL = 0
-_ST_INFEASIBLE = 1
-_ST_UNBOUNDED = 2
-_ST_ITER = 3
-_ST_NUMERIC = 4
-
 _AT_LOWER = 0
 _AT_UPPER = 1
 _BASIC = 2
@@ -105,6 +99,10 @@ class SimplexIterationError(RuntimeError):
 
 class SimplexNumericalError(RuntimeError):
     """The basis became numerically unusable at the requested tolerances."""
+
+
+class _Unsettled(Exception):
+    """A kernel run ended without a verdict; a run from the slack basis may give one."""
 
 
 @dataclass
@@ -197,12 +195,12 @@ class LpWorkspace:
     The workspace counts exactly what its solves did (see :meth:`counters`):
     ``memo_hits`` solves answered from the memo, ``cold_retries`` warm
     starts that were retried from the slack basis, ``kernel_runs`` the runs
-    of the dual kernel, ``pivots`` their iterations, ``inversions`` the
-    ``np.linalg.inv`` calls (the slack basis's identity is not one),
-    ``refactorizations`` those of them that rebuilt an inverse a kernel was
-    carrying (after ``_REFACTOR_EVERY`` updates, a pivot row and column that
-    disagree, or a final point that fails its re-check), and
-    ``inverse_hits`` the warm starts whose inverse was kept.
+    of the dual kernel, ``pivots`` every pivot they made (a run that raised
+    included), ``inversions`` the ``np.linalg.inv`` calls (the slack basis's
+    identity is not one), ``refactorizations`` those of them that rebuilt an
+    inverse a kernel was carrying (after ``_REFACTOR_EVERY`` updates, a pivot
+    row and column that disagree, or a final point that fails its re-check),
+    and ``inverse_hits`` the warm starts whose inverse was kept.
     """
 
     COUNTERS = (
@@ -304,54 +302,22 @@ class LpWorkspace:
         return sol
 
     def _solve(self, lower, upper, start) -> LpSolution:
+        """One counted kernel run from ``start``, or from the slack basis when
+        it is None.  A run that the slack basis may rescue (a singular basis
+        is one) is retried cold once, counted in ``cold_retries``."""
         n = self.n
         bounds = self._bounds.copy()
         bounds[0, :n] = lower
         bounds[1, :n] = upper
-        status = _ST_NUMERIC
-        if start is not None:
-            vstat, basis = start[0].copy(), start[1].copy()
-            status, iters, xall, y, Binv, updates = self._run(bounds, vstat, basis)
-            if status == _ST_NUMERIC:
-                self.cold_retries += 1
-        if status == _ST_NUMERIC:
-            vstat, basis = self.cold_start()
-            status, iters, xall, y, Binv, updates = self._run(bounds, vstat, basis)
-        if status == _ST_ITER:
-            raise SimplexIterationError(
-                f"simplex hit the iteration limit ({self._iter_limit}) without a verdict"
-            )
-        if status == _ST_NUMERIC:
-            raise SimplexNumericalError("simplex failed numerically from the slack basis")
-        if status == _ST_INFEASIBLE:
-            return LpSolution(INFEASIBLE, None, None, None, None, None, iters)
-        if status == _ST_UNBOUNDED:
-            return LpSolution(UNBOUNDED, None, None, None, None, None, iters)
-        x = xall[:n].clip(lower, upper)
-        self._verify(x, lower, upper)
-        self._keep_inverse(basis, Binv, updates)
-        reduced = self.c_ext[:n] - self.WT[:n] @ y
-        return LpSolution(
-            status=OPTIMAL,
-            x=x,
-            objective=float(self.c_ext[:n] @ x),
-            reduced_costs=reduced,
-            at_lower=vstat[:n] == _AT_LOWER,
-            at_upper=vstat[:n] == _AT_UPPER,
-            iterations=iters,
-            vstat=vstat,
-            basis=basis,
-        )
-
-    def _run(self, bounds, vstat, basis):
-        """One kernel run, counted; a singular basis reads as a numerical failure."""
+        vstat, basis = self.cold_start() if start is None else (start[0].copy(), start[1].copy())
         self.kernel_runs += 1
         try:
-            out = self._dual(bounds, vstat, basis)
-        except np.linalg.LinAlgError:
-            return _ST_NUMERIC, 0, None, None, None, 0
-        self.pivots += out[1]
-        return out
+            return self._dual(bounds, vstat, basis)
+        except (_Unsettled, np.linalg.LinAlgError):
+            if start is None:
+                raise SimplexNumericalError("simplex failed numerically from the slack basis") from None
+        self.cold_retries += 1
+        return self._solve(lower, upper, None)
 
     def _split(self, basis: np.ndarray):
         """The basis's structural columns and the slack-free block they fill.
@@ -423,23 +389,23 @@ class LpWorkspace:
         """Bounded dual simplex from the basis ``(vstat, basis)``.
 
         ``bounds`` is the solve's bounds table (see ``__init__``); ``vstat``
-        and ``basis`` are updated in place.  Returns ``(status, iterations,
-        xall, y, Binv, updates)`` where ``xall`` holds all structural and
-        slack values and ``y`` the final dual vector (both ``None`` unless
-        optimal), and ``Binv`` the final inverse after ``updates`` rank-one
-        updates.  ``_ST_NUMERIC`` also stands for a nonbasic column at an
-        infinite bound, an infeasible verdict that the pivot row does not
-        prove, and an artificial bound still held after
-        ``_ARTIFICIAL_ROUNDS`` rounds.
+        and ``basis`` are updated in place.  Returns the run's OPTIMAL,
+        INFEASIBLE or UNBOUNDED solution; an optimal point is verified, and
+        then its final inverse kept.  Raises :class:`SimplexIterationError`
+        at the iteration limit and ``_Unsettled`` for a nonbasic column at an
+        infinite bound, a fresh inverse that fails its checks, an infeasible
+        verdict that the pivot row does not prove, and an artificial bound
+        still held after ``_ARTIFICIAL_ROUNDS`` rounds.  Each pivot is
+        counted in ``pivots`` as it is made.
         """
         WT, b, c = self.WT, self.b, self.c_ext
-        m = self.m
+        n, m = self.n, self.m
         dtol = _DTOL
         lo, up = bounds[0], bounds[1]
         # Each nonbasic column at its bound; basic entries are 0.
         z = bounds[vstat, self._columns]
         if not _all(np.isfinite(z)):
-            return _ST_NUMERIC, 0, None, None, None, 0
+            raise _Unsettled
         Binv, updates = self._start_inverse(basis)
         # Per column: its side, reduced cost, bound width and pivot row
         # entry, in one array so that the ratio test gathers its candidates'
@@ -499,7 +465,7 @@ class LpWorkspace:
             r = _dual_leaving_row(viol, basis, bland)
             if r < 0:
                 if _any(side * d > 100.0 * dtol):
-                    return _ST_NUMERIC, iters, None, None, Binv, updates
+                    raise _Unsettled
                 held = art[side[art] == art_side]
                 if held.size:
                     # An optimum on an artificial bound.  While the held
@@ -510,9 +476,9 @@ class LpWorkspace:
                     gain = side[held] * d[held] < -dtol
                     rate = np.dot(side[held], d[held])
                     if rate < -dtol and self._free_ray(Binv, basis, held, side[held], bounds):
-                        return _ST_UNBOUNDED, iters, None, None, Binv, updates
+                        return LpSolution(UNBOUNDED, None, None, None, None, None, iters)
                     if rounds == _ARTIFICIAL_ROUNDS:
-                        return _ST_NUMERIC, iters, None, None, Binv, updates
+                        raise _Unsettled
                     rounds += 1
                     back = held[~gain]
                     side[back] = -side[back]
@@ -528,11 +494,24 @@ class LpWorkspace:
                 xB = self._basic_values(basis, b - np.dot(z, WT))
                 if _any(np.maximum(loB - xB, xB - upB) > _FTOL):
                     if updates == 0:
-                        return _ST_NUMERIC, iters, None, None, Binv, updates
+                        raise _Unsettled
                     updates = _REFACTOR_EVERY
                     continue
                 z[basis] = xB
-                return _ST_OPTIMAL, iters, z, np.dot(c[basis], Binv), Binv, updates
+                x = z[:n].clip(bounds[0, :n], bounds[1, :n])
+                self._verify(x, bounds[0, :n], bounds[1, :n])
+                self._keep_inverse(basis, Binv, updates)
+                return LpSolution(
+                    status=OPTIMAL,
+                    x=x,
+                    objective=float(c[:n] @ x),
+                    reduced_costs=c[:n] - WT[:n] @ np.dot(c[basis], Binv),
+                    at_lower=vstat[:n] == _AT_LOWER,
+                    at_upper=vstat[:n] == _AT_UPPER,
+                    iterations=iters,
+                    vstat=vstat,
+                    basis=basis,
+                )
 
             x_r = float(xB[r])
             to_lower = x_r < loB[r]
@@ -569,10 +548,10 @@ class LpWorkspace:
                 # must prove it) or feasible within ftol (the last one enters).
                 if not cand or left > _FTOL:
                     if self._proves_infeasible(rho, alpha, bounds[0], bounds[1]):
-                        return _ST_INFEASIBLE, iters, None, None, Binv, updates
+                        return LpSolution(INFEASIBLE, None, None, None, None, None, iters)
                     # Unproven: an artificial bound may be what cuts the row off.
                     if not art.size or rounds == _ARTIFICIAL_ROUNDS:
-                        return _ST_NUMERIC, iters, None, None, Binv, updates
+                        raise _Unsettled
                     rounds += 1
                     span *= _ARTIFICIAL_GROWTH
                     box()
@@ -599,7 +578,7 @@ class LpWorkspace:
             if abs(piv - float(alpha[enter])) > 1e-7 * (1.0 + abs(piv)):
                 # The pivot row and column disagree: the inverse has drifted.
                 if updates == 0:
-                    return _ST_NUMERIC, iters, None, None, Binv, updates
+                    raise _Unsettled
                 updates = _REFACTOR_EVERY
                 continue
 
@@ -641,8 +620,11 @@ class LpWorkspace:
                 degen_run = 0
                 bland = False
             iters += 1
+            self.pivots += 1
 
-        return _ST_ITER, iters, None, None, Binv, updates
+        raise SimplexIterationError(
+            f"simplex hit the iteration limit ({self._iter_limit}) without a verdict"
+        )
 
     def _free_ray(self, Binv, basis, cols, t, bounds) -> bool:
         """Whether columns ``cols`` can move together by ``t`` per unit, the

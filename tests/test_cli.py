@@ -87,6 +87,16 @@ def test_solve_with_priorities_file(tmp_path, capsys):
     assert json.loads(out)["objective"] == pytest.approx(base["objective"], abs=1e-6)
 
 
+@pytest.mark.parametrize("text", ["[1, 2]", '{"1": [2]}', '{"x": 1}'])
+def test_malformed_priorities_file_is_an_error_naming_it(capsys, one_instance, text):
+    (inst_file,) = one_instance.glob("*.bdmilp")
+    prio = one_instance / "prio.json"
+    prio.write_text(text)
+    code = main(["solve", "--instance", str(inst_file), "--priorities", str(prio)])
+    assert code == 2
+    assert f"{prio}: expected a JSON object mapping integer variable indices" in capsys.readouterr().err
+
+
 def test_full_workflow(tmp_path, capsys):
     train_dir = tmp_path / "train"
     test_dir = tmp_path / "test"
@@ -194,6 +204,15 @@ def test_train_with_a_zero_model_size_is_an_error_not_a_traceback(tmp_path, caps
     assert not (tmp_path / "m.npz").exists()
 
 
+def test_train_on_a_malformed_dataset_is_an_error_naming_the_line(tmp_path, capsys):
+    dataset = tmp_path / "d.jsonl"
+    dataset.write_text("{}\n")
+    code = main(["train", "--dataset", str(dataset), "--out", str(tmp_path / "m.npz")])
+    assert code == 2
+    assert f"{dataset}: line 1: not a collection record (KeyError: 'samples')" in capsys.readouterr().err
+    assert not (tmp_path / "m.npz").exists()
+
+
 RESULTS_HEADER = "instance,baseline,method,improvement_pct,outcome,baseline_censored,method_censored\n"
 
 
@@ -210,10 +229,11 @@ RESULTS_HEADER = "instance,baseline,method,improvement_pct,outcome,baseline_cens
         (RESULTS_HEADER + "g1,10,5,50.0,WIN,2,-1\n", "line 2: censored flag '2', expected 0 or 1"),
         (RESULTS_HEADER + "g1,10,5,-70.0,LOSS,0,0\n", "line 2: outcome LOSS and improvement_pct -70.0 contradict"),
         (RESULTS_HEADER + "g1,10,5,99.0,WIN,0,0\n", "line 2: outcome WIN and improvement_pct 99.0 contradict"),
+        (RESULTS_HEADER + "g1,-5,3,160.0,LOSS,0,0\n", "line 2: negative effort -5/3"),
     ],
     ids=[
         "missing-column", "short-row", "unknown-outcome", "censored-flag", "contradicting-outcome",
-        "contradicting-improvement",
+        "contradicting-improvement", "negative-effort",
     ],
 )
 def test_malformed_results_csv_is_an_error_naming_the_line(tmp_path, capsys, text, message):

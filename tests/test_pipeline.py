@@ -241,6 +241,11 @@ class TestEvaluate:
         assert s["baseline"]["p25"] == pytest.approx(1.75)
         assert s["ties"] == 4 and s["wins"] == 0 and s["losses"] == 0
 
+    def test_zero_baseline_mean_improves_by_zero(self):
+        s = summarize([EvalRecord("i0", baseline_effort=0, method_effort=0)] * 2)
+        assert s["mean_improvement_pct"] == s["median_improvement_pct"] == 0.0
+        json.dumps(s, allow_nan=False)
+
     def test_all_better_is_all_wins(self):
         records = [
             EvalRecord(f"i{k}", baseline_effort=10, method_effort=5)

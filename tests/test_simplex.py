@@ -633,7 +633,7 @@ def test_forced_dual_failure_is_retried_cold_and_counted(monkeypatch):
     def fails_warm(self, bounds, vstat, basis):
         starts.append(basis.tobytes() == self._slack_key)
         if not starts[-1]:
-            return simplex._ST_NUMERIC, 0, None, None, None, 0
+            raise simplex._Unsettled
         return dual(self, bounds, vstat, basis)
 
     monkeypatch.setattr(LpWorkspace, "_dual", fails_warm)
@@ -660,6 +660,32 @@ def test_carried_inverse_is_refactorized(monkeypatch):
     assert ws._inverses[child.basis.tobytes()][1] == child.iterations < carried
     want = LpWorkspace(lp).solve(lower=lo, upper=up, start=(root.vstat, root.basis))
     assert (child.iterations, child.x.tobytes()) == (want.iterations, want.x.tobytes())
+
+
+def test_pivots_of_a_run_that_fails_are_counted(monkeypatch):
+    inst = gen_gisp(nodes=12, seed=1)
+    lp = lp_relaxation(inst)
+    ws = LpWorkspace(lp)
+    root = ws.solve()
+    _, carried = ws._inverses[root.basis.tobytes()]
+    # The warm child pivots once on the kept inverse, then fails to rebuild it.
+    monkeypatch.setattr(simplex, "_REFACTOR_EVERY", carried + 1)
+    invert = ws._invert
+    calls = []
+
+    def fails_first(basis):
+        calls.append(basis)
+        if len(calls) == 1:
+            raise np.linalg.LinAlgError("forced")
+        return invert(basis)
+
+    ws._invert = fails_first
+    lo, up = fixed_child(inst, root)
+    sol = ws.solve(lower=lo, upper=up, start=(root.vstat, root.basis))
+    assert (len(calls), ws.cold_retries, ws.kernel_runs, ws.refactorizations) == (1, 1, 3, 1)
+    assert ws.pivots == root.iterations + 1 + sol.iterations
+    cold = LpWorkspace(lp).solve(lower=lo, upper=up)
+    assert (sol.iterations, sol.x.tobytes()) == (cold.iterations, cold.x.tobytes())
 
 
 def assert_kept_inverses_invert(ws):
