@@ -116,15 +116,12 @@ def solve_bnb(inst: MilpInstance, cfg: BnbConfig | None = None) -> SolveResult:
             raise ValueError(f"allowed_branch_set outside binary set: {sorted(extra)}")
     ws = inst.lp
     n = inst.num_vars
-    bin_idx = np.fromiter(sorted(inst.binary_set), dtype=np.int64)
+    bin_idx = inst.arrays.binaries
     prio = _priority_array(inst, cfg)
     allowed_mask = None
     if cfg.allowed_branch_set is not None:
         allowed_mask = np.zeros(n, dtype=bool)
         allowed_mask[np.fromiter(cfg.allowed_branch_set, dtype=np.int64)] = True
-
-    lo0 = np.asarray(inst.lower, dtype=float)
-    up0 = np.asarray(inst.upper, dtype=float)
 
     incumbent: np.ndarray | None = None
     inc_obj = math.inf
@@ -134,7 +131,7 @@ def solve_bnb(inst: MilpInstance, cfg: BnbConfig | None = None) -> SolveResult:
     hit_limit = False
     seq = 0
     # Heap entries: (bound estimate, insertion order, depth, lo, up, warm basis).
-    heap: list = [(-math.inf, seq, 0, lo0, up0, None)]
+    heap: list = [(-math.inf, seq, 0, inst.arrays.lower, inst.arrays.upper, None)]
 
     def try_round(x: np.ndarray) -> None:
         nonlocal incumbent, inc_obj

@@ -83,37 +83,21 @@ def featurize(inst: MilpInstance, root_lp: LpSolution) -> BipartiteGraph:
     if root_lp.status != LP_OPTIMAL:
         raise ValueError("featurize needs an OPTIMAL root-LP solution")
     n, m = inst.num_vars, inst.num_cons
-    c = np.asarray(inst.objective)
-    lo = np.asarray(inst.lower)
-    up = np.asarray(inst.upper)
-    x = np.asarray(root_lp.x)
-
-    cons_idx: list[int] = []
-    var_idx: list[int] = []
-    coefs: list[float] = []
-    for r, row in enumerate(inst.rows):
-        for j, a in row:
-            cons_idx.append(r)
-            var_idx.append(j)
-            coefs.append(a)
-    e_cons = np.asarray(cons_idx, dtype=np.int64)
-    e_vars = np.asarray(var_idx, dtype=np.int64)
-    e_coef = np.asarray(coefs, dtype=float)
+    view = inst.arrays
+    c, lo, up, e_coef = view.objective, view.lower, view.upper, view.coef
 
     c_norm = _guard(float(np.max(np.abs(c))) if n else 0.0)
     a_norm = _guard(float(np.max(np.abs(e_coef))) if e_coef.size else 0.0)
-    b_norm = _guard(float(np.max(np.abs(inst.rhs))) if m else 0.0)
+    b_norm = _guard(float(np.max(np.abs(view.rhs))) if m else 0.0)
     finite = np.concatenate([lo[np.isfinite(lo)], up[np.isfinite(up)]])
     bound_norm = _guard(float(np.max(np.abs(finite))) if finite.size else 0.0)
 
     binary_mask = np.zeros(n, dtype=bool)
-    binary_mask[np.fromiter(inst.binary_set, dtype=np.int64, count=len(inst.binary_set))] = True
+    binary_mask[view.binaries] = True
 
-    col_count = np.bincount(e_vars, minlength=n).astype(float)
-    col_abs_sum = np.bincount(e_vars, weights=np.abs(e_coef), minlength=n)
-    col_mean = np.divide(
-        col_abs_sum, col_count, out=np.zeros(n), where=col_count > 0
-    )
+    col_count = np.bincount(view.col, minlength=n).astype(float)
+    col_abs_sum = np.bincount(view.col, weights=np.abs(e_coef), minlength=n)
+    col_mean = np.divide(col_abs_sum, col_count, out=np.zeros(n), where=col_count > 0)
 
     V = np.zeros((n, NUM_VAR_FEATURES))
     V[:, 0] = c / c_norm
@@ -123,8 +107,8 @@ def featurize(inst: MilpInstance, root_lp: LpSolution) -> BipartiteGraph:
     V[:, 4] = np.isfinite(up)
     V[:, 5] = np.clip(np.where(np.isfinite(lo), lo, -INF) / bound_norm, -1.0, 1.0)
     V[:, 6] = np.clip(np.where(np.isfinite(up), up, INF) / bound_norm, -1.0, 1.0)
-    V[:, 7] = x
-    V[:, 8] = fractionality(x)
+    V[:, 7] = root_lp.x
+    V[:, 8] = fractionality(root_lp.x)
     V[:, 9] = root_lp.at_lower
     V[:, 10] = root_lp.at_upper
     V[:, 11] = np.clip(root_lp.reduced_costs / c_norm, -1.0, 1.0)
@@ -133,18 +117,15 @@ def featurize(inst: MilpInstance, root_lp: LpSolution) -> BipartiteGraph:
     V[:, 14] = c != 0.0
 
     C = np.zeros((m, NUM_CONS_FEATURES))
-    if m:
-        C[:, 0] = np.asarray(inst.rhs) / b_norm
-        senses = np.asarray(inst.senses)
-        C[:, 1] = senses == LE
-        C[:, 2] = senses == GE
-        C[:, 3] = senses == EQ
+    C[:, 0] = view.rhs / b_norm
+    C[:, 1] = view.senses == LE
+    C[:, 2] = view.senses == GE
+    C[:, 3] = view.senses == EQ
 
-    edges = np.stack([e_cons, e_vars], axis=1) if e_coef.size else np.zeros((0, 2), dtype=np.int64)
     return BipartiteGraph(
         var_feats=V,
         cons_feats=C,
-        edges=edges,
+        edges=np.stack([view.row, view.col], axis=1),
         edge_feats=(e_coef / a_norm).reshape(-1, 1),
         binary_mask=binary_mask,
     )

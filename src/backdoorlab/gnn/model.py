@@ -40,6 +40,7 @@ the two rounds' edge blocks hold about 17,000 floats together.
 
 from __future__ import annotations
 
+import functools
 import json
 import struct
 from dataclasses import dataclass, field
@@ -159,6 +160,11 @@ def leaky_relu_slopes(x: np.ndarray, slope: float) -> np.ndarray:
     factor *= 1.0 - slope
     factor += slope
     return factor
+
+
+# The backward pass's (H, L, L) theta-gradient scratch, kept for the process: each use
+# overwrites it whole, and backward passes never overlap (training runs one sample at a time).
+_theta_scratch = functools.lru_cache(maxsize=1)(np.empty)
 
 
 def _product(x: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -507,7 +513,7 @@ def score_graph(arrays: dict[str, np.ndarray], graph: BipartiteGraph, collect_at
     def backward(d_scores: np.ndarray, grads: dict[str, np.ndarray]) -> None:
         d = d_scores if nc.var_class is None else nc.var_class.sum(d_scores)
         dV2 = out_bw((d * s * (1.0 - s))[:, None], grads)
-        buf = np.empty(a["att1_theta_c"].shape)  # both rounds' theta gradients, in turn
+        buf = _theta_scratch(a["att1_theta_c"].shape)  # both rounds' theta gradients, in turn
         dV1, dC2, dE1 = round2_bw(dV2, [grads[k] for k in rounds[1]], buf)
         dC1, dV1_send, dE1_send = round1_bw(dC2, [grads[k] for k in rounds[0]], buf)
         var_bw(dV1 + dV1_send, grads)

@@ -9,6 +9,7 @@ so parallel jobs pass instance paths, not instances.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -42,13 +43,31 @@ def fractionality(x) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class InstanceArrays:
+    """An instance as read-only arrays; nonzero ``k`` is ``coef[k]`` at ``(row[k],
+    col[k])``, row-major with ascending columns, explicit zeros kept."""
+
+    row: np.ndarray  # (nnz,) int64
+    col: np.ndarray  # (nnz,) int64
+    coef: np.ndarray  # (nnz,) float
+    objective: np.ndarray  # (n,)
+    lower: np.ndarray  # (n,)
+    upper: np.ndarray  # (n,)
+    rhs: np.ndarray  # (m,)
+    senses: np.ndarray  # (m,) str
+    binaries: np.ndarray  # the binary set, ascending, int64
+
+
+@dataclass(frozen=True)
 class MilpInstance:
     """One mixed-binary minimization problem.
 
-    ``rows[r]`` is a sorted tuple of ``(column, coefficient)`` pairs forming
+    ``rows[r]`` is a tuple of ``(column, coefficient)`` pairs sorted by column
+    (as :func:`make_instance` and :func:`read_instance` give them), forming
     the r-th constraint row; ``senses[r]`` relates the row to ``rhs[r]``.
     ``binary_set`` indexes the binary variables; all other variables are
-    continuous within their bounds (``upper`` may be ``inf``).
+    continuous within their bounds (``upper`` may be ``inf``).  Validation
+    walks these tuples before the solver and the features read :attr:`arrays`.
     """
 
     name: str
@@ -66,7 +85,26 @@ class MilpInstance:
         return len(self.rows)
 
     def objective_value(self, x) -> float:
-        return float(np.dot(np.asarray(self.objective), np.asarray(x, dtype=float)))
+        return float(np.dot(self.arrays.objective, np.asarray(x, dtype=float)))
+
+    @cached_property
+    def arrays(self) -> InstanceArrays:
+        """The instance as read-only arrays, built on first use."""
+        pairs = [pair for row in self.rows for pair in row]
+        view = InstanceArrays(
+            row=np.repeat(np.arange(len(self.rows), dtype=np.int64), [len(row) for row in self.rows]),
+            col=np.array([j for j, _ in pairs], dtype=np.int64),
+            coef=np.array([a for _, a in pairs], dtype=float),
+            objective=np.array(self.objective, dtype=float),
+            lower=np.array(self.lower, dtype=float),
+            upper=np.array(self.upper, dtype=float),
+            rhs=np.array(self.rhs, dtype=float),
+            senses=np.array(self.senses, dtype=str),
+            binaries=np.array(sorted(self.binary_set), dtype=np.int64),
+        )
+        for a in vars(view).values():
+            a.setflags(write=False)
+        return view
 
     @cached_property
     def lp(self):
@@ -133,7 +171,7 @@ def _structural_violations(inst: MilpInstance) -> list[str]:
     if len(inst.lower) != n or len(inst.upper) != n:
         bad.append("bounds length != num_vars")
     for j, c in enumerate(inst.objective):
-        if not np.isfinite(c):
+        if not math.isfinite(c):
             bad.append(f"column {j}: non-finite objective coefficient")
     for r, row in enumerate(inst.rows):
         seen = set()
@@ -143,19 +181,19 @@ def _structural_violations(inst: MilpInstance) -> list[str]:
             if j in seen:
                 bad.append(f"row {r}: duplicate column {j}")
             seen.add(j)
-            if not np.isfinite(a):
+            if not math.isfinite(a):
                 bad.append(f"row {r}: non-finite coefficient at column {j}")
     for r, s in enumerate(inst.senses):
         if s not in SENSES:
             bad.append(f"row {r}: unknown sense {s!r}")
     for r, b in enumerate(inst.rhs):
-        if not np.isfinite(b):
+        if not math.isfinite(b):
             bad.append(f"row {r}: non-finite rhs")
     for j in range(min(n, len(inst.lower), len(inst.upper))):
         lo, up = inst.lower[j], inst.upper[j]
-        if not np.isfinite(lo):
+        if not math.isfinite(lo):
             bad.append(f"column {j}: lower bound must be finite")
-        if np.isnan(up):
+        if math.isnan(up):
             bad.append(f"column {j}: upper bound is NaN")
         if lo > up:
             bad.append(f"column {j}: lower bound {lo} above upper bound {up}")
@@ -200,9 +238,9 @@ def write_instance(inst: MilpInstance, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _parse_floats(text: str, what: str, lineno: int) -> list[float]:
+def _parse_floats(tokens: list[str], what: str, lineno: int) -> list[float]:
     out = []
-    for tok in text.split():
+    for tok in tokens:
         try:
             out.append(float(tok))
         except ValueError:
@@ -211,7 +249,8 @@ def _parse_floats(text: str, what: str, lineno: int) -> list[float]:
 
 
 def read_instance(path) -> MilpInstance:
-    """Parse a ``.bdmilp`` file; errors name the offending line."""
+    """Parse a ``.bdmilp`` file; errors name the offending line.  The result
+    goes through :func:`make_instance`, so its rows are sorted by column."""
     with open(path, "r", encoding="ascii") as fh:
         raw = fh.read().splitlines()
     if not raw or not raw[0].startswith(FILE_MAGIC):
@@ -229,7 +268,7 @@ def read_instance(path) -> MilpInstance:
     need = 3 + 1 + m + 5
     if len(raw) < need:
         raise BdmilpFormatError(f"truncated file: expected {need} lines, found {len(raw)}")
-    objective = _parse_floats(raw[3], "objective coefficient", 4)
+    objective = _parse_floats(raw[3].split(), "objective coefficient", 4)
     if len(objective) != n:
         raise BdmilpFormatError(f"line 4: expected {n} objective coefficients")
     rows = []
@@ -244,44 +283,30 @@ def read_instance(path) -> MilpInstance:
             raise BdmilpFormatError(f"line {lineno}: malformed row count") from None
         if len(parts) != 2 + 2 * nnz:
             raise BdmilpFormatError(f"line {lineno}: row token count mismatch")
-        row = []
-        for k in range(nnz):
-            try:
-                j = int(parts[2 + 2 * k])
-            except ValueError:
-                raise BdmilpFormatError(f"line {lineno}: bad column index") from None
-            a = _parse_floats(parts[3 + 2 * k], "coefficient", lineno)[0]
-            row.append((j, a))
-        rows.append(tuple(row))
+        try:
+            cols = [int(t) for t in parts[2::2]]
+        except ValueError:
+            raise BdmilpFormatError(f"line {lineno}: bad column index") from None
+        rows.append(zip(cols, _parse_floats(parts[3::2], "coefficient", lineno)))
     base = 4 + m
-    senses = tuple(raw[base].split())
+    senses = raw[base].split()
     for s in senses:
         if s not in SENSES:
             raise BdmilpFormatError(f"line {base + 1}: unknown sense token {s!r}")
     if len(senses) != m:
         raise BdmilpFormatError(f"line {base + 1}: expected {m} sense tokens")
-    rhs = _parse_floats(raw[base + 1], "rhs", base + 2)
+    rhs = _parse_floats(raw[base + 1].split(), "rhs", base + 2)
     if len(rhs) != m:
         raise BdmilpFormatError(f"line {base + 2}: expected {m} rhs values")
-    lower = _parse_floats(raw[base + 2], "lower bound", base + 3)
-    upper = _parse_floats(raw[base + 3], "upper bound", base + 4)
+    lower = _parse_floats(raw[base + 2].split(), "lower bound", base + 3)
+    upper = _parse_floats(raw[base + 3].split(), "upper bound", base + 4)
     if len(lower) != n or len(upper) != n:
         raise BdmilpFormatError("bound line length mismatch")
     btoks = raw[base + 4].split()
     if len(btoks) != nbin:
         raise BdmilpFormatError(f"line {base + 5}: expected {nbin} binary indices")
     try:
-        binary = frozenset(int(t) for t in btoks)
+        binary = [int(t) for t in btoks]
     except ValueError:
         raise BdmilpFormatError(f"line {base + 5}: bad binary index") from None
-    return MilpInstance(
-        name=name,
-        num_vars=n,
-        objective=tuple(objective),
-        rows=tuple(rows),
-        rhs=tuple(rhs),
-        senses=senses,
-        lower=tuple(lower),
-        upper=tuple(upper),
-        binary_set=binary,
-    )
+    return make_instance(name, objective, rows, rhs, senses, lower, upper, binary)

@@ -248,6 +248,7 @@ def collect_dataset(
     jobs = [
         (i, str(p), _instance_seed(cfg.seed, i), cfg) for i, p in enumerate(paths)
     ]
+    workers = min(workers, len(jobs))  # no idle workers: a forked pool starts all of them at once
     out_path = Path(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     targets = (out_path, out_path.with_name(out_path.name + ".timing.jsonl"))

@@ -80,7 +80,7 @@ def _sample_weights(inst: MilpInstance, why: str) -> tuple[np.ndarray, np.ndarra
     root_lp = inst.lp.solve()
     if root_lp.status != LP_OPTIMAL:
         raise ValueError(f"{why} needs an OPTIMAL root LP")
-    pool = np.fromiter(sorted(inst.binary_set), dtype=np.int64)
+    pool = inst.arrays.binaries
     weights = fractionality(root_lp.x[pool]) + _FRACTIONALITY_FLOOR
     return pool, weights
 
@@ -142,7 +142,7 @@ def mcts_search(
     ``selections`` (the iterations that ran the UCT selection step) and
     ``max_depth`` (the size of the deepest state expanded).
     """
-    pool = sorted(inst.binary_set)
+    pool = inst.arrays.binaries.tolist()
     if K > len(pool):
         raise ValueError(f"K={K} exceeds the {len(pool)} binary variables")
     if iteration_budget < 1:

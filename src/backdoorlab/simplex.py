@@ -56,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .milp import EQ, GE, INF, LE, MilpInstance
+from .milp import GE, INF, LE, SENSES, MilpInstance
 
 OPTIMAL = "OPTIMAL"
 INFEASIBLE = "INFEASIBLE"
@@ -218,37 +218,26 @@ class LpWorkspace:
         self.m = m
         self._slack_key = np.arange(n, n + m, dtype=np.int64).tobytes()
         N = n + m
-        WT = np.zeros((N, m))
-        for r, row in enumerate(lp.rows):
-            for j, a in row:
-                WT[j, r] = a
-            WT[n + r, r] = 1.0
-        self.WT = WT
-        self.b = np.asarray(lp.rhs, dtype=float)
-        self.c_ext = np.zeros(N)
-        self.c_ext[:n] = lp.objective
-        slack_lo = np.zeros(m)
-        slack_up = np.zeros(m)
-        for r, sense in enumerate(lp.senses):
-            if sense == LE:
-                slack_lo[r], slack_up[r] = 0.0, INF
-            elif sense == GE:
-                slack_lo[r], slack_up[r] = -INF, 0.0
-            elif sense == EQ:
-                slack_lo[r], slack_up[r] = 0.0, 0.0
-            else:
-                raise ValueError(f"unknown sense {sense!r}")
-        self.slack_lo = slack_lo
-        self.slack_up = slack_up
+        view = lp.arrays
+        self.WT = WT = np.zeros((N, m))
+        WT[view.col, view.row] = view.coef
+        np.fill_diagonal(WT[n:], 1.0)
+        self.b = view.rhs
+        self.c_ext = np.concatenate([view.objective, np.zeros(m)])
+        bad = [s for s in lp.senses if s not in SENSES]
+        if bad:
+            raise ValueError(f"unknown sense {bad[0]!r}")
+        self.slack_lo = np.where(view.senses == GE, -INF, 0.0)
+        self.slack_up = np.where(view.senses == LE, INF, 0.0)
         # A solve's bounds table: rows lower, upper and 0, so that row
         # ``vstat[j]`` of column j is where a nonbasic column j sits (0 when
         # basic).  The slack columns' entries never change.
         self._bounds = np.zeros((3, N))
-        self._bounds[0, n:] = slack_lo
-        self._bounds[1, n:] = slack_up
+        self._bounds[0, n:] = self.slack_lo
+        self._bounds[1, n:] = self.slack_up
         self._columns = np.arange(N)
-        self.base_lower = _lower_bounds(lp.lower, n)
-        self.base_upper = _upper_bounds(lp.upper, n)
+        self.base_lower = _lower_bounds(view.lower, n)
+        self.base_upper = _upper_bounds(view.upper, n)
         self._memo: OrderedDict[tuple, LpSolution] = OrderedDict()
         # Kept basis inverses: basis bytes -> (inverse, rank-one updates in it).
         self._inverses: OrderedDict[bytes, tuple[np.ndarray, int]] = OrderedDict()

@@ -10,6 +10,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from backdoorlab.bnb import BnbConfig, restricted_probe, solve_bnb, tree_weight
 from backdoorlab.features import featurize
@@ -267,6 +268,7 @@ def test_criterion_7_tree_weight_laws():
     _verdict(7, ok, "root=1, complete depths 1-3 = 1, {1,2} = 0.75 (exact)")
 
 
+@pytest.mark.slow
 def test_criterion_8_learning_signal():
     """Planted-structure run: loss halves and the planted set is recovered."""
     t0 = time.time()
@@ -288,6 +290,7 @@ def test_criterion_8_learning_signal():
     )
 
 
+@pytest.mark.slow
 def test_criterion_9_end_to_end_gisp(tmp_path):
     """Desk-scale analogue of the headline result: on 50 held-out 25-node
     instances, model-picked backdoors (K=4, model trained on 100 instances)

@@ -8,7 +8,10 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-DEMOS = sorted((ROOT / "demos").glob("*.py"))
+DEMOS = [
+    pytest.param(p, marks=pytest.mark.slow) if p.stem == "05_end_to_end_eval" else p
+    for p in sorted((ROOT / "demos").glob("*.py"))
+]
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.stem)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from backdoorlab import generators
+from backdoorlab.features import featurize
 from backdoorlab.milp import (
     INF,
     BdmilpFormatError,
@@ -12,6 +13,7 @@ from backdoorlab.milp import (
     validate_instance,
     write_instance,
 )
+from backdoorlab.simplex import LpWorkspace
 
 from conftest import brute_force_solve, random_binary_instance
 
@@ -230,3 +232,108 @@ class TestFileRoundtrip:
         path.write_text("\n".join(lines[:3]))
         with pytest.raises(BdmilpFormatError, match="truncated"):
             read_instance(path)
+
+
+def five_families():
+    return [
+        generators.gen_gisp(nodes=15, seed=1),
+        generators.gen_setcover(n_elements=12, n_sets=10, seed=2),
+        generators.gen_combinatorial_auction(items=6, bids=9, seed=3),
+        generators.gen_mis(nodes=14, avg_degree=3, seed=4),
+        generators.gen_facility_location(facilities=3, customers=5, seed=5),
+    ]
+
+
+def with_explicit_zeros():
+    """Rows given out of column order, with a +0.0 and a -0.0 coefficient."""
+    return make_instance(
+        "zeros", [-1.0, -2.0, 0.5],
+        [[(2, 1.0), (1, 0.0), (0, 1.0)], [(1, 2.0), (0, -0.0)], [(2, 1.0), (1, 1.0)]],
+        [1.5, 1.0, 1.0], ["LE", "LE", "GE"], [0.0, 0.0, 0.0], [1.0, 1.0, 4.0], [0, 1],
+    )
+
+
+class TestArrayView:
+    """The array view, the LP workspace and the features equal the row loops
+    they replaced, bit for bit (signed zeros included)."""
+
+    @staticmethod
+    def reference_nonzeros(inst):
+        rows, cols, coefs = [], [], []
+        for r, row in enumerate(inst.rows):
+            for j, a in row:
+                rows.append(r)
+                cols.append(j)
+                coefs.append(a)
+        return (
+            np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64),
+            np.asarray(coefs, dtype=float),
+        )
+
+    @pytest.mark.parametrize("inst", five_families() + [with_explicit_zeros()], ids=lambda i: i.name)
+    def test_view_workspace_and_features_match_the_loops(self, inst):
+        def same(got, want):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+        rows, cols, coefs = self.reference_nonzeros(inst)
+        view = inst.arrays
+        same(view.row, rows)
+        same(view.col, cols)
+        same(view.coef, coefs)
+        for name in ("objective", "lower", "upper", "rhs"):
+            same(getattr(view, name), np.asarray(getattr(inst, name), dtype=float))
+        same(view.binaries, np.array(sorted(inst.binary_set), dtype=np.int64))
+        assert view.senses.tolist() == list(inst.senses)
+        assert not any(a.flags.writeable for a in vars(view).values())
+
+        n, m = inst.num_vars, inst.num_cons
+        WT = np.zeros((n + m, m))
+        slack_lo, slack_up = np.zeros(m), np.zeros(m)
+        for r, row in enumerate(inst.rows):
+            for j, a in row:
+                WT[j, r] = a
+            WT[n + r, r] = 1.0
+            slack_lo[r], slack_up[r] = {"LE": (0.0, INF), "GE": (-INF, 0.0), "EQ": (0.0, 0.0)}[inst.senses[r]]
+        ws = LpWorkspace(inst)
+        same(ws.WT, WT)
+        same(ws.slack_lo, slack_lo)
+        same(ws.slack_up, slack_up)
+        same(ws.b, np.asarray(inst.rhs, dtype=float))
+        same(ws.c_ext[:n], np.asarray(inst.objective, dtype=float))
+        # The memo keys are the bounds' bytes.
+        same(ws.base_lower, np.asarray(inst.lower, dtype=float))
+        same(ws.base_upper, np.asarray(inst.upper, dtype=float))
+
+        g = featurize(inst, inst.lp.solve())
+        same(g.edges, np.stack([rows, cols], axis=1))
+        a_norm = max(abs(a) for a in coefs) or 1.0
+        same(g.edge_feats, (coefs / a_norm).reshape(-1, 1))
+        count, abs_sum = [0.0] * n, [0.0] * n
+        for j, a in zip(cols.tolist(), coefs.tolist()):
+            count[j] += 1.0
+            abs_sum[j] += abs(a)
+        mean = [s / c if c else 0.0 for s, c in zip(abs_sum, count)]
+        same(g.var_feats[:, 12], np.array(count) / max(m, 1))
+        same(g.var_feats[:, 13], np.array(mean) / a_norm)
+        mask = np.zeros(n, dtype=bool)
+        for j in inst.binary_set:
+            mask[j] = True
+        same(g.binary_mask, mask)
+
+    def test_file_rows_take_the_in_memory_normal_form(self, tmp_path):
+        inst = make_instance(
+            "e", [-1.0, -1.0, -1.0], [[(0, 1.0), (2, 1.0)], [(1, 1.0), (2, 1.0)]],
+            [1.0, 1.0], ["LE", "LE"], [0.0] * 3, [1.0] * 3, [0, 1, 2],
+        )
+        path = tmp_path / "e.bdmilp"
+        write_instance(inst, path)
+        assert read_instance(path) == inst
+        text = path.read_text()
+        assert "row 2 0 1 2 1\n" in text
+        path.write_text(text.replace("row 2 0 1 2 1\n", "row 2 2 1 0 1\n"))
+        edited = read_instance(path)
+        assert edited == inst and edited.rows[0] == ((0, 1.0), (2, 1.0))
+        got = featurize(edited, edited.lp.solve()).edges
+        want = featurize(inst, inst.lp.solve()).edges
+        assert got.tolist() == want.tolist() and got[:2].tolist() == [[0, 0], [0, 2]]

@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import json
 import multiprocessing
@@ -149,6 +150,28 @@ class TestCollect:
         started = set(pids.read_text().split())
         assert 1 <= len(started) <= 2 and str(os.getpid()) not in started
         assert not multiprocessing.active_children()
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="a pool starts all its workers at the first job only when they fork",
+    )
+    def test_pool_is_no_larger_than_the_batch(self, tmp_path, monkeypatch):
+        """With 4 workers, one instance runs in this process and two start two workers."""
+        sizes = []
+
+        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+            def shutdown(self, *args, **kwargs):
+                sizes.append(len(self._processes))
+                super().shutdown(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        cfg = CollectConfig(**SMALL_COLLECT)
+        for seeds in ([0], [0, 1]):
+            directory = tmp_path / f"inst{len(seeds)}"
+            write_gisp_dir(directory, seeds, nodes=6)  # closes at the root: skipped
+            manifest = collect_dataset(directory, tmp_path / f"ds{len(seeds)}.jsonl", cfg, workers=4)
+            assert manifest["skipped"] == len(seeds)
+        assert sizes == [2]
 
     def test_failed_instance_is_recorded_not_fatal(self, tmp_path):
         write_gisp_dir(tmp_path / "inst", [0])
