@@ -23,6 +23,7 @@ from .pipeline import (
     MCTS,
     SAMPLING,
     CollectConfig,
+    _write_manifest,
     collect_dataset,
     evaluate,
     predict_backdoor,
@@ -75,9 +76,7 @@ def _cmd_generate(args) -> int:
                 "seed": seed,
             }
         )
-    with open(out / "manifest.json", "w", encoding="ascii") as fh:
-        json.dump({"instances": entries}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_manifest(out / "manifest.json", {"instances": entries})
     print(f"wrote {args.count} {args.family} instance(s) to {out}")
     return 0
 
@@ -146,9 +145,7 @@ def _cmd_train(args) -> int:
         "grad_norm": [e["grad_norm"] for e in epoch_log],
         "model": str(args.out),
     }
-    with open(str(args.out) + ".manifest.json", "w", encoding="ascii") as fh:
-        json.dump(info, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_manifest(str(args.out) + ".manifest.json", info)
     for key in ("loss_curve", "epoch_seconds", "grad_norm"):
         del info[key]
     print(json.dumps(info, sort_keys=True))
@@ -179,9 +176,7 @@ def _cmd_evaluate(args) -> int:
         "node_cap": args.node_cap,
         "summary": summary,
     }
-    with open(Path(args.out) / "manifest.json", "w", encoding="ascii") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_manifest(Path(args.out) / "manifest.json", manifest)
     print(f"evaluated {summary['instances']} instance(s), failed {summary['failed']}", file=sys.stderr)
     print(json.dumps(summary, sort_keys=True))
     return 0

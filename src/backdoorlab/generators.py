@@ -59,6 +59,9 @@ def gen_gisp(
     """
     if nodes < 2:
         raise ValueError("gisp needs at least 2 nodes")
+    for name, prob in (("edge_prob", edge_prob), ("removable_frac", removable_frac)):
+        if not 0.0 <= prob <= 1.0:
+            raise ValueError(f"gisp {name} must lie in [0, 1], got {prob}")
     rng = _rng(seed)
     edges = _erdos_renyi(nodes, edge_prob, rng)
     removable = rng.random(len(edges)) < removable_frac
@@ -98,7 +101,7 @@ def gen_setcover(
     if n_elements < 1 or n_sets < 1:
         raise ValueError("setcover needs positive element and set counts")
     if not 0.0 < density <= 1.0:
-        raise ValueError("density must lie in (0, 1]")
+        raise ValueError(f"setcover density must lie in (0, 1], got {density}")
     rng = _rng(seed)
     member = rng.random((n_elements, n_sets)) < density
     for i in range(n_elements):
@@ -162,8 +165,8 @@ def gen_mis(nodes: int = 1250, avg_degree: float = 4.0, seed: int = 0) -> MilpIn
     """Maximum independent set on G(nodes, avg_degree / (nodes - 1))."""
     if nodes < 2:
         raise ValueError("mis needs at least 2 nodes")
-    if avg_degree >= nodes:
-        raise ValueError("avg_degree must be below the node count")
+    if not 0.0 <= avg_degree <= nodes - 1:  # the edge probability lies in [0, 1]
+        raise ValueError(f"mis avg_degree must lie in [0, {nodes - 1}], got {avg_degree}")
     rng = _rng(seed)
     edges = _erdos_renyi(nodes, avg_degree / (nodes - 1), rng)
     rows = [[(i, 1.0), (j, 1.0)] for i, j in edges]

@@ -53,9 +53,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    def item(self) -> float:
-        return float(self.data)
-
     def backward(self) -> None:
         """Set ``grad`` to d(self)/d(node) on every reachable node that needs one.
 
@@ -90,34 +87,6 @@ class Tensor:
         for node in reversed(topo):
             if node._bw is not None and node.grad is not None:
                 node._bw(node.grad)
-
-    # Operator sugar; every op also exists as a module function.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def _t(x) -> Tensor:

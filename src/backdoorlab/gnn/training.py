@@ -37,8 +37,12 @@ class TrainConfig:
     hidden: int = 64
 
     def __post_init__(self):
-        if self.tau <= 0.0:
-            raise ValueError("temperature must be positive")
+        if not (math.isfinite(self.tau) and self.tau > 0.0):
+            raise ValueError(f"temperature must be positive and finite, got {self.tau}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
+            raise ValueError(f"learning rate must be positive and finite, got {self.learning_rate}")
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0.0):
+            raise ValueError(f"weight decay must be finite and not negative, got {self.weight_decay}")
         if self.batch_size < 1 or self.epochs < 1:
             raise ValueError("batch size and epochs must be positive")
         if self.L < 1 or self.H < 1 or self.hidden < 1:

@@ -253,18 +253,20 @@ def read_instance(path) -> MilpInstance:
     goes through :func:`make_instance`, so its rows are sorted by column."""
     with open(path, "r", encoding="ascii") as fh:
         raw = fh.read().splitlines()
-    if not raw or not raw[0].startswith(FILE_MAGIC):
-        raise BdmilpFormatError("missing header")
-    header = raw[0].split()
+    header = raw[0].split() if raw else []
+    if not header or header[0] != FILE_MAGIC:
+        raise BdmilpFormatError("line 1: missing header")
     if len(header) != 2 or header[1] != str(FILE_VERSION):
-        raise BdmilpFormatError(f"unsupported format version in header {raw[0]!r}")
+        raise BdmilpFormatError(f"line 1: unsupported format version in header {raw[0]!r}")
     if len(raw) < 3:
-        raise BdmilpFormatError("truncated file: missing name/size lines")
+        raise BdmilpFormatError(f"truncated file: expected at least 3 lines, found {len(raw)}")
     name = raw[1]
     try:
         n, m, nbin = (int(t) for t in raw[2].split())
     except ValueError:
         raise BdmilpFormatError("line 3: malformed size line") from None
+    if min(n, m, nbin) < 0:
+        raise BdmilpFormatError(f"line 3: negative count in size line {raw[2]!r}")
     need = 3 + 1 + m + 5
     if len(raw) < need:
         raise BdmilpFormatError(f"truncated file: expected {need} lines, found {len(raw)}")
@@ -300,8 +302,10 @@ def read_instance(path) -> MilpInstance:
         raise BdmilpFormatError(f"line {base + 2}: expected {m} rhs values")
     lower = _parse_floats(raw[base + 2].split(), "lower bound", base + 3)
     upper = _parse_floats(raw[base + 3].split(), "upper bound", base + 4)
-    if len(lower) != n or len(upper) != n:
-        raise BdmilpFormatError("bound line length mismatch")
+    if len(lower) != n:
+        raise BdmilpFormatError(f"line {base + 3}: expected {n} lower bounds")
+    if len(upper) != n:
+        raise BdmilpFormatError(f"line {base + 4}: expected {n} upper bounds")
     btoks = raw[base + 4].split()
     if len(btoks) != nbin:
         raise BdmilpFormatError(f"line {base + 5}: expected {nbin} binary indices")

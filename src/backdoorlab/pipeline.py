@@ -217,6 +217,14 @@ def _collect_worker(args):
     return line, entry, json.dumps(timing, sort_keys=True)
 
 
+def _write_manifest(path, manifest: dict) -> None:
+    """Write a manifest as every stage does: ASCII JSON, two-space indent,
+    sorted keys, one trailing newline."""
+    with open(path, "w", encoding="ascii") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def collect_dataset(
     instance_dir,
     out_path,
@@ -282,16 +290,16 @@ def collect_dataset(
         "skipped": sum(e.get("skip_reason") is not None for e in entries),
         "failed": sum("error" in e for e in entries),
     }
-    with open(str(out_path) + ".manifest.json", "w", encoding="ascii") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_manifest(str(out_path) + ".manifest.json", manifest)
     return manifest
 
 
 def load_dataset(path) -> list[TrainSample]:
     """Read a collection JSONL back into training samples.
 
-    A line that is not a collection record raises ``ValueError`` naming it.
+    A line that is not a collection record, or whose samples lack a positive
+    or a negative or name a variable outside its graph, raises ``ValueError``
+    naming it.
     """
     samples = []
     with open(path, "r", encoding="ascii") as fh:
@@ -306,9 +314,14 @@ def load_dataset(path) -> list[TrainSample]:
                 neg = tuple(
                     tuple(s["backdoor"]) for s in rec["samples"] if s["label"] == "NEGATIVE"
                 )
-                samples.append(
-                    TrainSample(graph=graph_from_payload(rec["graph"]), positives=pos, negatives=neg)
-                )
+                graph = graph_from_payload(rec["graph"])
+                if not pos or not neg:
+                    raise ValueError("it needs a positive and a negative sample")
+                n = graph.num_vars
+                stray = [j for s in pos + neg for j in s if not 0 <= j < n]
+                if stray:
+                    raise ValueError(f"variable index {stray[0]} outside [0, {n})")
+                samples.append(TrainSample(graph=graph, positives=pos, negatives=neg))
             except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(
                     f"{path}: line {lineno}: not a collection record ({type(exc).__name__}: {exc})"

@@ -7,9 +7,10 @@ import pytest
 
 from backdoorlab import generators
 from backdoorlab.cli import build_parser, main
-from backdoorlab.gnn import GatParameters, save_model
+from backdoorlab.features import featurize
+from backdoorlab.gnn import GatParameters, TrainConfig, save_model
 from backdoorlab.milp import read_instance, write_instance
-from backdoorlab.pipeline import _RESULT_COLUMNS, CollectConfig, evaluate
+from backdoorlab.pipeline import _RESULT_COLUMNS, CollectConfig, _graph_payload, evaluate, load_dataset
 
 
 def run(capsys, *argv):
@@ -202,6 +203,76 @@ def test_train_with_a_zero_model_size_is_an_error_not_a_traceback(tmp_path, caps
     assert code == 2
     assert "must be positive" in capsys.readouterr().err
     assert not (tmp_path / "m.npz").exists()
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--tau", "nan", "temperature must be positive and finite, got nan"),
+    ("--tau", "inf", "temperature must be positive and finite, got inf"),
+    ("--tau", "0", "temperature must be positive and finite, got 0.0"),
+    ("--lr", "-1", "learning rate must be positive and finite, got -1.0"),
+    ("--lr", "0", "learning rate must be positive and finite, got 0.0"),
+    ("--lr", "nan", "learning rate must be positive and finite, got nan"),
+    ("--weight-decay", "-0.01", "weight decay must be finite and not negative, got -0.01"),
+    ("--weight-decay", "inf", "weight decay must be finite and not negative, got inf"),
+])
+def test_train_with_an_unusable_rate_is_an_error_not_a_run(tmp_path, capsys, flag, value, message):
+    code = main([
+        "train", "--dataset", str(tmp_path / "ds.jsonl"), "--out", str(tmp_path / "m.npz"),
+        flag, value,
+    ])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_train_accepts_a_zero_weight_decay():
+    assert TrainConfig(weight_decay=0.0).weight_decay == 0.0
+
+
+def dataset_record(positives, negatives):
+    """A collection record on a 9-variable graph with the given backdoors."""
+    inst = generators.gen_mis(nodes=9, avg_degree=3.0, seed=5)
+    samples = [
+        {"backdoor": list(b), "effort": 1, "label": label, "tree_weight": None}
+        for label, group in (("POSITIVE", positives), ("NEGATIVE", negatives))
+        for b in group
+    ]
+    graph = _graph_payload(featurize(inst, inst.lp.solve()))
+    return json.dumps({"baseline_effort": 2, "graph": graph, "instance": inst.name, "samples": samples})
+
+
+@pytest.mark.parametrize("positives, negatives, message", [
+    ([(0, 1)], [(2, 999)], "ValueError: variable index 999 outside [0, 9)"),
+    ([(0, -1)], [(2, 3)], "ValueError: variable index -1 outside [0, 9)"),
+    ([(0, 1)], [], "ValueError: it needs a positive and a negative sample"),
+    ([], [(2, 3)], "ValueError: it needs a positive and a negative sample"),
+], ids=["index-past-the-graph", "negative-index", "no-negative", "no-positive"])
+def test_train_on_a_record_it_cannot_use_is_an_error_naming_the_line(
+    tmp_path, capsys, positives, negatives, message
+):
+    dataset = tmp_path / "d.jsonl"
+    dataset.write_text(dataset_record([(0, 1)], [(2, 3)]) + "\n" + dataset_record(positives, negatives) + "\n")
+    code = main(["train", "--dataset", str(dataset), "--out", str(tmp_path / "m.npz")])
+    assert code == 2
+    assert f"{dataset}: line 2: not a collection record ({message})" in capsys.readouterr().err
+    assert not (tmp_path / "m.npz").exists()
+
+
+def test_load_dataset_accepts_indices_up_to_the_last_variable(tmp_path):
+    dataset = tmp_path / "d.jsonl"
+    dataset.write_text(dataset_record([(0, 8)], [(2, 3)]) + "\n")
+    (sample,) = load_dataset(dataset)
+    assert (sample.positives, sample.negatives) == (((0, 8),), ((2, 3),))
+    assert sample.graph.num_vars == 9
+
+
+def test_generate_rejects_a_probability_outside_the_unit_interval(tmp_path, capsys):
+    code = main([
+        "generate", "--family", "gisp", "--nodes", "5", "--edge-prob", "2", "--out", str(tmp_path / "inst"),
+    ])
+    assert code == 2
+    assert "gisp edge_prob must lie in [0, 1], got 2.0" in capsys.readouterr().err
+    assert not list((tmp_path / "inst").glob("*.bdmilp"))
 
 
 def test_train_on_a_malformed_dataset_is_an_error_naming_the_line(tmp_path, capsys):

@@ -139,3 +139,32 @@ def test_config_validation():
         g.gen_setcover(density=0.0)
     with pytest.raises(ValueError):
         g.gen_mis(nodes=10, avg_degree=10)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: g.gen_gisp(nodes=5, edge_prob=2.0), "gisp edge_prob must lie in [0, 1], got 2.0"),
+    (lambda: g.gen_gisp(nodes=5, edge_prob=-1.0), "gisp edge_prob must lie in [0, 1], got -1.0"),
+    (lambda: g.gen_gisp(nodes=5, edge_prob=float("nan")), "gisp edge_prob must lie in [0, 1], got nan"),
+    (lambda: g.gen_gisp(nodes=5, removable_frac=5.0), "gisp removable_frac must lie in [0, 1], got 5.0"),
+    (lambda: g.gen_gisp(nodes=5, removable_frac=-0.1), "gisp removable_frac must lie in [0, 1], got -0.1"),
+    (lambda: g.gen_mis(nodes=6, avg_degree=-1.0), "mis avg_degree must lie in [0, 5], got -1.0"),
+    (lambda: g.gen_mis(nodes=6, avg_degree=5.5), "mis avg_degree must lie in [0, 5], got 5.5"),
+    (lambda: g.gen_setcover(density=1.5), "setcover density must lie in (0, 1], got 1.5"),
+], ids=[
+    "gisp-edge-prob-above-1", "gisp-edge-prob-negative", "gisp-edge-prob-nan",
+    "gisp-removable-frac-above-1", "gisp-removable-frac-negative",
+    "mis-avg-degree-negative", "mis-avg-degree-above-nodes-minus-1", "setcover-density-above-1",
+])
+def test_a_probability_outside_the_unit_interval_is_rejected_naming_the_family(make, message):
+    with pytest.raises(ValueError) as err:
+        make()
+    assert str(err.value) == message
+
+
+def test_probabilities_at_the_ends_of_the_unit_interval_are_accepted():
+    assert g.gen_gisp(nodes=5, edge_prob=0.0, seed=1).num_cons == 0
+    complete = g.gen_gisp(nodes=5, edge_prob=1.0, removable_frac=0.0, seed=1)
+    assert complete.num_vars == 5 and complete.num_cons == 10
+    assert g.gen_gisp(nodes=5, edge_prob=1.0, removable_frac=1.0, seed=1).num_vars == 15
+    assert g.gen_mis(nodes=6, avg_degree=5.0, seed=1).num_cons == 15
+    assert g.gen_mis(nodes=6, avg_degree=0.0, seed=1).num_cons == 0

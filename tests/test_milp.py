@@ -234,6 +234,102 @@ class TestFileRoundtrip:
             read_instance(path)
 
 
+# A valid file: header, name, sizes, objective, two rows, senses, rhs,
+# lower and upper bounds, binaries.  Each case below replaces one line, or
+# keeps only the first few, and names the error that read_instance raises.
+GOOD_FILE = [
+    "bdmilp 1", "p", "2 2 1", "1 -1", "row 2 0 1 1 1", "row 1 1 2", "LE GE", "4 0.5", "0 0", "1 inf", "0",
+]
+
+FORMAT_ERRORS = {
+    "missing-header": ({1: "junk 1"}, "line 1: missing header"),
+    "magic-prefix-only": ({1: "bdmilpx 1"}, "line 1: missing header"),
+    "unsupported-version": ({1: "bdmilp 2"}, "line 1: unsupported format version in header 'bdmilp 2'"),
+    "no-size-line": (2, "truncated file: expected at least 3 lines, found 2"),
+    "malformed-size-line": ({3: "2 2"}, "line 3: malformed size line"),
+    "negative-variable-count": ({3: "-1 2 1"}, "line 3: negative count in size line '-1 2 1'"),
+    "negative-row-count": ({3: "2 -4 1"}, "line 3: negative count in size line '2 -4 1'"),
+    "negative-binary-count": ({3: "2 2 -1"}, "line 3: negative count in size line '2 2 -1'"),
+    "truncated-body": (10, "truncated file: expected 11 lines, found 10"),
+    "non-numeric-objective": ({4: "1 x"}, "line 4: non-numeric objective coefficient 'x'"),
+    "objective-length": ({4: "1"}, "line 4: expected 2 objective coefficients"),
+    "not-a-row-line": ({5: "rows 2 0 1 1 1"}, "line 5: expected row line"),
+    "malformed-row-count": ({5: "row x"}, "line 5: malformed row count"),
+    "row-token-count": ({6: "row 2 1 2"}, "line 6: row token count mismatch"),
+    "bad-column-index": ({6: "row 1 y 2"}, "line 6: bad column index"),
+    "non-numeric-coefficient": ({6: "row 1 1 z"}, "line 6: non-numeric coefficient 'z'"),
+    "unknown-sense": ({7: "LE <="}, "line 7: unknown sense token '<='"),
+    "sense-count": ({7: "LE"}, "line 7: expected 2 sense tokens"),
+    "non-numeric-rhs": ({8: "4 q"}, "line 8: non-numeric rhs 'q'"),
+    "rhs-count": ({8: "4"}, "line 8: expected 2 rhs values"),
+    "non-numeric-lower-bound": ({9: "0 w"}, "line 9: non-numeric lower bound 'w'"),
+    "lower-bound-count": ({9: "0"}, "line 9: expected 2 lower bounds"),
+    "non-numeric-upper-bound": ({10: "1 v"}, "line 10: non-numeric upper bound 'v'"),
+    "upper-bound-count": ({10: "1 inf 1"}, "line 10: expected 2 upper bounds"),
+    "binary-count": ({11: "0 1"}, "line 11: expected 1 binary indices"),
+    "bad-binary-index": ({11: "b"}, "line 11: bad binary index"),
+}
+
+
+class TestReadInstanceErrors:
+    def test_the_good_file_reads(self, tmp_path):
+        path = tmp_path / "p.bdmilp"
+        path.write_text("\n".join(GOOD_FILE) + "\n")
+        inst = read_instance(path)
+        assert (inst.num_vars, inst.num_cons, inst.upper, inst.binary_set) == (2, 2, (1.0, INF), {0})
+
+    @pytest.mark.parametrize("edit, message", FORMAT_ERRORS.values(), ids=FORMAT_ERRORS.keys())
+    def test_each_format_error_names_its_line(self, tmp_path, edit, message):
+        if isinstance(edit, int):
+            lines = GOOD_FILE[:edit]
+        else:
+            lines = [edit.get(k, line) for k, line in enumerate(GOOD_FILE, 1)]
+        path = tmp_path / "p.bdmilp"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(BdmilpFormatError) as err:
+            read_instance(path)
+        assert str(err.value) == message
+
+
+def broken(**fields):
+    """A one-variable, one-row valid instance with ``fields`` replaced."""
+    base = dict(
+        name="b", num_vars=1, objective=(-1.0,), rows=(((0, 1.0),),), rhs=(1.0,), senses=("LE",),
+        lower=(0.0,), upper=(1.0,), binary_set=frozenset([0]),
+    )
+    return MilpInstance(**(base | fields))
+
+
+VIOLATIONS = {
+    "binary-index-out-of-range": (dict(binary_set=frozenset([0, 3])), "binary index 3 out of range"),
+    "no-variables": (
+        dict(num_vars=0, objective=(), rows=(), rhs=(), senses=(), lower=(), upper=(), binary_set=frozenset()),
+        "instance has no variables",
+    ),
+    "objective-length": (dict(objective=(-1.0, 2.0)), "objective length 2 != num_vars 1"),
+    "non-finite-coefficient": (dict(rows=(((0, float("nan")),),)), "row 0: non-finite coefficient at column 0"),
+    "unknown-sense": (dict(senses=("<=",)), "row 0: unknown sense '<='"),
+    "non-finite-rhs": (dict(rhs=(INF,)), "row 0: non-finite rhs"),
+    "infinite-lower-bound": (
+        dict(lower=(-INF,), upper=(INF,), binary_set=frozenset()),
+        "column 0: lower bound must be finite",
+    ),
+    "lower-above-upper": (
+        dict(lower=(2.0,), upper=(1.0,), binary_set=frozenset()),
+        "column 0: lower bound 2.0 above upper bound 1.0",
+    ),
+}
+
+
+def test_the_unbroken_instance_is_valid():
+    assert validate_instance(broken()).ok
+
+
+@pytest.mark.parametrize("fields, message", VIOLATIONS.values(), ids=VIOLATIONS.keys())
+def test_each_violation_is_reported(fields, message):
+    assert message in validate_instance(broken(**fields)).violations
+
+
 def five_families():
     return [
         generators.gen_gisp(nodes=15, seed=1),

@@ -688,6 +688,103 @@ def test_pivots_of_a_run_that_fails_are_counted(monkeypatch):
     assert (sol.iterations, sol.x.tobytes()) == (cold.iterations, cold.x.tobytes())
 
 
+class SkewedColumn(np.ndarray):
+    """A ``WT`` whose next ``skews`` reads of one row, the way the kernel
+    reads its entering column, come back scaled by 1.5: the pivot column
+    then disagrees with the pivot row, as after a drifted inverse."""
+
+    skews = 0
+
+    def __getitem__(self, key):
+        row = super().__getitem__(key)
+        if type(key) is int and SkewedColumn.skews:
+            SkewedColumn.skews -= 1
+            return np.asarray(row) * 1.5
+        return row
+
+
+def skew_next_column(ws, monkeypatch):
+    monkeypatch.setattr(SkewedColumn, "skews", 1)
+    ws.WT = ws.WT.view(SkewedColumn)
+
+
+def assert_same_optimum(sol, want, ws, lo, up):
+    assert sol.status == want.status == OPTIMAL
+    assert sol.objective.hex() == want.objective.hex()
+    ws._verify(sol.x, lo, up)
+
+
+def test_drifted_pivot_column_refactorizes_a_carried_inverse(monkeypatch):
+    inst = gen_gisp(nodes=12, seed=1)
+    ws = LpWorkspace(lp_relaxation(inst))
+    root = ws.solve()
+    assert ws._inverses[root.basis.tobytes()][1] > 0
+    lo, up = fixed_child(inst, root)
+    before = ws.counters()
+    skew_next_column(ws, monkeypatch)
+    sol = ws.solve(lower=lo, upper=up, start=(root.vstat, root.basis))
+    assert SkewedColumn.skews == 0
+    after = ws.counters()
+    assert after["refactorizations"] == before["refactorizations"] + 1
+    assert after["cold_retries"] == before["cold_retries"]
+    want = LpWorkspace(lp_relaxation(inst)).solve(lower=lo, upper=up, start=(root.vstat, root.basis))
+    assert_same_optimum(sol, want, ws, lo, up)
+
+
+def test_drifted_pivot_column_of_a_fresh_inverse_is_retried_cold(monkeypatch):
+    inst = gen_gisp(nodes=12, seed=1)
+    ws = LpWorkspace(lp_relaxation(inst))
+    root = ws.solve()
+    ws._inverses.clear()  # the warm start inverts afresh: no update to blame
+    lo, up = fixed_child(inst, root)
+    skew_next_column(ws, monkeypatch)
+    sol = ws.solve(lower=lo, upper=up, start=(root.vstat, root.basis))
+    assert SkewedColumn.skews == 0
+    assert (ws.cold_retries, ws.refactorizations, ws.inversions) == (1, 0, 1)
+    want = LpWorkspace(lp_relaxation(inst)).solve(lower=lo, upper=up)
+    assert_same_optimum(sol, want, ws, lo, up)
+
+
+def break_first_basic_values(ws):
+    """Make the first LU-resolved point of ``ws`` break its lower bounds."""
+    resolve = ws._basic_values
+    calls = []
+
+    def broken_first(basis, rhs):
+        calls.append(basis.copy())
+        xB = resolve(basis, rhs)
+        return xB - 10.0 if len(calls) == 1 else xB
+
+    ws._basic_values = broken_first
+    return calls
+
+
+def test_final_point_that_fails_its_recheck_refactorizes():
+    inst = gen_gisp(nodes=12, seed=1)
+    ws = LpWorkspace(lp_relaxation(inst))
+    calls = break_first_basic_values(ws)
+    sol = ws.solve()
+    assert len(calls) == 2 and sol.iterations > 0
+    assert (ws.refactorizations, ws.inversions, ws.cold_retries) == (1, 1, 0)
+    want = LpWorkspace(lp_relaxation(inst)).solve()
+    assert_same_optimum(sol, want, ws, ws.base_lower, ws.base_upper)
+
+
+def test_final_point_of_a_fresh_inverse_that_fails_its_recheck_is_retried_cold():
+    inst = gen_gisp(nodes=12, seed=1)
+    ws = LpWorkspace(lp_relaxation(inst))
+    root = ws.solve()
+    ws._memo.clear()
+    ws._inverses.clear()
+    calls = break_first_basic_values(ws)
+    # The root basis is optimal at once from its fresh inverse, so the check
+    # fails with no update made and the run starts over from the slack basis.
+    sol = ws.solve(start=(root.vstat, root.basis))
+    assert len(calls) == 2 and calls[0].tobytes() == root.basis.tobytes()
+    assert (ws.cold_retries, ws.refactorizations) == (1, 0)
+    assert_same_optimum(sol, root, ws, ws.base_lower, ws.base_upper)
+
+
 def assert_kept_inverses_invert(ws):
     for key, (Binv, _) in ws._inverses.items():
         basis = np.frombuffer(key, dtype=np.int64)
