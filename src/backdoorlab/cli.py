@@ -59,11 +59,13 @@ def _cmd_generate(args) -> int:
     # Every size the generator runs with, defaults included, so the manifest says it.
     params = {name: p.default for name, p in sizes.items() if name != "seed"} | given
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     entries = []
     for i in range(args.count):
         seed = args.seed + i
         inst = gen(seed=seed, **params)
+        if i == 0:
+            # Only now: the generator has checked its sizes, so a rejected run leaves nothing.
+            out.mkdir(parents=True, exist_ok=True)
         path = out / f"{inst.name}{FILE_EXTENSION}"
         write_instance(inst, path)
         entries.append(

@@ -313,4 +313,11 @@ def read_instance(path) -> MilpInstance:
         binary = [int(t) for t in btoks]
     except ValueError:
         raise BdmilpFormatError(f"line {base + 5}: bad binary index") from None
+    seen = set()
+    for j in binary:
+        if not 0 <= j < n:
+            raise BdmilpFormatError(f"line {base + 5}: binary index {j} outside [0, {n})")
+        if j in seen:
+            raise BdmilpFormatError(f"line {base + 5}: repeated binary index {j}")
+        seen.add(j)
     return make_instance(name, objective, rows, rhs, senses, lower, upper, binary)

@@ -25,12 +25,15 @@ values rounded to float32 or against fixed tolerances, so the last-bit
 differences between two inverses of one basis do not change the path (short
 of a value on a rounding boundary), and the optimal point is recomputed by an
 LU solve on the final basis: a result depends on its inputs, not on which
-inverse of the start basis the workspace held.  An infeasible verdict stands
-only when the pivot row proves it (a Farkas certificate recomputed from that
-row against the real bounds).  A warm start whose nonbasic columns do not sit
-at finite bounds, an unproven verdict or a numerical failure is retried from
-the slack basis, counted in ``cold_retries``; the same failure of a cold run
-raises :class:`SimplexNumericalError`.
+inverse of the start basis the workspace held.  That point is the one drift
+guard: it must lie within its bounds and agree with the carried basic values,
+or an inverse that carried updates is rebuilt and the run goes on.  An
+infeasible verdict stands only when the pivot row proves it (a Farkas
+certificate recomputed from that row against the real bounds).  A warm start
+whose nonbasic columns do not sit at finite bounds, an unproven verdict or a
+numerical failure (a final point that fails with no update to blame is one)
+is retried from the slack basis, counted in ``cold_retries``; the same
+failure of a cold run raises :class:`SimplexNumericalError`.
 
 The kernel is plain numpy over a dense explicit inverse: pricing, the ratio
 test and the infeasibility scan are array operations over all columns or
@@ -45,7 +48,8 @@ m = 87, two from m = 210 on), least recently used evicted first: the final
 inverse of every kernel run that ends optimal, so its children skip the
 inversion, and every inverse computed for a start basis, so the second
 sibling does too.  Each kept inverse carries its count of rank-one updates,
-and a kernel rebuilds it once the count reaches ``_REFACTOR_EVERY``.
+and a kernel rebuilds it once the count reaches ``_REFACTOR_EVERY`` or when
+its final point breaks its bounds or disagrees with the carried one.
 """
 
 from __future__ import annotations
@@ -198,9 +202,9 @@ class LpWorkspace:
     of the dual kernel, ``pivots`` every pivot they made (a run that raised
     included), ``inversions`` the ``np.linalg.inv`` calls (the slack basis's
     identity is not one), ``refactorizations`` those of them that rebuilt an
-    inverse a kernel was carrying (after ``_REFACTOR_EVERY`` updates, a pivot
-    row and column that disagree, or a final point that fails its re-check),
-    and ``inverse_hits`` the warm starts whose inverse was kept.
+    inverse a kernel was carrying (after ``_REFACTOR_EVERY`` updates, or when
+    the LU-resolved final point breaks its bounds or disagrees with the
+    carried one), and ``inverse_hits`` the warm starts whose inverse was kept.
     """
 
     COUNTERS = (
@@ -382,10 +386,10 @@ class LpWorkspace:
         INFEASIBLE or UNBOUNDED solution; an optimal point is verified, and
         then its final inverse kept.  Raises :class:`SimplexIterationError`
         at the iteration limit and ``_Unsettled`` for a nonbasic column at an
-        infinite bound, a fresh inverse that fails its checks, an infeasible
-        verdict that the pivot row does not prove, and an artificial bound
-        still held after ``_ARTIFICIAL_ROUNDS`` rounds.  Each pivot is
-        counted in ``pivots`` as it is made.
+        infinite bound, a final point that fails its re-check with no update
+        to blame, an infeasible verdict that the pivot row does not prove,
+        and an artificial bound still held after ``_ARTIFICIAL_ROUNDS``
+        rounds.  Each pivot is counted in ``pivots`` as it is made.
         """
         WT, b, c = self.WT, self.b, self.c_ext
         n, m = self.n, self.m
@@ -426,6 +430,13 @@ class LpWorkspace:
             held = art[side[art] == art_side]
             z[held] = np.where(side[held] > 0.0, up[held], lo[held])
 
+        def flip(moved):
+            """Nonbasic columns ``moved`` (none of them fixed) to their other bound."""
+            side[moved] = -side[moved]
+            rise = side[moved] > 0.0
+            vstat[moved] = np.where(rise, _AT_UPPER, _AT_LOWER)
+            z[moved] = np.where(rise, up[moved], lo[moved])
+
         def values():
             return np.dot(Binv, b - np.dot(z, WT)), lo[basis], up[basis]
 
@@ -433,10 +444,7 @@ class LpWorkspace:
             lo, up = lo.copy(), up.copy()
             box()
         if wrong.size:
-            rise = side[wrong] < 0.0
-            side[wrong] = -side[wrong]
-            vstat[wrong] = np.where(rise, _AT_UPPER, _AT_LOWER)
-            z[wrong] = np.where(rise, up[wrong], lo[wrong])
+            flip(wrong)
         xB, loB, upB = values()
 
         iters = 0
@@ -469,23 +477,25 @@ class LpWorkspace:
                     if rounds == _ARTIFICIAL_ROUNDS:
                         raise _Unsettled
                     rounds += 1
-                    back = held[~gain]
-                    side[back] = -side[back]
-                    vstat[back] = np.where(side[back] > 0.0, _AT_UPPER, _AT_LOWER)
-                    z[back] = np.where(side[back] > 0.0, up[back], lo[back])
+                    flip(held[~gain])
                     if gain.any():
                         span *= _ARTIFICIAL_GROWTH
                         box()
                     xB, loB, upB = values()
                     continue
                 # The point comes from the final basis alone, not from the
-                # updates that led there.
-                xB = self._basic_values(basis, b - np.dot(z, WT))
-                if _any(np.maximum(loB - xB, xB - upB) > _FTOL):
+                # updates that led there, and it must agree with the carried
+                # one: this is the one check that sees a drifted inverse.  (A
+                # pivot row and column test would not: with an explicit
+                # inverse, both products read the same ``Binv``.)
+                xLU = self._basic_values(basis, b - np.dot(z, WT))
+                off = _any(np.maximum(loB - xLU, xLU - upB) > _FTOL)
+                if off or _any(np.abs(xLU - xB) > 1e-9 * (1.0 + np.abs(xB))):
                     if updates == 0:
                         raise _Unsettled
                     updates = _REFACTOR_EVERY
                     continue
+                xB = xLU
                 z[basis] = xB
                 x = z[:n].clip(bounds[0, :n], bounds[1, :n])
                 self._verify(x, bounds[0, :n], bounds[1, :n])
@@ -564,21 +574,10 @@ class LpWorkspace:
 
             w = np.dot(Binv, WT[enter])
             piv = float(w[r])
-            if abs(piv - float(alpha[enter])) > 1e-7 * (1.0 + abs(piv)):
-                # The pivot row and column disagree: the inverse has drifted.
-                if updates == 0:
-                    raise _Unsettled
-                updates = _REFACTOR_EVERY
-                continue
-
             if k:
-                flip = np.array([cand[i][1] for i in range(k)])
-                rise = side[flip] < 0.0
-                side[flip] = np.where(rise, 1.0, -1.0)
-                vstat[flip] = np.where(rise, _AT_UPPER, _AT_LOWER)
-                z[flip] = np.where(rise, up[flip], lo[flip])
-                step = np.where(rise, width[flip], -width[flip])
-                xB -= np.dot(Binv, np.dot(step, WT[flip]))
+                passed = np.array([cand[i][1] for i in range(k)])
+                flip(passed)
+                xB -= np.dot(Binv, np.dot(side[passed] * width[passed], WT[passed]))
                 x_r = float(xB[r])
 
             bound = float(loB[r] if to_lower else upB[r])

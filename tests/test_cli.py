@@ -272,7 +272,7 @@ def test_generate_rejects_a_probability_outside_the_unit_interval(tmp_path, caps
     ])
     assert code == 2
     assert "gisp edge_prob must lie in [0, 1], got 2.0" in capsys.readouterr().err
-    assert not list((tmp_path / "inst").glob("*.bdmilp"))
+    assert not (tmp_path / "inst").exists()
 
 
 def test_train_on_a_malformed_dataset_is_an_error_naming_the_line(tmp_path, capsys):
@@ -410,3 +410,12 @@ def test_solve_rejects_a_node_limit_below_one(capsys, one_instance):
     code = main(["solve", "--instance", str(inst_file), "--node-limit", "0"])
     assert code == 2
     assert "node_limit must be None or at least 1, got 0" in capsys.readouterr().err
+
+
+def test_solve_rejects_a_binary_index_outside_the_variables(tmp_path, capsys):
+    path = tmp_path / "p.bdmilp"
+    # Two variables, one binary: the last line names column 7.
+    path.write_text("\n".join(["bdmilp 1", "p", "2 1 1", "1 1", "row 2 0 1 1 1", "LE", "1", "0 0", "1 1", "7"]) + "\n")
+    code = main(["solve", "--instance", str(path)])
+    assert code == 2
+    assert "line 10: binary index 7 outside [0, 2)" in capsys.readouterr().err

@@ -268,6 +268,9 @@ FORMAT_ERRORS = {
     "upper-bound-count": ({10: "1 inf 1"}, "line 10: expected 2 upper bounds"),
     "binary-count": ({11: "0 1"}, "line 11: expected 1 binary indices"),
     "bad-binary-index": ({11: "b"}, "line 11: bad binary index"),
+    "binary-index-out-of-range": ({11: "2"}, "line 11: binary index 2 outside [0, 2)"),
+    "negative-binary-index": ({11: "-1"}, "line 11: binary index -1 outside [0, 2)"),
+    "repeated-binary-index": ({3: "2 2 2", 11: "0 0"}, "line 11: repeated binary index 0"),
 }
 
 

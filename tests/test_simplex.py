@@ -690,8 +690,9 @@ def test_pivots_of_a_run_that_fails_are_counted(monkeypatch):
 
 class SkewedColumn(np.ndarray):
     """A ``WT`` whose next ``skews`` reads of one row, the way the kernel
-    reads its entering column, come back scaled by 1.5: the pivot column
-    then disagrees with the pivot row, as after a drifted inverse."""
+    reads its entering column, come back scaled by 1.5: the update made with
+    that column then leaves the carried point off the final basis's, as a
+    drifted inverse would."""
 
     skews = 0
 
@@ -731,18 +732,61 @@ def test_drifted_pivot_column_refactorizes_a_carried_inverse(monkeypatch):
     assert_same_optimum(sol, want, ws, lo, up)
 
 
-def test_drifted_pivot_column_of_a_fresh_inverse_is_retried_cold(monkeypatch):
+def test_drifted_pivot_column_of_a_fresh_inverse_refactorizes_at_the_exit(monkeypatch):
     inst = gen_gisp(nodes=12, seed=1)
     ws = LpWorkspace(lp_relaxation(inst))
     root = ws.solve()
-    ws._inverses.clear()  # the warm start inverts afresh: no update to blame
+    ws._inverses.clear()  # the warm start inverts afresh
     lo, up = fixed_child(inst, root)
     skew_next_column(ws, monkeypatch)
     sol = ws.solve(lower=lo, upper=up, start=(root.vstat, root.basis))
     assert SkewedColumn.skews == 0
-    assert (ws.cold_retries, ws.refactorizations, ws.inversions) == (1, 0, 1)
+    # The skew shows only at the exit, after the pivots it spoiled, so the
+    # inverse they updated is rebuilt rather than the run retried cold.
+    assert (ws.cold_retries, ws.refactorizations, ws.inversions) == (0, 1, 2)
     want = LpWorkspace(lp_relaxation(inst)).solve(lower=lo, upper=up)
     assert_same_optimum(sol, want, ws, lo, up)
+
+
+def test_drifted_kept_inverse_is_refactorized():
+    inst = gen_gisp(nodes=12, seed=1)
+    ws = LpWorkspace(lp_relaxation(inst))
+    root = ws.solve()
+    lo, up = fixed_child(inst, root)
+    want = LpWorkspace(lp_relaxation(inst)).solve(lower=lo, upper=up, start=(root.vstat, root.basis))
+    # Drift in one row of the kept inverse: both products of a pivot row and
+    # column test would read it alike, the carried point does not.
+    ws._inverses[root.basis.tobytes()][0][0] *= 1 + 1e-6
+    before = ws.counters()
+    sol = ws.solve(lower=lo, upper=up, start=(root.vstat, root.basis))
+    after = ws.counters()
+    assert after["inverse_hits"] == before["inverse_hits"] + 1
+    assert after["refactorizations"] == before["refactorizations"] + 1
+    assert after["cold_retries"] == before["cold_retries"]
+    assert_same_optimum(sol, want, ws, lo, up)
+
+
+def test_drifted_fresh_inverse_of_an_optimal_start_is_retried_cold():
+    inst = gen_gisp(nodes=12, seed=1)
+    ws = LpWorkspace(lp_relaxation(inst))
+    root = ws.solve()
+    ws._memo.clear()
+    ws._inverses.clear()
+    invert = ws._invert
+
+    def drifted(basis):
+        Binv = invert(basis)
+        if basis.tobytes() == root.basis.tobytes():
+            Binv[2] *= 1 + 1e-6
+        return Binv
+
+    ws._invert = drifted
+    # The root basis is optimal at once, so its point disagrees with the LU
+    # one with no update made, and the run starts over from the slack basis.
+    sol = ws.solve(start=(root.vstat, root.basis))
+    assert (ws.cold_retries, ws.refactorizations, ws.inversions) == (1, 0, 1)
+    assert sol.iterations == root.iterations
+    assert_same_optimum(sol, root, ws, ws.base_lower, ws.base_upper)
 
 
 def break_first_basic_values(ws):
