@@ -142,22 +142,17 @@ def make_instance(name, objective, rows, rhs, senses, lower, upper, binary_set) 
 
 
 def validate_instance(inst: MilpInstance) -> ValidationReport:
-    """Check every invariant, the structural ones and then the binary set's;
-    violations name the offending row/column."""
-    bad = _structural_violations(inst)
+    """Check every invariant: the list that :func:`lp_relaxation` enforces, then
+    a nonempty binary set; violations name the offending row/column."""
+    bad = _violations(inst)
     if not inst.binary_set:
         bad.append("binary set is empty")
-    bounded = min(len(inst.lower), len(inst.upper))  # short bounds are reported above
-    for j in sorted(inst.binary_set):
-        if not 0 <= j < inst.num_vars:
-            bad.append(f"binary index {j} out of range")
-        elif j < bounded and (inst.lower[j] != 0.0 or inst.upper[j] != 1.0):
-            bad.append(f"binary bound: column {j} has bounds [{inst.lower[j]}, {inst.upper[j]}]")
     return ValidationReport(ok=not bad, violations=tuple(bad))
 
 
-def _structural_violations(inst: MilpInstance) -> list[str]:
-    """Everything but the binary set: sizes, indices, finiteness, senses, bounds."""
+def _violations(inst: MilpInstance) -> list[str]:
+    """What stops a solve: sizes, indices, finiteness, senses, bounds, and a binary
+    outside ``[0, n)`` or not bounded ``[0, 1]`` (branching could not settle it)."""
     bad: list[str] = []
     n = inst.num_vars
     if n < 1:
@@ -189,7 +184,7 @@ def _structural_violations(inst: MilpInstance) -> list[str]:
     for r, b in enumerate(inst.rhs):
         if not math.isfinite(b):
             bad.append(f"row {r}: non-finite rhs")
-    for j in range(min(n, len(inst.lower), len(inst.upper))):
+    for j in range(bounded := min(n, len(inst.lower), len(inst.upper))):
         lo, up = inst.lower[j], inst.upper[j]
         if not math.isfinite(lo):
             bad.append(f"column {j}: lower bound must be finite")
@@ -197,19 +192,24 @@ def _structural_violations(inst: MilpInstance) -> list[str]:
             bad.append(f"column {j}: upper bound is NaN")
         if lo > up:
             bad.append(f"column {j}: lower bound {lo} above upper bound {up}")
+    for j in sorted(inst.binary_set):
+        if not 0 <= j < n:
+            bad.append(f"binary index {j} out of range")
+        elif j < bounded and (inst.lower[j] != 0.0 or inst.upper[j] != 1.0):
+            bad.append(f"binary bound: column {j} has bounds [{inst.lower[j]}, {inst.upper[j]}]")
     return bad
 
 
 def lp_relaxation(inst: MilpInstance) -> MilpInstance:
     """Drop integrality: ``inst`` itself, since the LP layer ignores ``binary_set``.
 
-    Raises ``ValueError`` on structural invalidity (bad column indices or
-    mismatched lengths); an empty binary set is accepted so that
-    all-continuous copies relax to themselves.
+    Raises ``ValueError`` naming every entry of :func:`_violations`, the one list
+    of what can be solved; an empty binary set passes, so all-continuous copies
+    relax to themselves.
     """
-    structural = _structural_violations(inst)
-    if structural:
-        raise ValueError("invalid instance: " + "; ".join(structural))
+    bad = _violations(inst)
+    if bad:
+        raise ValueError("invalid instance: " + "; ".join(bad))
     return inst
 
 

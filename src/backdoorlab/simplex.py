@@ -27,13 +27,14 @@ of a value on a rounding boundary), and the optimal point is recomputed by an
 LU solve on the final basis: a result depends on its inputs, not on which
 inverse of the start basis the workspace held.  That point is the one drift
 guard: it must lie within its bounds and agree with the carried basic values,
-or an inverse that carried updates is rebuilt and the run goes on.  An
-infeasible verdict stands only when the pivot row proves it (a Farkas
-certificate recomputed from that row against the real bounds).  A warm start
-whose nonbasic columns do not sit at finite bounds, an unproven verdict or a
-numerical failure (a final point that fails with no update to blame is one)
-is retried from the slack basis, counted in ``cold_retries``; the same
-failure of a cold run raises :class:`SimplexNumericalError`.
+or an inverse that carried updates is rebuilt, at most once per run, and the
+run goes on.  An infeasible verdict stands only when the pivot row proves it
+(a Farkas certificate recomputed from that row against the real bounds).  A
+warm start whose nonbasic columns do not sit at finite bounds, an unproven
+verdict or a numerical failure (a final point that fails with no update to
+blame, or fails again after its run's rebuild, is one) is retried from the
+slack basis, counted in ``cold_retries``; the same failure of a cold run
+raises :class:`SimplexNumericalError`.
 
 The kernel is plain numpy over a dense explicit inverse: pricing, the ratio
 test and the infeasibility scan are array operations over all columns or
@@ -49,7 +50,8 @@ inverse of every kernel run that ends optimal, so its children skip the
 inversion, and every inverse computed for a start basis, so the second
 sibling does too.  Each kept inverse carries its count of rank-one updates,
 and a kernel rebuilds it once the count reaches ``_REFACTOR_EVERY`` or when
-its final point breaks its bounds or disagrees with the carried one.
+its final point breaks its bounds or disagrees with the carried one (this
+last at most once per run).
 """
 
 from __future__ import annotations
@@ -387,9 +389,10 @@ class LpWorkspace:
         then its final inverse kept.  Raises :class:`SimplexIterationError`
         at the iteration limit and ``_Unsettled`` for a nonbasic column at an
         infinite bound, a final point that fails its re-check with no update
-        to blame, an infeasible verdict that the pivot row does not prove,
-        and an artificial bound still held after ``_ARTIFICIAL_ROUNDS``
-        rounds.  Each pivot is counted in ``pivots`` as it is made.
+        to blame or again after the one rebuild a run makes for it, an
+        infeasible verdict that the pivot row does not prove, and an
+        artificial bound still held after ``_ARTIFICIAL_ROUNDS`` rounds.
+        Each pivot is counted in ``pivots`` as it is made.
         """
         WT, b, c = self.WT, self.b, self.c_ext
         n, m = self.n, self.m
@@ -450,6 +453,7 @@ class LpWorkspace:
         iters = 0
         degen_run = 0
         bland = False
+        rebuilt = False  # whether a failed exit check has rebuilt the inverse
         while iters < self._iter_limit:
             if updates >= _REFACTOR_EVERY:
                 self.refactorizations += 1
@@ -491,8 +495,9 @@ class LpWorkspace:
                 xLU = self._basic_values(basis, b - np.dot(z, WT))
                 off = _any(np.maximum(loB - xLU, xLU - upB) > _FTOL)
                 if off or _any(np.abs(xLU - xB) > 1e-9 * (1.0 + np.abs(xB))):
-                    if updates == 0:
+                    if updates == 0 or rebuilt:
                         raise _Unsettled
+                    rebuilt = True
                     updates = _REFACTOR_EVERY
                     continue
                 xB = xLU

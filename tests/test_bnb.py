@@ -1,5 +1,6 @@
 import dataclasses
 import heapq
+import re
 import types
 
 import numpy as np
@@ -19,7 +20,7 @@ from backdoorlab.bnb import (
     tree_weight,
 )
 from backdoorlab.generators import gen_facility_location, gen_gisp
-from backdoorlab.milp import make_instance
+from backdoorlab.milp import INF, lp_relaxation, make_instance
 
 from conftest import brute_force_solve, random_binary_instance
 
@@ -157,6 +158,18 @@ def test_nan_data_raises_instead_of_optimal(objective, upper):
         "t", objective, [[(0, 1.0), (1, 1.0)]], [1.0], ["LE"], [0.0, 0.0], upper, [0]
     )
     with pytest.raises(ValueError, match="invalid instance"):
+        solve_bnb(inst)
+
+
+@pytest.mark.parametrize("lower, upper", [(0.0, 5.0), (-1.0, 1.0), (0.0, INF)])
+def test_binary_bounded_outside_the_unit_interval_raises(lower, upper):
+    inst = make_instance(
+        "t", [-1.0, -1.0], [[(0, 1.0), (1, 1.0)]], [3.5], ["LE"], [lower, 0.0], [upper, 1.0], [0]
+    )
+    message = re.escape(f"invalid instance: binary bound: column 0 has bounds [{lower}, {upper}]")
+    with pytest.raises(ValueError, match=message):
+        lp_relaxation(inst)
+    with pytest.raises(ValueError, match=message):
         solve_bnb(inst)
 
 

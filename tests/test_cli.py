@@ -419,3 +419,12 @@ def test_solve_rejects_a_binary_index_outside_the_variables(tmp_path, capsys):
     code = main(["solve", "--instance", str(path)])
     assert code == 2
     assert "line 10: binary index 7 outside [0, 2)" in capsys.readouterr().err
+
+
+def test_solve_rejects_a_binary_bounded_outside_the_unit_interval(tmp_path, capsys):
+    path = tmp_path / "bad.bdmilp"
+    # Binary x0 has bounds [0, 5]: branching could never settle it.
+    path.write_text("\n".join(["bdmilp 1", "bad", "2 1 1", "-1 -1", "row 2 0 1 1 1", "LE", "3.5", "0 0", "5 1", "0"]) + "\n")
+    code = main(["solve", "--instance", str(path)])
+    assert code == 2
+    assert "binary bound: column 0 has bounds [0.0, 5.0]" in capsys.readouterr().err

@@ -789,6 +789,26 @@ def test_drifted_fresh_inverse_of_an_optimal_start_is_retried_cold():
     assert_same_optimum(sol, root, ws, ws.base_lower, ws.base_upper)
 
 
+def test_exit_check_that_fails_after_a_rebuild_is_retried_cold():
+    inst = gen_gisp(nodes=12, seed=1)
+    root = LpWorkspace(lp_relaxation(inst)).solve()
+    ws = LpWorkspace(lp_relaxation(inst))
+    invert = ws._invert
+
+    def drifted(basis):
+        Binv = invert(basis)
+        Binv[1] *= 1 + 1e-6
+        return Binv
+
+    ws._invert = drifted
+    # Every fresh inverse drifts, so the rebuilt one fails the exit check as
+    # well: the run gives up after one rebuild instead of rebuilding until
+    # the iteration limit, and the slack basis (the identity) settles it.
+    sol = ws.solve(start=(root.vstat, root.basis))
+    assert (ws.cold_retries, ws.refactorizations, ws.kernel_runs) == (1, 1, 2)
+    assert_same_optimum(sol, root, ws, ws.base_lower, ws.base_upper)
+
+
 def break_first_basic_values(ws):
     """Make the first LU-resolved point of ``ws`` break its lower bounds."""
     resolve = ws._basic_values
