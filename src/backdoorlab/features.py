@@ -45,15 +45,54 @@ NUM_CONS_FEATURES = 4
 NUM_EDGE_FEATURES = 1
 
 
+# Each array's dtype and shape; the first array with a named count sets it.
+_FORMAT = (
+    ("var_feats", np.float64, ("n", NUM_VAR_FEATURES)),
+    ("cons_feats", np.float64, ("m", NUM_CONS_FEATURES)),
+    ("edges", np.int64, ("nnz", 2)),  # rows of (constraint index, variable index)
+    ("edge_feats", np.float64, ("nnz", NUM_EDGE_FEATURES)),
+    ("binary_mask", np.bool_, ("n",)),
+)
+
+
 @dataclass(frozen=True)
 class BipartiteGraph:
-    """Dense node features plus a sparse edge list, variable-order aligned."""
+    """Dense node features plus a sparse edge list, variable-order aligned.
 
-    var_feats: np.ndarray  # (n, 15)
-    cons_feats: np.ndarray  # (m, 4)
-    edges: np.ndarray  # (nnz, 2) rows of (constraint index, variable index)
-    edge_feats: np.ndarray  # (nnz, 1)
-    binary_mask: np.ndarray  # (n,) bool
+    Construction keeps a read-only copy of each array in its ``_FORMAT`` dtype
+    (so ``node_classes`` stays true to them) and raises ``ValueError`` naming
+    the array unless the shapes are as there, the features finite and every
+    edge in ``[0, m) x [0, n)``.
+    """
+
+    var_feats: np.ndarray
+    cons_feats: np.ndarray
+    edges: np.ndarray
+    edge_feats: np.ndarray
+    binary_mask: np.ndarray
+
+    def __post_init__(self):
+        counts: dict[str, int] = {}
+        for name, dtype, shape in _FORMAT:
+            try:
+                a = np.array(getattr(self, name), dtype=dtype)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"graph {name}: {exc}") from None
+            if a.shape == (0,) and len(shape) == 2:
+                a = a.reshape(0, shape[1])  # an empty table reads back from JSON as []
+            if a.ndim != len(shape):
+                raise ValueError(f"graph {name} has {a.ndim} dimensions, expected {len(shape)}")
+            want = tuple(counts.setdefault(d, k) if isinstance(d, str) else d for d, k in zip(shape, a.shape))
+            if a.shape != want:
+                raise ValueError(f"graph {name} has shape {a.shape}, expected {want}")
+            if dtype is np.float64 and not np.isfinite(a).all():
+                raise ValueError(f"graph {name} holds a value that is not finite")
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
+        for index, kind, count in zip(self.edges.T, ("constraint", "variable"), (counts["m"], counts["n"])):
+            stray = index[(index < 0) | (index >= count)]
+            if stray.size:
+                raise ValueError(f"graph edges: {kind} index {stray[0]} outside [0, {count})")
 
     @property
     def num_vars(self) -> int:
@@ -65,10 +104,7 @@ class BipartiteGraph:
 
     @cached_property
     def node_classes(self):
-        """The attention model's node classes (``gnn.model.NodeClasses``), built once per graph.
-
-        The arrays above must not be changed in place after this is first read.
-        """
+        """The attention model's node classes (``gnn.model.NodeClasses``), built once per graph."""
         from .gnn.model import NodeClasses  # the gnn package imports this module
 
         return NodeClasses.of(self)

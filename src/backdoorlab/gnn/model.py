@@ -40,7 +40,6 @@ the two rounds' edge blocks hold about 17,000 floats together.
 
 from __future__ import annotations
 
-import functools
 import json
 import struct
 from dataclasses import dataclass, field
@@ -160,11 +159,6 @@ def leaky_relu_slopes(x: np.ndarray, slope: float) -> np.ndarray:
     factor *= 1.0 - slope
     factor += slope
     return factor
-
-
-# The backward pass's (H, L, L) theta-gradient scratch, kept for the process: each use
-# overwrites it whole, and backward passes never overlap (training runs one sample at a time).
-_theta_scratch = functools.lru_cache(maxsize=1)(np.empty)
 
 
 def _product(x: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -350,22 +344,19 @@ class NodeClasses:
 
     @classmethod
     def of(cls, graph: BipartiteGraph) -> "NodeClasses":
-        edges = graph.edges.astype(np.int64).reshape(-1, 2)
-        var_feats = np.asarray(graph.var_feats, dtype=np.float64)
-        cons_feats = np.asarray(graph.cons_feats, dtype=np.float64)
-        edge_feats = np.asarray(graph.edge_feats, dtype=np.float64).reshape(-1, NUM_EDGE_FEATURES)
-        var_row, var_first = _row_classes(var_feats)
-        cons_row, cons_first = _row_classes(cons_feats)
-        edge_row, edge_first = _row_classes(edge_feats)
+        edges = graph.edges
+        var_row, var_first = _row_classes(graph.var_feats)
+        cons_row, cons_first = _row_classes(graph.cons_feats)
+        edge_row, edge_first = _row_classes(graph.edge_feats)
         Uv, Ue = var_first.size, edge_first.size
         round1 = _refine(cons_row, cons_first.size, edges[:, 0], var_row[edges[:, 1]], Uv, edge_row, Ue)
         K1 = round1.recv.size
         round2 = _refine(var_row, Uv, edges[:, 1], round1.node_class[edges[:, 0]], K1, edge_row, Ue)
         K2 = round2.recv.size
         return cls(
-            var_rows=var_feats[var_first],
-            cons_rows=cons_feats[cons_first],
-            edge_rows=edge_feats[edge_first],
+            var_rows=graph.var_feats[var_first],
+            cons_rows=graph.cons_feats[cons_first],
+            edge_rows=graph.edge_feats[edge_first],
             round1=round1,
             round2=round2,
             var_class=None if K2 == graph.num_vars else SegmentIndex(round2.node_class, K2),
@@ -513,7 +504,7 @@ def score_graph(arrays: dict[str, np.ndarray], graph: BipartiteGraph, collect_at
     def backward(d_scores: np.ndarray, grads: dict[str, np.ndarray]) -> None:
         d = d_scores if nc.var_class is None else nc.var_class.sum(d_scores)
         dV2 = out_bw((d * s * (1.0 - s))[:, None], grads)
-        buf = _theta_scratch(a["att1_theta_c"].shape)  # both rounds' theta gradients, in turn
+        buf = np.empty(a["att1_theta_c"].shape)  # both rounds' theta gradients, in turn
         dV1, dC2, dE1 = round2_bw(dV2, [grads[k] for k in rounds[1]], buf)
         dC1, dV1_send, dE1_send = round1_bw(dC2, [grads[k] for k in rounds[0]], buf)
         var_bw(dV1 + dV1_send, grads)
@@ -522,10 +513,9 @@ def score_graph(arrays: dict[str, np.ndarray], graph: BipartiteGraph, collect_at
 
     records = None
     if collect_attention:
-        edges = graph.edges.astype(np.int64).reshape(-1, 2)
         records = [
-            _record(weights1, nc.round1, edges[:, 0]),
-            _record(weights2, nc.round2, edges[:, 1]),
+            _record(weights1, nc.round1, graph.edges[:, 0]),
+            _record(weights2, nc.round2, graph.edges[:, 1]),
         ]
     return scores, records, backward
 

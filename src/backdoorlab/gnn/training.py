@@ -51,11 +51,20 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class TrainSample:
-    """One instance's graph plus its positive/negative backdoor index sets."""
+    """One instance's graph plus its positive/negative backdoor index sets;
+    construction refuses an empty side or an index outside the graph."""
 
     graph: BipartiteGraph
     positives: tuple[tuple[int, ...], ...]
     negatives: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        if not self.positives or not self.negatives:
+            raise ValueError("it needs a positive and a negative sample")
+        n = self.graph.num_vars
+        stray = [j for s in self.positives + self.negatives for j in s if not 0 <= j < n]
+        if stray:
+            raise ValueError(f"variable index {stray[0]} outside [0, {n})")
 
 
 def batch_gradient(
@@ -120,9 +129,6 @@ def train(
     """
     if not dataset:
         raise ValueError("empty training dataset")
-    for s in dataset:
-        if not s.positives or not s.negatives:
-            raise ValueError("every training sample needs positives and negatives")
     params = GatParameters.init(seed=cfg.seed, L=cfg.L, H=cfg.H, hidden=cfg.hidden)
     state = AdamState.init(params.vector)
     shuffle_rng = np.random.Generator(

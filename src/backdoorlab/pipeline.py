@@ -19,7 +19,7 @@ import contextlib
 import csv
 import json
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -109,24 +109,13 @@ def _instance_seed(base_seed: int, index: int) -> int:
 
 
 def _graph_payload(graph: BipartiteGraph) -> dict:
-    return {
-        "binary_mask": graph.binary_mask.astype(int).tolist(),
-        "cons_feats": graph.cons_feats.tolist(),
-        "edge_feats": graph.edge_feats.tolist(),
-        "edges": graph.edges.tolist(),
-        "var_feats": graph.var_feats.tolist(),
-    }
+    payload = {f.name: getattr(graph, f.name).tolist() for f in fields(graph)}
+    payload["binary_mask"] = graph.binary_mask.astype(int).tolist()  # 0/1, not false/true
+    return payload
 
 
 def graph_from_payload(payload: dict) -> BipartiteGraph:
-    edges = np.asarray(payload["edges"], dtype=np.int64)
-    return BipartiteGraph(
-        var_feats=np.asarray(payload["var_feats"], dtype=float),
-        cons_feats=np.asarray(payload["cons_feats"], dtype=float),
-        edges=edges.reshape(-1, 2),
-        edge_feats=np.asarray(payload["edge_feats"], dtype=float).reshape(-1, 1),
-        binary_mask=np.asarray(payload["binary_mask"], dtype=bool),
-    )
+    return BipartiteGraph(**payload)
 
 
 def collect_one(
@@ -297,9 +286,9 @@ def collect_dataset(
 def load_dataset(path) -> list[TrainSample]:
     """Read a collection JSONL back into training samples.
 
-    A line that is not a collection record, or whose samples lack a positive
-    or a negative or name a variable outside its graph, raises ``ValueError``
-    naming it.
+    A line that is not a collection record, whose graph ``BipartiteGraph``
+    refuses, or whose samples ``TrainSample`` refuses, raises ``ValueError``
+    naming it.  Blank lines are skipped.
     """
     samples = []
     with open(path, "r", encoding="ascii") as fh:
@@ -308,20 +297,11 @@ def load_dataset(path) -> list[TrainSample]:
                 continue
             try:
                 rec = json.loads(line)
-                pos = tuple(
-                    tuple(s["backdoor"]) for s in rec["samples"] if s["label"] == "POSITIVE"
+                pos, neg = (
+                    tuple(tuple(s["backdoor"]) for s in rec["samples"] if s["label"] == label)
+                    for label in ("POSITIVE", "NEGATIVE")
                 )
-                neg = tuple(
-                    tuple(s["backdoor"]) for s in rec["samples"] if s["label"] == "NEGATIVE"
-                )
-                graph = graph_from_payload(rec["graph"])
-                if not pos or not neg:
-                    raise ValueError("it needs a positive and a negative sample")
-                n = graph.num_vars
-                stray = [j for s in pos + neg for j in s if not 0 <= j < n]
-                if stray:
-                    raise ValueError(f"variable index {stray[0]} outside [0, {n})")
-                samples.append(TrainSample(graph=graph, positives=pos, negatives=neg))
+                samples.append(TrainSample(graph_from_payload(rec["graph"]), pos, neg))
             except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(
                     f"{path}: line {lineno}: not a collection record ({type(exc).__name__}: {exc})"

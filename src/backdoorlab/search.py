@@ -199,8 +199,6 @@ def mcts_search(
         for key in path:
             tree[key].visits += 1
             tree[key].total += reward
-    if not evaluated:
-        raise RuntimeError("budget exhausted before any terminal evaluation")
     if stats is not None:
         stats.update(
             probes=iteration_budget,

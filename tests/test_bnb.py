@@ -227,6 +227,15 @@ class TestRestrictedProbe:
             solve_bnb(inst, BnbConfig(allowed_branch_set=frozenset({999})))
 
 
+@pytest.mark.parametrize("j", [2, -1])
+def test_priority_for_an_unknown_variable_raises(j):
+    inst = make_instance(
+        "p", [-1.0, -1.0], [[(0, 1.0), (1, 1.0)]], [1.0], ["LE"], [0, 0], [1, 1], [0, 1]
+    )
+    with pytest.raises(ValueError, match=f"priority for unknown variable {j}$"):
+        solve_bnb(inst, BnbConfig(priorities={j: 1}))
+
+
 def test_backdoor_priorities_shape():
     assert backdoor_priorities([3, 1]) == {3: 1, 1: 1}
 

@@ -229,8 +229,9 @@ def test_train_accepts_a_zero_weight_decay():
     assert TrainConfig(weight_decay=0.0).weight_decay == 0.0
 
 
-def dataset_record(positives, negatives):
-    """A collection record on a 9-variable graph with the given backdoors."""
+def dataset_record(positives, negatives, corrupt=None):
+    """A collection record on a 9-variable, 15-constraint, 30-edge graph with
+    the given backdoors; ``corrupt`` maps its graph payload to another."""
     inst = generators.gen_mis(nodes=9, avg_degree=3.0, seed=5)
     samples = [
         {"backdoor": list(b), "effort": 1, "label": label, "tree_weight": None}
@@ -238,20 +239,65 @@ def dataset_record(positives, negatives):
         for b in group
     ]
     graph = _graph_payload(featurize(inst, inst.lp.solve()))
+    if corrupt is not None:
+        graph = corrupt(graph)
     return json.dumps({"baseline_effort": 2, "graph": graph, "instance": inst.name, "samples": samples})
 
 
-@pytest.mark.parametrize("positives, negatives, message", [
-    ([(0, 1)], [(2, 999)], "ValueError: variable index 999 outside [0, 9)"),
-    ([(0, -1)], [(2, 3)], "ValueError: variable index -1 outside [0, 9)"),
-    ([(0, 1)], [], "ValueError: it needs a positive and a negative sample"),
-    ([], [(2, 3)], "ValueError: it needs a positive and a negative sample"),
-], ids=["index-past-the-graph", "negative-index", "no-negative", "no-positive"])
+def with_graph(**changes):
+    """A corruption that replaces each named graph array ``a`` by ``change(a)``."""
+    return lambda graph: {**graph, **{name: change(graph[name]) for name, change in changes.items()}}
+
+
+@pytest.mark.parametrize("positives, negatives, corrupt, message", [
+    ([(0, 1)], [(2, 999)], None, "ValueError: variable index 999 outside [0, 9)"),
+    ([(0, -1)], [(2, 3)], None, "ValueError: variable index -1 outside [0, 9)"),
+    ([(0, 1)], [], None, "ValueError: it needs a positive and a negative sample"),
+    ([], [(2, 3)], None, "ValueError: it needs a positive and a negative sample"),
+    (
+        [(0, 1)], [(2, 3)], with_graph(edges=lambda e: [[999, e[0][1]]] + e[1:]),
+        "ValueError: graph edges: constraint index 999 outside [0, 15)",
+    ),
+    (
+        [(0, 1)], [(2, 3)], with_graph(edges=lambda e: [[e[0][0], 999]] + e[1:]),
+        "ValueError: graph edges: variable index 999 outside [0, 9)",
+    ),
+    (
+        [(0, 1)], [(2, 3)], with_graph(edges=lambda e: e[:-1] + [[e[-1][0], -1]]),
+        "ValueError: graph edges: variable index -1 outside [0, 9)",
+    ),
+    (
+        [(0, 1)], [(2, 3)], with_graph(edges=lambda e: [row + [0] for row in e]),
+        "ValueError: graph edges has shape (30, 3), expected (30, 2)",
+    ),
+    (
+        [(0, 1)], [(2, 3)], with_graph(edge_feats=lambda f: f[:-1]),
+        "ValueError: graph edge_feats has shape (29, 1), expected (30, 1)",
+    ),
+    (
+        [(0, 1)], [(2, 3)], with_graph(var_feats=lambda v: [[math.nan] + v[0][1:]] + v[1:]),
+        "ValueError: graph var_feats holds a value that is not finite",
+    ),
+    (
+        [(0, 1)], [(2, 3)], with_graph(var_feats=lambda v: [row[:14] for row in v]),
+        "ValueError: graph var_feats has shape (9, 14), expected (9, 15)",
+    ),
+    (
+        [(0, 1)], [(2, 3)], with_graph(binary_mask=lambda b: b[:-1]),
+        "ValueError: graph binary_mask has shape (8,), expected (9,)",
+    ),
+], ids=[
+    "index-past-the-graph", "negative-index", "no-negative", "no-positive",
+    "edge-to-constraint-999", "edge-to-variable-999", "negative-edge-index", "three-edge-columns",
+    "missing-edge-feature", "nan-feature", "fourteen-variable-features", "short-binary-mask",
+])
 def test_train_on_a_record_it_cannot_use_is_an_error_naming_the_line(
-    tmp_path, capsys, positives, negatives, message
+    tmp_path, capsys, positives, negatives, corrupt, message
 ):
     dataset = tmp_path / "d.jsonl"
-    dataset.write_text(dataset_record([(0, 1)], [(2, 3)]) + "\n" + dataset_record(positives, negatives) + "\n")
+    dataset.write_text(
+        dataset_record([(0, 1)], [(2, 3)]) + "\n" + dataset_record(positives, negatives, corrupt) + "\n"
+    )
     code = main(["train", "--dataset", str(dataset), "--out", str(tmp_path / "m.npz")])
     assert code == 2
     assert f"{dataset}: line 2: not a collection record ({message})" in capsys.readouterr().err
@@ -264,6 +310,25 @@ def test_load_dataset_accepts_indices_up_to_the_last_variable(tmp_path):
     (sample,) = load_dataset(dataset)
     assert (sample.positives, sample.negatives) == (((0, 8),), ((2, 3),))
     assert sample.graph.num_vars == 9
+
+
+def test_load_dataset_skips_blank_lines(tmp_path):
+    dataset = tmp_path / "d.jsonl"
+    lines = ["", dataset_record([(0, 8)], [(2, 3)]), "  ", dataset_record([(1,)], [(4,)]), ""]
+    dataset.write_text("\n".join(lines))
+    assert [s.positives for s in load_dataset(dataset)] == [((0, 8),), ((1,),)]
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--instance", "{d}"],
+    ["train", "--dataset", "{d}", "--out", "{d}/m.ckpt"],
+    ["report", "--results", "{d}", "--out", "{d}/r"],
+    ["predict", "--model", "{d}", "--instance", "{d}"],
+], ids=["solve", "train", "report", "predict"])
+def test_a_directory_where_a_file_belongs_is_an_error_not_a_traceback(tmp_path, capsys, argv):
+    assert main([arg.format(d=tmp_path) for arg in argv]) == 2
+    assert f"error: [Errno 21] Is a directory: '{tmp_path}'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_generate_rejects_a_probability_outside_the_unit_interval(tmp_path, capsys):

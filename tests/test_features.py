@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from backdoorlab.features import NUM_CONS_FEATURES, NUM_VAR_FEATURES, featurize
+from backdoorlab.features import NUM_CONS_FEATURES, NUM_VAR_FEATURES, BipartiteGraph, featurize
 from backdoorlab.generators import gen_facility_location, gen_gisp
 from backdoorlab.milp import make_instance
 from backdoorlab.simplex import LpSolution
@@ -128,3 +128,29 @@ def test_requires_optimal_root():
     )
     with pytest.raises(ValueError):
         featurize(inst, bad)
+
+
+def test_graph_arrays_are_read_only_copies():
+    inst = random_binary_instance(3)
+    g = graph_of(inst)
+    with pytest.raises(ValueError, match="read-only"):
+        g.var_feats[0, 0] = 1.0
+    for name in ("var_feats", "cons_feats", "edges", "edge_feats", "binary_mask"):
+        assert not getattr(g, name).flags.writeable
+    feats = np.array(g.var_feats)
+    copy = BipartiteGraph(feats, g.cons_feats, g.edges, g.edge_feats, g.binary_mask)
+    feats[0, 0] = 7.0  # the caller's array stays the caller's
+    np.testing.assert_array_equal(copy.var_feats, g.var_feats)
+
+
+def test_graph_read_from_lists_takes_its_dtypes_and_empty_tables():
+    g = BipartiteGraph(
+        var_feats=[[0.0] * NUM_VAR_FEATURES], cons_feats=[], edges=[], edge_feats=[], binary_mask=[1]
+    )
+    assert (g.num_vars, g.num_cons) == (1, 0)
+    assert g.cons_feats.shape == (0, NUM_CONS_FEATURES) and g.edges.shape == (0, 2)
+    assert (g.var_feats.dtype, g.edges.dtype, g.binary_mask.dtype) == (np.float64, np.int64, np.bool_)
+    with pytest.raises(ValueError, match=r"^graph edges has 1 dimensions, expected 2$"):
+        BipartiteGraph(g.var_feats, g.cons_feats, [0, 0], [[1.0]], g.binary_mask)
+    with pytest.raises(ValueError, match=r"^graph cons_feats: "):
+        BipartiteGraph(g.var_feats, [[1.0, 0.0, 0.0, 1.0], [1.0]], g.edges, g.edge_feats, g.binary_mask)

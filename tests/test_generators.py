@@ -161,6 +161,24 @@ def test_a_probability_outside_the_unit_interval_is_rejected_naming_the_family(m
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: g.gen_setcover(n_elements=0), "setcover needs positive element and set counts"),
+    (lambda: g.gen_setcover(n_sets=0), "setcover needs positive element and set counts"),
+    (lambda: g.gen_combinatorial_auction(items=0), "combinatorial_auction needs positive items and bids"),
+    (lambda: g.gen_combinatorial_auction(bids=0), "combinatorial_auction needs positive items and bids"),
+    (lambda: g.gen_mis(nodes=1), "mis needs at least 2 nodes"),
+    (lambda: g.gen_facility_location(facilities=0), "facility_location needs positive counts"),
+    (lambda: g.gen_facility_location(customers=0), "facility_location needs positive counts"),
+], ids=[
+    "setcover-no-elements", "setcover-no-sets", "auction-no-items", "auction-no-bids",
+    "mis-one-node", "facility-location-no-facilities", "facility-location-no-customers",
+])
+def test_a_size_below_its_minimum_is_rejected_naming_the_family(make, message):
+    with pytest.raises(ValueError) as err:
+        make()
+    assert str(err.value) == message
+
+
 def test_probabilities_at_the_ends_of_the_unit_interval_are_accepted():
     assert g.gen_gisp(nodes=5, edge_prob=0.0, seed=1).num_cons == 0
     complete = g.gen_gisp(nodes=5, edge_prob=1.0, removable_frac=0.0, seed=1)

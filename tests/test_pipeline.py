@@ -12,6 +12,8 @@ from backdoorlab.generators import gen_gisp
 from backdoorlab.gnn import GatParameters, TrainConfig
 from backdoorlab.milp import make_instance, write_instance
 from backdoorlab.pipeline import (
+    MCTS,
+    SAMPLING,
     CollectConfig,
     EvalRecord,
     collect_dataset,
@@ -82,12 +84,15 @@ class TestCollect:
         blob = json.dumps([record, entry], sort_keys=True).encode()
         assert hashlib.sha256(blob).hexdigest() == digest
 
-    def test_worker_count_does_not_change_bytes(self, tmp_path):
+    @pytest.mark.parametrize("method", [MCTS, SAMPLING])
+    def test_worker_count_does_not_change_bytes(self, tmp_path, method):
         write_gisp_dir(tmp_path / "inst", range(4))
         d1 = tmp_path / "w1.jsonl"
         d4 = tmp_path / "w4.jsonl"
-        collect_dataset(tmp_path / "inst", d1, CollectConfig(**SMALL_COLLECT), workers=1)
-        collect_dataset(tmp_path / "inst", d4, CollectConfig(**SMALL_COLLECT), workers=4)
+        cfg = CollectConfig(**SMALL_COLLECT, method=method)
+        collect_dataset(tmp_path / "inst", d1, cfg, workers=1)
+        collect_dataset(tmp_path / "inst", d4, cfg, workers=4)
+        assert d1.read_text()  # some instance is kept
         assert d1.read_bytes() == d4.read_bytes()
         assert (tmp_path / "w1.jsonl.manifest.json").read_bytes() == (
             tmp_path / "w4.jsonl.manifest.json"
@@ -104,8 +109,11 @@ class TestCollect:
             assert [t["file"] for t in lines] == [f"gisp_n22_s{i}.bdmilp" for i in range(4)]
             assert all(set(t) == {"file", "seconds", *exact} and t["seconds"] > 0.0 for t in lines)
             assert all(t["counters"]["kernel_runs"] > 0 for t in lines)
-            assert all(t["probes"] == SMALL_COLLECT["mcts_budget"] for t in lines)
-            assert all(0 < t["distinct_subsets"] <= min(t["probes"], t["probe_nodes"]) for t in lines)
+            if method == MCTS:
+                assert all(t["probes"] == SMALL_COLLECT["mcts_budget"] for t in lines)
+                assert all(0 < t["distinct_subsets"] <= min(t["probes"], t["probe_nodes"]) for t in lines)
+            else:  # sampling runs no search
+                assert all(t[k] == 0 for t in lines for k in exact[1:6])
             assert all(t["label_solves"] >= 2 and t["label_nodes"] >= t["label_solves"] for t in lines)
         assert [[t[k] for k in exact] for t in sidecars[0]] == [[t[k] for k in exact] for t in sidecars[1]]
 

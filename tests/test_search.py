@@ -251,6 +251,12 @@ class TestLabelSamples:
             for s in res.negatives:
                 assert s.effort > res.baseline_effort
 
+    @pytest.mark.parametrize("p, q", [(0, 1), (1, 0)])
+    def test_p_or_q_below_one_rejected(self, p, q):
+        inst = random_binary_instance(202)
+        with pytest.raises(ValueError, match="p and q must be at least 1"):
+            label_samples(inst, [Backdoor((0,))], p=p, q=q)
+
     def test_empty_candidates_rejected(self):
         inst = random_binary_instance(202)
         with pytest.raises(ValueError):

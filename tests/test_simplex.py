@@ -284,6 +284,14 @@ def test_nan_upper_bound_rejected_cold_and_warm():
     assert ws.kernel_runs == 1
 
 
+def test_a_problem_past_the_dense_cell_limit_is_rejected_before_allocation():
+    m = 6400  # (1 + m) * m cells passes the limit
+    assert (1 + m) * m > simplex._MAX_DENSE_CELLS
+    inst = make_instance("tall", [1.0], [[]] * m, [0.0] * m, ["LE"] * m, [0.0], [1.0], [0])
+    with pytest.raises(ValueError, match=r"too large for the dense simplex \(1 vars, 6400 rows\)"):
+        LpWorkspace(lp_relaxation(inst))
+
+
 def test_bounds_of_the_wrong_length_rejected():
     inst = gen_gisp(nodes=12, seed=1)
     ws = LpWorkspace(lp_relaxation(inst))

@@ -95,8 +95,8 @@ def test_empty_dataset_rejected():
 
 def test_one_sided_sample_rejected():
     ds = planted_dataset(count=2)
-    broken = [TrainSample(graph=ds[0].graph, positives=ds[0].positives, negatives=())]
     with pytest.raises(ValueError):
+        broken = [TrainSample(graph=ds[0].graph, positives=ds[0].positives, negatives=())]
         train(broken, TrainConfig(epochs=1, **SMALL))
 
 
