@@ -61,8 +61,8 @@ class BipartiteGraph:
 
     Construction keeps a read-only copy of each array in its ``_FORMAT`` dtype
     (so ``node_classes`` stays true to them) and raises ``ValueError`` naming
-    the array unless the shapes are as there, the features finite and every
-    edge in ``[0, m) x [0, n)``.
+    the array unless the shapes are as there, the features finite, every edge
+    an integer pair in ``[0, m) x [0, n)`` and every mask entry 0 or 1.
     """
 
     var_feats: np.ndarray
@@ -74,10 +74,16 @@ class BipartiteGraph:
     def __post_init__(self):
         counts: dict[str, int] = {}
         for name, dtype, shape in _FORMAT:
+            value = getattr(self, name)
             try:
-                a = np.array(getattr(self, name), dtype=dtype)
-            except (TypeError, ValueError) as exc:
+                a = np.array(value, dtype=dtype)
+                # An index or flag must survive the cast unchanged: 1.5 is no edge index, 7 no flag.
+                exact = dtype is np.float64 or np.array_equal(a, np.array(value, dtype=np.float64))
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ValueError(f"graph {name}: {exc}") from None
+            if not exact:
+                kind = "0 or 1" if dtype is np.bool_ else "an integer"
+                raise ValueError(f"graph {name} holds a value that is not {kind}")
             if a.shape == (0,) and len(shape) == 2:
                 a = a.reshape(0, shape[1])  # an empty table reads back from JSON as []
             if a.ndim != len(shape):

@@ -10,6 +10,7 @@ and zeroes it before each batch.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -32,9 +33,9 @@ class TrainConfig:
     batch_size: int = 32
     epochs: int = 100
     seed: int = 0
-    L: int = 64
-    H: int = 8
-    hidden: int = 64
+    L: int = GatParameters.L
+    H: int = GatParameters.H
+    hidden: int = GatParameters.hidden
 
     def __post_init__(self):
         if not (math.isfinite(self.tau) and self.tau > 0.0):
@@ -52,7 +53,8 @@ class TrainConfig:
 @dataclass(frozen=True)
 class TrainSample:
     """One instance's graph plus its positive/negative backdoor index sets;
-    construction refuses an empty side or an index outside the graph."""
+    construction refuses an empty side, an index that is not an integer, or
+    one outside the graph."""
 
     graph: BipartiteGraph
     positives: tuple[tuple[int, ...], ...]
@@ -61,8 +63,12 @@ class TrainSample:
     def __post_init__(self):
         if not self.positives or not self.negatives:
             raise ValueError("it needs a positive and a negative sample")
+        indices = [j for s in self.positives + self.negatives for j in s]
+        odd = [j for j in indices if not isinstance(j, numbers.Integral)]
+        if odd:
+            raise ValueError(f"variable index {odd[0]!r} is not an integer")
         n = self.graph.num_vars
-        stray = [j for s in self.positives + self.negatives for j in s if not 0 <= j < n]
+        stray = [j for j in indices if not 0 <= j < n]
         if stray:
             raise ValueError(f"variable index {stray[0]} outside [0, {n})")
 

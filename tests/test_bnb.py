@@ -19,7 +19,7 @@ from backdoorlab.bnb import (
     solve_bnb,
     tree_weight,
 )
-from backdoorlab.generators import gen_facility_location, gen_gisp
+from backdoorlab.generators import GENERATORS, gen_facility_location, gen_gisp
 from backdoorlab.milp import INF, lp_relaxation, make_instance
 
 from conftest import brute_force_solve, random_binary_instance
@@ -71,6 +71,29 @@ def test_matches_brute_force_on_random_instances():
             else:
                 assert res.status == OPTIMAL
                 assert res.objective == pytest.approx(oracle, abs=1e-6), inst.name
+
+
+# Sizes at which brute force enumerates every binary assignment quickly.
+ORACLE_SIZES = {
+    "gisp": dict(nodes=8),
+    "setcover": dict(n_elements=20, n_sets=12),
+    "combinatorial_auction": dict(items=6, bids=12),
+    "mis": dict(nodes=12),
+    "facility_location": dict(facilities=4, customers=5),
+}
+
+
+@pytest.mark.parametrize("family", list(GENERATORS))
+def test_every_family_matches_brute_force(family):
+    for seed in range(20):
+        inst = GENERATORS[family](seed=seed, **ORACLE_SIZES[family])
+        res = solve_bnb(inst)
+        oracle = brute_force_solve(inst)
+        if oracle is None:
+            assert res.status == INFEASIBLE, inst.name
+        else:
+            assert res.status == OPTIMAL, inst.name
+            assert res.objective == pytest.approx(oracle, abs=1e-6), inst.name
 
 
 def test_continuous_part_resolved():

@@ -286,10 +286,20 @@ def with_graph(**changes):
         [(0, 1)], [(2, 3)], with_graph(binary_mask=lambda b: b[:-1]),
         "ValueError: graph binary_mask has shape (8,), expected (9,)",
     ),
+    ([(0, 1.5)], [(2, 3)], None, "ValueError: variable index 1.5 is not an integer"),
+    (
+        [(0, 1)], [(2, 3)], with_graph(edges=lambda e: [[e[0][0], e[0][1] + 0.5]] + e[1:]),
+        "ValueError: graph edges holds a value that is not an integer",
+    ),
+    (
+        [(0, 1)], [(2, 3)], with_graph(binary_mask=lambda b: [7] + b[1:]),
+        "ValueError: graph binary_mask holds a value that is not 0 or 1",
+    ),
 ], ids=[
     "index-past-the-graph", "negative-index", "no-negative", "no-positive",
     "edge-to-constraint-999", "edge-to-variable-999", "negative-edge-index", "three-edge-columns",
     "missing-edge-feature", "nan-feature", "fourteen-variable-features", "short-binary-mask",
+    "fractional-index", "fractional-edge-index", "binary-mask-entry-7",
 ])
 def test_train_on_a_record_it_cannot_use_is_an_error_naming_the_line(
     tmp_path, capsys, positives, negatives, corrupt, message

@@ -247,10 +247,11 @@ class TestCollect:
 
 class TestEvaluate:
     def test_efforts_are_pinned(self, tmp_path):
-        """Baseline and method node counts of an untrained seed-0 model on two
-        GISP-25 test instances, as evaluated before the LP hot path was reworked."""
+        """Baseline and method node counts of an untrained seed-0 model with 8
+        heads on two GISP-25 test instances, as evaluated before the LP hot
+        path was reworked."""
         write_gisp_dir(tmp_path, [5000, 5005], nodes=25)
-        records, summary = evaluate(GatParameters.init(seed=0), tmp_path, K=4, node_cap=5000)
+        records, summary = evaluate(GatParameters.init(seed=0, H=8), tmp_path, K=4, node_cap=5000)
         assert [(r.instance, r.baseline_effort, r.method_effort) for r in records] == [
             ("gisp_n25_s5000", 53, 57),
             ("gisp_n25_s5005", 81, 83),

@@ -1,0 +1,58 @@
+"""The quality table script (``quality/run.py``) runs one tiny cell end to end."""
+
+import importlib.util
+import sys
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.fixture(scope="module")
+def quality():
+    spec = importlib.util.spec_from_file_location("quality_run", ROOT / "quality" / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up by name
+    try:
+        spec.loader.exec_module(module)
+        yield module
+    finally:
+        del sys.modules[spec.name]
+
+
+@pytest.mark.parametrize("better, worse, p", [
+    (0, 0, 1.0),
+    (3, 3, 1.0),
+    (0, 5, 2 / 32),
+    (5, 0, 2 / 32),
+    (1, 9, 2 * (1 + 10) / 1024),
+    (2, 10, 2 * (1 + 12 + 66) / 4096),
+])
+def test_sign_test_is_the_exact_two_sided_binomial(quality, better, worse, p):
+    assert quality.sign_test_p(better, worse) == pytest.approx(p, rel=1e-15)
+
+
+def test_a_tiny_cell_writes_one_row_per_size_and_test_set(quality, tmp_path):
+    cell = replace(
+        quality.CELL, train_nodes=12, train_seeds=range(4), test_sets={"gisp12": (12, range(100, 102))},
+        sizes=(1, 2), reference=2, epochs=2, workers=1,
+    )
+    result = quality.run_cell(cell, tmp_path)
+    assert result["collection"]["kept"] + result["collection"]["skipped"] == 4
+    rows = result["rows"]
+    assert [(r["H"], r["test_set"]) for r in rows] == [(1, "gisp12"), (2, "gisp12")]
+    for r in rows:
+        assert r["instances"] == 2 and r["model_seeds"] == [0, 1, 2]
+        assert r["wins"] + r["ties"] + r["losses"] == 2 * 3
+        assert r["method_nodes"] > 0 and r["baseline_nodes"] > 0
+        assert len(r["train_cpu_s"]) == 3 and all(s >= 0.0 for s in r["train_cpu_s"])
+        s = r["sign_test"]
+        assert s["reference_H"] == 2 and s["better"] + s["worse"] + s["ties"] == 2 * 3
+        assert s["p"] == quality.sign_test_p(s["better"], s["worse"])
+    reference = rows[1]
+    assert reference["sign_test"]["ties"] == 6 and reference["passes"]
+    verdict = quality.gate(rows)
+    assert verdict["passing"] == sorted(r["H"] for r in rows if r["passes"])
+    assert verdict["default_H"] == min(h for h in quality.CANDIDATES if h in verdict["passing"])

@@ -128,7 +128,11 @@ def gisp_samples(count, nodes=25):
 
 def test_per_sample_backward_matches_whole_batch_mean():
     batch = gisp_samples(3)
-    params = GatParameters.init(seed=3)
+    for H in (1, 8):  # the default single head, and the multi-head paths
+        _check_batch_mean(GatParameters.init(seed=3, H=H), batch)
+
+
+def _check_batch_mean(params, batch):
     loss, flat = batch_gradient(params, batch, 0.07)
     grads = params.views(flat)
 
@@ -162,7 +166,11 @@ def test_batch_gradient_equals_summed_per_sample_gradients_bitwise():
     numpy backward in float order only, so it is held to rtol 1e-12.
     """
     batch = gisp_samples(3)
-    params = GatParameters.init(seed=5)
+    for H in (1, 8):  # the default single head, and the multi-head paths
+        _check_summed_per_sample(GatParameters.init(seed=5, H=H), batch)
+
+
+def _check_summed_per_sample(params, batch):
     _, flat = batch_gradient(params, batch, 0.07)
     names = sorted(params.arrays)
     total = tape_total = None
