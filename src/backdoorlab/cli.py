@@ -18,7 +18,7 @@ from pathlib import Path
 from . import generators
 from .bnb import BnbConfig, solve_bnb
 from .gnn import TrainConfig, load_model, save_model
-from .milp import FILE_EXTENSION, read_instance, write_instance
+from .milp import FILE_EXTENSION, check_integer, read_instance, write_instance
 from .pipeline import (
     MCTS,
     SAMPLING,
@@ -58,6 +58,8 @@ def _cmd_generate(args) -> int:
         raise ValueError(f"family {args.family} takes no {', '.join(map(_flag, stray))}")
     # Every size the generator runs with, defaults included, so the manifest says it.
     params = {name: p.default for name, p in sizes.items() if name != "seed"} | given
+    # Refuse a last seed that keys no generator before anything is written; the first run checks the first.
+    generators._rng(args.seed + args.count - 1)
     out = Path(args.out)
     entries = []
     for i in range(args.count):
@@ -84,12 +86,16 @@ def _cmd_generate(args) -> int:
 
 
 def _read_priorities(path) -> dict[int, int]:
-    """A JSON object mapping variable indices to integer priorities."""
+    """A JSON object mapping variable indices to integer priorities; each key,
+    which JSON writes as a string, is read as the JSON number it spells."""
     with open(path, "r", encoding="ascii") as fh:
         raw = json.load(fh)
     try:
-        if isinstance(raw, dict) and all(type(v) is int for v in raw.values()):
-            return {int(k): v for k, v in raw.items()}
+        if isinstance(raw, dict):
+            return {
+                check_integer(json.loads(k), "variable index"): check_integer(v, "priority")
+                for k, v in raw.items()
+            }
     except ValueError:
         pass
     raise ValueError(f"{path}: expected a JSON object mapping integer variable indices to integer priorities")

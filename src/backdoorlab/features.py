@@ -36,7 +36,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .milp import EQ, GE, INF, LE, MilpInstance, fractionality
+from .milp import EQ, GE, INF, LE, MilpInstance, check_integer, fractionality
 from .simplex import OPTIMAL as LP_OPTIMAL
 from .simplex import LpSolution
 
@@ -61,8 +61,9 @@ class BipartiteGraph:
 
     Construction keeps a read-only copy of each array in its ``_FORMAT`` dtype
     (so ``node_classes`` stays true to them) and raises ``ValueError`` naming
-    the array unless the shapes are as there, the features finite, every edge
-    an integer pair in ``[0, m) x [0, n)`` and every mask entry 0 or 1.
+    the array unless the shapes are as there, the features finite numbers,
+    every edge a pair of integers (``milp.check_integer``) in
+    ``[0, m) x [0, n)`` and every mask entry 0 or 1.
     """
 
     var_feats: np.ndarray
@@ -75,15 +76,16 @@ class BipartiteGraph:
         counts: dict[str, int] = {}
         for name, dtype, shape in _FORMAT:
             value = getattr(self, name)
+            if dtype is not np.float64:
+                check_integer(value, f"graph {name}", *((0, 2) if dtype is np.bool_ else ()), each=True)
             try:
-                a = np.array(value, dtype=dtype)
-                # An index or flag must survive the cast unchanged: 1.5 is no edge index, 7 no flag.
-                exact = dtype is np.float64 or np.array_equal(a, np.array(value, dtype=np.float64))
+                a = np.array(value)  # its dtype inferred: a cast would parse a number written as a string
+                number = dtype is not np.float64 or a.dtype.kind in "iuf"
+                a = a.astype(dtype, copy=False) if number else a
             except (TypeError, ValueError, OverflowError) as exc:
                 raise ValueError(f"graph {name}: {exc}") from None
-            if not exact:
-                kind = "0 or 1" if dtype is np.bool_ else "an integer"
-                raise ValueError(f"graph {name} holds a value that is not {kind}")
+            if not number:
+                raise ValueError(f"graph {name} holds a value that is not a number")
             if a.shape == (0,) and len(shape) == 2:
                 a = a.reshape(0, shape[1])  # an empty table reads back from JSON as []
             if a.ndim != len(shape):

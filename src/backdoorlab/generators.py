@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .milp import MilpInstance, make_instance
+from .milp import MilpInstance, check_integer, make_instance
 
 # GISP graph density calibrated so 150-node instances average ~988 variables
 # and ~3253 constraints (|E2| ~ 838, |E1|+|E2| ~ 3252).
@@ -32,6 +32,7 @@ GISP_EDGE_COST = 1.0
 
 
 def _rng(seed: int) -> np.random.Generator:
+    check_integer(seed, "seed", 0, 2**64)  # a Philox key is 64 bits
     return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
 
 

@@ -52,6 +52,7 @@ from ..features import (
     NUM_VAR_FEATURES,
     BipartiteGraph,
 )
+from ..milp import check_integer
 from ..search import Backdoor
 
 LEAKY_SLOPE = 0.2
@@ -592,14 +593,15 @@ def load_model(path) -> GatParameters:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ModelFormatError(f"corrupted checkpoint header: {exc}") from None
     try:
-        L, H, hidden = (int(header[k]) for k in ("L", "H", "hidden"))
-        listed = {name: tuple(shape) for name, shape in header["arrays"]}
+        L, H, hidden = (check_integer(header[k], f"checkpoint size {k}", 1) for k in ("L", "H", "hidden"))
+        listed = {
+            name: tuple(check_integer(shape, f"checkpoint array {name!r} shape", each=True))
+            for name, shape in header["arrays"]
+        }
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"corrupted checkpoint header: {exc!r}") from None
     if len(listed) != len(header["arrays"]):
         raise ModelFormatError("checkpoint lists an array twice")
-    if min(L, H, hidden) < 1:
-        raise ModelFormatError(f"checkpoint sizes L={L}, H={H}, hidden={hidden} must be positive")
     expected = _layout(L, H, hidden)
     for name in sorted(expected.keys() | listed.keys()):
         if name not in listed:

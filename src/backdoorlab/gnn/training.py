@@ -10,13 +10,13 @@ and zeroes it before each batch.
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..features import BipartiteGraph
+from ..milp import check_integer
 # ``infonce_loss`` stays bound here because perfbench/layertrace.py wraps it by name.
 from .loss import infonce_loss, infonce_loss_and_grad  # noqa: F401
 from .model import GatParameters, score_graph
@@ -44,6 +44,7 @@ class TrainConfig:
             raise ValueError(f"learning rate must be positive and finite, got {self.learning_rate}")
         if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0.0):
             raise ValueError(f"weight decay must be finite and not negative, got {self.weight_decay}")
+        check_integer(self.seed, "seed", 0)
         if self.batch_size < 1 or self.epochs < 1:
             raise ValueError("batch size and epochs must be positive")
         if self.L < 1 or self.H < 1 or self.hidden < 1:
@@ -63,14 +64,10 @@ class TrainSample:
     def __post_init__(self):
         if not self.positives or not self.negatives:
             raise ValueError("it needs a positive and a negative sample")
-        indices = [j for s in self.positives + self.negatives for j in s]
-        odd = [j for j in indices if not isinstance(j, numbers.Integral)]
-        if odd:
-            raise ValueError(f"variable index {odd[0]!r} is not an integer")
         n = self.graph.num_vars
-        stray = [j for j in indices if not 0 <= j < n]
-        if stray:
-            raise ValueError(f"variable index {stray[0]} outside [0, {n})")
+        for s in self.positives + self.negatives:
+            for j in s:
+                check_integer(j, "variable index", 0, n)
 
 
 def batch_gradient(

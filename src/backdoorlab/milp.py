@@ -42,6 +42,48 @@ def fractionality(x) -> np.ndarray:
     return np.minimum(x - np.floor(x), np.ceil(x) - x)
 
 
+def check_integer(value, what: str, low: int | None = None, high: int | None = None, *, each: bool = False):
+    """Return ``value`` if it is an integer in ``[low, high)`` (None: no
+    bound), or with ``each`` an array or nested lists of them; else raise
+    ``ValueError`` naming ``what``.
+
+    The one rule for integers from outside the program (dataset lines,
+    checkpoint headers, priorities files, seeds): an ``int`` that is not a
+    ``bool``, or a numpy integer, so JSON's ``true``, ``1.0`` and ``"1"`` are
+    none.  A flag is an integer in ``[0, 2)``.  With ``each``, lists and
+    tuples are walked to their leaves, and a numpy array passes by its dtype,
+    an integer one or, for flags, ``bool``.
+    """
+    flag = (low, high) == (0, 2)
+    if not each:
+        if type(value) is bool or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{what} {value!r} is not {'0 or 1' if flag else 'an integer'}")
+        if (low is not None and value < low) or (high is not None and value >= high):
+            raise ValueError(f"{what} {value} outside {_interval(low, high)}")
+        return value
+    if isinstance(value, np.ndarray):
+        leaves = value.reshape(-1) if value.dtype.kind in "iu" else ()
+        ok = len(leaves) == value.size or (flag and value.dtype.kind == "b")
+    else:
+        leaves, types = [value], {type(value)}
+        while types & {list, tuple}:
+            leaves = [y for x in leaves for y in (x if type(x) in (list, tuple) else (x,))]
+            types = set(map(type, leaves))
+        ok = all(t is not bool and issubclass(t, (int, np.integer)) for t in types)
+    if ok and len(leaves) and (low is not None or high is not None):
+        if (low is not None and np.min(leaves) < low) or (high is not None and np.max(leaves) >= high):
+            if not flag:
+                raise ValueError(f"{what} holds a value outside {_interval(low, high)}")
+            ok = False
+    if not ok:
+        raise ValueError(f"{what} holds a value that is not {'0 or 1' if flag else 'an integer'}")
+    return value
+
+
+def _interval(low, high) -> str:
+    return f"[{'-inf' if low is None else low}, {'inf' if high is None else high})"
+
+
 @dataclass(frozen=True)
 class InstanceArrays:
     """An instance as read-only arrays; nonzero ``k`` is ``coef[k]`` at ``(row[k],

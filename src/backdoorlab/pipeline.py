@@ -18,6 +18,7 @@ import concurrent.futures
 import contextlib
 import csv
 import json
+import os
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
@@ -27,7 +28,7 @@ import numpy as np
 from .bnb import NODE_LIMIT, BnbConfig, backdoor_priorities, solve_bnb
 from .features import BipartiteGraph, featurize
 from .gnn import GatParameters, TrainConfig, TrainSample, gat_forward, greedy_select, train
-from .milp import FILE_EXTENSION, MilpInstance, read_instance
+from .milp import FILE_EXTENSION, MilpInstance, check_integer, read_instance
 from .search import Backdoor, biased_sample, label_samples, mcts_search
 
 WIN = "WIN"
@@ -61,6 +62,7 @@ class CollectConfig:
     def __post_init__(self):
         if self.method not in (MCTS, SAMPLING):
             raise ValueError(f"unknown collection method {self.method!r}")
+        check_integer(self.seed, "seed", 0)
         for name in ("K", "top_k", "p", "q", "mcts_budget"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
@@ -112,10 +114,6 @@ def _graph_payload(graph: BipartiteGraph) -> dict:
     payload = {f.name: getattr(graph, f.name).tolist() for f in fields(graph)}
     payload["binary_mask"] = graph.binary_mask.astype(int).tolist()  # 0/1, not false/true
     return payload
-
-
-def graph_from_payload(payload: dict) -> BipartiteGraph:
-    return BipartiteGraph(**payload)
 
 
 def collect_one(
@@ -226,7 +224,8 @@ def collect_dataset(
     are isolated per instance and recorded, never aborting the batch.  A
     failed instance's manifest entry holds ``"error": "<Type>: <message>"``.
     The output is independent of ``workers``, and fewer than 1 raises before
-    any output is opened.  Wall-clock cost goes to the sidecar
+    any output is opened; the pool has at most one worker per instance and
+    per CPU this process may run on.  Wall-clock cost goes to the sidecar
     ``<out>.timing.jsonl`` instead, one line per instance in instance order:
     the file, the wall seconds of ``collect_one`` and its exact cost (see
     :func:`collect_one`), or for a failed instance its error.
@@ -245,7 +244,8 @@ def collect_dataset(
     jobs = [
         (i, str(p), _instance_seed(cfg.seed, i), cfg) for i, p in enumerate(paths)
     ]
-    workers = min(workers, len(jobs))  # no idle workers: a forked pool starts all of them at once
+    # No idle workers (a forked pool starts all of them at once), and no more than the usable CPUs.
+    workers = min(workers, len(jobs), len(os.sched_getaffinity(0)))
     out_path = Path(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     targets = (out_path, out_path.with_name(out_path.name + ".timing.jsonl"))
@@ -301,7 +301,7 @@ def load_dataset(path) -> list[TrainSample]:
                     tuple(tuple(s["backdoor"]) for s in rec["samples"] if s["label"] == label)
                     for label in ("POSITIVE", "NEGATIVE")
                 )
-                samples.append(TrainSample(graph_from_payload(rec["graph"]), pos, neg))
+                samples.append(TrainSample(BipartiteGraph(**rec["graph"]), pos, neg))
             except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(
                     f"{path}: line {lineno}: not a collection record ({type(exc).__name__}: {exc})"
@@ -327,8 +327,9 @@ def predict_backdoor(params: GatParameters, inst: MilpInstance, K: int) -> Backd
     return greedy_select(scores, graph.binary_mask, K)
 
 
-def _evaluate_one(params, path, K: int, base_cfg: BnbConfig) -> EvalRecord:
-    inst = read_instance(path)
+def _evaluate_one(params, inst: MilpInstance, K: int, base_cfg: BnbConfig) -> EvalRecord:
+    """One instance's baseline and predicted-backdoor solves; both go through
+    ``inst.lp``, so a caller that shares ``inst`` between models shares its memo."""
     t0 = time.perf_counter()
     backdoor = predict_backdoor(params, inst, K)
     overhead = time.perf_counter() - t0
@@ -367,7 +368,7 @@ def evaluate(
     records, errors = [], []
     for path in instance_paths(instance_dir):
         try:
-            records.append(_evaluate_one(params, path, K, base_cfg))
+            records.append(_evaluate_one(params, read_instance(path), K, base_cfg))
         except Exception as exc:  # one bad instance is recorded, not fatal to the run
             errors.append({"instance": path.name, "error": f"{type(exc).__name__}: {exc}"})
     if not records:

@@ -88,7 +88,9 @@ def test_solve_with_priorities_file(tmp_path, capsys):
     assert json.loads(out)["objective"] == pytest.approx(base["objective"], abs=1e-6)
 
 
-@pytest.mark.parametrize("text", ["[1, 2]", '{"1": [2]}', '{"x": 1}'])
+@pytest.mark.parametrize("text", [
+    "[1, 2]", '{"1": [2]}', '{"x": 1}', '{"1_0": 1}', '{"1.0": 1}', '{"true": 1}', '{"1": true}',
+])
 def test_malformed_priorities_file_is_an_error_naming_it(capsys, one_instance, text):
     (inst_file,) = one_instance.glob("*.bdmilp")
     prio = one_instance / "prio.json"
@@ -295,11 +297,29 @@ def with_graph(**changes):
         [(0, 1)], [(2, 3)], with_graph(binary_mask=lambda b: [7] + b[1:]),
         "ValueError: graph binary_mask holds a value that is not 0 or 1",
     ),
+    (
+        [(0, 1)], [(2, 3)], with_graph(edges=lambda e: [[str(i) for i in e[0]]] + e[1:]),
+        "ValueError: graph edges holds a value that is not an integer",
+    ),
+    (
+        [(0, 1)], [(2, 3)], with_graph(binary_mask=lambda b: [str(b[0])] + b[1:]),
+        "ValueError: graph binary_mask holds a value that is not 0 or 1",
+    ),
+    (
+        [(0, 1)], [(2, 3)], with_graph(edges=lambda e: [[False, False]] + e[1:]),
+        "ValueError: graph edges holds a value that is not an integer",
+    ),
+    ([(0, True)], [(2, 3)], None, "ValueError: variable index True is not an integer"),
+    (
+        [(0, 1)], [(2, 3)], with_graph(var_feats=lambda v: [[str(v[0][0])] + v[0][1:]] + v[1:]),
+        "ValueError: graph var_feats holds a value that is not a number",
+    ),
 ], ids=[
     "index-past-the-graph", "negative-index", "no-negative", "no-positive",
     "edge-to-constraint-999", "edge-to-variable-999", "negative-edge-index", "three-edge-columns",
     "missing-edge-feature", "nan-feature", "fourteen-variable-features", "short-binary-mask",
     "fractional-index", "fractional-edge-index", "binary-mask-entry-7",
+    "string-edge", "string-mask-entry", "boolean-edge", "boolean-index", "string-feature",
 ])
 def test_train_on_a_record_it_cannot_use_is_an_error_naming_the_line(
     tmp_path, capsys, positives, negatives, corrupt, message
@@ -503,3 +523,33 @@ def test_solve_rejects_a_binary_bounded_outside_the_unit_interval(tmp_path, caps
     code = main(["solve", "--instance", str(path)])
     assert code == 2
     assert "binary bound: column 0 has bounds [0.0, 5.0]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_generate_rejects_a_seed_that_keys_no_generator(tmp_path, capsys, seed):
+    out = tmp_path / "inst"
+    code = main(["generate", "--family", "gisp", "--nodes", "8", "--seed", seed, "--out", str(out)])
+    assert code == 2
+    assert f"seed {seed} outside [0, {2**64})" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_generate_checks_its_last_seed_before_it_writes(tmp_path, capsys):
+    out = tmp_path / "inst"
+    code = main([
+        "generate", "--family", "gisp", "--nodes", "8", "--seed", str(2**64 - 1), "--count", "2",
+        "--out", str(out),
+    ])
+    assert code == 2
+    assert f"seed {2**64} outside" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_collect_and_train_reject_a_negative_seed(tmp_path, capsys, one_instance):
+    for argv in (
+        ["collect", "--instances", str(one_instance), "--out", str(tmp_path / "ds.jsonl")],
+        ["train", "--dataset", str(tmp_path / "ds.jsonl"), "--out", str(tmp_path / "m.ckpt")],
+    ):
+        assert main([*argv, "--seed", "-1"]) == 2
+        assert "seed -1 outside [0, inf)" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [one_instance]

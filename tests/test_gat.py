@@ -1,4 +1,6 @@
 import dataclasses
+import json
+import struct
 
 import numpy as np
 import pytest
@@ -383,6 +385,25 @@ class TestCheckpoint:
         path = tmp_path / "d.ckpt"
         save_model(params, path)
         with pytest.raises(ModelFormatError, match="out_b2|att1_w|extra|shape"):
+            load_model(path)
+
+    @pytest.mark.parametrize("key, value", [
+        ("H", "1"), ("H", True), ("H", 1.9), ("H", 0), ("L", 8.0), ("arrays", "float-shape"),
+    ])
+    def test_header_value_that_is_not_a_positive_integer(self, tmp_path, key, value):
+        """Each of these read as the saved H 1 or L 8 before the header's integers were checked."""
+        path = tmp_path / "h.ckpt"
+        save_model(GatParameters.init(seed=0, L=8, H=1, hidden=6), path)
+        raw = path.read_bytes()
+        (hlen,) = struct.unpack_from("<I", raw, 7)
+        header = json.loads(raw[11 : 11 + hlen])
+        if value == "float-shape":
+            header["arrays"][0][1] = [float(d) for d in header["arrays"][0][1]]
+        else:
+            header[key] = value
+        blob = json.dumps(header).encode()
+        path.write_bytes(raw[:7] + struct.pack("<I", len(blob)) + blob + raw[11 + hlen :])
+        with pytest.raises(ModelFormatError, match="corrupted checkpoint header"):
             load_model(path)
 
     def test_truncated_file(self, tmp_path):

@@ -8,6 +8,7 @@ from concurrent.futures.process import BrokenProcessPool
 import pytest
 
 from backdoorlab import pipeline
+from backdoorlab.features import BipartiteGraph
 from backdoorlab.generators import gen_gisp
 from backdoorlab.gnn import GatParameters, TrainConfig
 from backdoorlab.milp import make_instance, write_instance
@@ -19,7 +20,6 @@ from backdoorlab.pipeline import (
     collect_dataset,
     collect_one,
     evaluate,
-    graph_from_payload,
     load_dataset,
     predict_backdoor,
     read_results_csv,
@@ -49,6 +49,12 @@ def timing_lines(dataset_path):
     """The parsed lines of a dataset's ``.timing.jsonl`` sidecar."""
     with open(str(dataset_path) + ".timing.jsonl", encoding="ascii") as fh:
         return [json.loads(line) for line in fh]
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Sets how many CPUs this process may run on, as ``collect_dataset`` counts them."""
+    return lambda count: monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
 
 
 SMALL_COLLECT = dict(
@@ -85,7 +91,8 @@ class TestCollect:
         assert hashlib.sha256(blob).hexdigest() == digest
 
     @pytest.mark.parametrize("method", [MCTS, SAMPLING])
-    def test_worker_count_does_not_change_bytes(self, tmp_path, method):
+    def test_worker_count_does_not_change_bytes(self, tmp_path, cpus, method):
+        cpus(4)
         write_gisp_dir(tmp_path / "inst", range(4))
         d1 = tmp_path / "w1.jsonl"
         d4 = tmp_path / "w4.jsonl"
@@ -136,9 +143,10 @@ class TestCollect:
         multiprocessing.get_start_method() != "fork",
         reason="the patched collect_one reaches pool workers only when they fork",
     )
-    def test_dead_worker_leaves_no_output(self, tmp_path, monkeypatch):
+    def test_dead_worker_leaves_no_output(self, tmp_path, monkeypatch, cpus):
         """A pool worker that ends its process (standing in for an OOM kill)
         fails the batch, and the batch leaves no file behind."""
+        cpus(2)
         write_gisp_dir(tmp_path / "inst", range(4), nodes=6)
         pids = tmp_path / "pids"
         original = pipeline.collect_one
@@ -163,8 +171,26 @@ class TestCollect:
         multiprocessing.get_start_method() != "fork",
         reason="a pool starts all its workers at the first job only when they fork",
     )
-    def test_pool_is_no_larger_than_the_batch(self, tmp_path, monkeypatch):
-        """With 4 workers, one instance runs in this process and two start two workers."""
+    def test_pool_is_no_larger_than_the_batch(self, tmp_path, monkeypatch, cpus):
+        """With 4 workers on 4 CPUs, one instance runs in this process and two start two workers."""
+        cpus(4)
+        assert self._pool_sizes(tmp_path, monkeypatch, ([0], [0, 1])) == [2]
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="a pool starts all its workers at the first job only when they fork",
+    )
+    def test_pool_is_no_larger_than_the_cpus(self, tmp_path, monkeypatch, cpus):
+        """With 4 workers and 3 instances, 2 CPUs start two workers and 1 CPU none."""
+        cpus(2)
+        assert self._pool_sizes(tmp_path / "two", monkeypatch, ([0, 1, 2],)) == [2]
+        cpus(1)
+        assert self._pool_sizes(tmp_path / "one", monkeypatch, ([0, 1, 2],)) == []
+
+    @staticmethod
+    def _pool_sizes(tmp_path, monkeypatch, batches) -> list[int]:
+        """The size of each process pool that collecting each batch of GISP
+        seeds with 4 workers shuts down."""
         sizes = []
 
         class RecordingPool(concurrent.futures.ProcessPoolExecutor):
@@ -174,14 +200,15 @@ class TestCollect:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         cfg = CollectConfig(**SMALL_COLLECT)
-        for seeds in ([0], [0, 1]):
+        for seeds in batches:
             directory = tmp_path / f"inst{len(seeds)}"
             write_gisp_dir(directory, seeds, nodes=6)  # closes at the root: skipped
             manifest = collect_dataset(directory, tmp_path / f"ds{len(seeds)}.jsonl", cfg, workers=4)
             assert manifest["skipped"] == len(seeds)
-        assert sizes == [2]
+        return sizes
 
-    def test_failed_instance_is_recorded_not_fatal(self, tmp_path):
+    def test_failed_instance_is_recorded_not_fatal(self, tmp_path, cpus):
+        cpus(2)
         write_gisp_dir(tmp_path / "inst", [0])
         write_infeasible(tmp_path / "inst")
         manifests = []
@@ -226,7 +253,7 @@ class TestCollect:
         assert manifest["kept"] + manifest["skipped"] == 3
         assert manifest["failed"] == 0
         for rec in lines:
-            graph = graph_from_payload(rec["graph"])
+            graph = BipartiteGraph(**rec["graph"])
             assert graph.var_feats.shape[1] == 15
             labels = {s["label"] for s in rec["samples"]}
             assert labels == {"POSITIVE", "NEGATIVE"}
@@ -301,7 +328,8 @@ class TestEvaluate:
         assert read_results_csv(tmp_path / "out" / "results.csv") == records
 
 
-    def test_failed_instance_is_recorded_not_fatal(self, tmp_path):
+    def test_failed_instance_is_recorded_not_fatal(self, tmp_path, cpus):
+        cpus(2)
         write_gisp_dir(tmp_path / "inst", [0], nodes=12)
         write_gisp_dir(tmp_path / "good", [0], nodes=12)
         write_infeasible(tmp_path / "inst")

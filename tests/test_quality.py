@@ -7,6 +7,10 @@ from pathlib import Path
 
 import pytest
 
+from backdoorlab.gnn import GatParameters
+from backdoorlab.milp import read_instance
+from backdoorlab.pipeline import evaluate, instance_paths
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -56,3 +60,17 @@ def test_a_tiny_cell_writes_one_row_per_size_and_test_set(quality, tmp_path):
     verdict = quality.gate(rows)
     assert verdict["passing"] == sorted(r["H"] for r in rows if r["passes"])
     assert verdict["default_H"] == min(h for h in quality.CANDIDATES if h in verdict["passing"])
+
+
+def test_models_on_shared_instances_get_the_records_evaluate_gives(quality, tmp_path):
+    """The tiny cell's test set, read once and shared by two models, gives
+    each model the records of its own ``evaluate`` call."""
+    nodes, seeds = 12, range(100, 102)
+    quality._write_gisp(tmp_path / "gisp12", nodes, seeds)
+    models = [GatParameters.init(seed=seed, L=8, H=H, hidden=8) for seed, H in ((0, 1), (1, 2))]
+    shared = [read_instance(p) for p in instance_paths(tmp_path / "gisp12")]
+    K, cap = quality.CELL.K, quality.CELL.node_cap
+    got = [quality.evaluate_shared(params, shared, K, cap) for params in models]
+    want = [evaluate(params, tmp_path / "gisp12", K=K, node_cap=cap)[0] for params in models]
+    assert got == want and len(got[0]) == len(seeds)
+    assert sum(inst.lp.counters()["memo_hits"] for inst in shared) > 0
