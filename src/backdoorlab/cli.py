@@ -18,7 +18,7 @@ from pathlib import Path
 from . import generators
 from .bnb import BnbConfig, solve_bnb
 from .gnn import TrainConfig, load_model, save_model
-from .milp import FILE_EXTENSION, check_integer, read_instance, write_instance
+from .milp import FILE_EXTENSION, check_integer, read_instance, read_number, write_instance
 from .pipeline import (
     MCTS,
     SAMPLING,
@@ -33,10 +33,20 @@ from .pipeline import (
 )
 
 
+# An option's text is read by the number rule; argparse reports a refusal as
+# "argument --seed: invalid integer value: '1_0'", naming these functions.
+def integer(token: str) -> int:
+    return read_number(token, "option", int)
+
+
+def number(token: str) -> float:
+    return read_number(token, "option")
+
+
 def _size_options() -> dict[str, type]:
-    """``generate``'s size options: each generator keyword but ``seed``, with its default's type."""
+    """``generate``'s size options: each generator keyword but ``seed``, read as its default's type."""
     return {
-        name: type(param.default)
+        name: {int: integer, float: number}[type(param.default)]
         for gen in generators.GENERATORS.values()
         for name, param in inspect.signature(gen).parameters.items()
         if name != "seed"
@@ -87,13 +97,13 @@ def _cmd_generate(args) -> int:
 
 def _read_priorities(path) -> dict[int, int]:
     """A JSON object mapping variable indices to integer priorities; each key,
-    which JSON writes as a string, is read as the JSON number it spells."""
+    which JSON writes as a string, is read by ``milp.read_number``."""
     with open(path, "r", encoding="ascii") as fh:
         raw = json.load(fh)
     try:
         if isinstance(raw, dict):
             return {
-                check_integer(json.loads(k), "variable index"): check_integer(v, "priority")
+                read_number(k, "variable index", int): check_integer(v, "priority")
                 for k, v in raw.items()
             }
     except ValueError:
@@ -203,8 +213,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("generate", help="write benchmark instances")
     g.add_argument("--family", required=True, choices=sorted(generators.GENERATORS))
-    g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--count", type=int, default=1)
+    g.add_argument("--seed", type=integer, default=0)
+    g.add_argument("--count", type=integer, default=1)
     g.add_argument("--out", required=True)
     for name, kind in _size_options().items():
         g.add_argument(_flag(name), dest=name, type=kind)
@@ -213,53 +223,53 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("solve", help="solve one instance and print JSON stats")
     s.add_argument("--instance", required=True)
     s.add_argument("--priorities", help="JSON file mapping variable index to priority")
-    s.add_argument("--node-limit", dest="node_limit", type=int)
+    s.add_argument("--node-limit", dest="node_limit", type=integer)
     s.set_defaults(func=_cmd_solve)
 
     c = sub.add_parser("collect", help="collect a labeled backdoor dataset")
     c.add_argument("--instances", required=True)
     c.add_argument("--out", required=True)
-    c.add_argument("--K", type=int, default=CollectConfig.K)
+    c.add_argument("--K", type=integer, default=CollectConfig.K)
     c.add_argument(
-        "--k", dest="top_k", type=int, default=CollectConfig.top_k, help="candidates kept per instance"
+        "--k", dest="top_k", type=integer, default=CollectConfig.top_k, help="candidates kept per instance"
     )
-    c.add_argument("--p", type=int, default=CollectConfig.p)
-    c.add_argument("--q", type=int, default=CollectConfig.q)
+    c.add_argument("--p", type=integer, default=CollectConfig.p)
+    c.add_argument("--q", type=integer, default=CollectConfig.q)
     c.add_argument(
-        "--budget", dest="mcts_budget", type=int, default=CollectConfig.mcts_budget, help="UCT iterations"
+        "--budget", dest="mcts_budget", type=integer, default=CollectConfig.mcts_budget, help="UCT iterations"
     )
-    c.add_argument("--probe-limit", dest="probe_node_limit", type=int, default=CollectConfig.probe_node_limit)
-    c.add_argument("--label-limit", dest="label_node_limit", type=int, default=CollectConfig.label_node_limit)
+    c.add_argument("--probe-limit", dest="probe_node_limit", type=integer, default=CollectConfig.probe_node_limit)
+    c.add_argument("--label-limit", dest="label_node_limit", type=integer, default=CollectConfig.label_node_limit)
     c.add_argument("--method", choices=(MCTS, SAMPLING), default=CollectConfig.method)
-    c.add_argument("--workers", type=int, default=1)
-    c.add_argument("--seed", type=int, default=CollectConfig.seed)
+    c.add_argument("--workers", type=integer, default=1)
+    c.add_argument("--seed", type=integer, default=CollectConfig.seed)
     c.set_defaults(func=_cmd_collect)
 
     t = sub.add_parser("train", help="train the scorer on a collected dataset")
     t.add_argument("--dataset", required=True)
     t.add_argument("--out", required=True)
-    t.add_argument("--seed", type=int, default=TrainConfig.seed)
-    t.add_argument("--epochs", type=int, default=TrainConfig.epochs)
-    t.add_argument("--batch-size", dest="batch_size", type=int, default=TrainConfig.batch_size)
-    t.add_argument("--lr", dest="learning_rate", type=float, default=TrainConfig.learning_rate)
-    t.add_argument("--weight-decay", dest="weight_decay", type=float, default=TrainConfig.weight_decay)
-    t.add_argument("--tau", type=float, default=TrainConfig.tau)
-    t.add_argument("--L", type=int, default=TrainConfig.L)
-    t.add_argument("--H", type=int, default=TrainConfig.H)
-    t.add_argument("--hidden", type=int, default=TrainConfig.hidden)
+    t.add_argument("--seed", type=integer, default=TrainConfig.seed)
+    t.add_argument("--epochs", type=integer, default=TrainConfig.epochs)
+    t.add_argument("--batch-size", dest="batch_size", type=integer, default=TrainConfig.batch_size)
+    t.add_argument("--lr", dest="learning_rate", type=number, default=TrainConfig.learning_rate)
+    t.add_argument("--weight-decay", dest="weight_decay", type=number, default=TrainConfig.weight_decay)
+    t.add_argument("--tau", type=number, default=TrainConfig.tau)
+    t.add_argument("--L", type=integer, default=TrainConfig.L)
+    t.add_argument("--H", type=integer, default=TrainConfig.H)
+    t.add_argument("--hidden", type=integer, default=TrainConfig.hidden)
     t.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("predict", help="print the predicted backdoor for an instance")
     p.add_argument("--model", required=True)
     p.add_argument("--instance", required=True)
-    p.add_argument("--K", type=int, default=CollectConfig.K)
+    p.add_argument("--K", type=integer, default=CollectConfig.K)
     p.set_defaults(func=_cmd_predict)
 
     e = sub.add_parser("evaluate", help="compare model-guided vs default solving")
     e.add_argument("--model", required=True)
     e.add_argument("--instances", required=True)
-    e.add_argument("--K", type=int, default=CollectConfig.K)
-    e.add_argument("--node-cap", dest="node_cap", type=int, default=None)
+    e.add_argument("--K", type=integer, default=CollectConfig.K)
+    e.add_argument("--node-cap", dest="node_cap", type=integer, default=None)
     e.add_argument("--out", required=True)
     e.set_defaults(func=_cmd_evaluate)
 

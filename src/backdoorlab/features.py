@@ -36,7 +36,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .milp import EQ, GE, INF, LE, MilpInstance, check_integer, fractionality
+from .milp import EQ, GE, INF, LE, MilpInstance, check_integer, check_number, fractionality
 from .simplex import OPTIMAL as LP_OPTIMAL
 from .simplex import LpSolution
 
@@ -61,9 +61,9 @@ class BipartiteGraph:
 
     Construction keeps a read-only copy of each array in its ``_FORMAT`` dtype
     (so ``node_classes`` stays true to them) and raises ``ValueError`` naming
-    the array unless the shapes are as there, the features finite numbers,
-    every edge a pair of integers (``milp.check_integer``) in
-    ``[0, m) x [0, n)`` and every mask entry 0 or 1.
+    the array unless the shapes are as there, the features finite numbers
+    (``milp.check_number``), every edge a pair of integers
+    (``milp.check_integer``) in ``[0, m) x [0, n)`` and every mask entry 0 or 1.
     """
 
     var_feats: np.ndarray
@@ -76,16 +76,14 @@ class BipartiteGraph:
         counts: dict[str, int] = {}
         for name, dtype, shape in _FORMAT:
             value = getattr(self, name)
-            if dtype is not np.float64:
+            if dtype is np.float64:
+                check_number(value, f"graph {name}")
+            else:
                 check_integer(value, f"graph {name}", *((0, 2) if dtype is np.bool_ else ()), each=True)
             try:
-                a = np.array(value)  # its dtype inferred: a cast would parse a number written as a string
-                number = dtype is not np.float64 or a.dtype.kind in "iuf"
-                a = a.astype(dtype, copy=False) if number else a
+                a = np.array(value, dtype=dtype)
             except (TypeError, ValueError, OverflowError) as exc:
                 raise ValueError(f"graph {name}: {exc}") from None
-            if not number:
-                raise ValueError(f"graph {name} holds a value that is not a number")
             if a.shape == (0,) and len(shape) == 2:
                 a = a.reshape(0, shape[1])  # an empty table reads back from JSON as []
             if a.ndim != len(shape):
@@ -93,8 +91,6 @@ class BipartiteGraph:
             want = tuple(counts.setdefault(d, k) if isinstance(d, str) else d for d, k in zip(shape, a.shape))
             if a.shape != want:
                 raise ValueError(f"graph {name} has shape {a.shape}, expected {want}")
-            if dtype is np.float64 and not np.isfinite(a).all():
-                raise ValueError(f"graph {name} holds a value that is not finite")
             a.setflags(write=False)
             object.__setattr__(self, name, a)
         for index, kind, count in zip(self.edges.T, ("constraint", "variable"), (counts["m"], counts["n"])):

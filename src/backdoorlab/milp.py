@@ -10,6 +10,7 @@ so parallel jobs pass instance paths, not instances.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -65,10 +66,7 @@ def check_integer(value, what: str, low: int | None = None, high: int | None = N
         leaves = value.reshape(-1) if value.dtype.kind in "iu" else ()
         ok = len(leaves) == value.size or (flag and value.dtype.kind == "b")
     else:
-        leaves, types = [value], {type(value)}
-        while types & {list, tuple}:
-            leaves = [y for x in leaves for y in (x if type(x) in (list, tuple) else (x,))]
-            types = set(map(type, leaves))
+        leaves, types = _leaves(value)
         ok = all(t is not bool and issubclass(t, (int, np.integer)) for t in types)
     if ok and len(leaves) and (low is not None or high is not None):
         if (low is not None and np.min(leaves) < low) or (high is not None and np.max(leaves) >= high):
@@ -78,6 +76,68 @@ def check_integer(value, what: str, low: int | None = None, high: int | None = N
     if not ok:
         raise ValueError(f"{what} holds a value that is not {'0 or 1' if flag else 'an integer'}")
     return value
+
+
+def check_number(value, what: str):
+    """Return ``value``, an array or nested lists of finite numbers; else
+    raise ``ValueError`` naming ``what``.
+
+    The table form of :func:`read_number` for values JSON has already parsed
+    (a dataset line's feature tables): lists and tuples are walked to their
+    leaves, each an ``int`` or a ``float`` but never a ``bool``, and a numpy
+    array passes by its dtype, an integer or a float one.
+    """
+    if isinstance(value, np.ndarray):
+        leaves, ok = value, value.dtype.kind in "iuf"
+    else:
+        leaves, types = _leaves(value)
+        ok = all(t is not bool and issubclass(t, (int, float, np.integer, np.floating)) for t in types)
+    if not ok:
+        raise ValueError(f"{what} holds a value that is not a number")
+    try:
+        ok = np.isfinite(np.asarray(leaves, dtype=np.float64)).all()
+    except OverflowError:  # an int past the float range
+        ok = False
+    if not ok:
+        raise ValueError(f"{what} holds a value that is not finite")
+    return value
+
+
+# JSON's number grammar in ASCII digits: a leading minus is the only sign, and
+# ``+3``, ``1_0``, ``007``, ``.5``, ``5.``, ``nan`` and ``inf`` do not match.
+_NUMBER = re.compile(r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?")
+
+
+def read_number(token: str, what: str, kind: type = float):
+    """The ``kind`` (``float`` or ``int``) that ``token`` spells; else raise
+    ``ValueError`` naming ``what`` and the token.
+
+    The one rule for numbers written as text outside the program (instance
+    files, results.csv, command-line options, priorities keys): the token
+    matches JSON's number grammar and ``float()`` or ``int()`` converts it,
+    never ``json.loads``, which reads ``-0`` as the int 0 and ``1e309`` as
+    inf.  A float must be finite.  An int is written with no fraction and no
+    exponent, so it is an integer by :func:`check_integer`'s rule; its range
+    is the caller's to check.
+    """
+    if _NUMBER.fullmatch(token):
+        if kind is float:
+            value = float(token)
+            if math.isfinite(value):
+                return value
+            raise ValueError(f"non-finite {what} {token!r}")
+        if token.lstrip("-").isdigit():
+            return int(token)
+    raise ValueError(f"non-{'integer' if kind is int else 'numeric'} {what} {token!r}")
+
+
+def _leaves(value) -> tuple[list, set]:
+    """The leaves of ``value`` with lists and tuples walked, and their types."""
+    leaves, types = [value], {type(value)}
+    while types & {list, tuple}:
+        leaves = [y for x in leaves for y in (x if type(x) in (list, tuple) else (x,))]
+        types = set(map(type, leaves))
+    return leaves, types
 
 
 def _interval(low, high) -> str:
@@ -280,21 +340,26 @@ def write_instance(inst: MilpInstance, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _parse_floats(tokens: list[str], what: str, lineno: int) -> list[float]:
-    out = []
-    for tok in tokens:
-        try:
-            out.append(float(tok))
-        except ValueError:
-            raise BdmilpFormatError(f"line {lineno}: non-numeric {what} {tok!r}") from None
-    return out
-
-
 def read_instance(path) -> MilpInstance:
-    """Parse a ``.bdmilp`` file; errors name the offending line.  The result
-    goes through :func:`make_instance`, so its rows are sorted by column."""
-    with open(path, "r", encoding="ascii") as fh:
+    """Parse a ``.bdmilp`` file; errors name the offending line.
+
+    Every number is read by :func:`read_number`, and ``inf`` only as an upper
+    bound, where :func:`write_instance` writes it.  The result goes through
+    :func:`make_instance`, so its rows are sorted by column.
+    """
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         raw = fh.read().splitlines()
+    for lineno, line in enumerate(raw, 1):
+        if not line.isascii():  # each byte past 0x7f decoded to a lone surrogate
+            byte = next(ord(c) - 0xDC00 for c in line if not c.isascii())
+            raise BdmilpFormatError(f"line {lineno}: non-ASCII byte {byte:#04x}")
+
+    def floats(lineno: int, what: str, tokens: list[str], upper: bool = False) -> list[float]:
+        try:
+            return [INF if upper and t == "inf" else read_number(t, what) for t in tokens]
+        except ValueError as exc:
+            raise BdmilpFormatError(f"line {lineno}: {exc}") from None
+
     header = raw[0].split() if raw else []
     if not header or header[0] != FILE_MAGIC:
         raise BdmilpFormatError("line 1: missing header")
@@ -304,7 +369,7 @@ def read_instance(path) -> MilpInstance:
         raise BdmilpFormatError(f"truncated file: expected at least 3 lines, found {len(raw)}")
     name = raw[1]
     try:
-        n, m, nbin = (int(t) for t in raw[2].split())
+        n, m, nbin = (read_number(t, "count", int) for t in raw[2].split())
     except ValueError:
         raise BdmilpFormatError("line 3: malformed size line") from None
     if min(n, m, nbin) < 0:
@@ -312,7 +377,7 @@ def read_instance(path) -> MilpInstance:
     need = 3 + 1 + m + 5
     if len(raw) < need:
         raise BdmilpFormatError(f"truncated file: expected {need} lines, found {len(raw)}")
-    objective = _parse_floats(raw[3].split(), "objective coefficient", 4)
+    objective = floats(4, "objective coefficient", raw[3].split())
     if len(objective) != n:
         raise BdmilpFormatError(f"line 4: expected {n} objective coefficients")
     rows = []
@@ -322,16 +387,16 @@ def read_instance(path) -> MilpInstance:
         if not parts or parts[0] != "row":
             raise BdmilpFormatError(f"line {lineno}: expected row line")
         try:
-            nnz = int(parts[1])
+            nnz = read_number(parts[1], "row count", int)
         except (IndexError, ValueError):
             raise BdmilpFormatError(f"line {lineno}: malformed row count") from None
         if len(parts) != 2 + 2 * nnz:
             raise BdmilpFormatError(f"line {lineno}: row token count mismatch")
         try:
-            cols = [int(t) for t in parts[2::2]]
+            cols = [read_number(t, "column index", int) for t in parts[2::2]]
         except ValueError:
             raise BdmilpFormatError(f"line {lineno}: bad column index") from None
-        rows.append(zip(cols, _parse_floats(parts[3::2], "coefficient", lineno)))
+        rows.append(zip(cols, floats(lineno, "coefficient", parts[3::2])))
     base = 4 + m
     senses = raw[base].split()
     for s in senses:
@@ -339,11 +404,11 @@ def read_instance(path) -> MilpInstance:
             raise BdmilpFormatError(f"line {base + 1}: unknown sense token {s!r}")
     if len(senses) != m:
         raise BdmilpFormatError(f"line {base + 1}: expected {m} sense tokens")
-    rhs = _parse_floats(raw[base + 1].split(), "rhs", base + 2)
+    rhs = floats(base + 2, "rhs", raw[base + 1].split())
     if len(rhs) != m:
         raise BdmilpFormatError(f"line {base + 2}: expected {m} rhs values")
-    lower = _parse_floats(raw[base + 2].split(), "lower bound", base + 3)
-    upper = _parse_floats(raw[base + 3].split(), "upper bound", base + 4)
+    lower = floats(base + 3, "lower bound", raw[base + 2].split())
+    upper = floats(base + 4, "upper bound", raw[base + 3].split(), upper=True)
     if len(lower) != n:
         raise BdmilpFormatError(f"line {base + 3}: expected {n} lower bounds")
     if len(upper) != n:
@@ -352,7 +417,7 @@ def read_instance(path) -> MilpInstance:
     if len(btoks) != nbin:
         raise BdmilpFormatError(f"line {base + 5}: expected {nbin} binary indices")
     try:
-        binary = [int(t) for t in btoks]
+        binary = [read_number(t, "binary index", int) for t in btoks]
     except ValueError:
         raise BdmilpFormatError(f"line {base + 5}: bad binary index") from None
     seen = set()

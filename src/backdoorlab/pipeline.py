@@ -28,7 +28,7 @@ import numpy as np
 from .bnb import NODE_LIMIT, BnbConfig, backdoor_priorities, solve_bnb
 from .features import BipartiteGraph, featurize
 from .gnn import GatParameters, TrainConfig, TrainSample, gat_forward, greedy_select, train
-from .milp import FILE_EXTENSION, MilpInstance, check_integer, read_instance
+from .milp import FILE_EXTENSION, MilpInstance, check_integer, read_instance, read_number
 from .search import Backdoor, biased_sample, label_samples, mcts_search
 
 WIN = "WIN"
@@ -482,9 +482,10 @@ def read_results_csv(path) -> list[EvalRecord]:
 
     Fields are read with the ``csv`` module's quoting, so an instance name
     may hold a comma.  A missing column, a row whose field count is not the
-    header's, a value that does not parse, a negative effort, an unknown
-    outcome, an outcome or improvement other than the efforts give, or a
-    censored flag other than 0 or 1 raises ``ValueError`` naming the line.
+    header's, a number that ``milp.read_number`` refuses, a negative effort,
+    an unknown outcome, an outcome or improvement other than the efforts
+    give, or a censored flag other than 0 or 1 raises ``ValueError`` naming
+    the line.
     Blank lines and columns beyond ``_RESULT_COLUMNS`` are skipped.
     """
     records = []
@@ -514,14 +515,15 @@ def _result_record(header: list[str], parts: list[str]) -> EvalRecord:
             raise ValueError(f"censored flag {flag!r}, expected 0 or 1")
     record = EvalRecord(
         instance=row["instance"],
-        baseline_effort=int(row["baseline"]),
-        method_effort=int(row["method"]),
+        baseline_effort=read_number(row["baseline"], "baseline", int),
+        method_effort=read_number(row["method"], "method", int),
         baseline_censored=row["baseline_censored"] == "1",
         method_censored=row["method_censored"] == "1",
     )
     if min(record.baseline_effort, record.method_effort) < 0:
         raise ValueError(f"negative effort {record.baseline_effort}/{record.method_effort}")
-    if (row["outcome"], float(row["improvement_pct"])) != (record.outcome, record.improvement_pct):
+    improvement = read_number(row["improvement_pct"], "improvement_pct")
+    if (row["outcome"], improvement) != (record.outcome, record.improvement_pct):
         raise ValueError(
             f"outcome {row['outcome']} and improvement_pct {row['improvement_pct']} contradict efforts "
             f"{record.baseline_effort}/{record.method_effort}, which give "

@@ -189,11 +189,27 @@ def test_missing_instance_file_is_an_error_not_a_traceback(tmp_path, capsys):
 
 
 def test_malformed_instance_reports_line(tmp_path, capsys):
+    # Two variables, one row, one binary; each case edits one line of the good file.
+    good = ["bdmilp 1", "p", "2 1 1", "-1 -1", "row 2 0 1 1 1", "LE", "1", "0 0", "1 1", "0"]
+    for line, text, message in [
+        (1, "not a header", "line 1: missing header"),
+        (5, "row 2 0 1_0 1 1", "line 5: non-numeric coefficient '1_0'"),
+        (10, "0_9", "line 10: bad binary index"),
+        (3, "2 +1 1", "line 3: malformed size line"),
+        (4, "nan -1", "line 4: non-numeric objective coefficient 'nan'"),
+    ]:
+        bad = tmp_path / "bad.bdmilp"
+        bad.write_text("\n".join(good[: line - 1] + [text] + good[line:]) + "\n")
+        code = main(["solve", "--instance", str(bad)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_solve_names_the_line_of_a_non_ascii_byte(tmp_path, capsys):
     bad = tmp_path / "bad.bdmilp"
-    bad.write_text("not a header\n")
-    code = main(["solve", "--instance", str(bad)])
-    assert code == 2
-    assert "header" in capsys.readouterr().err
+    bad.write_bytes(b"bdmilp 1\np\n1 0 1\n-1 \xd9\n\n\n0\n1\n0\n")
+    assert main(["solve", "--instance", str(bad)]) == 2
+    assert capsys.readouterr().err == "error: line 4: non-ASCII byte 0xd9\n"
 
 
 @pytest.mark.parametrize("flag", ["--H", "--L", "--hidden"])
@@ -208,14 +224,10 @@ def test_train_with_a_zero_model_size_is_an_error_not_a_traceback(tmp_path, caps
 
 
 @pytest.mark.parametrize("flag, value, message", [
-    ("--tau", "nan", "temperature must be positive and finite, got nan"),
-    ("--tau", "inf", "temperature must be positive and finite, got inf"),
     ("--tau", "0", "temperature must be positive and finite, got 0.0"),
     ("--lr", "-1", "learning rate must be positive and finite, got -1.0"),
     ("--lr", "0", "learning rate must be positive and finite, got 0.0"),
-    ("--lr", "nan", "learning rate must be positive and finite, got nan"),
     ("--weight-decay", "-0.01", "weight decay must be finite and not negative, got -0.01"),
-    ("--weight-decay", "inf", "weight decay must be finite and not negative, got inf"),
 ])
 def test_train_with_an_unusable_rate_is_an_error_not_a_run(tmp_path, capsys, flag, value, message):
     code = main([
@@ -225,6 +237,46 @@ def test_train_with_an_unusable_rate_is_an_error_not_a_run(tmp_path, capsys, fla
     assert code == 2
     assert message in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+GENERATE_GISP = ["generate", "--family", "gisp"]
+TRAIN = ["train", "--dataset", "{d}/ds.jsonl"]
+
+
+@pytest.mark.parametrize("argv, option, kind, token", [
+    (GENERATE_GISP, "--seed", "integer", "1_0"),
+    (GENERATE_GISP, "--edge-cost", "number", "1_0"),
+    (GENERATE_GISP, "--node-reward", "number", "nan"),
+    (GENERATE_GISP, "--nodes", "integer", "+8"),
+    (GENERATE_GISP, "--edge-prob", "number", ".5"),
+    (GENERATE_GISP, "--count", "integer", "007"),
+    (GENERATE_GISP, "--count", "integer", "1e1"),
+    (GENERATE_GISP, "--edge-cost", "number", "1e309"),
+    (TRAIN, "--lr", "number", "1_0"),
+    (TRAIN, "--lr", "number", "nan"),
+    (TRAIN, "--tau", "number", "nan"),
+    (TRAIN, "--tau", "number", "inf"),
+    (TRAIN, "--weight-decay", "number", "inf"),
+    (TRAIN, "--epochs", "integer", "true"),
+], ids=[
+    "seed-1_0", "edge-cost-1_0", "node-reward-nan", "nodes-plus-sign", "edge-prob-bare-point", "count-leading-zero",
+    "count-exponent", "edge-cost-overflow", "lr-1_0", "lr-nan", "tau-nan", "tau-inf", "weight-decay-inf",
+    "epochs-true",
+])
+def test_an_option_the_number_rule_refuses_is_an_error_naming_it(tmp_path, capsys, argv, option, kind, token):
+    with pytest.raises(SystemExit) as exit_:
+        main([arg.format(d=tmp_path) for arg in argv] + [option, token, "--out", str(tmp_path / "out")])
+    assert exit_.value.code == 2
+    assert f"error: argument {option}: invalid {kind} value: {token!r}\n" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_options_read_the_numbers_they_spell():
+    parser = build_parser()
+    args = parser.parse_args([*GENERATE_GISP, "--seed", "-0", "--node-reward", "-0", "--out", "o"])
+    assert (args.seed, math.copysign(1.0, args.node_reward)) == (0, -1.0)
+    args = parser.parse_args(["train", "--dataset", "d", "--out", "o", "--lr", "1e-3", "--tau", "0.5", "--L", "16"])
+    assert (args.learning_rate, args.tau, args.L) == (1e-3, 0.5, 16)
 
 
 def test_train_accepts_a_zero_weight_decay():
@@ -314,12 +366,21 @@ def with_graph(**changes):
         [(0, 1)], [(2, 3)], with_graph(var_feats=lambda v: [[str(v[0][0])] + v[0][1:]] + v[1:]),
         "ValueError: graph var_feats holds a value that is not a number",
     ),
+    (
+        [(0, 1)], [(2, 3)], with_graph(var_feats=lambda v: [[True] + v[0][1:]] + v[1:]),
+        "ValueError: graph var_feats holds a value that is not a number",
+    ),
+    (
+        [(0, 1)], [(2, 3)], with_graph(cons_feats=lambda c: [[10**400] + c[0][1:]] + c[1:]),
+        "ValueError: graph cons_feats holds a value that is not finite",
+    ),
 ], ids=[
     "index-past-the-graph", "negative-index", "no-negative", "no-positive",
     "edge-to-constraint-999", "edge-to-variable-999", "negative-edge-index", "three-edge-columns",
     "missing-edge-feature", "nan-feature", "fourteen-variable-features", "short-binary-mask",
     "fractional-index", "fractional-edge-index", "binary-mask-entry-7",
     "string-edge", "string-mask-entry", "boolean-edge", "boolean-index", "string-feature",
+    "boolean-feature", "feature-past-the-float-range",
 ])
 def test_train_on_a_record_it_cannot_use_is_an_error_naming_the_line(
     tmp_path, capsys, positives, negatives, corrupt, message
@@ -396,10 +457,15 @@ RESULTS_HEADER = "instance,baseline,method,improvement_pct,outcome,baseline_cens
         (RESULTS_HEADER + "g1,10,5,-70.0,LOSS,0,0\n", "line 2: outcome LOSS and improvement_pct -70.0 contradict"),
         (RESULTS_HEADER + "g1,10,5,99.0,WIN,0,0\n", "line 2: outcome WIN and improvement_pct 99.0 contradict"),
         (RESULTS_HEADER + "g1,-5,3,160.0,LOSS,0,0\n", "line 2: negative effort -5/3"),
+        (RESULTS_HEADER + "g1,1_0,5,50.0,WIN,0,0\n", "line 2: non-integer baseline '1_0'"),
+        (RESULTS_HEADER + "g1,10,5.0,50.0,WIN,0,0\n", "line 2: non-integer method '5.0'"),
+        (RESULTS_HEADER + "g1,10,5,+50.0,WIN,0,0\n", "line 2: non-numeric improvement_pct '+50.0'"),
+        (RESULTS_HEADER + "g1,10,5,nan,WIN,0,0\n", "line 2: non-numeric improvement_pct 'nan'"),
     ],
     ids=[
         "missing-column", "short-row", "unknown-outcome", "censored-flag", "contradicting-outcome",
-        "contradicting-improvement", "negative-effort",
+        "contradicting-improvement", "negative-effort", "effort-1_0", "fractional-effort",
+        "signed-improvement", "nan-improvement",
     ],
 )
 def test_malformed_results_csv_is_an_error_naming_the_line(tmp_path, capsys, text, message):

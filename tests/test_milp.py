@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -7,9 +10,11 @@ from backdoorlab.milp import (
     INF,
     BdmilpFormatError,
     MilpInstance,
+    check_number,
     lp_relaxation,
     make_instance,
     read_instance,
+    read_number,
     validate_instance,
     write_instance,
 )
@@ -191,12 +196,19 @@ class TestFileRoundtrip:
 
     def test_roundtrip_preserves_awkward_floats(self, tmp_path):
         inst = make_instance(
-            "f", [0.1, -1e-17], [[(0, 1 / 3), (1, -2.0 ** 53)]], [np.pi],
-            ["LE"], [0.0, -4.25], [1.0, INF], [0],
+            "f", [0.1, -1e-17, -0.0, 5e-324], [[(0, 1 / 3), (1, -2.0 ** 53), (2, 1e22), (3, -0.0)]], [np.pi],
+            ["LE"], [0.0, -4.25, -0.0, 0.0], [1.0, INF, 1e22, 2.2250738585072014e-308], [0],
         )
         path = tmp_path / "f.bdmilp"
         write_instance(inst, path)
-        assert read_instance(path) == inst
+        back = read_instance(path)
+        assert back == inst
+        # ``==`` takes -0.0 for 0.0, so compare the bits of every float field.
+        for field in ("objective", "rhs", "lower", "upper"):
+            assert [x.hex() for x in getattr(back, field)] == [x.hex() for x in getattr(inst, field)], field
+        assert [[(j, a.hex()) for j, a in row] for row in back.rows] == [
+            [(j, a.hex()) for j, a in row] for row in inst.rows
+        ]
 
     def test_unknown_sense_token(self, tmp_path):
         inst = make_instance(
@@ -271,7 +283,64 @@ FORMAT_ERRORS = {
     "binary-index-out-of-range": ({11: "2"}, "line 11: binary index 2 outside [0, 2)"),
     "negative-binary-index": ({11: "-1"}, "line 11: binary index -1 outside [0, 2)"),
     "repeated-binary-index": ({3: "2 2 2", 11: "0 0"}, "line 11: repeated binary index 0"),
+    "signed-size": ({3: "+2 2 1"}, "line 3: malformed size line"),
+    "fractional-size": ({3: "2 2.0 1"}, "line 3: malformed size line"),
+    "underscored-row-count": ({5: "row 0_2 0 1 1 1"}, "line 5: malformed row count"),
+    "leading-zero-column-index": ({6: "row 1 01 2"}, "line 6: bad column index"),
+    "underscored-coefficient": ({6: "row 1 1 1_0"}, "line 6: non-numeric coefficient '1_0'"),
+    "nan-objective": ({4: "nan -1"}, "line 4: non-numeric objective coefficient 'nan'"),
+    "overflowing-rhs": ({8: "4 1e309"}, "line 8: non-finite rhs '1e309'"),
+    "bare-point-lower-bound": ({9: "0 .5"}, "line 9: non-numeric lower bound '.5'"),
+    "inf-lower-bound": ({9: "0 inf"}, "line 9: non-numeric lower bound 'inf'"),
+    "spelled-infinity-upper-bound": ({10: "1 Infinity"}, "line 10: non-numeric upper bound 'Infinity'"),
+    "negative-inf-upper-bound": ({10: "1 -inf"}, "line 10: non-numeric upper bound '-inf'"),
+    "underscored-binary-index": ({11: "0_0"}, "line 11: bad binary index"),
+    "non-ascii-name": ({2: "p\u00e9"}, "line 2: non-ASCII byte 0xc3"),
 }
+
+
+class TestNumberRule:
+    @pytest.mark.parametrize("token, value", [
+        ("0", 0.0), ("-0", -0.0), ("12", 12.0), ("-1.5", -1.5), ("1e+22", 1e22), ("1E-3", 1e-3),
+        ("4.9406564584124654e-324", 5e-324), ("0.1", 0.1), ("1.7976931348623157e+308", 1.7976931348623157e308),
+    ])
+    def test_a_json_number_reads_bit_for_bit(self, token, value):
+        assert read_number(token, "x").hex() == value.hex()
+
+    @pytest.mark.parametrize("token", [
+        "+3", "1_0", "007", ".5", "5.", "nan", "NaN", "inf", "-inf", "Infinity", "true", "", " 1", "1 ",
+        "0x10", "1e", "--1", "\u0661",
+    ])
+    def test_anything_else_is_no_number(self, token):
+        with pytest.raises(ValueError, match=f"^non-numeric x {re.escape(repr(token))}$"):
+            read_number(token, "x")
+
+    def test_a_float_past_the_range_is_refused(self):
+        with pytest.raises(ValueError, match="^non-finite x '1e309'$"):
+            read_number("1e309", "x")
+
+    @pytest.mark.parametrize("token, value", [("0", 0), ("-0", 0), ("42", 42), (str(2**64), 2**64)])
+    def test_an_integer_has_no_fraction_or_exponent(self, token, value):
+        got = read_number(token, "n", int)
+        assert type(got) is int and got == value
+
+    @pytest.mark.parametrize("token", ["1.0", "1e3", "1_0", "+1", "01", "true", "nan"])
+    def test_an_integer_token_is_refused_otherwise(self, token):
+        with pytest.raises(ValueError, match=f"^non-integer n {re.escape(repr(token))}$"):
+            read_number(token, "n", int)
+
+    @pytest.mark.parametrize("table", [[[0.5, 1], [2, -0.0]], (1.0,), [], np.zeros((2, 3)), np.arange(3)])
+    def test_a_table_of_finite_numbers_passes(self, table):
+        assert check_number(table, "t") is table
+
+    @pytest.mark.parametrize("table, what", [
+        ([[0.5, True]], "a number"), ([["1"]], "a number"), ([None], "a number"), (np.array([True]), "a number"),
+        (np.array(["1.0"]), "a number"), ([[0.5], [math.nan]], "finite"), ([math.inf], "finite"),
+        (np.array([0.0, -math.inf]), "finite"), ([10**400], "finite"),
+    ])
+    def test_a_table_with_anything_else_is_refused(self, table, what):
+        with pytest.raises(ValueError, match=f"^t holds a value that is not {what}$"):
+            check_number(table, "t")
 
 
 class TestReadInstanceErrors:

@@ -387,6 +387,18 @@ class TestReport:
             assert back == records
             assert summarize(back) == summarize(records)
 
+    def test_results_csv_reads_back_bit_for_bit(self, tmp_path):
+        # Improvements of -200% and -33.33...%, the second a repr float of 17 digits.
+        records = [EvalRecord("a", 3, 9), EvalRecord("b", 3, 4, method_censored=True), EvalRecord("c", 0, 0)]
+        report(records, tmp_path)
+        text = (tmp_path / "results.csv").read_text()
+        assert ",-200.0,LOSS," in text and ",-33.333333333333336,LOSS," in text
+        back = read_results_csv(tmp_path / "results.csv")
+        assert back == records
+        assert [r.improvement_pct.hex() for r in back] == [r.improvement_pct.hex() for r in records]
+        report(back, tmp_path / "again")
+        assert (tmp_path / "again" / "results.csv").read_text() == text
+
     def test_finish_rate_is_monotone_cdf(self, tmp_path):
         report(self._records(), tmp_path)
         rows = (tmp_path / "finishrate.csv").read_text().splitlines()[1:]

@@ -107,6 +107,18 @@ def test_config_validation():
         TrainConfig(epochs=0)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("tau", float("nan"), "temperature must be positive and finite, got nan"),
+    ("tau", float("inf"), "temperature must be positive and finite, got inf"),
+    ("learning_rate", float("nan"), "learning rate must be positive and finite, got nan"),
+    ("weight_decay", float("inf"), "weight decay must be finite and not negative, got inf"),
+])
+def test_a_non_finite_rate_is_rejected(field, value, message):
+    # The command line refuses these tokens first; a caller in Python reaches this check.
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        TrainConfig(**{field: value})
+
+
 @pytest.mark.parametrize("field", ["L", "H", "hidden"])
 def test_model_sizes_below_one_rejected(field):
     with pytest.raises(ValueError, match="must be positive"):
