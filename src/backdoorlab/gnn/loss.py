@@ -7,13 +7,29 @@ positives of ``-log softmax`` where the softmax runs over that positive plus
 every negative at temperature tau.  Computed with max subtraction, and
 invariant to shifting every dot product by a constant.  The gradient with
 respect to the scores comes from the same pass, in closed form.
+
+The dot products are segment sums over index arrays (``ContrastiveSets``,
+built once per sample), so one pass computes the loss of many samples whose
+scores lie side by side in one vector (``infonce_union``), as training's
+disjoint union of graphs produces them.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
+
+from .model import SegmentIndex
+
+
+def _check_index(r: int, j, num_vars: int) -> int:
+    """Index ``j`` of sample ``r`` as an int, refused outside ``[0, num_vars)``."""
+    j = int(j)
+    if not 0 <= j < num_vars:
+        raise ValueError(f"sample {r}: variable index {j} outside [0, {num_vars})")
+    return j
 
 
 def membership_matrix(samples: Sequence[Iterable[int]], num_vars: int) -> np.ndarray:
@@ -25,18 +41,76 @@ def membership_matrix(samples: Sequence[Iterable[int]], num_vars: int) -> np.nda
     M = np.zeros((len(samples), num_vars))
     for r, sample in enumerate(samples):
         for j in sample:
-            j = int(j)
-            if not 0 <= j < num_vars:
-                raise ValueError(f"sample {r}: variable index {j} outside [0, {num_vars})")
-            M[r, j] = 1.0
+            M[r, _check_index(r, j, num_vars)] = 1.0
     return M
+
+
+@dataclass(frozen=True)
+class ContrastiveSets:
+    """One sample's positive and negative sets as index arrays over its variables.
+
+    The sets come positives first, each as its distinct members in
+    ascending order (a repeated index counts once, as in
+    :func:`membership_matrix`).
+    """
+
+    member: SegmentIndex  # each member's variable
+    set_of: SegmentIndex  # each member's set
+    positive: np.ndarray  # (sets,) 1.0 for a positive set, 0.0 for a negative one
+
+    @classmethod
+    def of(
+        cls, positives: Sequence[Iterable[int]], negatives: Sequence[Iterable[int]], num_vars: int
+    ) -> "ContrastiveSets":
+        """Raises ``ValueError`` for an index outside ``[0, num_vars)``."""
+        sets = list(positives) + list(negatives)
+        members = [sorted({_check_index(r, j, num_vars) for j in s}) for r, s in enumerate(sets)]
+        sizes = [len(m) for m in members]
+        return cls(
+            member=SegmentIndex([j for m in members for j in m], num_vars),
+            set_of=SegmentIndex(np.repeat(np.arange(len(sets)), sizes), len(sets)),
+            positive=np.repeat([1.0, 0.0], [len(positives), len(negatives)]),
+        )
+
+
+def infonce_union(
+    scores: np.ndarray, parts: Sequence[ContrastiveSets], tau: float, weight: float = 1.0
+) -> tuple[float, np.ndarray]:
+    """``weight`` times the summed InfoNCE of several samples, and its gradient
+    with respect to ``scores``.
+
+    ``scores`` holds each part's variables after those of the part before
+    it.  Every part needs a positive and a negative set.
+    """
+    member, set_of = SegmentIndex.concat([[p.member for p in parts], [p.set_of for p in parts]])
+    positive = np.concatenate([p.positive for p in parts])
+    counts = [p.positive.size for p in parts]
+    sample = SegmentIndex(np.repeat(np.arange(len(parts)), counts), len(parts))
+    num_pos = sample.sum(positive)
+    dots = set_of.sum(scores.take(member.index)) * (1.0 / tau)
+    shift = sample.maximum(np.full(len(parts), -np.inf), dots)
+    z = dots - shift.take(sample.index)
+    ex = np.exp(z)
+    negative = 1.0 - positive
+    # Each positive's softmax denominator (negatives get one too, unused).
+    total = ex + sample.sum(ex * negative).take(sample.index)
+    per_sample = sample.sum(positive * (np.log(total) - z)) / num_pos
+    loss = float(per_sample.sum()) * weight
+    # d loss / d dp_i = (p_i - 1) / P and d loss / d dn_j = sum_i q_ij / P,
+    # with p_i, q_ij the softmax weights of positive i and of negative j in it.
+    per_set_pos = num_pos.take(sample.index)
+    inv = positive / (per_set_pos * total)
+    d_dots = ex * (inv + negative * sample.sum(inv).take(sample.index)) - positive / per_set_pos
+    d_scores = member.sum(d_dots.take(set_of.index))
+    d_scores *= weight / tau
+    return loss, d_scores
 
 
 def infonce_loss_and_grad(
     scores, positives: Sequence[Iterable[int]], negatives: Sequence[Iterable[int]], tau: float = 0.07
 ) -> tuple[float, np.ndarray]:
     """InfoNCE over variable-membership encodings, and its gradient with
-    respect to ``scores``.
+    respect to ``scores``: :func:`infonce_union` of the one sample.
 
     ``positives`` and ``negatives`` are collections of variable-index
     collections.  An empty negative set yields exactly 0 with a zero
@@ -47,23 +121,10 @@ def infonce_loss_and_grad(
     if len(positives) == 0:
         raise ValueError("at least one positive sample is required")
     s = np.asarray(scores, dtype=float).reshape(-1)
+    sets = ContrastiveSets.of(positives, negatives, s.size)
     if len(negatives) == 0:
         return 0.0, np.zeros_like(s)
-    Mp = membership_matrix(positives, s.size)
-    Mn = membership_matrix(negatives, s.size)
-    dp = np.matmul(Mp, s) * (1.0 / tau)
-    dn = np.matmul(Mn, s) * (1.0 / tau)
-    shift = max(dp.max(), dn.max())
-    exp_pos = np.exp(dp - shift)
-    exp_neg = np.exp(dn - shift)
-    total = exp_pos + exp_neg.sum()  # each positive's softmax denominator
-    loss = float(np.mean(np.log(total) - (dp - shift)))
-    # d loss / d dp_i = (p_i - 1) / P and d loss / d dn_j = sum_i q_ij / P,
-    # with p_i, q_ij the softmax weights of positive i and of negative j in it.
-    inv = 1.0 / (len(positives) * total)
-    d_dp = exp_pos * inv - 1.0 / len(positives)
-    d_dn = exp_neg * inv.sum()
-    return loss, (np.matmul(d_dp, Mp) + np.matmul(d_dn, Mn)) * (1.0 / tau)
+    return infonce_union(s, [sets], tau)
 
 
 def infonce_loss(

@@ -24,22 +24,30 @@ the variable rows are distinct, and round 1 runs for 47% of the
 constraints, round 2 for 85% of the variables.
 
 The forward pass and its backward pass are plain numpy, with no autodiff
-tape.  ``score_graph`` runs the embedding MLPs, the two rounds, the output
-MLP, the sigmoid and the gather to all variables, keeps what its backward
-pass needs, and returns that pass as a function which adds every
-parameter's gradient into a named view of one flat buffer
-(``GatParameters.views``), one addition per array.  A round computes the
-three head transforms, the leaky logits, the softmax over each
-neighborhood, and the messages, aggregated densely by scattering the edge
-weights into an (H, sender classes, receiver classes) block and multiplying
-it by the sender transforms per head.  Its backward is the softmax Jacobian
-per neighborhood, the block's two products, segment sums back to own rows,
-senders and edge rows, and the transforms' gradients.  Over 60 GISP-25
-graphs the two rounds' edge blocks hold about 2,000 floats per head together.
+tape, and run over the disjoint union of one or more graphs
+(``score_union``; ``score_graph`` is the union of one).  ``NodeClasses.union``
+concatenates the graphs' distinct rows and class indices with offsets and
+sorts nothing again, so every segment sum adds the same entries in the same
+order as for its graph alone.  The pass runs the embedding MLPs, the two
+rounds, the output MLP, the sigmoid and the gather to all variables once
+over the union, keeps what its backward pass needs, and returns that pass
+as a function which adds every parameter's gradient into a named view of
+one flat buffer (``GatParameters.views``), one addition per array.  A round
+computes the three head transforms, the leaky logits, the softmax over each
+neighborhood, and the messages: each graph's edge weights are scattered into
+a dense (H, sender classes, receiver classes) block, the blocks of all
+graphs are stacked, zero-padded to the largest (``_Blocks``), and multiplied
+by the stacked sender transforms in one product.  Its backward is the
+softmax Jacobian per neighborhood, the blocks' two products, segment sums
+back to own rows, senders and edge rows, and the transforms' gradients.  No
+array spans the union squared: the stack grows with the number of graphs
+times the largest graph's block.  Over 60 GISP-25 graphs the two rounds'
+edge blocks hold about 2,000 floats per head together.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import struct
 from dataclasses import dataclass, field
@@ -154,7 +162,8 @@ class AttentionRecord:
 
 def leaky_relu_values(x: np.ndarray, slope: float) -> np.ndarray:
     """``max(x, slope * x)``, for ``0 <= slope <= 1``; slope 0 is the relu."""
-    return np.maximum(x, slope * x)
+    out = np.multiply(x, slope)
+    return np.maximum(x, out, out=out)
 
 
 def leaky_relu_slopes(x: np.ndarray, slope: float) -> np.ndarray:
@@ -169,11 +178,44 @@ def leaky_relu_slopes(x: np.ndarray, slope: float) -> np.ndarray:
     return factor
 
 
+# OpenBLAS runs a matrix product on a second thread from 2**18 multiply-adds
+# on, and a matrix-vector product from 9,216 matrix entries on.  Products over
+# the rows of a union of graphs pass both, and the second thread then mostly
+# waits: train-gisp25's training took twice its one-thread CPU time, and with
+# the other core busy 1.46 s of wall time instead of 0.71 s.  So every product
+# of the model goes through ``_product``, which keeps each call under these
+# limits.
+_GEMM_LIMIT, _GEMV_LIMIT = 1 << 18, 1 << 13
+
+
 def _product(x: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """``x @ y``, into ``out`` if given; with a contracted size of 1 it is an
-    outer product, done as a broadcast multiply (the same values) rather than
-    a stacked gemm."""
-    return np.multiply(x, y, out=out) if x.shape[-1] == 1 else np.matmul(x, y, out=out)
+    """``x @ y`` over the last two axes, into ``out`` if given, in BLAS calls
+    that OpenBLAS runs on one thread.
+
+    A product past the limit is cut along its longer side: the rows of ``x``
+    into pieces written in place, or the contracted axis into pieces whose
+    products are added in order.  With a contracted size of 1 it is an outer
+    product, done as a broadcast multiply (the same values).
+    """
+    *_, M, K = x.shape
+    N = y.shape[-1]
+    if K == 1:
+        return np.multiply(x, y, out=out)
+    limit = _GEMV_LIMIT if M == 1 or N == 1 else _GEMM_LIMIT
+    if M * K * N <= limit:
+        return np.matmul(x, y, out=out)
+    if M >= K:
+        step = max(1, limit // (K * N))
+        if out is None:
+            out = np.empty(np.broadcast_shapes(x.shape[:-2], y.shape[:-2]) + (M, N))
+        for lo in range(0, M, step):
+            np.matmul(x[..., lo : lo + step, :], y, out=out[..., lo : lo + step, :])
+        return out
+    step = max(1, limit // (M * N))
+    out = np.matmul(x[..., :step], y[..., :step, :], out=out)
+    for lo in range(step, K, step):
+        out += np.matmul(x[..., lo : lo + step], y[..., lo : lo + step, :])
+    return out
 
 
 class SegmentIndex:
@@ -184,7 +226,8 @@ class SegmentIndex:
     per non-empty segment, so a segment's entries reach its reduction in
     index order.  An index that is already sorted is reduced as it stands,
     and when every segment has an entry the reduction is the result itself.
-    Build one per index map and reuse it.
+    Build one per index map and reuse it; :meth:`concat` joins the maps of
+    several graphs without sorting again.
     """
 
     __slots__ = ("index", "size", "order", "starts", "present", "full")
@@ -204,6 +247,37 @@ class SegmentIndex:
         self.starts = np.flatnonzero(first)
         self.present = ranked[self.starts]
         self.full = 0 < self.present.size == self.size  # no segment is empty
+
+    @classmethod
+    def concat(cls, groups: list[list["SegmentIndex"]]) -> list["SegmentIndex"]:
+        """The disjoint union of each group's parts, all groups in one pass.
+
+        Entries and segments of each part follow those of the part before,
+        and nothing is sorted again, so each segment is reduced over the same
+        entries in the same order as in its part.  Every group has one part
+        per graph of the union.
+        """
+        fields, united = [], []
+        for parts in groups:
+            lengths = [p.index.size for p in parts]
+            sizes = [p.size for p in parts]
+            fields += [([p.index for p in parts], sizes), ([p.present for p in parts], sizes)]
+            fields.append(([p.starts for p in parts], lengths))
+            in_order = all(p.order is None for p in parts)
+            if not in_order:
+                orders = [np.arange(n) if p.order is None else p.order for p, n in zip(parts, lengths)]
+                fields.append((orders, lengths))
+            united.append((sum(sizes), in_order))
+        arrays = iter(_shifted(fields))
+        out = []
+        for size, in_order in united:
+            u = cls.__new__(cls)
+            u.index, u.present, u.starts = next(arrays), next(arrays), next(arrays)
+            u.order = None if in_order else next(arrays)
+            u.size = size
+            u.full = 0 < u.present.size == size
+            out.append(u)
+        return out
 
     def _reduce(self, ufunc, x: np.ndarray, axis: int) -> np.ndarray:
         if self.order is not None:
@@ -237,24 +311,42 @@ class SegmentIndex:
         return out
 
 
-def _mlp(x: np.ndarray, a: dict[str, np.ndarray], tag: str):
+def _shifted(fields: list[tuple[list[np.ndarray], list[int]]]) -> list[np.ndarray]:
+    """Each ``(arrays, spans)`` field's arrays concatenated, each array shifted
+    by the sum of the spans before its own; one concatenation serves every
+    field, and every field has as many arrays as the first."""
+    spans = np.array([s for _, s in fields], dtype=np.int64)
+    offsets = (np.cumsum(spans, axis=1) - spans).reshape(-1)
+    arrays = [a for field, _ in fields for a in field]
+    counts = [a.size for a in arrays]
+    flat = np.concatenate(arrays) + np.repeat(offsets, counts)
+    ends = list(itertools.accumulate(counts))[len(fields[0][0]) - 1 :: len(fields[0][0])]
+    return [flat[lo:hi] for lo, hi in zip([0] + ends, ends)]
+
+
+def _mlp(x: np.ndarray, a: dict[str, np.ndarray], tag: str, features: bool = False):
     """The 2-layer relu MLP ``tag``; returns its output and its backward pass.
 
     ``backward(g, grads)`` adds the gradients of the four ``tag`` arrays
-    into ``grads`` and returns the gradient of ``x``.
+    into ``grads`` and returns the gradient of ``x``, or None when ``x``
+    holds ``features``, which are constants.
     """
     w1, b1, w2, b2 = (a[f"{tag}_{part}"] for part in ("w1", "b1", "w2", "b2"))
-    pre = np.matmul(x, w1) + b1
+    pre = _product(x, w1)
+    pre += b1
     h = leaky_relu_values(pre, 0.0)
-    out = np.matmul(h, w2) + b2
+    del pre
+    out = _product(h, w2)
+    out += b2
 
     def backward(g: np.ndarray, grads: dict[str, np.ndarray]) -> np.ndarray:
         grads[f"{tag}_w2"] += _product(h.T, g)
         grads[f"{tag}_b2"] += g.sum(axis=0)
-        d_pre = _product(g, w2.T) * leaky_relu_slopes(pre, 0.0)
+        d_pre = leaky_relu_slopes(h, 0.0)  # the relu keeps the sign
+        d_pre *= _product(g, w2.T)
         grads[f"{tag}_w1"] += _product(x.T, d_pre)
         grads[f"{tag}_b1"] += d_pre.sum(axis=0)
-        return _product(d_pre, w1.T)
+        return None if features else _product(d_pre, w1.T)
 
     return out, backward
 
@@ -274,22 +366,105 @@ def _row_classes(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rank[inverse.reshape(-1)], first[order]
 
 
+def _slots(counts: list[int], width: int) -> np.ndarray:
+    """Each item's position in a stack of ``len(counts)`` runs of ``width``
+    places, where run ``i`` starts with the ``counts[i]`` items of part ``i``."""
+    offsets = np.cumsum(counts) - counts
+    return np.arange(sum(counts)) + np.repeat(np.arange(len(counts)) * width - offsets, counts)
+
+
+@dataclass(frozen=True)
+class _Blocks:
+    """One round's dense (sender, receiver class) blocks, one per graph, stacked.
+
+    Every graph's block is zero-padded to the most senders, classes and own
+    rows of any graph in the stack (``shape``: graphs, senders, classes, own
+    rows), so one stacked product serves them all.  The slots place each
+    sender, class and own row at its row of the padded stack; they are None
+    for one graph, whose stack is the graph itself.
+    """
+
+    shape: tuple[int, int, int, int]
+    cell: np.ndarray  # round edge -> its (graph, sender, class) cell of the stack, flat
+    member: np.ndarray | None  # (graphs, own rows, classes): 1 where the class has that own row
+    send_slot: np.ndarray | None
+    recv_slot: np.ndarray | None
+    own_slot: np.ndarray | None
+
+    @classmethod
+    def of(cls, sends: list[SegmentIndex], recvs: list[SegmentIndex], owns: list) -> "_Blocks":
+        """The stack of the graphs whose rounds have these ``send``, ``recv``
+        and ``own`` indices (an own index may be None, the identity)."""
+        senders = [i.size for i in sends]
+        classes = [i.size for i in recvs]
+        own_rows = [k if i is None else i.size for i, k in zip(owns, classes)]
+        B, S, K, R = len(sends), max(senders), max(classes), max(own_rows)
+        graph = np.repeat(np.arange(B), [i.index.size for i in recvs])
+        local_send = np.concatenate([i.index for i in sends])
+        local_recv = np.concatenate([i.index for i in recvs])
+        member = None
+        if any(i is not None for i in owns):
+            local_own = np.concatenate([
+                np.arange(k) if i is None else i.index for i, k in zip(owns, classes)
+            ])
+            graph_of_class = np.repeat(np.arange(B), classes)
+            local_class = _slots(classes, K) - graph_of_class * K
+            own_cell = (graph_of_class * R + local_own) * K + local_class
+            member = np.zeros(B * R * K)
+            member[own_cell] = 1.0
+            member = member.reshape(B, R, K)
+        one = B == 1
+        return cls(
+            shape=(B, S, K, R),
+            cell=(graph * S + local_send) * K + local_recv,
+            member=member,
+            send_slot=None if one else _slots(senders, S),
+            recv_slot=None if one else _slots(classes, K),
+            own_slot=None if one or member is None else _slots(own_rows, R),
+        )
+
+
+def _stack(x: np.ndarray, slot: np.ndarray | None, rows: int, axis: int) -> np.ndarray:
+    """``x`` with its entries along ``axis`` placed at ``slot`` of ``rows``
+    zero entries; ``x`` itself when ``slot`` is None."""
+    if slot is None:
+        return x
+    shape = list(x.shape)
+    shape[axis] = rows
+    out = np.zeros(shape)
+    out[(slice(None),) * axis + (slot,)] = x
+    return out
+
+
+def _head_sum(x: np.ndarray) -> np.ndarray:
+    """``x.sum(axis=0)``; with one head, that head itself, not a copy."""
+    return x[0] if len(x) == 1 else x.sum(axis=0)
+
+
+def _unstack(x: np.ndarray, slot: np.ndarray | None, axis: int) -> np.ndarray:
+    """The entries of ``x`` along ``axis`` at ``slot``: the adjoint of :func:`_stack`."""
+    return x if slot is None else x.take(slot, axis=axis)
+
+
 @dataclass(frozen=True)
 class _Round:
     """One round's receivers grouped into classes; each class runs through one representative.
 
     The round's edges are the representatives' edges, class by class, each
-    representative's sorted by (sender, edge row).
+    representative's sorted by (sender, edge row).  A round of a disjoint
+    union (``NodeClasses.union``) holds the rounds of its graphs one after
+    another.
     """
 
     own: SegmentIndex | None  # class -> its receivers' own row; None when that is the identity
-    member: np.ndarray | None  # (own rows, classes), 1 where the class has that own row; None with own
     recv: SegmentIndex  # round edge -> receiver class
     send: SegmentIndex  # round edge -> sender
     edge_row: SegmentIndex  # round edge -> distinct edge-feature row
-    pair: SegmentIndex  # round edge -> its (sender, receiver class) cell of the dense block
-    node_class: np.ndarray  # each receiver node's class
-    edge_slot: np.ndarray  # each graph edge's round edge: the same position in its representative
+    blocks: _Blocks  # the attention blocks of its graphs, stacked
+    # Per graph only (None in a union of several): each receiver node's class,
+    # and each graph edge's round edge, the same position in its representative.
+    node_class: np.ndarray | None
+    edge_slot: np.ndarray | None
 
 
 def _refine(own, num_own, recv, send, num_send, edge_row, num_rows) -> _Round:
@@ -318,14 +493,15 @@ def _refine(own, num_own, recv, send, num_send, edge_row, num_rows) -> _Round:
     picked = order[start[reps][rep_recv] + np.arange(rep_recv.size) - offset[rep_recv]]
     edge_slot = np.empty(E, dtype=np.int64)
     edge_slot[order] = offset[node_class[ranked]] + pos
-    identity = K == num_own
+    own_index = None if K == num_own else SegmentIndex(own[reps], num_own)
+    recv_index = SegmentIndex(rep_recv, K)
+    send_index = SegmentIndex(send[picked], num_send)
     return _Round(
-        own=None if identity else SegmentIndex(own[reps], num_own),
-        member=None if identity else np.equal.outer(np.arange(num_own), own[reps]).astype(np.float64),
-        recv=SegmentIndex(rep_recv, K),
-        send=SegmentIndex(send[picked], num_send),
+        own=own_index,
+        recv=recv_index,
+        send=send_index,
         edge_row=SegmentIndex(edge_row[picked], num_rows),
-        pair=SegmentIndex(send[picked] * K + rep_recv, num_send * K),
+        blocks=_Blocks.of([send_index], [recv_index], [own_index]),
         node_class=node_class,
         edge_slot=edge_slot,
     )
@@ -370,6 +546,55 @@ class NodeClasses:
             var_class=None if K2 == graph.num_vars else SegmentIndex(round2.node_class, K2),
         )
 
+    @classmethod
+    def union(cls, parts: list["NodeClasses"]) -> "NodeClasses":
+        """The classes of the disjoint union of the graphs of ``parts``, in order.
+
+        Rows, classes and edges of each graph follow those of the graph
+        before it, and every index is shifted to match; one graph is its
+        own union.  A class never spans two graphs, so every graph's scores
+        are as they are alone, up to the float order of the products over
+        the union's rows.  The rounds keep no node classes or edge slots,
+        which only a single graph's attention records read.
+        """
+        if len(parts) == 1:
+            return parts[0]
+        rounds = ([p.round1 for p in parts], [p.round2 for p in parts])
+        groups = []
+        for rs in rounds:
+            groups += [
+                _with_identities([r.own for r in rs], [r.recv.size for r in rs]),
+                [r.recv for r in rs],
+                [r.send for r in rs],
+                [r.edge_row for r in rs],
+            ]
+        groups.append(_with_identities([p.var_class for p in parts], [p.round2.recv.size for p in parts]))
+        united = iter(SegmentIndex.concat([g for g in groups if g is not None]))
+        own1, recv1, send1, edge1, own2, recv2, send2, edge2, var_class = (
+            None if g is None else next(united) for g in groups
+        )
+
+        def round_of(rs, own, recv, send, edge_row):
+            blocks = _Blocks.of([r.send for r in rs], [r.recv for r in rs], [r.own for r in rs])
+            return _Round(own, recv, send, edge_row, blocks, node_class=None, edge_slot=None)
+
+        return cls(
+            var_rows=np.concatenate([p.var_rows for p in parts]),
+            cons_rows=np.concatenate([p.cons_rows for p in parts]),
+            edge_rows=np.concatenate([p.edge_rows for p in parts]),
+            round1=round_of(rounds[0], own1, recv1, send1, edge1),
+            round2=round_of(rounds[1], own2, recv2, send2, edge2),
+            var_class=var_class,
+        )
+
+
+def _with_identities(indexes: list, sizes: list[int]) -> list[SegmentIndex] | None:
+    """``indexes`` with each None (an identity map of that size) made
+    explicit; None when every one is None."""
+    if all(i is None for i in indexes):
+        return None
+    return [SegmentIndex(np.arange(k), k) if i is None else i for i, k in zip(indexes, sizes)]
+
 
 def _attention_round(Xr, Xs, Xe, theta_r, theta_s, theta_e, w, rnd: _Round):
     """One message-passing round over receiver classes; returns (new class
@@ -385,30 +610,31 @@ def _attention_round(Xr, Xs, Xe, theta_r, theta_s, theta_e, w, rnd: _Round):
     three embedding inputs.  The theta gradients are formed one at a time in
     ``buf``, an ``(H, L, L)`` scratch array.
 
-    The neighbor messages are ``block.T @ Ts`` per head, where ``block`` is
-    the dense ``(H, S, K)`` attention matrix with each edge's weight summed
-    into its (sender, receiver class) cell, so a repeated pair adds up as
-    separate edges would.  It costs ``H * K * S`` floats, forward and
-    backward.  The self messages weight each class's own-row transform
-    elementwise.  The products stay stacked per head: at GISP-25 sizes one
-    gemm over all heads passes OpenBLAS's threading threshold, and its second
-    thread doubles the CPU time for no gain.
+    The neighbor messages come from each graph's dense ``(H, senders,
+    classes)`` attention block, with each edge's weight summed into its
+    (sender, receiver class) cell, so a repeated pair adds up as separate
+    edges would.  The blocks of the union's graphs are stacked, zero-padded
+    to the largest (``rnd.blocks``), and multiplied by the stacked sender
+    transforms graph by graph in one call; that costs ``H`` times the graphs
+    times the most senders times the most classes floats, forward and
+    backward, and the backward pass builds the stacks again rather than keep
+    them.  The self messages weight each class's own-row transform
+    elementwise.
     """
     H, L = theta_r.shape[:2]
     w3 = w.reshape(H, 3, L)  # rows: parts a, b, c
     wt = np.swapaxes(w3, 1, 2)
-    own, recv, send, edge_row, pair = rnd.own, rnd.recv, rnd.send, rnd.edge_row, rnd.pair
-    K, S = recv.size, send.size
+    own, recv, send, edge_row, blk = rnd.own, rnd.recv, rnd.send, rnd.edge_row, rnd.blocks
 
-    Tr = np.matmul(Xr, theta_r)  # (H, own rows, L)
-    Ts = np.matmul(Xs, theta_s)  # (H, S, L)
-    Te = np.matmul(Xe, theta_e)  # (H, U, L), U distinct edge rows
+    Tr = _product(Xr, theta_r)  # (H, own rows, L)
+    Ts = _product(Xs, theta_s)  # (H, S, L)
+    Te = _product(Xe, theta_e)  # (H, U, L), U distinct edge rows
     lr, ls, le = (leaky_relu_values(T, LEAKY_SLOPE) for T in (Tr, Ts, Te))
     # Logits ``w . leaky([recv, send, edge])``: an own row takes part a as
     # the receiver and part b as its own sender.
-    t_ab = np.matmul(lr, wt[:, :, :2])  # (H, own rows, 2)
-    t_send = np.matmul(ls, wt[:, :, 1:2])[..., 0]  # (H, S)
-    t_edge = np.matmul(le, wt[:, :, 2:])[..., 0]  # (H, U)
+    t_ab = _product(lr, wt[:, :, :2])  # (H, own rows, 2)
+    t_send = _product(ls, wt[:, :, 1:2])[..., 0]  # (H, S)
+    t_edge = _product(le, wt[:, :, 2:])[..., 0]  # (H, U)
     if own is not None:  # from own rows to receiver classes
         t_ab = t_ab.take(own.index, axis=1)
     t_recv = t_ab[..., 0]
@@ -428,22 +654,44 @@ def _attention_round(Xr, Xs, Xe, theta_r, theta_s, theta_e, w, rnd: _Round):
     alpha_self = exp_self / denom  # (H, K)
     alpha_edge = exp_edge / denom.take(recv.index, axis=1)  # (H, E)
 
-    block = pair.sum(alpha_edge, axis=1).reshape(H, S, K)
-    Tk = Tr if own is None else Tr.take(own.index, axis=1)  # (H, K, L)
-    out = np.matmul(np.swapaxes(block, 1, 2), Ts).sum(axis=0)
-    out += np.einsum("hk,hkl->kl", alpha_self, Tk)
-    out *= 1.0 / H  # (K, L), the mean over heads
+    # Each edge's weight summed into its (graph, sender, class) cell, so a
+    # repeated pair adds up as separate edges would.
+    B, Sb, Kb, Rb = blk.shape
+    cells = B * Sb * Kb
+    where = blk.cell if H == 1 else (blk.cell + cells * np.arange(H)[:, None]).reshape(-1)
+
+    def weight_blocks():  # (H, B, Sb, Kb)
+        return np.bincount(where, alpha_edge.reshape(-1), H * cells).reshape(H, B, Sb, Kb)
+
+    def sender_stack():  # (H, B, Sb, L)
+        return _stack(Ts, blk.send_slot, B * Sb, axis=1).reshape(H, B, Sb, L)
+
+    def per_class(T):  # (H, own rows, L) -> (H, K, L)
+        return T if own is None else T.take(own.index, axis=1)
+
+    heads = _product(np.swapaxes(weight_blocks(), 2, 3), sender_stack())  # (H, B, Kb, L)
+    out = _unstack(_head_sum(heads).reshape(B * Kb, L), blk.recv_slot, axis=0)
+    out += np.einsum("hk,hkl->kl", alpha_self, per_class(Tr))
+    if H > 1:
+        out *= 1.0 / H  # (K, L), the mean over heads
+    del heads, ls  # the backward pass rebuilds what it needs rather than keep them
 
     def backward(g, d_params, buf):
-        g = g * (1.0 / H)  # each head's share of the mean
+        if H > 1:
+            g = g * (1.0 / H)  # each head's share of the mean
         # The messages and their weights.
-        dTs = np.matmul(block, g)  # (H, S, L)
-        d_edge = np.matmul(Ts, g.T).reshape(H, S * K).take(pair.index, axis=1)  # d alpha_edge
-        d_self = np.einsum("hkl,kl->hk", Tk, g)  # d alpha_self
+        g_stack = _stack(g, blk.recv_slot, B * Kb, axis=0).reshape(B, Kb, L)
+        d_block = _product(sender_stack(), np.swapaxes(g_stack, 1, 2))  # (H, B, Sb, Kb)
+        d_edge = d_block.reshape(H, cells).take(blk.cell, axis=1)  # d alpha_edge
+        del d_block
+        dTs = _unstack(_product(weight_blocks(), g_stack).reshape(H, B * Sb, L), blk.send_slot, axis=1)
+        d_self = np.einsum("hkl,kl->hk", per_class(Tr), g)  # d alpha_self
         if own is None:
             dTr = alpha_self[..., None] * g  # (H, K, L)
         else:  # summed to own rows
-            dTr = np.matmul(rnd.member * alpha_self[:, None, :], g)  # (H, own rows, L)
+            a_stack = _stack(alpha_self, blk.recv_slot, B * Kb, axis=1).reshape(H, B, 1, Kb)
+            dTr = _product(blk.member * a_stack, g_stack).reshape(H, B * Rb, L)
+            dTr = _unstack(dTr, blk.own_slot, axis=1)  # (H, own rows, L)
         # Softmax over each neighborhood {self, its edges}.
         dot = d_self * alpha_self + recv.sum(d_edge * alpha_edge, axis=1)
         dl_self = alpha_self * (d_self - dot)  # d self_logit, (H, K)
@@ -454,20 +702,25 @@ def _attention_round(Xr, Xs, Xe, theta_r, theta_s, theta_e, w, rnd: _Round):
         dt_send = send.sum(dl_edge, axis=1)[:, None, :]  # (H, 1, S)
         dt_edge = edge_row.sum(dl_edge, axis=1)[:, None, :]  # (H, 1, U)
         # Logits: t = leaky(T) @ w per head.
-        kr, ks, ke = (leaky_relu_slopes(T, LEAKY_SLOPE) for T in (Tr, Ts, Te))
-        dTr += np.matmul(np.swapaxes(dt_ab, 1, 2), w3[:, :2]) * kr
-        dTs += np.swapaxes(dt_send, 1, 2) * w3[:, None, 1] * ks
+        ls = leaky_relu_values(Ts, LEAKY_SLOPE)
+        kr, ks, ke = (leaky_relu_slopes(T, LEAKY_SLOPE) for T in (lr, ls, le))  # signs as in T
+        kr *= _product(np.swapaxes(dt_ab, 1, 2), w3[:, :2])
+        dTr += kr
+        step = np.swapaxes(dt_send, 1, 2) * w3[:, None, 1]
+        step *= ks
+        dTs += step
+        del kr, ks, step
         dTe = np.swapaxes(dt_edge, 1, 2) * w3[:, None, 2] * ke
         dw = np.empty((H, 3, L))
-        np.matmul(dt_ab, lr, out=dw[:, :2])
-        dw[:, 1:2] += np.matmul(dt_send, ls)
-        np.matmul(dt_edge, le, out=dw[:, 2:])
+        _product(dt_ab, lr, out=dw[:, :2])
+        dw[:, 1:2] += _product(dt_send, ls)
+        _product(dt_edge, le, out=dw[:, 2:])
         # The head transforms x @ theta, x shared by every head.
         inputs = ((Xr, theta_r, dTr), (Xs, theta_s, dTs), (Xe, theta_e, dTe))
         for (x, _, dT), d_theta in zip(inputs, d_params):
             d_theta += _product(x.T, dT, out=buf)
         d_params[3] += dw.reshape(H, 3 * L)
-        return [np.matmul(dT, np.swapaxes(theta, 1, 2)).sum(axis=0) for _, theta, dT in inputs]
+        return [_head_sum(_product(dT, np.swapaxes(theta, 1, 2))) for _, theta, dT in inputs]
 
     return out, (alpha_self, alpha_edge), backward
 
@@ -482,21 +735,24 @@ def _record(weights, rnd: _Round, receiver_of_edge: np.ndarray) -> AttentionReco
     )
 
 
-def score_graph(arrays: dict[str, np.ndarray], graph: BipartiteGraph, collect_attention: bool = False):
-    """Forward pass; returns (scores (n,), records, backward).
+def score_union(arrays: dict[str, np.ndarray], graphs: list[BipartiteGraph]):
+    """Forward pass over the disjoint union of ``graphs``; returns (scores,
+    weights, backward).
 
-    ``arrays`` holds the parameters by name (``GatParameters.arrays``).  Each
-    round runs once per node class (``graph.node_classes``) and the scores
-    are gathered back to every variable.  ``backward(d_scores, grads)`` adds
-    the gradient of ``d_scores . scores`` with respect to every parameter
-    into the array of the same name in ``grads``, one addition per array.
-    The graph's features are constants.
+    ``arrays`` holds the parameters by name (``GatParameters.arrays``).  The
+    scores are every graph's variables, graph after graph.  Each round runs
+    once per node class of the union (``NodeClasses.union`` of the graphs'
+    ``node_classes``) and the scores are gathered back to every variable.
+    The weights are each round's per-class softmax weights.
+    ``backward(d_scores, grads)`` adds the gradient of ``d_scores . scores``
+    with respect to every parameter into the array of the same name in
+    ``grads``, one addition per array.  The graphs' features are constants.
     """
     a = arrays
-    nc = graph.node_classes
-    V1, var_bw = _mlp(nc.var_rows, a, "emb_var")
-    C1, cons_bw = _mlp(nc.cons_rows, a, "emb_cons")
-    E1, edge_bw = _mlp(nc.edge_rows, a, "emb_edge")
+    nc = NodeClasses.union([graph.node_classes for graph in graphs])
+    V1, var_bw = _mlp(nc.var_rows, a, "emb_var", features=True)
+    C1, cons_bw = _mlp(nc.cons_rows, a, "emb_cons", features=True)
+    E1, edge_bw = _mlp(nc.edge_rows, a, "emb_edge", features=True)
     rounds = (
         ("att1_theta_c", "att1_theta_v", "att1_theta_e", "att1_w"),  # receivers, senders, edges
         ("att2_theta_v", "att2_theta_c", "att2_theta_e", "att2_w"),
@@ -519,8 +775,19 @@ def score_graph(arrays: dict[str, np.ndarray], graph: BipartiteGraph, collect_at
         cons_bw(dC1, grads)
         edge_bw(dE1 + dE1_send, grads)
 
+    return scores, (weights1, weights2), backward
+
+
+def score_graph(arrays: dict[str, np.ndarray], graph: BipartiteGraph, collect_attention: bool = False):
+    """:func:`score_union` of the one graph; returns (scores (n,), records, backward).
+
+    With ``collect_attention`` the records hold each round's softmax weights
+    expanded to every receiver and every graph edge; otherwise they are None.
+    """
+    scores, (weights1, weights2), backward = score_union(arrays, [graph])
     records = None
     if collect_attention:
+        nc = graph.node_classes
         records = [
             _record(weights1, nc.round1, graph.edges[:, 0]),
             _record(weights2, nc.round2, graph.edges[:, 1]),

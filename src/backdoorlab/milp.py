@@ -131,6 +131,19 @@ def read_number(token: str, what: str, kind: type = float):
     raise ValueError(f"non-{'integer' if kind is int else 'numeric'} {what} {token!r}")
 
 
+def check_ascii(text: str, where: str, error: type[ValueError] = ValueError) -> None:
+    """Raise ``error`` naming ``where`` and the byte if ``text`` holds a byte past 0x7f.
+
+    Every file the package reads is ASCII.  Its readers open it with
+    ``errors="surrogateescape"``, which decodes each such byte to a lone
+    surrogate instead of failing in the codec, whose message names neither
+    the file nor the line.
+    """
+    if not text.isascii():
+        byte = next(ord(c) - 0xDC00 for c in text if not c.isascii())
+        raise error(f"{where}: non-ASCII byte {byte:#04x}")
+
+
 def _leaves(value) -> tuple[list, set]:
     """The leaves of ``value`` with lists and tuples walked, and their types."""
     leaves, types = [value], {type(value)}
@@ -350,9 +363,7 @@ def read_instance(path) -> MilpInstance:
     with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         raw = fh.read().splitlines()
     for lineno, line in enumerate(raw, 1):
-        if not line.isascii():  # each byte past 0x7f decoded to a lone surrogate
-            byte = next(ord(c) - 0xDC00 for c in line if not c.isascii())
-            raise BdmilpFormatError(f"line {lineno}: non-ASCII byte {byte:#04x}")
+        check_ascii(line, f"line {lineno}", BdmilpFormatError)
 
     def floats(lineno: int, what: str, tokens: list[str], upper: bool = False) -> list[float]:
         try:

@@ -28,7 +28,7 @@ import numpy as np
 from .bnb import NODE_LIMIT, BnbConfig, backdoor_priorities, solve_bnb
 from .features import BipartiteGraph, featurize
 from .gnn import GatParameters, TrainConfig, TrainSample, gat_forward, greedy_select, train
-from .milp import FILE_EXTENSION, MilpInstance, check_integer, read_instance, read_number
+from .milp import FILE_EXTENSION, MilpInstance, check_ascii, check_integer, read_instance, read_number
 from .search import Backdoor, biased_sample, label_samples, mcts_search
 
 WIN = "WIN"
@@ -287,12 +287,13 @@ def load_dataset(path) -> list[TrainSample]:
     """Read a collection JSONL back into training samples.
 
     A line that is not a collection record, whose graph ``BipartiteGraph``
-    refuses, or whose samples ``TrainSample`` refuses, raises ``ValueError``
-    naming it.  Blank lines are skipped.
+    refuses, whose samples ``TrainSample`` refuses, or that holds a byte past
+    0x7f raises ``ValueError`` naming it.  Blank lines are skipped.
     """
     samples = []
-    with open(path, "r", encoding="ascii") as fh:
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, 1):
+            check_ascii(line, f"{path}: line {lineno}")
             if not line.strip():
                 continue
             try:
@@ -484,18 +485,20 @@ def read_results_csv(path) -> list[EvalRecord]:
     may hold a comma.  A missing column, a row whose field count is not the
     header's, a number that ``milp.read_number`` refuses, a negative effort,
     an unknown outcome, an outcome or improvement other than the efforts
-    give, or a censored flag other than 0 or 1 raises ``ValueError`` naming
-    the line.
+    give, a censored flag other than 0 or 1, or a byte past 0x7f raises
+    ``ValueError`` naming the line.
     Blank lines and columns beyond ``_RESULT_COLUMNS`` are skipped.
     """
     records = []
-    with open(path, "r", encoding="ascii", newline="") as fh:
+    with open(path, "r", encoding="ascii", errors="surrogateescape", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
+        check_ascii("".join(header), f"{path}: line 1")
         missing = [name for name in _RESULT_COLUMNS if name not in header]
         if missing:
             raise ValueError(f"{path}: line 1: missing column(s) {', '.join(missing)}")
         for row in reader:
+            check_ascii("".join(row), f"{path}: line {reader.line_num}")
             if len(row) > 1 or (row and row[0].strip()):
                 try:
                     records.append(_result_record(header, row))

@@ -100,6 +100,14 @@ def test_malformed_priorities_file_is_an_error_naming_it(capsys, one_instance, t
     assert f"{prio}: expected a JSON object mapping integer variable indices" in capsys.readouterr().err
 
 
+def test_a_non_ascii_byte_in_a_priorities_file_names_its_line(capsys, one_instance):
+    (inst_file,) = one_instance.glob("*.bdmilp")
+    prio = one_instance / "prio.json"
+    prio.write_bytes(b'{\n"0": 1,\n"\xd9": 1}\n')
+    assert main(["solve", "--instance", str(inst_file), "--priorities", str(prio)]) == 2
+    assert capsys.readouterr().err == f"error: {prio}: line 3: non-ASCII byte 0xd9\n"
+
+
 def test_full_workflow(tmp_path, capsys):
     train_dir = tmp_path / "train"
     test_dir = tmp_path / "test"
@@ -403,6 +411,15 @@ def test_load_dataset_accepts_indices_up_to_the_last_variable(tmp_path):
     assert sample.graph.num_vars == 9
 
 
+def test_train_on_a_non_ascii_byte_is_an_error_naming_the_line(tmp_path, capsys):
+    dataset = tmp_path / "d.jsonl"
+    dataset.write_bytes(dataset_record([(0, 1)], [(2, 3)]).encode() + b"\n\xd9" + b"\n")
+    code = main(["train", "--dataset", str(dataset), "--out", str(tmp_path / "m.npz")])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {dataset}: line 2: non-ASCII byte 0xd9\n"
+    assert not (tmp_path / "m.npz").exists()
+
+
 def test_load_dataset_skips_blank_lines(tmp_path):
     dataset = tmp_path / "d.jsonl"
     lines = ["", dataset_record([(0, 8)], [(2, 3)]), "  ", dataset_record([(1,)], [(4,)]), ""]
@@ -474,6 +491,15 @@ def test_malformed_results_csv_is_an_error_naming_the_line(tmp_path, capsys, tex
     code = main(["report", "--results", str(results), "--out", str(tmp_path / "out")])
     assert code == 2
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_non_ascii_byte_in_a_results_csv_names_its_line(tmp_path, capsys):
+    results = tmp_path / "results.csv"
+    results.write_bytes(RESULTS_HEADER.encode() + b"g1,10,5,50.0,WIN,0,0\ng\xd9,10,5,50.0,WIN,0,0\n")
+    code = main(["report", "--results", str(results), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {results}: line 3: non-ASCII byte 0xd9\n"
     assert not (tmp_path / "out").exists()
 
 

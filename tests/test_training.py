@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from backdoorlab.features import featurize
-from backdoorlab.generators import gen_gisp
+from backdoorlab.generators import gen_facility_location, gen_gisp, gen_setcover
 from backdoorlab.gnn import (
     GatParameters,
     TrainConfig,
@@ -12,6 +18,7 @@ from backdoorlab.gnn import (
     score_graph,
     train,
 )
+from backdoorlab.gnn.model import score_union
 from backdoorlab.gnn import autodiff as ad
 from backdoorlab.gnn.loss import infonce_loss_and_grad
 from backdoorlab.gnn.optim import _BLOCK
@@ -169,36 +176,34 @@ def _check_batch_mean(params, batch):
         np.testing.assert_allclose(grads[k], ref[k], rtol=1e-12, atol=1e-12 * scale, err_msg=k)
 
 
-def test_batch_gradient_equals_summed_per_sample_gradients_bitwise():
-    """Accumulating into one buffer equals summing per-sample buffers, bit for bit.
-
-    That part checks only the accumulation: both sides run ``score_graph``'s
-    backward.  The same per-sample sum, taken over per-sample gradients on
-    the autodiff tape, is the independent reference; it differs from the
-    numpy backward in float order only, so it is held to rtol 1e-12.
-    """
+def test_batch_gradient_matches_the_tape_sum_and_one_sample_bitwise():
+    """The union's batch gradient equals the sum of per-sample gradients on
+    the autodiff tape, which differ from the numpy backward in float order
+    only, so they are held to rtol 1e-12.  A batch of one runs the very code
+    of ``score_graph`` and its backward, so it equals them bit for bit."""
     batch = gisp_samples(3)
     for H in (1, 8):  # the default single head, and the multi-head paths
-        _check_summed_per_sample(GatParameters.init(seed=5, H=H), batch)
+        params = GatParameters.init(seed=5, H=H)
+        _check_summed_per_sample(params, batch)
+        for s in batch:
+            _, flat = batch_gradient(params, [s], 0.07)
+            scores, _, backward = score_graph(params.arrays, s.graph)
+            _, d_scores = infonce_loss_and_grad(scores, s.positives, s.negatives, 0.07)
+            own = np.zeros_like(params.vector)
+            backward(d_scores, params.views(own))
+            np.testing.assert_array_equal(flat, own)
 
 
 def _check_summed_per_sample(params, batch):
     _, flat = batch_gradient(params, batch, 0.07)
     names = sorted(params.arrays)
-    total = tape_total = None
+    tape_total = None
     for s in batch:
-        scores, _, backward = score_graph(params.arrays, s.graph)
-        _, d_scores = infonce_loss_and_grad(scores, s.positives, s.negatives, 0.07)
-        own = np.zeros_like(params.vector)
-        backward(d_scores * (1.0 / len(batch)), params.views(own))
-        total = own if total is None else total + own
-
         tensors = tape_tensors(params)
         tape_scores, _ = per_edge_scores(tensors, s.graph)
         term = ad.mul(tape_infonce(tape_scores, s.positives, s.negatives, 0.07), 1.0 / len(batch))
         gs = ad.grad(term, [tensors[k] for k in names])
         tape_total = gs if tape_total is None else [a + b for a, b in zip(tape_total, gs)]
-    np.testing.assert_array_equal(flat, total)
     grads = params.views(flat)
     # The output bias's gradient sums terms that nearly cancel (to about
     # 1e-4 of the largest gradient entry), so the absolute bound scales with
@@ -206,6 +211,86 @@ def _check_summed_per_sample(params, batch):
     scale = max(np.abs(ref).max() for ref in tape_total)
     for k, ref in zip(names, tape_total):
         np.testing.assert_allclose(grads[k], ref, rtol=1e-12, atol=1e-12 * scale, err_msg=k)
+
+
+def samples_of(graphs):
+    """One sample per graph: its first variable positive, its last negative,
+    plus an empty negative set on a one-variable graph."""
+    return [
+        TrainSample(g, ((0,),), ((g.num_vars - 1,),) if g.num_vars > 1 else ((),)) for g in graphs
+    ]
+
+
+def mixed_graphs():
+    """GISP-25, set cover 60x50, facility 10x20, an edgeless graph and a one-variable graph."""
+    instances = [
+        gen_gisp(nodes=25, seed=0),
+        gen_setcover(n_elements=60, n_sets=50, seed=0),
+        gen_facility_location(facilities=10, customers=20, seed=0),
+        make_instance("free", [-1.0, 1.0], [], [], [], [0, 0], [1, 1], [0, 1]),
+        make_instance("one", [-1.0], [[(0, 2.0)]], [1.0], ["LE"], [0.0], [1.0], [0]),
+    ]
+    return [featurize(inst, inst.lp.solve()) for inst in instances]
+
+
+def test_union_scores_each_graph_as_alone_and_its_gradient_matches_the_tape():
+    graphs = mixed_graphs()
+    batch = samples_of(graphs)
+    for H in (1, 8):
+        params = GatParameters.init(seed=3, H=H)
+        scores, _, _ = score_union(params.arrays, graphs)
+        ends = np.cumsum([g.num_vars for g in graphs])
+        for graph, part in zip(graphs, np.split(scores, ends[:-1])):
+            np.testing.assert_allclose(part, gat_forward(params, graph), rtol=1e-12, atol=0.0)
+        _check_batch_mean(params, batch)
+
+
+def test_batch_gradient_memory_grows_linearly_in_the_batch():
+    """Facility 10x20 takes the all-singleton identity paths; a matrix that
+    spanned the union squared would make 32 samples cost about 16 times 8."""
+    graphs = [featurize(inst, inst.lp.solve()) for inst in (
+        gen_facility_location(facilities=10, customers=20, seed=s) for s in range(4)
+    )]
+    assert all(g.node_classes.var_class is None for g in graphs)
+    batch = samples_of(graphs) * 8
+    params = GatParameters.init(seed=0)
+
+    def peak(samples):
+        batch_gradient(params, samples, 0.07)  # warm up
+        tracemalloc.start()
+        try:
+            batch_gradient(params, samples, 0.07)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(batch) <= 4.5 * peak(batch[:8])
+
+
+TRAIN_IN_A_FRESH_PROCESS = """
+import hashlib, sys
+sys.path[:0] = sys.argv[1:]
+from test_training import gisp_samples
+from backdoorlab.gnn import TrainConfig, train
+params, _ = train(gisp_samples(8), TrainConfig(epochs=2, batch_size=8, seed=4))
+print(hashlib.sha256(params.vector.tobytes()).hexdigest())
+"""
+
+
+def test_training_is_bit_identical_with_one_or_two_blas_threads():
+    """A union's products would be large enough for OpenBLAS to thread;
+    the bits must not depend on its thread count."""
+    here = Path(__file__).resolve().parent
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run(
+            [sys.executable, "-B", "-c", TRAIN_IN_A_FRESH_PROCESS, str(here.parent / "src"), str(here)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        digests.append(proc.stdout.strip())
+    assert digests[0] == digests[1]
 
 
 def test_epoch_log_records_time_and_gradient_norm():
