@@ -17,6 +17,7 @@ from __future__ import annotations
 import concurrent.futures
 import contextlib
 import csv
+import functools
 import json
 import os
 import time
@@ -80,7 +81,7 @@ class EvalRecord:
     method_effort: int
     baseline_censored: bool = False
     method_censored: bool = False
-    # Seconds of featurize, model and selection; None when read from a CSV.
+    # Wall seconds of the chooser that picked the backdoor; None when read from a CSV.
     overhead_seconds: float | None = field(default=None, compare=False)
 
     @property
@@ -328,22 +329,26 @@ def predict_backdoor(params: GatParameters, inst: MilpInstance, K: int) -> Backd
     return greedy_select(scores, graph.binary_mask, K)
 
 
-def _evaluate_one(params, inst: MilpInstance, K: int, base_cfg: BnbConfig) -> EvalRecord:
-    """One instance's baseline and predicted-backdoor solves; both go through
-    ``inst.lp``, so a caller that shares ``inst`` between models shares its memo."""
-    t0 = time.perf_counter()
-    backdoor = predict_backdoor(params, inst, K)
-    overhead = time.perf_counter() - t0
-    base = solve_bnb(inst, base_cfg)
-    method = solve_bnb(inst, replace(base_cfg, priorities=backdoor_priorities(backdoor.vars)))
-    return EvalRecord(
-        instance=inst.name,
-        baseline_effort=base.nodes_processed,
-        method_effort=method.nodes_processed,
-        baseline_censored=base.status == NODE_LIMIT,
-        method_censored=method.status == NODE_LIMIT,
-        overhead_seconds=overhead,
-    )
+def evaluate_instance(inst: MilpInstance, choosers, K: int, node_cap: int | None = None) -> list[EvalRecord]:
+    """One record per chooser, in order, against one baseline solve.
+
+    Each ``choose(inst, K) -> Backdoor`` is timed as ``overhead_seconds``, and
+    its method solve follows the backdoor's priorities.  Every solve goes
+    through ``inst.lp``, so method solves reuse the baseline's memo entries
+    (ROADMAP item 11), and a chooser finds the root LP there."""
+    cfg = BnbConfig(node_limit=node_cap)
+    base = solve_bnb(inst, cfg)
+    records = []
+    for choose in choosers:
+        t0 = time.perf_counter()
+        backdoor = choose(inst, K)
+        overhead = time.perf_counter() - t0
+        method = solve_bnb(inst, replace(cfg, priorities=backdoor_priorities(backdoor.vars)))
+        records.append(EvalRecord(
+            inst.name, base.nodes_processed, method.nodes_processed,
+            base.status == NODE_LIMIT, method.status == NODE_LIMIT, overhead,
+        ))
+    return records
 
 
 def evaluate(
@@ -355,21 +360,22 @@ def evaluate(
     """Baseline solve vs. predicted-backdoor solve for every instance.
 
     Node-cap hits are censored at the cap and flagged; a cap or a ``K``
-    below 1 raises before any instance runs.  Each record carries the
-    featurize, model and selection wall seconds as ``overhead_seconds``,
-    which records do not compare on and ``report`` does not write.  An
-    instance that raises is skipped: the summary's ``failed`` counts them and
+    below 1 raises before any instance runs.  Each record carries the wall
+    seconds of :func:`predict_backdoor` as ``overhead_seconds``, which
+    records do not compare on and ``report`` does not write.  An instance
+    that raises is skipped: the summary's ``failed`` counts them and
     ``errors`` lists ``{"instance": <file name>, "error": "<Type>:
     <message>"}``.  If no instance succeeds, ``ValueError`` names the first
     failing file and its error.
     """
-    base_cfg = BnbConfig(node_limit=node_cap)
+    BnbConfig(node_limit=node_cap)  # the cap obeys BnbConfig's rule, checked before any instance runs
     if K < 1:
         raise ValueError(f"K must be at least 1, got {K}")
+    choosers = [functools.partial(predict_backdoor, params)]
     records, errors = [], []
     for path in instance_paths(instance_dir):
         try:
-            records.append(_evaluate_one(params, read_instance(path), K, base_cfg))
+            records += evaluate_instance(read_instance(path), choosers, K, node_cap)
         except Exception as exc:  # one bad instance is recorded, not fatal to the run
             errors.append({"instance": path.name, "error": f"{type(exc).__name__}: {exc}"})
     if not records:

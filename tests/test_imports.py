@@ -1,4 +1,5 @@
-"""The package imports only the standard library and its one declared dependency."""
+"""The package imports only the standard library and its one declared
+dependency, and the quality harness imports only the package's public names."""
 
 import ast
 import sys
@@ -7,6 +8,7 @@ from pathlib import Path
 import backdoorlab
 
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "backdoorlab"}
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def absolute_imports(source: str) -> set[str]:
@@ -31,3 +33,22 @@ def test_modules_import_only_stdlib_and_numpy():
 def test_scan_sees_nested_and_relative_imports():
     source = "import os.path\nfrom scipy import sparse\nfrom . import milp\ndef f():\n    import numba\n"
     assert absolute_imports(source) == {"os", "scipy", "numba"}
+
+
+def private_imports(source: str) -> set[str]:
+    """The ``_``-prefixed names a module imports from ``backdoorlab``."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.split(".")[0] == "backdoorlab":
+            names.update(alias.name for alias in node.names if alias.name.startswith("_"))
+    return names
+
+
+def test_quality_harness_imports_no_private_name():
+    private = private_imports((ROOT / "quality" / "run.py").read_text(encoding="utf-8"))
+    assert not private, f"quality/run.py imports private {sorted(private)}"
+
+
+def test_private_scan_sees_only_backdoorlab_names():
+    source = "from backdoorlab.pipeline import _evaluate_one, evaluate\nfrom os import _exit\nimport backdoorlab\n"
+    assert private_imports(source) == {"_evaluate_one"}

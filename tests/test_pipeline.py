@@ -1,4 +1,6 @@
+import collections
 import concurrent.futures
+import functools
 import hashlib
 import json
 import multiprocessing
@@ -11,7 +13,7 @@ from backdoorlab import pipeline
 from backdoorlab.features import BipartiteGraph
 from backdoorlab.generators import gen_gisp
 from backdoorlab.gnn import GatParameters, TrainConfig
-from backdoorlab.milp import make_instance, write_instance
+from backdoorlab.milp import make_instance, read_instance, write_instance
 from backdoorlab.pipeline import (
     MCTS,
     SAMPLING,
@@ -20,6 +22,8 @@ from backdoorlab.pipeline import (
     collect_dataset,
     collect_one,
     evaluate,
+    evaluate_instance,
+    instance_paths,
     load_dataset,
     predict_backdoor,
     read_results_csv,
@@ -284,6 +288,25 @@ class TestEvaluate:
             ("gisp_n25_s5005", 81, 83),
         ]
         assert summary["failed"] == 0
+
+    def test_each_instance_solves_its_baseline_once_for_every_chooser(self, tmp_path, monkeypatch):
+        """Three choosers on two GISP-12 instances: one baseline and three
+        method solves per instance, and each chooser's records are those of
+        its own ``evaluate`` call."""
+        write_gisp_dir(tmp_path, [100, 101], nodes=12)
+        models = [GatParameters.init(seed=seed, L=8, H=H, hidden=8) for seed, H in ((0, 1), (1, 1), (2, 8))]
+        want = [evaluate(params, tmp_path, K=4, node_cap=5000)[0] for params in models]
+        solves, solve_bnb = collections.Counter(), pipeline.solve_bnb
+
+        def counted(inst, cfg=None):
+            solves[inst.name] += 1
+            return solve_bnb(inst, cfg)
+
+        monkeypatch.setattr(pipeline, "solve_bnb", counted)
+        choosers = [functools.partial(predict_backdoor, params) for params in models]
+        per_instance = [evaluate_instance(read_instance(p), choosers, 4, 5000) for p in instance_paths(tmp_path)]
+        assert solves == {"gisp_n12_s100": 1 + 3, "gisp_n12_s101": 1 + 3}
+        assert [list(records) for records in zip(*per_instance)] == want
 
     def test_improvement_percentage_convention(self):
         rec = EvalRecord(instance="x", baseline_effort=633, method_effort=533)

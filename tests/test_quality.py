@@ -1,5 +1,6 @@
 """The quality table script (``quality/run.py``) runs one tiny cell end to end."""
 
+import functools
 import importlib.util
 import sys
 from dataclasses import replace
@@ -9,7 +10,7 @@ import pytest
 
 from backdoorlab.gnn import GatParameters
 from backdoorlab.milp import read_instance
-from backdoorlab.pipeline import evaluate, instance_paths
+from backdoorlab.pipeline import evaluate, evaluate_instance, instance_paths, predict_backdoor
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -63,14 +64,16 @@ def test_a_tiny_cell_writes_one_row_per_size_and_test_set(quality, tmp_path):
 
 
 def test_models_on_shared_instances_get_the_records_evaluate_gives(quality, tmp_path):
-    """The tiny cell's test set, read once and shared by two models, gives
-    each model the records of its own ``evaluate`` call."""
+    """The tiny cell's test set, read once and evaluated with two models'
+    choosers as ``run_cell`` does, gives each model the records of its own
+    ``evaluate`` call."""
     nodes, seeds = 12, range(100, 102)
     quality._write_gisp(tmp_path / "gisp12", nodes, seeds)
     models = [GatParameters.init(seed=seed, L=8, H=H, hidden=8) for seed, H in ((0, 1), (1, 2))]
     shared = [read_instance(p) for p in instance_paths(tmp_path / "gisp12")]
     K, cap = quality.CELL.K, quality.CELL.node_cap
-    got = [quality.evaluate_shared(params, shared, K, cap) for params in models]
+    choosers = [functools.partial(predict_backdoor, params) for params in models]
+    got = [list(records) for records in zip(*(evaluate_instance(inst, choosers, K, cap) for inst in shared))]
     want = [evaluate(params, tmp_path / "gisp12", K=K, node_cap=cap)[0] for params in models]
     assert got == want and len(got[0]) == len(seeds)
     assert sum(inst.lp.counters()["memo_hits"] for inst in shared) > 0
