@@ -18,7 +18,8 @@ from pathlib import Path
 from . import generators
 from .bnb import BnbConfig, solve_bnb
 from .gnn import TrainConfig, load_model, save_model
-from .milp import FILE_EXTENSION, check_ascii, check_integer, read_instance, read_number, write_instance
+from .inputs import check_integer, parse_json, read_lines, read_number
+from .milp import FILE_EXTENSION, read_instance, write_instance
 from .pipeline import (
     MCTS,
     SAMPLING,
@@ -97,13 +98,9 @@ def _cmd_generate(args) -> int:
 
 def _read_priorities(path) -> dict[int, int]:
     """A JSON object mapping variable indices to integer priorities; each key,
-    which JSON writes as a string, is read by ``milp.read_number``.  A byte
-    past 0x7f is refused naming its line."""
-    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
-        text = fh.read()
-    for lineno, line in enumerate(text.split("\n"), 1):
-        check_ascii(line, f"{path}: line {lineno}")
-    raw = json.loads(text)
+    which JSON writes as a string, is read by ``inputs.read_number``.  Every
+    refusal names the file, and a byte past 0x7f its line too."""
+    raw = parse_json("".join(read_lines(path)), str(path))
     try:
         if isinstance(raw, dict):
             return {

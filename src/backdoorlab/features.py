@@ -36,7 +36,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .milp import EQ, GE, INF, LE, MilpInstance, check_integer, check_number, fractionality
+from .inputs import check_integer, check_number
+from .milp import EQ, GE, INF, LE, MilpInstance, fractionality
 from .simplex import OPTIMAL as LP_OPTIMAL
 from .simplex import LpSolution
 
@@ -62,8 +63,8 @@ class BipartiteGraph:
     Construction keeps a read-only copy of each array in its ``_FORMAT`` dtype
     (so ``node_classes`` stays true to them) and raises ``ValueError`` naming
     the array unless the shapes are as there, the features finite numbers
-    (``milp.check_number``), every edge a pair of integers
-    (``milp.check_integer``) in ``[0, m) x [0, n)`` and every mask entry 0 or 1.
+    (``inputs.check_number``), every edge a pair of integers
+    (``inputs.check_integer``) in ``[0, m) x [0, n)`` and every mask entry 0 or 1.
     """
 
     var_feats: np.ndarray

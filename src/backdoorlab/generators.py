@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .milp import MilpInstance, check_integer, make_instance
+from .inputs import check_integer
+from .milp import MilpInstance, make_instance
 
 # GISP graph density calibrated so 150-node instances average ~988 variables
 # and ~3253 constraints (|E2| ~ 838, |E1|+|E2| ~ 3252).

@@ -21,27 +21,20 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from ..inputs import check_integer
 from .model import SegmentIndex
-
-
-def _check_index(r: int, j, num_vars: int) -> int:
-    """Index ``j`` of sample ``r`` as an int, refused outside ``[0, num_vars)``."""
-    j = int(j)
-    if not 0 <= j < num_vars:
-        raise ValueError(f"sample {r}: variable index {j} outside [0, {num_vars})")
-    return j
 
 
 def membership_matrix(samples: Sequence[Iterable[int]], num_vars: int) -> np.ndarray:
     """Stack 0/1 indicator rows, one per sample.
 
-    Raises ``ValueError`` for an index outside ``[0, num_vars)``; a negative
-    one would otherwise wrap around to the end of the row.
+    Raises ``ValueError`` for an index that is not an integer in
+    ``[0, num_vars)``; a negative one would otherwise wrap around the row.
     """
     M = np.zeros((len(samples), num_vars))
     for r, sample in enumerate(samples):
         for j in sample:
-            M[r, _check_index(r, j, num_vars)] = 1.0
+            M[r, check_integer(j, f"sample {r}: variable index", 0, num_vars)] = 1.0
     return M
 
 
@@ -62,9 +55,12 @@ class ContrastiveSets:
     def of(
         cls, positives: Sequence[Iterable[int]], negatives: Sequence[Iterable[int]], num_vars: int
     ) -> "ContrastiveSets":
-        """Raises ``ValueError`` for an index outside ``[0, num_vars)``."""
+        """Raises ``ValueError`` for an index that is not an integer in ``[0, num_vars)``."""
         sets = list(positives) + list(negatives)
-        members = [sorted({_check_index(r, j, num_vars) for j in s}) for r, s in enumerate(sets)]
+        members = [
+            sorted({check_integer(j, f"sample {r}: variable index", 0, num_vars) for j in s})
+            for r, s in enumerate(sets)
+        ]
         sizes = [len(m) for m in members]
         return cls(
             member=SegmentIndex([j for m in members for j in m], num_vars),

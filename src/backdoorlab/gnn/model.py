@@ -60,7 +60,7 @@ from ..features import (
     NUM_VAR_FEATURES,
     BipartiteGraph,
 )
-from ..milp import check_integer
+from ..inputs import check_integer, parse_json
 from ..search import Backdoor
 
 LEAKY_SLOPE = 0.2
@@ -855,10 +855,7 @@ def load_model(path) -> GatParameters:
         )
     (hlen,) = struct.unpack_from("<I", raw, off + 1)
     hstart = off + 5
-    try:
-        header = json.loads(raw[hstart : hstart + hlen].decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ModelFormatError(f"corrupted checkpoint header: {exc}") from None
+    header = parse_json(raw[hstart : hstart + hlen], f"{path}: corrupted checkpoint header", ModelFormatError)
     try:
         L, H, hidden = (check_integer(header[k], f"checkpoint size {k}", 1) for k in ("L", "H", "hidden"))
         listed = {

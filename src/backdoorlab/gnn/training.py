@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from ..features import BipartiteGraph
-from ..milp import check_integer
+from ..inputs import check_integer
 # ``score_graph`` and ``infonce_loss`` stay bound here because perfbench/layertrace.py wraps them by name.
 from .loss import ContrastiveSets, infonce_loss, infonce_union  # noqa: F401
 from .model import GatParameters, score_graph, score_union  # noqa: F401

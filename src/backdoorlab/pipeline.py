@@ -29,7 +29,8 @@ import numpy as np
 from .bnb import NODE_LIMIT, BnbConfig, backdoor_priorities, solve_bnb
 from .features import BipartiteGraph, featurize
 from .gnn import GatParameters, TrainConfig, TrainSample, gat_forward, greedy_select, train
-from .milp import FILE_EXTENSION, MilpInstance, check_ascii, check_integer, read_instance, read_number
+from .inputs import check_integer, parse_json, read_lines, read_number
+from .milp import FILE_EXTENSION, MilpInstance, read_instance
 from .search import Backdoor, biased_sample, label_samples, mcts_search
 
 WIN = "WIN"
@@ -292,22 +293,20 @@ def load_dataset(path) -> list[TrainSample]:
     0x7f raises ``ValueError`` naming it.  Blank lines are skipped.
     """
     samples = []
-    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, 1):
-            check_ascii(line, f"{path}: line {lineno}")
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-                pos, neg = (
-                    tuple(tuple(s["backdoor"]) for s in rec["samples"] if s["label"] == label)
-                    for label in ("POSITIVE", "NEGATIVE")
-                )
-                samples.append(TrainSample(BipartiteGraph(**rec["graph"]), pos, neg))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValueError(
-                    f"{path}: line {lineno}: not a collection record ({type(exc).__name__}: {exc})"
-                ) from None
+    for lineno, line in enumerate(read_lines(path), 1):
+        if not line.strip():
+            continue
+        rec = parse_json(line, f"{path}: line {lineno}")
+        try:
+            pos, neg = (
+                tuple(tuple(s["backdoor"]) for s in rec["samples"] if s["label"] == label)
+                for label in ("POSITIVE", "NEGATIVE")
+            )
+            samples.append(TrainSample(BipartiteGraph(**rec["graph"]), pos, neg))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(
+                f"{path}: line {lineno}: not a collection record ({type(exc).__name__}: {exc})"
+            ) from None
     return samples
 
 
@@ -489,27 +488,27 @@ def read_results_csv(path) -> list[EvalRecord]:
 
     Fields are read with the ``csv`` module's quoting, so an instance name
     may hold a comma.  A missing column, a row whose field count is not the
-    header's, a number that ``milp.read_number`` refuses, a negative effort,
+    header's, a number that ``inputs.read_number`` refuses, a negative effort,
     an unknown outcome, an outcome or improvement other than the efforts
-    give, a censored flag other than 0 or 1, or a byte past 0x7f raises
-    ``ValueError`` naming the line.
+    give, a censored flag other than 0 or 1, a byte past 0x7f, or a line the
+    ``csv`` module refuses raises ``ValueError`` naming the line.
     Blank lines and columns beyond ``_RESULT_COLUMNS`` are skipped.
     """
     records = []
-    with open(path, "r", encoding="ascii", errors="surrogateescape", newline="") as fh:
-        reader = csv.reader(fh)
+    reader = csv.reader(read_lines(path))
+    try:
         header = next(reader, [])
-        check_ascii("".join(header), f"{path}: line 1")
         missing = [name for name in _RESULT_COLUMNS if name not in header]
         if missing:
             raise ValueError(f"{path}: line 1: missing column(s) {', '.join(missing)}")
         for row in reader:
-            check_ascii("".join(row), f"{path}: line {reader.line_num}")
             if len(row) > 1 or (row and row[0].strip()):
                 try:
                     records.append(_result_record(header, row))
                 except ValueError as exc:
                     raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+    except csv.Error as exc:
+        raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     return records
 
 

@@ -2,6 +2,7 @@ import csv
 import inspect
 import json
 import math
+import struct
 
 import pytest
 
@@ -9,6 +10,7 @@ from backdoorlab import generators
 from backdoorlab.cli import build_parser, main
 from backdoorlab.features import featurize
 from backdoorlab.gnn import GatParameters, TrainConfig, save_model
+from backdoorlab.gnn.model import CHECKPOINT_MAGIC, CHECKPOINT_VERSION
 from backdoorlab.milp import read_instance, write_instance
 from backdoorlab.pipeline import _RESULT_COLUMNS, CollectConfig, _graph_payload, evaluate, load_dataset
 
@@ -645,3 +647,46 @@ def test_collect_and_train_reject_a_negative_seed(tmp_path, capsys, one_instance
         assert main([*argv, "--seed", "-1"]) == 2
         assert "seed -1 outside [0, inf)" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == [one_instance]
+
+
+# Past the interpreter's recursion limit, so json.loads raises RecursionError.
+NESTED = "[" * 100_000 + "]" * 100_000
+
+
+def test_train_on_a_dataset_line_nested_too_deep_names_its_line(tmp_path, capsys):
+    dataset = tmp_path / "d.jsonl"
+    dataset.write_text(dataset_record([(0, 1)], [(2, 3)]) + "\n" + NESTED + "\n")
+    assert main(["train", "--dataset", str(dataset), "--out", str(tmp_path / "m.ckpt")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {dataset}: line 2: not JSON (maximum recursion depth")
+    assert not (tmp_path / "m.ckpt").exists()
+
+
+def test_predict_on_a_checkpoint_header_nested_too_deep_names_its_file(tmp_path, capsys, one_instance):
+    (inst_file,) = one_instance.glob("*.bdmilp")
+    model = tmp_path / "m.ckpt"
+    blob = NESTED.encode()
+    model.write_bytes(CHECKPOINT_MAGIC + bytes([CHECKPOINT_VERSION]) + struct.pack("<I", len(blob)) + blob)
+    assert main(["predict", "--model", str(model), "--instance", str(inst_file)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: {model}: corrupted checkpoint header: not JSON (maximum recursion depth"
+    )
+
+
+@pytest.mark.parametrize("text, reason", [
+    (NESTED, "maximum recursion depth"), ('{"1": 2', "Expecting ',' delimiter"),
+], ids=["nested-too-deep", "truncated"])
+def test_a_priorities_file_that_is_not_json_names_its_file(capsys, one_instance, text, reason):
+    (inst_file,) = one_instance.glob("*.bdmilp")
+    prio = one_instance / "prio.json"
+    prio.write_text(text)
+    assert main(["solve", "--instance", str(inst_file), "--priorities", str(prio)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {prio}: not JSON ({reason}")
+
+
+def test_a_results_csv_field_past_the_csv_limit_names_its_line(tmp_path, capsys):
+    results = tmp_path / "results.csv"
+    results.write_text(RESULTS_HEADER + "g1,10,5,50.0,WIN,0,0\n" + "g" * 200_000 + ",10,5,50.0,WIN,0,0\n")
+    code = main(["report", "--results", str(results), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: {results}: line 3: field larger than field limit")
+    assert not (tmp_path / "out").exists()

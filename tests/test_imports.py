@@ -1,5 +1,6 @@
 """The package imports only the standard library and its one declared
-dependency, and the quality harness imports only the package's public names."""
+dependency, the quality harness imports only the package's public names, and
+only ``backdoorlab.inputs`` parses JSON or opens text with surrogate escapes."""
 
 import ast
 import sys
@@ -52,3 +53,43 @@ def test_quality_harness_imports_no_private_name():
 def test_private_scan_sees_only_backdoorlab_names():
     source = "from backdoorlab.pipeline import _evaluate_one, evaluate\nfrom os import _exit\nimport backdoorlab\n"
     assert private_imports(source) == {"_evaluate_one"}
+
+
+def outside_reads(source: str) -> set[str]:
+    """What a module uses of ``json.load``, ``json.loads`` and the ``"surrogateescape"``
+    error handler (a docstring that names it is not a use)."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "json":
+            found.update({node.attr} & {"load", "loads"})
+        elif isinstance(node, ast.ImportFrom) and node.module == "json":
+            found.update({alias.name for alias in node.names} & {"load", "loads"})
+        elif isinstance(node, ast.Constant) and node.value == "surrogateescape":
+            found.add("surrogateescape")
+    return found
+
+
+def test_only_the_inputs_module_parses_json_or_escapes_bytes():
+    package = Path(backdoorlab.__file__).parent
+    for path in sorted(package.rglob("*.py")):
+        if path != package / "inputs.py":
+            used = outside_reads(path.read_text(encoding="utf-8"))
+            assert not used, f"{path.name} uses {sorted(used)}; read outside input through backdoorlab.inputs"
+    assert outside_reads((package / "inputs.py").read_text(encoding="utf-8")) == {"loads", "surrogateescape"}
+
+
+def test_outside_read_scan_sees_calls_imports_and_positional_handlers():
+    source = (
+        '"""Opened with errors="surrogateescape"."""\n'
+        "import json\nfrom json import load\njson.dumps({})\nrec = json.loads(line)\n"
+        'raw.decode("ascii", "surrogateescape")\n'
+    )
+    assert outside_reads(source) == {"load", "loads", "surrogateescape"}
+    assert outside_reads('open(p, errors="surrogateescape")\n') == {"surrogateescape"}
+
+
+def test_milp_keeps_none_of_the_reading_rules():
+    from backdoorlab import inputs, milp
+
+    moved = ("check_integer", "check_number", "read_number", "check_ascii", "_leaves", "_interval", "_NUMBER")
+    assert [name for name in moved if not hasattr(inputs, name) or hasattr(milp, name)] == []

@@ -34,6 +34,15 @@ def test_membership_matrix_rejects_out_of_range_index(bad):
         infonce_loss(np.zeros(4), [(0, bad)], [(1,)])
 
 
+@pytest.mark.parametrize("bad", [1.9, True, "2"])
+def test_membership_matrix_rejects_an_index_that_is_not_an_integer(bad):
+    """``int()`` read 1.9 as 1, ``True`` as 1 and ``"2"`` as 2."""
+    with pytest.raises(ValueError, match=r"sample 0: variable index .* is not an integer"):
+        membership_matrix([(bad,)], 3)
+    with pytest.raises(ValueError, match=r"sample 0: variable index .* is not an integer"):
+        infonce_loss(np.array([0.1, 0.9, 0.3]), [(bad,)], [(0,)])
+
+
 def test_empty_negatives_is_exactly_zero():
     scores = np.array([0.9, 0.2, 0.7])
     assert infonce_loss(scores, [(0,), (1, 2)], []) == 0.0

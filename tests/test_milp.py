@@ -6,15 +6,14 @@ import pytest
 
 from backdoorlab import generators
 from backdoorlab.features import featurize
+from backdoorlab.inputs import check_number, read_number
 from backdoorlab.milp import (
     INF,
     BdmilpFormatError,
     MilpInstance,
-    check_number,
     lp_relaxation,
     make_instance,
     read_instance,
-    read_number,
     validate_instance,
     write_instance,
 )
