@@ -32,6 +32,7 @@ from .pipeline import (
     report,
     train_from_file,
 )
+from .simplex import SimplexIterationError, SimplexNumericalError
 
 
 # An option's text is read by the number rule; argparse reports a refusal as
@@ -285,7 +286,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, SimplexIterationError, SimplexNumericalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

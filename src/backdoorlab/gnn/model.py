@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -603,12 +604,11 @@ def _attention_round(Xr, Xs, Xe, theta_r, theta_s, theta_e, w, rnd: _Round):
     ``Xr`` holds one embedding per distinct own row of the receivers, ``Xs``
     one per sender and ``Xe`` one per distinct edge row; ``rnd`` maps them to
     the round's classes and edges.  The weights are the ``(H, classes)`` self
-    and ``(H, round edges)`` edge softmax weights.  ``backward(g, d_params,
-    buf)`` takes the gradient of the new embeddings, adds those of the four
-    parameters into ``d_params`` (arrays shaped like ``theta_r``,
+    and ``(H, round edges)`` edge softmax weights.  ``backward(g,
+    d_params)`` takes the gradient of the new embeddings, adds those of the
+    four parameters into ``d_params`` (arrays shaped like ``theta_r``,
     ``theta_s``, ``theta_e`` and ``w``, in order) and returns those of the
-    three embedding inputs.  The theta gradients are formed one at a time in
-    ``buf``, an ``(H, L, L)`` scratch array.
+    three embedding inputs.
 
     The neighbor messages come from each graph's dense ``(H, senders,
     classes)`` attention block, with each edge's weight summed into its
@@ -676,7 +676,7 @@ def _attention_round(Xr, Xs, Xe, theta_r, theta_s, theta_e, w, rnd: _Round):
         out *= 1.0 / H  # (K, L), the mean over heads
     del heads, ls  # the backward pass rebuilds what it needs rather than keep them
 
-    def backward(g, d_params, buf):
+    def backward(g, d_params):
         if H > 1:
             g = g * (1.0 / H)  # each head's share of the mean
         # The messages and their weights.
@@ -718,7 +718,7 @@ def _attention_round(Xr, Xs, Xe, theta_r, theta_s, theta_e, w, rnd: _Round):
         # The head transforms x @ theta, x shared by every head.
         inputs = ((Xr, theta_r, dTr), (Xs, theta_s, dTs), (Xe, theta_e, dTe))
         for (x, _, dT), d_theta in zip(inputs, d_params):
-            d_theta += _product(x.T, dT, out=buf)
+            d_theta += _product(x.T, dT)
         d_params[3] += dw.reshape(H, 3 * L)
         return [_head_sum(_product(dT, np.swapaxes(theta, 1, 2))) for _, theta, dT in inputs]
 
@@ -768,9 +768,8 @@ def score_union(arrays: dict[str, np.ndarray], graphs: list[BipartiteGraph]):
     def backward(d_scores: np.ndarray, grads: dict[str, np.ndarray]) -> None:
         d = d_scores if nc.var_class is None else nc.var_class.sum(d_scores)
         dV2 = out_bw((d * s * (1.0 - s))[:, None], grads)
-        buf = np.empty(a["att1_theta_c"].shape)  # both rounds' theta gradients, in turn
-        dV1, dC2, dE1 = round2_bw(dV2, [grads[k] for k in rounds[1]], buf)
-        dC1, dV1_send, dE1_send = round1_bw(dC2, [grads[k] for k in rounds[0]], buf)
+        dV1, dC2, dE1 = round2_bw(dV2, [grads[k] for k in rounds[1]])
+        dC1, dV1_send, dE1_send = round1_bw(dC2, [grads[k] for k in rounds[0]])
         var_bw(dV1 + dV1_send, grads)
         cons_bw(dC1, grads)
         edge_bw(dE1 + dE1_send, grads)
@@ -823,68 +822,63 @@ def greedy_select(scores: np.ndarray, binary_mask: np.ndarray, K: int) -> Backdo
     return Backdoor(tuple(sorted(order[:K])))
 
 
-def save_model(params: GatParameters, path) -> None:
-    """Magic + version byte + JSON shape header + raw little-endian float64."""
-    names = sorted(params.arrays)
-    header = {
-        "L": params.L,
-        "H": params.H,
-        "hidden": params.hidden,
-        "arrays": [[k, list(params.arrays[k].shape)] for k in names],
-    }
+def _header(L: int, H: int, hidden: int, shapes: dict[str, tuple[int, ...]]) -> bytes:
+    """The bytes a checkpoint starts with: magic, version byte, the JSON
+    header's length and the JSON header, which lists the arrays by name."""
+    header = {"L": L, "H": H, "hidden": hidden, "arrays": [[k, list(shapes[k])] for k in sorted(shapes)]}
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    return CHECKPOINT_MAGIC + struct.pack("<BI", CHECKPOINT_VERSION, len(blob)) + blob
+
+
+def save_model(params: GatParameters, path) -> None:
+    """The header (:func:`_header`), then every array as raw little-endian
+    float64, sorted by name."""
+    names = sorted(params.arrays)
     with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<B", CHECKPOINT_VERSION))
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
+        fh.write(_header(params.L, params.H, params.hidden, {k: params.arrays[k].shape for k in names}))
         for k in names:
             fh.write(np.ascontiguousarray(params.arrays[k], dtype="<f8").tobytes())
 
 
 def load_model(path) -> GatParameters:
+    """The parameters :func:`save_model` wrote to ``path``.
+
+    The header must be byte for byte the one ``save_model`` writes for the
+    sizes it names, and the arrays must fill the rest of the file exactly;
+    both are checked before anything is allocated.  Every refusal is a
+    ``ModelFormatError`` that starts with the path.
+    """
     with open(path, "rb") as fh:
         raw = fh.read()
-    if len(raw) < len(CHECKPOINT_MAGIC) + 5 or not raw.startswith(CHECKPOINT_MAGIC):
-        raise ModelFormatError("corrupted checkpoint header")
-    off = len(CHECKPOINT_MAGIC)
-    version = raw[off]
+    start = len(CHECKPOINT_MAGIC) + 5
+    if len(raw) < start or not raw.startswith(CHECKPOINT_MAGIC):
+        raise ModelFormatError(f"{path}: corrupted checkpoint header")
+    version, hlen = struct.unpack_from("<BI", raw, len(CHECKPOINT_MAGIC))
     if version != CHECKPOINT_VERSION:
         raise ModelFormatError(
-            f"checkpoint format version {version} unsupported (expected {CHECKPOINT_VERSION})"
+            f"{path}: checkpoint format version {version} unsupported (expected {CHECKPOINT_VERSION})"
         )
-    (hlen,) = struct.unpack_from("<I", raw, off + 1)
-    hstart = off + 5
-    header = parse_json(raw[hstart : hstart + hlen], f"{path}: corrupted checkpoint header", ModelFormatError)
+    header = parse_json(raw[start : start + hlen], f"{path}: corrupted checkpoint header", ModelFormatError)
     try:
         L, H, hidden = (check_integer(header[k], f"checkpoint size {k}", 1) for k in ("L", "H", "hidden"))
-        listed = {
-            name: tuple(check_integer(shape, f"checkpoint array {name!r} shape", each=True))
-            for name, shape in header["arrays"]
-        }
     except (KeyError, TypeError, ValueError) as exc:
-        raise ModelFormatError(f"corrupted checkpoint header: {exc!r}") from None
-    if len(listed) != len(header["arrays"]):
-        raise ModelFormatError("checkpoint lists an array twice")
-    expected = _layout(L, H, hidden)
-    for name in sorted(expected.keys() | listed.keys()):
-        if name not in listed:
-            raise ModelFormatError(f"checkpoint lacks array {name!r}")
-        if name not in expected:
-            raise ModelFormatError(f"checkpoint has unknown array {name!r}")
-        if listed[name] != expected[name]:
-            raise ModelFormatError(
-                f"checkpoint array {name!r} has shape {listed[name]}, expected {expected[name]}"
-            )
+        raise ModelFormatError(f"{path}: corrupted checkpoint header: {exc!r}") from None
+    layout = _layout(L, H, hidden)
+    head = _header(L, H, hidden, layout)
+    if raw[: len(head)] != head:
+        raise ModelFormatError(
+            f"{path}: corrupted checkpoint header: not the one save_model writes for L={L}, H={H}, "
+            f"hidden={hidden} (the same array names and shapes, in the same bytes)"
+        )
+    got, want = len(raw) - len(head), 8 * sum(math.prod(shape) for shape in layout.values())
+    if got != want:
+        raise ModelFormatError(
+            f"{path}: checkpoint {'truncated' if got < want else 'has trailing bytes'}: "
+            f"{got} bytes of arrays, expected {want}"
+        )
     params = GatParameters(L=L, H=H, hidden=hidden)
-    pos = hstart + hlen
-    for name in listed:  # the header's order is the data's order
-        shape = expected[name]
-        nbytes = 8 * int(np.prod(shape))
-        if pos + nbytes > len(raw):
-            raise ModelFormatError(f"truncated checkpoint: array {name!r} incomplete")
-        params.arrays[name][...] = np.frombuffer(raw[pos : pos + nbytes], dtype="<f8").reshape(shape)
-        pos += nbytes
-    if pos != len(raw):
-        raise ModelFormatError("trailing bytes after checkpoint arrays")
+    # The file holds the arrays sorted by name; ``where`` holds each one's positions in the vector.
+    where = params.views(np.arange(params.vector.size))
+    order = np.concatenate([where[k].reshape(-1) for k in sorted(where)])
+    params.vector[order] = np.frombuffer(raw, "<f8", offset=len(head))
     return params

@@ -25,7 +25,7 @@ from ..inputs import check_integer
 # ``score_graph`` and ``infonce_loss`` stay bound here because perfbench/layertrace.py wraps them by name.
 from .loss import ContrastiveSets, infonce_loss, infonce_union  # noqa: F401
 from .model import GatParameters, score_graph, score_union  # noqa: F401
-from .optim import _BLOCK, AdamState, adam_step
+from .optim import AdamState, adam_step
 
 # Cells of the stacked attention blocks (``model._Blocks``) in one disjoint
 # union that training runs at once; its memory grows with them.  Sized on
@@ -137,23 +137,6 @@ def _chunks(batch: list[TrainSample]):
     yield batch[lo:]
 
 
-def _norm(vector: np.ndarray, scratch: np.ndarray) -> float:
-    """The L2 norm of a flat ``vector``, squared and summed over slices of
-    ``_BLOCK`` entries through ``scratch`` (at least that long, or as long
-    as ``vector``), so no temporary is as large as ``vector``.
-
-    Not a BLAS dot: at this size a threaded BLAS leaves spinning threads
-    behind that slow down the next batch.
-    """
-    total = 0.0
-    for lo in range(0, len(vector), _BLOCK):
-        part = vector[lo : lo + _BLOCK]
-        sq = scratch[: len(part)]
-        np.square(part, out=sq)
-        total += float(sq.sum())
-    return math.sqrt(total)
-
-
 def train(
     dataset: list[TrainSample], cfg: TrainConfig, epoch_log: list | None = None
 ) -> tuple[GatParameters, list[float]]:
@@ -175,7 +158,6 @@ def train(
     )
     grad = np.empty_like(params.vector)
     grads = params.views(grad)
-    scratch = np.empty(min(len(grad), _BLOCK)) if epoch_log is not None else None
     curve: list[float] = []
     n = len(dataset)
     for _epoch in range(cfg.epochs):
@@ -190,7 +172,8 @@ def train(
             adam_step(params.vector, grad, state, lr=cfg.learning_rate, wd=cfg.weight_decay)
             epoch_loss += batch_loss * len(batch)
             if epoch_log is not None:
-                norms.append(_norm(grad, scratch))
+                # Not a BLAS dot: a threaded BLAS leaves spinning threads behind that slow the next batch.
+                norms.append(math.sqrt(float(np.square(grad).sum())))
         curve.append(epoch_loss / n)
         if epoch_log is not None:
             epoch_log.append(

@@ -31,7 +31,7 @@ from .features import BipartiteGraph, featurize
 from .gnn import GatParameters, TrainConfig, TrainSample, gat_forward, greedy_select, train
 from .inputs import check_integer, parse_json, read_lines, read_number
 from .milp import FILE_EXTENSION, MilpInstance, read_instance
-from .search import Backdoor, biased_sample, label_samples, mcts_search
+from .search import NEGATIVE, POSITIVE, Backdoor, biased_sample, label_samples, mcts_search
 
 WIN = "WIN"
 TIE = "TIE"
@@ -289,8 +289,10 @@ def load_dataset(path) -> list[TrainSample]:
     """Read a collection JSONL back into training samples.
 
     A line that is not a collection record, whose graph ``BipartiteGraph``
-    refuses, whose samples ``TrainSample`` refuses, or that holds a byte past
-    0x7f raises ``ValueError`` naming it.  Blank lines are skipped.
+    refuses, whose samples ``TrainSample`` refuses, that labels a sample
+    other than ``POSITIVE`` or ``NEGATIVE``, that holds an empty backdoor, or
+    that holds a byte past 0x7f raises ``ValueError`` naming it.  Blank
+    lines are skipped.
     """
     samples = []
     for lineno, line in enumerate(read_lines(path), 1):
@@ -298,11 +300,16 @@ def load_dataset(path) -> list[TrainSample]:
             continue
         rec = parse_json(line, f"{path}: line {lineno}")
         try:
-            pos, neg = (
-                tuple(tuple(s["backdoor"]) for s in rec["samples"] if s["label"] == label)
-                for label in ("POSITIVE", "NEGATIVE")
-            )
-            samples.append(TrainSample(BipartiteGraph(**rec["graph"]), pos, neg))
+            sets = {POSITIVE: [], NEGATIVE: []}
+            for s in rec["samples"]:
+                if s["label"] not in sets:
+                    raise ValueError(f"sample label {s['label']!r} is neither {POSITIVE} nor {NEGATIVE}")
+                backdoor = tuple(s["backdoor"])
+                if not backdoor:
+                    raise ValueError("sample backdoor is empty")
+                sets[s["label"]].append(backdoor)
+            graph = BipartiteGraph(**rec["graph"])
+            samples.append(TrainSample(graph, tuple(sets[POSITIVE]), tuple(sets[NEGATIVE])))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(
                 f"{path}: line {lineno}: not a collection record ({type(exc).__name__}: {exc})"

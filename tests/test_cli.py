@@ -10,9 +10,10 @@ from backdoorlab import generators
 from backdoorlab.cli import build_parser, main
 from backdoorlab.features import featurize
 from backdoorlab.gnn import GatParameters, TrainConfig, save_model
-from backdoorlab.gnn.model import CHECKPOINT_MAGIC, CHECKPOINT_VERSION
+from backdoorlab.gnn.model import CHECKPOINT_MAGIC, CHECKPOINT_VERSION, _layout
 from backdoorlab.milp import read_instance, write_instance
 from backdoorlab.pipeline import _RESULT_COLUMNS, CollectConfig, _graph_payload, evaluate, load_dataset
+from backdoorlab.simplex import LpWorkspace, SimplexIterationError, SimplexNumericalError
 
 
 def run(capsys, *argv):
@@ -295,7 +296,7 @@ def test_train_accepts_a_zero_weight_decay():
 
 def dataset_record(positives, negatives, corrupt=None):
     """A collection record on a 9-variable, 15-constraint, 30-edge graph with
-    the given backdoors; ``corrupt`` maps its graph payload to another."""
+    the given backdoors; ``corrupt`` maps the record to another."""
     inst = generators.gen_mis(nodes=9, avg_degree=3.0, seed=5)
     samples = [
         {"backdoor": list(b), "effort": 1, "label": label, "tree_weight": None}
@@ -303,14 +304,22 @@ def dataset_record(positives, negatives, corrupt=None):
         for b in group
     ]
     graph = _graph_payload(featurize(inst, inst.lp.solve()))
-    if corrupt is not None:
-        graph = corrupt(graph)
-    return json.dumps({"baseline_effort": 2, "graph": graph, "instance": inst.name, "samples": samples})
+    record = {"baseline_effort": 2, "graph": graph, "instance": inst.name, "samples": samples}
+    return json.dumps(record if corrupt is None else corrupt(record))
 
 
 def with_graph(**changes):
     """A corruption that replaces each named graph array ``a`` by ``change(a)``."""
-    return lambda graph: {**graph, **{name: change(graph[name]) for name, change in changes.items()}}
+    return lambda rec: {
+        **rec, "graph": {**rec["graph"], **{name: change(rec["graph"][name]) for name, change in changes.items()}},
+    }
+
+
+def relabel(index, label):
+    """A corruption that gives the record's sample ``index`` the label ``label``."""
+    return lambda rec: {
+        **rec, "samples": [{**s, "label": label} if i == index else s for i, s in enumerate(rec["samples"])],
+    }
 
 
 @pytest.mark.parametrize("positives, negatives, corrupt, message", [
@@ -384,13 +393,18 @@ def with_graph(**changes):
         [(0, 1)], [(2, 3)], with_graph(cons_feats=lambda c: [[10**400] + c[0][1:]] + c[1:]),
         "ValueError: graph cons_feats holds a value that is not finite",
     ),
+    (
+        [(0, 1), (4, 5)], [(2, 3)], relabel(1, "POSTIVE"),
+        "ValueError: sample label 'POSTIVE' is neither POSITIVE nor NEGATIVE",
+    ),
+    ([(0, 1), ()], [(2, 3)], None, "ValueError: sample backdoor is empty"),
 ], ids=[
     "index-past-the-graph", "negative-index", "no-negative", "no-positive",
     "edge-to-constraint-999", "edge-to-variable-999", "negative-edge-index", "three-edge-columns",
     "missing-edge-feature", "nan-feature", "fourteen-variable-features", "short-binary-mask",
     "fractional-index", "fractional-edge-index", "binary-mask-entry-7",
     "string-edge", "string-mask-entry", "boolean-edge", "boolean-index", "string-feature",
-    "boolean-feature", "feature-past-the-float-range",
+    "boolean-feature", "feature-past-the-float-range", "misspelled-label", "empty-backdoor",
 ])
 def test_train_on_a_record_it_cannot_use_is_an_error_naming_the_line(
     tmp_path, capsys, positives, negatives, corrupt, message
@@ -670,6 +684,34 @@ def test_predict_on_a_checkpoint_header_nested_too_deep_names_its_file(tmp_path,
     assert capsys.readouterr().err.startswith(
         f"error: {model}: corrupted checkpoint header: not JSON (maximum recursion depth"
     )
+
+
+def test_predict_on_a_checkpoint_too_short_for_its_sizes_names_the_file(tmp_path, capsys, one_instance):
+    """The header is the one ``save_model`` writes for L = 10,000,000, whose
+    arrays would take petabytes; the file holds none of them."""
+    (inst_file,) = one_instance.glob("*.bdmilp")
+    model = tmp_path / "m.ckpt"
+    shapes = _layout(10_000_000, 1, 64)
+    header = {"H": 1, "L": 10_000_000, "arrays": [[k, list(shapes[k])] for k in sorted(shapes)], "hidden": 64}
+    blob = json.dumps(header, separators=(",", ":")).encode()
+    model.write_bytes(CHECKPOINT_MAGIC + bytes([CHECKPOINT_VERSION]) + struct.pack("<I", len(blob)) + blob)
+    assert main(["predict", "--model", str(model), "--instance", str(inst_file)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {model}: checkpoint truncated: 0 bytes of arrays, expected ")
+
+
+@pytest.mark.parametrize("error", [SimplexIterationError, SimplexNumericalError])
+@pytest.mark.parametrize("command", ["solve", "predict"])
+def test_a_simplex_failure_is_an_error_not_a_traceback(
+    capsys, monkeypatch, one_instance, small_model, command, error
+):
+    def fail(self, bounds, vstat, basis):
+        raise error("the simplex gave up")
+
+    monkeypatch.setattr(LpWorkspace, "_dual", fail)
+    (inst_file,) = one_instance.glob("*.bdmilp")
+    model = ["--model", str(small_model)] if command == "predict" else []
+    assert main([command, *model, "--instance", str(inst_file)]) == 2
+    assert capsys.readouterr().err == "error: the simplex gave up\n"
 
 
 @pytest.mark.parametrize("text, reason", [

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import struct
 
@@ -414,6 +415,66 @@ class TestCheckpoint:
         path.write_bytes(raw[: len(raw) - 64])
         with pytest.raises(ModelFormatError, match="truncated|incomplete"):
             load_model(path)
+
+    def test_a_checkpoint_of_the_first_format_loads_bit_for_bit(self, tmp_path):
+        """The digests pin the file ``save_model`` has written for these
+        parameters since the format's first version, and the parameters."""
+        params = GatParameters.init(seed=0, L=8, H=1, hidden=6)
+        assert hashlib.sha256(params.vector.tobytes()).hexdigest() == (
+            "b484aca437012d1d0440adabee71c5b6a0603e0e405b7cdaa1e6f912f760ab4c"
+        )
+        path = tmp_path / "g.ckpt"
+        save_model(params, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "717ee029dfe785da8339c23090f79a49ca4def215fd83f09f3449df561892fd5"
+        )
+        assert load_model(path).vector.tobytes() == params.vector.tobytes()
+
+    @pytest.mark.parametrize("rewrite", [
+        lambda h: json.dumps(h, sort_keys=True),
+        lambda h: json.dumps(dict(reversed(h.items())), separators=(",", ":")),
+        lambda h: json.dumps({**h, "arrays": h["arrays"][::-1]}, sort_keys=True, separators=(",", ":")),
+    ], ids=["other-separators", "other-key-order", "other-array-order"])
+    def test_a_header_with_the_same_content_in_other_bytes_is_refused(self, tmp_path, rewrite):
+        path = tmp_path / "h.ckpt"
+        save_model(GatParameters.init(seed=0, L=8, H=1, hidden=6), path)
+        raw = path.read_bytes()
+        (hlen,) = struct.unpack_from("<I", raw, 7)
+        blob = rewrite(json.loads(raw[11 : 11 + hlen])).encode()
+        path.write_bytes(raw[:7] + struct.pack("<I", len(blob)) + blob + raw[11 + hlen :])
+        with pytest.raises(ModelFormatError, match="not the one save_model writes for L=8, H=1, hidden=6"):
+            load_model(path)
+
+    @pytest.mark.parametrize("damage", [
+        lambda raw, header: b"NOTAMODEL",
+        lambda raw, header: raw[:6],
+        lambda raw, header: raw[:6] + b"\x63" + raw[7:],
+        lambda raw, header: "{",
+        lambda raw, header: {k: v for k, v in header.items() if k != "L"},
+        lambda raw, header: {**header, "H": "1"},
+        lambda raw, header: {**header, "L": 9},
+        lambda raw, header: raw[:-64],
+        lambda raw, header: raw + bytes(8),
+    ], ids=[
+        "not-a-checkpoint", "magic-only", "version", "not-json", "missing-size", "string-size",
+        "other-sizes", "truncated", "trailing-bytes",
+    ])
+    def test_every_refusal_starts_with_the_path(self, tmp_path, damage):
+        """``damage`` returns the file's bytes, the header's JSON text, or the
+        header as a dict."""
+        path = tmp_path / "r.ckpt"
+        save_model(small_params(), path)
+        raw = path.read_bytes()
+        (hlen,) = struct.unpack_from("<I", raw, 7)
+        damaged = damage(raw, json.loads(raw[11 : 11 + hlen]))
+        if isinstance(damaged, dict):
+            damaged = json.dumps(damaged, sort_keys=True, separators=(",", ":"))
+        if isinstance(damaged, str):
+            damaged = raw[:7] + struct.pack("<I", len(damaged)) + damaged.encode() + raw[11 + hlen :]
+        path.write_bytes(damaged)
+        with pytest.raises(ModelFormatError) as refusal:
+            load_model(path)
+        assert str(refusal.value).startswith(f"{path}: ")
 
 
 def test_arrays_are_views_of_one_vector():

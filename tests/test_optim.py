@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from backdoorlab.gnn import AdamState, adam_step
-from backdoorlab.gnn.optim import _BLOCK
 
 
 def test_zero_gradient_without_decay_is_identity():
@@ -80,11 +79,12 @@ def test_long_vector_matches_whole_array_formulas_bitwise():
 
 
 def test_blocked_update_matches_whole_array_formulas_bitwise():
-    """Three full blocks plus a remainder: every block boundary and the short
-    last block give the same bits as one whole-array update."""
+    """A vector of three 16,384-entry blocks plus a remainder, the size the
+    update once ran block by block over, gives the same bits as the
+    whole-array formulas."""
     lr, wd, b1, b2, eps = 1e-3, 0.05, 0.8, 0.99, 1e-6
     rng = np.random.default_rng(5)
-    theta = rng.normal(size=3 * _BLOCK + 1_000)
+    theta = rng.normal(size=3 * 16_384 + 1_000)
     w = theta.copy()
     state = AdamState.init(w)
     m = v = np.zeros_like(theta)
