@@ -12,6 +12,7 @@ import argparse
 import inspect
 import json
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -286,7 +287,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError, SimplexIterationError, SimplexNumericalError) as exc:
+    except (OSError, ValueError, SimplexIterationError, SimplexNumericalError, BrokenProcessPool) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

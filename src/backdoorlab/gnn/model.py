@@ -123,6 +123,9 @@ class GatParameters:
             self.vector = np.zeros(sum(sizes))
         self.arrays = self.views(self.vector)
 
+    def __reduce__(self):  # pickle the vector alone; the copy's arrays are views of it again
+        return type(self), (self.L, self.H, self.hidden, self.vector)
+
     def views(self, vector: np.ndarray) -> dict[str, np.ndarray]:
         """Named views into a vector with this layout, such as a flat gradient."""
         views, pos = {}, 0

@@ -7,9 +7,11 @@ feature graph embedded.  Instances where labeling finds no strictly-better
 or no strictly-worse candidate are skipped and explained in the manifest.
 
 Everything is deterministic: per-instance seeds derive from the base seed
-and the instance's position in the sorted directory listing, records are
-merged in that order, and JSON/CSV floats use the shortest exact
-representation, so a run with 4 workers is byte-identical to a run with 1.
+and the instance's position in the sorted directory listing, collection and
+evaluation merge their pool workers' results in that order, and JSON/CSV
+floats use the shortest exact representation, so a run with 4 workers is
+byte-identical to a run with 1.  Only the wall seconds that workers measure
+(the collection sidecar, ``overhead_seconds``) differ.
 """
 
 from __future__ import annotations
@@ -206,6 +208,18 @@ def _collect_worker(args):
     return line, entry, json.dumps(timing, sort_keys=True)
 
 
+def _in_order(worker, jobs: list, workers: int):
+    """Yield ``worker(job)`` for each job, in job order, from a pool of ``min(workers,
+    jobs, usable CPUs)`` processes (a forked pool starts all of them at once), or from
+    this process when that is 1.  Closing the generator shuts the pool down."""
+    workers = min(workers, len(jobs), len(os.sched_getaffinity(0)))
+    if workers <= 1:
+        yield from map(worker, jobs)
+        return
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        yield from pool.map(worker, jobs)
+
+
 def _write_manifest(path, manifest: dict) -> None:
     """Write a manifest as every stage does: ASCII JSON, two-space indent,
     sorted keys, one trailing newline."""
@@ -237,7 +251,7 @@ def collect_dataset(
     beside the targets, which are renamed into place after the last instance
     and before the manifest is written.  The calling process thus holds no
     record once written, and a batch that dies (a pool worker killed, say)
-    leaves no output behind.
+    leaves no output and no pool worker behind.
     """
     cfg = cfg or CollectConfig()
     if workers < 1:
@@ -246,8 +260,6 @@ def collect_dataset(
     jobs = [
         (i, str(p), _instance_seed(cfg.seed, i), cfg) for i, p in enumerate(paths)
     ]
-    # No idle workers (a forked pool starts all of them at once), and no more than the usable CPUs.
-    workers = min(workers, len(jobs), len(os.sched_getaffinity(0)))
     out_path = Path(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     targets = (out_path, out_path.with_name(out_path.name + ".timing.jsonl"))
@@ -257,12 +269,8 @@ def collect_dataset(
     try:
         with contextlib.ExitStack() as stack:
             data, sidecar = [stack.enter_context(open(t, "w", encoding="ascii")) for t in temps]
-            if workers > 1:
-                pool = stack.enter_context(concurrent.futures.ProcessPoolExecutor(max_workers=workers))
-                results = pool.map(_collect_worker, jobs)
-            else:
-                results = map(_collect_worker, jobs)
-            for line, entry, timing_line in results:  # in job order, as both maps yield
+            results = stack.enter_context(contextlib.closing(_in_order(_collect_worker, jobs, workers)))
+            for line, entry, timing_line in results:
                 entries.append(entry)
                 if line is not None:
                     data.write(line + "\n")
@@ -357,6 +365,17 @@ def evaluate_instance(inst: MilpInstance, choosers, K: int, node_cap: int | None
     return records
 
 
+def _evaluate_worker(job) -> tuple[list[EvalRecord], dict | None]:
+    """``job`` is ``(index, path, choosers, K, node_cap)``, where the index
+    only names the job.  Returns the instance's records and None, or no
+    records and its entry in ``evaluate``'s ``errors``."""
+    _, path, choosers, K, node_cap = job
+    try:
+        return evaluate_instance(read_instance(path), choosers, K, node_cap), None
+    except Exception as exc:  # one bad instance is recorded, not fatal to the run
+        return [], {"instance": Path(path).name, "error": f"{type(exc).__name__}: {exc}"}
+
+
 def evaluate(
     params: GatParameters,
     instance_dir,
@@ -366,24 +385,26 @@ def evaluate(
     """Baseline solve vs. predicted-backdoor solve for every instance.
 
     Node-cap hits are censored at the cap and flagged; a cap or a ``K``
-    below 1 raises before any instance runs.  Each record carries the wall
-    seconds of :func:`predict_backdoor` as ``overhead_seconds``, which
-    records do not compare on and ``report`` does not write.  An instance
-    that raises is skipped: the summary's ``failed`` counts them and
-    ``errors`` lists ``{"instance": <file name>, "error": "<Type>:
-    <message>"}``.  If no instance succeeds, ``ValueError`` names the first
-    failing file and its error.
+    below 1 raises before any instance runs.  Instances run one per worker,
+    up to the usable CPUs, and no output depends on how many.  Each record
+    carries the wall seconds of :func:`predict_backdoor` in its worker as
+    ``overhead_seconds``, which records do not compare on and ``report``
+    does not write.  An instance that raises is skipped: the summary's
+    ``failed`` counts them and ``errors`` lists ``{"instance": <file name>,
+    "error": "<Type>: <message>"}``.  If no instance succeeds,
+    ``ValueError`` names the first failing file and its error.
     """
     BnbConfig(node_limit=node_cap)  # the cap obeys BnbConfig's rule, checked before any instance runs
     if K < 1:
         raise ValueError(f"K must be at least 1, got {K}")
     choosers = [functools.partial(predict_backdoor, params)]
+    jobs = [(i, str(p), choosers, K, node_cap) for i, p in enumerate(instance_paths(instance_dir))]
     records, errors = [], []
-    for path in instance_paths(instance_dir):
-        try:
-            records += evaluate_instance(read_instance(path), choosers, K, node_cap)
-        except Exception as exc:  # one bad instance is recorded, not fatal to the run
-            errors.append({"instance": path.name, "error": f"{type(exc).__name__}: {exc}"})
+    with contextlib.closing(_in_order(_evaluate_worker, jobs, len(jobs))) as results:
+        for found, error in results:
+            records += found
+            if error is not None:
+                errors.append(error)
     if not records:
         first = errors[0]
         raise ValueError(f"no instance evaluated; the first, {first['instance']}, failed with {first['error']}")

@@ -2,6 +2,8 @@ import csv
 import inspect
 import json
 import math
+import multiprocessing
+import os
 import struct
 
 import pytest
@@ -14,6 +16,8 @@ from backdoorlab.gnn.model import CHECKPOINT_MAGIC, CHECKPOINT_VERSION, _layout
 from backdoorlab.milp import read_instance, write_instance
 from backdoorlab.pipeline import _RESULT_COLUMNS, CollectConfig, _graph_payload, evaluate, load_dataset
 from backdoorlab.simplex import LpWorkspace, SimplexIterationError, SimplexNumericalError
+
+from test_pipeline import patch_to_die, write_gisp_dir
 
 
 def run(capsys, *argv):
@@ -712,6 +716,29 @@ def test_a_simplex_failure_is_an_error_not_a_traceback(
     model = ["--model", str(small_model)] if command == "predict" else []
     assert main([command, *model, "--instance", str(inst_file)]) == 2
     assert capsys.readouterr().err == "error: the simplex gave up\n"
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the patched stage reaches pool workers only when they fork",
+)
+@pytest.mark.parametrize("command, stage", [("collect", "collect_one"), ("evaluate", "evaluate_instance")])
+def test_a_killed_pool_worker_is_an_error_not_a_traceback(tmp_path, capsys, monkeypatch, small_model, command, stage):
+    """A pool worker that ends its process fails the command with exit 2 and
+    one ``error:`` line, and leaves no output behind."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    write_gisp_dir(tmp_path / "inst", range(4), nodes=6)
+    patch_to_die(monkeypatch, stage, tmp_path / "pids")
+    options = {
+        "collect": ["--out", str(tmp_path / "out" / "ds.jsonl"), "--workers", "2", "--K", "2", "--k", "4",
+                    "--p", "1", "--q", "1", "--budget", "6", "--probe-limit", "4"],
+        "evaluate": ["--model", str(small_model), "--out", str(tmp_path / "out"), "--K", "2"],
+    }[command]
+    assert main([command, "--instances", str(tmp_path / "inst"), *options]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: A process in the process pool was terminated abruptly") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+    assert not multiprocessing.active_children()
 
 
 @pytest.mark.parametrize("text, reason", [

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import pickle
 import struct
 
 import numpy as np
@@ -489,6 +490,22 @@ def test_arrays_are_views_of_one_vector():
     flat = np.arange(params.vector.size, dtype=float)
     for name, view in params.views(flat).items():
         assert view.base is flat and view.shape == params.arrays[name].shape
+
+
+def test_pickle_keeps_the_arrays_views_of_one_vector():
+    """A pool worker's copy is bit-equal, its arrays see writes to its vector,
+    and the pickle holds the vector's bytes once."""
+    params = small_params(3)
+    blob = pickle.dumps(params)
+    assert len(blob) < 1.1 * params.vector.nbytes
+    copy = pickle.loads(blob)
+    assert (copy.L, copy.H, copy.hidden) == (params.L, params.H, params.hidden)
+    assert copy.vector.tobytes() == params.vector.tobytes()
+    assert list(copy.arrays) == list(params.arrays)
+    copy.vector[:] = -1.0
+    for name, view in copy.arrays.items():
+        assert view.base is copy.vector and np.all(view == -1.0), name
+    assert not np.any(params.vector == -1.0)
 
 
 def test_init_matches_the_per_array_draw():

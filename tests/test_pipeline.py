@@ -6,6 +6,7 @@ import json
 import multiprocessing
 import os
 from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import pytest
 
@@ -55,9 +56,25 @@ def timing_lines(dataset_path):
         return [json.loads(line) for line in fh]
 
 
+def patch_to_die(monkeypatch, name, pids):
+    """Patch ``pipeline.<name>``, whose first argument is an instance or its
+    path, to append its pid to ``pids`` and to end its process (standing in
+    for an OOM kill) on the seed-2 GISP instance."""
+    original = getattr(pipeline, name)
+
+    def dying(first, *args):
+        with open(pids, "a", encoding="ascii") as fh:
+            fh.write(f"{os.getpid()}\n")
+        if Path(getattr(first, "name", first)).stem.endswith("_s2"):
+            os._exit(1)
+        return original(first, *args)
+
+    monkeypatch.setattr(pipeline, name, dying)
+
+
 @pytest.fixture
 def cpus(monkeypatch):
-    """Sets how many CPUs this process may run on, as ``collect_dataset`` counts them."""
+    """Sets how many CPUs this process may run on, as the pipeline's pools count them."""
     return lambda count: monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
 
 
@@ -149,52 +166,55 @@ class TestCollect:
     )
     def test_dead_worker_leaves_no_output(self, tmp_path, monkeypatch, cpus):
         """A pool worker that ends its process (standing in for an OOM kill)
-        fails the batch, and the batch leaves no file behind."""
+        fails the batch, collect's or evaluate's, and the batch leaves no
+        file and no worker behind."""
         cpus(2)
         write_gisp_dir(tmp_path / "inst", range(4), nodes=6)
-        pids = tmp_path / "pids"
-        original = pipeline.collect_one
-
-        def dying_collect_one(path, *args):
-            with open(pids, "a", encoding="ascii") as fh:
-                fh.write(f"{os.getpid()}\n")
-            if path.endswith("_s2.bdmilp"):
-                os._exit(1)
-            return original(path, *args)
-
-        monkeypatch.setattr(pipeline, "collect_one", dying_collect_one)
         cfg = CollectConfig(K=2, top_k=4, p=1, q=1, mcts_budget=6, probe_node_limit=4, seed=0)
-        with pytest.raises(BrokenProcessPool):
-            collect_dataset(tmp_path / "inst", tmp_path / "ds.jsonl", cfg, workers=2)
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["inst", "pids"]
-        started = set(pids.read_text().split())
-        assert 1 <= len(started) <= 2 and str(os.getpid()) not in started
-        assert not multiprocessing.active_children()
+        params = GatParameters.init(seed=0, L=8, H=2, hidden=6)
+        stages = {
+            "collect_one": lambda: collect_dataset(tmp_path / "inst", tmp_path / "ds.jsonl", cfg, workers=2),
+            "evaluate_instance": lambda: evaluate(params, tmp_path / "inst", K=2),
+        }
+        for name, run in stages.items():
+            pids = tmp_path / f"pids-{name}"
+            patch_to_die(monkeypatch, name, pids)
+            with pytest.raises(BrokenProcessPool):
+                run()
+            assert sorted(p.name for p in tmp_path.iterdir() if p != pids) == ["inst"], name
+            started = set(pids.read_text().split())
+            assert 1 <= len(started) <= 2 and str(os.getpid()) not in started
+            assert not multiprocessing.active_children()
+            pids.unlink()
 
     @pytest.mark.skipif(
         multiprocessing.get_start_method() != "fork",
         reason="a pool starts all its workers at the first job only when they fork",
     )
     def test_pool_is_no_larger_than_the_batch(self, tmp_path, monkeypatch, cpus):
-        """With 4 workers on 4 CPUs, one instance runs in this process and two start two workers."""
+        """With 4 workers on 4 CPUs, one instance runs in this process and two
+        start two workers; evaluate's pool is sized alike."""
         cpus(4)
-        assert self._pool_sizes(tmp_path, monkeypatch, ([0], [0, 1])) == [2]
+        for stage in (collect_dataset, evaluate):
+            assert self._pool_sizes(tmp_path / stage.__name__, monkeypatch, ([0], [0, 1]), stage) == [2]
 
     @pytest.mark.skipif(
         multiprocessing.get_start_method() != "fork",
         reason="a pool starts all its workers at the first job only when they fork",
     )
     def test_pool_is_no_larger_than_the_cpus(self, tmp_path, monkeypatch, cpus):
-        """With 4 workers and 3 instances, 2 CPUs start two workers and 1 CPU none."""
-        cpus(2)
-        assert self._pool_sizes(tmp_path / "two", monkeypatch, ([0, 1, 2],)) == [2]
-        cpus(1)
-        assert self._pool_sizes(tmp_path / "one", monkeypatch, ([0, 1, 2],)) == []
+        """With 4 workers and 3 instances, 2 CPUs start two workers and 1 CPU
+        none; evaluate's pool is sized alike."""
+        for stage in (collect_dataset, evaluate):
+            cpus(2)
+            assert self._pool_sizes(tmp_path / "two" / stage.__name__, monkeypatch, ([0, 1, 2],), stage) == [2]
+            cpus(1)
+            assert self._pool_sizes(tmp_path / "one" / stage.__name__, monkeypatch, ([0, 1, 2],), stage) == []
 
     @staticmethod
-    def _pool_sizes(tmp_path, monkeypatch, batches) -> list[int]:
+    def _pool_sizes(tmp_path, monkeypatch, batches, stage) -> list[int]:
         """The size of each process pool that collecting each batch of GISP
-        seeds with 4 workers shuts down."""
+        seeds with 4 workers, or evaluating it, shuts down."""
         sizes = []
 
         class RecordingPool(concurrent.futures.ProcessPoolExecutor):
@@ -207,8 +227,12 @@ class TestCollect:
         for seeds in batches:
             directory = tmp_path / f"inst{len(seeds)}"
             write_gisp_dir(directory, seeds, nodes=6)  # closes at the root: skipped
-            manifest = collect_dataset(directory, tmp_path / f"ds{len(seeds)}.jsonl", cfg, workers=4)
-            assert manifest["skipped"] == len(seeds)
+            if stage is evaluate:
+                records, _ = evaluate(GatParameters.init(seed=0, L=8, H=2, hidden=6), directory, K=2)
+                assert len(records) == len(seeds)
+            else:
+                manifest = collect_dataset(directory, tmp_path / f"ds{len(seeds)}.jsonl", cfg, workers=4)
+                assert manifest["skipped"] == len(seeds)
         return sizes
 
     def test_failed_instance_is_recorded_not_fatal(self, tmp_path, cpus):
@@ -352,12 +376,21 @@ class TestEvaluate:
 
 
     def test_failed_instance_is_recorded_not_fatal(self, tmp_path, cpus):
-        cpus(2)
+        """On 1 CPU in this process and on 2 in a pool, with equal records,
+        summaries and report bytes."""
         write_gisp_dir(tmp_path / "inst", [0], nodes=12)
         write_gisp_dir(tmp_path / "good", [0], nodes=12)
         write_infeasible(tmp_path / "inst")
         params = GatParameters.init(seed=0, L=8, H=2, hidden=6)
-        records, summary = evaluate(params, tmp_path / "inst", K=3, node_cap=500)
+        runs = []
+        for count in (1, 2):
+            cpus(count)
+            runs.append(evaluate(params, tmp_path / "inst", K=3, node_cap=500))
+            report(runs[-1][0], tmp_path / f"cpus{count}")
+        assert runs[0] == runs[1]
+        for name in ("results.csv", "summary.txt"):
+            assert (tmp_path / "cpus1" / name).read_bytes() == (tmp_path / "cpus2" / name).read_bytes()
+        records, summary = runs[1]
         assert len(records) == 1 and summary["instances"] == 1
         assert summary["failed"] == 1
         assert summary["errors"] == [{
