@@ -15,10 +15,11 @@ root:
     python3 quality/run.py                    # writes quality/run.json
     python3 quality/run.py --out table.json
 
-It takes about 2 minutes on a 2-CPU host.  A size passes the gate when, on
-every test set, its summed method nodes are at most ``NODE_RATIO`` times the
-reference's and the sign test does not show it worse at p < ``ALPHA``; the
-default model size is the smallest passing size among ``CANDIDATES``.
+It takes 70-85 s on a 2-CPU host; evaluation runs on every usable CPU.  A
+size passes the gate when, on every test set, its summed method nodes are at
+most ``NODE_RATIO`` times the reference's and the sign test does not show it
+worse at p < ``ALPHA``; the default model size is the smallest passing size
+among ``CANDIDATES``.
 
 Every seed below was fixed before the first run.  Do not change a seed, a
 size or a test set after seeing a result: add a new cell instead.
@@ -44,10 +45,10 @@ if str(ROOT / "src") not in sys.path:
 
 import numpy as np  # noqa: E402
 
-from backdoorlab import gen_gisp, read_instance, write_instance  # noqa: E402
+from backdoorlab import gen_gisp, write_instance  # noqa: E402
 from backdoorlab.gnn import TrainConfig, train  # noqa: E402
 from backdoorlab.pipeline import (  # noqa: E402
-    LOSS, TIE, WIN, CollectConfig, collect_dataset, evaluate_instance, instance_paths, load_dataset, predict_backdoor,
+    LOSS, TIE, WIN, CollectConfig, collect_dataset, evaluate_choosers, load_dataset, predict_backdoor,
 )
 
 # The gate: a size passes when, on every test set, it needs at most this
@@ -119,8 +120,8 @@ def run_cell(cell: Cell, workdir) -> dict:
 
     Returns ``{"collection", "rows"}``: the collection's kept, skipped and
     failed counts with its wall seconds, and one row per (H, test set) in
-    ``sizes`` order.  Every model is trained first; then each test instance
-    is read once and its baseline solved once for all of them.
+    ``sizes`` order.  Every model is trained first; ``evaluate_choosers`` then
+    solves each test instance's baseline once for all of them (a failure raises).
     """
     if cell.reference not in cell.sizes:
         raise ValueError(f"reference size {cell.reference} is not among {cell.sizes}")
@@ -151,10 +152,11 @@ def run_cell(cell: Cell, workdir) -> dict:
     choosers = [functools.partial(predict_backdoor, params) for params in models.values()]
     runs: dict[tuple[int, str], list[list]] = {}  # (H, test set) -> one record list per model seed
     for name in cell.test_sets:
-        paths = instance_paths(workdir / name)
-        per_instance = [evaluate_instance(read_instance(p), choosers, cell.K, cell.node_cap) for p in paths]
-        for (H, _), records in zip(models, zip(*per_instance)):
-            runs.setdefault((H, name), []).append(list(records))
+        per_model, errors = evaluate_choosers(workdir / name, choosers, cell.K, cell.node_cap)
+        if errors:
+            raise ValueError(f"test set {name}: {errors[0]['instance']} failed with {errors[0]['error']}")
+        for (H, _), records in zip(models, per_model):
+            runs.setdefault((H, name), []).append(records)
 
     rows = []
     for H in cell.sizes:

@@ -67,8 +67,8 @@ class TrainConfig:
 @dataclass(frozen=True)
 class TrainSample:
     """One instance's graph plus its positive/negative backdoor index sets;
-    construction refuses an empty side, an index that is not an integer, or
-    one outside the graph."""
+    construction refuses an empty side, an empty set, an index that is not an
+    integer, or one outside the graph."""
 
     graph: BipartiteGraph
     positives: tuple[tuple[int, ...], ...]
@@ -79,6 +79,8 @@ class TrainSample:
             raise ValueError("it needs a positive and a negative sample")
         n = self.graph.num_vars
         for s in self.positives + self.negatives:
+            if not s:
+                raise ValueError("sample backdoor is empty")
             for j in s:
                 check_integer(j, "variable index", 0, n)
 

@@ -297,8 +297,8 @@ def load_dataset(path) -> list[TrainSample]:
     """Read a collection JSONL back into training samples.
 
     A line that is not a collection record, whose graph ``BipartiteGraph``
-    refuses, whose samples ``TrainSample`` refuses, that labels a sample
-    other than ``POSITIVE`` or ``NEGATIVE``, that holds an empty backdoor, or
+    refuses, whose samples ``TrainSample`` refuses (an empty backdoor among
+    them), that labels a sample other than ``POSITIVE`` or ``NEGATIVE``, or
     that holds a byte past 0x7f raises ``ValueError`` naming it.  Blank
     lines are skipped.
     """
@@ -312,10 +312,7 @@ def load_dataset(path) -> list[TrainSample]:
             for s in rec["samples"]:
                 if s["label"] not in sets:
                     raise ValueError(f"sample label {s['label']!r} is neither {POSITIVE} nor {NEGATIVE}")
-                backdoor = tuple(s["backdoor"])
-                if not backdoor:
-                    raise ValueError("sample backdoor is empty")
-                sets[s["label"]].append(backdoor)
+                sets[s["label"]].append(tuple(s["backdoor"]))
             graph = BipartiteGraph(**rec["graph"])
             samples.append(TrainSample(graph, tuple(sets[POSITIVE]), tuple(sets[NEGATIVE])))
         except (KeyError, TypeError, ValueError) as exc:
@@ -368,12 +365,38 @@ def evaluate_instance(inst: MilpInstance, choosers, K: int, node_cap: int | None
 def _evaluate_worker(job) -> tuple[list[EvalRecord], dict | None]:
     """``job`` is ``(index, path, choosers, K, node_cap)``, where the index
     only names the job.  Returns the instance's records and None, or no
-    records and its entry in ``evaluate``'s ``errors``."""
+    records and its entry in ``evaluate_choosers``'s errors."""
     _, path, choosers, K, node_cap = job
     try:
         return evaluate_instance(read_instance(path), choosers, K, node_cap), None
     except Exception as exc:  # one bad instance is recorded, not fatal to the run
         return [], {"instance": Path(path).name, "error": f"{type(exc).__name__}: {exc}"}
+
+
+def evaluate_choosers(
+    instance_dir, choosers, K: int, node_cap: int | None = None
+) -> tuple[list[list[EvalRecord]], list[dict]]:
+    """:func:`evaluate_instance` over every instance in a directory.
+
+    Returns one record list per chooser, in instance order, and the errors:
+    an instance that raises is skipped in every list and listed as
+    ``{"instance": <file name>, "error": "<Type>: <message>"}``.  A cap or a
+    ``K`` below 1 raises before any instance runs.  Instances run one per
+    worker, up to the usable CPUs, and no output depends on how many; the
+    choosers go to the workers, so each must pickle (no lambda).
+    """
+    BnbConfig(node_limit=node_cap)  # the cap obeys BnbConfig's rule, checked before any instance runs
+    if K < 1:
+        raise ValueError(f"K must be at least 1, got {K}")
+    jobs = [(i, str(p), choosers, K, node_cap) for i, p in enumerate(instance_paths(instance_dir))]
+    runs, errors = [[] for _ in choosers], []
+    with contextlib.closing(_in_order(_evaluate_worker, jobs, len(jobs))) as results:
+        for found, error in results:
+            for run, record in zip(runs, found):
+                run.append(record)
+            if error is not None:
+                errors.append(error)
+    return runs, errors
 
 
 def evaluate(
@@ -384,27 +407,15 @@ def evaluate(
 ) -> tuple[list[EvalRecord], dict]:
     """Baseline solve vs. predicted-backdoor solve for every instance.
 
-    Node-cap hits are censored at the cap and flagged; a cap or a ``K``
-    below 1 raises before any instance runs.  Instances run one per worker,
-    up to the usable CPUs, and no output depends on how many.  Each record
-    carries the wall seconds of :func:`predict_backdoor` in its worker as
-    ``overhead_seconds``, which records do not compare on and ``report``
-    does not write.  An instance that raises is skipped: the summary's
-    ``failed`` counts them and ``errors`` lists ``{"instance": <file name>,
-    "error": "<Type>: <message>"}``.  If no instance succeeds,
-    ``ValueError`` names the first failing file and its error.
+    This is :func:`evaluate_choosers` with the one chooser
+    :func:`predict_backdoor`.  Node-cap hits are censored at the cap and
+    flagged.  Each record carries the wall seconds of the prediction in its
+    worker as ``overhead_seconds``, which records do not compare on and
+    ``report`` does not write.  The summary's ``failed`` counts the
+    instances that raised and ``errors`` lists them.  If no instance
+    succeeds, ``ValueError`` names the first failing file and its error.
     """
-    BnbConfig(node_limit=node_cap)  # the cap obeys BnbConfig's rule, checked before any instance runs
-    if K < 1:
-        raise ValueError(f"K must be at least 1, got {K}")
-    choosers = [functools.partial(predict_backdoor, params)]
-    jobs = [(i, str(p), choosers, K, node_cap) for i, p in enumerate(instance_paths(instance_dir))]
-    records, errors = [], []
-    with contextlib.closing(_in_order(_evaluate_worker, jobs, len(jobs))) as results:
-        for found, error in results:
-            records += found
-            if error is not None:
-                errors.append(error)
+    (records,), errors = evaluate_choosers(instance_dir, [functools.partial(predict_backdoor, params)], K, node_cap)
     if not records:
         first = errors[0]
         raise ValueError(f"no instance evaluated; the first, {first['instance']}, failed with {first['error']}")

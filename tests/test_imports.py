@@ -36,18 +36,31 @@ def test_scan_sees_nested_and_relative_imports():
     assert absolute_imports(source) == {"os", "scipy", "numba"}
 
 
-def private_imports(source: str) -> set[str]:
-    """The ``_``-prefixed names a module imports from ``backdoorlab``."""
+def backdoorlab_imports(source: str) -> set[str]:
+    """The names a module imports from ``backdoorlab`` and its submodules."""
     names = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.split(".")[0] == "backdoorlab":
-            names.update(alias.name for alias in node.names if alias.name.startswith("_"))
+            names.update(alias.name for alias in node.names)
     return names
+
+
+def private_imports(source: str) -> set[str]:
+    """The ``_``-prefixed names a module imports from ``backdoorlab``."""
+    return {name for name in backdoorlab_imports(source) if name.startswith("_")}
 
 
 def test_quality_harness_imports_no_private_name():
     private = private_imports((ROOT / "quality" / "run.py").read_text(encoding="utf-8"))
     assert not private, f"quality/run.py imports private {sorted(private)}"
+
+
+def test_quality_harness_has_no_evaluation_loop_of_its_own():
+    """The harness evaluates through ``evaluate_choosers``, the one pooled loop
+    over instances, so it needs neither the per-instance unit nor the reader."""
+    names = backdoorlab_imports((ROOT / "quality" / "run.py").read_text(encoding="utf-8"))
+    assert "evaluate_choosers" in names
+    assert not names & {"evaluate_instance", "read_instance"}, f"quality/run.py imports {sorted(names)}"
 
 
 def test_private_scan_sees_only_backdoorlab_names():

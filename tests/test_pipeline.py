@@ -23,6 +23,7 @@ from backdoorlab.pipeline import (
     collect_dataset,
     collect_one,
     evaluate,
+    evaluate_choosers,
     evaluate_instance,
     instance_paths,
     load_dataset,
@@ -313,13 +314,18 @@ class TestEvaluate:
         ]
         assert summary["failed"] == 0
 
-    def test_each_instance_solves_its_baseline_once_for_every_chooser(self, tmp_path, monkeypatch):
+    def test_each_instance_solves_its_baseline_once_for_every_chooser(self, tmp_path, monkeypatch, cpus):
         """Three choosers on two GISP-12 instances: one baseline and three
         method solves per instance, and each chooser's records are those of
-        its own ``evaluate`` call."""
+        its own ``evaluate`` call, from ``evaluate_choosers`` on 1 CPU and on
+        a pool of 2 as from ``evaluate_instance``."""
         write_gisp_dir(tmp_path, [100, 101], nodes=12)
         models = [GatParameters.init(seed=seed, L=8, H=H, hidden=8) for seed, H in ((0, 1), (1, 1), (2, 8))]
         want = [evaluate(params, tmp_path, K=4, node_cap=5000)[0] for params in models]
+        choosers = [functools.partial(predict_backdoor, params) for params in models]
+        for count in (1, 2):
+            cpus(count)
+            assert evaluate_choosers(tmp_path, choosers, 4, 5000) == (want, [])
         solves, solve_bnb = collections.Counter(), pipeline.solve_bnb
 
         def counted(inst, cfg=None):
@@ -327,7 +333,6 @@ class TestEvaluate:
             return solve_bnb(inst, cfg)
 
         monkeypatch.setattr(pipeline, "solve_bnb", counted)
-        choosers = [functools.partial(predict_backdoor, params) for params in models]
         per_instance = [evaluate_instance(read_instance(p), choosers, 4, 5000) for p in instance_paths(tmp_path)]
         assert solves == {"gisp_n12_s100": 1 + 3, "gisp_n12_s101": 1 + 3}
         assert [list(records) for records in zip(*per_instance)] == want
@@ -404,6 +409,27 @@ class TestEvaluate:
         report(alone, tmp_path / "alone")
         for name in ("results.csv", "summary.txt"):
             assert (tmp_path / "mixed" / name).read_bytes() == (tmp_path / "alone" / name).read_bytes()
+
+    def test_unreadable_instance_is_left_out_of_every_chooser(self, tmp_path, cpus):
+        """A corrupt file is one error and in no chooser's records."""
+        cpus(2)
+        write_gisp_dir(tmp_path, [0, 1], nodes=12)
+        (tmp_path / "corrupt.bdmilp").write_text("not an instance\n", encoding="ascii")
+        choosers = [functools.partial(predict_backdoor, GatParameters.init(seed=s, L=8, H=2, hidden=6)) for s in (0, 1)]
+        runs, errors = evaluate_choosers(tmp_path, choosers, 3, 500)
+        assert [[r.instance for r in records] for records in runs] == [["gisp_n12_s0", "gisp_n12_s1"]] * 2
+        assert [e["instance"] for e in errors] == ["corrupt.bdmilp"]
+
+    @pytest.mark.parametrize("K, node_cap, message", [
+        (0, 500, "K must be at least 1, got 0"),
+        (3, 0, "node_limit must be None or at least 1, got 0"),
+    ])
+    def test_bad_k_or_cap_raises_before_any_instance_runs(self, tmp_path, K, node_cap, message):
+        """The directory does not exist: reaching the instances would raise
+        ``FileNotFoundError`` instead."""
+        chooser = functools.partial(predict_backdoor, GatParameters.init(seed=0, L=8, H=2, hidden=6))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            evaluate_choosers(tmp_path / "missing", [chooser], K, node_cap)
 
     def test_all_instances_failing_raises(self, tmp_path):
         (tmp_path / "inst").mkdir()

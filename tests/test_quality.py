@@ -65,8 +65,7 @@ def test_a_tiny_cell_writes_one_row_per_size_and_test_set(quality, tmp_path):
 
 def test_models_on_shared_instances_get_the_records_evaluate_gives(quality, tmp_path):
     """The tiny cell's test set, read once and evaluated with two models'
-    choosers as ``run_cell`` does, gives each model the records of its own
-    ``evaluate`` call."""
+    choosers, gives each model the records of its own ``evaluate`` call."""
     nodes, seeds = 12, range(100, 102)
     quality._write_gisp(tmp_path / "gisp12", nodes, seeds)
     models = [GatParameters.init(seed=seed, L=8, H=H, hidden=8) for seed, H in ((0, 1), (1, 2))]

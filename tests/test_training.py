@@ -104,6 +104,8 @@ def test_one_sided_sample_rejected():
     with pytest.raises(ValueError):
         broken = [TrainSample(graph=ds[0].graph, positives=ds[0].positives, negatives=())]
         train(broken, TrainConfig(epochs=1, **SMALL))
+    with pytest.raises(ValueError, match="^sample backdoor is empty$"):
+        TrainSample(graph=ds[0].graph, positives=ds[0].positives, negatives=((),))
 
 
 def test_config_validation():
@@ -213,11 +215,9 @@ def _check_summed_per_sample(params, batch):
 
 
 def samples_of(graphs):
-    """One sample per graph: its first variable positive, its last negative,
-    plus an empty negative set on a one-variable graph."""
-    return [
-        TrainSample(g, ((0,),), ((g.num_vars - 1,),) if g.num_vars > 1 else ((),)) for g in graphs
-    ]
+    """One sample per graph: its first variable positive and its last
+    negative, the same variable on a one-variable graph."""
+    return [TrainSample(g, ((0,),), ((g.num_vars - 1,),)) for g in graphs]
 
 
 def mixed_graphs():
