@@ -22,6 +22,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
+from .inputs import check_integer
 from .milp import MilpInstance, fractionality
 from .simplex import INFEASIBLE as LP_INFEASIBLE
 from .simplex import OPTIMAL as LP_OPTIMAL
@@ -45,7 +46,7 @@ class BnbConfig:
     node_limit: int | None = None
 
     def __post_init__(self):
-        if self.node_limit is not None and self.node_limit < 1:
+        if self.node_limit is not None and check_integer(self.node_limit, "node_limit") < 1:
             raise ValueError(f"node_limit must be None or at least 1, got {self.node_limit}")
 
 

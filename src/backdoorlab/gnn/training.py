@@ -8,13 +8,17 @@ then updates that vector in place in one step.  A batch whose stacked
 attention blocks would pass ``_UNION_CELLS`` runs as a few unions of
 consecutive samples, so memory stays bounded whatever the batch size.
 ``train`` allocates the gradient buffer once per run and zeroes it before
-each batch.
+each batch, and holds the process heap while its epochs run
+(``_held_heap``): each union's arrays reuse the memory the previous union
+freed instead of being given back to the OS and faulted in again.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -29,11 +33,54 @@ from .optim import AdamState, adam_step
 
 # Cells of the stacked attention blocks (``model._Blocks``) in one disjoint
 # union that training runs at once; its memory grows with them.  Sized on
-# train-gisp25 (60 GISP-25 graphs, batches of 32), where 2**14 cells hold
-# about five graphs: 2**13 took 22% more CPU time, and 2**15 saved 2-3% of it
-# for 2.6 MB more peak RSS (training added 5.6 MB at 2**14, and 3.9 MB when
-# it ran sample by sample).
-_UNION_CELLS = 1 << 14
+# train-gisp25 (60 GISP-25 graphs of 2.2k-2.8k cells, batches of 32) with the
+# heap held, where 2**16 cells run a batch as one or two unions.  Median CPU
+# of 11 in-process trainings on a 2-CPU host: 0.538 s at 2**16, 0.605 s at
+# 2**15, 0.713 s at 2**14 (0.99 s at 2**13 over 5), and 0.512 s at 2**17 for
+# 2.7 MB more peak RSS.  2**14 without the hold, the earlier size, took
+# 0.773 s: each union's fresh pages cost 19k minor faults against 2.7k here.
+_UNION_CELLS = 1 << 16
+
+# glibc's ``mallopt`` parameters (malloc.h), the largest mmap threshold it
+# takes on 64-bit hosts, and its default trim threshold.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_HELD_BYTES = 32 << 20
+_TRIM_BYTES = 128 << 10
+
+
+def _c_library():
+    """The C library when it has glibc's ``mallopt`` and ``malloc_trim``, else None."""
+    try:
+        libc = ctypes.CDLL(None)
+        libc.mallopt.argtypes, libc.mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+        libc.malloc_trim.argtypes, libc.malloc_trim.restype = [ctypes.c_size_t], ctypes.c_int
+    except (AttributeError, OSError, TypeError):
+        return None
+    return libc
+
+
+_LIBC = _c_library()
+
+
+@contextmanager
+def _held_heap():
+    """Keep the process heap while the block runs: arrays up to
+    ``_HELD_BYTES`` come from the heap instead of ``mmap``, and freed memory
+    stays there to serve the next union instead of being trimmed and faulted
+    in again.  On exit, raised or not, the trim threshold drops back to
+    glibc's default and the heap is trimmed, so a pool forked later starts
+    from a trimmed parent; the mmap threshold stays, since glibc has no way
+    back to its sliding one.  Without glibc it does nothing."""
+    if _LIBC is None:
+        yield
+        return
+    _LIBC.mallopt(_M_MMAP_THRESHOLD, _HELD_BYTES)
+    _LIBC.mallopt(_M_TRIM_THRESHOLD, _HELD_BYTES)
+    try:
+        yield
+    finally:
+        _LIBC.mallopt(_M_TRIM_THRESHOLD, _TRIM_BYTES)
+        _LIBC.malloc_trim(0)
 
 
 @dataclass(frozen=True)
@@ -58,6 +105,8 @@ class TrainConfig:
         if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0.0):
             raise ValueError(f"weight decay must be finite and not negative, got {self.weight_decay}")
         check_integer(self.seed, "seed", 0)
+        for name in ("batch_size", "epochs", "L", "H", "hidden"):
+            check_integer(getattr(self, name), name)
         if self.batch_size < 1 or self.epochs < 1:
             raise ValueError("batch size and epochs must be positive")
         if self.L < 1 or self.H < 1 or self.hidden < 1:
@@ -162,23 +211,24 @@ def train(
     grads = params.views(grad)
     curve: list[float] = []
     n = len(dataset)
-    for _epoch in range(cfg.epochs):
-        t0 = time.perf_counter()
-        order = shuffle_rng.permutation(n)
-        epoch_loss = 0.0
-        norms = []
-        for lo in range(0, n, cfg.batch_size):
-            batch = [dataset[i] for i in order[lo : lo + cfg.batch_size]]
-            grad.fill(0.0)
-            batch_loss = _add_batch_gradient(params, batch, cfg.tau, grads)
-            adam_step(params.vector, grad, state, lr=cfg.learning_rate, wd=cfg.weight_decay)
-            epoch_loss += batch_loss * len(batch)
+    with _held_heap():
+        for _epoch in range(cfg.epochs):
+            t0 = time.perf_counter()
+            order = shuffle_rng.permutation(n)
+            epoch_loss = 0.0
+            norms = []
+            for lo in range(0, n, cfg.batch_size):
+                batch = [dataset[i] for i in order[lo : lo + cfg.batch_size]]
+                grad.fill(0.0)
+                batch_loss = _add_batch_gradient(params, batch, cfg.tau, grads)
+                adam_step(params.vector, grad, state, lr=cfg.learning_rate, wd=cfg.weight_decay)
+                epoch_loss += batch_loss * len(batch)
+                if epoch_log is not None:
+                    # Not a BLAS dot: a threaded BLAS leaves spinning threads behind that slow the next batch.
+                    norms.append(math.sqrt(float(np.square(grad).sum())))
+            curve.append(epoch_loss / n)
             if epoch_log is not None:
-                # Not a BLAS dot: a threaded BLAS leaves spinning threads behind that slow the next batch.
-                norms.append(math.sqrt(float(np.square(grad).sum())))
-        curve.append(epoch_loss / n)
-        if epoch_log is not None:
-            epoch_log.append(
-                {"seconds": time.perf_counter() - t0, "grad_norm": sum(norms) / len(norms)}
-            )
+                epoch_log.append(
+                    {"seconds": time.perf_counter() - t0, "grad_norm": sum(norms) / len(norms)}
+                )
     return params, curve

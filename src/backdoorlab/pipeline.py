@@ -68,7 +68,7 @@ class CollectConfig:
             raise ValueError(f"unknown collection method {self.method!r}")
         check_integer(self.seed, "seed", 0)
         for name in ("K", "top_k", "p", "q", "mcts_budget"):
-            if getattr(self, name) < 1:
+            if check_integer(getattr(self, name), name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         # Both node limits obey BnbConfig's rule, checked before any worker starts.
         BnbConfig(node_limit=self.probe_node_limit)

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from backdoorlab import pipeline
+from backdoorlab.bnb import BnbConfig
 from backdoorlab.features import BipartiteGraph
 from backdoorlab.generators import gen_gisp
 from backdoorlab.gnn import GatParameters, TrainConfig
@@ -510,3 +511,19 @@ def test_train_from_collected_file_and_predict(tmp_path):
     assert len(curve) == 3
     bd = predict_backdoor(params, gen_gisp(nodes=22, seed=77), K=3)
     assert bd.size == 3
+
+
+CONFIG_INTEGERS = [
+    *((TrainConfig, name) for name in ("batch_size", "epochs", "L", "H", "hidden")),
+    *((CollectConfig, name) for name in ("K", "top_k", "p", "q", "mcts_budget", "probe_node_limit", "label_node_limit")),
+    (BnbConfig, "node_limit"),
+]
+
+
+@pytest.mark.parametrize("value", [2.5, True])
+@pytest.mark.parametrize("config, name", CONFIG_INTEGERS, ids=[f"{c.__name__}.{n}" for c, n in CONFIG_INTEGERS])
+def test_config_integers_refuse_a_float_or_a_bool(config, name, value):
+    """Each count is an integer by ``inputs.check_integer``'s rule when the
+    config is built, not a ``TypeError`` later or a float limit rounded up."""
+    with pytest.raises(ValueError, match=f" {value} is not an integer$"):
+        config(**{name: value})

@@ -1,8 +1,11 @@
+import contextlib
+import itertools
 import os
 import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,6 +23,7 @@ from backdoorlab.gnn import (
 )
 from backdoorlab.gnn.model import score_union
 from backdoorlab.gnn import autodiff as ad
+from backdoorlab.gnn import training
 from backdoorlab.gnn.loss import infonce_loss_and_grad
 from backdoorlab.gnn.training import batch_gradient
 from backdoorlab.milp import make_instance
@@ -264,6 +268,68 @@ def test_batch_gradient_memory_grows_linearly_in_the_batch():
             tracemalloc.stop()
 
     assert peak(batch) <= 4.5 * peak(batch[:8])
+
+
+def test_a_batch_split_into_unions_matches_one_union(monkeypatch):
+    """``_chunks`` cuts a batch where its stacked blocks would pass the cap,
+    and the facility graph, whose blocks alone pass 2**16 cells, runs alone;
+    every split gives the one union's loss and gradient up to float order."""
+    graphs = mixed_graphs()  # GISP-25, set cover, facility, edgeless, one variable
+    gisp = gisp_samples(3)
+    batch = [*gisp[:2], *samples_of(graphs[2:3]), gisp[2], *samples_of([graphs[1], *graphs[3:]])]
+    params = GatParameters.init(seed=3, H=2)
+    runs = {}
+    for cells, sizes in ((1, [1] * 7), (1 << 16, [2, 1, 4]), (1 << 40, [7])):
+        monkeypatch.setattr(training, "_UNION_CELLS", cells)
+        assert [len(chunk) for chunk in training._chunks(batch)] == sizes
+        runs[cells] = batch_gradient(params, batch, 0.07)
+    loss, flat = runs.pop(1 << 40)
+    # Entries that sum nearly cancelling terms get an absolute bound scaled to the whole gradient.
+    scale = np.abs(flat).max()
+    for split_loss, split_flat in runs.values():
+        assert split_loss == pytest.approx(loss, rel=1e-12)
+        np.testing.assert_allclose(split_flat, flat, rtol=1e-12, atol=1e-12 * scale)
+
+
+def test_the_heap_hold_changes_no_bit(monkeypatch):
+    """Training gives the same bits with the heap held, with the hold a no-op,
+    and with no C library handle, as on a C library without glibc's ``mallopt``."""
+    ds = gisp_samples(6)
+    cfg = TrainConfig(epochs=2, seed=2, batch_size=4, **SMALL)
+    runs = [train(ds, cfg)]
+    with monkeypatch.context() as patch:
+        patch.setattr(training, "_held_heap", contextlib.nullcontext)
+        runs.append(train(ds, cfg))
+    monkeypatch.setattr(training.ctypes, "CDLL", lambda name: object())
+    monkeypatch.setattr(training, "_LIBC", training._c_library())
+    assert training._LIBC is None
+    runs.append(train(ds, cfg))
+    (held, held_curve), *others = runs
+    for params, curve in others:
+        assert curve == held_curve
+        assert params.vector.tobytes() == held.vector.tobytes()
+
+
+def test_the_heap_is_released_when_a_batch_raises(monkeypatch):
+    libc = mock.Mock()
+    monkeypatch.setattr(training, "_LIBC", libc)
+    batches = itertools.count(1)
+    add_batch_gradient = training._add_batch_gradient
+
+    def failing_second_batch(*args):
+        if next(batches) == 2:
+            raise RuntimeError("second batch")
+        return add_batch_gradient(*args)
+
+    monkeypatch.setattr(training, "_add_batch_gradient", failing_second_batch)
+    with pytest.raises(RuntimeError, match="second batch"):
+        train(planted_dataset(count=6), TrainConfig(epochs=1, seed=2, batch_size=4, **SMALL))
+    assert libc.mock_calls == [
+        mock.call.mallopt(training._M_MMAP_THRESHOLD, training._HELD_BYTES),
+        mock.call.mallopt(training._M_TRIM_THRESHOLD, training._HELD_BYTES),
+        mock.call.mallopt(training._M_TRIM_THRESHOLD, training._TRIM_BYTES),
+        mock.call.malloc_trim(0),
+    ]
 
 
 TRAIN_IN_A_FRESH_PROCESS = """
