@@ -12,7 +12,6 @@ import argparse
 import inspect
 import json
 import sys
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -287,7 +286,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError, SimplexIterationError, SimplexNumericalError, BrokenProcessPool) as exc:
+    except (OSError, ValueError, SimplexIterationError, SimplexNumericalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -16,6 +16,7 @@ byte-identical to a run with 1.  Only the wall seconds that workers measure
 
 from __future__ import annotations
 
+import collections
 import concurrent.futures
 import contextlib
 import csv
@@ -186,38 +187,112 @@ def collect_one(
 
 
 def _collect_worker(args):
-    """One instance's dataset line, manifest entry and timing line.
+    """One instance's dataset line, manifest entry and sidecar fields.
 
     ``args`` is ``(index, path, seed, cfg)``, where the index only names the
     job.  The dataset line is the kept record as ``json.dumps(record,
-    sort_keys=True)``, or None for a skipped or failed instance; encoding it
-    here keeps that work in the pool and sends the parent one string.
+    sort_keys=True)``, or None for a skipped instance; encoding it here keeps
+    that work in the pool and sends the parent one string.  The sidecar
+    fields are the file and the instance's cost (see :func:`collect_one`);
+    the runner measures the seconds.
     """
     _, path, seed, cfg = args
-    name = Path(path).name
-    timing: dict = {"file": name}
+    timing = {"file": Path(path).name}
+    record, entry = collect_one(path, seed, cfg, timing)
+    line = None if record is None else json.dumps(record, sort_keys=True)
+    return line, entry, timing
+
+
+# The failure recorded for a job that ends the worker process running it alone.
+_DEAD = "BrokenProcessPool: its worker process ended"
+
+# The worker a pool process runs, set once in that process by the pool's initializer.
+_installed = None
+
+
+def _install(worker) -> None:
+    global _installed
+    _installed = worker
+
+
+def _run_job(job, worker=None):
+    """Run ``worker(job)``, by default the installed one, and time it.
+
+    Returns ``(result, None, seconds)``, or ``(None, "<Type>: <message>",
+    seconds)`` if the worker raised: one bad job is recorded, not fatal to
+    the batch, and no exception object crosses the pool's pipe."""
+    if worker is None:
+        worker = _installed
     t0 = time.perf_counter()
     try:
-        record, entry = collect_one(path, seed, cfg, timing)
-    except Exception as exc:  # one bad instance is recorded, not fatal to the batch
-        error = f"{type(exc).__name__}: {exc}"
-        record, entry = None, {"file": name, "error": error}
-        timing = {"file": name, "error": error}
-    timing["seconds"] = time.perf_counter() - t0
-    line = None if record is None else json.dumps(record, sort_keys=True)
-    return line, entry, json.dumps(timing, sort_keys=True)
+        result, error = worker(job), None
+    except Exception as exc:
+        result, error = None, f"{type(exc).__name__}: {exc}"
+    return result, error, time.perf_counter() - t0
+
+
+def _pooled(worker, jobs: list, workers: int):
+    """Yield ``_run_job`` outcomes of ``jobs``, in job order, from a fresh pool
+    of ``workers`` processes with ``worker`` installed.  Each job is
+    submitted when a worker is free, so at most ``workers`` run at a time;
+    ``BrokenProcessPool`` propagates.  Closing the generator cancels the jobs
+    not yet submitted and waits for the running ones."""
+    pool = concurrent.futures.ProcessPoolExecutor(workers, initializer=_install, initargs=(worker,))
+    try:
+        queue, running, submitted = collections.deque(), set(), 0
+        while queue or submitted < len(jobs):
+            running = {f for f in running if not f.done()}
+            while len(running) < workers and submitted < len(jobs):
+                future = pool.submit(_run_job, jobs[submitted])
+                submitted += 1
+                queue.append(future)
+                running.add(future)
+            if queue[0].done():
+                yield queue.popleft().result()
+            else:
+                concurrent.futures.wait(running, return_when=concurrent.futures.FIRST_COMPLETED)
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _in_order(worker, jobs: list, workers: int):
-    """Yield ``worker(job)`` for each job, in job order, from a pool of ``min(workers,
-    jobs, usable CPUs)`` processes (a forked pool starts all of them at once), or from
-    this process when that is 1.  Closing the generator shuts the pool down."""
+    """Yield one outcome of ``worker`` per job, in job order: ``(result, None,
+    seconds)``, or ``(None, "<Type>: <message>", seconds)`` for a job that
+    raised, where ``seconds`` is the job's wall time in its process.
+
+    The jobs run on a pool of ``min(workers, jobs, usable CPUs)`` processes
+    (a forked pool starts all of them at once), each given ``worker`` once,
+    or in this process when that is 1; there a job that ends its process
+    ends the command too.  When a pool worker dies (killed for memory, say),
+    the outcomes already yielded stand, the first unfinished job runs alone
+    in a fresh one-worker pool, and the rest in a fresh pool of the full
+    size.  A job is recorded as ``(None, _DEAD, None)`` only if it kills a
+    worker that runs it alone, so no outcome depends on the pool size or on
+    which jobs shared a broken pool.  Closing the generator cancels every
+    job not yet started, waits for the running ones and leaves no worker
+    behind."""
     workers = min(workers, len(jobs), len(os.sched_getaffinity(0)))
     if workers <= 1:
-        yield from map(worker, jobs)
+        for job in jobs:
+            yield _run_job(job, worker)
         return
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(worker, jobs)
+    # A broken process pool raises BrokenProcessPool, which subclasses
+    # BrokenExecutor; naming the base leaves multiprocessing unimported
+    # until a pool starts.
+    done = 0
+    while done < len(jobs):
+        try:
+            with contextlib.closing(_pooled(worker, jobs[done:], workers)) as outcomes:
+                for outcome in outcomes:
+                    yield outcome
+                    done += 1
+        except concurrent.futures.BrokenExecutor:
+            try:
+                (outcome,) = _pooled(worker, jobs[done:done + 1], 1)
+            except concurrent.futures.BrokenExecutor:
+                outcome = None, _DEAD, None
+            yield outcome
+            done += 1
 
 
 def _write_manifest(path, manifest: dict) -> None:
@@ -238,23 +313,26 @@ def collect_dataset(
 
     Writes a JSONL dataset plus ``<out>.manifest.json``; failures and skips
     are isolated per instance and recorded, never aborting the batch.  A
-    failed instance's manifest entry holds ``"error": "<Type>: <message>"``.
-    The output is independent of ``workers``, and fewer than 1 raises before
-    any output is opened; the pool has at most one worker per instance and
-    per CPU this process may run on.  Wall-clock cost goes to the sidecar
-    ``<out>.timing.jsonl`` instead, one line per instance in instance order:
-    the file, the wall seconds of ``collect_one`` and its exact cost (see
-    :func:`collect_one`), or for a failed instance its error.
+    failed instance's manifest entry holds ``"error": "<Type>: <message>"``;
+    an instance whose pool worker dies, alone too, fails as
+    ``BrokenProcessPool: its worker process ended`` (see :func:`_in_order`).
+    The output is independent of ``workers``, and a ``workers`` that is not
+    an integer of at least 1 raises before any output is opened; the pool
+    has at most one worker per instance and per CPU this process may run on.
+    Wall-clock cost goes to the sidecar ``<out>.timing.jsonl`` instead, one
+    line per instance in instance order: the file, the wall seconds of its
+    job and its exact cost (see :func:`collect_one`), or for a failed
+    instance its error and, unless its worker died, its seconds.
 
     The dataset and the sidecar are streamed: each instance's lines are
     written as soon as the instances before it are done, into ``.tmp`` files
     beside the targets, which are renamed into place after the last instance
     and before the manifest is written.  The calling process thus holds no
-    record once written, and a batch that dies (a pool worker killed, say)
-    leaves no output and no pool worker behind.
+    record once written, and a batch interrupted in this process leaves no
+    output and no pool worker behind.
     """
     cfg = cfg or CollectConfig()
-    if workers < 1:
+    if check_integer(workers, "workers") < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     paths = instance_paths(instance_dir)
     jobs = [
@@ -270,12 +348,19 @@ def collect_dataset(
         with contextlib.ExitStack() as stack:
             data, sidecar = [stack.enter_context(open(t, "w", encoding="ascii")) for t in temps]
             results = stack.enter_context(contextlib.closing(_in_order(_collect_worker, jobs, workers)))
-            for line, entry, timing_line in results:
+            for path, (result, error, seconds) in zip(paths, results):
+                if error is None:
+                    line, entry, timing = result
+                else:
+                    line, entry = None, {"file": path.name, "error": error}
+                    timing = dict(entry)
+                if seconds is not None:
+                    timing["seconds"] = seconds
                 entries.append(entry)
                 if line is not None:
                     data.write(line + "\n")
                     kept += 1
-                sidecar.write(timing_line + "\n")
+                sidecar.write(json.dumps(timing, sort_keys=True) + "\n")
     except BaseException:
         for t in temps:
             t.unlink(missing_ok=True)
@@ -362,15 +447,11 @@ def evaluate_instance(inst: MilpInstance, choosers, K: int, node_cap: int | None
     return records
 
 
-def _evaluate_worker(job) -> tuple[list[EvalRecord], dict | None]:
-    """``job`` is ``(index, path, choosers, K, node_cap)``, where the index
-    only names the job.  Returns the instance's records and None, or no
-    records and its entry in ``evaluate_choosers``'s errors."""
-    _, path, choosers, K, node_cap = job
-    try:
-        return evaluate_instance(read_instance(path), choosers, K, node_cap), None
-    except Exception as exc:  # one bad instance is recorded, not fatal to the run
-        return [], {"instance": Path(path).name, "error": f"{type(exc).__name__}: {exc}"}
+def _evaluate_worker(choosers, K: int, node_cap: int | None, job) -> list[EvalRecord]:
+    """:func:`evaluate_instance`'s records for ``job``, ``(index, path)``,
+    where the index only names the job."""
+    _, path = job
+    return evaluate_instance(read_instance(path), choosers, K, node_cap)
 
 
 def evaluate_choosers(
@@ -379,23 +460,27 @@ def evaluate_choosers(
     """:func:`evaluate_instance` over every instance in a directory.
 
     Returns one record list per chooser, in instance order, and the errors:
-    an instance that raises is skipped in every list and listed as
+    an instance that raises, or whose pool worker dies (see
+    :func:`_in_order`), is skipped in every list and listed as
     ``{"instance": <file name>, "error": "<Type>: <message>"}``.  A cap or a
     ``K`` below 1 raises before any instance runs.  Instances run one per
-    worker, up to the usable CPUs, and no output depends on how many; the
-    choosers go to the workers, so each must pickle (no lambda).
+    worker, up to the usable CPUs, and no output depends on how many; each
+    worker gets the choosers once, so each must pickle (no lambda).
     """
     BnbConfig(node_limit=node_cap)  # the cap obeys BnbConfig's rule, checked before any instance runs
     if K < 1:
         raise ValueError(f"K must be at least 1, got {K}")
-    jobs = [(i, str(p), choosers, K, node_cap) for i, p in enumerate(instance_paths(instance_dir))]
+    paths = instance_paths(instance_dir)
+    jobs = [(i, str(p)) for i, p in enumerate(paths)]
+    worker = functools.partial(_evaluate_worker, choosers, K, node_cap)
     runs, errors = [[] for _ in choosers], []
-    with contextlib.closing(_in_order(_evaluate_worker, jobs, len(jobs))) as results:
-        for found, error in results:
-            for run, record in zip(runs, found):
-                run.append(record)
-            if error is not None:
-                errors.append(error)
+    with contextlib.closing(_in_order(worker, jobs, len(jobs))) as results:
+        for path, (found, error, _) in zip(paths, results):
+            if error is None:
+                for run, record in zip(runs, found):
+                    run.append(record)
+            else:
+                errors.append({"instance": path.name, "error": error})
     return runs, errors
 
 
@@ -411,9 +496,10 @@ def evaluate(
     :func:`predict_backdoor`.  Node-cap hits are censored at the cap and
     flagged.  Each record carries the wall seconds of the prediction in its
     worker as ``overhead_seconds``, which records do not compare on and
-    ``report`` does not write.  The summary's ``failed`` counts the
-    instances that raised and ``errors`` lists them.  If no instance
-    succeeds, ``ValueError`` names the first failing file and its error.
+    ``report`` does not write.  The summary's ``failed`` counts the failed
+    instances (see :func:`evaluate_choosers`) and ``errors`` lists them.  If
+    no instance succeeds, ``ValueError`` names the first failing file and
+    its error.
     """
     (records,), errors = evaluate_choosers(instance_dir, [functools.partial(predict_backdoor, params)], K, node_cap)
     if not records:

@@ -723,9 +723,9 @@ def test_a_simplex_failure_is_an_error_not_a_traceback(
     reason="the patched stage reaches pool workers only when they fork",
 )
 @pytest.mark.parametrize("command, stage", [("collect", "collect_one"), ("evaluate", "evaluate_instance")])
-def test_a_killed_pool_worker_is_an_error_not_a_traceback(tmp_path, capsys, monkeypatch, small_model, command, stage):
-    """A pool worker that ends its process fails the command with exit 2 and
-    one ``error:`` line, and leaves no output behind."""
+def test_a_killed_pool_worker_fails_only_its_instance(tmp_path, capsys, monkeypatch, small_model, command, stage):
+    """A pool worker that ends its process fails its own instance, seed 2,
+    and the command finishes with exit 0 and reports one failure."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     write_gisp_dir(tmp_path / "inst", range(4), nodes=6)
     patch_to_die(monkeypatch, stage, tmp_path / "pids")
@@ -734,10 +734,19 @@ def test_a_killed_pool_worker_is_an_error_not_a_traceback(tmp_path, capsys, monk
                     "--p", "1", "--q", "1", "--budget", "6", "--probe-limit", "4"],
         "evaluate": ["--model", str(small_model), "--out", str(tmp_path / "out"), "--K", "2"],
     }[command]
-    assert main([command, "--instances", str(tmp_path / "inst"), *options]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: A process in the process pool was terminated abruptly") and err.count("\n") == 1
-    assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+    code, out = run(capsys, command, "--instances", str(tmp_path / "inst"), *options)
+    assert code == 0
+    if command == "collect":
+        assert "failed 1," in out
+        errors = [e for e in json.loads((tmp_path / "out" / "ds.jsonl.manifest.json").read_text())["instances"]
+                  if "error" in e]
+        assert errors == [{"file": "gisp_n6_s2.bdmilp", "error": "BrokenProcessPool: its worker process ended"}]
+    else:
+        summary = json.loads(out)
+        assert summary["failed"] == 1 and summary["instances"] == 3
+        assert summary["errors"] == [
+            {"instance": "gisp_n6_s2.bdmilp", "error": "BrokenProcessPool: its worker process ended"}
+        ]
     assert not multiprocessing.active_children()
 
 

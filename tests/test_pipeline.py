@@ -5,7 +5,7 @@ import hashlib
 import json
 import multiprocessing
 import os
-from concurrent.futures.process import BrokenProcessPool
+import time
 from pathlib import Path
 
 import pytest
@@ -158,7 +158,7 @@ class TestCollect:
             line, worker_entry, timing = pipeline._collect_worker((i, str(path), 7, cfg))
             assert line == (None if record is None else json.dumps(record, sort_keys=True))
             assert worker_entry == entry
-            assert json.loads(timing)["file"] == path.name
+            assert timing["file"] == path.name and "seconds" not in timing
             kept.append(record is not None)
         assert kept == [True, False]  # gisp_n22_s0, then gisp_n6_s1
 
@@ -166,28 +166,86 @@ class TestCollect:
         multiprocessing.get_start_method() != "fork",
         reason="the patched collect_one reaches pool workers only when they fork",
     )
-    def test_dead_worker_leaves_no_output(self, tmp_path, monkeypatch, cpus):
+    def test_dead_worker_fails_only_its_instance(self, tmp_path, monkeypatch, cpus):
         """A pool worker that ends its process (standing in for an OOM kill)
-        fails the batch, collect's or evaluate's, and the batch leaves no
-        file and no worker behind."""
-        cpus(2)
-        write_gisp_dir(tmp_path / "inst", range(4), nodes=6)
+        fails its own instance, in collect and in evaluate, with equal bytes on
+        2 and on 4 CPUs.  Every other record and manifest entry is the
+        undisturbed run's, nothing runs in this process, and no worker is left
+        behind."""
+        write_gisp_dir(tmp_path / "inst", range(4), nodes=12)
         cfg = CollectConfig(K=2, top_k=4, p=1, q=1, mcts_budget=6, probe_node_limit=4, seed=0)
         params = GatParameters.init(seed=0, L=8, H=2, hidden=6)
-        stages = {
-            "collect_one": lambda: collect_dataset(tmp_path / "inst", tmp_path / "ds.jsonl", cfg, workers=2),
-            "evaluate_instance": lambda: evaluate(params, tmp_path / "inst", K=2),
-        }
-        for name, run in stages.items():
-            pids = tmp_path / f"pids-{name}"
-            patch_to_die(monkeypatch, name, pids)
-            with pytest.raises(BrokenProcessPool):
-                run()
-            assert sorted(p.name for p in tmp_path.iterdir() if p != pids) == ["inst"], name
-            started = set(pids.read_text().split())
-            assert 1 <= len(started) <= 2 and str(os.getpid()) not in started
+
+        def run(out):
+            collect_dataset(tmp_path / "inst", out / "ds.jsonl", cfg, workers=4)
+            records, summary = evaluate(params, tmp_path / "inst", K=2)
+            report(records, out)
+            return records, summary["errors"]
+
+        cpus(2)
+        clean_records, clean_errors = run(tmp_path / "clean")
+        assert clean_errors == []
+        clean = json.loads((tmp_path / "clean" / "ds.jsonl.manifest.json").read_text())
+        assert clean["kept"] == 2  # gisp_n12_s0 and gisp_n12_s3
+        dead = pipeline._DEAD
+        for count in (2, 4):
+            cpus(count)
+            pids = tmp_path / f"pids{count}"
+            for name in ("collect_one", "evaluate_instance"):
+                patch_to_die(monkeypatch, name, pids)
+            out = tmp_path / f"cpus{count}"
+            records, errors = run(out)
+            manifest = json.loads((out / "ds.jsonl.manifest.json").read_text())
+            assert manifest["failed"] == 1
+            assert manifest["instances"] == [
+                {"file": "gisp_n12_s2.bdmilp", "error": dead} if e["file"] == "gisp_n12_s2.bdmilp" else e
+                for e in clean["instances"]
+            ]
+            assert (out / "ds.jsonl").read_bytes() == (tmp_path / "clean" / "ds.jsonl").read_bytes()
+            assert timing_lines(out / "ds.jsonl")[2] == {"file": "gisp_n12_s2.bdmilp", "error": dead}
+            assert errors == [{"instance": "gisp_n12_s2.bdmilp", "error": dead}]
+            assert records == [r for r in clean_records if r.instance != "gisp_n12_s2"]
+            assert str(os.getpid()) not in set(pids.read_text().split())
             assert not multiprocessing.active_children()
-            pids.unlink()
+            monkeypatch.undo()
+        for name in ("ds.jsonl", "ds.jsonl.manifest.json", "results.csv", "summary.txt"):
+            assert (tmp_path / "cpus2" / name).read_bytes() == (tmp_path / "cpus4" / name).read_bytes(), name
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the patched collect_one reaches pool workers only when they fork",
+    )
+    def test_worker_that_dies_once_changes_no_byte(self, tmp_path, monkeypatch, cpus):
+        """An instance whose first worker dies and whose rerun succeeds leaves
+        the outputs of an undisturbed run."""
+        cpus(2)
+        write_gisp_dir(tmp_path / "inst", range(4), nodes=12)
+        cfg = CollectConfig(K=2, top_k=4, p=1, q=1, mcts_budget=6, probe_node_limit=4, seed=0)
+        collect_dataset(tmp_path / "inst", tmp_path / "clean.jsonl", cfg, workers=2)
+        flag, original = tmp_path / "died", pipeline.collect_one
+
+        def dying_once(path, *args):
+            if Path(path).stem.endswith("_s2") and not flag.exists():
+                flag.touch()
+                os._exit(1)
+            return original(path, *args)
+
+        monkeypatch.setattr(pipeline, "collect_one", dying_once)
+        collect_dataset(tmp_path / "inst", tmp_path / "once.jsonl", cfg, workers=2)
+        assert flag.exists()
+        for suffix in ("", ".manifest.json"):
+            assert (tmp_path / f"once.jsonl{suffix}").read_bytes() == (tmp_path / f"clean.jsonl{suffix}").read_bytes()
+        once, clean = (timing_lines(tmp_path / f"{name}.jsonl") for name in ("once", "clean"))
+        assert all(t.pop("seconds") > 0.0 for t in once + clean)
+        assert once == clean
+
+    @pytest.mark.parametrize("workers", [1.5, 2.5, True])
+    def test_workers_must_be_an_integer(self, tmp_path, workers):
+        """Checked by the integer rule before any output is opened."""
+        write_gisp_dir(tmp_path / "inst", [0], nodes=6)
+        with pytest.raises(ValueError, match=f"^workers {workers!r} is not an integer$"):
+            collect_dataset(tmp_path / "inst", tmp_path / "out" / "ds.jsonl", CollectConfig(**SMALL_COLLECT), workers)
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.skipif(
         multiprocessing.get_start_method() != "fork",
@@ -300,6 +358,68 @@ class TestCollect:
             n = sample.graph.num_vars
             for bd in sample.positives + sample.negatives:
                 assert all(0 <= j < n for j in bd)
+
+
+def toy_job(job):
+    """A runner job ``(index, seconds, die)``: sleeps, then ends its process
+    if ``die``, raises on index 5, or returns the index squared."""
+    index, seconds, die = job
+    time.sleep(seconds)
+    if die:
+        os._exit(1)
+    if index == 5:
+        raise ValueError("five")
+    return index * index
+
+
+def logged_job(job):
+    """A runner job ``(index, log)``: appends its index to ``log``, then
+    sleeps unless it is the first."""
+    index, log = job
+    with open(log, "a", encoding="ascii") as fh:
+        fh.write(f"{index}\n")
+    time.sleep(0.0 if index == 0 else 0.2)
+    return index
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="a pool worker runs this module's toy jobs only when it forks",
+)
+class TestRunner:
+    @pytest.mark.parametrize("deaths", [{3, 4}, {0}, {8}, {1, 2, 3}])
+    def test_records_exactly_the_jobs_that_kill_their_worker(self, cpus, deaths):
+        """Nine jobs on 2 CPUs: every other job keeps its result, or its
+        message if it raised."""
+        cpus(2)
+        jobs = [(i, 0.02 * (i % 3), i in deaths) for i in range(9)]
+        outcomes = list(pipeline._in_order(toy_job, jobs, 2))
+        for i, (result, error, seconds) in enumerate(outcomes):
+            if i in deaths:
+                assert (result, error, seconds) == (None, pipeline._DEAD, None)
+            elif i == 5:
+                assert (result, error) == (None, "ValueError: five") and seconds >= 0.0
+            else:
+                assert (result, error) == (i * i, None) and seconds >= 0.0
+        assert not multiprocessing.active_children()
+
+    def test_second_job_in_flight_dying_fails_only_itself(self, cpus):
+        """Job 0 is still running when job 1 kills the pool; job 0 is rerun
+        and keeps its result."""
+        cpus(2)
+        jobs = [(0, 0.3, False), (1, 0.0, True), (2, 0.0, False), (3, 0.0, False)]
+        outcomes = list(pipeline._in_order(toy_job, jobs, 2))
+        assert [outcome[:2] for outcome in outcomes] == [(0, None), (None, pipeline._DEAD), (4, None), (9, None)]
+
+    def test_closing_runs_at_most_one_job_per_worker_more(self, tmp_path, cpus):
+        cpus(2)
+        log = tmp_path / "started"
+        runner = pipeline._in_order(logged_job, [(i, str(log)) for i in range(20)], 2)
+        assert next(runner)[:2] == (0, None)
+        runner.close()
+        started = log.read_text().split()
+        assert "0" in started and len(started) - 1 <= 2
+        assert not multiprocessing.active_children()
 
 
 class TestEvaluate:
