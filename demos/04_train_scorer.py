@@ -24,10 +24,7 @@ dataset = work / "dataset.jsonl"
 manifest = collect_dataset(
     inst_dir,
     dataset,
-    CollectConfig(
-        K=4, top_k=10, p=3, q=3, mcts_budget=25, probe_node_limit=12,
-        label_node_limit=3000, seed=0,
-    ),
+    CollectConfig(top_k=10, p=3, q=3, mcts_budget=25, seed=0),
     workers=2,
 )
 print(f"collected {manifest['kept']} records, skipped {manifest['skipped']}")

@@ -33,15 +33,12 @@ dataset = work / "dataset.jsonl"
 collect_dataset(
     train_dir,
     dataset,
-    CollectConfig(
-        K=4, top_k=10, p=3, q=3, mcts_budget=25, probe_node_limit=12,
-        label_node_limit=3000, seed=0,
-    ),
+    CollectConfig(top_k=10, p=3, q=3, mcts_budget=25, seed=0),
     workers=2,
 )
 params, _ = train_from_file(dataset, TrainConfig(epochs=30, seed=0))
 
-records, summary = evaluate(params, test_dir, K=4, node_cap=5000)
+records, summary = evaluate(params, test_dir)
 out = work / "report"
 report(records, out)
 

@@ -7,10 +7,10 @@ summed method and baseline nodes over the training seeds, each model's
 training CPU seconds, and an exact two-sided sign test against the
 reference size on the per-(training seed, instance) method nodes.
 
-The default cell (``CELL``) is criterion 9's collection over 100 fresh
-GISP-25 instances, H in {1, 2, 8} at L 64 and hidden 64, training seeds 0-2,
-and three test sets: GISP-25, GISP-35 and GISP-40.  From the repository
-root:
+The default cell (``CELL``) is criterion 9's configuration, the package
+defaults, over 100 fresh GISP-25 training instances: H in {1, 2, 8} at the
+default L and hidden, training seeds 0-2, and three test sets: GISP-25,
+GISP-35 and GISP-40.  From the repository root:
 
     python3 quality/run.py                    # writes quality/run.json
     python3 quality/run.py --out table.json
@@ -36,7 +36,7 @@ import platform
 import sys
 import tempfile
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -48,7 +48,7 @@ import numpy as np  # noqa: E402
 from backdoorlab import gen_gisp, write_instance  # noqa: E402
 from backdoorlab.gnn import TrainConfig, train  # noqa: E402
 from backdoorlab.pipeline import (  # noqa: E402
-    LOSS, TIE, WIN, CollectConfig, collect_dataset, evaluate_choosers, load_dataset, predict_backdoor,
+    LOSS, NODE_CAP, TIE, WIN, CollectConfig, collect_dataset, evaluate_choosers, load_dataset, predict_backdoor,
 )
 
 # The gate: a size passes when, on every test set, it needs at most this
@@ -64,7 +64,9 @@ CANDIDATES = (1, 2)
 class Cell:
     """What one cell runs.  ``test_sets`` maps a test set's name to its GISP
     node count and instance seeds; ``reference`` is the size in ``sizes``
-    every sign test compares with."""
+    every sign test compares with.  Each model trains with ``train`` but for
+    its H, from ``sizes``, and its seed, from ``model_seeds``; evaluation
+    runs at the package's default K and node cap."""
 
     train_nodes: int
     train_seeds: range
@@ -73,21 +75,14 @@ class Cell:
     sizes: tuple[int, ...]
     reference: int
     model_seeds: tuple[int, ...]
-    epochs: int
-    L: int = 64
-    hidden: int = 64
-    batch_size: int = 32
-    K: int = 4
-    node_cap: int = 5000
+    train: TrainConfig = TrainConfig()
     workers: int = 2
 
 
 CELL = Cell(
     train_nodes=25,
     train_seeds=range(7000, 7100),
-    collect=CollectConfig(
-        K=4, top_k=12, p=5, q=5, mcts_budget=30, probe_node_limit=12, label_node_limit=3000, seed=31,
-    ),
+    collect=CollectConfig(seed=31),
     test_sets={
         "gisp25": (25, range(7100, 7150)),
         "gisp35": (35, range(7200, 7230)),
@@ -96,7 +91,6 @@ CELL = Cell(
     sizes=(1, 2, 8),
     reference=8,
     model_seeds=(0, 1, 2),
-    epochs=40,
 )
 
 
@@ -143,16 +137,13 @@ def run_cell(cell: Cell, workdir) -> dict:
     models = {}  # (H, model seed) -> trained parameters
     for H in cell.sizes:
         for seed in cell.model_seeds:
-            cfg = TrainConfig(
-                L=cell.L, H=H, hidden=cell.hidden, batch_size=cell.batch_size, epochs=cell.epochs, seed=seed,
-            )
             t0 = time.process_time()
-            models[H, seed], _ = train(samples, cfg)
+            models[H, seed], _ = train(samples, replace(cell.train, H=H, seed=seed))
             cpu.setdefault(H, []).append(round(time.process_time() - t0, 2))
     choosers = [functools.partial(predict_backdoor, params) for params in models.values()]
     runs: dict[tuple[int, str], list[list]] = {}  # (H, test set) -> one record list per model seed
     for name in cell.test_sets:
-        per_model, errors = evaluate_choosers(workdir / name, choosers, cell.K, cell.node_cap)
+        per_model, errors = evaluate_choosers(workdir / name, choosers)
         if errors:
             raise ValueError(f"test set {name}: {errors[0]['instance']} failed with {errors[0]['error']}")
         for (H, _), records in zip(models, per_model):
@@ -238,6 +229,9 @@ def main(argv=None) -> int:
     cell = asdict(CELL)
     cell["train_seeds"] = [CELL.train_seeds.start, CELL.train_seeds.stop - 1]
     cell["test_sets"] = {k: {"nodes": n, "seeds": [s.start, s.stop - 1]} for k, (n, s) in CELL.test_sets.items()}
+    for name in ("H", "seed"):  # each model's own, from sizes and model_seeds
+        del cell["train"][name]
+    cell["evaluate"] = {"K": CollectConfig.K, "node_cap": NODE_CAP}
     doc = {
         "command": "python3 quality/run.py",
         "cell": cell,

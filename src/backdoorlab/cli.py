@@ -22,6 +22,7 @@ from .inputs import check_integer, parse_json, read_lines, read_number
 from .milp import FILE_EXTENSION, read_instance, write_instance
 from .pipeline import (
     MCTS,
+    NODE_CAP,
     SAMPLING,
     CollectConfig,
     _write_manifest,
@@ -271,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--model", required=True)
     e.add_argument("--instances", required=True)
     e.add_argument("--K", type=integer, default=CollectConfig.K)
-    e.add_argument("--node-cap", dest="node_cap", type=integer, default=None)
+    e.add_argument("--node-cap", dest="node_cap", type=integer, default=NODE_CAP)
     e.add_argument("--out", required=True)
     e.set_defaults(func=_cmd_evaluate)
 

@@ -124,9 +124,10 @@ def mcts_search(
     inst: MilpInstance,
     K: int,
     iteration_budget: int,
-    probe_node_limit: int | None = 500,
-    seed: int = 0,
-    top_k: int = 50,
+    *,
+    probe_node_limit: int | None,
+    seed: int,
+    top_k: int,
     stats: dict | None = None,
 ) -> list[tuple[Backdoor, float]]:
     """UCT search over growing variable subsets; terminal reward = probe weight.
@@ -217,8 +218,9 @@ def mcts_search(
 def label_samples(
     inst: MilpInstance,
     candidates: list[Backdoor],
-    p: int = 5,
-    q: int = 5,
+    *,
+    p: int,
+    q: int,
     node_limit: int | None = None,
 ) -> LabelResult:
     """Measure candidate efforts and split into positive/negative samples.

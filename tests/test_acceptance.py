@@ -245,12 +245,12 @@ def test_criterion_6_mcts_oracle():
         )
         ranked = mcts_search(
             inst, K=K, iteration_budget=5 * len(subsets), probe_node_limit=limit,
-            seed=seed,
+            seed=seed, top_k=50,
         )
         full_hits += abs(ranked[0][1] - best) < 1e-12
         quarter = mcts_search(
             inst, K=K, iteration_budget=len(subsets) // 4, probe_node_limit=limit,
-            seed=seed,
+            seed=seed, top_k=50,
         )
         quarter_hits += quarter[0][1] >= 0.9 * best
     _verdict(
@@ -293,8 +293,9 @@ def test_criterion_8_learning_signal():
 @pytest.mark.slow
 def test_criterion_9_end_to_end_gisp(tmp_path):
     """Desk-scale analogue of the headline result: on 50 held-out 25-node
-    instances, model-picked backdoors (K=4, model trained on 100 instances)
-    win strictly more often than they lose, with median improvement >= 0."""
+    instances, model-picked backdoors (the default configuration, model
+    trained on 100 instances) win strictly more often than they lose, with
+    median improvement >= 0."""
     train_dir = tmp_path / "train"
     test_dir = tmp_path / "test"
     train_dir.mkdir()
@@ -305,13 +306,9 @@ def test_criterion_9_end_to_end_gisp(tmp_path):
     for s in range(1000, 1050):
         inst = gen_gisp(nodes=25, seed=s)
         write_instance(inst, test_dir / f"{inst.name}.bdmilp")
-    cfg = CollectConfig(
-        K=4, top_k=12, p=5, q=5, mcts_budget=30, probe_node_limit=12,
-        label_node_limit=3000, seed=0,
-    )
-    collect_dataset(train_dir, tmp_path / "ds.jsonl", cfg, workers=2)
-    params, _ = train_from_file(tmp_path / "ds.jsonl", TrainConfig(epochs=40, seed=0))
-    records, summary = evaluate(params, test_dir, K=4, node_cap=5000)
+    collect_dataset(train_dir, tmp_path / "ds.jsonl", CollectConfig(seed=0), workers=2)
+    params, _ = train_from_file(tmp_path / "ds.jsonl", TrainConfig(seed=0))
+    records, summary = evaluate(params, test_dir)
     ok = (
         len(records) == 50
         and summary["wins"] > summary["losses"]

@@ -50,10 +50,29 @@ def test_traced_evaluate_on_a_pool_returns_the_untraced_records(tmp_path):
         "for seed in (100, 101):\n"
         "    write_instance(gen_gisp(nodes=12, seed=seed), Path(f'gisp{seed}.bdmilp'))\n"
         "params = GatParameters.init(seed=0, L=8, H=2, hidden=6)\n"
-        "untraced = evaluate(params, '.', K=4, node_cap=5000)\n"
+        "untraced = evaluate(params, '.')\n"
         "layertrace.install(layertrace.Tracer())\n"
-        "traced = evaluate(params, '.', K=4, node_cap=5000)\n"
+        "traced = evaluate(params, '.')\n"
         "assert len(traced[0]) == 2 and traced == untraced, (traced, untraced)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-B", "-c", code], cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+def test_the_pipeline_workload_runs_the_default_operating_point(tmp_path):
+    """pipeline-gisp25 spells out its collection values, K and node cap; they
+    equal the package defaults, so the benchmark times what a flagless
+    ``collect`` and ``evaluate`` run."""
+    code = (
+        f"import sys; sys.path[:0] = [{str(ROOT / 'perfbench')!r}, {str(ROOT / 'src')!r}]\n"
+        "import workloads\n"
+        "from backdoorlab.pipeline import NODE_CAP, CollectConfig\n"
+        "bench = workloads.PipelineGisp25\n"
+        "for seed in (0, 1, 4420):\n"
+        "    assert CollectConfig(seed=seed, **bench.COLLECT) == CollectConfig(seed=seed), bench.COLLECT\n"
+        "assert (workloads.K, bench.NODE_CAP) == (CollectConfig.K, NODE_CAP), (workloads.K, bench.NODE_CAP)\n"
     )
     proc = subprocess.run(
         [sys.executable, "-B", "-c", code], cwd=tmp_path, capture_output=True, text=True, timeout=120,

@@ -541,6 +541,38 @@ def test_K_defaults_to_the_collect_default():
     assert inspect.signature(evaluate).parameters["K"].default == CollectConfig.K
 
 
+# Criterion 9's operating point, spelled out as flags.
+OPERATING_POINT = {
+    "collect": ["--K", "4", "--k", "12", "--p", "5", "--q", "5", "--budget", "30", "--probe-limit", "12",
+                "--label-limit", "3000"],
+    "train": ["--epochs", "40", "--L", "64", "--H", "1", "--hidden", "64"],
+    "evaluate": ["--K", "4", "--node-cap", "5000"],
+}
+
+
+def test_flagless_commands_run_the_operating_point(tmp_path, capsys):
+    """``collect``, ``train`` and ``evaluate`` without the operating point's
+    flags write the same dataset, manifest, checkpoint and ``results.csv``
+    bytes as with every one of them spelled out."""
+    write_gisp_dir(tmp_path / "train", range(4), nodes=20)
+    write_gisp_dir(tmp_path / "test", [100, 101], nodes=20)
+    written = []
+    for flags in ({}, OPERATING_POINT):
+        out = tmp_path / ("flagged" if flags else "flagless")
+        ds, model = out / "ds.jsonl", out / "model.ckpt"
+        for command, options in (
+            ("collect", ["--instances", str(tmp_path / "train"), "--out", str(ds)]),
+            ("train", ["--dataset", str(ds), "--out", str(model)]),
+            ("evaluate", ["--model", str(model), "--instances", str(tmp_path / "test"), "--out", str(out)]),
+        ):
+            code, _ = run(capsys, command, *options, *flags.get(command, []))
+            assert code == 0, capsys.readouterr().err
+        files = (ds, out / "ds.jsonl.manifest.json", model, out / "results.csv")
+        written.append([path.read_bytes() for path in files])
+    assert written[0] == written[1]
+    assert written[0][0]  # some instance is kept
+
+
 @pytest.fixture
 def one_instance(tmp_path):
     inst_dir = tmp_path / "inst"

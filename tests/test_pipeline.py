@@ -86,13 +86,6 @@ SMALL_COLLECT = dict(
 )
 
 
-# The pipeline-gisp25 benchmark's collection settings.
-BENCH_COLLECT = dict(
-    K=4, top_k=12, p=5, q=5, mcts_budget=30, probe_node_limit=12,
-    label_node_limit=3000, seed=0,
-)
-
-
 class TestCollect:
     @pytest.mark.parametrize("seed, kept, digest", [
         pytest.param(
@@ -103,12 +96,10 @@ class TestCollect:
         ),
     ])
     def test_collect_one_output_is_pinned(self, tmp_path, seed, kept, digest):
-        """Record and manifest entry as collected when cold LP solves moved to
-        the dual kernel."""
+        """Record and manifest entry at the default configuration, as
+        collected when cold LP solves moved to the dual kernel."""
         write_gisp_dir(tmp_path, [seed], nodes=25)
-        record, entry = collect_one(
-            tmp_path / f"gisp_n25_s{seed}.bdmilp", seed, CollectConfig(**BENCH_COLLECT)
-        )
+        record, entry = collect_one(tmp_path / f"gisp_n25_s{seed}.bdmilp", seed, CollectConfig(seed=0))
         assert (record is not None) == kept
         blob = json.dumps([record, entry], sort_keys=True).encode()
         assert hashlib.sha256(blob).hexdigest() == digest
@@ -425,10 +416,10 @@ class TestRunner:
 class TestEvaluate:
     def test_efforts_are_pinned(self, tmp_path):
         """Baseline and method node counts of an untrained seed-0 model with 8
-        heads on two GISP-25 test instances, as evaluated before the LP hot
-        path was reworked."""
+        heads on two GISP-25 test instances at the default K and node cap, as
+        evaluated before the LP hot path was reworked."""
         write_gisp_dir(tmp_path, [5000, 5005], nodes=25)
-        records, summary = evaluate(GatParameters.init(seed=0, H=8), tmp_path, K=4, node_cap=5000)
+        records, summary = evaluate(GatParameters.init(seed=0, H=8), tmp_path)
         assert [(r.instance, r.baseline_effort, r.method_effort) for r in records] == [
             ("gisp_n25_s5000", 53, 57),
             ("gisp_n25_s5005", 81, 83),
@@ -442,11 +433,11 @@ class TestEvaluate:
         a pool of 2 as from ``evaluate_instance``."""
         write_gisp_dir(tmp_path, [100, 101], nodes=12)
         models = [GatParameters.init(seed=seed, L=8, H=H, hidden=8) for seed, H in ((0, 1), (1, 1), (2, 8))]
-        want = [evaluate(params, tmp_path, K=4, node_cap=5000)[0] for params in models]
+        want = [evaluate(params, tmp_path)[0] for params in models]
         choosers = [functools.partial(predict_backdoor, params) for params in models]
         for count in (1, 2):
             cpus(count)
-            assert evaluate_choosers(tmp_path, choosers, 4, 5000) == (want, [])
+            assert evaluate_choosers(tmp_path, choosers) == (want, [])
         solves, solve_bnb = collections.Counter(), pipeline.solve_bnb
 
         def counted(inst, cfg=None):
@@ -454,7 +445,7 @@ class TestEvaluate:
             return solve_bnb(inst, cfg)
 
         monkeypatch.setattr(pipeline, "solve_bnb", counted)
-        per_instance = [evaluate_instance(read_instance(p), choosers, 4, 5000) for p in instance_paths(tmp_path)]
+        per_instance = [evaluate_instance(read_instance(p), choosers) for p in instance_paths(tmp_path)]
         assert solves == {"gisp_n12_s100": 1 + 3, "gisp_n12_s101": 1 + 3}
         assert [list(records) for records in zip(*per_instance)] == want
 
@@ -543,6 +534,8 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("K, node_cap, message", [
         (0, 500, "K must be at least 1, got 0"),
+        (True, 500, "K True is not an integer"),
+        (2.0, 500, "K 2.0 is not an integer"),
         (3, 0, "node_limit must be None or at least 1, got 0"),
     ])
     def test_bad_k_or_cap_raises_before_any_instance_runs(self, tmp_path, K, node_cap, message):

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from backdoorlab.gnn import GatParameters
+from backdoorlab.gnn import GatParameters, TrainConfig
 from backdoorlab.milp import read_instance
 from backdoorlab.pipeline import evaluate, evaluate_instance, instance_paths, predict_backdoor
 
@@ -42,7 +42,7 @@ def test_sign_test_is_the_exact_two_sided_binomial(quality, better, worse, p):
 def test_a_tiny_cell_writes_one_row_per_size_and_test_set(quality, tmp_path):
     cell = replace(
         quality.CELL, train_nodes=12, train_seeds=range(4), test_sets={"gisp12": (12, range(100, 102))},
-        sizes=(1, 2), reference=2, epochs=2, workers=1,
+        sizes=(1, 2), reference=2, train=TrainConfig(epochs=2), workers=1,
     )
     result = quality.run_cell(cell, tmp_path)
     assert result["collection"]["kept"] + result["collection"]["skipped"] == 4
@@ -65,14 +65,14 @@ def test_a_tiny_cell_writes_one_row_per_size_and_test_set(quality, tmp_path):
 
 def test_models_on_shared_instances_get_the_records_evaluate_gives(quality, tmp_path):
     """The tiny cell's test set, read once and evaluated with two models'
-    choosers, gives each model the records of its own ``evaluate`` call."""
+    choosers at the default K and node cap, gives each model the records of
+    its own ``evaluate`` call."""
     nodes, seeds = 12, range(100, 102)
     quality._write_gisp(tmp_path / "gisp12", nodes, seeds)
     models = [GatParameters.init(seed=seed, L=8, H=H, hidden=8) for seed, H in ((0, 1), (1, 2))]
     shared = [read_instance(p) for p in instance_paths(tmp_path / "gisp12")]
-    K, cap = quality.CELL.K, quality.CELL.node_cap
     choosers = [functools.partial(predict_backdoor, params) for params in models]
-    got = [list(records) for records in zip(*(evaluate_instance(inst, choosers, K, cap) for inst in shared))]
-    want = [evaluate(params, tmp_path / "gisp12", K=K, node_cap=cap)[0] for params in models]
+    got = [list(records) for records in zip(*(evaluate_instance(inst, choosers) for inst in shared))]
+    want = [evaluate(params, tmp_path / "gisp12")[0] for params in models]
     assert got == want and len(got[0]) == len(seeds)
     assert sum(inst.lp.counters()["memo_hits"] for inst in shared) > 0

@@ -91,7 +91,7 @@ class TestMcts:
         )
         ranked = mcts_search(
             inst, K=2, iteration_budget=5 * len(pairs), probe_node_limit=limit,
-            seed=0,
+            seed=0, top_k=50,
         )
         assert ranked[0][1] == pytest.approx(best, abs=1e-12)
         assert len(ranked) == len(pairs)  # everything evaluated
@@ -107,19 +107,19 @@ class TestMcts:
             )
             ranked = mcts_search(
                 inst, K=K, iteration_budget=6 * len(subs),
-                probe_node_limit=limit, seed=seed,
+                probe_node_limit=limit, seed=seed, top_k=50,
             )
             assert ranked[0][1] == pytest.approx(best, abs=1e-12)
 
     def test_fixed_seed_identical_ranking(self):
         inst = gen_mis(nodes=8, avg_degree=4.0, seed=2)
-        a = mcts_search(inst, K=3, iteration_budget=40, probe_node_limit=8, seed=5)
-        b = mcts_search(inst, K=3, iteration_budget=40, probe_node_limit=8, seed=5)
+        a = mcts_search(inst, K=3, iteration_budget=40, probe_node_limit=8, seed=5, top_k=50)
+        b = mcts_search(inst, K=3, iteration_budget=40, probe_node_limit=8, seed=5, top_k=50)
         assert a == b
 
     def test_outputs_distinct_correct_size(self):
         inst = gen_mis(nodes=9, avg_degree=4.0, seed=3)
-        ranked = mcts_search(inst, K=3, iteration_budget=60, probe_node_limit=8, seed=1)
+        ranked = mcts_search(inst, K=3, iteration_budget=60, probe_node_limit=8, seed=1, top_k=50)
         seen = set()
         for bd, w in ranked:
             assert bd.size == 3
@@ -130,7 +130,7 @@ class TestMcts:
     def test_rewards_reproducible_by_independent_probe(self):
         inst = gen_mis(nodes=8, avg_degree=4.0, seed=4)
         limit = 8
-        ranked = mcts_search(inst, K=2, iteration_budget=50, probe_node_limit=limit, seed=2)
+        ranked = mcts_search(inst, K=2, iteration_budget=50, probe_node_limit=limit, seed=2, top_k=50)
         for bd, w in ranked[:5]:
             w2, _, _ = restricted_probe(inst, bd.vars, node_limit=limit)
             assert w2 == w
@@ -141,7 +141,7 @@ class TestMcts:
             limit = 6
             ranked = mcts_search(
                 inst, K=2, iteration_budget=200, probe_node_limit=limit,
-                seed=seed,
+                seed=seed, top_k=50,
             )
             sampled = biased_sample(inst, K=2, count=20, seed=seed)
             best_sampled = max(
@@ -159,19 +159,19 @@ class TestMcts:
             inst = gen_gisp(nodes=25, seed=seed)
             n = len(inst.binary_set)
             stats = {}
-            mcts_search(inst, K=4, iteration_budget=budget, probe_node_limit=12, seed=seed, stats=stats)
+            mcts_search(inst, K=4, iteration_budget=budget, probe_node_limit=12, seed=seed, top_k=50, stats=stats)
             assert stats["selections"] == max(0, budget - n)
             assert stats["max_depth"] == (1 if budget <= n else 2)
 
     def test_zero_budget_signaled(self):
         inst = gen_mis(nodes=6, avg_degree=3.0, seed=0)
         with pytest.raises(ValueError, match="budget"):
-            mcts_search(inst, K=2, iteration_budget=0, probe_node_limit=4, seed=0)
+            mcts_search(inst, K=2, iteration_budget=0, probe_node_limit=4, seed=0, top_k=50)
 
     def test_k_too_large(self):
         inst = gen_mis(nodes=6, avg_degree=3.0, seed=0)
         with pytest.raises(ValueError):
-            mcts_search(inst, K=7, iteration_budget=5, probe_node_limit=4, seed=0)
+            mcts_search(inst, K=7, iteration_budget=5, probe_node_limit=4, seed=0, top_k=50)
 
 
 class TestLabelSamples:
