@@ -25,16 +25,23 @@ values rounded to float32 or against fixed tolerances, so the last-bit
 differences between two inverses of one basis do not change the path (short
 of a value on a rounding boundary), and the optimal point is recomputed by an
 LU solve on the final basis: a result depends on its inputs, not on which
-inverse of the start basis the workspace held.  That point is the one drift
-guard: it must lie within its bounds and agree with the carried basic values,
-or an inverse that carried updates is rebuilt, at most once per run, and the
-run goes on.  An infeasible verdict stands only when the pivot row proves it
-(a Farkas certificate recomputed from that row against the real bounds).  A
-warm start whose nonbasic columns do not sit at finite bounds, an unproven
-verdict or a numerical failure (a final point that fails with no update to
-blame, or fails again after its run's rebuild, is one) is retried from the
-slack basis, counted in ``cold_retries``; the same failure of a cold run
-raises :class:`SimplexNumericalError`.
+inverse of the start basis the workspace held.
+
+Every verdict carries a checked proof.  OPTIMAL has two halves.  The point
+must lie within its bounds and agree with the carried basic values (the drift
+guard), and ``_verify`` checks it against the rows.  Its optimality is the
+dual bound ``b·y + Σ_j min(l_j d_j, u_j d_j)`` of ``y = c_B B^-1`` over the
+real bounds (the safe bound of Neumaier and Shcherbina, Math. Programming 99,
+2004), which must reach the objective within 1e-9 (1 + |objective|); it fails
+when the carried reduced costs stopped the run short of optimal.  INFEASIBLE
+stands only when the pivot row proves it (a Farkas certificate recomputed from
+that row against the real bounds), and UNBOUNDED only on a free ray.  A point
+or a bound that fails rebuilds an inverse that carried updates, at most once
+per run, and the run goes on.  A warm start whose nonbasic columns do not sit
+at finite bounds, an unproven verdict or a numerical failure (a point or bound
+that fails with no update to blame, or fails again after its run's rebuild, is
+one) is retried from the slack basis, counted in ``cold_retries``; the same
+failure of a cold run raises :class:`SimplexNumericalError`.
 
 The kernel is plain numpy over a dense explicit inverse: pricing, the ratio
 test and the infeasibility scan are array operations over all columns or
@@ -50,8 +57,8 @@ inverse of every kernel run that ends optimal, so its children skip the
 inversion, and every inverse computed for a start basis, so the second
 sibling does too.  Each kept inverse carries its count of rank-one updates,
 and a kernel rebuilds it once the count reaches ``_REFACTOR_EVERY`` or when
-its final point breaks its bounds or disagrees with the carried one (this
-last at most once per run).
+its final point breaks its bounds or disagrees with the carried one, or its
+dual bound falls short of the objective (these last at most once per run).
 """
 
 from __future__ import annotations
@@ -206,12 +213,15 @@ class LpWorkspace:
     identity is not one), ``refactorizations`` those of them that rebuilt an
     inverse a kernel was carrying (after ``_REFACTOR_EVERY`` updates, or when
     the LU-resolved final point breaks its bounds or disagrees with the
-    carried one), and ``inverse_hits`` the warm starts whose inverse was kept.
+    carried one, or its dual bound falls short), ``inverse_hits`` the warm
+    starts whose inverse was kept, and ``uncertified`` the optima whose dual
+    bound fell short of their objective (each one rebuilt, retried cold or
+    refused, never reported).
     """
 
     COUNTERS = (
         "memo_hits", "cold_retries", "kernel_runs", "pivots", "inversions",
-        "refactorizations", "inverse_hits",
+        "refactorizations", "inverse_hits", "uncertified",
     )
 
     def __init__(self, lp: MilpInstance):
@@ -385,14 +395,17 @@ class LpWorkspace:
 
         ``bounds`` is the solve's bounds table (see ``__init__``); ``vstat``
         and ``basis`` are updated in place.  Returns the run's OPTIMAL,
-        INFEASIBLE or UNBOUNDED solution; an optimal point is verified, and
-        then its final inverse kept.  Raises :class:`SimplexIterationError`
-        at the iteration limit and ``_Unsettled`` for a nonbasic column at an
-        infinite bound, a final point that fails its re-check with no update
-        to blame or again after the one rebuild a run makes for it, an
-        infeasible verdict that the pivot row does not prove, and an
-        artificial bound still held after ``_ARTIFICIAL_ROUNDS`` rounds.
-        Each pivot is counted in ``pivots`` as it is made.
+        INFEASIBLE or UNBOUNDED solution; an optimum is reported only when
+        its point passes its re-check and ``_verify`` and its dual bound
+        (``_dual_bound``) reaches its objective, and then its final inverse
+        is kept.  Raises :class:`SimplexIterationError` at the iteration
+        limit and ``_Unsettled`` for a nonbasic column at an infinite bound,
+        a final point or dual bound that fails with no update to blame or
+        again after the one rebuild a run makes for either, an infeasible
+        verdict that the pivot row does not prove, and an artificial bound
+        still held after ``_ARTIFICIAL_ROUNDS`` rounds.  Each pivot is
+        counted in ``pivots`` as it is made, each failed dual bound in
+        ``uncertified``.
         """
         WT, b, c = self.WT, self.b, self.c_ext
         n, m = self.n, self.m
@@ -465,8 +478,6 @@ class LpWorkspace:
             viol = np.maximum(loB - xB, xB - upB)
             r = _dual_leaving_row(viol, basis, bland)
             if r < 0:
-                if _any(side * d > 100.0 * dtol):
-                    raise _Unsettled
                 held = art[side[art] == art_side]
                 if held.size:
                     # An optimum on an artificial bound.  While the held
@@ -489,33 +500,44 @@ class LpWorkspace:
                     continue
                 # The point comes from the final basis alone, not from the
                 # updates that led there, and it must agree with the carried
-                # one: this is the one check that sees a drifted inverse.  (A
-                # pivot row and column test would not: with an explicit
-                # inverse, both products read the same ``Binv``.)
+                # one: this check sees a drifted inverse.  (A pivot row and
+                # column test would not: with an explicit inverse, both
+                # products read the same ``Binv``.)
                 xLU = self._basic_values(basis, b - np.dot(z, WT))
                 off = _any(np.maximum(loB - xLU, xLU - upB) > _FTOL)
-                if off or _any(np.abs(xLU - xB) > 1e-9 * (1.0 + np.abs(xB))):
-                    if updates == 0 or rebuilt:
-                        raise _Unsettled
-                    rebuilt = True
-                    updates = _REFACTOR_EVERY
-                    continue
-                xB = xLU
-                z[basis] = xB
-                x = z[:n].clip(bounds[0, :n], bounds[1, :n])
-                self._verify(x, bounds[0, :n], bounds[1, :n])
-                self._keep_inverse(basis, Binv, updates)
-                return LpSolution(
-                    status=OPTIMAL,
-                    x=x,
-                    objective=float(c[:n] @ x),
-                    reduced_costs=c[:n] - WT[:n] @ np.dot(c[basis], Binv),
-                    at_lower=vstat[:n] == _AT_LOWER,
-                    at_upper=vstat[:n] == _AT_UPPER,
-                    iterations=iters,
-                    vstat=vstat,
-                    basis=basis,
-                )
+                if not (off or _any(np.abs(xLU - xB) > 1e-9 * (1.0 + np.abs(xB)))):
+                    z[basis] = xLU
+                    x = z[:n].clip(bounds[0, :n], bounds[1, :n])
+                    self._verify(x, bounds[0, :n], bounds[1, :n])
+                    objective = float(c[:n] @ x)
+                    # The optimum's dual half: the bound of y = c_B B^-1 must
+                    # reach the objective.  ``d`` is recomputed from y, so
+                    # carried reduced costs that went wrong cannot pass.
+                    y = np.dot(c[basis], Binv)
+                    np.subtract(c, np.dot(WT, y), out=d)
+                    bound = self._dual_bound(y, d, bounds[0], bounds[1])
+                    if bound >= objective - 1e-9 * (1.0 + abs(objective)):
+                        self._keep_inverse(basis, Binv, updates)
+                        return LpSolution(
+                            status=OPTIMAL,
+                            x=x,
+                            objective=objective,
+                            reduced_costs=d[:n].copy(),  # not a view that keeps ``cols`` in the memo
+                            at_lower=vstat[:n] == _AT_LOWER,
+                            at_upper=vstat[:n] == _AT_UPPER,
+                            iterations=iters,
+                            vstat=vstat,
+                            basis=basis,
+                        )
+                    self.uncertified += 1
+                    z[basis] = 0.0
+                # A point or a bound that fails: rebuild a carried inverse
+                # once, and recompute from it.
+                if updates == 0 or rebuilt:
+                    raise _Unsettled
+                rebuilt = True
+                updates = _REFACTOR_EVERY
+                continue
 
             x_r = float(xB[r])
             to_lower = x_r < loB[r]
@@ -618,6 +640,21 @@ class LpWorkspace:
         raise SimplexIterationError(
             f"simplex hit the iteration limit ({self._iter_limit}) without a verdict"
         )
+
+    def _dual_bound(self, y, d, lo, up) -> float:
+        """The safe bound ``b·y + Σ_j min(lo_j d_j, up_j d_j)`` over all columns,
+        where ``d = c - W^T y``: no point within ``lo`` and ``up`` that meets
+        the rows has a lower objective, whatever ``y`` is and whether or not
+        its basis is optimal (Neumaier and Shcherbina, Math. Programming 99,
+        2004).  A reduced cost within ``_DTOL`` counts as 0, as the kernel
+        accepts; one beyond it on a side whose bound is infinite gives -inf.
+        """
+        # The bound each column's reduced cost meets: lower for d > 0, upper
+        # for d < 0, and 0 where d counts as 0, so no infinite bound meets a
+        # zero d.  Every infinite product is -inf (d > 0 times a lower bound
+        # of -inf, d < 0 times an upper bound of +inf), and so is the sum.
+        at = np.where(d > _DTOL, lo, np.where(d < -_DTOL, up, 0.0))
+        return float(np.dot(self.b, y) + np.dot(d, at))
 
     def _free_ray(self, Binv, basis, cols, t, bounds) -> bool:
         """Whether columns ``cols`` can move together by ``t`` per unit, the

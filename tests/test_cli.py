@@ -75,11 +75,11 @@ def test_solve_prints_json(tmp_path, capsys):
     lp = payload["lp"]
     assert set(lp) == {
         "memo_hits", "cold_retries", "kernel_runs", "pivots", "inversions",
-        "refactorizations", "inverse_hits",
+        "refactorizations", "inverse_hits", "uncertified",
     }
     assert lp["refactorizations"] <= lp["inversions"]
     # One kernel run per processed node (the root cold, the rest warm).
-    assert lp["kernel_runs"] == payload["nodes"] and lp["cold_retries"] == 0
+    assert lp["kernel_runs"] == payload["nodes"] and lp["cold_retries"] == lp["uncertified"] == 0
 
 
 def test_solve_with_priorities_file(tmp_path, capsys):

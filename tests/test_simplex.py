@@ -1,5 +1,8 @@
 import dataclasses
+import sys
+import types
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -857,6 +860,115 @@ def test_final_point_of_a_fresh_inverse_that_fails_its_recheck_is_retried_cold()
     assert_same_optimum(sol, root, ws, ws.base_lower, ws.base_upper)
 
 
+def test_dual_bound_counts_reduced_costs_within_the_tolerance_as_zero():
+    # min x0 - x1 + x2 over 0 <= x <= (1, 2, inf), one LE row x0 + x1 <= 3;
+    # the optimum is -2 at x = (0, 2, 0).
+    ws = LpWorkspace(lp_of([1.0, -1.0, 1.0], [[(0, 1.0), (1, 1.0)]], [3.0], ["LE"], [0.0] * 3, [1.0, 2.0, INF]))
+    lo, up = np.array([0.0, 0.0, 0.0, 0.0]), np.array([1.0, 2.0, INF, INF])
+    # Any y gives a bound; y = -0.5 a weaker one, y = 0 (d = c) the optimum.
+    y = np.array([-0.5])
+    d = np.array([1.5, -0.5, 1.0, 0.5])  # c - W^T y, the slack last
+    assert ws._dual_bound(y, d, lo, up) == -1.5 - 1.0
+    assert ws._dual_bound(np.zeros(1), np.array([1.0, -1.0, 1.0, 0.0]), lo, up) == -2.0
+    # A wrong-signed reduced cost on the side of an infinite bound gives -inf
+    # beyond the dual tolerance and counts as 0 within it.
+    for noise, want in ((-2 * simplex._DTOL, -INF), (-simplex._DTOL, -2.5), (-5.6e-17, -2.5)):
+        assert ws._dual_bound(y, np.array([1.5, -0.5, 1.0, noise]), lo, up) == want
+
+
+def skipping_first_update_kernel(monkeypatch):
+    """A copy of the simplex module whose only change skips the reduced-cost
+    step of each kernel run's first pivot.  Its inverse and point are right,
+    but its carried reduced costs are not, so it can stop at a basis that is
+    not optimal."""
+    source = Path(simplex.__file__).read_text()
+    step = "d += (t_step if to_lower else -t_step) * alpha"
+    assert source.count(step) == 1
+    mutant = types.ModuleType("backdoorlab._skipping_simplex")
+    mutant.__package__ = "backdoorlab"
+    monkeypatch.setitem(sys.modules, mutant.__name__, mutant)
+    code = compile(source.replace(step, "if iters:\n" + " " * 16 + step), simplex.__file__, "exec")
+    exec(code, mutant.__dict__)
+    return mutant
+
+
+def test_a_kernel_that_stops_short_of_optimal_reports_no_optimum(monkeypatch):
+    mutant = skipping_first_update_kernel(monkeypatch)
+    checked = refused = 0
+    for seed in range(3):
+        lp = lp_relaxation(gen_gisp(nodes=20, seed=seed))
+        good, bad = LpWorkspace(lp), mutant.LpWorkspace(lp)
+        root = good.solve()
+        for j in range(lp.num_vars):
+            for fix in (0.0, 1.0):
+                lo, up = good.base_lower.copy(), good.base_upper.copy()
+                lo[j] = up[j] = fix
+                want = good.solve(lower=lo, upper=up, start=(root.vstat, root.basis))
+                try:
+                    got = bad.solve(lower=lo, upper=up, start=(root.vstat, root.basis))
+                except mutant.SimplexNumericalError:
+                    refused += 1
+                    continue
+                checked += 1
+                assert got.status == want.status
+                if want.status == OPTIMAL:
+                    assert got.objective == pytest.approx(want.objective, rel=1e-9, abs=1e-9)
+        # Each run that stopped short failed its dual bound, and was rebuilt,
+        # retried cold or refused.
+        assert bad.uncertified > 0 and bad.cold_retries > 0
+    assert checked > 150 and refused > 0
+    # Through branch and bound the cold root fails its bound, fails it again
+    # after its rebuild, and the solve is refused rather than answered with
+    # -994 (the optimum is -996).
+    assert solve_bnb(gen_gisp(nodes=20, seed=1)).objective == -996.0
+    inst = gen_gisp(nodes=20, seed=1)
+    inst.__dict__["lp"] = mutant.LpWorkspace(lp_relaxation(inst))
+    with pytest.raises(mutant.SimplexNumericalError):
+        solve_bnb(inst)
+    assert (inst.lp.uncertified, inst.lp.refactorizations, inst.lp.kernel_runs) == (2, 1, 1)
+
+
+CERTIFIED_CORPUS = [
+    lambda: gen_gisp(nodes=20, seed=1),
+    # GE-row slacks sit at their finite bound with reduced costs like 5.6e-17
+    # of the sign of their infinite side.
+    lambda: gen_setcover(n_elements=60, n_sets=50, density=0.1, seed=0),
+    lambda: gen_combinatorial_auction(items=15, bids=60, seed=2),
+    lambda: gen_mis(nodes=60, avg_degree=5.0, seed=0),
+    lambda: gen_facility_location(facilities=8, customers=12, seed=0),
+]
+
+
+@pytest.mark.parametrize("make", CERTIFIED_CORPUS)
+def test_every_optimum_of_branch_and_bound_is_certified(make, monkeypatch):
+    """Every OPTIMAL kernel run's objective is within the tolerance of its
+    dual bound, and no run fails the bound."""
+    bound_of, dual = LpWorkspace._dual_bound, LpWorkspace._dual
+    last, gaps = {}, []
+
+    def recorded_bound(self, y, d, lo, up):
+        tiny = (np.abs(d) <= simplex._DTOL) & (((d > 0.0) & (lo == -INF)) | ((d < 0.0) & (up == INF)))
+        last["noise"] = int(np.count_nonzero(tiny))
+        last["bound"] = bound_of(self, y, d, lo, up)
+        return last["bound"]
+
+    def recorded_dual(self, *args):
+        sol = dual(self, *args)
+        if sol.status == OPTIMAL:
+            gaps.append(((sol.objective - last["bound"]) / (1.0 + abs(sol.objective)), last["noise"]))
+        return sol
+
+    monkeypatch.setattr(LpWorkspace, "_dual_bound", recorded_bound)
+    monkeypatch.setattr(LpWorkspace, "_dual", recorded_dual)
+    inst = make()
+    res = solve_bnb(inst)
+    assert res.status == OPTIMAL and len(gaps) > 1
+    assert inst.lp.uncertified == 0 and inst.lp.cold_retries == 0
+    assert all(-1e-9 <= gap <= 1e-9 for gap, _ in gaps)
+    if inst.name.startswith("setcover"):
+        assert sum(noise > 0 for _, noise in gaps) > 10
+
+
 def assert_kept_inverses_invert(ws):
     for key, (Binv, _) in ws._inverses.items():
         basis = np.frombuffer(key, dtype=np.int64)
@@ -904,7 +1016,7 @@ def test_solve_counters_are_pinned():
     # from kept inverses: 22 pivots in all, no inversion.
     assert ws.counters() == {
         "memo_hits": 0, "cold_retries": 0, "kernel_runs": 4, "pivots": 22,
-        "inversions": 0, "refactorizations": 0, "inverse_hits": 3,
+        "inversions": 0, "refactorizations": 0, "inverse_hits": 3, "uncertified": 0,
     }
     again = solve_bnb(inst, BnbConfig(node_limit=3))
     assert again.nodes_processed == 3
