@@ -1,28 +1,39 @@
-"""The quality table behind the attention model's default size.
+"""The quality tables behind the attention model's default size.
 
-One cell collects a GISP training set once, trains one model per (number of
-attention heads H, training seed), evaluates every model on fixed test sets,
-and returns one row per (H, test set): the win/tie/loss counts and the
-summed method and baseline nodes over the training seeds, each model's
-training CPU seconds, and an exact two-sided sign test against the
-reference size on the per-(training seed, instance) method nodes.
+A cell collects a GISP training set once, trains one model per (model size,
+training seed), evaluates every model on fixed test sets, and returns one
+row per (size, test set): the win/tie/loss counts and the summed method and
+baseline nodes over the training seeds, each model's training CPU seconds,
+and an exact two-sided sign test against the reference size on the
+per-(training seed, instance) method nodes.  A size is the ``TrainConfig``
+fields it sets, such as ``{"H": 1}`` or ``{"L": 32, "hidden": 32}``; each
+row carries the fields of its size.
 
-The default cell (``CELL``) is criterion 9's configuration, the package
-defaults, over 100 fresh GISP-25 training instances: H in {1, 2, 8} at the
-default L and hidden, training seeds 0-2, and three test sets: GISP-25,
-GISP-35 and GISP-40.  From the repository root:
+Two cells, each over 100 fresh GISP-25 training instances collected at the
+package's default ``CollectConfig`` but for its seed, with training seeds
+0-2 and three test sets (GISP-25, GISP-35 and GISP-40):
 
-    python3 quality/run.py                    # writes quality/run.json
+- ``CELL``, the head count: H in {1, 2, 8} at L 64 and hidden 64, against
+  H 8.  It chose H 1; ``quality/run.json`` is the record of its first run.
+- ``WIDTH_CELL``, the width: L = hidden in {16, 32, 64} at H 1, against
+  64.  ``quality/width.json`` is the record of its first run.
+
+From the repository root:
+
+    python3 quality/run.py                       # H cell, writes quality/run.json
+    python3 quality/run.py --cell width          # writes quality/width.json
     python3 quality/run.py --out table.json
 
-It takes 70-85 s on a 2-CPU host; evaluation runs on every usable CPU.  A
-size passes the gate when, on every test set, its summed method nodes are at
-most ``NODE_RATIO`` times the reference's and the sign test does not show it
-worse at p < ``ALPHA``; the default model size is the smallest passing size
-among ``CANDIDATES``.
+A cell takes 1.5-5 minutes on a 2-CPU host; evaluation runs on every usable
+CPU.  A size passes the gate when, on every test set, its summed method
+nodes are at most ``NODE_RATIO`` times the reference's and the sign test
+does not show it worse at p < ``ALPHA``; the default model size is the
+first passing size among the cell's ``candidates``, smallest first, else
+the reference.
 
-Every seed below was fixed before the first run.  Do not change a seed, a
-size or a test set after seeing a result: add a new cell instead.
+Every seed and size below was fixed before the cell's first run.  Do not
+change a seed, a size or a test set after seeing a result: add a new cell
+instead.
 """
 
 from __future__ import annotations
@@ -56,24 +67,25 @@ from backdoorlab.pipeline import (  # noqa: E402
 NODE_RATIO = 1.02
 # ... and the sign test does not show it worse at this level.
 ALPHA = 0.05
-# The sizes that may become the default, smallest first.
-CANDIDATES = (1, 2)
 
 
 @dataclass(frozen=True)
 class Cell:
     """What one cell runs.  ``test_sets`` maps a test set's name to its GISP
-    node count and instance seeds; ``reference`` is the size in ``sizes``
-    every sign test compares with.  Each model trains with ``train`` but for
-    its H, from ``sizes``, and its seed, from ``model_seeds``; evaluation
-    runs at the package's default K and node cap."""
+    node count and instance seeds.  A size is the ``TrainConfig`` fields it
+    sets; ``reference``, one of ``sizes``, is the size every sign test
+    compares with, and ``candidates`` are the sizes that may become the
+    default, smallest first.  Each model trains with ``train`` but for its
+    size's fields and its seed, from ``model_seeds``; evaluation runs at the
+    package's default K and node cap."""
 
     train_nodes: int
     train_seeds: range
     collect: CollectConfig
     test_sets: dict[str, tuple[int, range]]
-    sizes: tuple[int, ...]
-    reference: int
+    sizes: tuple[dict[str, int], ...]
+    reference: dict[str, int]
+    candidates: tuple[dict[str, int], ...]
     model_seeds: tuple[int, ...]
     train: TrainConfig = TrainConfig()
     workers: int = 2
@@ -88,10 +100,31 @@ CELL = Cell(
         "gisp35": (35, range(7200, 7230)),
         "gisp40": (40, range(7300, 7330)),
     },
-    sizes=(1, 2, 8),
-    reference=8,
+    sizes=({"H": 1}, {"H": 2}, {"H": 8}),
+    reference={"H": 8},
+    candidates=({"H": 1}, {"H": 2}),
     model_seeds=(0, 1, 2),
+    train=TrainConfig(L=64, hidden=64),
 )
+
+WIDTH_CELL = Cell(
+    train_nodes=25,
+    train_seeds=range(7600, 7700),
+    collect=CollectConfig(seed=32),
+    test_sets={
+        "gisp25": (25, range(7700, 7750)),
+        "gisp35": (35, range(7750, 7780)),
+        "gisp40": (40, range(7800, 7830)),
+    },
+    sizes=({"L": 16, "hidden": 16}, {"L": 32, "hidden": 32}, {"L": 64, "hidden": 64}),
+    reference={"L": 64, "hidden": 64},
+    candidates=({"L": 16, "hidden": 16}, {"L": 32, "hidden": 32}),
+    model_seeds=(0, 1, 2),
+    train=TrainConfig(H=1),
+)
+
+# Each cell by its ``--cell`` name, with the record its first run wrote.
+CELLS = {"H": (CELL, "run.json"), "width": (WIDTH_CELL, "width.json")}
 
 
 def sign_test_p(better: int, worse: int) -> float:
@@ -100,6 +133,10 @@ def sign_test_p(better: int, worse: int) -> float:
     n = better + worse
     tail = sum(math.comb(n, k) for k in range(min(better, worse) + 1))
     return min(1.0, 2.0 * tail / 2**n)
+
+
+def _label(size: dict[str, int]) -> str:
+    return ", ".join(f"{k}={v}" for k, v in size.items())
 
 
 def _write_gisp(directory: Path, nodes: int, seeds) -> None:
@@ -113,12 +150,13 @@ def run_cell(cell: Cell, workdir) -> dict:
     """Run ``cell`` in the empty directory ``workdir``.
 
     Returns ``{"collection", "rows"}``: the collection's kept, skipped and
-    failed counts with its wall seconds, and one row per (H, test set) in
+    failed counts with its wall seconds, and one row per (size, test set) in
     ``sizes`` order.  Every model is trained first; ``evaluate_choosers`` then
     solves each test instance's baseline once for all of them (a failure raises).
     """
-    if cell.reference not in cell.sizes:
-        raise ValueError(f"reference size {cell.reference} is not among {cell.sizes}")
+    for size in (cell.reference, *cell.candidates):
+        if size not in cell.sizes:
+            raise ValueError(f"size {size} is not among {cell.sizes}")
     workdir = Path(workdir)
     _write_gisp(workdir / "train", cell.train_nodes, cell.train_seeds)
     for name, (nodes, seeds) in cell.test_sets.items():
@@ -133,26 +171,27 @@ def run_cell(cell: Cell, workdir) -> dict:
     }
     samples = load_dataset(workdir / "dataset.jsonl")
 
-    cpu: dict[int, list[float]] = {}
-    models = {}  # (H, model seed) -> trained parameters
-    for H in cell.sizes:
+    cpu: dict[int, list[float]] = {}  # size index -> training CPU per model seed
+    models = {}  # (size index, model seed) -> trained parameters
+    for i, size in enumerate(cell.sizes):
         for seed in cell.model_seeds:
             t0 = time.process_time()
-            models[H, seed], _ = train(samples, replace(cell.train, H=H, seed=seed))
-            cpu.setdefault(H, []).append(round(time.process_time() - t0, 2))
+            models[i, seed], _ = train(samples, replace(cell.train, **size, seed=seed))
+            cpu.setdefault(i, []).append(round(time.process_time() - t0, 2))
     choosers = [functools.partial(predict_backdoor, params) for params in models.values()]
-    runs: dict[tuple[int, str], list[list]] = {}  # (H, test set) -> one record list per model seed
+    runs: dict[tuple[int, str], list[list]] = {}  # (size index, test set) -> one record list per model seed
     for name in cell.test_sets:
         per_model, errors = evaluate_choosers(workdir / name, choosers)
         if errors:
             raise ValueError(f"test set {name}: {errors[0]['instance']} failed with {errors[0]['error']}")
-        for (H, _), records in zip(models, per_model):
-            runs.setdefault((H, name), []).append(records)
+        for (i, _), records in zip(models, per_model):
+            runs.setdefault((i, name), []).append(records)
 
+    reference = cell.sizes.index(cell.reference)
     rows = []
-    for H in cell.sizes:
+    for i, size in enumerate(cell.sizes):
         for name, (nodes, seeds) in cell.test_sets.items():
-            mine, ref = runs[H, name], runs[cell.reference, name]
+            mine, ref = runs[i, name], runs[reference, name]
             pairs = [(a, b) for own, other in zip(mine, ref) for a, b in zip(own, other)]
             better = sum(a.method_effort < b.method_effort for a, b in pairs)
             worse = sum(a.method_effort > b.method_effort for a, b in pairs)
@@ -160,7 +199,7 @@ def run_cell(cell: Cell, workdir) -> dict:
             ref_method = sum(b.method_effort for _, b in pairs)
             p = sign_test_p(better, worse)
             rows.append({
-                "H": H,
+                **size,
                 "test_set": name,
                 "nodes": nodes,
                 "instances": len(seeds),
@@ -171,30 +210,38 @@ def run_cell(cell: Cell, workdir) -> dict:
                 "method_nodes": method,
                 "baseline_nodes": sum(a.baseline_effort for a, _ in pairs),
                 "censored": sum(a.baseline_censored or a.method_censored for a, _ in pairs),
-                "train_cpu_s": cpu[H],
+                "train_cpu_s": cpu[i],
                 "sign_test": {
-                    "reference_H": cell.reference, "better": better, "worse": worse,
-                    "ties": len(pairs) - better - worse, "p": p,
+                    **{f"reference_{k}": v for k, v in cell.reference.items()},
+                    "better": better, "worse": worse, "ties": len(pairs) - better - worse, "p": p,
                 },
                 "passes": method <= NODE_RATIO * ref_method and not (worse > better and p < ALPHA),
             })
     return {"collection": collection, "rows": rows}
 
 
-def gate(rows: list[dict]) -> dict:
-    """Which sizes pass on every test set, and the default that follows:
-    the smallest passing candidate, else the reference."""
-    reference = rows[0]["sign_test"]["reference_H"]
-    passing = sorted({r["H"] for r in rows} - {r["H"] for r in rows if not r["passes"]})
-    chosen = min((H for H in CANDIDATES if H in passing), default=reference)
+def gate(cell: Cell, rows: list[dict]) -> dict:
+    """Which sizes pass on every test set, and the size that follows: the
+    first passing candidate, else the reference.  ``candidates`` and
+    ``passing`` write a size that sets one field as that field's value, as
+    the H cell's record does; ``chosen`` is the size, and ``default_<field>``
+    each of its fields."""
+
+    def key(size):
+        return next(iter(size.values())) if len(size) == 1 else size
+
+    passing = [size for size in cell.sizes if all(r["passes"] for r in rows if size.items() <= r.items())]
+    chosen = next((size for size in cell.candidates if size in passing), cell.reference)
+    reference = _label(cell.reference)
     return {
         "rule": (
-            f"on every test set, summed method nodes at most {NODE_RATIO} x H={reference}'s, "
-            f"and the sign test against H={reference} not showing it worse at p < {ALPHA}"
+            f"on every test set, summed method nodes at most {NODE_RATIO} x {reference}'s, "
+            f"and the sign test against {reference} not showing it worse at p < {ALPHA}"
         ),
-        "candidates": list(CANDIDATES),
-        "passing": passing,
-        "default_H": chosen,
+        "candidates": [key(size) for size in cell.candidates],
+        "passing": [key(size) for size in passing],
+        "chosen": chosen,
+        **{f"default_{k}": v for k, v in chosen.items()},
     }
 
 
@@ -221,35 +268,40 @@ def _machine() -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--out", type=Path, default=ROOT / "quality" / "run.json")
+    parser.add_argument("--cell", choices=sorted(CELLS), default="H")
+    parser.add_argument("--out", type=Path, help="default: the cell's record under quality/")
     args = parser.parse_args(argv)
+    cell, record = CELLS[args.cell]
+    out = args.out or ROOT / "quality" / record
     t0 = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="quality-") as workdir:
-        result = run_cell(CELL, workdir)
-    cell = asdict(CELL)
-    cell["train_seeds"] = [CELL.train_seeds.start, CELL.train_seeds.stop - 1]
-    cell["test_sets"] = {k: {"nodes": n, "seeds": [s.start, s.stop - 1]} for k, (n, s) in CELL.test_sets.items()}
-    for name in ("H", "seed"):  # each model's own, from sizes and model_seeds
-        del cell["train"][name]
-    cell["evaluate"] = {"K": CollectConfig.K, "node_cap": NODE_CAP}
+        result = run_cell(cell, workdir)
+    spec = asdict(cell)
+    spec["train_seeds"] = [cell.train_seeds.start, cell.train_seeds.stop - 1]
+    spec["test_sets"] = {k: {"nodes": n, "seeds": [s.start, s.stop - 1]} for k, (n, s) in cell.test_sets.items()}
+    for name in {"seed"}.union(*cell.sizes):  # each model's own, from sizes and model_seeds
+        del spec["train"][name]
+    spec["evaluate"] = {"K": CollectConfig.K, "node_cap": NODE_CAP}
     doc = {
-        "command": "python3 quality/run.py",
-        "cell": cell,
+        "command": "python3 quality/run.py" + ("" if args.cell == "H" else f" --cell {args.cell}"),
+        "cell": spec,
         "machine": _machine(),
         "seconds": round(time.perf_counter() - t0, 1),
         **result,
-        "gate": gate(result["rows"]),
+        "gate": gate(cell, result["rows"]),
     }
-    args.out.write_text(json.dumps(doc, indent=2) + "\n")
+    out.write_text(json.dumps(doc, indent=2) + "\n")
     for r in result["rows"]:
         s = r["sign_test"]
         print(
-            f"H={r['H']} {r['test_set']}: W/T/L {r['wins']}/{r['ties']}/{r['losses']}, "
+            f"{_label({k: r[k] for k in cell.reference})} {r['test_set']}: "
+            f"W/T/L {r['wins']}/{r['ties']}/{r['losses']}, "
             f"nodes {r['method_nodes']} (baseline {r['baseline_nodes']}), "
-            f"vs H={s['reference_H']} {s['better']} better / {s['worse']} worse, p={s['p']:.3g}, "
+            f"vs {_label(cell.reference)} {s['better']} better / {s['worse']} worse, p={s['p']:.3g}, "
             f"train CPU {r['train_cpu_s']} s, {'passes' if r['passes'] else 'FAILS'}"
         )
-    print(f"default H: {doc['gate']['default_H']} (passing: {doc['gate']['passing']}); wrote {args.out}")
+    verdict = doc["gate"]
+    print(f"default: {_label(verdict['chosen'])} (passing: {verdict['passing']}); wrote {out}")
     return 0
 
 

@@ -109,11 +109,12 @@ class GatParameters:
     """
 
     # The default model size, stated only here: ``TrainConfig`` and the CLI
-    # take theirs from these fields.  H was chosen on the quality table of
-    # ``quality/run.py`` (``quality/run.json``).
-    L: int = 64
+    # take theirs from these fields.  Each was chosen on a quality table of
+    # ``quality/run.py``: H on ``quality/run.json``, L and hidden on
+    # ``quality/width.json``.
+    L: int = 32
     H: int = 1
-    hidden: int = 64
+    hidden: int = 32
     vector: np.ndarray | None = None
     arrays: dict[str, np.ndarray] = field(init=False, repr=False)
 

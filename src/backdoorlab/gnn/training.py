@@ -35,10 +35,13 @@ from .optim import AdamState, adam_step
 # union that training runs at once; its memory grows with them.  Sized on
 # train-gisp25 (60 GISP-25 graphs of 2.2k-2.8k cells, batches of 32) with the
 # heap held, where 2**16 cells run a batch as one or two unions.  Median CPU
-# of 11 in-process trainings on a 2-CPU host: 0.538 s at 2**16, 0.605 s at
-# 2**15, 0.713 s at 2**14 (0.99 s at 2**13 over 5), and 0.512 s at 2**17 for
-# 2.7 MB more peak RSS.  2**14 without the hold, the earlier size, took
-# 0.773 s: each union's fresh pages cost 19k minor faults against 2.7k here.
+# of 11 in-process trainings on a 2-CPU host, all at width 64 (L and
+# hidden): 0.538 s at 2**16, 0.605 s at 2**15, 0.713 s at 2**14 (0.99 s at
+# 2**13 over 5), and 0.512 s at 2**17 for 2.7 MB more peak RSS.  2**14
+# without the hold, the earlier size, took 0.773 s: each union's fresh pages
+# cost 19k minor faults against 2.7k here.  At width 32, the default since,
+# 2**16 took 0.442 s, against 0.758 s at width 64 in the same alternating
+# runs on a busier host (not retuned).
 _UNION_CELLS = 1 << 16
 
 # glibc's ``mallopt`` parameters (malloc.h), the largest mmap threshold it

@@ -545,7 +545,7 @@ def test_K_defaults_to_the_collect_default():
 OPERATING_POINT = {
     "collect": ["--K", "4", "--k", "12", "--p", "5", "--q", "5", "--budget", "30", "--probe-limit", "12",
                 "--label-limit", "3000"],
-    "train": ["--epochs", "40", "--L", "64", "--H", "1", "--hidden", "64"],
+    "train": ["--epochs", "40", "--L", "32", "--H", "1", "--hidden", "32"],
     "evaluate": ["--K", "4", "--node-cap", "5000"],
 }
 

@@ -416,10 +416,12 @@ class TestRunner:
 class TestEvaluate:
     def test_efforts_are_pinned(self, tmp_path):
         """Baseline and method node counts of an untrained seed-0 model with 8
-        heads on two GISP-25 test instances at the default K and node cap, as
-        evaluated before the LP hot path was reworked."""
+        heads, L 64 and hidden 64 on two GISP-25 test instances at the default
+        K and node cap, as evaluated before the LP hot path was reworked.  The
+        sizes are named because the pins were captured at them, so what this
+        checks does not move with the default model size."""
         write_gisp_dir(tmp_path, [5000, 5005], nodes=25)
-        records, summary = evaluate(GatParameters.init(seed=0, H=8), tmp_path)
+        records, summary = evaluate(GatParameters.init(seed=0, L=64, H=8, hidden=64), tmp_path)
         assert [(r.instance, r.baseline_effort, r.method_effort) for r in records] == [
             ("gisp_n25_s5000", 53, 57),
             ("gisp_n25_s5005", 81, 83),
