@@ -1,8 +1,7 @@
-"""Attention-based variable scorer: model, loss, optimizer and training.
-The autodiff tape in ``gnn.autodiff``, the tests' gradient reference, is not
-exported."""
+"""Attention-based variable scorer: model, loss, optimizer and training, in
+plain numpy with hand-written backward passes."""
 
-from .loss import infonce_loss, membership_matrix
+from .loss import infonce_loss
 from .model import (
     AttentionRecord,
     GatParameters,
@@ -28,7 +27,6 @@ __all__ = [
     "greedy_select",
     "infonce_loss",
     "load_model",
-    "membership_matrix",
     "save_model",
     "score_graph",
     "train",

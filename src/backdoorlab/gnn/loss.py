@@ -25,26 +25,12 @@ from ..inputs import check_integer
 from .model import SegmentIndex
 
 
-def membership_matrix(samples: Sequence[Iterable[int]], num_vars: int) -> np.ndarray:
-    """Stack 0/1 indicator rows, one per sample.
-
-    Raises ``ValueError`` for an index that is not an integer in
-    ``[0, num_vars)``; a negative one would otherwise wrap around the row.
-    """
-    M = np.zeros((len(samples), num_vars))
-    for r, sample in enumerate(samples):
-        for j in sample:
-            M[r, check_integer(j, f"sample {r}: variable index", 0, num_vars)] = 1.0
-    return M
-
-
 @dataclass(frozen=True)
 class ContrastiveSets:
     """One sample's positive and negative sets as index arrays over its variables.
 
     The sets come positives first, each as its distinct members in
-    ascending order (a repeated index counts once, as in
-    :func:`membership_matrix`).
+    ascending order (a repeated index counts once).
     """
 
     member: SegmentIndex  # each member's variable

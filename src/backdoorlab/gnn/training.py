@@ -89,8 +89,9 @@ def _held_heap():
 @dataclass(frozen=True)
 class TrainConfig:
     """Hyperparameters.  The defaults are criterion 9's configuration; the
-    model sizes are ``GatParameters``' defaults, whose head count was chosen
-    on the quality table of ``quality/run.py``."""
+    model sizes are ``GatParameters``' defaults, chosen on the quality tables
+    of ``quality/run.py``: H on ``quality/run.json``, L and hidden on
+    ``quality/width.json``."""
 
     tau: float = 0.07
     learning_rate: float = 5e-4

@@ -18,10 +18,10 @@ from backdoorlab.gnn import (
     save_model,
     score_graph,
 )
-from backdoorlab.gnn import autodiff as ad
-from backdoorlab.gnn.model import LEAKY_SLOPE
+from backdoorlab.gnn.model import SegmentIndex, _product, leaky_relu_slopes
 from backdoorlab.milp import make_instance
 
+from reference import central_difference_check, per_edge_scores
 from test_features import permute_instance, permute_solution
 
 
@@ -95,61 +95,6 @@ def test_forward_handles_edgeless_graph():
     scores = gat_forward(small_params(), g)
     assert scores.shape == (2,)
     assert np.all((scores > 0) & (scores < 1))
-
-
-def tape_tensors(params: GatParameters) -> dict[str, ad.Tensor]:
-    """The parameters as autodiff leaves, for the tape references."""
-    return {k: ad.Tensor(v) for k, v in params.arrays.items()}
-
-
-def per_edge_scores(a, graph):
-    """The attention model with every edge term computed per edge.
-
-    Built from public autodiff ops only; returns (scores (n, 1), records as
-    ``(alpha_self, alpha_edge, receiver_of_edge)`` per round).
-    """
-    H, L = a["att1_theta_c"].shape[:2]
-    edges = graph.edges.astype(np.int64).reshape(-1, 2)
-    cons, var = edges[:, 0], edges[:, 1]
-
-    def mlp(x, tag):
-        hidden = ad.relu(ad.add(ad.matmul(x, a[f"{tag}_w1"]), a[f"{tag}_b1"]))
-        return ad.add(ad.matmul(hidden, a[f"{tag}_w2"]), a[f"{tag}_b2"])
-
-    def attention(recv_emb, send_emb, edge_emb, rnd, r, s, recv, send):
-        Tr = ad.matmul(recv_emb, a[f"att{rnd}_theta_{r}"])
-        Ts = ad.matmul(send_emb, a[f"att{rnd}_theta_{s}"])
-        Te = ad.matmul(edge_emb, a[f"att{rnd}_theta_e"])  # (H, E, L)
-
-        def logit(x, k):
-            wk = ad.gather(a[f"att{rnd}_w"], np.arange(k * L, (k + 1) * L), axis=1)
-            return ad.reshape(ad.matmul(ad.leaky_relu(x, LEAKY_SLOPE), ad.reshape(wk, (H, L, 1))), (H, -1))
-
-        R = recv_emb.shape[0]
-        self_logit = ad.add(logit(Tr, 0), logit(Tr, 1))
-        edge_logit = ad.add(
-            ad.add(ad.gather(logit(Tr, 0), recv, axis=1), ad.gather(logit(Ts, 1), send, axis=1)),
-            logit(Te, 2),
-        )
-        mx = self_logit.data.copy()
-        np.maximum.at(mx, (slice(None), recv), edge_logit.data)
-        exp_self = ad.exp(ad.sub(self_logit, mx))
-        exp_edge = ad.exp(ad.sub(edge_logit, mx[:, recv]))
-        denom = ad.add(exp_self, ad.segment_sum(exp_edge, recv, R, axis=1))
-        alpha_self = ad.div(exp_self, denom)
-        alpha_edge = ad.div(exp_edge, ad.gather(denom, recv, axis=1))
-        agg = ad.segment_sum(
-            ad.mul(ad.gather(Ts, send, axis=1), ad.reshape(alpha_edge, (H, -1, 1))), recv, R, axis=1
-        )
-        new = ad.tmean(ad.add(ad.mul(Tr, ad.reshape(alpha_self, (H, -1, 1))), agg), axis=0)
-        return new, (alpha_self.data, alpha_edge.data, recv)
-
-    V1 = mlp(graph.var_feats, "emb_var")
-    C1 = mlp(graph.cons_feats, "emb_cons")
-    E1 = mlp(graph.edge_feats, "emb_edge")  # one row per edge
-    C2, rec1 = attention(C1, V1, E1, 1, "c", "v", cons, var)
-    V2, rec2 = attention(V1, C2, E1, 2, "v", "c", var, cons)
-    return ad.sigmoid(mlp(V2, "out")), [rec1, rec2]
 
 
 def graph_of(inst):
@@ -228,37 +173,48 @@ EDGE_CASES = {
 
 @pytest.mark.parametrize("name", sorted(EDGE_CASES))
 def test_distinct_edge_rows_match_per_edge_reference(name):
-    """Scores, expanded attention records and gradients of the class path
-    match the per-node, per-edge reference."""
+    """Scores and expanded attention records of the class path match the
+    per-node, per-edge reference, and its gradients match central differences
+    of that reference."""
     build, distinct = EDGE_CASES[name]
     graph = build()
     assert np.unique(graph.edge_feats).size == distinct
     params = GatParameters.init(seed=6, L=16, H=4, hidden=12)
-    names = sorted(params.arrays)
-    weights = np.random.default_rng(1).normal(size=(graph.num_vars, 1))
+    weights = np.random.default_rng(1).normal(size=graph.num_vars)
 
     s_new, records, backward = score_graph(params.arrays, graph, collect_attention=True)
     rec_new = [(r.alpha_self, r.alpha_edge, r.receiver_of_edge) for r in records]
     g_new = params.views(np.zeros_like(params.vector))
-    backward(weights[:, 0], g_new)
+    backward(weights, g_new)
 
-    tensors = tape_tensors(params)
-    scores, rec_ref = per_edge_scores(tensors, graph)
-    grads = ad.grad(ad.tsum(ad.mul(scores, weights)), [tensors[k] for k in names])
-    s_ref, g_ref = scores.data[:, 0], dict(zip(names, grads))
-
+    s_ref, rec_ref = per_edge_scores(params.arrays, graph)
     np.testing.assert_allclose(s_new, s_ref, rtol=1e-12, atol=0.0)
     for (self_new, edge_new, recv_new), (self_ref, edge_ref, recv_ref) in zip(rec_new, rec_ref):
         np.testing.assert_allclose(self_new, self_ref, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(edge_new, edge_ref, rtol=1e-12, atol=0.0)
         np.testing.assert_array_equal(recv_new, recv_ref)
-    for k in names:
-        scale = np.abs(g_ref[k]).max()
-        np.testing.assert_allclose(g_new[k], g_ref[k], rtol=1e-12, atol=1e-12 * scale, err_msg=k)
+    central_difference_check(lambda p: per_edge_scores(p.arrays, graph)[0] @ weights, params, g_new)
     if distinct == 0:
         assert not g_new["att1_theta_e"].any() and not g_new["emb_edge_w1"].any()
     else:
         assert np.abs(g_new["att1_theta_e"]).max() > 0.0
+
+
+def test_central_difference_check_fails_a_gradient_with_one_array_off():
+    graph = apart_graph()
+    params = GatParameters.init(seed=6, L=16, H=4, hidden=12)
+    weights = np.random.default_rng(1).normal(size=graph.num_vars)
+    _, _, backward = score_graph(params.arrays, graph)
+    grads = params.views(np.zeros_like(params.vector))
+    backward(weights, grads)
+
+    def f(p):
+        return per_edge_scores(p.arrays, graph)[0] @ weights
+
+    assert central_difference_check(f, params, grads) <= 1e-7
+    grads["att1_w"] *= 1.01
+    with pytest.raises(AssertionError, match="^att1_w: error"):
+        central_difference_check(f, params, grads)
 
 
 def test_equal_variables_with_different_neighborhoods_stay_apart():
@@ -307,6 +263,70 @@ def test_all_singleton_classes_skip_identity_gathers():
     classes = EDGE_CASES["facility"][0]().node_classes
     assert classes.var_class is None and classes.round2.own is None
     assert classes.round1.recv.size == classes.round1.node_class.size  # every constraint its own class
+
+
+# Index maps with repeats, with every segment hit or with some left empty,
+# present in unsorted and in sorted order, and sorted with empty segments 1
+# and 4.  The last three have at most two entries per segment, where the
+# pairwise sums of ``reduceat`` and the sequential ``np.add.at`` round alike.
+SEGMENT_CASES = [
+    (np.array([3, 0, 3, 1, 0, 3, 1]), 5),
+    (np.array([2]), 4),
+    (np.zeros(0, dtype=np.int64), 3),
+    (np.array([2, 0, 1, 2, 0, 1]), 3),
+    (np.array([0, 0, 1, 2, 2, 3]), 4),
+    (np.array([0, 0, 2, 3, 3]), 5),
+]
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+@pytest.mark.parametrize("index,size", SEGMENT_CASES)
+def test_sorted_segment_ops_match_scatter_reference(index, size, axis):
+    rng = np.random.default_rng(4)
+    shape = [2, 3, 4]
+    shape[axis] = index.size
+    x = rng.normal(size=shape)
+    out_shape = list(shape)
+    out_shape[axis] = size
+    sel = (slice(None),) * axis + (index,)
+    ref_sum = np.zeros(out_shape)
+    np.add.at(ref_sum, sel, x)
+    floor = rng.normal(size=out_shape)
+    ref_max = floor.copy()
+    np.maximum.at(ref_max, sel, x)
+
+    seg = SegmentIndex(index, size)
+    assert seg.full == (index.size > 0 and np.unique(index).size == size)
+    assert (seg.order is None) == bool(np.all(np.diff(index) >= 0))
+    np.testing.assert_allclose(seg.sum(x, axis), ref_sum, rtol=1e-14, atol=0)
+    top = seg.maximum(floor, x, axis)
+    assert top.dtype == np.float64 and top.tobytes() == ref_max.tobytes()
+    # Small integers sum exactly in any order, so with them every segment's
+    # sum must match ``np.add.at`` bit for bit, and come back as float64.
+    ints = rng.integers(-50, 50, size=shape)
+    ref_int = np.zeros(out_shape)
+    np.add.at(ref_int, sel, ints)
+    for values in (ints, ints.astype(np.float64)):
+        out = seg.sum(values, axis)
+        assert out.dtype == np.float64 and out.tobytes() == ref_int.tobytes()
+
+
+def test_segment_index_rejects_bad_indices():
+    with pytest.raises(IndexError):
+        SegmentIndex(np.array([0, 3]), 3)
+    with pytest.raises(IndexError):
+        SegmentIndex(np.array([-1, 0]), 3)
+
+
+def test_outer_product_and_leaky_relu_gradients_are_exact():
+    """A contracted size of 1 (the attention logits' input gradient) runs as
+    a broadcast multiply; it must give the gemm's values bit for bit."""
+    rng = np.random.default_rng(4)
+    x = rng.normal(size=(3, 5, 4))
+    wt = rng.normal(size=(3, 1, 4))
+    g = rng.normal(size=(3, 5, 1))
+    np.testing.assert_array_equal(_product(g, wt), np.matmul(g, wt))
+    np.testing.assert_array_equal(leaky_relu_slopes(x, 0.3), np.where(x > 0.0, 1.0, 0.3))
 
 
 class TestGreedySelect:

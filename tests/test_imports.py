@@ -1,6 +1,7 @@
 """The package imports only the standard library and its one declared
-dependency, the quality harness imports only the package's public names, and
-only ``backdoorlab.inputs`` parses JSON or opens text with surrogate escapes."""
+dependency and never its empty ``gnn.autodiff``, the quality harness imports
+only the package's public names, and only ``backdoorlab.inputs`` parses JSON
+or opens text with surrogate escapes."""
 
 import ast
 import sys
@@ -34,6 +35,49 @@ def test_modules_import_only_stdlib_and_numpy():
 def test_scan_sees_nested_and_relative_imports():
     source = "import os.path\nfrom scipy import sparse\nfrom . import milp\ndef f():\n    import numba\n"
     assert absolute_imports(source) == {"os", "scipy", "numba"}
+
+
+def autodiff_imports(source: str) -> set[str]:
+    """The module's imports, absolute or relative, that name a module ``autodiff``."""
+    paths = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            paths.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (f"{node.module}." if node.module else "")
+            paths.update(base + alias.name for alias in node.names)
+    return {path for path in paths if "autodiff" in path.split(".")}
+
+
+def test_no_module_imports_the_autodiff_stub():
+    package = Path(backdoorlab.__file__).parent
+    stub = package / "gnn" / "autodiff.py"
+    for path in sorted(package.rglob("*.py")):
+        if path != stub:
+            found = autodiff_imports(path.read_text(encoding="utf-8"))
+            assert not found, f"{path.name} imports {sorted(found)}"
+
+
+def test_autodiff_scan_sees_every_spelling():
+    source = (
+        "from . import autodiff\nfrom .autodiff import grad\nfrom ..gnn import autodiff as ad\n"
+        "import backdoorlab.gnn.autodiff\nfrom backdoorlab.gnn.autodiff import grad\n"
+        "def f():\n    from backdoorlab.gnn import autodiff\n"
+        "from .model import score_union\nimport numpy\nautodiff = None\n"
+    )
+    assert autodiff_imports(source) == {
+        ".autodiff", ".autodiff.grad", "..gnn.autodiff", "backdoorlab.gnn.autodiff", "backdoorlab.gnn.autodiff.grad",
+    }
+
+
+def test_the_autodiff_stub_binds_grad_alone():
+    """``gnn/autodiff.py`` is a docstring and ``grad = None``, kept for
+    perfbench's wrap of ``grad``: it imports nothing and defines nothing, so
+    no differentiation engine grows back in it."""
+    body = ast.parse((Path(backdoorlab.__file__).parent / "gnn" / "autodiff.py").read_text(encoding="utf-8")).body
+    docstring, *rest = body
+    assert isinstance(docstring, ast.Expr) and isinstance(docstring.value, ast.Constant)
+    assert [ast.unparse(node) for node in rest] == ["grad = None"]
 
 
 def backdoorlab_imports(source: str) -> set[str]:

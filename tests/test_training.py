@@ -22,14 +22,12 @@ from backdoorlab.gnn import (
     train,
 )
 from backdoorlab.gnn.model import score_union
-from backdoorlab.gnn import autodiff as ad
 from backdoorlab.gnn import training
 from backdoorlab.gnn.loss import infonce_loss_and_grad
 from backdoorlab.gnn.training import batch_gradient
 from backdoorlab.milp import make_instance
 
-from test_gat import per_edge_scores, tape_tensors
-from test_loss import tape_infonce
+from reference import central_difference_check, infonce_value, per_edge_scores
 
 
 def planted_instance(seed, n=8, m=5):
@@ -157,35 +155,27 @@ def test_per_sample_backward_matches_whole_batch_mean():
 
 
 def _check_batch_mean(params, batch):
+    """The batch's loss is the mean of the plain references' per-sample
+    losses, to rel 1e-12, and its gradient matches central differences of
+    that mean."""
     loss, flat = batch_gradient(params, batch, 0.07)
     grads = params.views(flat)
 
-    # The whole batch on the autodiff tape: mean of the per-sample losses.
-    tensors = tape_tensors(params)
-    total = None
-    for s in batch:
-        scores, _ = per_edge_scores(tensors, s.graph)
-        term = tape_infonce(scores, s.positives, s.negatives, 0.07)
-        total = term if total is None else ad.add(total, term)
-    mean = ad.mul(total, 1.0 / len(batch))
-    names = sorted(tensors)
-    ref = dict(zip(names, ad.grad(mean, [tensors[k] for k in names])))
+    def mean_loss(p):
+        return sum(
+            infonce_value(per_edge_scores(p.arrays, s.graph)[0], s.positives, s.negatives, 0.07) for s in batch
+        ) / len(batch)
 
-    assert loss == pytest.approx(float(mean.data), rel=1e-12)
-    assert sorted(grads) == names
-    # The absolute bound scales with the largest entry of the whole gradient:
-    # the output bias gradient is a nearly cancelling sum, small against it.
-    scale = max(np.abs(ref[k]).max() for k in names)
-    for k in names:
-        assert np.abs(ref[k]).max() > 0.0
-        np.testing.assert_allclose(grads[k], ref[k], rtol=1e-12, atol=1e-12 * scale, err_msg=k)
+    assert loss == pytest.approx(mean_loss(params), rel=1e-12)
+    assert all(np.abs(g).max() > 0.0 for g in grads.values())
+    central_difference_check(mean_loss, params, grads)
 
 
-def test_batch_gradient_matches_the_tape_sum_and_one_sample_bitwise():
-    """The union's batch gradient equals the sum of per-sample gradients on
-    the autodiff tape, which differ from the numpy backward in float order
-    only, so they are held to rtol 1e-12.  A batch of one runs the very code
-    of ``score_graph`` and its backward, so it equals them bit for bit."""
+def test_batch_gradient_matches_the_per_sample_sum_and_one_sample_bitwise():
+    """The union's batch gradient equals the mean of the batches of one
+    sample each, which differ from it in float order only, so they are held
+    to rtol 1e-12.  A batch of one runs the very code of ``score_graph`` and
+    its backward, so it equals them bit for bit."""
     batch = gisp_samples(3)
     for H in (1, 8):  # the default single head, and the multi-head paths
         params = GatParameters.init(seed=5, H=H)
@@ -201,21 +191,14 @@ def test_batch_gradient_matches_the_tape_sum_and_one_sample_bitwise():
 
 def _check_summed_per_sample(params, batch):
     _, flat = batch_gradient(params, batch, 0.07)
-    names = sorted(params.arrays)
-    tape_total = None
-    for s in batch:
-        tensors = tape_tensors(params)
-        tape_scores, _ = per_edge_scores(tensors, s.graph)
-        term = ad.mul(tape_infonce(tape_scores, s.positives, s.negatives, 0.07), 1.0 / len(batch))
-        gs = ad.grad(term, [tensors[k] for k in names])
-        tape_total = gs if tape_total is None else [a + b for a, b in zip(tape_total, gs)]
-    grads = params.views(flat)
+    total = sum(batch_gradient(params, [s], 0.07)[1] for s in batch) / len(batch)
     # The output bias's gradient sums terms that nearly cancel (to about
     # 1e-4 of the largest gradient entry), so the absolute bound scales with
     # the whole gradient rather than with each array.
-    scale = max(np.abs(ref).max() for ref in tape_total)
-    for k, ref in zip(names, tape_total):
-        np.testing.assert_allclose(grads[k], ref, rtol=1e-12, atol=1e-12 * scale, err_msg=k)
+    scale = np.abs(total).max()
+    ref = params.views(total)
+    for k, got in params.views(flat).items():
+        np.testing.assert_allclose(got, ref[k], rtol=1e-12, atol=1e-12 * scale, err_msg=k)
 
 
 def samples_of(graphs):
@@ -236,7 +219,7 @@ def mixed_graphs():
     return [featurize(inst, inst.lp.solve()) for inst in instances]
 
 
-def test_union_scores_each_graph_as_alone_and_its_gradient_matches_the_tape():
+def test_union_scores_each_graph_as_alone_and_its_gradient_matches_central_differences():
     graphs = mixed_graphs()
     batch = samples_of(graphs)
     for H in (1, 8):
@@ -372,19 +355,3 @@ def test_epoch_log_records_time_and_gradient_norm():
         assert set(entry) == {"seconds", "grad_norm"}
         assert entry["seconds"] > 0.0
         assert np.isfinite(entry["grad_norm"]) and entry["grad_norm"] > 0.0
-
-
-def test_training_and_inference_build_no_tensor(monkeypatch):
-    """The training and inference paths run without the autodiff tape."""
-    built = []
-    original = ad.Tensor.__init__
-
-    def counting_init(self, *args, **kwargs):
-        built.append(1)
-        original(self, *args, **kwargs)
-
-    monkeypatch.setattr(ad.Tensor, "__init__", counting_init)
-    ds = planted_dataset(count=4)
-    params, _ = train(ds, TrainConfig(epochs=2, seed=0, batch_size=2, **SMALL))
-    gat_forward(params, ds[0].graph, collect_attention=True)
-    assert built == []
