@@ -5,9 +5,14 @@ lines.  The end-to-end criterion (9) trains a model on 100 tiny instances
 and is the slowest piece; the whole module finishes in a few minutes.
 """
 
+import copy
+import hashlib
 import itertools
+import json
 import math
 import time
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -145,18 +150,22 @@ def test_criterion_3_kink_filter_sees_every_pre_activation():
     ]
 
 
+@pytest.mark.slow
 def test_criterion_3_gradient_fidelity():
     """Training's attention+loss gradients vs central differences, 10 graphs.
 
     Candidate seeds whose activations sit within the differencing step's
     reach of a relu kink are excluded (the usual gradcheck validity
-    condition); everything else must match to 1e-4 relative.
+    condition), and so are seeds whose gradient is zero to rounding (below
+    1e-12 everywhere), such as a graph whose variables all share one node
+    class, which the floored relative error below would pass unchecked;
+    everything else must match to 1e-4 relative.
     """
     h = 1e-5
     worst = 0.0
-    checked = 0
+    checked = []
     for seed in range(30):
-        if checked == 10:
+        if len(checked) == 10:
             break
         inst = gen_mis(nodes=5 + seed % 3, avg_degree=3.0, seed=seed)
         graph = featurize(inst, inst.lp.solve())
@@ -166,14 +175,16 @@ def test_criterion_3_gradient_fidelity():
         neg = [(2, n - 1), (1, 2)]
         if _kink_margin(params, graph, pos, neg) < 1e-3:
             continue
-        checked += 1
+        # The gradient that training computes, for a batch of this one sample.
+        _, flat = batch_gradient(params, [TrainSample(graph, tuple(pos), tuple(neg))], 0.07)
+        if np.abs(flat).max() < 1e-12:
+            continue
+        checked.append(seed)
 
         def loss_of(p: GatParameters) -> float:
             scores, _, _ = score_graph(p.arrays, graph)
             return infonce_loss(scores, pos, neg, 0.07)
 
-        # The gradient that training computes, for a batch of this one sample.
-        _, flat = batch_gradient(params, [TrainSample(graph, tuple(pos), tuple(neg))], 0.07)
         for name, g in params.views(flat).items():
             arr = params.arrays[name]
             for idx in np.ndindex(arr.shape):
@@ -191,8 +202,9 @@ def test_criterion_3_gradient_fidelity():
                 worst = max(worst, rel)
     _verdict(
         3,
-        checked == 10 and worst < 1e-4,
-        f"{checked} graphs checked, max relative gradient error {worst:.2e} (< 1e-4)",
+        len(checked) == 10 and worst < 1e-4,
+        f"{len(checked)} graphs checked (seeds {checked}), "
+        f"max relative gradient error {worst:.2e} (< 1e-4)",
     )
 
 
@@ -268,7 +280,6 @@ def test_criterion_7_tree_weight_laws():
     _verdict(7, ok, "root=1, complete depths 1-3 = 1, {1,2} = 0.75 (exact)")
 
 
-@pytest.mark.slow
 def test_criterion_8_learning_signal():
     """Planted-structure run: loss halves and the planted set is recovered."""
     t0 = time.time()
@@ -290,12 +301,84 @@ def test_criterion_8_learning_signal():
     )
 
 
+RECORD = Path(__file__).with_name("criterion9.json")
+
+
+def record_differences(recorded: dict, measured: dict) -> list[str]:
+    """One line per field of a two-level record that differs, is missing or
+    is extra: ``"<group>.<field>: recorded X, measured Y"``, where a field
+    one side lacks reads ``nothing``."""
+    lines = []
+    for group in sorted(recorded.keys() | measured.keys()):
+        rec, got = recorded.get(group, {}), measured.get(group, {})
+        for name in sorted(rec.keys() | got.keys()):
+            if name in rec and name in got and rec[name] == got[name]:
+                continue
+            was = repr(rec[name]) if name in rec else "nothing"
+            now = repr(got[name]) if name in got else "nothing"
+            lines.append(f"{group}.{name}: recorded {was}, measured {now}")
+    return lines
+
+
+def test_record_differences_names_a_changed_a_dropped_and_an_added_field():
+    recorded = json.loads(RECORD.read_text(encoding="ascii"))
+    measured = copy.deepcopy(recorded)
+    nodes = recorded["evaluation"]["method_nodes"]
+    measured["evaluation"]["method_nodes"] = nodes + 19
+    del measured["sha256"]["checkpoint"]
+    measured["lp"]["pivots_per_run"] = 6.9
+    assert record_differences(recorded, recorded) == []
+    assert record_differences(recorded, measured) == [
+        f"evaluation.method_nodes: recorded {nodes}, measured {nodes + 19}",
+        "lp.pivots_per_run: recorded nothing, measured 6.9",
+        f"sha256.checkpoint: recorded {recorded['sha256']['checkpoint']!r}, measured nothing",
+    ]
+
+
+def _collection_cost(sidecar: Path) -> tuple[dict, dict]:
+    """The sidecar's exact collection cost summed over instances (``max_depth``
+    is the maximum), and its LP counters summed.  Wall-clock ``seconds`` and
+    the ``file`` name are not cost; a failed instance has no cost and is
+    counted in the manifest's ``failed``."""
+    cost, counters = Counter(), Counter()
+    max_depth = 0
+    for line in sidecar.read_text(encoding="ascii").splitlines():
+        entry = json.loads(line)
+        if "error" in entry:
+            continue
+        for key in ("file", "seconds"):
+            del entry[key]
+        counters.update(entry.pop("counters"))
+        max_depth = max(max_depth, entry.pop("max_depth"))
+        cost.update(entry)
+    return {**cost, "max_depth": max_depth}, dict(counters)
+
+
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 @pytest.mark.slow
 def test_criterion_9_end_to_end_gisp(tmp_path):
     """Desk-scale analogue of the headline result: on 50 held-out 25-node
     instances, model-picked backdoors (the default configuration, model
     trained on 100 instances) win strictly more often than they lose, with
-    median improvement >= 0."""
+    median improvement >= 0.
+
+    The run must also equal ``tests/criterion9.json``, the record of what
+    the lab treats as behaviour at this operating point: W/T/L, summed
+    baseline and method nodes and the median improvement to 0.1; the
+    manifest's kept, skipped and failed counts; the collection sidecar's
+    exact cost (probes, distinct subsets, probe nodes, selections, labeling
+    solves and nodes, summed, and the deepest search); its LP counters,
+    summed; and the sha256 of the dataset, its manifest, the checkpoint
+    ``save_model`` writes and ``results.csv``.  No wall-clock value is in
+    it.  The digests pin this environment (numpy 2.4.6, OpenBLAS 0.3.31),
+    as the other digest pins in these tests do.  A change that moves the
+    record updates the file in the same diff, copying the measured values
+    from this test's failure message, and is labelled as a behaviour
+    change.
+    """
     train_dir = tmp_path / "train"
     test_dir = tmp_path / "test"
     train_dir.mkdir()
@@ -306,8 +389,9 @@ def test_criterion_9_end_to_end_gisp(tmp_path):
     for s in range(1000, 1050):
         inst = gen_gisp(nodes=25, seed=s)
         write_instance(inst, test_dir / f"{inst.name}.bdmilp")
-    collect_dataset(train_dir, tmp_path / "ds.jsonl", CollectConfig(seed=0), workers=2)
-    params, _ = train_from_file(tmp_path / "ds.jsonl", TrainConfig(seed=0))
+    dataset = tmp_path / "ds.jsonl"
+    manifest = collect_dataset(train_dir, dataset, CollectConfig(seed=0), workers=2)
+    params, _ = train_from_file(dataset, TrainConfig(seed=0))
     records, summary = evaluate(params, test_dir)
     ok = (
         len(records) == 50
@@ -320,6 +404,28 @@ def test_criterion_9_end_to_end_gisp(tmp_path):
         f"W/T/L {summary['wins']}/{summary['ties']}/{summary['losses']}, "
         f"median improvement {summary['median_improvement_pct']:.1f}%",
     )
+
+    save_model(params, tmp_path / "model.ckpt")
+    report(records, tmp_path / "eval")
+    cost, counters = _collection_cost(tmp_path / "ds.jsonl.timing.jsonl")
+    measured = {
+        "evaluation": {
+            **{k: summary[k] for k in ("wins", "ties", "losses")},
+            "baseline_nodes": sum(r.baseline_effort for r in records),
+            "method_nodes": sum(r.method_effort for r in records),
+            "median_improvement_pct": round(summary["median_improvement_pct"], 1),
+        },
+        "collection": {**{k: manifest[k] for k in ("kept", "skipped", "failed")}, **cost},
+        "lp": counters,
+        "sha256": {
+            "dataset": _sha256(dataset),
+            "manifest": _sha256(tmp_path / "ds.jsonl.manifest.json"),
+            "checkpoint": _sha256(tmp_path / "model.ckpt"),
+            "results_csv": _sha256(tmp_path / "eval" / "results.csv"),
+        },
+    }
+    differences = record_differences(json.loads(RECORD.read_text(encoding="ascii")), measured)
+    assert not differences, "\n".join(differences)
 
 
 def test_criterion_10_artifact_determinism(tmp_path):
